@@ -5,6 +5,8 @@ are benchmarked side by side in one process (the first jitted call is a
 warmup so compilation never lands in a timing). The script also verifies the
 two backends agree numerically, and spawns one subprocess with
 HYPERADAPT_NO_NUMBA=1 to confirm the env flag really flips the dispatch.
+Without numba it times the numpy kernels alone, so a change to them can be
+checked on its own.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--min-time SECONDS]
 """
@@ -101,12 +103,17 @@ def main():
     args = parser.parse_args()
 
     print(f"active backend: {kernels.ACTIVE_BACKEND}")
-    if kernels.ACTIVE_BACKEND != "numba":
-        print("numba unavailable or disabled; nothing to compare against")
-        return 1
-
     rng = np.random.default_rng(0)
     cases = build_cases(rng)
+    if kernels.ACTIVE_BACKEND != "numba":
+        print("numba unavailable or disabled; timing the numpy kernels only")
+        header = f"{'kernel':<18}{'shape':<18}{'numpy ms':>10}"
+        print(header)
+        print("-" * len(header))
+        for name, shape, np_fn, fn_args, _ in cases:
+            t_np = _time(np_fn, fn_args, args.repeats, args.min_time)
+            print(f"{name:<18}{shape:<18}{t_np * 1e3:>10.3f}")
+        return 0
 
     header = f"{'kernel':<18}{'shape':<18}{'numpy ms':>10}{'numba ms':>10}{'speedup':>9}{'max|diff|':>11}"
     print(header)

@@ -4,8 +4,8 @@ Affinities come from negative squared distances between conv-projected
 phoneme and mel features; a per-frame softmax over phonemes gives the soft
 alignment. Training drives the marginal likelihood of all monotonic paths
 (forward-sum DP) plus a binarization term tying the soft distribution to the
-extracted Viterbi path. A width-scaled diagonal prior stabilizes the first
-steps and is annealed away by the schedule.
+extracted Viterbi path; the schedule ramps the binarization term in after
+the variance losses switch on.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from .layers import Conv1d, Module
 @dataclass
 class AlignmentMap:
     log_probs: Tensor  # (n phonemes, m frames), columns are log distributions
-    prior_strength: float = 0.0
     hard_path: Optional[np.ndarray] = None  # per-frame phoneme index
 
 
@@ -43,19 +42,13 @@ class AlignmentEncoder(Module):
         return self.mel_conv2(ad.relu(self.mel_conv1(mel)))
 
 
-def diagonal_prior(n, m, sigma_frac=0.15):
-    """Log-Gaussian ridge around the proportional phoneme position."""
-    centers = np.arange(m) * (n - 1) / max(m - 1, 1)
-    idx = np.arange(n)[:, None]
-    sigma = max(sigma_frac * n, 0.5)
-    return -((idx - centers[None, :]) ** 2) / (2.0 * sigma * sigma)
-
-
-def soft_align(text_feats, mel_feats, prior_strength=0.0):
+def soft_align(text_feats, mel_feats):
     """Per-frame log distribution over phonemes from pairwise affinities.
 
-    Both inputs must already live in the shared attention space. The prior,
-    when active, is added to the logits so columns still normalize.
+    Both inputs must already live in the shared attention space. The
+    affinity -|t_i - m_j|^2 and its log-softmax over phonemes are one node.
+    The frame norm |m_j|^2 is constant down each column, which the
+    log-softmax cancels, so it is never formed and gets no gradient.
     """
     n, k = text_feats.shape
     m, k2 = mel_feats.shape
@@ -63,18 +56,20 @@ def soft_align(text_feats, mel_feats, prior_strength=0.0):
         raise InputError(f"soft_align: empty input ({n} phonemes, {m} frames)")
     if k != k2:
         raise InputError(f"soft_align: feature dims differ ({k} vs {k2})")
-    dt = text_feats.dtype
-    dots = ad.matmul(text_feats, ad.transpose_last(mel_feats))  # (n, m)
-    ones_k = ad.constant(np.ones((k, 1)), dtype=dt)
-    t_sq = ad.matmul(ad.mul(text_feats, text_feats), ones_k)    # (n, 1)
-    m_sq = ad.matmul(ad.mul(mel_feats, mel_feats), ones_k)      # (m, 1)
-    t_grid = ad.matmul(t_sq, ad.constant(np.ones((1, m)), dtype=dt))
-    m_grid = ad.matmul(ad.constant(np.ones((n, 1)), dtype=dt), ad.transpose_last(m_sq))
-    affinity = ad.sub(ad.scale(dots, 2.0), ad.add(t_grid, m_grid))  # -(|t|^2 + |m|^2 - 2 t.m)
-    if prior_strength > 0.0:
-        prior = diagonal_prior(n, m).astype(text_feats.data.dtype)
-        affinity = ad.add(affinity, Tensor(prior * prior_strength))
-    return AlignmentMap(ad.log_softmax(affinity, axis=0), prior_strength=prior_strength)
+    if text_feats.dtype != mel_feats.dtype:
+        raise InputError(f"soft_align: mixed dtypes {text_feats.dtype} and {mel_feats.dtype}")
+    t, mf = text_feats.data, mel_feats.data
+    affinity = 2.0 * (t @ mf.T) - (t * t).sum(axis=1, keepdims=True)  # (n, m)
+    affinity -= affinity.max(axis=0, keepdims=True)
+    log_probs = affinity - np.log(np.exp(affinity).sum(axis=0, keepdims=True))
+
+    def grad_fn(g):
+        ga = g - np.exp(log_probs) * g.sum(axis=0, keepdims=True)
+        gt = 2.0 * (ga @ mf) - 2.0 * t * ga.sum(axis=1, keepdims=True)
+        return gt, 2.0 * (ga.T @ t)
+
+    node = ad.from_op(log_probs, (text_feats, mel_feats), grad_fn, "soft_align")
+    return AlignmentMap(node)
 
 
 def _require_feasible(shape, where):

@@ -2,15 +2,27 @@
 
 A Tensor wraps an ndarray plus an implicit tape: every op records its parents
 and a closure that maps the output gradient to parent gradients. backward()
-walks the tape in reverse topological order. The op set is exactly what the
-acoustic model needs: matmul (2D and stacked 3D), length-preserving 1D
-convolution, ReLU/tanh, softmax and log-softmax, layer norm, seeded dropout,
+walks the tape in reverse topological order, handing each parent the first
+gradient that reaches it and summing later ones out of place, so an array
+several parents share is never mutated; an interior node's gradient is
+released once its closure has run. Leaf gradients accumulate across
+backward calls until the caller resets them.
+
+The op set is exactly what the acoustic model needs: matmul (2D and stacked
+3D), the fused affine map `linear` (matmul plus bias), length-preserving 1D
+convolution with its bias, the fused multi-head attention core (head split,
+scaled scores, padded-key bias, softmax, seeded dropout, weighted sum, head
+merge), ReLU/tanh, softmax and log-softmax, layer norm, seeded dropout,
 embedding lookup, elementwise add/sub/mul, sum/mean reductions, MSE/L1
-losses, and reshape/slice/concat plumbing.
+losses, and reshape/slice/concat plumbing. Fused ops carry hand-written
+gradients and record one tape node each.
 
 Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).
 """
+
+import itertools
+import operator
 
 import numpy as np
 
@@ -19,9 +31,13 @@ from .errors import InputError, NumericsError, ShapeError, StateError
 
 DEFAULT_DTYPE = np.float32
 
+_add_reduce = np.add.reduce
+_node_counter = itertools.count(1)
+_creation_order = operator.attrgetter("_seq")
+
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_grad_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
@@ -72,6 +88,7 @@ def from_op(data, parents, grad_fn, op):
     """Create a graph node. grad_fn(g) returns one gradient per parent (or None)."""
     out = Tensor(data)
     out.op = op
+    out._seq = next(_node_counter)
     out._parents = tuple(parents)
     out.requires_grad = any(p.requires_grad for p in out._parents)
     if out.requires_grad:
@@ -206,6 +223,24 @@ def matmul(a, b):
     return from_op(out_data, (a, b), grad_fn, "matmul")
 
 
+def linear(x, w, b=None):
+    """x @ w + b in one node: x (n, d_in), w (d_in, d_out), b (d_out,) or None."""
+    _check_same_dtype("linear", *((x, w) if b is None else (x, w, b)))
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ShapeError("linear", f"cannot apply weight {wd.shape} to input {xd.shape}")
+    if b is not None and b.shape != (wd.shape[1],):
+        raise ShapeError("linear", f"bias {b.shape} does not match output width {wd.shape[1]}")
+    out_data = xd @ wd
+    if b is not None:
+        out_data += b.data
+
+    def grad_fn(g):
+        return g @ wd.T, xd.T @ g, None if b is None else g.sum(axis=0)
+
+    return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "linear")
+
+
 # -----------------------------------------------------------------------------
 # shape plumbing
 # -----------------------------------------------------------------------------
@@ -327,17 +362,19 @@ def layer_norm(a, gain, bias, eps=1e-5):
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm", f"affine params {gain.shape}/{bias.shape} do not match last axis {d}")
+    # the sums divided by d are what ndarray.mean/var compute, without their
+    # Python-level argument handling
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - _add_reduce(x, axis=-1, keepdims=True) / d
+    var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def grad_fn(g):
         gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
+        m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
         gx = inv * (gxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
@@ -347,20 +384,79 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return from_op(out_data, (a, gain, bias), grad_fn, "layer_norm")
 
 
-def dropout(a, p, rng, training):
-    """Seeded inverted dropout; identity when p == 0 or not training."""
+def _dropout_scale(shape, dtype, p, rng, training):
+    """Inverted-dropout multiplier, 0 or 1 / (1 - p) per entry, or None when
+    dropout is off. Draws rng.random(shape) exactly once when on."""
     if p < 0 or p >= 1:
         raise InputError(f"dropout: probability {p} outside [0, 1)")
     if not training or p == 0.0:
+        return None
+    return (rng.random(shape) >= p).astype(dtype) * dtype.type(1.0 / (1.0 - p))
+
+
+def dropout(a, p, rng, training):
+    """Seeded inverted dropout; identity when p == 0 or not training."""
+    mult = _dropout_scale(a.shape, a.dtype, p, rng, training)
+    if mult is None:
         return a
-    keep = (rng.random(a.shape) >= p).astype(a.dtype)
-    factor = a.dtype.type(1.0 / (1.0 - p))
-    out_data = a.data * keep * factor
 
     def grad_fn(g):
-        return (g * keep * factor,)
+        return (g * mult,)
 
-    return from_op(out_data, (a,), grad_fn, "dropout")
+    return from_op(a.data * mult, (a,), grad_fn, "dropout")
+
+
+def attention(q, k, v, heads, key_bias=None, p=0.0, rng=None, training=False):
+    """Multi-head scaled dot-product attention over (n, d) projections.
+
+    Splits d into `heads` heads, scores queries against keys scaled by
+    1/sqrt(d / heads), adds key_bias (n,) to every score row (large negative
+    on padded keys), takes the softmax over keys, applies seeded inverted
+    dropout to the weights, and merges the heads of the weighted value sum
+    back to (n, d). One node; the dropout mask is drawn from rng with shape
+    (heads, n, n) after the softmax, so the stream matches a separate
+    dropout op at that point.
+    """
+    _check_same_dtype("attention", q, k, v)
+    n, d = q.shape
+    if k.shape != (n, d) or v.shape != (n, d):
+        raise ShapeError("attention", f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    if d % heads:
+        raise ShapeError("attention", f"width {d} not divisible by {heads} heads")
+    hd = d // heads
+
+    def split(x):
+        return x.reshape(n, heads, hd).transpose(1, 0, 2)  # (heads, n, hd)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = q.dtype.type(1.0 / np.sqrt(hd))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * c
+    if key_bias is not None:
+        scores += key_bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    att = e / _add_reduce(e, axis=-1, keepdims=True)
+    drop = _dropout_scale(att.shape, att.dtype, p, rng, training)
+    att_d = att if drop is None else att * drop
+    out_data = np.matmul(att_d, vh).transpose(1, 0, 2).reshape(n, d)
+
+    def grad_fn(g):
+        go = split(g)
+        g_att = np.matmul(go, vh.transpose(0, 2, 1))
+        gvh = np.matmul(att_d.transpose(0, 2, 1), go)
+        if drop is not None:
+            g_att *= drop
+        g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
+        g_scores *= c
+        gqh = np.matmul(g_scores, kh)
+        gkh = np.matmul(g_scores.transpose(0, 2, 1), qh)
+
+        def merge(x):
+            return x.transpose(1, 0, 2).reshape(n, d)
+
+        return merge(gqh), merge(gkh), merge(gvh)
+
+    return from_op(out_data, (q, k, v), grad_fn, "attention")
 
 
 def embedding(table, ids):
@@ -388,7 +484,9 @@ def embedding(table, ids):
 
 
 def conv1d(x, w, b=None):
-    _check_same_dtype("conv1d", *( (x, w) if b is None else (x, w, b) ))
+    """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
+    optional bias (Cout,), in one node."""
+    _check_same_dtype("conv1d", *((x, w) if b is None else (x, w, b)))
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError("conv1d", f"need x (T, Cin) and w (K, Cin, Cout), got {x.shape} and {w.shape}")
     k, cin, cout = w.shape
@@ -396,21 +494,24 @@ def conv1d(x, w, b=None):
         raise ShapeError("conv1d", f"kernel size {k} must be odd to preserve length")
     if x.shape[1] != cin:
         raise ShapeError("conv1d", f"channel axes differ: input {x.shape[1]} vs weight {cin}")
+    if b is not None and b.shape != (cout,):
+        raise ShapeError("conv1d", f"bias {b.shape} does not match {cout} output channels")
     pad = (k - 1) // 2
-    xp = np.concatenate(
-        [np.zeros((pad, cin), x.dtype), x.data, np.zeros((pad, cin), x.dtype)], axis=0
-    )
+    t = x.shape[0]
+    if pad:
+        xp = np.zeros((t + 2 * pad, cin), x.dtype)
+        xp[pad : pad + t] = x.data
+    else:
+        xp = x.data
     out_data = kernels.conv1d_forward(xp, w.data)
+    if b is not None:
+        out_data += b.data
 
     def grad_fn(g):
         gxp, gw = kernels.conv1d_backward(xp, w.data, g)
-        gx = gxp[pad : pad + x.shape[0]]
-        return gx, gw
+        return gxp[pad : pad + t], gw, None if b is None else g.sum(axis=0)
 
-    out = from_op(out_data, (x, w), grad_fn, "conv1d")
-    if b is not None:
-        out = add(out, b)
-    return out
+    return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "conv1d")
 
 
 # -----------------------------------------------------------------------------
@@ -422,7 +523,7 @@ def sum_all(a):
     def grad_fn(g):
         return (np.full_like(a.data, g),)
 
-    return from_op(a.data.sum(), (a,), grad_fn, "sum")
+    return from_op(_add_reduce(a.data, axis=None), (a,), grad_fn, "sum")
 
 
 def mean_all(a):
@@ -431,7 +532,7 @@ def mean_all(a):
     def grad_fn(g):
         return (np.full_like(a.data, g / n),)
 
-    return from_op(a.data.mean(), (a,), grad_fn, "mean")
+    return from_op(_add_reduce(a.data, axis=None) / n, (a,), grad_fn, "mean")
 
 
 def mean_axis(a, axis):
@@ -440,7 +541,7 @@ def mean_axis(a, axis):
     def grad_fn(g):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
-    return from_op(a.data.mean(axis=axis), (a,), grad_fn, "mean_axis")
+    return from_op(_add_reduce(a.data, axis=axis) / n, (a,), grad_fn, "mean_axis")
 
 
 def _as_target(op, b):
@@ -464,7 +565,7 @@ def mse_loss(a, b):
         d = g * 2.0 / n * diff
         return d, -d
 
-    return from_op((diff * diff).mean(), (a, b), grad_fn, "mse_loss")
+    return from_op(_add_reduce(diff * diff, axis=None) / n, (a, b), grad_fn, "mse_loss")
 
 
 def l1_loss(a, b):
@@ -479,7 +580,7 @@ def l1_loss(a, b):
         d = g / n * np.sign(diff)
         return d, -d
 
-    return from_op(np.abs(diff).mean(), (a, b), grad_fn, "l1_loss")
+    return from_op(_add_reduce(np.abs(diff), axis=None) / n, (a, b), grad_fn, "l1_loss")
 
 
 # -----------------------------------------------------------------------------
@@ -487,23 +588,21 @@ def l1_loss(a, b):
 # -----------------------------------------------------------------------------
 
 
-def _topo_order(root):
-    order = []
-    seen = set()
-    stack = [(root, False)]
+def _tape(root):
+    """Interior nodes reachable from root, newest first. A node is always
+    created after its parents, so reverse creation order is a topological
+    order of the tape; leaves have nothing to propagate and are left out."""
+    nodes = [root]
+    seen = {id(root)}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
-    return order
+        for p in stack.pop()._parents:
+            if p._grad_fn is not None and id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+                stack.append(p)
+    nodes.sort(key=_creation_order, reverse=True)
+    return nodes
 
 
 def backward(loss):
@@ -515,18 +614,23 @@ def backward(loss):
         raise StateError("backward called before any forward computation produced this tensor")
     if not loss.requires_grad:
         raise StateError("loss does not depend on any requires_grad tensor")
-    order = _topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._grad_fn is None or node.grad is None:
+    for node in _tape(loss):
+        g = node.grad
+        if g is None:
             continue
-        grads = node._grad_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
+        grads = node._grad_fn(g)
+        node.grad = None  # interior: nothing reads it once its parents have it
+        for parent, pg in zip(node._parents, grads):
+            if pg is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            data = parent.data
+            if pg.dtype != data.dtype or pg.shape != data.shape:
+                conformed = np.zeros_like(data)
+                conformed += pg
+                pg = conformed
+            cur = parent.grad
+            parent.grad = pg if cur is None else cur + pg
 
 
 def grads_for(loss, params):

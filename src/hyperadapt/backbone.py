@@ -53,20 +53,12 @@ class MultiHeadAttention(Module):
         self.p_dropout = p_dropout
 
     def __call__(self, h, mask, ctx):
-        n, d = h.shape
-        hd = d // self.heads
-
-        def split(x):
-            return ad.permute(ad.reshape(x, (n, self.heads, hd)), (1, 0, 2))
-
-        q, k, v = split(self.wq(h)), split(self.wk(h)), split(self.wv(h))
-        scores = ad.scale(ad.matmul(q, ad.transpose_last(k)), 1.0 / np.sqrt(hd))
+        key_bias = None
         if not mask.all():
             # large negative on padded keys; kept finite so softmax stays defined
-            bias = np.where(mask, 0.0, -1e9).astype(h.data.dtype)
-            scores = ad.add(scores, Tensor(bias))
-        att = ad.dropout(ad.softmax(scores, axis=-1), self.p_dropout, ctx.rng, ctx.training)
-        out = ad.reshape(ad.permute(ad.matmul(att, v), (1, 0, 2)), (n, d))
+            key_bias = np.where(mask, 0.0, -1e9).astype(h.data.dtype)
+        out = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, key_bias,
+                           self.p_dropout, ctx.rng, ctx.training)
         return self.wo(out)
 
 

@@ -9,6 +9,13 @@ side by side in one process.
 Kernels here are the inner loops that dominate runtime: 1D convolution
 forward/backward, the monotonic forward-sum DP and its posterior gradient,
 Viterbi path extraction, and DTW frame pairing.
+
+The numpy twins keep Python work per call small: the conv builds its im2col
+matrix from K shifted slices of the padded input (a K=1 conv is a plain
+matmul), the alignment DPs write each frame's row of their tables in place
+with no per-frame allocation, and DTW fills its accumulated-cost table one
+anti-diagonal at a time (a few vector ops per diagonal, bit-identical to the
+cell-by-cell recurrence, same tie rule on the way back).
 """
 
 import os
@@ -37,20 +44,30 @@ ACTIVE_BACKEND = "numba" if _HAS_NUMBA else "numpy"
 # -----------------------------------------------------------------------------
 
 
+def _im2col(xp, k, t):
+    """(T, K * Cin) columns: row i holds xp[i : i + K] flattened tap-major,
+    copied from K shifted slices."""
+    cin = xp.shape[1]
+    cols = np.empty((t, k * cin), dtype=xp.dtype)
+    for kk in range(k):
+        cols[:, kk * cin : (kk + 1) * cin] = xp[kk : kk + t]
+    return cols
+
+
 def conv1d_forward_np(xp, w):
     k, cin, cout = w.shape
+    if k == 1:
+        return xp @ w[0]
     t = xp.shape[0] - k + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, Cin, K)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(t, k * cin)
-    return cols @ w.reshape(k * cin, cout)
+    return _im2col(xp, k, t) @ w.reshape(k * cin, cout)
 
 
 def conv1d_backward_np(xp, w, gout):
     k, cin, cout = w.shape
+    if k == 1:
+        return gout @ w[0].T, (xp.T @ gout).reshape(1, cin, cout)
     t = gout.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1)).reshape(t, k * cin)
-    gw = (cols.T @ gout).reshape(k, cin, cout)
+    gw = (_im2col(xp, k, t).T @ gout).reshape(k, cin, cout)
     tmp = (gout @ w.reshape(k * cin, cout).T).reshape(t, k, cin)
     gxp = np.zeros_like(xp)
     for kk in range(k):
@@ -61,26 +78,33 @@ def conv1d_backward_np(xp, w, gout):
 # -----------------------------------------------------------------------------
 # Monotonic alignment DPs on an (n, m) log-probability grid.
 # Paths assign one phoneme per frame, start at phoneme 0, end at phoneme n-1,
-# and advance by 0 or 1 phonemes per frame.
+# and advance by 0 or 1 phonemes per frame. Tables are (m, n), one row per
+# frame, and each frame's row is written in place from the previous one;
+# phoneme 0 can only stay (and phoneme n-1, going backwards, only be stayed
+# on), which is the -inf edge the shifted operand would otherwise carry.
 # -----------------------------------------------------------------------------
 
 
 def forward_sum_np(logp):
     """Return (-log total path probability, gradient wrt logp)."""
     n, m = logp.shape
+    lp = np.ascontiguousarray(logp.T)  # (m, n): frame rows
     alpha = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-    alpha[0, 0] = logp[0, 0]
+    alpha[0, 0] = lp[0, 0]
     for t in range(1, m):
-        prev = alpha[t - 1]
-        shifted = np.concatenate(([_NEG_INF], prev[:-1]))
-        alpha[t] = logp[:, t] + np.logaddexp(prev, shifted)
+        prev, row = alpha[t - 1], alpha[t]
+        row[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=row[1:])
+        row += lp[t]
     log_z = alpha[m - 1, n - 1]
     beta = np.full((m, n), _NEG_INF, dtype=logp.dtype)
     beta[m - 1, n - 1] = 0.0
+    nxt = np.empty(n, dtype=logp.dtype)
     for t in range(m - 2, -1, -1):
-        stay = beta[t + 1] + logp[:, t + 1]
-        adv = np.concatenate((beta[t + 1, 1:] + logp[1:, t + 1], [_NEG_INF]))
-        beta[t] = np.logaddexp(stay, adv)
+        np.add(beta[t + 1], lp[t + 1], out=nxt)
+        row = beta[t]
+        np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
+        row[-1] = nxt[-1]
     with np.errstate(invalid="ignore"):
         post = np.exp(alpha + beta - log_z)
     grad = -np.nan_to_num(post.T, nan=0.0, posinf=0.0, neginf=0.0)
@@ -90,21 +114,23 @@ def forward_sum_np(logp):
 def viterbi_np(logp):
     """Durations along the highest-likelihood monotonic path; ties stay."""
     n, m = logp.shape
+    lp = np.ascontiguousarray(logp.T)
     v = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-    move = np.zeros((m, n), dtype=np.uint8)  # 1 = advanced from i-1
-    v[0, 0] = logp[0, 0]
+    move = np.zeros((m, n), dtype=bool)  # True = advanced from i-1
+    v[0, 0] = lp[0, 0]
     for t in range(1, m):
-        prev = v[t - 1]
-        shifted = np.concatenate(([_NEG_INF], prev[:-1]))
-        adv = shifted > prev  # strict: tie prefers staying
-        move[t] = adv
-        v[t] = logp[:, t] + np.where(adv, shifted, prev)
+        prev, row = v[t - 1], v[t]
+        np.greater(prev[:-1], prev[1:], out=move[t, 1:])  # strict: tie prefers staying
+        row[0] = prev[0]
+        np.maximum(prev[1:], prev[:-1], out=row[1:])
+        row += lp[t]
     durs = np.zeros(n, dtype=np.int64)
     i = n - 1
-    for t in range(m - 1, -1, -1):
+    for t in range(m - 1, 0, -1):
         durs[i] += 1
-        if t > 0 and move[t, i]:
+        if move[t, i]:
             i -= 1
+    durs[i] += 1
     return durs
 
 
@@ -114,24 +140,36 @@ def viterbi_np(logp):
 # -----------------------------------------------------------------------------
 
 
-def dtw_path_np(cost):
+def dtw_accumulate_np(cost):
+    """Accumulated-cost table, acc[i, j] = cost[i, j] + min(acc[i-1, j-1],
+    acc[i-1, j], acc[i, j-1]), filled one anti-diagonal at a time.
+
+    Cells on one anti-diagonal depend only on the two before it, so each is
+    a few vector ops. The diagonals live in a skewed table, row d + 1 for
+    i + j == d and column i + 1, padded with +inf so the first row and column
+    of acc take their single predecessor without a special case.
+    """
     a, b = cost.shape
-    acc = np.empty((a, b), dtype=cost.dtype)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, b):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-    for i in range(1, a):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        row = acc[i]
-        prow = acc[i - 1]
-        for j in range(1, b):
-            best = prow[j - 1]
-            if prow[j] < best:
-                best = prow[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = cost[i, j] + best
-    return _dtw_backtrack(acc)
+    n_diag = a + b - 1
+    i = np.arange(a)
+    j = np.arange(n_diag)[:, None] - i  # (n_diag, a): column of cell (d, i)
+    valid = (j >= 0) & (j < b)
+    skew_cost = np.where(valid, cost[i, np.clip(j, 0, b - 1)], np.inf).astype(cost.dtype, copy=False)
+    skew = np.full((n_diag + 1, a + 1), np.inf, dtype=cost.dtype)
+    skew[1, 1] = cost[0, 0]
+    best = np.empty(a, dtype=cost.dtype)
+    for d in range(1, n_diag):
+        lo, hi = max(0, d - b + 1), min(a, d + 1)
+        w = best[: hi - lo]
+        # diagonal, up and left predecessors of cells (i, d - i), lo <= i < hi
+        np.minimum(skew[d - 1, lo:hi], skew[d, lo:hi], out=w)
+        np.minimum(w, skew[d, lo + 1 : hi + 1], out=w)
+        np.add(skew_cost[d, lo:hi], w, out=skew[d + 1, lo + 1 : hi + 1])
+    return skew[i[:, None] + np.arange(b) + 1, i[:, None] + 1]
+
+
+def dtw_path_np(cost):
+    return _dtw_backtrack(dtw_accumulate_np(cost))
 
 
 def _dtw_backtrack(acc):

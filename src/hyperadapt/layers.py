@@ -98,10 +98,7 @@ class Dense(Module):
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        y = ad.matmul(x, self.w)
-        if self.b is not None:
-            y = ad.add(y, self.b)
-        return y
+        return ad.linear(x, self.w, self.b)
 
 
 class Conv1d(Module):

@@ -270,8 +270,10 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     """Synthesize every utterance and score it against its reference features.
 
     `synthesize_fn(utt) -> (mel, info)` must provide info["f0"]; `embedder`
-    maps a mel to a fixed-size vector. A synthesis failure is recorded on its
-    row and excluded from the aggregates.
+    maps a mel to a fixed-size vector. An InputError (bad input for one
+    utterance, such as an alignment it cannot have) is recorded on its row
+    and excluded from the aggregates; any other exception is a fault and
+    propagates.
     """
     if not utterances:
         raise InputError("evaluate: empty utterance list")
@@ -284,7 +286,7 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
             pred_f0 = align_to_reference(np.asarray(info["f0"]), utt.f0.shape[0])
             ffe = ffe_metric(pred_f0, utt.f0)
             mcd = mcd_metric(mel, utt.mel, n_coeffs=n_coeffs)
-        except Exception as e:  # recorded per row, excluded from aggregates
+        except InputError as e:  # recorded per row, excluded from aggregates
             rows.append(EvalRow(utt.utt_id, utt.speaker,
                                 error=f"{type(e).__name__}: {e}"))
             continue

@@ -92,7 +92,7 @@ class TTSModel(Module):
             raise InputError(f"speaker embedding dim {v.shape[1]}, model expects {self.config.d_spk}")
         return Tensor(v)
 
-    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None, prior_strength=0.0):
+    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None):
         """Teacher-forced pass. Returns predictions plus the alignment map and
         the Viterbi durations used for length regulation."""
         mel = np.asarray(mel, dtype=ad.DEFAULT_DTYPE)
@@ -103,7 +103,7 @@ class TTSModel(Module):
 
         text_feats = self.aligner.project_text(self.encoder.embed(np.asarray(phonemes)))
         mel_feats = self.aligner.project_mel(Tensor(mel))
-        amap = soft_align(text_feats, mel_feats, prior_strength)
+        amap = soft_align(text_feats, mel_feats)
         durations = viterbi_durations(amap)
 
         h = self.variance.condition(h_enc, spk_t)

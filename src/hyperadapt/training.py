@@ -1,9 +1,13 @@
 """Optimization: loss assembly, LR schedule, Adam, the pretraining loop, and
 the adaptation loop.
 
-Batching note: losses are computed per utterance and gradients averaged over
-the batch, which is mathematically the batch-mean loss. Sequences never get
-padded together; the backbone's masking support exists for callers that do.
+Batching note: each utterance builds its own graph and runs backward at once,
+so only one utterance's tape is alive at a time. backward sums into the
+parameters' .grad across the batch, and the sum is scaled by 1/B once, before
+the finite-gradient check and the Adam step: mathematically the gradient of
+the batch-mean loss. Sequences never get padded together (a padded batch
+keeps B tapes alive at once); the backbone's masking support exists for
+callers that do.
 
 Checkpoints carry the model tensors under their bare names, adapter-surface
 tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
@@ -367,7 +371,8 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
     pitch_cache = {}
     inv_bs = 1.0 / sched.batch_size
     for step in range(start_step, sched.total_steps):
-        grads = {name: np.zeros_like(p.data) for name, p in trainable}
+        for _, p in trainable:
+            p.grad = None
         breakdowns = []
         for pos, idx in enumerate(batcher.batch(step)):
             utt = utterances[idx]
@@ -379,8 +384,12 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
             )
             breakdowns.append(bd)
             if total is not None:
-                for name, g in ad.grads_for(total, trainable).items():
-                    grads[name] += g * inv_bs
+                ad.backward(total)  # sums into p.grad across the batch
+        grads = {
+            name: p.grad * inv_bs if p.grad is not None else np.zeros_like(p.data)
+            for name, p in trainable
+        }
+        check_finite_grads(grads, step + 1)
         lr = lr_at(sched, step + 1)
         opt.step(grads, lr)
         done = step + 1
@@ -391,6 +400,19 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
         if done % ckpt_every == 0 or done == sched.total_steps:
             save_fn(done)
     return sched.total_steps
+
+
+def check_finite_grads(grads, step):
+    """Raise NumericsError naming the step and the first gradient tensor with
+    a non-finite entry. One summed check covers the common case; the
+    per-tensor search runs only when that sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(float(np.add.reduce(g, axis=None)) for g in grads.values())
+    if np.isfinite(total):
+        return
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericsError(f"non-finite gradient for {name} at step {step}")
 
 
 def validate(model, utterances, step, sched, hooks_fn=None):

@@ -55,3 +55,44 @@ def random_grids(count, seed, n_max=6, m_max=10):
         n = int(rng.integers(1, n_max + 1))
         m = int(rng.integers(n, m_max + 1))
         yield rng.standard_normal((n, m)) * 2.0
+
+
+def dtw_reference(cost):
+    """(accumulated table, path) by the cell-by-cell DTW loop: steps (1,0),
+    (0,1), (1,1); the backtrack prefers the diagonal, then up, on ties."""
+    a, b = cost.shape
+    acc = np.empty((a, b), dtype=cost.dtype)
+    acc[0, 0] = cost[0, 0]
+    for j in range(1, b):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+    for i in range(1, a):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+        row = acc[i]
+        prow = acc[i - 1]
+        for j in range(1, b):
+            best = prow[j - 1]
+            if prow[j] < best:
+                best = prow[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = cost[i, j] + best
+    path = []
+    i, j = a - 1, b - 1
+    while True:
+        path.append((i, j))
+        if i == 0 and j == 0:
+            break
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+    path.reverse()
+    return acc, np.asarray(path, dtype=np.int64)

@@ -28,28 +28,37 @@ class TestSoftAlign:
         row = np.random.default_rng(1).standard_normal(5).astype(np.float32)
         text = Tensor(np.tile(row, (4, 1)))
         mel = Tensor(np.random.default_rng(2).standard_normal((7, 5)).astype(np.float32))
-        amap = alignment.soft_align(text, mel, prior_strength=0.0)
+        amap = alignment.soft_align(text, mel)
         np.testing.assert_allclose(np.exp(amap.log_probs.data), 0.25, atol=1e-5)
 
     def test_columns_normalize(self):
         rng = np.random.default_rng(3)
-        for strength in (0.0, 1.0):
-            text = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
-            mel = Tensor(rng.standard_normal((13, 8)).astype(np.float32))
-            amap = alignment.soft_align(text, mel, prior_strength=strength)
-            np.testing.assert_allclose(np.exp(amap.log_probs.data).sum(axis=0), 1.0, atol=1e-5)
+        text = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
+        mel = Tensor(rng.standard_normal((13, 8)).astype(np.float32))
+        amap = alignment.soft_align(text, mel)
+        np.testing.assert_allclose(np.exp(amap.log_probs.data).sum(axis=0), 1.0, atol=1e-5)
 
-    def test_prior_concentrates_mass_near_diagonal(self):
+    def test_matches_log_softmax_of_negative_squared_distances(self):
         rng = np.random.default_rng(4)
-        text = Tensor(rng.standard_normal((5, 6)).astype(np.float32))
-        mel = Tensor(rng.standard_normal((10, 6)).astype(np.float32))
-        flat = alignment.soft_align(text, mel, prior_strength=0.0)
-        ridged = alignment.soft_align(text, mel, prior_strength=50.0)
-        centers = np.rint(np.arange(10) * 4 / 9).astype(int)
-        cols = np.arange(10)
-        p_flat = np.exp(flat.log_probs.data)[centers, cols].mean()
-        p_ridged = np.exp(ridged.log_probs.data)[centers, cols].mean()
-        assert p_ridged > p_flat
+        text = rng.standard_normal((5, 6))
+        mel = rng.standard_normal((10, 6))
+        amap = alignment.soft_align(Tensor(text), Tensor(mel))
+        dist = ((text[:, None, :] - mel[None, :, :]) ** 2).sum(-1)
+        expected = ad.log_softmax(Tensor(-dist), axis=0).data
+        np.testing.assert_allclose(amap.log_probs.data, expected, atol=1e-12)
+        assert amap.log_probs.op == "soft_align"
+
+    def test_gradient_against_fd(self):
+        rng = np.random.default_rng(8)
+        text = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        mel = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        weights = ad.constant(rng.standard_normal((4, 7)), dtype=np.float64)
+
+        def fn(t, m):
+            return ad.sum_all(ad.mul(alignment.soft_align(t, m).log_probs, weights))
+
+        report = ad.grad_check(fn, [text, mel])
+        assert report.passed, repr(report)
 
     def test_empty_inputs_rejected(self):
         mel = Tensor(np.zeros((4, 3), dtype=np.float32))

@@ -137,6 +137,110 @@ class TestOpGradients:
         _fd_check(fn, [w1, b1, w2])
 
 
+class TestFusedOps:
+    def test_linear_with_bias(self):
+        rng = np.random.default_rng(20)
+        x = t64(rng.standard_normal((5, 3)))
+        w = t64(rng.standard_normal((3, 4)))
+        b = t64(rng.standard_normal(4))
+        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.linear(*args))), [x, w, b])
+
+    def test_linear_without_bias(self):
+        rng = np.random.default_rng(21)
+        x = t64(rng.standard_normal((3, 4)))
+        w = t64(rng.standard_normal((4, 2)))
+        _fd_check(lambda a, v: ad.sum_all(ad.tanh(ad.linear(a, v))), [x, w])
+        with pytest.raises(ShapeError):
+            ad.linear(t64(np.ones((2, 3, 4))), w)
+
+    def test_linear_is_one_node_matching_matmul_plus_bias(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((6, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        out = ad.linear(x, w, b)
+        assert out.op == "linear" and out._parents == (x, w, b)
+        np.testing.assert_array_equal(out.data, ad.add(ad.matmul(x, w), b).data)
+
+    def test_conv1d_bias_is_fused(self):
+        rng = np.random.default_rng(23)
+        x = t64(rng.standard_normal((7, 3)))
+        w = t64(rng.standard_normal((1, 3, 2)))
+        b = t64(rng.standard_normal(2))
+        out = ad.conv1d(x, w, b)
+        assert out.op == "conv1d" and out._parents == (x, w, b)
+        _fd_check(lambda *args: ad.mean_all(ad.tanh(ad.conv1d(*args))), [x, w, b])
+
+    @staticmethod
+    def _attention_reference(q, k, v, heads, key_bias, p, rng, training):
+        # the op-by-op graph the fused node replaces
+        n, d = q.shape
+        hd = d // heads
+
+        def split(x):
+            return ad.permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
+
+        scores = ad.scale(ad.matmul(split(q), ad.transpose_last(split(k))), 1.0 / np.sqrt(hd))
+        if key_bias is not None:
+            scores = ad.add(scores, Tensor(key_bias))
+        att = ad.dropout(ad.softmax(scores, axis=-1), p, rng, training)
+        return ad.reshape(ad.permute(ad.matmul(att, split(v)), (1, 0, 2)), (n, d))
+
+    def _qkv(self, seed, n=5, d=6):
+        rng = np.random.default_rng(seed)
+        return [t64(rng.standard_normal((n, d))) for _ in range(3)]
+
+    def test_attention_with_padded_keys(self):
+        q, k, v = self._qkv(24)
+        key_bias = np.where(np.array([True, True, True, False, False]), 0.0, -1e9)
+        c = ad.constant(np.random.default_rng(25).standard_normal((5, 6)), dtype=np.float64)
+
+        def fn(a, b, e):
+            return ad.sum_all(ad.mul(ad.attention(a, b, e, 2, key_bias), c))
+
+        _fd_check(fn, [q, k, v])
+        # padded keys get no weight: their values cannot reach any output
+        out = ad.attention(q, k, v, 2, key_bias).data
+        v2 = t64(v.data.copy())
+        v2.data[3:] += 10.0
+        np.testing.assert_allclose(ad.attention(q, k, v2, 2, key_bias).data, out, atol=1e-12)
+
+    def test_attention_dropout_replays_reference_stream(self):
+        q, k, v = self._qkv(26)
+        c = ad.constant(np.random.default_rng(27).standard_normal((5, 6)), dtype=np.float64)
+        key_bias = np.array([0.0, 0.0, 0.0, 0.0, -1e9])
+
+        def run(op):
+            for t in (q, k, v):
+                t.grad = None
+            rng = rng_for(9, "attn-drop")
+            out = op(q, k, v, 3, key_bias, 0.3, rng, True)
+            ad.backward(ad.sum_all(ad.mul(out, c)))
+            # the stream continues exactly where a separate dropout op left it
+            return out.data, [t.grad.copy() for t in (q, k, v)], rng.random(4)
+
+        fused = run(ad.attention)
+        ref = run(self._attention_reference)
+        np.testing.assert_allclose(fused[0], ref[0], atol=1e-12)
+        for g_fused, g_ref in zip(fused[1], ref[1]):
+            np.testing.assert_allclose(g_fused, g_ref, atol=1e-12)
+        np.testing.assert_array_equal(fused[2], ref[2])
+        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, key_bias).data)
+
+        def fn(a, b, e):
+            out = ad.attention(a, b, e, 3, key_bias, 0.3, rng_for(9, "attn-drop"), True)
+            return ad.sum_all(ad.mul(out, c))
+
+        _fd_check(fn, [q, k, v])
+
+    def test_attention_inference_matches_reference(self):
+        rng = np.random.default_rng(28)
+        q, k, v = (Tensor(rng.standard_normal((7, 8)).astype(np.float32)) for _ in range(3))
+        fused = ad.attention(q, k, v, 2, None, 0.1, rng_for(1, "x"), False)
+        ref = self._attention_reference(q, k, v, 2, None, 0.1, rng_for(1, "x"), False)
+        np.testing.assert_allclose(fused.data, ref.data, atol=1e-6)
+
+
 class TestExactValues:
     def test_identity_matmul(self):
         v = Tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))

@@ -103,6 +103,37 @@ class TestFFTBlock:
         report = ad.grad_check(fn, [h])
         assert report.passed, repr(report)
 
+    def test_gradient_check_with_padded_keys(self):
+        # the mask path: padded keys are biased out of the fused attention
+        # and padded rows are zeroed after each sub-stack
+        block = _f64(backbone.FFTBlock(rng_for(9, "blk"), D, heads=2, p_dropout=0.0))
+        block.set_trainable(True)
+        h = Tensor(np.random.default_rng(5).standard_normal((6, D)), requires_grad=True)
+        target = ad.constant(np.random.default_rng(6).standard_normal((6, D)), dtype=np.float64)
+        mask = np.array([True, True, True, True, False, False])
+        attn = block.attn
+        params = [attn.wq.w, attn.wk.w, attn.wv.b]
+
+        def fn(x, *_):
+            return ad.mse_loss(block(x, mask, CTX), target)
+
+        report = ad.grad_check(fn, [h] + params)
+        assert report.passed, repr(report)
+        # padded input rows cannot influence the loss
+        np.testing.assert_array_equal(h.grad[4:], 0.0)
+
+    def test_dropout_in_training_replays_from_seed(self):
+        block = backbone.FFTBlock(rng_for(10, "blk"), D, heads=2, p_dropout=0.2)
+        h = Tensor(np.random.default_rng(7).standard_normal((5, D)).astype(np.float32))
+        mask = np.ones(5, dtype=bool)
+
+        def run():
+            return block(h, mask, RunCtx(rng_for(3, "dropout"), training=True)).data
+
+        first = run()
+        np.testing.assert_array_equal(first, run())
+        assert np.abs(first - block(h, mask, CTX).data).max() > 1e-4
+
     def test_adapter_hook_applies_before_final_norm(self):
         block = backbone.FFTBlock(rng_for(7, "blk"), D, heads=2, p_dropout=0.0)
         h = Tensor(np.random.default_rng(4).standard_normal((4, D)).astype(np.float32))

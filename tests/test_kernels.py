@@ -5,7 +5,7 @@ import pytest
 
 from hyperadapt import kernels
 
-from oracles import best_path_durations, enumerate_paths_logsumexp, random_grids
+from oracles import best_path_durations, dtw_reference, enumerate_paths_logsumexp, random_grids
 
 
 class TestForwardSum:
@@ -84,6 +84,28 @@ class TestConv1d:
             w = rng.standard_normal((k, cin, cout))
             np.testing.assert_allclose(kernels.conv1d_forward(xp, w), self._oracle(xp, w), atol=1e-12)
 
+    def test_backward_matches_oracle_gradients(self):
+        # <gout, conv(xp, w)> is linear in xp and in w, so its gradients are
+        # the oracle applied to unit inputs
+        rng = np.random.default_rng(6)
+        for k in (1, 3, 9):
+            xp = rng.standard_normal((7 + k - 1, 3))
+            w = rng.standard_normal((k, 3, 4))
+            g = rng.standard_normal((7, 4))
+            gxp, gw = kernels.conv1d_backward(xp, w, g)
+            want_gxp = np.zeros_like(xp)
+            for idx in np.ndindex(*xp.shape):
+                unit = np.zeros_like(xp)
+                unit[idx] = 1.0
+                want_gxp[idx] = (self._oracle(unit, w) * g).sum()
+            want_gw = np.zeros_like(w)
+            for idx in np.ndindex(*w.shape):
+                unit = np.zeros_like(w)
+                unit[idx] = 1.0
+                want_gw[idx] = (self._oracle(xp, unit) * g).sum()
+            np.testing.assert_allclose(gxp, want_gxp, atol=1e-12)
+            np.testing.assert_allclose(gw, want_gw, atol=1e-12)
+
     def test_backward_twins_agree(self):
         rng = np.random.default_rng(4)
         for dtype in (np.float32, np.float64):
@@ -98,6 +120,23 @@ class TestConv1d:
 
 
 class TestDtw:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wavefront_matches_cell_loop_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+            if trial % 2:
+                # small integer costs: many equal predecessors, so every tie rule shows
+                cost = rng.integers(0, 3, size=shape).astype(dtype)
+            else:
+                cost = rng.random(shape).astype(dtype)
+            want_acc, want_path = dtw_reference(cost)
+            acc = kernels.dtw_accumulate_np(cost)
+            assert acc.dtype == cost.dtype
+            assert acc.tobytes() == want_acc.tobytes()
+            np.testing.assert_array_equal(kernels.dtw_path_np(cost), want_path)
+            np.testing.assert_array_equal(kernels.dtw_path(cost), want_path)
+
     def test_identical_sequences_walk_diagonal(self):
         cost = np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]).astype(np.float64)
         path = kernels.dtw_path(cost)

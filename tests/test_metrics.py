@@ -8,7 +8,7 @@ import pytest
 from scipy.fft import dct, idct
 
 from hyperadapt.corpus import Utterance
-from hyperadapt.errors import InputError
+from hyperadapt.errors import InputError, NumericsError
 from hyperadapt.metrics import (
     EvalReport,
     align_to_reference,
@@ -254,25 +254,38 @@ def test_evaluate_reference_against_itself():
     assert report.trainable_pct == pytest.approx(5.0)
 
 
+def _failing_on(utt_id, exc):
+    def synth(u):
+        if u.utt_id == utt_id:
+            raise exc
+        return u.mel, {"f0": u.f0}
+
+    return synth
+
+
 def test_evaluate_records_and_excludes_failures():
     utts = _toy_utterances()
-
-    def synth(u):
-        if u.utt_id == "u2":
-            raise ValueError("synthetic blowup")
-        return u.mel, {"f0": u.f0}
+    synth = _failing_on("u2", InputError("synthetic blowup"))
 
     report = evaluate(synth, utts, _embedder)
     assert len(report.rows) == len(utts)
     assert report.n_failed == 1
     failed = [r for r in report.rows if r.error][0]
     assert failed.utt_id == "u2" and "synthetic blowup" in failed.error
+    assert failed.error.startswith("InputError")
     assert report.cos.n_used == len(utts) - 1
 
     with pytest.raises(InputError):
-        evaluate(lambda u: (_ for _ in ()).throw(ValueError("no")), utts, _embedder)
+        evaluate(lambda u: (_ for _ in ()).throw(InputError("no")), utts, _embedder)
     with pytest.raises(InputError):
         evaluate(synth, [], _embedder)
+
+
+@pytest.mark.parametrize("exc", [NumericsError("nan in decoder"), ValueError("bad op")])
+def test_evaluate_propagates_faults(exc):
+    # only bad input becomes a failure row; a fault in the model must surface
+    with pytest.raises(type(exc), match=str(exc)):
+        evaluate(_failing_on("u2", exc), _toy_utterances(), _embedder)
 
 
 def test_report_text_and_json(tmp_path):

@@ -135,8 +135,7 @@ def test_loss_weights_gate_and_ramp():
 class _EchoModel:
     """Returns the training targets themselves; every component must be 0."""
 
-    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None,
-                      prior_strength=0.0):
+    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None):
         frames = mel.shape[0]
         durations = np.array([frames], dtype=np.int64)  # one phoneme, every frame
         spec, mean, var = var_mod.pitch_targets(f0.astype(np.float64))
@@ -441,6 +440,78 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_manife
             grads[name] += g / len(batch)
     Adam(trainable).step(grads, lr=1e-6)
     assert batch_loss() <= before
+
+
+class _GradRecorder:
+    """Stands in for Adam: keeps each step's gradients, changes nothing."""
+
+    def __init__(self):
+        self.steps = []
+
+    def step(self, grads, lr):
+        self.steps.append({name: g.copy() for name, g in grads.items()})
+
+
+def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
+    tr._train_steps(
+        model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_fn=None,
+        log=tr._LossLog(str(tmp_path / "log.tsv")), val_utterances=None, val_log=None,
+        ckpt_every=sched.total_steps, save_fn=lambda done: None,
+    )
+
+
+def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifest, tmp_path):
+    ck, _ = pretrained
+    model = tr.load_checkpoint(ck).model
+    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    sched = dataclasses.replace(SCHED, total_steps=1, batch_size=3)
+    trainable = list(model.named_parameters())
+    rec = _GradRecorder()
+    _run_one_step(model, trainable, train, sched, rec, tmp_path)
+
+    expected = {name: np.zeros_like(p.data) for name, p in trainable}
+    for pos, idx in enumerate(tr._Batcher(7, len(train), 3).batch(0)):
+        ctx = RunCtx(rng_for(7, "dropout", 0, pos), training=True)
+        total, _ = compute_losses(model, train[idx], 0, sched, ctx)
+        for name, g in ad.grads_for(total, trainable).items():
+            expected[name] += g / 3
+    assert len(rec.steps) == 1 and set(rec.steps[0]) == set(expected)
+    for name, g in rec.steps[0].items():
+        assert g.dtype == np.float32, name
+        scale = max(float(np.abs(expected[name]).max()), 1e-3)
+        np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)
+
+
+def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpus_manifest,
+                                                  tmp_path):
+    ck, _ = pretrained
+    model = tr.load_checkpoint(ck).model
+    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    sched = dataclasses.replace(SCHED, total_steps=1)
+    trainable = list(model.named_parameters())
+    poisoned = dict(trainable)["postnet.convs.1.b"]
+    real_backward = ad.backward
+
+    def backward_with_nan(loss):
+        real_backward(loss)
+        poisoned.grad = poisoned.grad.copy()  # may alias another tensor's gradient
+        poisoned.grad[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", backward_with_nan)
+    before = model.state_arrays()
+    with pytest.raises(NumericsError, match=r"postnet\.convs\.1\.b at step 1"):
+        _run_one_step(model, trainable, train, sched, Adam(trainable), tmp_path)
+    # the guard runs before the update, so no parameter was touched
+    for name, arr in model.state_arrays().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+
+
+def test_finite_guard_reports_first_bad_tensor_only_on_failure():
+    finite = {"a": np.ones(3, np.float32), "b": np.full(2, 3e38, np.float32)}
+    tr.check_finite_grads(finite, 4)  # the summed check overflows; no entry is bad
+    bad = {"a": np.ones(3), "b": np.array([1.0, np.inf]), "c": np.array([np.nan])}
+    with pytest.raises(NumericsError, match="for b at step 9"):
+        tr.check_finite_grads(bad, 9)
 
 
 # -----------------------------------------------------------------------------
