@@ -10,11 +10,20 @@ Bottleneck adapters compute h + ReLU(h W_d + b_d) W_u + b_u. Up-projections
 start at zero, so a freshly attached adapter is the identity and training
 starts from the frozen model's behavior exactly.
 
+Each backbone module keeps its adapters as one (n_sites, n_flat) table whose
+row s is site s flattened as [w_down.flat | b_down | w_up.flat | b_up]. For
+static adapters the table is itself the trainable tensor; for the
+hypernetwork it is generated once per module and utterance. Two fused tape
+ops with hand-written gradients carry the whole path: `HyperNetwork.generate`
+(one node per module) and `adapter_forward` (one node per site, reading one
+row of a table and sending gradient only to that row).
+
 The hypernetwork (one per module, never shared across modules) maps the
-speaker embedding through a projector, concatenates a per-site layer
-embedding, compresses to a small source vector, and linearly samples the
-flattened adapter tensors from it. Every stage is affine; the samplers carry
-no bias so the generated weights are strictly input-conditioned.
+speaker embedding through a projector, concatenates it with each site's
+layer embedding, compresses every row to a small source vector, and linearly
+samples the flattened adapter tensors from it. Every stage is affine; the
+samplers carry no bias so the generated weights are strictly
+input-conditioned.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, InputError, ShapeError
-from .layers import Dense, Module, xavier_uniform
+from .layers import Dense, Module, rng_for, xavier_uniform
 
 SITE_COUNTS = {"e": 4, "v": 2, "d": 6}
 MODULE_ORDER = ("e", "v", "d")
@@ -41,46 +50,66 @@ class AdapterDims:
     d_s: int = 8
 
 
-@dataclass
-class AdapterWeights:
-    w_down: Tensor  # (d_h, d_r)
-    b_down: Tensor  # (d_r,)
-    w_up: Tensor    # (d_r, d_h)
-    b_up: Tensor    # (d_h,)
+def adapter_forward(h, table, site):
+    """h + ReLU(h W_d + b_d) W_u + b_u over a (T, d_h) sequence in one node.
 
-
-def adapter_forward(h, weights):
-    """h + ReLU(h W_d + b_d) W_u + b_u over a (T, d_h) sequence."""
+    The adapter is row `site` of a (n_sites, n_flat) table laid out as
+    [w_down.flat | b_down | w_up.flat | b_up]; d_r follows from n_flat and
+    d_h. The table's gradient is zero outside that row.
+    """
+    ad._check_same_dtype("adapter_forward", h, table)
     d_h = h.shape[-1]
-    if weights.w_down.shape[0] != d_h or weights.w_up.shape[1] != d_h:
-        raise ShapeError(
-            "adapter_forward",
-            f"hidden dim {d_h} vs adapter ({weights.w_down.shape}, {weights.w_up.shape})",
-        )
-    z = ad.relu(ad.add(ad.matmul(h, weights.w_down), weights.b_down))
-    return ad.add(h, ad.add(ad.matmul(z, weights.w_up), weights.b_up))
+    n_sites, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
+    d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
+    if h.data.ndim != 2 or not n_sites or rest or d_r < 1:
+        raise ShapeError("adapter_forward", f"hidden dim {d_h} vs adapter table {table.shape}")
+    if not 0 <= site < n_sites:
+        raise InputError(f"adapter table has {n_sites} sites, got index {site}")
+    n_wd = d_h * d_r
+    n_down = n_wd + d_r
+    row = table.data[site]
+    w_down = row[:n_wd].reshape(d_h, d_r)
+    w_up = row[n_down : n_flat - d_h].reshape(d_r, d_h)
+    x = h.data
+    pre = x @ w_down
+    pre += row[n_wd:n_down]
+    mask = pre > 0
+    z = np.where(mask, pre, pre.dtype.type(0))
+    delta = z @ w_up
+    delta += row[n_flat - d_h :]
+    out_data = x + delta
+
+    def grad_fn(g):
+        gpre = (g @ w_up.T) * mask
+        g_table = None
+        if table.requires_grad:
+            g_table = np.zeros_like(table.data)
+            g_row = g_table[site]
+            g_row[:n_wd] = (x.T @ gpre).reshape(-1)
+            g_row[n_wd:n_down] = ad._add_reduce(gpre, axis=0)
+            g_row[n_down : n_flat - d_h] = (z.T @ g).reshape(-1)
+            g_row[n_flat - d_h :] = ad._add_reduce(g, axis=0)
+        return (g + gpre @ w_down.T if h.requires_grad else None), g_table
+
+    return ad.from_op(out_data, (h, table), grad_fn, "adapter")
 
 
-class StaticAdapter(Module):
-    """Directly trained adapter for one site; identity at initialization."""
-
-    def __init__(self, rng, d_h, d_r, dtype=ad.DEFAULT_DTYPE):
-        self.w_down = Tensor(xavier_uniform(rng, (d_h, d_r), d_h, d_r, dtype), requires_grad=True)
-        self.b_down = Tensor(np.zeros(d_r, dtype=dtype), requires_grad=True)
-        self.w_up = Tensor(np.zeros((d_r, d_h), dtype=dtype), requires_grad=True)
-        self.b_up = Tensor(np.zeros(d_h, dtype=dtype), requires_grad=True)
-
-    def weights(self):
-        return AdapterWeights(self.w_down, self.b_down, self.w_up, self.b_up)
-
-    def __call__(self, h):
-        return adapter_forward(h, self.weights())
+def static_adapter_table(seed, tag, n_sites, d_h, d_r, dtype=ad.DEFAULT_DTYPE):
+    """Trainable (n_sites, n_flat) table of directly trained adapters for one
+    module. Row i draws w_down from the rng_for(seed, "adapter", tag, i)
+    stream; everything else starts at zero, so each site is the identity."""
+    n_wd = d_h * d_r
+    rows = np.zeros((n_sites, 2 * n_wd + d_r + d_h), dtype=dtype)
+    for i in range(n_sites):
+        rows[i, :n_wd] = xavier_uniform(rng_for(seed, "adapter", tag, i), (d_h, d_r),
+                                        d_h, d_r, dtype).reshape(-1)
+    return Tensor(rows, requires_grad=True)
 
 
 class HyperNetwork(Module):
     """Generates adapter weights for every site of one backbone module."""
 
-    def __init__(self, rng, n_sites, dims, gain=1.0, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, rng, n_sites, dims, dtype=ad.DEFAULT_DTYPE):
         d = dims
         self.speaker_proj = Dense(rng, d.d_1, d.d_2, dtype=dtype)
         table = (rng.standard_normal((n_sites, d.d_l)) * d.d_l ** -0.5).astype(dtype)
@@ -93,38 +122,41 @@ class HyperNetwork(Module):
         self.sampler_up = Dense(rng, d.d_s, n_up, bias=False, dtype=dtype, zero_init=True)
         self.dims = d
         self.n_sites = n_sites
-        self.gain = gain
 
-    def generate(self, spk_vec, site):
-        """AdapterWeights for one site; differentiable in spk_vec and all
-        hypernetwork parameters, deterministic given both."""
-        if not 0 <= site < self.n_sites:
-            raise InputError(f"hypernetwork has {self.n_sites} sites, got index {site}")
+    def generate(self, spk_vec):
+        """(n_sites, n_down + n_up) adapter table for a (1, d_1) speaker
+        vector, in one node; differentiable in spk_vec and all seven
+        hypernetwork tensors, deterministic given both.
+
+        The speaker projection runs once; the source projection maps every
+        [speaker | layer embedding] row in one matmul, and each sampler maps
+        every source row in one matmul.
+        """
         if spk_vec.data.ndim != 2 or spk_vec.shape != (1, self.dims.d_1):
             raise ShapeError("generate", f"speaker vector must be (1, {self.dims.d_1}), got {spk_vec.shape}")
-        d = self.dims
-        sv = self.speaker_proj(spk_vec)                       # (1, d_2)
-        le = ad.narrow(self.layer_embed, 0, site, 1)          # (1, d_l)
-        z = self.source_proj(ad.concat([sv, le], axis=-1))    # (1, d_s)
-        flat_down = self.sampler_down(z)
-        flat_up = self.sampler_up(z)
-        if self.gain != 1.0:
-            flat_down = ad.scale(flat_down, self.gain)
-            flat_up = ad.scale(flat_up, self.gain)
-        n_w_down = d.d_h * d.d_r
-        n_w_up = d.d_r * d.d_h
-        return AdapterWeights(
-            w_down=ad.reshape(ad.narrow(flat_down, 1, 0, n_w_down), (d.d_h, d.d_r)),
-            b_down=ad.reshape(ad.narrow(flat_down, 1, n_w_down, d.d_r), (d.d_r,)),
-            w_up=ad.reshape(ad.narrow(flat_up, 1, 0, n_w_up), (d.d_r, d.d_h)),
-            b_up=ad.reshape(ad.narrow(flat_up, 1, n_w_up, d.d_h), (d.d_h,)),
-        )
+        sp, so = self.speaker_proj, self.source_proj
+        parents = (spk_vec, sp.w, sp.b, self.layer_embed, so.w, so.b,
+                   self.sampler_down.w, self.sampler_up.w)
+        ad._check_same_dtype("generate", *parents)
+        v, wp, le, ws, wd, wu = (spk_vec.data, sp.w.data, self.layer_embed.data,
+                                 so.w.data, self.sampler_down.w.data, self.sampler_up.w.data)
+        d_2, n_down = wp.shape[1], wd.shape[1]
+        sv = v @ wp
+        sv += sp.b.data                                           # (1, d_2)
+        x = np.concatenate([np.repeat(sv, self.n_sites, axis=0), le], axis=1)
+        z = x @ ws
+        z += so.b.data                                            # (n_sites, d_s)
+        out_data = np.concatenate([z @ wd, z @ wu], axis=1)
 
+        def grad_fn(g):
+            g_down, g_up = g[:, :n_down], g[:, n_down:]
+            gz = g_down @ wd.T + g_up @ wu.T
+            gx = gz @ ws.T
+            gsv = ad._add_reduce(gx[:, :d_2], axis=0, keepdims=True)
+            return (gsv @ wp.T, v.T @ gsv, gsv[0], gx[:, d_2:], x.T @ gz,
+                    ad._add_reduce(gz, axis=0), z.T @ g_down, z.T @ g_up)
 
-def flattened_weights(weights):
-    """1-D float64 view of generated weights, for export and clustering."""
-    parts = [weights.w_down, weights.b_down, weights.w_up, weights.b_up]
-    return np.concatenate([p.data.reshape(-1).astype(np.float64) for p in parts])
+        return ad.from_op(out_data, parents, grad_fn, "hyper_generate")
 
 
 # -----------------------------------------------------------------------------
@@ -205,6 +237,11 @@ class _Bank(Module):
     """Attribute bag so adapter/hypernetwork tensors get stable names."""
 
 
+def _site_hook(table, site):
+    # adapter_forward is looked up by name when the hook runs, not bound here
+    return lambda h: adapter_forward(h, table, site)
+
+
 class AdaptedModel:
     """A backbone plus one strategy's trainable surface.
 
@@ -226,32 +263,25 @@ class AdaptedModel:
         self.extras = _Bank()
         self.detached = False
         model.set_trainable(strategy.name == "ft")
-        from .layers import rng_for  # local import keeps module load order simple
-
         for tag in strategy.sites:
             n = self.site_counts[tag]
             if strategy.name == "adapter":
-                bank = [StaticAdapter(rng_for(seed, "adapter", tag, i), dims.d_h, dims.d_r) for i in range(n)]
-                setattr(self.extras, f"adapter_{tag}", bank)
+                bank = static_adapter_table(seed, tag, n, dims.d_h, dims.d_r)
             else:
-                setattr(self.extras, f"hyper_{tag}", HyperNetwork(rng_for(seed, "hyper", tag), n, dims))
+                bank = HyperNetwork(rng_for(seed, "hyper", tag), n, dims)
+            setattr(self.extras, f"{strategy.name}_{tag}", bank)
 
     def hooks_for(self, spk_vec):
         """Per-site adapter callables for one utterance, or None when the
-        strategy adds nothing (tts0/ft) or adapters are detached."""
+        strategy adds nothing (tts0/ft) or adapters are detached. A
+        hypernetwork generates its module's table once, here."""
         if self.detached or self.strategy.name in ("tts0", "ft"):
             return None
         hooks = {}
         for tag in self.strategy.sites:
-            if self.strategy.name == "adapter":
-                bank = getattr(self.extras, f"adapter_{tag}")
-                hooks[tag] = [adapter for adapter in bank]
-            else:
-                hyper = getattr(self.extras, f"hyper_{tag}")
-                hooks[tag] = [
-                    (lambda t, h=hyper, s=site: adapter_forward(t, h.generate(spk_vec, s)))
-                    for site in range(self.site_counts[tag])
-                ]
+            bank = getattr(self.extras, f"{self.strategy.name}_{tag}")
+            table = bank.generate(spk_vec) if self.strategy.name == "hyper" else bank
+            hooks[tag] = [_site_hook(table, site) for site in range(self.site_counts[tag])]
         return hooks
 
     def named_trainable(self):

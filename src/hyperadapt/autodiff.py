@@ -15,7 +15,10 @@ scaled scores, padded-key bias, softmax, seeded dropout, weighted sum, head
 merge), ReLU/tanh, softmax and log-softmax, layer norm, seeded dropout,
 embedding lookup, elementwise add/sub/mul, sum/mean reductions, MSE/L1
 losses, and reshape/slice/concat plumbing. Fused ops carry hand-written
-gradients and record one tape node each.
+gradients and record one tape node each. Two more fused ops live next to
+their only caller in `adaptation`: `HyperNetwork.generate` (a module's whole
+adapter table from the speaker embedding) and `adapter_forward` (one
+bottleneck adapter applied from one row of such a table).
 
 Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).

@@ -23,7 +23,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import featio, gradcheck, metrics
 from . import training as tr
-from .adaptation import AdapterDims, StrategyConfig, count_trainable_params, flattened_weights
+from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
 from .autodiff import Tensor
 from .corpus import CorpusSpec, synthetic_embedding
 from .errors import ConfigError, HyperadaptError, InputError, StateError
@@ -331,8 +331,8 @@ def _cmd_evaluate(cfg):
     return 0
 
 
-def _cmd_params(cfg, strategy_name):
-    strategy = StrategyConfig.parse(strategy_name, _dims(cfg))
+def _cmd_params(cfg):
+    strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], _dims(cfg))
     model_config = _model_config(cfg)
     backbone = _backbone_param_count(model_config) if strategy.name == "ft" else None
     count = count_trainable_params(strategy, backbone_param_count=backbone,
@@ -378,10 +378,9 @@ def _cmd_dump_hyper_params(cfg):
         for variant, emb in variants:
             spk_t = Tensor(np.asarray(emb, dtype=np.float32).reshape(1, -1))
             for tag in adapted.strategy.sites:
-                bank = getattr(adapted.extras, f"hyper_{tag}")
-                for site in range(bank.n_sites):
-                    flat = flattened_weights(bank.generate(spk_t, site))
-                    arrays[f"{speaker}/{variant}/{tag}{site}"] = flat
+                table = getattr(adapted.extras, f"hyper_{tag}").generate(spk_t).data
+                for site, row in enumerate(table.astype(np.float64)):
+                    arrays[f"{speaker}/{variant}/{tag}{site}"] = row
 
     meta = {
         "strategy": adapted.strategy.label(),
@@ -536,10 +535,6 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 2
 
     try:
-        if args.verb == "params":
-            cfg = load_config(args.config, args.set, args.seed)
-            _apply_flags(cfg, args)
-            return _cmd_params(cfg, args.strategy)
         cfg = load_config(args.config, args.set, args.seed)
         _apply_flags(cfg, args)
         handler = {
@@ -548,6 +543,7 @@ def main(argv=None):
             "adapt": _cmd_adapt,
             "synthesize": _cmd_synthesize,
             "evaluate": _cmd_evaluate,
+            "params": _cmd_params,
             "dump-hyper-params": _cmd_dump_hyper_params,
             "grad-check": _cmd_grad_check,
         }[args.verb]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, backbone, variance
-from .adaptation import AdapterDims, HyperNetwork, StaticAdapter, adapter_forward
+from .adaptation import AdapterDims, HyperNetwork, adapter_forward, adapter_param_count
 from .autodiff import Tensor
 from .errors import InputError
 from .layers import RunCtx, rng_for
@@ -102,19 +102,18 @@ def _postnet(seed):
 
 
 def _adapter(seed):
-    ada = StaticAdapter(rng_for(seed, "gc", "ada"), d_h=_D, d_r=3)
-    # identity init zeroes half the gradients; randomize so every path carries
-    rng = np.random.default_rng(seed + 17)
-    for p in ada.parameters():
-        p.data = rng.standard_normal(p.shape) * 0.3
-        p.requires_grad = True
+    # a two-site table, randomized (identity init zeroes half the gradients)
+    # so every path carries and the other row's zero gradient is checked too
+    n_flat = adapter_param_count(AdapterDims(d_h=_D, d_r=3))
+    table = Tensor(np.random.default_rng(seed + 17).standard_normal((2, n_flat)) * 0.3,
+                   requires_grad=True)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
 
-    def fn(x, *ps):
-        return ad.mse_loss(ada(x), target)
+    def fn(x, t):
+        return ad.mse_loss(adapter_forward(x, t, seed % 2), target)
 
-    return fn, [h, *ada.parameters()]
+    return fn, [h, table]
 
 
 def _hypernetwork(seed):
@@ -129,7 +128,7 @@ def _hypernetwork(seed):
 
     def fn(v, *ps):
         out = adapter_forward(ad.constant(h_data, dtype=np.float64),
-                              hyper.generate(v, seed % 2))
+                              hyper.generate(v), seed % 2)
         return ad.mse_loss(out, target)
 
     return fn, [spk, *params]

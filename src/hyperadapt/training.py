@@ -396,7 +396,8 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
         if done % log_every == 0 or done == sched.total_steps:
             log.append(done, LossBreakdown.average(breakdowns), lr)
         if val_utterances and (done % val_every == 0 or done == sched.total_steps):
-            val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn), lr)
+            val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn,
+                                          pitch_cache=pitch_cache), lr)
         if done % ckpt_every == 0 or done == sched.total_steps:
             save_fn(done)
     return sched.total_steps
@@ -415,15 +416,18 @@ def check_finite_grads(grads, step):
             raise NumericsError(f"non-finite gradient for {name} at step {step}")
 
 
-def validate(model, utterances, step, sched, hooks_fn=None):
+def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None):
     """Teacher-forced loss over a split, dropout off. Returns the average
-    breakdown; weights are evaluated at `step` so logs stay comparable."""
+    breakdown; weights are evaluated at `step` so logs stay comparable.
+    `pitch_cache` (utt_id -> pitch targets) is read and filled as in
+    `compute_losses`; a training run passes the one its steps use."""
     outs = []
     for utt in utterances:
         ctx = RunCtx(training=False)
         _, bd = compute_losses(
             model, utt, step, sched, ctx,
             hooks=hooks_fn(utt) if hooks_fn else None,
+            pitch_cache=pitch_cache,
         )
         outs.append(bd)
     return LossBreakdown.average(outs)

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError, StateError
-from .features import dequantize, quantize
+from .features import quantize
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
 N_SCALES = 10
@@ -65,27 +65,26 @@ def interpolated_log_f0(f0):
 
 
 def cwt_decompose(contour):
-    """(N_SCALES, m) wavelet coefficients of a normalized contour."""
+    """(N_SCALES, m) wavelet coefficients of a normalized contour, convolved
+    over its reflect extension (mirrored about the end samples, as often as
+    the widest wavelet needs).
+
+    That extension is periodic with period P = 2(m - 1), so each wavelet is
+    folded onto one period and the bank is applied as one circular
+    convolution over a single period of the signal.
+    """
     x = np.asarray(contour, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise InputError("cwt_decompose: need a 1-D contour of length >= 2")
     m = x.size
-    out = np.empty((N_SCALES, m))
+    period = 2 * (m - 1)
+    folded = np.empty((N_SCALES, period))
     for j, w in enumerate(_BANK):
         half = (len(w) - 1) // 2
-        xp = _reflect_pad(x, half)
-        out[j] = np.convolve(xp, w, mode="same")[half : half + m]
-    return out
-
-
-def _reflect_pad(x, pad):
-    # np.pad reflect caps the pad width at len-1 per application
-    out = x
-    while pad > 0:
-        step = min(pad, out.size - 1)
-        out = np.pad(out, step, mode="reflect")
-        pad -= step
-    return out
+        folded[j] = np.bincount(np.arange(-half, half + 1) % period, weights=w, minlength=period)
+    one_period = np.concatenate([x, x[-2:0:-1]])
+    spectrum = np.fft.rfft(folded, axis=1) * np.fft.rfft(one_period)
+    return np.fft.irfft(spectrum, n=period, axis=1)[:, :m]
 
 
 def icwt_reconstruct(spectrogram, mean, variance):
@@ -242,7 +241,3 @@ class VarianceAdapter(Module):
         lo, hi = self._require("energy_range")
         bins = quantize(energy, lo, hi, self.N_BINS)
         return ad.add(h, self.energy_embed(bins))
-
-    def dequantize_energy(self, bins):
-        lo, hi = self._require("energy_range")
-        return dequantize(bins, lo, hi, self.N_BINS)

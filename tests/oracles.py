@@ -1,13 +1,17 @@
 """Brute-force reference implementations shared across test modules.
 
-These enumerate every monotonic segmentation of m frames into n contiguous
-nonempty phoneme runs, so they are exact (and exponentially slow): keep n and
-m small.
+The alignment oracles enumerate every monotonic segmentation of m frames into
+n contiguous nonempty phoneme runs, so they are exact (and exponentially
+slow): keep n and m small. The others keep the straightforward construction
+a fused or vectorised library routine replaced.
 """
 
 import itertools
 
 import numpy as np
+
+import hyperadapt.autodiff as ad
+from hyperadapt import variance
 
 
 def all_paths(n, m):
@@ -96,3 +100,56 @@ def dtw_reference(cost):
                 j -= 1
     path.reverse()
     return acc, np.asarray(path, dtype=np.int64)
+
+
+def cwt_reference(contour):
+    """Wavelet coefficients by direct convolution: reflect-pad the contour by
+    each wavelet's half width (np.pad reflect caps one application at
+    len - 1, so it repeats), convolve, and keep the centre."""
+    x = np.asarray(contour, dtype=np.float64)
+    m = x.size
+    out = np.empty((variance.N_SCALES, m))
+    for j, w in enumerate(variance._BANK):
+        half = (len(w) - 1) // 2
+        xp, pad = x, half
+        while pad > 0:
+            step = min(pad, xp.size - 1)
+            xp = np.pad(xp, step, mode="reflect")
+            pad -= step
+        out[j] = np.convolve(xp, w, mode="same")[half : half + m]
+    return out
+
+
+def generate_reference(hyper, spk_vec, site):
+    """One site's adapter tensors (w_down, b_down, w_up, b_up) from a
+    HyperNetwork by the op-by-op graph: speaker projection, layer-embedding
+    row, concat, source projection, both samplers, then narrow and reshape."""
+    d = hyper.dims
+    sv = hyper.speaker_proj(spk_vec)
+    le = ad.narrow(hyper.layer_embed, 0, site, 1)
+    z = hyper.source_proj(ad.concat([sv, le], axis=-1))
+    flat_down = hyper.sampler_down(z)
+    flat_up = hyper.sampler_up(z)
+    n_w = d.d_h * d.d_r
+    return (ad.reshape(ad.narrow(flat_down, 1, 0, n_w), (d.d_h, d.d_r)),
+            ad.reshape(ad.narrow(flat_down, 1, n_w, d.d_r), (d.d_r,)),
+            ad.reshape(ad.narrow(flat_up, 1, 0, n_w), (d.d_r, d.d_h)),
+            ad.reshape(ad.narrow(flat_up, 1, n_w, d.d_h), (d.d_h,)))
+
+
+def table_row_reference(table, site, d_h, d_r):
+    """Row `site` of an adapter table split into (w_down, b_down, w_up, b_up)
+    Tensors by narrow and reshape."""
+    row = ad.reshape(ad.narrow(table, 0, site, 1), (table.shape[1],))
+    parts, start = [], 0
+    for shape in ((d_h, d_r), (d_r,), (d_r, d_h), (d_h,)):
+        size = int(np.prod(shape))
+        parts.append(ad.reshape(ad.narrow(row, 0, start, size), shape))
+        start += size
+    return tuple(parts)
+
+
+def adapter_reference(h, w_down, b_down, w_up, b_up):
+    """h + ReLU(h W_d + b_d) W_u + b_u by matmul, add and relu nodes."""
+    z = ad.relu(ad.add(ad.matmul(h, w_down), b_down))
+    return ad.add(h, ad.add(ad.matmul(z, w_up), b_up))

@@ -23,7 +23,6 @@ from hyperadapt.adaptation import (
     AdapterDims,
     StrategyConfig,
     count_trainable_params,
-    flattened_weights,
 )
 from hyperadapt.autodiff import Tensor
 from hyperadapt.corpus import (
@@ -123,11 +122,9 @@ def clustering_stats(hyper_checkpoint, manifest, per_speaker=5):
             utt = load_utterance(entry, base)
             spk = Tensor(utt.embedding.reshape(1, -1))
             flat = np.concatenate([
-                flattened_weights(bank.generate(spk, site))
+                getattr(adapted.extras, f"hyper_{tag}").generate(spk).data.reshape(-1)
                 for tag in adapted.strategy.sites
-                for bank in (getattr(adapted.extras, f"hyper_{tag}"),)
-                for site in range(bank.n_sites)
-            ])
+            ]).astype(np.float64)
             vectors.append(flat)
             owners.append(speaker)
 

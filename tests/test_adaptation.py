@@ -7,20 +7,20 @@ import hyperadapt.autodiff as ad
 from hyperadapt.adaptation import (
     AdaptedModel,
     AdapterDims,
-    AdapterWeights,
     HyperNetwork,
-    StaticAdapter,
     StrategyConfig,
     adapter_forward,
     adapter_param_count,
     count_trainable_params,
-    flattened_weights,
     hyper_param_count,
+    static_adapter_table,
 )
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, TTSModel
+
+from oracles import adapter_reference, generate_reference, table_row_reference
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 
@@ -35,6 +35,17 @@ def small_model(seed=7):
     return TTSModel(cfg, seed=seed)
 
 
+def split_row(row, d_h, d_r):
+    """(w_down, b_down, w_up, b_up) arrays of one flattened adapter row."""
+    n_w = d_h * d_r
+    return (row[:n_w].reshape(d_h, d_r), row[n_w : n_w + d_r],
+            row[n_w + d_r : 2 * n_w + d_r].reshape(d_r, d_h), row[2 * n_w + d_r :])
+
+
+def static_table(seed, d_h, d_r, n_sites=1):
+    return static_adapter_table(seed, "t", n_sites, d_h, d_r)
+
+
 # -----------------------------------------------------------------------------
 # adapter algebra
 # -----------------------------------------------------------------------------
@@ -46,40 +57,94 @@ def test_adapter_forward_matches_hand_computation():
     b_down = np.array([0.5, -1.0], dtype=np.float32)
     w_up = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, -1.0]], dtype=np.float32)
     b_up = np.array([0.25, 0.0, 0.0, 0.0], dtype=np.float32)
-    weights = AdapterWeights(
-        Tensor(w_down), Tensor(b_down), Tensor(w_up), Tensor(b_up)
-    )
+    table = Tensor(np.concatenate([w_down.ravel(), b_down, w_up.ravel(), b_up])[None])
     h = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
     # pre-activation: [1+3+0.5, 2-3-1] = [4.5, -2]; relu -> [4.5, 0]
     # delta: [4.5, 0, 9, 0] + b_up = [4.75, 0, 9, 0]
     expected = np.array([[5.75, 2.0, 12.0, 4.0]], dtype=np.float32)
-    out = adapter_forward(Tensor(h), weights)
+    out = adapter_forward(Tensor(h), table, 0)
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_static_adapter_is_identity_at_init():
-    adapter = StaticAdapter(rng_for(0, "t"), d_h=16, d_r=4)
+    table = static_table(0, d_h=16, d_r=4)
     h = Tensor(rng_for(1, "h").normal(size=(5, 16)).astype(np.float32))
-    out = adapter(h)
+    out = adapter_forward(h, table, 0)
     np.testing.assert_array_equal(out.data, h.data)
 
 
 def test_adapter_forward_rejects_dim_mismatch():
-    adapter = StaticAdapter(rng_for(0, "t"), d_h=16, d_r=4)
+    table = static_table(0, d_h=16, d_r=4)
     with pytest.raises(ShapeError):
-        adapter(Tensor(np.zeros((3, 8), dtype=np.float32)))
+        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), table, 0)
 
 
 def test_static_adapter_gradients_flow_at_init():
     # zero up-projection must not block gradients into the up matrix itself
-    adapter = StaticAdapter(rng_for(3, "t"), d_h=6, d_r=2)
+    table = static_table(3, d_h=6, d_r=2)
     h = Tensor(rng_for(4, "h").normal(size=(3, 6)).astype(np.float32))
-    loss = ad.sum_all(adapter(h))
+    loss = ad.sum_all(adapter_forward(h, table, 0))
     loss.backward()
-    assert adapter.w_up.grad is not None
-    assert np.abs(adapter.w_up.grad).max() > 0
+    g_w_down, _, g_w_up, _ = split_row(table.grad[0], 6, 2)
+    assert np.abs(g_w_up).max() > 0
     # w_down only matters through the (currently zero) up matrix
-    assert np.abs(adapter.w_down.grad).max() == 0
+    assert np.abs(g_w_down).max() == 0
+
+
+def test_static_table_rows_match_per_site_streams():
+    # row i draws w_down from the same stream a per-site adapter drew from
+    d_h, d_r = 8, 3
+    table = static_adapter_table(5, "e", 3, d_h, d_r)
+    assert table.shape == (3, adapter_param_count(AdapterDims(d_h=d_h, d_r=d_r)))
+    for i in range(3):
+        w_down, b_down, w_up, b_up = split_row(table.data[i], d_h, d_r)
+        lim = np.sqrt(6.0 / (d_h + d_r))
+        want = rng_for(5, "adapter", "e", i).uniform(-lim, lim, size=(d_h, d_r)).astype(np.float32)
+        np.testing.assert_array_equal(w_down, want)
+        assert not b_down.any() and not w_up.any() and not b_up.any()
+
+
+def _random_table(seed, n_sites, d_h, d_r):
+    n_flat = adapter_param_count(AdapterDims(d_h=d_h, d_r=d_r))
+    return Tensor(np.random.default_rng(seed).standard_normal((n_sites, n_flat)) * 0.4,
+                  requires_grad=True)
+
+
+@pytest.mark.parametrize("site", [0, 2])
+def test_adapter_forward_matches_op_by_op_graph(site):
+    # float64 values and both gradients against matmul/add/relu nodes fed by
+    # narrow/reshape views of the same table row
+    d_h, d_r = 7, 3
+    table = _random_table(21, 3, d_h, d_r)
+    h = Tensor(np.random.default_rng(22).standard_normal((5, d_h)), requires_grad=True)
+    probe = np.random.default_rng(23).standard_normal((5, d_h))
+
+    def grads(out):
+        h.grad = table.grad = None
+        ad.sum_all(ad.mul(out, Tensor(probe))).backward()
+        return h.grad.copy(), table.grad.copy()
+
+    fused = adapter_forward(h, table, site)
+    g_fused = grads(fused)
+    ref = adapter_reference(h, *table_row_reference(table, site, d_h, d_r))
+    g_ref = grads(ref)
+    np.testing.assert_allclose(fused.data, ref.data, rtol=0, atol=1e-12)
+    for a, b in zip(g_fused, g_ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    others = np.delete(g_fused[1], site, axis=0)
+    assert not others.any()
+
+
+@pytest.mark.parametrize("site", [0, 1])
+def test_adapter_forward_gradcheck_static_table(site):
+    d_h, d_r = 5, 2
+    table = _random_table(31 + site, 2, d_h, d_r)
+    h = Tensor(np.random.default_rng(33).standard_normal((4, d_h)), requires_grad=True)
+    target = np.random.default_rng(34).standard_normal((4, d_h))
+
+    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, t, site), target),
+                           [h, table])
+    assert report.passed, repr(report)
 
 
 # -----------------------------------------------------------------------------
@@ -92,51 +157,67 @@ def spk(dims, seed=0):
     return Tensor(v)
 
 
+def _f64_hyper(seed, n_sites=2):
+    dims = AdapterDims(d_h=5, d_r=2, d_1=4, d_2=3, d_l=3, d_s=2)
+    hyper = HyperNetwork(rng_for(seed, "h"), n_sites=n_sites, dims=dims)
+    hyper.sampler_up.w.data = rng_for(seed, "u").normal(
+        size=hyper.sampler_up.w.shape).astype(np.float32) * 0.1
+    for p in hyper.parameters():
+        p.data = p.data.astype(np.float64)
+        p.requires_grad = True
+    return hyper
+
+
 def test_hypernetwork_identity_at_init():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    w = hyper.generate(spk(SMALL), site=1)
+    table = hyper.generate(spk(SMALL))
     h = Tensor(rng_for(2, "x").normal(size=(4, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, w)
+    out = adapter_forward(h, table, 1)
     np.testing.assert_array_equal(out.data, h.data)
-    assert np.abs(w.w_up.data).max() == 0
-    assert np.abs(w.b_up.data).max() == 0
+    _, _, w_up, b_up = split_row(table.data[1], SMALL.d_h, SMALL.d_r)
+    assert np.abs(w_up).max() == 0
+    assert np.abs(b_up).max() == 0
 
 
 def test_hypernetwork_generate_deterministic():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    a = flattened_weights(hyper.generate(spk(SMALL), 0))
-    b = flattened_weights(hyper.generate(spk(SMALL), 0))
+    a = hyper.generate(spk(SMALL)).data[0]
+    b = hyper.generate(spk(SMALL)).data[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_hypernetwork_sites_differ():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    a = flattened_weights(hyper.generate(spk(SMALL), 0))
-    b = flattened_weights(hyper.generate(spk(SMALL), 2))
+    table = hyper.generate(spk(SMALL)).data
+    a = table[0].astype(np.float64)
+    b = table[2].astype(np.float64)
     assert np.abs(a - b).max() > 0
 
 
 def test_hypernetwork_speakers_differ_and_vary_continuously():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=SMALL)
     v = spk(SMALL, seed=5)
-    base = flattened_weights(hyper.generate(v, 0))
-    other = flattened_weights(hyper.generate(spk(SMALL, seed=6), 0))
+    base = hyper.generate(v).data[0].astype(np.float64)
+    other = hyper.generate(spk(SMALL, seed=6)).data[0].astype(np.float64)
     assert np.abs(base - other).max() > 0
     # all-affine pipeline: output moves linearly with an input perturbation
     eps = 1e-3
     bumped_data = v.data.copy()
     bumped_data[0, 0] += eps
-    bumped = flattened_weights(hyper.generate(Tensor(bumped_data), 0))
+    bumped = hyper.generate(Tensor(bumped_data)).data[0].astype(np.float64)
     drift = np.abs(bumped - base).max()
     assert 0 < drift < 1.0 * eps * 100
 
 
 def test_hypernetwork_site_index_validated():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=SMALL)
-    with pytest.raises(InputError):
-        hyper.generate(spk(SMALL), 2)
+    h = Tensor(np.zeros((3, SMALL.d_h), dtype=np.float32))
+    table = hyper.generate(spk(SMALL))
+    for site in (2, -1):
+        with pytest.raises(InputError):
+            adapter_forward(h, table, site)
     with pytest.raises(ShapeError):
-        hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)), 0)
+        hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)))
 
 
 def test_hypernetwork_gradients_reach_all_parameters():
@@ -144,7 +225,7 @@ def test_hypernetwork_gradients_reach_all_parameters():
     # nudge the up sampler off zero so the down path participates too
     hyper.sampler_up.w.data += 0.01
     h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, hyper.generate(spk(SMALL), 1))
+    out = adapter_forward(h, hyper.generate(spk(SMALL)), 1)
     ad.sum_all(out).backward()
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
@@ -152,23 +233,68 @@ def test_hypernetwork_gradients_reach_all_parameters():
 
 
 def test_hypernetwork_generate_gradcheck():
-    dims = AdapterDims(d_h=5, d_r=2, d_1=4, d_2=3, d_l=3, d_s=2)
-    hyper = HyperNetwork(rng_for(9, "h"), n_sites=2, dims=dims)
-    hyper.sampler_up.w.data = rng_for(10, "u").normal(
-        size=hyper.sampler_up.w.shape).astype(np.float32) * 0.1
-    h_data = rng_for(11, "x").normal(size=(3, 5))
+    hyper = _f64_hyper(9)
+    h = Tensor(rng_for(11, "x").normal(size=(3, 5)), requires_grad=True)
     v_data = rng_for(12, "v").normal(size=(1, 4))
 
-    params = [p for _, p in hyper.named_parameters()]
-    for p in params:
-        p.data = p.data.astype(np.float64)
-
-    def fn(v, *ps):
-        out = adapter_forward(Tensor(h_data), hyper.generate(v, 0))
+    def fn(v, x, *ps):
+        out = adapter_forward(x, hyper.generate(v), 0)
         return ad.sum_all(out)
 
-    report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), *params])
+    report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()])
     assert report.passed, repr(report)
+
+
+def test_hypernetwork_fused_generate_gradcheck_every_entry():
+    # FD check of the table itself (not through an adapter): a random linear
+    # probe of every generated entry against spk_vec and all seven tensors
+    hyper = _f64_hyper(13, n_sites=3)
+    probe = rng_for(14, "p").normal(size=(3, 2 * 5 * 2 + 2 + 5))
+    v = Tensor(rng_for(15, "v").normal(size=(1, 4)), requires_grad=True)
+
+    def fn(spk_vec, *ps):
+        return ad.sum_all(ad.mul(hyper.generate(spk_vec), Tensor(probe)))
+
+    params = hyper.parameters()
+    assert len(params) == 7
+    report = ad.grad_check(fn, [v, *params])
+    assert report.passed, repr(report)
+
+
+def test_hypernetwork_generate_matches_op_by_op_graph():
+    # every row and every gradient (spk_vec plus the seven tensors) equal the
+    # per-site narrow/concat/reshape graph within 1e-12 in float64
+    hyper = _f64_hyper(17, n_sites=3)
+    d = hyper.dims
+    v = Tensor(rng_for(18, "v").normal(size=(1, 4)), requires_grad=True)
+    h = Tensor(rng_for(19, "x").normal(size=(4, d.d_h)))
+    params = [v, *hyper.parameters()]
+
+    def run(build):
+        for p in params:
+            p.grad = None
+        outs = build()
+        total = outs[0]
+        for o in outs[1:]:
+            total = ad.add(total, o)
+        total.backward()
+        return [p.grad.copy() for p in params]
+
+    table = hyper.generate(v)
+    for site in range(3):
+        for got, want in zip(split_row(table.data[site], d.d_h, d.d_r),
+                             generate_reference(hyper, v, site)):
+            np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-12)
+
+    def fused_sites():
+        shared = hyper.generate(v)  # one table per module, as hooks_for builds it
+        return [ad.sum_all(adapter_forward(h, shared, s)) for s in range(3)]
+
+    fused = run(fused_sites)
+    ref = run(lambda: [ad.sum_all(adapter_reference(h, *generate_reference(hyper, v, s)))
+                       for s in range(3)])
+    for a, b in zip(fused, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 # -----------------------------------------------------------------------------
@@ -230,8 +356,8 @@ def test_hyper_counts_scale_with_source_dim(d_s, expected_d, expected_e, expecte
 
 
 def test_counts_match_live_modules():
-    adapter = StaticAdapter(rng_for(0, "a"), PUBLISHED.d_h, PUBLISHED.d_r)
-    assert adapter.param_count() == adapter_param_count(PUBLISHED)
+    table = static_adapter_table(0, "a", 1, PUBLISHED.d_h, PUBLISHED.d_r)
+    assert table.size == adapter_param_count(PUBLISHED)
     for n_sites in (2, 4, 6):
         hyper = HyperNetwork(rng_for(0, "h"), n_sites, PUBLISHED)
         assert hyper.param_count() == hyper_param_count(PUBLISHED, n_sites)
@@ -321,6 +447,60 @@ def test_adapted_synthesis_diverges_once_trained_weights_move():
         assert np.abs(out - ref).max() > 1e-4
     else:
         assert out.shape[0] != ref.shape[0]
+
+
+def train_args(model, seed=3, frames=15):
+    rng = np.random.default_rng(seed)
+    return (np.array([1, 4, 2, 7, 3], dtype=np.int64),
+            rng.normal(size=(frames, model.config.n_mels)).astype(np.float32),
+            rng.uniform(100.0, 300.0, frames).astype(np.float32),
+            rng.uniform(0.2, 1.5, frames).astype(np.float32),
+            rng.normal(size=model.config.d_spk).astype(np.float32))
+
+
+def _forward_train_ops(monkeypatch, model, hooks_fn):
+    """op name -> count of the tape nodes that building the hooks and one
+    forward_train record."""
+    counts = {}
+    real = ad.from_op
+
+    def counting(data, parents, grad_fn, op):
+        counts[op] = counts.get(op, 0) + 1
+        return real(data, parents, grad_fn, op)
+
+    args = train_args(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "from_op", counting)
+        hooks = hooks_fn(Tensor(args[4].reshape(1, -1)))
+        model.forward_train(*args, RunCtx(training=False), hooks=hooks)
+    return counts
+
+
+def test_hyper_forward_train_adds_one_node_per_module_and_per_site(monkeypatch):
+    # desk hyper_evd: 3 modules, 6 sites; adaptation adds exactly one
+    # generate node per module and one adapter node per site, nothing else
+    model = small_model()
+    model.set_ranges((4.5, 6.0), (0.0, 1.0))
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", SMALL), seed=5)
+    with_hooks = _forward_train_ops(monkeypatch, model, adapted.hooks_for)
+    without = _forward_train_ops(monkeypatch, model, lambda spk_vec: None)
+    assert with_hooks.pop("hyper_generate") == 3
+    assert with_hooks.pop("adapter") == 6
+    assert with_hooks == without
+    assert "narrow" not in with_hooks and "concat" not in with_hooks
+
+
+@pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
+def test_adapted_forward_train_identity_at_init(label):
+    model = small_model()
+    model.set_ranges((4.5, 6.0), (0.0, 1.0))
+    args = train_args(model, seed=4, frames=12)
+    ref = model.forward_train(*args, RunCtx(training=False))
+    adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
+    out = model.forward_train(*args, RunCtx(training=False),
+                              hooks=adapted.hooks_for(Tensor(args[4].reshape(1, -1))))
+    for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
+        np.testing.assert_array_equal(out[key].data, ref[key].data)
 
 
 def test_tts0_and_ft_add_no_hooks():

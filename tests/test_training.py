@@ -519,6 +519,25 @@ def test_finite_guard_reports_first_bad_tensor_only_on_failure():
 # -----------------------------------------------------------------------------
 
 
+def test_pitch_targets_computed_once_per_utterance_per_run(monkeypatch, pretrained,
+                                                          corpus_manifest, tmp_path):
+    # training steps and every validation pass share one target cache
+    ck, _ = pretrained
+    seen = []
+    real = var_mod.pitch_targets
+
+    def counting(f0):
+        seen.append(f0.tobytes())
+        return real(f0)
+
+    monkeypatch.setattr(var_mod, "pitch_targets", counting)
+    tr.adapt(ck, corpus_manifest, "adapter_e", adaptation_schedule(steps=4, batch_size=2),
+             str(tmp_path), seed=5, dims=DIMS, val_every=2)
+    val = load_corpus(corpus_manifest, adaptation=True, split="val")
+    assert len(seen) == len(set(seen))
+    assert {u.f0.astype(np.float64).tobytes() for u in val} <= set(seen)
+
+
 def test_adapt_tts0_is_byte_copy(pretrained, corpus_manifest, tmp_path):
     ck, _ = pretrained
     out = tr.adapt(ck, corpus_manifest, "tts0", adaptation_schedule(steps=3),

@@ -10,6 +10,8 @@ from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 
+from oracles import cwt_reference
+
 
 def band_limited_contour(rng, length):
     x = np.zeros(length)
@@ -96,6 +98,15 @@ class TestWaveletBank:
     def test_too_short_contour_rejected(self):
         with pytest.raises(InputError):
             variance.cwt_decompose(np.array([1.0]))
+
+    def test_folded_bank_matches_direct_convolution_at_every_length(self):
+        # lengths 2..300 cover every case from "the widest wavelet wraps the
+        # period hundreds of times" to "only the narrow ones wrap at all"
+        rng = np.random.default_rng(7)
+        for m in range(2, 301):
+            x = band_limited_contour(rng, m) if m >= 16 and m % 2 else rng.standard_normal(m)
+            np.testing.assert_allclose(variance.cwt_decompose(x), cwt_reference(x),
+                                       rtol=0, atol=1e-12, err_msg=f"length {m}")
 
 
 class TestLengthRegulate:
