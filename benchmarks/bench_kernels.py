@@ -1,19 +1,11 @@
-"""Times the jitted kernels against their pure-numpy twins.
-
-Both implementations live in hyperadapt.kernels, so with numba available they
-are benchmarked side by side in one process (the first jitted call is a
-warmup so compilation never lands in a timing). The script also verifies the
-two backends agree numerically, and spawns one subprocess with
-HYPERADAPT_NO_NUMBA=1 to confirm the env flag really flips the dispatch.
-Without numba it times the numpy kernels alone, so a change to them can be
-checked on its own.
+"""Times the numpy kernels of hyperadapt.kernels at fixed shapes: the conv
+forward/backward, the alignment DPs on one map and on a desk-size batch of
+eight, and DTW. perfbench/layertrace.py reuses `build_cases` and `_time`.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--min-time SECONDS]
 """
 
 import argparse
-import os
-import subprocess
 import sys
 import time
 
@@ -25,7 +17,7 @@ from hyperadapt import kernels
 def _time(fn, args, repeats, min_time):
     """Median seconds per call; loops until min_time so fast kernels are
     measured over many calls."""
-    fn(*args)  # warmup (JIT compile on the numba side)
+    fn(*args)  # warmup
     samples = []
     for _ in range(repeats):
         calls = 0
@@ -37,19 +29,6 @@ def _time(fn, args, repeats, min_time):
             elapsed = time.perf_counter() - start
         samples.append(elapsed / calls)
     return float(np.median(samples))
-
-
-def _agreement(name, a, b, tol=1e-10):
-    flat_a = np.concatenate([np.asarray(x, dtype=np.float64).ravel()
-                             for x in (a if isinstance(a, tuple) else (a,))])
-    flat_b = np.concatenate([np.asarray(x, dtype=np.float64).ravel()
-                             for x in (b if isinstance(b, tuple) else (b,))])
-    if flat_a.shape != flat_b.shape:
-        raise AssertionError(f"{name}: backend outputs differ in shape")
-    diff = float(np.max(np.abs(flat_a - flat_b))) if flat_a.size else 0.0
-    if diff > tol:
-        raise AssertionError(f"{name}: backends disagree by {diff:.3e}")
-    return diff
 
 
 def build_cases(rng):
@@ -65,8 +44,9 @@ def build_cases(rng):
     b = rng.standard_normal((320, 20))
     cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
 
-    # float32 conv kernels accumulate in different orders, so their tolerance
-    # is f32-scale; the alignment DPs run in float64 and agree far tighter
+    # (name, shape, kernel, arguments, tolerance): perfbench/layertrace.py
+    # unpacks these five fields; the tolerance is the bound the kernels were
+    # held to when they had twins, and nothing here reads it
     return [
         ("conv1d_forward", f"T={t} K={k} C={cin}",
          kernels.conv1d_forward_np, (xp, w), 1e-4),
@@ -81,17 +61,17 @@ def build_cases(rng):
     ]
 
 
-def check_env_flag():
-    """Child process with the flag set must report the numpy backend."""
-    env = dict(os.environ, HYPERADAPT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from hyperadapt import kernels;"
-         "print(kernels.ACTIVE_BACKEND);"
-         "print(kernels.forward_sum is kernels.forward_sum_np)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert out == ["numpy", "True"], f"env flag did not flip dispatch: {out}"
+def batch_cases(rng):
+    """The alignment DPs on a pack of eight maps of desk size (8-14
+    phonemes over 40-70 frames), as one training step runs them."""
+    n_len = rng.integers(8, 15, size=8)
+    m_len = rng.integers(40, 71, size=8)
+    logp = np.full((8, n_len.max(), m_len.max()), -np.inf)
+    for b, (n, m) in enumerate(zip(n_len, m_len)):
+        logp[b, :n, :m] = np.log(rng.dirichlet(np.ones(n), size=m).T)
+    shape = f"B=8 n<={n_len.max()} m<={m_len.max()}"
+    return [("forward_sum", shape, kernels.forward_sum_np, (logp, n_len, m_len)),
+            ("viterbi", shape, kernels.viterbi_np, (logp, n_len, m_len))]
 
 
 def main():
@@ -102,32 +82,14 @@ def main():
                         help="seconds of calls per sample")
     args = parser.parse_args()
 
-    print(f"active backend: {kernels.ACTIVE_BACKEND}")
     rng = np.random.default_rng(0)
-    cases = build_cases(rng)
-    if kernels.ACTIVE_BACKEND != "numba":
-        print("numba unavailable or disabled; timing the numpy kernels only")
-        header = f"{'kernel':<18}{'shape':<18}{'numpy ms':>10}"
-        print(header)
-        print("-" * len(header))
-        for name, shape, np_fn, fn_args, _ in cases:
-            t_np = _time(np_fn, fn_args, args.repeats, args.min_time)
-            print(f"{name:<18}{shape:<18}{t_np * 1e3:>10.3f}")
-        return 0
-
-    header = f"{'kernel':<18}{'shape':<18}{'numpy ms':>10}{'numba ms':>10}{'speedup':>9}{'max|diff|':>11}"
+    cases = [case[:4] for case in build_cases(rng)] + batch_cases(rng)
+    header = f"{'kernel':<18}{'shape':<24}{'numpy ms':>10}"
     print(header)
     print("-" * len(header))
-    for name, shape, np_fn, fn_args, tol in cases:
-        nb_fn = getattr(kernels, f"{name}_nb")
-        diff = _agreement(name, np_fn(*fn_args), nb_fn(*fn_args), tol=tol)
-        t_np = _time(np_fn, fn_args, args.repeats, args.min_time)
-        t_nb = _time(nb_fn, fn_args, args.repeats, args.min_time)
-        print(f"{name:<18}{shape:<18}{t_np * 1e3:>10.3f}{t_nb * 1e3:>10.3f}"
-              f"{t_np / t_nb:>8.1f}x{diff:>11.1e}")
-
-    check_env_flag()
-    print("env flag check: HYPERADAPT_NO_NUMBA=1 selects the numpy backend")
+    for name, shape, fn, fn_args in cases:
+        t = _time(fn, fn_args, args.repeats, args.min_time)
+        print(f"{name:<18}{shape:<24}{t * 1e3:>10.3f}")
     return 0
 
 

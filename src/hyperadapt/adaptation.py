@@ -15,8 +15,9 @@ row s is site s flattened as [w_down.flat | b_down | w_up.flat | b_up]. For
 static adapters the table is itself the trainable tensor; for the
 hypernetwork it is generated once per module and utterance. Two fused tape
 ops with hand-written gradients carry the whole path: `HyperNetwork.generate`
-(one node per module) and `adapter_forward` (one node per site, reading one
-row of a table and sending gradient only to that row).
+(one node per module and utterance) and `adapter_forward` (one node per site
+over a whole pack, reading one row of each utterance's table and sending
+gradient only to that row).
 
 The hypernetwork (one per module, never shared across modules) maps the
 speaker embedding through a projector, concatenates it with each site's
@@ -50,48 +51,68 @@ class AdapterDims:
     d_s: int = 8
 
 
-def adapter_forward(h, table, site):
-    """h + ReLU(h W_d + b_d) W_u + b_u over a (T, d_h) sequence in one node.
+def adapter_forward(h, tables, site, seg=None):
+    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence in one
+    node: segment b (all of h when seg is None) goes through row `site` of
+    tables[b].
 
-    The adapter is row `site` of a (n_sites, n_flat) table laid out as
+    Each table is (n_sites, n_flat), row s laid out as
     [w_down.flat | b_down | w_up.flat | b_up]; d_r follows from n_flat and
-    d_h. The table's gradient is zero outside that row.
+    d_h. Segments may share a table (static adapters share one); its
+    gradient then sums over them. A table's gradient is zero outside row
+    `site`.
     """
-    ad._check_same_dtype("adapter_forward", h, table)
+    bounds = ad._segments_of("adapter_forward", seg, h.shape[0])
+    if len(tables) != len(bounds):
+        raise InputError(f"adapter_forward: {len(tables)} tables for {len(bounds)} segments")
+    ad._check_same_dtype("adapter_forward", h, *tables)
     d_h = h.shape[-1]
-    n_sites, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
+    shape = tables[0].shape
+    n_sites, n_flat = shape if len(shape) == 2 else (0, 0)
     d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
-    if h.data.ndim != 2 or not n_sites or rest or d_r < 1:
-        raise ShapeError("adapter_forward", f"hidden dim {d_h} vs adapter table {table.shape}")
+    if h.data.ndim != 2 or not n_sites or rest or d_r < 1 or any(t.shape != shape for t in tables):
+        raise ShapeError("adapter_forward",
+                         f"hidden dim {d_h} vs adapter tables {[t.shape for t in tables]}")
     if not 0 <= site < n_sites:
         raise InputError(f"adapter table has {n_sites} sites, got index {site}")
     n_wd = d_h * d_r
     n_down = n_wd + d_r
-    row = table.data[site]
-    w_down = row[:n_wd].reshape(d_h, d_r)
-    w_up = row[n_down : n_flat - d_h].reshape(d_r, d_h)
     x = h.data
-    pre = x @ w_down
-    pre += row[n_wd:n_down]
-    mask = pre > 0
-    z = np.where(mask, pre, pre.dtype.type(0))
-    delta = z @ w_up
-    delta += row[n_flat - d_h :]
-    out_data = x + delta
+    outs = []
+    saved = []  # per segment: (w_down, w_up, relu mask, activations)
+    for (s, e), table in zip(bounds, tables):
+        row = table.data[site]
+        w_down = row[:n_wd].reshape(d_h, d_r)
+        w_up = row[n_down : n_flat - d_h].reshape(d_r, d_h)
+        pre = x[s:e] @ w_down
+        pre += row[n_wd:n_down]
+        mask = pre > 0
+        z = np.where(mask, pre, pre.dtype.type(0))
+        delta = z @ w_up
+        delta += row[n_flat - d_h :]
+        outs.append(x[s:e] + delta)
+        saved.append((w_down, w_up, mask, z))
+    out_data = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    parents = [h, *{id(t): t for t in tables}.values()]
 
     def grad_fn(g):
-        gpre = (g @ w_up.T) * mask
-        g_table = None
-        if table.requires_grad:
-            g_table = np.zeros_like(table.data)
-            g_row = g_table[site]
-            g_row[:n_wd] = (x.T @ gpre).reshape(-1)
-            g_row[n_wd:n_down] = ad._add_reduce(gpre, axis=0)
-            g_row[n_down : n_flat - d_h] = (z.T @ g).reshape(-1)
-            g_row[n_flat - d_h :] = ad._add_reduce(g, axis=0)
-        return (g + gpre @ w_down.T if h.requires_grad else None), g_table
+        g_tables = {id(t): np.zeros_like(t.data) for t in parents[1:] if t.requires_grad}
+        gh = []
+        for (s, e), table, (w_down, w_up, mask, z) in zip(bounds, tables, saved):
+            gs = g[s:e]
+            gpre = (gs @ w_up.T) * mask
+            if id(table) in g_tables:
+                g_row = g_tables[id(table)][site]
+                g_row[:n_wd] += (x[s:e].T @ gpre).reshape(-1)
+                g_row[n_wd:n_down] += ad._add_reduce(gpre, axis=0)
+                g_row[n_down : n_flat - d_h] += (z.T @ gs).reshape(-1)
+                g_row[n_flat - d_h :] += ad._add_reduce(gs, axis=0)
+            if h.requires_grad:
+                gh.append(gs + gpre @ w_down.T)
+        gx = (gh[0] if len(gh) == 1 else np.concatenate(gh)) if gh else None
+        return (gx,) + tuple(g_tables.get(id(t)) for t in parents[1:])
 
-    return ad.from_op(out_data, (h, table), grad_fn, "adapter")
+    return ad.from_op(out_data, parents, grad_fn, "adapter")
 
 
 def static_adapter_table(seed, tag, n_sites, d_h, d_r, dtype=ad.DEFAULT_DTYPE):
@@ -237,9 +258,15 @@ class _Bank(Module):
     """Attribute bag so adapter/hypernetwork tensors get stable names."""
 
 
-def _site_hook(table, site):
+def site_adapters(tables, seg=None):
+    """One callable per adapter site of a module over a packed sequence:
+    site s sends segment b through row s of tables[b]."""
+    return [_site_hook(tables, site, seg) for site in range(tables[0].shape[0])]
+
+
+def _site_hook(tables, site, seg):
     # adapter_forward is looked up by name when the hook runs, not bound here
-    return lambda h: adapter_forward(h, table, site)
+    return lambda h: adapter_forward(h, tables, site, seg)
 
 
 class AdaptedModel:
@@ -272,16 +299,16 @@ class AdaptedModel:
             setattr(self.extras, f"{strategy.name}_{tag}", bank)
 
     def hooks_for(self, spk_vec):
-        """Per-site adapter callables for one utterance, or None when the
-        strategy adds nothing (tts0/ft) or adapters are detached. A
-        hypernetwork generates its module's table once, here."""
+        """One utterance's adapters: module tag -> its (n_sites, n_flat)
+        adapter table, or None when the strategy adds nothing (tts0/ft) or
+        adapters are detached. A hypernetwork generates its module's table
+        once, here; static adapters hand out their trainable table."""
         if self.detached or self.strategy.name in ("tts0", "ft"):
             return None
         hooks = {}
         for tag in self.strategy.sites:
             bank = getattr(self.extras, f"{self.strategy.name}_{tag}")
-            table = bank.generate(spk_vec) if self.strategy.name == "hyper" else bank
-            hooks[tag] = [_site_hook(table, site) for site in range(self.site_counts[tag])]
+            hooks[tag] = bank.generate(spk_vec) if self.strategy.name == "hyper" else bank
         return hooks
 
     def named_trainable(self):

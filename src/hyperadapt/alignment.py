@@ -2,10 +2,11 @@
 
 Affinities come from negative squared distances between conv-projected
 phoneme and mel features; a per-frame softmax over phonemes gives the soft
-alignment. Training drives the marginal likelihood of all monotonic paths
-(forward-sum DP) plus a binarization term tying the soft distribution to the
-extracted Viterbi path; the schedule ramps the binarization term in after
-the variance losses switch on.
+alignment. A pack of utterances gets one padded (B, n, m) map tensor, and
+its DPs run as one batched kernel call. Training drives the marginal
+likelihood of all monotonic paths (forward-sum DP) plus a binarization term
+tying the soft distribution to the extracted Viterbi path; the schedule
+ramps the binarization term in after the variance losses switch on.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,21 @@ from .layers import Conv1d, Module
 
 @dataclass
 class AlignmentMap:
-    log_probs: Tensor  # (n phonemes, m frames), columns are log distributions
-    hard_path: Optional[np.ndarray] = None  # per-frame phoneme index
+    """Soft alignments of a pack: log_probs is (B, n, m), map b spanning
+    [:n_len[b], :m_len[b]] (the whole grid when the counts are None) with
+    -inf beyond; each valid column is a log distribution over phonemes."""
+
+    log_probs: Tensor
+    n_len: Optional[np.ndarray] = None
+    m_len: Optional[np.ndarray] = None
+    hard_path: Optional[np.ndarray] = None  # packed per-frame phoneme index within each map
+
+    def __post_init__(self):
+        if self.log_probs.data.ndim != 3:
+            raise InputError(f"alignment maps must be (B, n, m), got {self.log_probs.shape}")
+        b, n, m = self.log_probs.shape
+        self.n_len = np.full(b, n, dtype=np.int64) if self.n_len is None else np.asarray(self.n_len)
+        self.m_len = np.full(b, m, dtype=np.int64) if self.m_len is None else np.asarray(self.m_len)
 
 
 class AlignmentEncoder(Module):
@@ -35,20 +49,23 @@ class AlignmentEncoder(Module):
         self.mel_conv1 = Conv1d(rng, d_mel, d_attn, 3)
         self.mel_conv2 = Conv1d(rng, d_attn, d_attn, 1)
 
-    def project_text(self, h):
-        return self.text_conv2(ad.relu(self.text_conv1(h)))
+    def project_text(self, h, seg=None):
+        return self.text_conv2(ad.relu(self.text_conv1(h, seg)), seg)
 
-    def project_mel(self, mel):
-        return self.mel_conv2(ad.relu(self.mel_conv1(mel)))
+    def project_mel(self, mel, seg=None):
+        return self.mel_conv2(ad.relu(self.mel_conv1(mel, seg)), seg)
 
 
-def soft_align(text_feats, mel_feats):
+def soft_align(text_feats, mel_feats, text_seg=None, mel_seg=None):
     """Per-frame log distribution over phonemes from pairwise affinities.
 
-    Both inputs must already live in the shared attention space. The
-    affinity -|t_i - m_j|^2 and its log-softmax over phonemes are one node.
-    The frame norm |m_j|^2 is constant down each column, which the
-    log-softmax cancels, so it is never formed and gets no gradient.
+    Both inputs must already live in the shared attention space, packed by
+    utterance (None: one utterance). Map b pairs utterance b's phonemes with
+    its frames only; the maps fill one (B, n_max, m_max) node, -inf past
+    each map's counts. The affinity -|t_i - m_j|^2 and its log-softmax over
+    phonemes are one node. The frame norm |m_j|^2 is constant down each
+    column, which the log-softmax cancels, so it is never formed and gets no
+    gradient.
     """
     n, k = text_feats.shape
     m, k2 = mel_feats.shape
@@ -58,74 +75,100 @@ def soft_align(text_feats, mel_feats):
         raise InputError(f"soft_align: feature dims differ ({k} vs {k2})")
     if text_feats.dtype != mel_feats.dtype:
         raise InputError(f"soft_align: mixed dtypes {text_feats.dtype} and {mel_feats.dtype}")
+    text_bounds = ad._segments_of("soft_align", text_seg, n)
+    mel_bounds = ad._segments_of("soft_align", mel_seg, m)
+    if len(text_bounds) != len(mel_bounds):
+        raise InputError(f"soft_align: {len(text_bounds)} phoneme segments, "
+                         f"{len(mel_bounds)} frame segments")
+    pairs = list(zip(text_bounds, mel_bounds))
+    n_len = np.array([e - s for (s, e), _ in pairs], dtype=np.int64)
+    m_len = np.array([e - s for _, (s, e) in pairs], dtype=np.int64)
     t, mf = text_feats.data, mel_feats.data
-    affinity = 2.0 * (t @ mf.T) - (t * t).sum(axis=1, keepdims=True)  # (n, m)
-    affinity -= affinity.max(axis=0, keepdims=True)
-    log_probs = affinity - np.log(np.exp(affinity).sum(axis=0, keepdims=True))
+    log_probs = np.full((len(pairs), n_len.max(), m_len.max()), -np.inf, dtype=t.dtype)
+    for b, ((ts, te), (ms, me)) in enumerate(pairs):
+        tb = t[ts:te]
+        affinity = 2.0 * (tb @ mf[ms:me].T) - (tb * tb).sum(axis=1, keepdims=True)  # (n_b, m_b)
+        affinity -= affinity.max(axis=0, keepdims=True)
+        norm = np.log(np.exp(affinity).sum(axis=0, keepdims=True))
+        log_probs[b, : te - ts, : me - ms] = affinity - norm
 
     def grad_fn(g):
-        ga = g - np.exp(log_probs) * g.sum(axis=0, keepdims=True)
-        gt = 2.0 * (ga @ mf) - 2.0 * t * ga.sum(axis=1, keepdims=True)
-        return gt, 2.0 * (ga.T @ t)
+        gt, gm = np.empty_like(t), np.empty_like(mf)
+        for b, ((ts, te), (ms, me)) in enumerate(pairs):
+            lp, gb, tb = log_probs[b, : te - ts, : me - ms], g[b, : te - ts, : me - ms], t[ts:te]
+            ga = gb - np.exp(lp) * gb.sum(axis=0, keepdims=True)
+            gt[ts:te] = 2.0 * (ga @ mf[ms:me]) - 2.0 * tb * ga.sum(axis=1, keepdims=True)
+            gm[ms:me] = 2.0 * (ga.T @ tb)
+        return gt, gm
 
     node = ad.from_op(log_probs, (text_feats, mel_feats), grad_fn, "soft_align")
-    return AlignmentMap(node)
+    return AlignmentMap(node, n_len, m_len)
 
 
-def _require_feasible(shape, where):
-    n, m = shape
-    if m < n:
+def _require_feasible(amap, where):
+    short = np.flatnonzero(amap.m_len < amap.n_len)
+    if short.size:
+        b = int(short[0])
         raise InfeasibleAlignmentError(
-            f"{where}: {m} frames cannot cover {n} phonemes monotonically"
+            f"{where}: {amap.m_len[b]} frames cannot cover {amap.n_len[b]} phonemes monotonically"
         )
 
 
 def forward_sum_loss(amap):
-    """Negative log marginal probability of all monotonic complete paths."""
+    """Negative log marginal probability of all monotonic complete paths,
+    summed over the maps of a pack: one batched DP call."""
     logp = amap.log_probs
-    _require_feasible(logp.shape, "forward_sum_loss")
-    loss, grad = kernels.forward_sum(logp.data.astype(np.float64))
+    _require_feasible(amap, "forward_sum_loss")
+    losses, grad = kernels.forward_sum(logp.data.astype(np.float64), amap.n_len, amap.m_len)
     grad = grad.astype(logp.data.dtype)
 
     def grad_fn(g):
         return (g * grad,)
 
-    return ad.from_op(np.asarray(loss, dtype=logp.data.dtype), (logp,), grad_fn, "forward_sum")
+    return ad.from_op(np.asarray(losses.sum(), dtype=logp.data.dtype), (logp,), grad_fn,
+                      "forward_sum")
 
 
 def viterbi_durations(amap):
-    """Best-path durations; also records the hard path on the map."""
+    """Best-path durations of every map, packed by utterance (one batched
+    DP call); also records the packed hard path on the map."""
     logp = amap.log_probs
-    _require_feasible(logp.shape, "viterbi_durations")
-    durations = kernels.viterbi(logp.data.astype(np.float64))
-    amap.hard_path = np.repeat(np.arange(logp.shape[0]), durations)
+    _require_feasible(amap, "viterbi_durations")
+    table = kernels.viterbi(logp.data.astype(np.float64), amap.n_len, amap.m_len)
+    durations = table[np.arange(table.shape[1]) < amap.n_len[:, None]]
+    local = np.concatenate([np.arange(n) for n in amap.n_len])
+    amap.hard_path = np.repeat(local, durations)
     return durations
 
 
 def binarization_loss(amap):
-    """Cross-entropy of the soft alignment against the extracted hard path."""
+    """Cross-entropy of the soft alignment against the extracted hard path,
+    summed over the maps of a pack."""
     if amap.hard_path is None:
         raise StateError("binarization_loss: extract a hard path first")
     logp = amap.log_probs
     path = np.asarray(amap.hard_path)
-    m = logp.shape[1]
-    if path.shape != (m,):
-        raise InputError(f"binarization_loss: path length {path.shape} vs {m} frames")
-    cols = np.arange(m)
-    value = -logp.data[path, cols].sum()
+    frames = int(amap.m_len.sum())
+    if path.shape != (frames,):
+        raise InputError(f"binarization_loss: path length {path.shape} vs {frames} frames")
+    maps = np.repeat(np.arange(amap.m_len.size), amap.m_len)
+    cols = np.concatenate([np.arange(m) for m in amap.m_len])
+    value = -logp.data[maps, path, cols].sum()
 
     def grad_fn(g):
         gl = np.zeros_like(logp.data)
-        gl[path, cols] = -g
+        gl[maps, path, cols] = -g
         return (gl,)
 
     return ad.from_op(np.asarray(value, dtype=logp.data.dtype), (logp,), grad_fn, "binarization")
 
 
 def dump_alignment(amap, logits_path, path_path=None):
-    """Debug artifact: soft map (and hard path when present) as feature files."""
-    featio.write_array(logits_path, amap.log_probs.data.astype(np.float32))
+    """Debug artifact: the first map of the pack, its valid (n, m) region of
+    the soft map (and its hard path when present), as feature files."""
+    n, m = int(amap.n_len[0]), int(amap.m_len[0])
+    featio.write_array(logits_path, amap.log_probs.data[0, :n, :m].astype(np.float32))
     if path_path is not None:
         if amap.hard_path is None:
             raise StateError("dump_alignment: no hard path to dump")
-        featio.write_array(path_path, amap.hard_path.astype(np.int64))
+        featio.write_array(path_path, amap.hard_path[:m].astype(np.int64))

@@ -4,21 +4,32 @@ A Tensor wraps an ndarray plus an implicit tape: every op records its parents
 and a closure that maps the output gradient to parent gradients. backward()
 walks the tape in reverse topological order, handing each parent the first
 gradient that reaches it and summing later ones out of place, so an array
-several parents share is never mutated; an interior node's gradient is
-released once its closure has run. Leaf gradients accumulate across
-backward calls until the caller resets them.
+several parents share is never mutated; an interior node's gradient and its
+closure (with the arrays it saved) are released once the closure has run.
+Leaf gradients accumulate across backward calls until the caller resets them.
+
+A training batch is one packed graph: its B utterances are stacked along
+axis 0 with no padding, and `Segments` records how many rows each one owns.
+Row-wise ops (linear, layer norm, activations, embedding lookup, elementwise
+arithmetic) run once over all rows and never need the layout. The ops that
+must not mix utterances take it and respect segment boundaries inside one
+node each: length-preserving 1D convolution (zero padding at every boundary),
+the attention core (one softmax per segment), dropout (each segment's mask
+from its own stream), `repeat_rows` (one row per segment or phoneme spread
+over its rows), `segment_mean` and the losses (per-segment means, summed).
+Without a layout an op treats all rows as one segment.
 
 The op set is exactly what the acoustic model needs: matmul (2D and stacked
-3D), the fused affine map `linear` (matmul plus bias), length-preserving 1D
-convolution with its bias, the fused multi-head attention core (head split,
-scaled scores, padded-key bias, softmax, seeded dropout, weighted sum, head
-merge), ReLU/tanh, softmax and log-softmax, layer norm, seeded dropout,
-embedding lookup, elementwise add/sub/mul, sum/mean reductions, MSE/L1
-losses, and reshape/slice/concat plumbing. Fused ops carry hand-written
-gradients and record one tape node each. Two more fused ops live next to
-their only caller in `adaptation`: `HyperNetwork.generate` (a module's whole
-adapter table from the speaker embedding) and `adapter_forward` (one
-bottleneck adapter applied from one row of such a table).
+3D), the fused affine map `linear` (matmul plus bias), 1D convolution with
+its bias, the fused multi-head attention core (head split, scaled scores,
+softmax, seeded dropout, weighted sum, head merge), ReLU/tanh, softmax and
+log-softmax, layer norm, seeded dropout, embedding lookup, row repetition,
+elementwise add/sub/mul, sum/mean reductions, MSE/L1 losses, and
+reshape/permute plumbing. Fused ops carry hand-written gradients and record
+one tape node each. Two more fused ops live next to their only caller in
+`adaptation`: `HyperNetwork.generate` (a module's whole adapter table from
+the speaker embedding) and `adapter_forward` (one bottleneck adapter site
+applied from each segment's own table).
 
 Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).
@@ -116,6 +127,62 @@ def _coerce(op, a, like=None):
         dt = like.dtype if like is not None else DEFAULT_DTYPE
         return Tensor(np.asarray(a, dtype=dt))
     raise InputError(f"{op}: expected Tensor or scalar, got {type(a).__name__}")
+
+
+class Segments:
+    """Row layout of a packed tensor: B utterances stacked along axis 0 with
+    no padding, segment b owning `lengths[b]` consecutive rows.
+
+    Index arrays derived from the layout are built on first use and kept, so
+    every op of one packed pass shares them.
+    """
+
+    __slots__ = ("lengths", "starts", "bounds", "total", "_cache")
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or (lengths < 1).any():
+            raise InputError(f"segments need one or more positive lengths, got {lengths.tolist()}")
+        ends = np.cumsum(lengths)
+        self.lengths = lengths
+        self.starts = ends - lengths
+        self.bounds = list(zip(self.starts.tolist(), ends.tolist()))
+        self.total = int(ends[-1])
+        self._cache = {}
+
+    def __len__(self):
+        return self.lengths.size
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def positions(self):
+        """(total,) position of every row within its segment."""
+        return self._cached("positions",
+                            lambda: np.arange(self.total) - np.repeat(self.starts, self.lengths))
+
+    def ids(self):
+        """(total,) segment index of every row."""
+        return self._cached("ids", lambda: np.repeat(np.arange(len(self)), self.lengths))
+
+    def gapped_rows(self, gap):
+        """(total,) row index of every packed row once `gap` zero rows sit
+        before, between and after the segments."""
+        return self._cached(("gapped", gap), lambda: np.arange(self.total) + gap * (self.ids() + 1))
+
+    def means(self, x):
+        """(B,) mean of each segment's entries of a packed array."""
+        rows = x.reshape(x.shape[0], -1)
+        sums = np.add.reduceat(_add_reduce(rows, axis=1), self.starts)
+        return sums / (self.lengths * rows.shape[1])
+
+
+def _segments_of(op, seg, n):
+    if seg is not None and seg.total != n:
+        raise ShapeError(op, f"segments cover {seg.total} rows, tensor has {n}")
+    return [(0, n)] if seg is None else seg.bounds
 
 
 # -----------------------------------------------------------------------------
@@ -276,40 +343,6 @@ def transpose_last(a):
     return permute(a, axes)
 
 
-def concat(tensors, axis=-1):
-    if not tensors:
-        raise InputError("concat: empty tensor list")
-    _check_same_dtype("concat", *tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        idx = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(sizes)):
-            idx[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(idx)])
-        return tuple(outs)
-
-    return from_op(out_data, tuple(tensors), grad_fn, "concat")
-
-
-def narrow(a, axis, start, length):
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError("narrow", f"slice [{start}:{start + length}] exceeds axis {axis} of {a.shape}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def grad_fn(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return from_op(a.data[idx], (a,), grad_fn, "narrow")
-
-
 # -----------------------------------------------------------------------------
 # nonlinearities and normalization
 # -----------------------------------------------------------------------------
@@ -368,13 +401,17 @@ def layer_norm(a, gain, bias, eps=1e-5):
     # the sums divided by d are what ndarray.mean/var compute, without their
     # Python-level argument handling
     x = a.data
-    xc = x - _add_reduce(x, axis=-1, keepdims=True) / d
+    mean = _add_reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mean
     var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    out_data = xc * inv
+    out_data *= gain.data
+    out_data += bias.data
 
     def grad_fn(g):
+        # the node keeps the row statistics, not the normalized input
+        xhat = (x - mean) * inv
         gxhat = g * gain.data
         m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
         m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
@@ -387,38 +424,58 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return from_op(out_data, (a, gain, bias), grad_fn, "layer_norm")
 
 
-def _dropout_scale(shape, dtype, p, rng, training):
-    """Inverted-dropout multiplier, 0 or 1 / (1 - p) per entry, or None when
-    dropout is off. Draws rng.random(shape) exactly once when on."""
+def _dropout_on(p, training):
     if p < 0 or p >= 1:
         raise InputError(f"dropout: probability {p} outside [0, 1)")
-    if not training or p == 0.0:
-        return None
-    return (rng.random(shape) >= p).astype(dtype) * dtype.type(1.0 / (1.0 - p))
+    return training and p != 0.0
 
 
-def dropout(a, p, rng, training):
-    """Seeded inverted dropout; identity when p == 0 or not training."""
-    mult = _dropout_scale(a.shape, a.dtype, p, rng, training)
-    if mult is None:
+def _keep_masks(shapes, p, rngs):
+    """Boolean keep masks of inverted dropout, one per segment: segment i
+    draws rngs[i].random(shapes[i]) exactly once."""
+    if len(rngs) != len(shapes):
+        raise InputError(f"dropout: {len(rngs)} random streams for {len(shapes)} segments")
+    return [rng.random(shape) >= p for rng, shape in zip(rngs, shapes)]
+
+
+def _dropped(x, keep, scale):
+    # x * keep * scale is bit for bit x times a {0, scale} multiplier
+    out = x * keep
+    out *= scale
+    return out
+
+
+def dropout(a, p, rngs, training, seg=None):
+    """Seeded inverted dropout; identity when p == 0 or not training.
+
+    rngs holds one generator per segment (one for the whole tensor without
+    a layout); each segment's mask comes from its own stream. The node keeps
+    only the boolean mask."""
+    if not _dropout_on(p, training):
         return a
+    rest = a.shape[1:]
+    keeps = _keep_masks([(e - s,) + rest for s, e in _segments_of("dropout", seg, a.shape[0])],
+                        p, rngs)
+    keep = keeps[0] if len(keeps) == 1 else np.concatenate(keeps)
+    scale = a.dtype.type(1.0 / (1.0 - p))
 
     def grad_fn(g):
-        return (g * mult,)
+        return (_dropped(g, keep, scale),)
 
-    return from_op(a.data * mult, (a,), grad_fn, "dropout")
+    return from_op(_dropped(a.data, keep, scale), (a,), grad_fn, "dropout")
 
 
-def attention(q, k, v, heads, key_bias=None, p=0.0, rng=None, training=False):
+def attention(q, k, v, heads, seg=None, p=0.0, rngs=None, training=False):
     """Multi-head scaled dot-product attention over (n, d) projections.
 
-    Splits d into `heads` heads, scores queries against keys scaled by
-    1/sqrt(d / heads), adds key_bias (n,) to every score row (large negative
-    on padded keys), takes the softmax over keys, applies seeded inverted
-    dropout to the weights, and merges the heads of the weighted value sum
-    back to (n, d). One node; the dropout mask is drawn from rng with shape
-    (heads, n, n) after the softmax, so the stream matches a separate
-    dropout op at that point.
+    Splits d into `heads` heads, scores queries against the keys of their
+    own segment scaled by 1/sqrt(d / heads), takes one softmax per segment,
+    applies seeded inverted dropout to the weights, and merges the heads of
+    the weighted value sum back to (n, d). One node. Segment i draws its
+    dropout mask from rngs[i] with shape (heads, n_i, n_i) after its softmax,
+    so each stream matches a separate dropout op at that point. The node
+    keeps the weights and the boolean mask and rebuilds the dropped weights
+    in backward.
     """
     _check_same_dtype("attention", q, k, v)
     n, d = q.shape
@@ -426,6 +483,7 @@ def attention(q, k, v, heads, key_bias=None, p=0.0, rng=None, training=False):
         raise ShapeError("attention", f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     if d % heads:
         raise ShapeError("attention", f"width {d} not divisible by {heads} heads")
+    bounds = _segments_of("attention", seg, n)
     hd = d // heads
 
     def split(x):
@@ -433,33 +491,43 @@ def attention(q, k, v, heads, key_bias=None, p=0.0, rng=None, training=False):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = q.dtype.type(1.0 / np.sqrt(hd))
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * c
-    if key_bias is not None:
-        scores += key_bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    att = e / _add_reduce(e, axis=-1, keepdims=True)
-    drop = _dropout_scale(att.shape, att.dtype, p, rng, training)
-    att_d = att if drop is None else att * drop
-    out_data = np.matmul(att_d, vh).transpose(1, 0, 2).reshape(n, d)
+    if _dropout_on(p, training):
+        keeps = _keep_masks([(heads, e - s, e - s) for s, e in bounds], p, rngs)
+    else:
+        keeps = [None] * len(bounds)
+    scale = q.dtype.type(1.0 / (1.0 - p))
+    weights, outs = [], []
+    for (s, e), keep in zip(bounds, keeps):
+        scores = np.matmul(qh[:, s:e], kh[:, s:e].transpose(0, 2, 1)) * c
+        scores -= scores.max(axis=-1, keepdims=True)
+        ex = np.exp(scores)
+        att = ex / _add_reduce(ex, axis=-1, keepdims=True)
+        weights.append(att)
+        outs.append(np.matmul(att if keep is None else _dropped(att, keep, scale), vh[:, s:e]))
+
+    def merge(parts):
+        # per-segment (heads, n_b, hd) blocks -> (n, d)
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return x.transpose(1, 0, 2).reshape(n, d)
 
     def grad_fn(g):
         go = split(g)
-        g_att = np.matmul(go, vh.transpose(0, 2, 1))
-        gvh = np.matmul(att_d.transpose(0, 2, 1), go)
-        if drop is not None:
-            g_att *= drop
-        g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
-        g_scores *= c
-        gqh = np.matmul(g_scores, kh)
-        gkh = np.matmul(g_scores.transpose(0, 2, 1), qh)
+        gq, gk, gv = [], [], []
+        for (s, e), att, keep in zip(bounds, weights, keeps):
+            gos = go[:, s:e]
+            g_att = np.matmul(gos, vh[:, s:e].transpose(0, 2, 1))
+            if keep is None:
+                gv.append(np.matmul(att.transpose(0, 2, 1), gos))
+            else:
+                gv.append(np.matmul(_dropped(att, keep, scale).transpose(0, 2, 1), gos))
+                g_att = _dropped(g_att, keep, scale)
+            g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
+            g_scores *= c
+            gq.append(np.matmul(g_scores, kh[:, s:e]))
+            gk.append(np.matmul(g_scores.transpose(0, 2, 1), qh[:, s:e]))
+        return merge(gq), merge(gk), merge(gv)
 
-        def merge(x):
-            return x.transpose(1, 0, 2).reshape(n, d)
-
-        return merge(gqh), merge(gkh), merge(gvh)
-
-    return from_op(out_data, (q, k, v), grad_fn, "attention")
+    return from_op(merge(outs), (q, k, v), grad_fn, "attention")
 
 
 def embedding(table, ids):
@@ -481,14 +549,40 @@ def embedding(table, ids):
     return from_op(out_data, (table,), grad_fn, "embedding")
 
 
+def repeat_rows(x, counts):
+    """Row i of x repeated counts[i] times, in row order, as one node: a
+    phoneme's hidden state spread over its frames, or an utterance's row
+    over its segment. The gradient of a row is the sum over its copies."""
+    counts = np.asarray(counts)
+    if counts.shape != (x.shape[0],):
+        raise ShapeError("repeat_rows", f"{counts.shape} counts for {x.shape[0]} rows")
+    ids = np.repeat(np.arange(x.shape[0]), counts)
+    used = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[used]
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        if used.size:
+            gx[used] = np.add.reduceat(g, starts, axis=0)
+        return (gx,)
+
+    return from_op(x.data[ids], (x,), grad_fn, "repeat_rows")
+
+
 # -----------------------------------------------------------------------------
-# 1D convolution over (T, C_in) with symmetric zero padding (length preserved)
+# 1D convolution over (T, C_in) with zero padding at both ends of every
+# segment (length preserved)
 # -----------------------------------------------------------------------------
 
 
-def conv1d(x, w, b=None):
+def conv1d(x, w, b=None, seg=None):
     """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
-    optional bias (Cout,), in one node."""
+    optional bias (Cout,), in one node.
+
+    Every segment is zero-padded at both ends, so no tap reaches across a
+    boundary: the segments are laid out with (K - 1) / 2 zero rows before,
+    between and after them, convolved by one im2col matmul, and the rows
+    centred on packed rows are kept."""
     _check_same_dtype("conv1d", *((x, w) if b is None else (x, w, b)))
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError("conv1d", f"need x (T, Cin) and w (K, Cin, Cout), got {x.shape} and {w.shape}")
@@ -501,18 +595,37 @@ def conv1d(x, w, b=None):
         raise ShapeError("conv1d", f"bias {b.shape} does not match {cout} output channels")
     pad = (k - 1) // 2
     t = x.shape[0]
-    if pad:
-        xp = np.zeros((t + 2 * pad, cin), x.dtype)
-        xp[pad : pad + t] = x.data
-    else:
-        xp = x.data
-    out_data = kernels.conv1d_forward(xp, w.data)
+    bounds = _segments_of("conv1d", seg, t)
+    rows = seg.gapped_rows(pad) if pad and len(bounds) > 1 else None
+
+    def padded():
+        # built again in backward rather than kept: the node holds only x
+        if not pad:
+            return x.data
+        xp = np.zeros((t + (len(bounds) + 1) * pad, cin), x.dtype)
+        if rows is None:
+            xp[pad : pad + t] = x.data
+        else:
+            xp[rows] = x.data
+        return xp
+
+    out_data = kernels.conv1d_forward(padded(), w.data)
+    if rows is not None:
+        out_data = out_data[rows - pad]
     if b is not None:
         out_data += b.data
 
     def grad_fn(g):
-        gxp, gw = kernels.conv1d_backward(xp, w.data, g)
-        return gxp[pad : pad + t], gw, None if b is None else g.sum(axis=0)
+        xp = padded()
+        if rows is None:
+            gxp, gw = kernels.conv1d_backward(xp, w.data, g)
+            gx = gxp[pad : pad + t]
+        else:
+            gout = np.zeros((xp.shape[0] - 2 * pad, cout), g.dtype)
+            gout[rows - pad] = g
+            gxp, gw = kernels.conv1d_backward(xp, w.data, gout)
+            gx = gxp[rows]
+        return gx, gw, None if b is None else g.sum(axis=0)
 
     return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "conv1d")
 
@@ -547,6 +660,21 @@ def mean_axis(a, axis):
     return from_op(_add_reduce(a.data, axis=axis) / n, (a,), grad_fn, "mean_axis")
 
 
+def segment_mean(a, seg=None):
+    """(B, ...) mean over each segment's rows of a packed tensor, one node;
+    (1, ...) without a layout."""
+    _segments_of("segment_mean", seg, a.shape[0])
+    seg = seg if seg is not None else Segments([a.shape[0]])
+    shape = (-1,) + (1,) * (a.data.ndim - 1)
+    counts = seg.lengths.astype(a.dtype).reshape(shape)
+
+    def grad_fn(g):
+        return (np.repeat(g / counts, seg.lengths, axis=0),)
+
+    return from_op(np.add.reduceat(a.data, seg.starts, axis=0) / counts, (a,), grad_fn,
+                   "segment_mean")
+
+
 def _as_target(op, b):
     # loss targets are often plain arrays; wrap them as non-grad constants
     if isinstance(b, np.ndarray):
@@ -556,34 +684,50 @@ def _as_target(op, b):
     raise InputError(f"{op}: target must be a Tensor or ndarray, got {type(b).__name__}")
 
 
-def mse_loss(a, b):
-    b = _as_target("mse_loss", b)
-    _check_same_dtype("mse_loss", a, b)
+def _loss_operands(op, a, b, seg):
+    """Target as a Tensor, the difference a - b, and the layout (all rows one
+    segment when seg is None)."""
+    b = _as_target(op, b)
+    _check_same_dtype(op, a, b)
     if a.shape != b.shape:
-        raise ShapeError("mse_loss", f"operand shapes differ: {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    n = max(a.size, 1)
+        raise ShapeError(op, f"operand shapes differ: {a.shape} vs {b.shape}")
+    _segments_of(op, seg, a.shape[0])
+    return b, a.data - b.data, seg if seg is not None else Segments([a.shape[0]])
+
+
+def _entry_weights(seg, x):
+    """Weight of each entry in the sum of per-segment means: 1 / (entries of
+    its segment), shaped to broadcast over the packed array."""
+    per_row = x.size // x.shape[0]
+    w = np.repeat(1.0 / (seg.lengths * per_row), seg.lengths).astype(x.dtype)
+    return w.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def mse_loss(a, b, seg=None):
+    """Sum over segments of each segment's mean squared difference (rows along
+    axis 0), so each utterance counts once; without a layout, the mean over
+    the whole array."""
+    b, diff, seg = _loss_operands("mse_loss", a, b, seg)
 
     def grad_fn(g):
-        d = g * 2.0 / n * diff
+        d = g * 2.0 * _entry_weights(seg, diff) * diff
         return d, -d
 
-    return from_op(_add_reduce(diff * diff, axis=None) / n, (a, b), grad_fn, "mse_loss")
+    value = seg.means(diff * diff).sum()
+    return from_op(np.asarray(value, dtype=a.dtype), (a, b), grad_fn, "mse_loss")
 
 
-def l1_loss(a, b):
-    b = _as_target("l1_loss", b)
-    _check_same_dtype("l1_loss", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("l1_loss", f"operand shapes differ: {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    n = max(a.size, 1)
+def l1_loss(a, b, seg=None):
+    """Sum over segments of each segment's mean absolute difference, as in
+    mse_loss."""
+    b, diff, seg = _loss_operands("l1_loss", a, b, seg)
 
     def grad_fn(g):
-        d = g / n * np.sign(diff)
+        d = g * _entry_weights(seg, diff) * np.sign(diff)
         return d, -d
 
-    return from_op(_add_reduce(np.abs(diff), axis=None) / n, (a, b), grad_fn, "l1_loss")
+    value = seg.means(np.abs(diff)).sum()
+    return from_op(np.asarray(value, dtype=a.dtype), (a, b), grad_fn, "l1_loss")
 
 
 # -----------------------------------------------------------------------------
@@ -591,16 +735,24 @@ def l1_loss(a, b):
 # -----------------------------------------------------------------------------
 
 
+def _consumed(g):
+    raise StateError("backward already ran through this node")
+
+
 def _tape(root):
     """Interior nodes reachable from root, newest first. A node is always
     created after its parents, so reverse creation order is a topological
-    order of the tape; leaves have nothing to propagate and are left out."""
+    order of the tape; leaves have nothing to propagate and are left out.
+    Reaching a node an earlier backward pass consumed is an error: the
+    gradient behind it is gone."""
     nodes = [root]
     seen = {id(root)}
     stack = [root]
     while stack:
         for p in stack.pop()._parents:
             if p._grad_fn is not None and id(p) not in seen:
+                if p._grad_fn is _consumed:
+                    raise StateError(f"backward already ran through a '{p.op}' node of this graph")
                 seen.add(id(p))
                 nodes.append(p)
                 stack.append(p)
@@ -610,21 +762,29 @@ def _tape(root):
 
 def backward(loss):
     """Accumulate gradients of a scalar loss into .grad of every reachable
-    requires_grad tensor."""
+    requires_grad tensor. Consumes the graph: each interior node lets go of
+    its closure and its parents once it has run, so the arrays they held are
+    freed as the pass goes, and a later pass that reaches any node of it is
+    an error."""
     if loss.size != 1:
         raise ShapeError("backward", f"loss must be scalar, got shape {loss.shape}")
-    if not loss._parents:
+    if loss.op == "leaf":
         raise StateError("backward called before any forward computation produced this tensor")
     if not loss.requires_grad:
         raise StateError("loss does not depend on any requires_grad tensor")
+    if loss._grad_fn is _consumed:
+        raise StateError("backward already ran through this graph")
     loss.grad = np.ones_like(loss.data)
-    for node in _tape(loss):
+    nodes = _tape(loss)
+    for i, node in enumerate(nodes):
+        nodes[i] = None
         g = node.grad
+        parents, node._parents = node._parents, ()
+        grad_fn, node._grad_fn = node._grad_fn, _consumed
         if g is None:
             continue
-        grads = node._grad_fn(g)
-        node.grad = None  # interior: nothing reads it once its parents have it
-        for parent, pg in zip(node._parents, grads):
+        node.grad = None  # interior: nothing reads it once the parents have their share
+        for parent, pg in zip(parents, grad_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             data = parent.data

@@ -4,8 +4,10 @@ convolutional Postnet.
 
 Each block is self-attention plus a two-layer conv stack (kernel sizes 9 and
 1, first conv ReLU-activated), with residual connections and post layer norm
-around both sub-stacks. Masked positions are zeroed after every block and
-excluded from attention, so valid positions never see padding content.
+around both sub-stacks. Every module runs over a packed sequence: B
+utterances stacked along time, laid out by an `autodiff.Segments` (None
+for a single utterance). Attention, convolution and positions restart at
+each segment, so no utterance sees another's rows.
 
 Adapter hooks slot in after a block's conv stack, before the closing
 residual+norm; every block therefore exposes exactly one insertion site.
@@ -30,15 +32,18 @@ def sinusoidal_table(n, d, dtype=np.float32):
     return table.astype(dtype)
 
 
-def _full_mask(n):
-    return np.ones(n, dtype=bool)
+_TABLES = {}  # (d, dtype) -> the longest sinusoidal table built so far
 
 
-def _mask_out(h, mask):
-    if mask.all():
-        return h
-    keep = np.broadcast_to(mask[:, None], h.shape).astype(h.data.dtype)
-    return ad.mul(h, Tensor(keep))
+def positions(n, d, dtype, seg=None):
+    """(n, d) sinusoidal rows restarting at 0 in every segment, cut from one
+    cached table; each row equals the same row of sinusoidal_table."""
+    longest = n if seg is None else int(seg.lengths.max())
+    key = (d, np.dtype(dtype))
+    table = _TABLES.get(key)
+    if table is None or table.shape[0] < longest:
+        table = _TABLES[key] = sinusoidal_table(max(256, 1 << (longest - 1).bit_length()), d, dtype)
+    return table[:n] if seg is None or len(seg) == 1 else table[seg.positions()]
 
 
 class MultiHeadAttention(Module):
@@ -52,13 +57,9 @@ class MultiHeadAttention(Module):
         self.wo = Dense(rng, d_h, d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, h, mask, ctx):
-        key_bias = None
-        if not mask.all():
-            # large negative on padded keys; kept finite so softmax stays defined
-            key_bias = np.where(mask, 0.0, -1e9).astype(h.data.dtype)
-        out = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, key_bias,
-                           self.p_dropout, ctx.rng, ctx.training)
+    def __call__(self, h, seg, ctx):
+        out = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, seg,
+                           self.p_dropout, ctx.rngs, ctx.training)
         return self.wo(out)
 
 
@@ -71,15 +72,14 @@ class FFTBlock(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, h, mask, ctx, adapter=None):
-        a = ad.dropout(self.attn(h, mask, ctx), self.p_dropout, ctx.rng, ctx.training)
-        h = _mask_out(self.norm1(ad.add(h, a)), mask)
-        c = self.conv2(ad.relu(self.conv1(h)))
+    def __call__(self, h, seg, ctx, adapter=None):
+        a = ad.dropout(self.attn(h, seg, ctx), self.p_dropout, ctx.rngs, ctx.training, seg)
+        h = self.norm1(ad.add(h, a))
+        c = self.conv2(ad.relu(self.conv1(h, seg)), seg)
         if adapter is not None:
             c = adapter(c)
-        c = ad.dropout(c, self.p_dropout, ctx.rng, ctx.training)
-        h = _mask_out(self.norm2(ad.add(h, c)), mask)
-        return h
+        c = ad.dropout(c, self.p_dropout, ctx.rngs, ctx.training, seg)
+        return self.norm2(ad.add(h, c))
 
 
 class Encoder(Module):
@@ -90,17 +90,14 @@ class Encoder(Module):
         self.blocks = [FFTBlock(rng, d_h, heads, conv_kernels, p_dropout) for _ in range(n_layers)]
         self.d_h = d_h
 
-    def __call__(self, phoneme_ids, ctx, mask=None, adapters=None):
+    def __call__(self, phoneme_ids, ctx, seg=None, adapters=None):
         ids = np.asarray(phoneme_ids)
         if ids.size == 0:
             raise InputError("encode: empty phoneme sequence")
-        mask = _full_mask(ids.size) if mask is None else np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise InputError("encode: every position is masked")
-        pe = sinusoidal_table(ids.size, self.d_h, dtype=self.embed.table.dtype)
-        h = _mask_out(ad.add(self.embed(ids), Tensor(pe)), mask)
+        pe = positions(ids.size, self.d_h, self.embed.table.dtype, seg)
+        h = ad.add(self.embed(ids), Tensor(pe))
         for i, block in enumerate(self.blocks):
-            h = block(h, mask, ctx, adapter=adapters[i] if adapters else None)
+            h = block(h, seg, ctx, adapter=adapters[i] if adapters else None)
         return h
 
 
@@ -112,15 +109,13 @@ class Decoder(Module):
         self.mel_head = Dense(rng, d_h, n_mels)
         self.d_h = d_h
 
-    def __call__(self, h, ctx, mask=None, adapters=None):
+    def __call__(self, h, ctx, seg=None, adapters=None):
         m = h.shape[0]
         if m == 0:
             raise InputError("decode: zero-length frame sequence")
-        mask = _full_mask(m) if mask is None else np.asarray(mask, dtype=bool)
-        h = ad.add(h, Tensor(sinusoidal_table(m, self.d_h, dtype=h.dtype)))
-        h = _mask_out(h, mask)
+        h = ad.add(h, Tensor(positions(m, self.d_h, h.dtype, seg)))
         for i, block in enumerate(self.blocks):
-            h = block(h, mask, ctx, adapter=adapters[i] if adapters else None)
+            h = block(h, seg, ctx, adapter=adapters[i] if adapters else None)
         return self.mel_head(h)
 
 
@@ -138,9 +133,9 @@ class Postnet(Module):
         self.convs = convs
         self.p_dropout = p_dropout
 
-    def __call__(self, mel, ctx):
+    def __call__(self, mel, ctx, seg=None):
         h = mel
         for conv in self.convs[:-1]:
-            h = ad.dropout(ad.tanh(conv(h)), self.p_dropout, ctx.rng, ctx.training)
-        residual = self.convs[-1](h)
+            h = ad.dropout(ad.tanh(conv(h, seg)), self.p_dropout, ctx.rngs, ctx.training, seg)
+        residual = self.convs[-1](h, seg)
         return ad.add(mel, residual)

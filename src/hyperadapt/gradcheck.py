@@ -39,14 +39,15 @@ def _target(seed, shape):
 
 
 def _fft_block(seed):
+    # a pack of two utterances, so attention and the conv see a boundary
     block = backbone.FFTBlock(rng_for(seed, "gc", "fft"), _D, heads=2, p_dropout=0.0)
     params = _f64_params(block)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
-    mask = np.ones(5, dtype=bool)
+    seg = ad.Segments([2, 3])
 
     def fn(x, *ps):
-        return ad.mse_loss(block(x, mask, _CTX), target)
+        return ad.mse_loss(block(x, seg, _CTX), target, seg)
 
     return fn, [h, *params]
 
@@ -67,7 +68,7 @@ def _pitch_head(seed):
     head = variance.PitchPredictor(rng_for(seed, "gc", "pitch"), _D, p_dropout=0.0)
     params = _f64_params(head)
     h = _probe(seed, (6, _D))
-    target = _target(seed, (variance.N_SCALES, 6))
+    target = _target(seed, (6, variance.N_SCALES))
 
     def fn(x, *ps):
         spec, mean, var = head(x, _CTX)
@@ -94,9 +95,10 @@ def _postnet(seed):
     params = _f64_params(net)
     mel = _probe(seed, (7, 6))
     target = _target(seed, (7, 6))
+    seg = ad.Segments([3, 4])
 
     def fn(x, *ps):
-        return ad.mse_loss(net(x, _CTX), target)
+        return ad.mse_loss(net(x, _CTX, seg), target, seg)
 
     return fn, [mel, *params]
 
@@ -109,9 +111,10 @@ def _adapter(seed):
                    requires_grad=True)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
+    seg = ad.Segments([2, 3])  # two utterances sharing the table, as static adapters do
 
     def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, t, seed % 2), target)
+        return ad.mse_loss(adapter_forward(x, [t, t], seed % 2, seg), target, seg)
 
     return fn, [h, table]
 
@@ -122,28 +125,34 @@ def _hypernetwork(seed):
     hyper.sampler_up.w.data = rng_for(seed, "gc", "up").normal(
         size=hyper.sampler_up.w.shape).astype(np.float32) * 0.1
     params = _f64_params(hyper)
-    h_data = np.random.default_rng(seed + 29).standard_normal((3, 5))
+    # a pack of two utterances: the probed speaker's and a fixed one's
+    h_data = np.random.default_rng(seed + 29).standard_normal((5, 5))
     spk = _probe(seed, (1, 4))
-    target = _target(seed, (3, 5))
+    other = ad.constant(np.random.default_rng(seed + 31).standard_normal((1, 4)), dtype=np.float64)
+    target = _target(seed, (5, 5))
+    seg = ad.Segments([3, 2])
 
     def fn(v, *ps):
         out = adapter_forward(ad.constant(h_data, dtype=np.float64),
-                              hyper.generate(v), seed % 2)
-        return ad.mse_loss(out, target)
+                              [hyper.generate(v), hyper.generate(other)], seed % 2, seg)
+        return ad.mse_loss(out, target, seg)
 
     return fn, [spk, *params]
 
 
 def _alignment_projections(seed):
+    # two utterances: 2 phonemes over 3 frames and 3 phonemes over 4
     enc = alignment.AlignmentEncoder(rng_for(seed, "gc", "align"), d_text=4,
                                      d_mel=3, d_attn=5)
     params = _f64_params(enc)
-    text = _probe(seed, (3, 4))
+    text = _probe(seed, (5, 4))
     mel = ad.constant(np.random.default_rng(seed + 41).standard_normal((7, 3)),
                       dtype=np.float64)
+    text_seg, mel_seg = ad.Segments([2, 3]), ad.Segments([3, 4])
 
     def fn(t, *ps):
-        amap = alignment.soft_align(enc.project_text(t), enc.project_mel(mel))
+        amap = alignment.soft_align(enc.project_text(t, text_seg), enc.project_mel(mel, mel_seg),
+                                    text_seg, mel_seg)
         return alignment.forward_sum_loss(amap)
 
     return fn, [text, *params]

@@ -1,41 +1,23 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels in numpy: 1D convolution forward/backward, the
+monotonic forward-sum DP and its posterior gradient, Viterbi durations, and
+DTW frame pairing.
 
-The jitted path is used when numba imports cleanly unless the environment
-variable ``HYPERADAPT_NO_NUMBA`` is set to a non-empty value other than "0".
-``ACTIVE_BACKEND`` reports which path is live. Both paths are always defined
-(``*_np`` / ``*_nb`` suffixes) so benchmarks/bench_kernels.py can time them
-side by side in one process.
-
-Kernels here are the inner loops that dominate runtime: 1D convolution
-forward/backward, the monotonic forward-sum DP and its posterior gradient,
-Viterbi path extraction, and DTW frame pairing.
-
-The numpy twins keep Python work per call small: the conv builds its im2col
-matrix from K shifted slices of the padded input (a K=1 conv is a plain
-matmul), the alignment DPs write each frame's row of their tables in place
-with no per-frame allocation, and DTW fills its accumulated-cost table one
-anti-diagonal at a time (a few vector ops per diagonal, bit-identical to the
-cell-by-cell recurrence, same tie rule on the way back).
+Each keeps Python work per call small: the conv builds its im2col matrix
+from K shifted slices of the padded input (a K=1 conv is a plain matmul),
+the alignment DPs run a whole batch of maps through one frame recursion and
+write each frame's slab of their tables in place with no per-frame
+allocation, and DTW fills its accumulated-cost table one anti-diagonal at a
+time (a few vector ops per diagonal, bit-identical to the cell-by-cell
+recurrence, same tie rule on the way back).
 """
-
-import os
 
 import numpy as np
 
+from .errors import InputError
+
 _NEG_INF = -np.inf
 
-_disabled = os.environ.get("HYPERADAPT_NO_NUMBA", "") not in ("", "0")
-if _disabled:
-    _HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAS_NUMBA = False
-
-ACTIVE_BACKEND = "numba" if _HAS_NUMBA else "numpy"
+ACTIVE_BACKEND = "numpy"  # the only backend; reported by the benchmark
 
 
 # -----------------------------------------------------------------------------
@@ -76,61 +58,111 @@ def conv1d_backward_np(xp, w, gout):
 
 
 # -----------------------------------------------------------------------------
-# Monotonic alignment DPs on an (n, m) log-probability grid.
-# Paths assign one phoneme per frame, start at phoneme 0, end at phoneme n-1,
-# and advance by 0 or 1 phonemes per frame. Tables are (m, n), one row per
-# frame, and each frame's row is written in place from the previous one;
-# phoneme 0 can only stay (and phoneme n-1, going backwards, only be stayed
-# on), which is the -inf edge the shifted operand would otherwise carry.
+# Monotonic alignment DPs over a batch of (n, m) log-probability grids.
+# Paths assign one phoneme per frame, start at phoneme 0, end at phoneme
+# n_b - 1 on frame m_b - 1, and advance by 0 or 1 phonemes per frame.
+# Tables hold one row per frame; a frame row lays the B maps side by side,
+# each behind one -inf sentinel cell, so one shifted vector op advances every
+# map at once and a map's first phoneme reads the sentinel as its (absent)
+# predecessor. Each frame row is written in place from the previous one, so
+# one pass over the longest map serves the whole batch. Entries past a map's
+# counts are -inf and never reach a valid cell, so each map's results are bit
+# for bit what it gets alone.
 # -----------------------------------------------------------------------------
 
 
-def forward_sum_np(logp):
-    """Return (-log total path probability, gradient wrt logp)."""
-    n, m = logp.shape
-    lp = np.ascontiguousarray(logp.T)  # (m, n): frame rows
-    alpha = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-    alpha[0, 0] = lp[0, 0]
+def _frame_rows(logp, n_len, m_len):
+    """(m, B * (n + 1)) frame rows of a (B, n, m) batch, each map behind a
+    -inf sentinel and -inf past its counts, plus the counts as int64 arrays
+    (the full grid when None)."""
+    b, n, m = logp.shape
+    n_len = np.full(b, n, dtype=np.int64) if n_len is None else np.asarray(n_len, dtype=np.int64)
+    m_len = np.full(b, m, dtype=np.int64) if m_len is None else np.asarray(m_len, dtype=np.int64)
+    if n_len.shape != (b,) or m_len.shape != (b,):
+        raise InputError(f"need {b} phoneme and frame counts, "
+                         f"got shapes {n_len.shape} and {m_len.shape}")
+    if (n_len < 1).any() or (n_len > n).any() or (m_len < 1).any() or (m_len > m).any():
+        raise InputError(f"counts outside the ({n}, {m}) grid: {n_len}, {m_len}")
+    lp = np.full((m, b, n + 1), _NEG_INF, dtype=logp.dtype)
+    valid = (np.arange(m)[:, None, None] < m_len[:, None]) & (np.arange(n) < n_len[:, None])
+    np.copyto(lp[:, :, 1:], logp.transpose(2, 0, 1), where=valid)
+    return lp.reshape(m, b * (n + 1)), n_len, m_len
+
+
+def forward_sum_np(logp, n_len=None, m_len=None):
+    """(-log total path probability, gradient wrt logp) of each map.
+
+    logp is one (n, m) map, giving a scalar loss and an (n, m) gradient, or a
+    (B, n, m) batch whose map b spans [:n_len[b], :m_len[b]] (all of it when
+    the counts are None), giving (B,) losses and a (B, n, m) gradient that is
+    zero past each map's counts.
+    """
+    if logp.ndim == 2:
+        loss, grad = forward_sum_np(logp[None])
+        return loss[0], grad[0]
+    b, n, m = logp.shape
+    lp, n_len, m_len = _frame_rows(logp, n_len, m_len)
+    first = np.arange(b) * (n + 1) + 1  # each map's phoneme 0
+    last = first + n_len - 1
+    alpha = np.full_like(lp, _NEG_INF)
+    alpha[0, first] = lp[0, first]
     for t in range(1, m):
         prev, row = alpha[t - 1], alpha[t]
-        row[0] = prev[0]
         np.logaddexp(prev[1:], prev[:-1], out=row[1:])
         row += lp[t]
-    log_z = alpha[m - 1, n - 1]
-    beta = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-    beta[m - 1, n - 1] = 0.0
-    nxt = np.empty(n, dtype=logp.dtype)
-    for t in range(m - 2, -1, -1):
-        np.add(beta[t + 1], lp[t + 1], out=nxt)
+    log_z = alpha[m_len - 1, last]
+    # each map's backward recursion starts from a one-hot on its own last frame
+    ends = {}
+    for r in range(b):
+        ends.setdefault(int(m_len[r]) - 1, []).append(last[r])
+    beta = np.full_like(lp, _NEG_INF)
+    nxt = np.empty_like(lp[0])
+    for t in range(m - 1, -1, -1):
         row = beta[t]
-        np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
-        row[-1] = nxt[-1]
+        if t < m - 1:
+            np.add(beta[t + 1], lp[t + 1], out=nxt)
+            np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
+            row[-1] = nxt[-1]
+        if t in ends:
+            row[ends[t]] = 0.0
+    # the posterior, formed in place in alpha's table
+    alpha += beta
+    del beta, lp
+    post = alpha.reshape(m, b, n + 1)[:, :, 1:]
+    post -= log_z[:, None]
     with np.errstate(invalid="ignore"):
-        post = np.exp(alpha + beta - log_z)
-    grad = -np.nan_to_num(post.T, nan=0.0, posinf=0.0, neginf=0.0)
-    return -log_z, grad
+        np.exp(post, out=post)
+    grad = np.negative(post.transpose(1, 2, 0))
+    return -log_z, np.nan_to_num(grad, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def viterbi_np(logp):
-    """Durations along the highest-likelihood monotonic path; ties stay."""
-    n, m = logp.shape
-    lp = np.ascontiguousarray(logp.T)
-    v = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-    move = np.zeros((m, n), dtype=bool)  # True = advanced from i-1
-    v[0, 0] = lp[0, 0]
+def viterbi_np(logp, n_len=None, m_len=None):
+    """Durations along each map's highest-likelihood monotonic path; ties
+    stay. Shapes and counts as in forward_sum_np: (n,) durations for one map,
+    (B, n) for a batch, zero past each map's phoneme count."""
+    if logp.ndim == 2:
+        return viterbi_np(logp[None])[0]
+    b, n, m = logp.shape
+    lp, n_len, m_len = _frame_rows(logp, n_len, m_len)
+    first = np.arange(b) * (n + 1) + 1
+    v = np.full_like(lp, _NEG_INF)
+    move = np.zeros(lp.shape, dtype=bool)  # True = advanced from i-1
+    v[0, first] = lp[0, first]
     for t in range(1, m):
         prev, row = v[t - 1], v[t]
         np.greater(prev[:-1], prev[1:], out=move[t, 1:])  # strict: tie prefers staying
-        row[0] = prev[0]
         np.maximum(prev[1:], prev[:-1], out=row[1:])
         row += lp[t]
-    durs = np.zeros(n, dtype=np.int64)
-    i = n - 1
-    for t in range(m - 1, 0, -1):
-        durs[i] += 1
-        if move[t, i]:
-            i -= 1
-    durs[i] += 1
+    durs = np.zeros((b, n), dtype=np.int64)
+    for r in range(b):
+        # walk map r back from its own last frame; a scalar walk beats a
+        # vectorised one, which would pay a few numpy calls per frame
+        counts, cells, i = durs[r], move[:, first[r] : first[r] + n], int(n_len[r]) - 1
+        for t in range(int(m_len[r]) - 1, 0, -1):
+            counts[i] += 1
+            if cells[t, i]:
+                i -= 1
+        counts[i] += 1
     return durs
 
 
@@ -196,134 +228,10 @@ def _dtw_backtrack(acc):
     return np.asarray(path, dtype=np.int64)
 
 
-# -----------------------------------------------------------------------------
-# numba twins
-# -----------------------------------------------------------------------------
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lae(a, b):
-        # logaddexp that tolerates -inf on either or both sides
-        if a < b:
-            a, b = b, a
-        if a == _NEG_INF:
-            return _NEG_INF
-        return a + np.log1p(np.exp(b - a))
-
-    @njit(cache=True)
-    def _conv1d_forward_nb(xp, w):
-        # one (T, Cin) @ (Cin, Cout) matmul per tap; numba routes np.dot to BLAS
-        k, cin, cout = w.shape
-        t = xp.shape[0] - k + 1
-        out = np.zeros((t, cout), dtype=xp.dtype)
-        for kk in range(k):
-            out += np.dot(xp[kk:kk + t], w[kk])
-        return out
-
-    @njit(cache=True)
-    def _conv1d_backward_nb(xp, w, gout):
-        k, cin, cout = w.shape
-        t = gout.shape[0]
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w)
-        for kk in range(k):
-            xs = xp[kk:kk + t]
-            gw[kk] = np.dot(xs.T, gout)
-            gxp[kk:kk + t] += np.dot(gout, w[kk].T)
-        return gxp, gw
-
-    @njit(cache=True)
-    def _forward_sum_nb(logp):
-        n, m = logp.shape
-        alpha = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-        alpha[0, 0] = logp[0, 0]
-        for t in range(1, m):
-            for i in range(n):
-                stay = alpha[t - 1, i]
-                adv = alpha[t - 1, i - 1] if i > 0 else _NEG_INF
-                alpha[t, i] = logp[i, t] + _lae(stay, adv)
-        log_z = alpha[m - 1, n - 1]
-        beta = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-        beta[m - 1, n - 1] = 0.0
-        for t in range(m - 2, -1, -1):
-            for i in range(n):
-                stay = beta[t + 1, i] + logp[i, t + 1]
-                adv = beta[t + 1, i + 1] + logp[i + 1, t + 1] if i + 1 < n else _NEG_INF
-                beta[t, i] = _lae(stay, adv)
-        grad = np.zeros((n, m), dtype=logp.dtype)
-        for t in range(m):
-            for i in range(n):
-                e = alpha[t, i] + beta[t, i] - log_z
-                if e > -60.0:
-                    grad[i, t] = -np.exp(e)
-        return -log_z, grad
-
-    @njit(cache=True)
-    def _viterbi_nb(logp):
-        n, m = logp.shape
-        v = np.full((m, n), _NEG_INF, dtype=logp.dtype)
-        move = np.zeros((m, n), dtype=np.uint8)
-        v[0, 0] = logp[0, 0]
-        for t in range(1, m):
-            for i in range(n):
-                stay = v[t - 1, i]
-                adv = v[t - 1, i - 1] if i > 0 else _NEG_INF
-                if adv > stay:
-                    move[t, i] = 1
-                    v[t, i] = logp[i, t] + adv
-                else:
-                    v[t, i] = logp[i, t] + stay
-        durs = np.zeros(n, dtype=np.int64)
-        i = n - 1
-        for t in range(m - 1, -1, -1):
-            durs[i] += 1
-            if t > 0 and move[t, i] == 1:
-                i -= 1
-        return durs
-
-    @njit(cache=True)
-    def _dtw_acc_nb(cost):
-        a, b = cost.shape
-        acc = np.empty((a, b), dtype=cost.dtype)
-        acc[0, 0] = cost[0, 0]
-        for j in range(1, b):
-            acc[0, j] = acc[0, j - 1] + cost[0, j]
-        for i in range(1, a):
-            acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-            for j in range(1, b):
-                best = acc[i - 1, j - 1]
-                if acc[i - 1, j] < best:
-                    best = acc[i - 1, j]
-                if acc[i, j - 1] < best:
-                    best = acc[i, j - 1]
-                acc[i, j] = cost[i, j] + best
-        return acc
-
-    def conv1d_forward_nb(xp, w):
-        return _conv1d_forward_nb(xp, w)
-
-    def conv1d_backward_nb(xp, w, gout):
-        return _conv1d_backward_nb(xp, w, np.ascontiguousarray(gout))
-
-    def forward_sum_nb(logp):
-        loss, grad = _forward_sum_nb(np.ascontiguousarray(logp))
-        return loss, grad
-
-    def viterbi_nb(logp):
-        return _viterbi_nb(np.ascontiguousarray(logp))
-
-    def dtw_path_nb(cost):
-        return _dtw_backtrack(_dtw_acc_nb(np.ascontiguousarray(cost)))
-
-    conv1d_forward = conv1d_forward_nb
-    conv1d_backward = conv1d_backward_nb
-    forward_sum = forward_sum_nb
-    viterbi = viterbi_nb
-    dtw_path = dtw_path_nb
-else:
-    conv1d_forward = conv1d_forward_np
-    conv1d_backward = conv1d_backward_np
-    forward_sum = forward_sum_np
-    viterbi = viterbi_np
-    dtw_path = dtw_path_np
+# the call sites: the alignment losses and metrics look these names up at call
+# time, so a tracer can wrap them
+conv1d_forward = conv1d_forward_np
+conv1d_backward = conv1d_backward_np
+forward_sum = forward_sum_np
+viterbi = viterbi_np
+dtw_path = dtw_path_np

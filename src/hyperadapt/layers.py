@@ -81,10 +81,14 @@ class Module:
 
 
 class RunCtx:
-    """Per-call context: dropout RNG plus the train/inference flag."""
+    """Per-call context: the dropout streams, one generator per packed
+    utterance (a single generator stands for a pack of one), plus the
+    train/inference flag."""
 
     def __init__(self, rng=None, training=False):
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            rng = np.random.default_rng(0)
+        self.rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
         self.training = training
 
 
@@ -102,7 +106,8 @@ class Dense(Module):
 
 
 class Conv1d(Module):
-    """Length-preserving conv over (T, C_in); odd kernel, symmetric zero pad."""
+    """Length-preserving conv over (T, C_in); odd kernel, symmetric zero pad
+    at both ends of every segment of a packed input."""
 
     def __init__(self, rng, c_in, c_out, kernel_size, bias=True, dtype=ad.DEFAULT_DTYPE, zero_init=False):
         fan_in = kernel_size * c_in
@@ -114,8 +119,8 @@ class Conv1d(Module):
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True) if bias else None
 
-    def __call__(self, x):
-        return ad.conv1d(x, self.w, self.b)
+    def __call__(self, x, seg=None):
+        return ad.conv1d(x, self.w, self.b, seg)
 
 
 class LayerNorm(Module):

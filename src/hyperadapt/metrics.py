@@ -7,14 +7,14 @@ rate has no built-in recognizer: `wer_external` shells out to a caller-provided
 transcriber command instead.
 """
 
+import functools
 import json
 import os
 import subprocess
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from . import kernels
 from .errors import InputError
@@ -118,6 +118,18 @@ def align_to_reference(pred, ref_len):
 # -----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def dct_basis(n):
+    """(n, n) orthonormal DCT-II matrix: row k maps a length-n frame to its
+    k-th coefficient, sqrt(2/n) cos(pi k (2j + 1) / 2n), row 0 scaled by
+    1/sqrt(2). Its transpose is its inverse."""
+    k = np.arange(n)[:, None]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    basis[0] /= np.sqrt(2.0)
+    basis.setflags(write=False)
+    return basis
+
+
 def mcd_metric(pred_mel, ref_mel, n_coeffs=MCD_COEFFS):
     """Mean cepstral distance in dB over DTW-paired frames.
 
@@ -136,8 +148,8 @@ def mcd_metric(pred_mel, ref_mel, n_coeffs=MCD_COEFFS):
     if pred.shape[1] < 2:
         raise InputError("mcd_metric: need at least 2 mel bins for cepstra")
     k = min(n_coeffs, pred.shape[1] - 1)
-    cp = dct(pred, type=2, norm="ortho", axis=1)[:, 1 : k + 1]
-    cr = dct(ref, type=2, norm="ortho", axis=1)[:, 1 : k + 1]
+    rows = dct_basis(pred.shape[1])[1 : k + 1].T
+    cp, cr = pred @ rows, ref @ rows
 
     sq = ((cp[:, None, :] - cr[None, :, :]) ** 2).sum(axis=2)
     dist = _MCD_SCALE * np.sqrt(2.0 * sq)

@@ -1,21 +1,24 @@
 """The full acoustic model: backbone + variance adaptor + alignment, with the
 teacher-forced training path and the free-running synthesis path.
 
-Training consumes ground-truth mel/f0/energy; phoneme durations come from the
-online alignment (Viterbi over the soft map), never from an external aligner.
-Synthesis runs entirely from predictions: durations from the duration head,
-pitch reconstructed from the predicted wavelet spectrogram, energy from the
-energy head, all fed back through the quantized embedding tables.
+Training consumes ground-truth mel/f0/energy for a `Pack` of utterances:
+their phonemes and frames stacked along time with no padding, run as one
+graph. Phoneme durations come from the online alignment (Viterbi over the
+soft map), never from an external aligner. Synthesis is a pack of one and
+runs entirely from predictions: durations from the duration head, pitch
+reconstructed from the predicted wavelet spectrogram, energy from the energy
+head, all fed back through the quantized embedding tables.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import adaptation
 from . import autodiff as ad
 from . import variance as var_mod
 from .alignment import AlignmentEncoder, soft_align, viterbi_durations
-from .autodiff import Tensor
+from .autodiff import Segments, Tensor
 from .backbone import Decoder, Encoder, Postnet
 from .errors import ConfigError, InputError
 from .layers import Module, RunCtx, rng_for
@@ -52,6 +55,45 @@ class ModelConfig:
         return cls(**data)
 
 
+class Pack:
+    """B utterances stacked along time for one teacher-forced pass.
+
+    Phonemes, mel frames and the per-frame f0/energy are concatenated with no
+    padding; `phonemes_seg` and `frames_seg` give each utterance's share of
+    rows, and `utterances_seg` one row per utterance (speakers, pitch
+    statistics). `log_f0` is each contour's interpolated log-F0, packed.
+    """
+
+    def __init__(self, phonemes, mels, f0s, energies, speakers):
+        counts = {len(phonemes), len(mels), len(f0s), len(energies), len(speakers)}
+        if len(counts) != 1 or not phonemes:
+            raise InputError("pack: need the same nonzero number of phoneme, mel, f0, energy "
+                             "and speaker entries")
+        mels = [np.asarray(mel, dtype=ad.DEFAULT_DTYPE) for mel in mels]
+        speakers = [np.asarray(v, dtype=ad.DEFAULT_DTYPE).reshape(-1) for v in speakers]
+        for ph, mel, f0, en, spk in zip(phonemes, mels, f0s, energies, speakers):
+            if mel.ndim != 2 or mel.shape[0] < len(ph):
+                raise InputError(f"mel {mel.shape} too short for {len(ph)} phonemes")
+            if len(f0) != mel.shape[0] or len(en) != mel.shape[0]:
+                raise InputError(f"f0/energy lengths {len(f0)}/{len(en)} differ from "
+                                 f"{mel.shape[0]} mel frames")
+            if spk.size != speakers[0].size:
+                raise InputError(f"speaker embeddings of {spk.size} and {speakers[0].size} dims")
+        self.phonemes = np.concatenate([np.asarray(ph) for ph in phonemes])
+        self.mel = np.concatenate(mels)
+        self.log_f0 = np.concatenate([var_mod.interpolated_log_f0(f0) for f0 in f0s])
+        self.energy = np.concatenate([np.asarray(en, dtype=np.float64) for en in energies])
+        self.speakers = np.stack(speakers)
+        self.phonemes_seg = Segments([len(ph) for ph in phonemes])
+        self.frames_seg = Segments([mel.shape[0] for mel in mels])
+        self.utterances_seg = Segments(np.ones(len(mels), dtype=np.int64))
+
+    @classmethod
+    def of(cls, utts):
+        return cls([u.phonemes for u in utts], [u.mel for u in utts], [u.f0 for u in utts],
+                   [u.energy for u in utts], [u.embedding for u in utts])
+
+
 class TTSModel(Module):
     def __init__(self, config, seed=0):
         c = config
@@ -81,45 +123,49 @@ class TTSModel(Module):
         self.variance.set_ranges(pitch_range, energy_range)
 
     @staticmethod
-    def _hook(hooks, tag):
-        if hooks is None:
+    def _adapters(hooks, tag, seg):
+        """Per-site adapter callables of module `tag` over a packed sequence,
+        from one hooks dict per utterance (see AdaptedModel.hooks_for)."""
+        if hooks is None or hooks[0] is None or tag not in hooks[0]:
             return None
-        return hooks.get(tag)
+        return adaptation.site_adapters([h[tag] for h in hooks], seg)
 
-    def _speaker_tensor(self, spk):
-        v = np.asarray(spk, dtype=ad.DEFAULT_DTYPE).reshape(1, -1)
+    def _speaker_tensor(self, speakers):
+        v = np.asarray(speakers, dtype=ad.DEFAULT_DTYPE)
+        v = v.reshape(1, -1) if v.ndim == 1 else v
         if v.shape[1] != self.config.d_spk:
             raise InputError(f"speaker embedding dim {v.shape[1]}, model expects {self.config.d_spk}")
         return Tensor(v)
 
-    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None):
-        """Teacher-forced pass. Returns predictions plus the alignment map and
-        the Viterbi durations used for length regulation."""
-        mel = np.asarray(mel, dtype=ad.DEFAULT_DTYPE)
-        if mel.ndim != 2 or mel.shape[0] < len(phonemes):
-            raise InputError(f"mel {mel.shape} too short for {len(phonemes)} phonemes")
-        spk_t = self._speaker_tensor(spk)
-        h_enc = self.encoder(phonemes, ctx, adapters=self._hook(hooks, "e"))
+    def forward_train(self, pack, ctx, hooks=None):
+        """Teacher-forced pass over a Pack, one graph for all its utterances.
+        `hooks` holds one AdaptedModel.hooks_for result per utterance, or is
+        None. Returns packed predictions (rows in pack order; pitch mean and
+        variance one per utterance) plus the alignment maps and the packed
+        Viterbi durations used for length regulation."""
+        ph, fr = pack.phonemes_seg, pack.frames_seg
+        spk_t = self._speaker_tensor(pack.speakers)
+        h_enc = self.encoder(pack.phonemes, ctx, ph, adapters=self._adapters(hooks, "e", ph))
 
-        text_feats = self.aligner.project_text(self.encoder.embed(np.asarray(phonemes)))
-        mel_feats = self.aligner.project_mel(Tensor(mel))
-        amap = soft_align(text_feats, mel_feats)
+        text_feats = self.aligner.project_text(self.encoder.embed(pack.phonemes), ph)
+        mel_feats = self.aligner.project_mel(Tensor(pack.mel), fr)
+        amap = soft_align(text_feats, mel_feats, ph, fr)
         durations = viterbi_durations(amap)
 
-        h = self.variance.condition(h_enc, spk_t)
-        log_dur_pred = self.variance.duration(h, ctx)
+        h = self.variance.condition(h_enc, spk_t, ph)
+        log_dur_pred = self.variance.duration(h, ctx, ph)
         h_reg = var_mod.length_regulate(h, durations)
 
-        v_hooks = self._hook(hooks, "v")
+        v_adapters = self._adapters(hooks, "v", fr)
         pitch_spec, pitch_mean, pitch_var = self.variance.pitch(
-            h_reg, ctx, adapter=v_hooks[0] if v_hooks else None
+            h_reg, ctx, fr, adapter=v_adapters[0] if v_adapters else None
         )
-        h_p = self.variance.inject_pitch(h_reg, var_mod.interpolated_log_f0(f0))
-        energy_pred = self.variance.energy(h_p, ctx, adapter=v_hooks[1] if v_hooks else None)
-        h_pe = self.variance.inject_energy(h_p, np.asarray(energy, dtype=np.float64))
+        h_p = self.variance.inject_pitch(h_reg, pack.log_f0)
+        energy_pred = self.variance.energy(h_p, ctx, fr, adapter=v_adapters[1] if v_adapters else None)
+        h_pe = self.variance.inject_energy(h_p, pack.energy)
 
-        mel_pre = self.decoder(h_pe, ctx, adapters=self._hook(hooks, "d"))
-        mel_post = self.postnet(mel_pre, ctx)
+        mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
+        mel_post = self.postnet(mel_pre, ctx, fr)
         return {
             "mel_pre": mel_pre,
             "mel_post": mel_post,
@@ -133,32 +179,39 @@ class TTSModel(Module):
         }
 
     def synthesize(self, phonemes, spk, ctx=None, hooks=None):
-        """Free-running synthesis from phonemes and a speaker embedding.
+        """Free-running synthesis from phonemes and a speaker embedding, as a
+        pack of one; `hooks` is one AdaptedModel.hooks_for result or None.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
         """
         ctx = ctx if ctx is not None else RunCtx(training=False)
+        ids = np.asarray(phonemes)
         spk_t = self._speaker_tensor(spk)
-        h_enc = self.encoder(phonemes, ctx, adapters=self._hook(hooks, "e"))
-        h = self.variance.condition(h_enc, spk_t)
-        durations = var_mod.durations_from_log(self.variance.duration(h, ctx).data)
+        if spk_t.shape[0] != 1:
+            raise InputError(f"synthesize takes one speaker embedding, got {spk_t.shape[0]}")
+        hooks = None if hooks is None else [hooks]
+        ph = Segments([ids.size])
+        h_enc = self.encoder(ids, ctx, ph, adapters=self._adapters(hooks, "e", ph))
+        h = self.variance.condition(h_enc, spk_t, ph)
+        durations = var_mod.durations_from_log(self.variance.duration(h, ctx, ph).data)
         h_reg = var_mod.length_regulate(h, durations)
 
-        v_hooks = self._hook(hooks, "v")
+        fr = Segments([int(durations.sum())])
+        v_adapters = self._adapters(hooks, "v", fr)
         pitch_spec, pitch_mean, pitch_var = self.variance.pitch(
-            h_reg, ctx, adapter=v_hooks[0] if v_hooks else None
+            h_reg, ctx, fr, adapter=v_adapters[0] if v_adapters else None
         )
         f0 = var_mod.icwt_reconstruct(
-            pitch_spec.data.astype(np.float64),
+            pitch_spec.data.T.astype(np.float64),
             float(pitch_mean.data[0]),
             max(float(pitch_var.data[0]), 0.0),
         )
         h_p = self.variance.inject_pitch(h_reg, np.log(f0))
-        energy = self.variance.energy(h_p, ctx, adapter=v_hooks[1] if v_hooks else None)
+        energy = self.variance.energy(h_p, ctx, fr, adapter=v_adapters[1] if v_adapters else None)
         h_pe = self.variance.inject_energy(h_p, energy.data.astype(np.float64))
 
-        mel_pre = self.decoder(h_pe, ctx, adapters=self._hook(hooks, "d"))
-        mel_post = self.postnet(mel_pre, ctx)
+        mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
+        mel_post = self.postnet(mel_pre, ctx, fr)
         info = {
             "durations": durations,
             "f0": f0.astype(np.float32),

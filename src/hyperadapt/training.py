@@ -1,13 +1,15 @@
 """Optimization: loss assembly, LR schedule, Adam, the pretraining loop, and
 the adaptation loop.
 
-Batching note: each utterance builds its own graph and runs backward at once,
-so only one utterance's tape is alive at a time. backward sums into the
-parameters' .grad across the batch, and the sum is scaled by 1/B once, before
-the finite-gradient check and the Adam step: mathematically the gradient of
-the batch-mean loss. Sequences never get padded together (a padded batch
-keeps B tapes alive at once); the backbone's masking support exists for
-callers that do.
+Batching note: a step packs its B utterances into one graph (see
+`model.Pack`: stacked along time, no padding), so the tape has one node per
+op rather than one per op and utterance. The loss is the sum over the pack
+of each utterance's loss (every loss op takes per-utterance means); the flat
+gradient over all trainable tensors is scaled by 1/B once, before the
+finite-gradient check and the Adam step: the gradient of the batch-mean
+loss. Each utterance draws its dropout masks from its own stream,
+rng_for(seed, "dropout", step, position in the batch). Validation runs the
+same packed pass in packs of B, and synthesis is a pack of one.
 
 Checkpoints carry the model tensors under their bare names, adapter-surface
 tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
@@ -29,7 +31,7 @@ from .alignment import binarization_loss, forward_sum_loss
 from .autodiff import Tensor
 from .errors import ConfigError, InputError, InternalInvariantError, NumericsError, StateError
 from .layers import RunCtx, rng_for
-from .model import ModelConfig, TTSModel
+from .model import ModelConfig, Pack, TTSModel
 
 LOSS_NAMES = (
     "mel_pre", "mel_post", "duration", "pitch_spec", "pitch_mean",
@@ -102,12 +104,15 @@ class LossBreakdown:
         return [self.components[k] for k in LOSS_NAMES] + [self.total]
 
     @staticmethod
-    def average(breakdowns):
-        comps = {k: float(np.mean([b.components[k] for b in breakdowns])) for k in LOSS_NAMES}
+    def average(breakdowns, counts=None):
+        """Mean of breakdowns, each weighted by its count of utterances
+        (one each when counts is None)."""
+        comps = {k: float(np.average([b.components[k] for b in breakdowns], weights=counts))
+                 for k in LOSS_NAMES}
         return LossBreakdown(
             components=comps,
             weights=dict(breakdowns[0].weights),
-            total=float(np.mean([b.total for b in breakdowns])),
+            total=float(np.average([b.total for b in breakdowns], weights=counts)),
         )
 
 
@@ -124,28 +129,39 @@ def loss_weights(sched, step):
     return w
 
 
-def compute_losses(model, utt, step, sched, ctx, hooks=None, pitch_cache=None):
-    """(total loss Tensor, LossBreakdown) for one utterance.
+def _pitch_targets(utt, pitch_cache):
+    """(spectrogram (frames, scales) float32, mean, variance) of one
+    utterance, read from and stored in pitch_cache when one is given."""
+    if pitch_cache is not None and utt.utt_id in pitch_cache:
+        return pitch_cache[utt.utt_id]
+    spec, mean, var = var_mod.pitch_targets(utt.f0.astype(np.float64))
+    targets = (np.ascontiguousarray(spec.T, dtype=ad.DEFAULT_DTYPE), mean, var)
+    if pitch_cache is not None:
+        pitch_cache[utt.utt_id] = targets
+    return targets
 
+
+def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None):
+    """(total loss Tensor, LossBreakdown) for a pack of utterances.
+
+    One packed forward pass; the graph's total is the sum over the pack of
+    each utterance's weighted loss, and the breakdown reports per-utterance
+    means. `hooks` holds one adapter hooks dict per utterance, or is None.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
     """
     weights = loss_weights(sched, step)
-    out = model.forward_train(
-        utt.phonemes, utt.mel, utt.f0, utt.energy, utt.embedding, ctx, hooks=hooks
-    )
-    mel = utt.mel.astype(ad.DEFAULT_DTYPE, copy=False)
-    if pitch_cache is not None and utt.utt_id in pitch_cache:
-        spec_t, mean_t, var_t = pitch_cache[utt.utt_id]
-    else:
-        spec_t, mean_t, var_t = var_mod.pitch_targets(utt.f0.astype(np.float64))
-        spec_t = spec_t.astype(ad.DEFAULT_DTYPE)
-        if pitch_cache is not None:
-            pitch_cache[utt.utt_id] = (spec_t, mean_t, var_t)
+    pack = Pack.of(utts)
+    out = model.forward_train(pack, ctx, hooks=hooks)
+    phonemes, frames, per_utt = pack.phonemes_seg, pack.frames_seg, pack.utterances_seg
+    targets = [_pitch_targets(u, pitch_cache) for u in utts]
+    spec_t = np.concatenate([t[0] for t in targets])
+    mean_t = np.array([t[1] for t in targets], dtype=ad.DEFAULT_DTYPE)
+    var_t = np.array([t[2] for t in targets], dtype=ad.DEFAULT_DTYPE)
     log_dur_t = np.log(out["durations"]).astype(ad.DEFAULT_DTYPE)
-    mean_t = np.array([mean_t], dtype=ad.DEFAULT_DTYPE)
-    var_t = np.array([var_t], dtype=ad.DEFAULT_DTYPE)
-    energy_t = utt.energy.astype(ad.DEFAULT_DTYPE, copy=False)
+    energy_t = pack.energy.astype(ad.DEFAULT_DTYPE)
+    mel = pack.mel
+    n_utts = len(utts)
 
     terms = {}
     comps = {}
@@ -154,26 +170,23 @@ def compute_losses(model, utt, step, sched, ctx, hooks=None, pitch_cache=None):
         if weights[name] > 0.0:
             node = make_node()
             terms[name] = node
-            comps[name] = float(node.data)
+            comps[name] = float(node.data) / n_utts
         else:
-            comps[name] = float(fallback())
+            comps[name] = float(fallback().mean())
 
-    term("mel_pre", lambda: ad.l1_loss(out["mel_pre"], mel),
-         lambda: np.abs(out["mel_pre"].data - mel).mean())
-    term("mel_post", lambda: ad.l1_loss(out["mel_post"], mel),
-         lambda: np.abs(out["mel_post"].data - mel).mean())
-    term("forward_sum", lambda: forward_sum_loss(out["amap"]), lambda: 0.0)
-    term("binarization", lambda: binarization_loss(out["amap"]), lambda: 0.0)
-    term("duration", lambda: ad.mse_loss(out["log_dur"], log_dur_t),
-         lambda: ((out["log_dur"].data - log_dur_t) ** 2).mean())
-    term("pitch_spec", lambda: ad.mse_loss(out["pitch_spec"], spec_t),
-         lambda: ((out["pitch_spec"].data - spec_t) ** 2).mean())
-    term("pitch_mean", lambda: ad.mse_loss(out["pitch_mean"], mean_t),
-         lambda: ((out["pitch_mean"].data - mean_t) ** 2).mean())
-    term("pitch_var", lambda: ad.mse_loss(out["pitch_var"], var_t),
-         lambda: ((out["pitch_var"].data - var_t) ** 2).mean())
-    term("energy", lambda: ad.mse_loss(out["energy"], energy_t),
-         lambda: ((out["energy"].data - energy_t) ** 2).mean())
+    def fit(name, target, seg, loss, error, key=None):
+        pred = out[key or name]
+        term(name, lambda: loss(pred, target, seg), lambda: seg.means(error(pred.data - target)))
+
+    fit("mel_pre", mel, frames, ad.l1_loss, np.abs)
+    fit("mel_post", mel, frames, ad.l1_loss, np.abs)
+    term("forward_sum", lambda: forward_sum_loss(out["amap"]), lambda: np.zeros(1))
+    term("binarization", lambda: binarization_loss(out["amap"]), lambda: np.zeros(1))
+    fit("duration", log_dur_t, phonemes, ad.mse_loss, np.square, key="log_dur")
+    fit("pitch_spec", spec_t, frames, ad.mse_loss, np.square)
+    fit("pitch_mean", mean_t, per_utt, ad.mse_loss, np.square)
+    fit("pitch_var", var_t, per_utt, ad.mse_loss, np.square)
+    fit("energy", energy_t, frames, ad.mse_loss, np.square)
 
     for name, value in comps.items():
         if not np.isfinite(value):
@@ -184,7 +197,8 @@ def compute_losses(model, utt, step, sched, ctx, hooks=None, pitch_cache=None):
         node = node if weights[name] == 1.0 else ad.scale(node, weights[name])
         total = node if total is None else ad.add(total, node)
     # Reported total is the f64 weighted sum of the reported components; the
-    # graph tensor is the same quantity in f32 and drives the gradients.
+    # graph tensor is the same quantity in f32, summed over the pack, and
+    # drives the gradients.
     breakdown = LossBreakdown(
         components=comps, weights=weights,
         total=float(sum(weights[k] * comps[k] for k in LOSS_NAMES)),
@@ -199,41 +213,71 @@ def compute_losses(model, utt, step, sched, ctx, hooks=None, pitch_cache=None):
 
 
 class Adam:
+    """Adam over one flat buffer. The parameters' arrays become views into
+    it, so an update is a few whole-buffer operations instead of a few per
+    tensor; `step` takes the gradient as one flat array in the same order
+    (see flat_grads). Build it after any checkpoint load into the
+    parameters: an array replaced later is no longer the one it updates.
+    Moments are saved and loaded per tensor, as opt.m.<name> /
+    opt.v.<name>."""
+
     def __init__(self, named_params, beta1=0.9, beta2=0.98, eps=1e-9):
         self.params = list(named_params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        dtypes = {p.data.dtype for _, p in self.params}
+        if len(dtypes) > 1:
+            raise InputError(f"Adam: parameters mix dtypes {sorted(map(str, dtypes))}")
+        self.flat = np.concatenate([p.data.reshape(-1) for _, p in self.params])
+        for (_, p), (_, view) in zip(self.params, per_tensor(self.params, self.flat)):
+            p.data = view
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, grads, lr):
+    def step(self, grad, lr):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        self.flat -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def state_arrays(self):
-        out = {f"opt.m.{k}": a.copy() for k, a in self.m.items()}
-        out.update({f"opt.v.{k}": a.copy() for k, a in self.v.items()})
+        out = {f"opt.m.{k}": a.copy() for k, a in per_tensor(self.params, self.m)}
+        out.update({f"opt.v.{k}": a.copy() for k, a in per_tensor(self.params, self.v)})
         return out
 
     def load_state_arrays(self, arrays, t):
-        for name, _ in self.params:
+        moments = zip(per_tensor(self.params, self.m), per_tensor(self.params, self.v))
+        for (name, m), (_, v) in moments:
             mk, vk = f"opt.m.{name}", f"opt.v.{name}"
             if mk not in arrays or vk not in arrays:
                 raise InputError(f"optimizer state missing moments for {name}")
-            self.m[name] = arrays[mk].copy()
-            self.v[name] = arrays[vk].copy()
+            if arrays[mk].shape != m.shape or arrays[vk].shape != v.shape:
+                raise InputError(f"optimizer moments for {name} do not match its shape {m.shape}")
+            m[...] = arrays[mk]
+            v[...] = arrays[vk]
         self.t = int(t)
+
+
+def per_tensor(named_params, flat):
+    """(name, view) of each parameter's slice of a flat array laid out in
+    parameter order, as Adam and flat_grads lay it out."""
+    offset = 0
+    for name, p in named_params:
+        yield name, flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+
+
+def flat_grads(named_params):
+    """Every parameter's .grad (zeros where none arrived) as one flat array,
+    in the order Adam lays out the same parameters."""
+    return np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
+                           for _, p in named_params])
 
 
 # -----------------------------------------------------------------------------
@@ -373,28 +417,23 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
     for step in range(start_step, sched.total_steps):
         for _, p in trainable:
             p.grad = None
-        breakdowns = []
-        for pos, idx in enumerate(batcher.batch(step)):
-            utt = utterances[idx]
-            ctx = RunCtx(rng_for(seed, "dropout", step, pos), training=True)
-            total, bd = compute_losses(
-                model, utt, step, sched, ctx,
-                hooks=hooks_fn(utt) if hooks_fn else None,
-                pitch_cache=pitch_cache,
-            )
-            breakdowns.append(bd)
-            if total is not None:
-                ad.backward(total)  # sums into p.grad across the batch
-        grads = {
-            name: p.grad * inv_bs if p.grad is not None else np.zeros_like(p.data)
-            for name, p in trainable
-        }
-        check_finite_grads(grads, step + 1)
+        utts = [utterances[idx] for idx in batcher.batch(step)]
+        ctx = RunCtx([rng_for(seed, "dropout", step, pos) for pos in range(len(utts))],
+                     training=True)
+        total, breakdown = compute_losses(
+            model, utts, step, sched, ctx,
+            hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
+            pitch_cache=pitch_cache,
+        )
+        ad.backward(total)
+        grad = flat_grads(trainable)
+        grad *= inv_bs
+        check_finite_grads(grad, step + 1, trainable)
         lr = lr_at(sched, step + 1)
-        opt.step(grads, lr)
+        opt.step(grad, lr)
         done = step + 1
         if done % log_every == 0 or done == sched.total_steps:
-            log.append(done, LossBreakdown.average(breakdowns), lr)
+            log.append(done, breakdown, lr)
         if val_utterances and (done % val_every == 0 or done == sched.total_steps):
             val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn,
                                           pitch_cache=pitch_cache), lr)
@@ -403,34 +442,37 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
     return sched.total_steps
 
 
-def check_finite_grads(grads, step):
-    """Raise NumericsError naming the step and the first gradient tensor with
-    a non-finite entry. One summed check covers the common case; the
-    per-tensor search runs only when that sum is not finite."""
+def check_finite_grads(grad, step, named_params):
+    """Raise NumericsError naming the step and the first parameter whose
+    slice of the flat gradient has a non-finite entry. One summed check
+    covers the common case; the per-tensor search runs only when that sum
+    is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(np.add.reduce(g, axis=None)) for g in grads.values())
+        total = float(np.add.reduce(grad, axis=None))
     if np.isfinite(total):
         return
-    for name, g in grads.items():
+    for name, g in per_tensor(named_params, grad):
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name} at step {step}")
 
 
 def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None):
-    """Teacher-forced loss over a split, dropout off. Returns the average
-    breakdown; weights are evaluated at `step` so logs stay comparable.
-    `pitch_cache` (utt_id -> pitch targets) is read and filled as in
-    `compute_losses`; a training run passes the one its steps use."""
-    outs = []
-    for utt in utterances:
-        ctx = RunCtx(training=False)
-        _, bd = compute_losses(
-            model, utt, step, sched, ctx,
-            hooks=hooks_fn(utt) if hooks_fn else None,
+    """Teacher-forced loss over a split in packs of sched.batch_size, dropout
+    off. Returns the per-utterance average breakdown; weights are evaluated
+    at `step` so logs stay comparable. `pitch_cache` (utt_id -> pitch
+    targets) is read and filled as in `compute_losses`; a training run
+    passes the one its steps use."""
+    outs, counts = [], []
+    for start in range(0, len(utterances), sched.batch_size):
+        utts = utterances[start : start + sched.batch_size]
+        # keep only the breakdown, so one pack's graph is alive at a time
+        outs.append(compute_losses(
+            model, utts, step, sched, RunCtx(training=False),
+            hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
             pitch_cache=pitch_cache,
-        )
-        outs.append(bd)
-    return LossBreakdown.average(outs)
+        )[1])
+        counts.append(len(utts))
+    return LossBreakdown.average(outs, counts)
 
 
 # -----------------------------------------------------------------------------
@@ -473,7 +515,6 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     pitch_range, energy_range = compute_feature_ranges(train)
     model.set_ranges(pitch_range, energy_range)
     trainable = list(model.named_parameters())
-    opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
 
     start_step = 0
     latest = _read_latest(run_dir) if resume else None
@@ -487,8 +528,10 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
             k: v for k, v in loaded.arrays.items() if not k.startswith("opt.")
         })
         model.set_ranges(loaded.meta["pitch_range"], loaded.meta["energy_range"])
-        opt.load_state_arrays(loaded.arrays, loaded.meta.get("adam_t", 0))
         start_step = int(loaded.meta["step"])
+    opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
+    if latest is not None:
+        opt.load_state_arrays(loaded.arrays, loaded.meta.get("adam_t", 0))
 
     log = _LossLog(os.path.join(run_dir, "train_log.tsv"))
     val_log = _LossLog(os.path.join(run_dir, "val_log.tsv"))

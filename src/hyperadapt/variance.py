@@ -11,7 +11,6 @@ the bank and de-normalizes.
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import InputError, StateError
 from .features import quantize
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
@@ -105,7 +104,9 @@ def pitch_targets(f0):
 
 
 def length_regulate(h, durations):
-    """Repeat hidden row i durations[i] times along the time axis."""
+    """Repeat hidden row i durations[i] times along the time axis: one
+    gather over a pack's phonemes, whose durations are packed the same way,
+    so utterance b's frames come out as its own contiguous run."""
     durations = np.asarray(durations)
     if not np.issubdtype(durations.dtype, np.integer):
         raise InputError("length_regulate: durations must be integers")
@@ -117,15 +118,7 @@ def length_regulate(h, durations):
         raise InputError("length_regulate: negative duration")
     if durations.sum() == 0:
         raise InputError("length_regulate: all durations zero, output would be empty")
-    ids = np.repeat(np.arange(h.shape[0]), durations)
-    out_data = h.data[ids]
-
-    def grad_fn(g):
-        gh = np.zeros_like(h.data)
-        np.add.at(gh, ids, g)
-        return (gh,)
-
-    return ad.from_op(out_data, (h,), grad_fn, "length_regulate")
+    return ad.repeat_rows(h, durations)
 
 
 def durations_from_log(log_durations):
@@ -148,9 +141,11 @@ class ConvStack(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, x, ctx, adapter=None):
-        h = ad.dropout(self.norm1(ad.relu(self.conv1(x))), self.p_dropout, ctx.rng, ctx.training)
-        h = ad.dropout(self.norm2(ad.relu(self.conv2(h))), self.p_dropout, ctx.rng, ctx.training)
+    def __call__(self, x, ctx, seg=None, adapter=None):
+        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), self.p_dropout, ctx.rngs,
+                       ctx.training, seg)
+        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), self.p_dropout, ctx.rngs,
+                       ctx.training, seg)
         if adapter is not None:
             h = adapter(h)
         return h
@@ -161,13 +156,15 @@ class DurationPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx):
-        out = self.head(self.stack(h, ctx))
+    def __call__(self, h, ctx, seg=None):
+        out = self.head(self.stack(h, ctx, seg))
         return ad.reshape(out, (h.shape[0],))
 
 
 class PitchPredictor(Module):
-    """Regresses wavelet coefficients per frame plus contour mean/variance."""
+    """Regresses wavelet coefficients per frame, (frames, scales), plus each
+    utterance's contour mean and variance from its mean-pooled trunk, (B,)
+    each."""
 
     def __init__(self, rng, d_h, n_scales=N_SCALES, kernel=3, p_dropout=0.5):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
@@ -175,12 +172,12 @@ class PitchPredictor(Module):
         self.mean_head = Dense(rng, d_h, 1)
         self.var_head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, adapter=None):
-        trunk = self.stack(h, ctx, adapter)
-        spec = ad.transpose_last(self.spec_head(trunk))  # (scales, frames)
-        pooled = ad.reshape(ad.mean_axis(trunk, 0), (1, h.shape[1]))
-        mean = ad.reshape(self.mean_head(pooled), (1,))
-        var = ad.reshape(self.var_head(pooled), (1,))
+    def __call__(self, h, ctx, seg=None, adapter=None):
+        trunk = self.stack(h, ctx, seg, adapter)
+        spec = self.spec_head(trunk)
+        pooled = ad.segment_mean(trunk, seg)
+        mean = ad.reshape(self.mean_head(pooled), (pooled.shape[0],))
+        var = ad.reshape(self.var_head(pooled), (pooled.shape[0],))
         return spec, mean, var
 
 
@@ -189,8 +186,8 @@ class EnergyPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, adapter=None):
-        out = self.head(self.stack(h, ctx, adapter))
+    def __call__(self, h, ctx, seg=None, adapter=None):
+        out = self.head(self.stack(h, ctx, seg, adapter))
         return ad.reshape(out, (h.shape[0],))
 
 
@@ -219,12 +216,14 @@ class VarianceAdapter(Module):
         self.pitch_range = (float(pitch_range[0]), float(pitch_range[1]))
         self.energy_range = (float(energy_range[0]), float(energy_range[1]))
 
-    def condition(self, h, spk_vec):
-        """Add the projected speaker embedding to every position."""
-        if spk_vec.data.ndim != 2 or spk_vec.shape[0] != 1:
-            raise InputError(f"condition: speaker vector must be (1, d), got {spk_vec.shape}")
-        projected = self.spk_proj(spk_vec)
-        return ad.add(h, ad.reshape(projected, (projected.shape[1],)))
+    def condition(self, h, spk_vecs, seg=None):
+        """Add each utterance's projected speaker embedding, one (B, d_spk)
+        row per segment, to every position of its segment."""
+        lengths = [h.shape[0]] if seg is None else seg.lengths
+        if spk_vecs.data.ndim != 2 or spk_vecs.shape[0] != len(lengths):
+            raise InputError(f"condition: need one speaker row per segment ({len(lengths)}), "
+                             f"got {spk_vecs.shape}")
+        return ad.add(h, ad.repeat_rows(self.spk_proj(spk_vecs), lengths))
 
     def _require(self, which):
         value = getattr(self, which)

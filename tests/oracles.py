@@ -3,7 +3,8 @@
 The alignment oracles enumerate every monotonic segmentation of m frames into
 n contiguous nonempty phoneme runs, so they are exact (and exponentially
 slow): keep n and m small. The others keep the straightforward construction
-a fused or vectorised library routine replaced.
+a fused or vectorised library routine replaced, including the `narrow` and
+`concat` tape ops those constructions were built from.
 """
 
 import itertools
@@ -120,31 +121,62 @@ def cwt_reference(contour):
     return out
 
 
+def concat(tensors, axis=-1):
+    """Tape op: tensors joined along `axis`."""
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def grad_fn(g):
+        idx = [slice(None)] * g.ndim
+        outs = []
+        for i in range(len(sizes)):
+            idx[axis] = slice(offsets[i], offsets[i + 1])
+            outs.append(g[tuple(idx)])
+        return tuple(outs)
+
+    return ad.from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                      grad_fn, "concat")
+
+
+def narrow(a, axis, start, length):
+    """Tape op: `length` entries of a along `axis` from `start`."""
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return ad.from_op(a.data[idx], (a,), grad_fn, "narrow")
+
+
 def generate_reference(hyper, spk_vec, site):
     """One site's adapter tensors (w_down, b_down, w_up, b_up) from a
     HyperNetwork by the op-by-op graph: speaker projection, layer-embedding
     row, concat, source projection, both samplers, then narrow and reshape."""
     d = hyper.dims
     sv = hyper.speaker_proj(spk_vec)
-    le = ad.narrow(hyper.layer_embed, 0, site, 1)
-    z = hyper.source_proj(ad.concat([sv, le], axis=-1))
+    le = narrow(hyper.layer_embed, 0, site, 1)
+    z = hyper.source_proj(concat([sv, le], axis=-1))
     flat_down = hyper.sampler_down(z)
     flat_up = hyper.sampler_up(z)
     n_w = d.d_h * d.d_r
-    return (ad.reshape(ad.narrow(flat_down, 1, 0, n_w), (d.d_h, d.d_r)),
-            ad.reshape(ad.narrow(flat_down, 1, n_w, d.d_r), (d.d_r,)),
-            ad.reshape(ad.narrow(flat_up, 1, 0, n_w), (d.d_r, d.d_h)),
-            ad.reshape(ad.narrow(flat_up, 1, n_w, d.d_h), (d.d_h,)))
+    return (ad.reshape(narrow(flat_down, 1, 0, n_w), (d.d_h, d.d_r)),
+            ad.reshape(narrow(flat_down, 1, n_w, d.d_r), (d.d_r,)),
+            ad.reshape(narrow(flat_up, 1, 0, n_w), (d.d_r, d.d_h)),
+            ad.reshape(narrow(flat_up, 1, n_w, d.d_h), (d.d_h,)))
 
 
 def table_row_reference(table, site, d_h, d_r):
     """Row `site` of an adapter table split into (w_down, b_down, w_up, b_up)
     Tensors by narrow and reshape."""
-    row = ad.reshape(ad.narrow(table, 0, site, 1), (table.shape[1],))
+    row = ad.reshape(narrow(table, 0, site, 1), (table.shape[1],))
     parts, start = [], 0
     for shape in ((d_h, d_r), (d_r,), (d_r, d_h), (d_h,)):
         size = int(np.prod(shape))
-        parts.append(ad.reshape(ad.narrow(row, 0, start, size), shape))
+        parts.append(ad.reshape(narrow(row, 0, start, size), shape))
         start += size
     return tuple(parts)
 
@@ -153,3 +185,21 @@ def adapter_reference(h, w_down, b_down, w_up, b_up):
     """h + ReLU(h W_d + b_d) W_u + b_u by matmul, add and relu nodes."""
     z = ad.relu(ad.add(ad.matmul(h, w_down), b_down))
     return ad.add(h, ad.add(ad.matmul(z, w_up), b_up))
+
+
+def adam_reference(named_params, grads, lr_list, beta1=0.9, beta2=0.98, eps=1e-9):
+    """Adam one tensor at a time, as a dict of per-tensor moments: applies
+    the per-step gradient dicts in `grads` with the learning rates in
+    `lr_list` to the parameters' arrays in place."""
+    m = {name: np.zeros_like(p.data) for name, p in named_params}
+    v = {name: np.zeros_like(p.data) for name, p in named_params}
+    for t, (step_grads, lr) in enumerate(zip(grads, lr_list), start=1):
+        c1 = 1.0 - beta1 ** t
+        c2 = 1.0 - beta2 ** t
+        for name, p in named_params:
+            g = step_grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * g * g
+            p.data -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)

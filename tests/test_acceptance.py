@@ -241,12 +241,12 @@ def test_criterion_05_alignment_matches_exhaustive_enumeration():
     start = time.perf_counter()
     cases = 0
     for logits in random_grids(200, seed=17, n_max=6, m_max=10):
-        amap = alignment.AlignmentMap(ad.log_softmax(Tensor(logits), axis=0))
-        want_loss, _ = enumerate_paths_logsumexp(amap.log_probs.data)
+        amap = alignment.AlignmentMap(ad.log_softmax(Tensor(logits[None]), axis=1))
+        want_loss, _ = enumerate_paths_logsumexp(amap.log_probs.data[0])
         got_loss = alignment.forward_sum_loss(amap).item()
         assert got_loss == pytest.approx(want_loss, abs=1e-6)
         np.testing.assert_array_equal(alignment.viterbi_durations(amap),
-                                      best_path_durations(amap.log_probs.data))
+                                      best_path_durations(amap.log_probs.data[0]))
         cases += 1
     elapsed = time.perf_counter() - start
     assert cases >= 200 and elapsed < 60

@@ -18,7 +18,7 @@ from hyperadapt.adaptation import (
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
-from hyperadapt.model import ModelConfig, TTSModel
+from hyperadapt.model import ModelConfig, Pack, TTSModel
 
 from oracles import adapter_reference, generate_reference, table_row_reference
 
@@ -62,28 +62,28 @@ def test_adapter_forward_matches_hand_computation():
     # pre-activation: [1+3+0.5, 2-3-1] = [4.5, -2]; relu -> [4.5, 0]
     # delta: [4.5, 0, 9, 0] + b_up = [4.75, 0, 9, 0]
     expected = np.array([[5.75, 2.0, 12.0, 4.0]], dtype=np.float32)
-    out = adapter_forward(Tensor(h), table, 0)
+    out = adapter_forward(Tensor(h), [table], 0)
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_static_adapter_is_identity_at_init():
     table = static_table(0, d_h=16, d_r=4)
     h = Tensor(rng_for(1, "h").normal(size=(5, 16)).astype(np.float32))
-    out = adapter_forward(h, table, 0)
+    out = adapter_forward(h, [table], 0)
     np.testing.assert_array_equal(out.data, h.data)
 
 
 def test_adapter_forward_rejects_dim_mismatch():
     table = static_table(0, d_h=16, d_r=4)
     with pytest.raises(ShapeError):
-        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), table, 0)
+        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), [table], 0)
 
 
 def test_static_adapter_gradients_flow_at_init():
     # zero up-projection must not block gradients into the up matrix itself
     table = static_table(3, d_h=6, d_r=2)
     h = Tensor(rng_for(4, "h").normal(size=(3, 6)).astype(np.float32))
-    loss = ad.sum_all(adapter_forward(h, table, 0))
+    loss = ad.sum_all(adapter_forward(h, [table], 0))
     loss.backward()
     g_w_down, _, g_w_up, _ = split_row(table.grad[0], 6, 2)
     assert np.abs(g_w_up).max() > 0
@@ -124,7 +124,7 @@ def test_adapter_forward_matches_op_by_op_graph(site):
         ad.sum_all(ad.mul(out, Tensor(probe))).backward()
         return h.grad.copy(), table.grad.copy()
 
-    fused = adapter_forward(h, table, site)
+    fused = adapter_forward(h, [table], site)
     g_fused = grads(fused)
     ref = adapter_reference(h, *table_row_reference(table, site, d_h, d_r))
     g_ref = grads(ref)
@@ -142,8 +142,23 @@ def test_adapter_forward_gradcheck_static_table(site):
     h = Tensor(np.random.default_rng(33).standard_normal((4, d_h)), requires_grad=True)
     target = np.random.default_rng(34).standard_normal((4, d_h))
 
-    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, t, site), target),
+    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, [t], site), target),
                            [h, table])
+    assert report.passed, repr(report)
+
+
+def test_adapter_forward_gradcheck_per_segment_tables():
+    # segments 0 and 2 share one table (its gradient sums over both), segment 1 has its own
+    d_h, d_r = 5, 2
+    shared, own = _random_table(35, 2, d_h, d_r), _random_table(36, 2, d_h, d_r)
+    seg = ad.Segments([2, 3, 1])
+    h = Tensor(np.random.default_rng(37).standard_normal((6, d_h)), requires_grad=True)
+    target = np.random.default_rng(38).standard_normal((6, d_h))
+
+    def fn(x, a, b):
+        return ad.mse_loss(adapter_forward(x, [a, b, a], 1, seg), target, seg)
+
+    report = ad.grad_check(fn, [h, shared, own])
     assert report.passed, repr(report)
 
 
@@ -172,7 +187,7 @@ def test_hypernetwork_identity_at_init():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
     table = hyper.generate(spk(SMALL))
     h = Tensor(rng_for(2, "x").normal(size=(4, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, table, 1)
+    out = adapter_forward(h, [table], 1)
     np.testing.assert_array_equal(out.data, h.data)
     _, _, w_up, b_up = split_row(table.data[1], SMALL.d_h, SMALL.d_r)
     assert np.abs(w_up).max() == 0
@@ -215,7 +230,7 @@ def test_hypernetwork_site_index_validated():
     table = hyper.generate(spk(SMALL))
     for site in (2, -1):
         with pytest.raises(InputError):
-            adapter_forward(h, table, site)
+            adapter_forward(h, [table], site)
     with pytest.raises(ShapeError):
         hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)))
 
@@ -225,7 +240,7 @@ def test_hypernetwork_gradients_reach_all_parameters():
     # nudge the up sampler off zero so the down path participates too
     hyper.sampler_up.w.data += 0.01
     h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, hyper.generate(spk(SMALL)), 1)
+    out = adapter_forward(h, [hyper.generate(spk(SMALL))], 1)
     ad.sum_all(out).backward()
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
@@ -238,7 +253,7 @@ def test_hypernetwork_generate_gradcheck():
     v_data = rng_for(12, "v").normal(size=(1, 4))
 
     def fn(v, x, *ps):
-        out = adapter_forward(x, hyper.generate(v), 0)
+        out = adapter_forward(x, [hyper.generate(v)], 0)
         return ad.sum_all(out)
 
     report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()])
@@ -288,7 +303,7 @@ def test_hypernetwork_generate_matches_op_by_op_graph():
 
     def fused_sites():
         shared = hyper.generate(v)  # one table per module, as hooks_for builds it
-        return [ad.sum_all(adapter_forward(h, shared, s)) for s in range(3)]
+        return [ad.sum_all(adapter_forward(h, [shared], s)) for s in range(3)]
 
     fused = run(fused_sites)
     ref = run(lambda: [ad.sum_all(adapter_reference(h, *generate_reference(hyper, v, s)))
@@ -425,7 +440,7 @@ def test_adapted_synthesis_identity_at_init(label):
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
     hooks = adapted.hooks_for(Tensor(spk_vec.reshape(1, -1)))
     assert set(hooks) == {"e", "v", "d"}
-    assert [len(hooks[t]) for t in ("e", "v", "d")] == [2, 2, 2]
+    assert [hooks[t].shape[0] for t in ("e", "v", "d")] == [2, 2, 2]
     out, _ = model.synthesize(phon, spk_vec, hooks=hooks)
     np.testing.assert_array_equal(out, ref)
 
@@ -449,13 +464,18 @@ def test_adapted_synthesis_diverges_once_trained_weights_move():
         assert out.shape[0] != ref.shape[0]
 
 
-def train_args(model, seed=3, frames=15):
+def train_args(model, seed=3, frames=15, phonemes=(1, 4, 2, 7, 3)):
+    """(phonemes, mel, f0, energy, speaker embedding) of one utterance."""
     rng = np.random.default_rng(seed)
-    return (np.array([1, 4, 2, 7, 3], dtype=np.int64),
+    return (np.array(phonemes, dtype=np.int64),
             rng.normal(size=(frames, model.config.n_mels)).astype(np.float32),
             rng.uniform(100.0, 300.0, frames).astype(np.float32),
             rng.uniform(0.2, 1.5, frames).astype(np.float32),
             rng.normal(size=model.config.d_spk).astype(np.float32))
+
+
+def pack_of(*utterances):
+    return Pack(*(list(column) for column in zip(*utterances)))
 
 
 def _forward_train_ops(monkeypatch, model, hooks_fn):
@@ -472,7 +492,8 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
         hooks = hooks_fn(Tensor(args[4].reshape(1, -1)))
-        model.forward_train(*args, RunCtx(training=False), hooks=hooks)
+        model.forward_train(pack_of(args), RunCtx(training=False),
+                            hooks=None if hooks is None else [hooks])
     return counts
 
 
@@ -495,12 +516,51 @@ def test_adapted_forward_train_identity_at_init(label):
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     args = train_args(model, seed=4, frames=12)
-    ref = model.forward_train(*args, RunCtx(training=False))
+    ref = model.forward_train(pack_of(args), RunCtx(training=False))
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    out = model.forward_train(*args, RunCtx(training=False),
-                              hooks=adapted.hooks_for(Tensor(args[4].reshape(1, -1))))
+    out = model.forward_train(pack_of(args), RunCtx(training=False),
+                              hooks=[adapted.hooks_for(Tensor(args[4].reshape(1, -1)))])
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
+
+
+@pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
+def test_packed_adapters_give_each_utterance_its_own_table(label):
+    # moved off identity, so every site acts; in a pack of two speakers each
+    # utterance gets the predictions (and the gradient) it gets alone
+    model = small_model()
+    model.set_ranges((4.5, 6.0), (0.0, 1.0))
+    adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
+    for name, p in adapted.extras.named_parameters():
+        p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
+    utts = [train_args(model, seed=4, frames=12), train_args(model, seed=6, frames=9,
+                                                            phonemes=(3, 1, 5))]
+    trainable = adapted.named_trainable()
+
+    def run(pack_utts):
+        for _, p in trainable:
+            p.grad = None
+        hooks = [adapted.hooks_for(Tensor(u[4].reshape(1, -1))) for u in pack_utts]
+        out = model.forward_train(pack_of(*pack_utts), RunCtx(training=False), hooks=hooks)
+        total = ad.sum_all(out["mel_post"])
+        for key in ("pitch_spec", "energy", "log_dur"):
+            total = ad.add(total, ad.sum_all(out[key]))
+        ad.backward(total)
+        return out, {n: p.grad.copy() for n, p in trainable}
+
+    packed, packed_grads = run(utts)
+    grads = {n: 0.0 for n, _ in trainable}
+    start = 0
+    for u in utts:
+        alone, alone_grads = run([u])
+        rows = slice(start, start + u[1].shape[0])
+        start = rows.stop
+        for key in ("mel_pre", "mel_post", "pitch_spec", "energy"):
+            np.testing.assert_allclose(packed[key].data[rows], alone[key].data, atol=2e-5)
+        grads = {n: grads[n] + alone_grads[n] for n in grads}
+    for n, g in packed_grads.items():
+        np.testing.assert_allclose(g, grads[n], rtol=1e-4, atol=1e-4 * np.abs(grads[n]).max(),
+                                   err_msg=n)
 
 
 def test_tts0_and_ft_add_no_hooks():

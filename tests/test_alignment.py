@@ -13,7 +13,9 @@ from oracles import best_path_durations, enumerate_paths_logsumexp, random_grids
 
 
 def amap_from_logits(logits):
-    return alignment.AlignmentMap(ad.log_softmax(Tensor(np.asarray(logits, dtype=np.float64)), axis=0))
+    """A pack of one map, (1, n, m), from (n, m) logits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return alignment.AlignmentMap(ad.log_softmax(Tensor(logits[None]), axis=1))
 
 
 class TestSoftAlign:
@@ -36,7 +38,7 @@ class TestSoftAlign:
         text = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
         mel = Tensor(rng.standard_normal((13, 8)).astype(np.float32))
         amap = alignment.soft_align(text, mel)
-        np.testing.assert_allclose(np.exp(amap.log_probs.data).sum(axis=0), 1.0, atol=1e-5)
+        np.testing.assert_allclose(np.exp(amap.log_probs.data).sum(axis=1), 1.0, atol=1e-5)
 
     def test_matches_log_softmax_of_negative_squared_distances(self):
         rng = np.random.default_rng(4)
@@ -45,17 +47,49 @@ class TestSoftAlign:
         amap = alignment.soft_align(Tensor(text), Tensor(mel))
         dist = ((text[:, None, :] - mel[None, :, :]) ** 2).sum(-1)
         expected = ad.log_softmax(Tensor(-dist), axis=0).data
-        np.testing.assert_allclose(amap.log_probs.data, expected, atol=1e-12)
+        np.testing.assert_allclose(amap.log_probs.data[0], expected, atol=1e-12)
         assert amap.log_probs.op == "soft_align"
 
     def test_gradient_against_fd(self):
         rng = np.random.default_rng(8)
         text = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         mel = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        weights = ad.constant(rng.standard_normal((4, 7)), dtype=np.float64)
+        weights = ad.constant(rng.standard_normal((1, 4, 7)), dtype=np.float64)
 
         def fn(t, m):
             return ad.sum_all(ad.mul(alignment.soft_align(t, m).log_probs, weights))
+
+        report = ad.grad_check(fn, [text, mel])
+        assert report.passed, repr(report)
+
+    def test_pack_pads_each_map_with_minus_inf(self):
+        # two utterances: 2 phonemes over 5 frames and 3 phonemes over 4
+        rng = np.random.default_rng(9)
+        text = rng.standard_normal((5, 3))
+        mel = rng.standard_normal((9, 3))
+        text_seg, mel_seg = ad.Segments([2, 3]), ad.Segments([5, 4])
+        amap = alignment.soft_align(Tensor(text), Tensor(mel), text_seg, mel_seg)
+        assert amap.log_probs.shape == (2, 3, 5)
+        np.testing.assert_array_equal(amap.n_len, [2, 3])
+        np.testing.assert_array_equal(amap.m_len, [5, 4])
+        for b, (t, m) in enumerate(((slice(0, 2), slice(0, 5)), (slice(2, 5), slice(5, 9)))):
+            alone = alignment.soft_align(Tensor(text[t]), Tensor(mel[m])).log_probs.data[0]
+            n_b, m_b = alone.shape
+            np.testing.assert_allclose(amap.log_probs.data[b, :n_b, :m_b], alone, atol=1e-12)
+            padded = np.ones(amap.log_probs.shape[1:], dtype=bool)
+            padded[:n_b, :m_b] = False
+            assert (amap.log_probs.data[b][padded] == -np.inf).all()
+
+    def test_pack_gradient_against_fd(self):
+        rng = np.random.default_rng(10)
+        text = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        mel = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+        text_seg, mel_seg = ad.Segments([2, 3]), ad.Segments([5, 4])
+
+        def fn(t, m):
+            amap = alignment.soft_align(t, m, text_seg, mel_seg)
+            alignment.viterbi_durations(amap)
+            return ad.add(alignment.forward_sum_loss(amap), alignment.binarization_loss(amap))
 
         report = ad.grad_check(fn, [text, mel])
         assert report.passed, repr(report)
@@ -96,19 +130,19 @@ class TestForwardSumLoss:
 
     def test_two_by_two_forced_path(self):
         amap = amap_from_logits(np.random.default_rng(1).standard_normal((2, 2)))
-        lp = amap.log_probs.data
+        lp = amap.log_probs.data[0]
         loss = alignment.forward_sum_loss(amap)
         assert loss.item() == pytest.approx(-(lp[0, 0] + lp[1, 1]), abs=1e-9)
 
     def test_three_by_six_matches_enumeration(self):
         amap = amap_from_logits(np.random.default_rng(2).standard_normal((3, 6)))
-        want, _ = enumerate_paths_logsumexp(amap.log_probs.data)
+        want, _ = enumerate_paths_logsumexp(amap.log_probs.data[0])
         assert alignment.forward_sum_loss(amap).item() == pytest.approx(want, abs=1e-6)
 
     def test_random_grids_match_enumeration(self):
         for logits in random_grids(60, seed=3):
             amap = amap_from_logits(logits)
-            want, _ = enumerate_paths_logsumexp(amap.log_probs.data)
+            want, _ = enumerate_paths_logsumexp(amap.log_probs.data[0])
             assert alignment.forward_sum_loss(amap).item() == pytest.approx(want, abs=1e-6)
 
     def test_infeasible_rejected(self):
@@ -116,10 +150,10 @@ class TestForwardSumLoss:
             alignment.forward_sum_loss(amap_from_logits(np.zeros((4, 3))))
 
     def test_gradient_against_fd(self):
-        logits = Tensor(np.random.default_rng(4).standard_normal((3, 7)), requires_grad=True)
+        logits = Tensor(np.random.default_rng(4).standard_normal((1, 3, 7)), requires_grad=True)
 
         def fn(x):
-            return alignment.forward_sum_loss(alignment.AlignmentMap(ad.log_softmax(x, axis=0)))
+            return alignment.forward_sum_loss(alignment.AlignmentMap(ad.log_softmax(x, axis=1)))
 
         report = ad.grad_check(fn, [logits])
         assert report.passed, repr(report)
@@ -139,8 +173,8 @@ class TestViterbiDurations:
         for logits in random_grids(200, seed=5):
             amap = amap_from_logits(logits)
             durs = alignment.viterbi_durations(amap)
-            np.testing.assert_array_equal(durs, best_path_durations(amap.log_probs.data))
-            assert durs.sum() == amap.log_probs.shape[1]
+            np.testing.assert_array_equal(durs, best_path_durations(amap.log_probs.data[0]))
+            assert durs.sum() == amap.log_probs.shape[2]
             assert durs.min() >= 1
 
     def test_records_monotonic_hard_path(self):
@@ -176,10 +210,10 @@ class TestBinarizationLoss:
 
     def test_gradient_against_fd(self):
         path = np.array([0, 1, 1, 2])
-        logits = Tensor(np.random.default_rng(7).standard_normal((3, 4)), requires_grad=True)
+        logits = Tensor(np.random.default_rng(7).standard_normal((1, 3, 4)), requires_grad=True)
 
         def fn(x):
-            amap = alignment.AlignmentMap(ad.log_softmax(x, axis=0), hard_path=path)
+            amap = alignment.AlignmentMap(ad.log_softmax(x, axis=1), hard_path=path)
             return alignment.binarization_loss(amap)
 
         report = ad.grad_check(fn, [logits])

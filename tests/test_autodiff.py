@@ -8,6 +8,8 @@ from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, NumericsError, ShapeError, StateError
 from hyperadapt.layers import rng_for
 
+import oracles
+
 
 def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
@@ -96,13 +98,14 @@ class TestOpGradients:
         _fd_check(lambda t: ad.mean_all(ad.tanh(ad.embedding(t, ids))), [table])
 
     def test_concat_narrow_reshape_permute(self):
+        # concat and narrow are the test oracles' plumbing ops
         rng = np.random.default_rng(7)
         a = t64(rng.standard_normal((3, 4)))
         b = t64(rng.standard_normal((3, 2)))
 
         def fn(x, y):
-            joined = ad.concat([x, y], axis=-1)
-            sliced = ad.narrow(joined, 1, 1, 4)
+            joined = oracles.concat([x, y], axis=-1)
+            sliced = oracles.narrow(joined, 1, 1, 4)
             flipped = ad.permute(sliced, (1, 0))
             return ad.mse_loss(ad.reshape(flipped, (12,)), ad.constant(np.arange(12.0), dtype=np.float64))
 
@@ -172,8 +175,8 @@ class TestFusedOps:
         _fd_check(lambda *args: ad.mean_all(ad.tanh(ad.conv1d(*args))), [x, w, b])
 
     @staticmethod
-    def _attention_reference(q, k, v, heads, key_bias, p, rng, training):
-        # the op-by-op graph the fused node replaces
+    def _attention_reference(q, k, v, heads, p, rng, training):
+        # the op-by-op graph the fused node replaces, for one segment
         n, d = q.shape
         hd = d // heads
 
@@ -181,54 +184,64 @@ class TestFusedOps:
             return ad.permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
 
         scores = ad.scale(ad.matmul(split(q), ad.transpose_last(split(k))), 1.0 / np.sqrt(hd))
-        if key_bias is not None:
-            scores = ad.add(scores, Tensor(key_bias))
-        att = ad.dropout(ad.softmax(scores, axis=-1), p, rng, training)
+        att = ad.dropout(ad.softmax(scores, axis=-1), p, [rng], training)
         return ad.reshape(ad.permute(ad.matmul(att, split(v)), (1, 0, 2)), (n, d))
 
     def _qkv(self, seed, n=5, d=6):
         rng = np.random.default_rng(seed)
         return [t64(rng.standard_normal((n, d))) for _ in range(3)]
 
-    def test_attention_with_padded_keys(self):
+    def test_attention_segments_match_separate_calls(self):
+        # one softmax per segment: a pack of two utterances (2 and 3 rows)
+        # gives each the output, gradients and dropout stream it gets alone
         q, k, v = self._qkv(24)
-        key_bias = np.where(np.array([True, True, True, False, False]), 0.0, -1e9)
-        c = ad.constant(np.random.default_rng(25).standard_normal((5, 6)), dtype=np.float64)
+        c = np.random.default_rng(25).standard_normal((5, 6))
+        seg = ad.Segments([2, 3])
+
+        def run(tensors, rows, segments, streams):
+            for t in tensors:
+                t.grad = None
+            rngs = [rng_for(9, "attn-drop", i) for i in streams]
+            out = ad.attention(*tensors, 2, segments, 0.3, rngs, True)
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(c[rows], dtype=np.float64))))
+            return out.data, [t.grad.copy() for t in tensors]
+
+        packed, packed_grads = run([q, k, v], slice(0, 5), seg, [0, 1])
+        for i, rows in enumerate((slice(0, 2), slice(2, 5))):
+            alone = [t64(t.data[rows]) for t in (q, k, v)]
+            out, grads = run(alone, rows, None, [i])
+            np.testing.assert_allclose(packed[rows], out, atol=1e-12)
+            for g_packed, g_alone in zip(packed_grads, grads):
+                np.testing.assert_allclose(g_packed[rows], g_alone, atol=1e-12)
 
         def fn(a, b, e):
-            return ad.sum_all(ad.mul(ad.attention(a, b, e, 2, key_bias), c))
+            return ad.sum_all(ad.mul(ad.attention(a, b, e, 2, seg), ad.constant(c, dtype=np.float64)))
 
         _fd_check(fn, [q, k, v])
-        # padded keys get no weight: their values cannot reach any output
-        out = ad.attention(q, k, v, 2, key_bias).data
-        v2 = t64(v.data.copy())
-        v2.data[3:] += 10.0
-        np.testing.assert_allclose(ad.attention(q, k, v2, 2, key_bias).data, out, atol=1e-12)
 
     def test_attention_dropout_replays_reference_stream(self):
         q, k, v = self._qkv(26)
         c = ad.constant(np.random.default_rng(27).standard_normal((5, 6)), dtype=np.float64)
-        key_bias = np.array([0.0, 0.0, 0.0, 0.0, -1e9])
 
         def run(op):
             for t in (q, k, v):
                 t.grad = None
             rng = rng_for(9, "attn-drop")
-            out = op(q, k, v, 3, key_bias, 0.3, rng, True)
+            out = op(q, k, v, 3, 0.3, rng)
             ad.backward(ad.sum_all(ad.mul(out, c)))
             # the stream continues exactly where a separate dropout op left it
             return out.data, [t.grad.copy() for t in (q, k, v)], rng.random(4)
 
-        fused = run(ad.attention)
-        ref = run(self._attention_reference)
+        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, None, p, [rng], True))
+        ref = run(lambda a, b, e, h, p, rng: self._attention_reference(a, b, e, h, p, rng, True))
         np.testing.assert_allclose(fused[0], ref[0], atol=1e-12)
         for g_fused, g_ref in zip(fused[1], ref[1]):
             np.testing.assert_allclose(g_fused, g_ref, atol=1e-12)
         np.testing.assert_array_equal(fused[2], ref[2])
-        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, key_bias).data)
+        assert not np.allclose(fused[0], ad.attention(q, k, v, 3).data)
 
         def fn(a, b, e):
-            out = ad.attention(a, b, e, 3, key_bias, 0.3, rng_for(9, "attn-drop"), True)
+            out = ad.attention(a, b, e, 3, None, 0.3, [rng_for(9, "attn-drop")], True)
             return ad.sum_all(ad.mul(out, c))
 
         _fd_check(fn, [q, k, v])
@@ -236,9 +249,70 @@ class TestFusedOps:
     def test_attention_inference_matches_reference(self):
         rng = np.random.default_rng(28)
         q, k, v = (Tensor(rng.standard_normal((7, 8)).astype(np.float32)) for _ in range(3))
-        fused = ad.attention(q, k, v, 2, None, 0.1, rng_for(1, "x"), False)
-        ref = self._attention_reference(q, k, v, 2, None, 0.1, rng_for(1, "x"), False)
+        fused = ad.attention(q, k, v, 2, None, 0.1, [rng_for(1, "x")], False)
+        ref = self._attention_reference(q, k, v, 2, 0.1, rng_for(1, "x"), False)
         np.testing.assert_allclose(fused.data, ref.data, atol=1e-6)
+
+
+class TestSegmentOps:
+    """Ops over a pack of utterances stacked along axis 0: each is checked
+    against finite differences on segments of different lengths, and
+    against the same op run on each segment alone."""
+
+    SEG = (2, 4, 3)
+
+    def _packed(self, seed, width):
+        return t64(np.random.default_rng(seed).standard_normal((sum(self.SEG), width)))
+
+    def _per_segment(self, x):
+        starts = np.cumsum((0,) + self.SEG)
+        return [(slice(a, b), t64(x.data[a:b])) for a, b in zip(starts[:-1], starts[1:])]
+
+    def test_conv1d_pads_every_segment(self):
+        rng = np.random.default_rng(30)
+        x = self._packed(31, 2)
+        w = t64(rng.standard_normal((5, 2, 3)))
+        b = t64(rng.standard_normal(3))
+        seg = ad.Segments(self.SEG)
+        _fd_check(lambda *args: ad.mean_all(ad.tanh(ad.conv1d(*args, seg))), [x, w, b])
+        packed = ad.conv1d(x, w, b, seg).data
+        for rows, alone in self._per_segment(x):
+            np.testing.assert_allclose(packed[rows], ad.conv1d(alone, w, b).data, atol=1e-12)
+
+    def test_repeat_rows(self):
+        x = self._packed(32, 3)
+        counts = np.array([2, 0, 1, 3, 1, 0, 2, 1, 1])
+        out = ad.repeat_rows(x, counts)
+        np.testing.assert_array_equal(out.data, np.repeat(x.data, counts, axis=0))
+        _fd_check(lambda a: ad.mean_all(ad.tanh(ad.repeat_rows(a, counts))), [x])
+
+    def test_segment_mean(self):
+        x = self._packed(33, 3)
+        seg = ad.Segments(self.SEG)
+        out = ad.segment_mean(x, seg)
+        for i, (_, alone) in enumerate(self._per_segment(x)):
+            np.testing.assert_allclose(out.data[i], alone.data.mean(axis=0), atol=1e-12)
+        _fd_check(lambda a: ad.sum_all(ad.tanh(ad.segment_mean(a, seg))), [x])
+
+    def test_losses_sum_per_segment_means(self):
+        x = self._packed(34, 2)
+        target = np.random.default_rng(35).standard_normal(x.shape)
+        seg = ad.Segments(self.SEG)
+        for loss in (ad.mse_loss, ad.l1_loss):
+            want = sum(loss(alone, target[rows]).item() for rows, alone in self._per_segment(x))
+            assert loss(x, target, seg).item() == pytest.approx(want, abs=1e-12)
+        _fd_check(lambda a: ad.mse_loss(a, target, seg), [x])
+        _fd_check(lambda a: ad.l1_loss(a, target, seg), [x], eps=1e-7)
+
+    def test_dropout_draws_each_segment_from_its_own_stream(self):
+        x = t64(np.ones((sum(self.SEG), 4)))
+        seg = ad.Segments(self.SEG)
+        packed = ad.dropout(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], True, seg).data
+        for i, (rows, alone) in enumerate(self._per_segment(x)):
+            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], True).data
+            np.testing.assert_array_equal(packed[rows], want)
+        with pytest.raises(InputError):
+            ad.dropout(x, 0.4, [rng_for(3, "drop")], True, seg)
 
 
 class TestExactValues:
@@ -266,23 +340,23 @@ class TestExactValues:
 class TestDropout:
     def test_zero_probability_is_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((8, 4)), requires_grad=True)
-        out = ad.dropout(x, 0.0, rng_for(1, "drop"), training=True)
+        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], training=True)
         assert out is x
 
     def test_inference_is_identity(self):
         x = Tensor(np.ones((8, 4)))
-        out = ad.dropout(x, 0.5, rng_for(1, "drop"), training=False)
+        out = ad.dropout(x, 0.5, [rng_for(1, "drop")], training=False)
         assert out is x
 
     def test_seeded_mask_replays(self):
         x = Tensor(np.ones((64, 16)), requires_grad=True)
-        a = ad.dropout(x, 0.3, rng_for(7, "drop", 0), training=True)
-        b = ad.dropout(x, 0.3, rng_for(7, "drop", 0), training=True)
+        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], training=True)
+        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], training=True)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_kept_entries_are_rescaled(self):
         x = Tensor(np.ones((400, 10)))
-        out = ad.dropout(x, 0.25, rng_for(3, "drop"), training=True)
+        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], training=True)
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(kept.size / out.data.size - 0.75) < 0.05
@@ -303,6 +377,27 @@ class TestBackwardSemantics:
         ad.backward(loss)
         assert x.grad[0] == pytest.approx(8.0, abs=1e-5)
 
+    def test_backward_consumes_the_graph(self):
+        # every interior node lets go of its closure and parents as it runs,
+        # so nothing the forward pass saved outlives the backward pass
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        h = ad.mul(x, x)
+        loss = ad.sum_all(ad.tanh(h))
+        ad.backward(loss)
+        assert h._parents == () and loss._parents == ()
+        with pytest.raises(StateError):
+            ad.backward(loss)
+
+    def test_second_loss_over_a_consumed_subgraph_raises(self):
+        # the first pass released h's closure; a second loss built on h must
+        # not treat it as a leaf and silently drop x's gradient
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        h = ad.tanh(ad.mul(x, x))
+        first, second = ad.sum_all(h), ad.mean_all(h)
+        ad.backward(first)
+        with pytest.raises(StateError):
+            ad.backward(second)
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
@@ -322,7 +417,7 @@ class TestBackwardSemantics:
             rng = rng_for(42, "replay")
             x = Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
-            h = ad.dropout(ad.relu(ad.matmul(x, w)), 0.2, rng_for(42, "drop"), training=True)
+            h = ad.dropout(ad.relu(ad.matmul(x, w)), 0.2, [rng_for(42, "drop")], training=True)
             loss = ad.mean_all(h)
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()

@@ -1,4 +1,4 @@
-"""Backbone blocks: positional table, masking invariants, gradients."""
+"""Backbone blocks: positional table, segment isolation in packs, gradients."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import backbone
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import ConfigError, InputError
+from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 
 D = 8
@@ -29,6 +29,14 @@ class TestSinusoidalTable:
         pe = backbone.sinusoidal_table(40, 16)
         assert np.abs(pe).max() <= 1.0
         assert np.unique(pe.round(4), axis=0).shape[0] == 40
+
+    def test_packed_positions_restart_per_segment_bit_for_bit(self):
+        seg = ad.Segments([3, 300, 1, 7])
+        packed = backbone.positions(seg.total, 16, np.float32, seg)
+        for (start, end), n in zip(seg.bounds, seg.lengths):
+            assert packed[start:end].tobytes() == backbone.sinusoidal_table(n, 16).tobytes()
+        assert backbone.positions(5, 16, np.float32).tobytes() == \
+            backbone.sinusoidal_table(5, 16).tobytes()
 
 
 class TestEncoder:
@@ -55,96 +63,107 @@ class TestEncoder:
         with pytest.raises(InputError):
             self._enc(vocab=5)(np.array([0, 5]), CTX)
 
-    def test_all_masked_rejected(self):
+    def test_layout_must_cover_the_rows(self):
         with pytest.raises(InputError):
-            self._enc()(np.array([1, 2]), CTX, mask=np.array([False, False]))
+            ad.Segments([2, 0])
+        with pytest.raises(ShapeError):
+            self._enc()(np.array([1, 2, 3]), CTX, ad.Segments([1, 1]))
 
-    def test_padded_positions_do_not_change_valid_outputs(self):
+    def test_packed_segments_match_separate_calls(self):
         enc = self._enc(seed=2)
-        ids = np.array([1, 2, 3, 4, 5])
-        base = enc(ids, CTX).data
-        padded_ids = np.concatenate([ids, [7, 9, 7]])
-        mask = np.array([True] * 5 + [False] * 3)
-        padded = enc(padded_ids, CTX, mask=mask).data
-        np.testing.assert_allclose(padded[:5], base, atol=1e-5)
-        # and masked rows are zero after the final block
-        np.testing.assert_array_equal(padded[5:], 0.0)
+        a, b = np.array([1, 2, 3, 4, 5]), np.array([7, 9, 7])
+        packed = enc(np.concatenate([a, b]), CTX, ad.Segments([5, 3])).data
+        np.testing.assert_allclose(packed[:5], enc(a, CTX).data, atol=1e-5)
+        np.testing.assert_allclose(packed[5:], enc(b, CTX).data, atol=1e-5)
 
-    def test_masked_content_is_ignored(self):
+    def test_other_segment_content_is_ignored(self):
         enc = self._enc(seed=3)
-        mask = np.array([True, True, True, False, False])
-        a = enc(np.array([1, 2, 3, 4, 5]), CTX, mask=mask).data
-        b = enc(np.array([1, 2, 3, 9, 10]), CTX, mask=mask).data
-        np.testing.assert_allclose(a[:3], b[:3], atol=1e-5)
+        seg = ad.Segments([3, 2])
+        a = enc(np.array([1, 2, 3, 4, 5]), CTX, seg).data
+        b = enc(np.array([1, 2, 3, 9, 10]), CTX, seg).data
+        np.testing.assert_array_equal(a[:3], b[:3])
 
 
 class TestFFTBlock:
-    def test_all_masked_input_gives_zeros(self):
-        block = backbone.FFTBlock(rng_for(4, "blk"), D, heads=2)
-        h = Tensor(np.random.default_rng(0).standard_normal((4, D)).astype(np.float32))
-        out = block(h, np.zeros(4, dtype=bool), CTX)
-        np.testing.assert_array_equal(out.data, 0.0)
-
     def test_shape_preserved(self):
         block = backbone.FFTBlock(rng_for(5, "blk"), D, heads=2)
         h = Tensor(np.random.default_rng(1).standard_normal((9, D)).astype(np.float32))
-        assert block(h, np.ones(9, dtype=bool), CTX).shape == (9, D)
+        assert block(h, None, CTX).shape == (9, D)
 
     def test_gradient_check(self):
         block = _f64(backbone.FFTBlock(rng_for(6, "blk"), D, heads=2, p_dropout=0.0))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(2).standard_normal((5, D)), requires_grad=True)
         target = ad.constant(np.random.default_rng(3).standard_normal((5, D)), dtype=np.float64)
-        mask = np.ones(5, dtype=bool)
 
         def fn(x):
-            return ad.mse_loss(block(x, mask, CTX), target)
+            return ad.mse_loss(block(x, None, CTX), target)
 
         report = ad.grad_check(fn, [h])
         assert report.passed, repr(report)
 
-    def test_gradient_check_with_padded_keys(self):
-        # the mask path: padded keys are biased out of the fused attention
-        # and padded rows are zeroed after each sub-stack
+    def test_gradient_check_two_segments(self):
+        # a pack of two utterances (4 and 2 rows): one softmax per segment
+        # and conv padding at the boundary
         block = _f64(backbone.FFTBlock(rng_for(9, "blk"), D, heads=2, p_dropout=0.0))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(5).standard_normal((6, D)), requires_grad=True)
         target = ad.constant(np.random.default_rng(6).standard_normal((6, D)), dtype=np.float64)
-        mask = np.array([True, True, True, True, False, False])
+        seg = ad.Segments([4, 2])
         attn = block.attn
-        params = [attn.wq.w, attn.wk.w, attn.wv.b]
+        params = [attn.wq.w, attn.wk.w, attn.wv.b, block.conv1.w]
 
         def fn(x, *_):
-            return ad.mse_loss(block(x, mask, CTX), target)
+            return ad.mse_loss(block(x, seg, CTX), target, seg)
 
         report = ad.grad_check(fn, [h] + params)
         assert report.passed, repr(report)
-        # padded input rows cannot influence the loss
-        np.testing.assert_array_equal(h.grad[4:], 0.0)
+
+    def test_segments_are_isolated_in_outputs_and_gradients(self):
+        # with dropout on: each segment draws from its own stream, and new
+        # content in one segment moves neither the other's outputs nor the
+        # gradient that reaches its rows
+        block = backbone.FFTBlock(rng_for(11, "blk"), D, heads=2, p_dropout=0.2)
+        seg = ad.Segments([4, 3])
+        c = np.random.default_rng(12).standard_normal((7, D)).astype(np.float32)
+
+        def run(rows):
+            h = Tensor(rows, requires_grad=True)
+            ctx = RunCtx([rng_for(3, "dropout", i) for i in range(2)], training=True)
+            out = block(h, seg, ctx)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(c))))
+            return out.data, h.grad
+
+        rows = np.random.default_rng(13).standard_normal((7, D)).astype(np.float32)
+        changed = rows.copy()
+        changed[4:] += 5.0
+        out_a, grad_a = run(rows)
+        out_b, grad_b = run(changed)
+        np.testing.assert_array_equal(out_a[:4], out_b[:4])
+        np.testing.assert_array_equal(grad_a[:4], grad_b[:4])
+        assert np.abs(out_a[4:] - out_b[4:]).max() > 1e-3
 
     def test_dropout_in_training_replays_from_seed(self):
         block = backbone.FFTBlock(rng_for(10, "blk"), D, heads=2, p_dropout=0.2)
         h = Tensor(np.random.default_rng(7).standard_normal((5, D)).astype(np.float32))
-        mask = np.ones(5, dtype=bool)
 
         def run():
-            return block(h, mask, RunCtx(rng_for(3, "dropout"), training=True)).data
+            return block(h, None, RunCtx(rng_for(3, "dropout"), training=True)).data
 
         first = run()
         np.testing.assert_array_equal(first, run())
-        assert np.abs(first - block(h, mask, CTX).data).max() > 1e-4
+        assert np.abs(first - block(h, None, CTX).data).max() > 1e-4
 
     def test_adapter_hook_applies_before_final_norm(self):
         block = backbone.FFTBlock(rng_for(7, "blk"), D, heads=2, p_dropout=0.0)
         h = Tensor(np.random.default_rng(4).standard_normal((4, D)).astype(np.float32))
-        mask = np.ones(4, dtype=bool)
-        plain = block(h, mask, CTX).data
-        hooked = block(h, mask, CTX, adapter=lambda t: t).data
+        plain = block(h, None, CTX).data
+        hooked = block(h, None, CTX, adapter=lambda t: t).data
         np.testing.assert_array_equal(plain, hooked)
         # uniform shifts would be erased by the closing layer norm, so perturb
         # channels unevenly to observe the hook
         probe = Tensor(np.arange(D, dtype=np.float32))
-        shifted = block(h, mask, CTX, adapter=lambda t: ad.add(t, probe)).data
+        shifted = block(h, None, CTX, adapter=lambda t: ad.add(t, probe)).data
         assert np.abs(shifted - plain).max() > 1e-3
 
     def test_indivisible_heads_rejected(self):

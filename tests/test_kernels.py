@@ -1,9 +1,11 @@
-"""Kernel correctness: numba and numpy twins against brute-force oracles."""
+"""Kernel correctness against brute-force oracles; batched alignment DPs
+against the same kernels run one map at a time."""
 
 import numpy as np
 import pytest
 
 from hyperadapt import kernels
+from hyperadapt.errors import InputError
 
 from oracles import best_path_durations, dtw_reference, enumerate_paths_logsumexp, random_grids
 
@@ -37,13 +39,6 @@ class TestForwardSum:
         assert loss == pytest.approx(-np.trace(logp), abs=1e-9)
         np.testing.assert_allclose(np.diag(grad), -1.0, atol=1e-9)
 
-    def test_backend_twins_agree(self):
-        for logp in random_grids(30, seed=7):
-            loss_np, grad_np = kernels.forward_sum_np(logp)
-            loss_active, grad_active = kernels.forward_sum(logp)
-            assert loss_np == pytest.approx(loss_active, abs=1e-10)
-            np.testing.assert_allclose(grad_np, grad_active, atol=1e-10)
-
 
 class TestViterbi:
     def test_matches_enumeration(self):
@@ -58,9 +53,55 @@ class TestViterbi:
             assert durs.sum() == logp.shape[1]
             assert durs.min() >= 1
 
-    def test_backend_twins_agree(self):
-        for logp in random_grids(30, seed=31):
-            np.testing.assert_array_equal(kernels.viterbi_np(logp), kernels.viterbi(logp))
+
+def random_batches(count, seed, ties=False):
+    """(batch, n_len, m_len) of padded (B, n, m) batches whose maps differ in
+    both counts, with finite junk past each map's counts; with `ties`, every
+    third batch holds small integers, so equal paths show."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        b = int(rng.integers(1, 6))
+        n_len = rng.integers(1, 6, size=b)
+        m_len = np.array([int(rng.integers(n, 10)) for n in n_len])
+        shape = (b, n_len.max() + int(rng.integers(0, 2)), m_len.max() + int(rng.integers(0, 2)))
+        if ties and trial % 3 == 2:
+            batch = rng.integers(-2, 1, size=shape).astype(np.float64)
+        else:
+            batch = rng.standard_normal(shape) * 2.0
+        yield batch, n_len, m_len
+
+
+class TestBatchedDPs:
+    def test_each_map_equals_the_kernel_run_on_it_alone_bit_for_bit(self):
+        for batch, n_len, m_len in random_batches(150, seed=41, ties=True):
+            losses, grads = kernels.forward_sum(batch, n_len, m_len)
+            durations = kernels.viterbi(batch, n_len, m_len)
+            for b, (n, m) in enumerate(zip(n_len, m_len)):
+                alone = np.ascontiguousarray(batch[b, :n, :m])
+                loss, grad = kernels.forward_sum(alone)
+                assert losses[b].tobytes() == loss.tobytes()
+                assert np.ascontiguousarray(grads[b, :n, :m]).tobytes() == grad.tobytes()
+                np.testing.assert_array_equal(durations[b, :n], kernels.viterbi(alone))
+                # nothing past a map's counts
+                assert not grads[b, n:].any() and not grads[b, :, m:].any()
+                assert not durations[b, n:].any()
+
+    def test_each_map_matches_path_enumeration(self):
+        for batch, n_len, m_len in random_batches(90, seed=43):
+            losses, grads = kernels.forward_sum(batch, n_len, m_len)
+            durations = kernels.viterbi(batch, n_len, m_len)
+            for b, (n, m) in enumerate(zip(n_len, m_len)):
+                logp = batch[b, :n, :m]
+                want_loss, post = enumerate_paths_logsumexp(logp)
+                assert losses[b] == pytest.approx(want_loss, abs=1e-9)
+                np.testing.assert_allclose(grads[b, :n, :m], -post, atol=1e-9)
+                np.testing.assert_array_equal(durations[b, :n], best_path_durations(logp))
+
+    def test_counts_must_fit_the_grid(self):
+        with pytest.raises(InputError):
+            kernels.forward_sum(np.zeros((2, 3, 4)), [3, 4], [4, 4])
+        with pytest.raises(InputError):
+            kernels.viterbi(np.zeros((2, 3, 4)), [3], [4])
 
 
 class TestConv1d:
@@ -105,18 +146,6 @@ class TestConv1d:
                 want_gw[idx] = (self._oracle(xp, unit) * g).sum()
             np.testing.assert_allclose(gxp, want_gxp, atol=1e-12)
             np.testing.assert_allclose(gw, want_gw, atol=1e-12)
-
-    def test_backward_twins_agree(self):
-        rng = np.random.default_rng(4)
-        for dtype in (np.float32, np.float64):
-            xp = rng.standard_normal((20, 3)).astype(dtype)
-            w = rng.standard_normal((9, 3, 5)).astype(dtype)
-            g = rng.standard_normal((12, 5)).astype(dtype)
-            gx_np, gw_np = kernels.conv1d_backward_np(xp, w, g)
-            gx, gw = kernels.conv1d_backward(xp, w, g)
-            tol = 1e-5 if dtype == np.float32 else 1e-12
-            np.testing.assert_allclose(gx, gx_np, atol=tol)
-            np.testing.assert_allclose(gw, gw_np, atol=tol)
 
 
 class TestDtw:
@@ -172,4 +201,4 @@ class TestDtw:
 
 
 def test_backend_report():
-    assert kernels.ACTIVE_BACKEND in ("numba", "numpy")
+    assert kernels.ACTIVE_BACKEND == "numpy"

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.fft import dct, idct
 
 from hyperadapt.corpus import Utterance
 from hyperadapt.errors import InputError, NumericsError
@@ -13,6 +12,7 @@ from hyperadapt.metrics import (
     EvalReport,
     align_to_reference,
     cos_metric,
+    dct_basis,
     evaluate,
     ffe_metric,
     mcd_metric,
@@ -145,11 +145,25 @@ def test_mcd_ignores_uniform_offset():
 def test_mcd_single_coefficient_closed_form():
     rng = np.random.default_rng(4)
     base = rng.normal(size=(1, 16))
-    coeffs = dct(base, type=2, norm="ortho", axis=1)
-    bumped = coeffs.copy()
+    basis = dct_basis(16)
+    bumped = base @ basis.T
     bumped[0, 1] += 0.1
-    pred = idct(bumped, type=2, norm="ortho", axis=1)
+    pred = bumped @ basis  # the basis is orthonormal: its transpose inverts it
     assert mcd_metric(pred, base) == pytest.approx(MCD_UNIT * 0.1, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 20, 80])
+def test_dct_basis_matches_cosine_sum_definition(n):
+    # orthonormal DCT-II: X_k = s_k sum_j x_j cos(pi k (2j + 1) / 2n),
+    # s_0 = sqrt(1/n), s_k = sqrt(2/n)
+    x = np.random.default_rng(n).normal(size=(3, n))
+    direct = np.zeros((3, n))
+    for k in range(n):
+        s_k = np.sqrt((1.0 if k == 0 else 2.0) / n)
+        for j in range(n):
+            direct[:, k] += s_k * x[:, j] * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    np.testing.assert_allclose(x @ dct_basis(n).T, direct, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(dct_basis(n) @ dct_basis(n).T, np.eye(n), atol=1e-12)
 
 
 def test_mcd_monotone_in_perturbation():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from hyperadapt import autodiff as ad
 from hyperadapt import variance as var_mod
 from hyperadapt.errors import ConfigError, InputError, StateError
 from hyperadapt.layers import RunCtx, rng_for
-from hyperadapt.model import ModelConfig, TTSModel
+from hyperadapt.model import ModelConfig, Pack, TTSModel
 
 CFG = ModelConfig(
     vocab_size=12, n_mels=16, d_h=32, heads=2, enc_layers=2, dec_layers=2,
@@ -35,6 +36,11 @@ def sample_inputs(seed=5, n=6, frames_per=3):
     return phonemes, mel, f0.astype(np.float32), energy, spk
 
 
+def pack_of(*utterances):
+    """A Pack from sample_inputs() tuples."""
+    return Pack(*(list(column) for column in zip(*utterances)))
+
+
 # -----------------------------------------------------------------------------
 # teacher-forced path
 # -----------------------------------------------------------------------------
@@ -44,16 +50,16 @@ def test_forward_train_shapes_and_duration_accounting():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     n, frames = len(phonemes), mel.shape[0]
-    out = model.forward_train(phonemes, mel, f0, energy, spk, RunCtx(training=False))
+    out = model.forward_train(pack_of(sample_inputs()), RunCtx(training=False))
 
     assert out["mel_pre"].data.shape == (frames, CFG.n_mels)
     assert out["mel_post"].data.shape == (frames, CFG.n_mels)
     assert out["log_dur"].data.shape == (n,)
     assert out["energy"].data.shape == (frames,)
-    assert out["amap"].log_probs.data.shape == (n, frames)
+    assert out["amap"].log_probs.data.shape == (1, n, frames)
 
     spec_t, _, _ = var_mod.pitch_targets(f0.astype(np.float64))
-    assert out["pitch_spec"].data.shape == spec_t.shape
+    assert out["pitch_spec"].data.shape == spec_t.T.shape
     assert out["pitch_mean"].data.shape == (1,)
     assert out["pitch_var"].data.shape == (1,)
 
@@ -62,25 +68,70 @@ def test_forward_train_shapes_and_duration_accounting():
     assert (durations >= 1).all()
 
     # columns of the soft alignment are log distributions over phonemes
-    col_mass = np.exp(out["amap"].log_probs.data).sum(axis=0)
+    col_mass = np.exp(out["amap"].log_probs.data).sum(axis=1)
     np.testing.assert_allclose(col_mass, 1.0, atol=1e-5)
 
 
+def test_pack_matches_packs_of_one():
+    # eval mode: a pack of three utterances of different lengths gives each
+    # utterance the predictions it gets alone
+    model = build_model()
+    utts = [sample_inputs(seed=s, n=n, frames_per=f) for s, n, f in ((5, 6, 3), (6, 4, 5), (7, 9, 2))]
+    packed = model.forward_train(pack_of(*utts), RunCtx(training=False))
+    starts = {"p": 0, "f": 0}
+    for b, utt in enumerate(utts):
+        alone = model.forward_train(pack_of(utt), RunCtx(training=False))
+        n, m = len(utt[0]), utt[1].shape[0]
+        p, f = slice(starts["p"], starts["p"] + n), slice(starts["f"], starts["f"] + m)
+        np.testing.assert_array_equal(packed["durations"][p], alone["durations"])
+        for key, rows in (("log_dur", p), ("mel_pre", f), ("mel_post", f), ("pitch_spec", f),
+                          ("energy", f)):
+            np.testing.assert_allclose(packed[key].data[rows], alone[key].data, atol=2e-5,
+                                       err_msg=key)
+        for key in ("pitch_mean", "pitch_var"):
+            np.testing.assert_allclose(packed[key].data[b], alone[key].data[0], atol=2e-5)
+        np.testing.assert_allclose(packed["amap"].log_probs.data[b, :n, :m],
+                                   alone["amap"].log_probs.data[0], atol=2e-5)
+        starts["p"] += n
+        starts["f"] += m
+
+
+def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
+    # one desk forward_train pack records the same tape nodes for 8
+    # utterances as for one
+    desk = TTSModel(ModelConfig(vocab_size=32, n_mels=16, d_h=32, heads=2, enc_layers=2,
+                                dec_layers=2, d_spk=24, d_attn=16, postnet_channels=24,
+                                postnet_layers=3), seed=1)
+    desk.set_ranges(*RANGES)
+    counts = []
+    real = ad.from_op
+
+    def counting(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ad, "from_op", counting)
+    for size in (1, 8):
+        counts.append(0)
+        utts = [sample_inputs(seed=s, n=4 + s % 5) for s in range(size)]
+        ctx = RunCtx([rng_for(0, "drop", s) for s in range(size)], training=True)
+        desk.forward_train(pack_of(*utts), ctx)
+    assert counts[0] == counts[1] == 118
+
+
 def test_forward_train_deterministic_in_eval():
-    phonemes, mel, f0, energy, spk = sample_inputs()
-    a = build_model().forward_train(phonemes, mel, f0, energy, spk, RunCtx(training=False))
-    b = build_model().forward_train(phonemes, mel, f0, energy, spk, RunCtx(training=False))
+    a = build_model().forward_train(pack_of(sample_inputs()), RunCtx(training=False))
+    b = build_model().forward_train(pack_of(sample_inputs()), RunCtx(training=False))
     np.testing.assert_array_equal(a["mel_post"].data, b["mel_post"].data)
     np.testing.assert_array_equal(a["durations"], b["durations"])
 
 
 def test_dropout_seed_controls_training_pass():
     model = build_model()
-    phonemes, mel, f0, energy, spk = sample_inputs()
 
     def run(stream):
         ctx = RunCtx(rng_for(0, "drop", stream), training=True)
-        return model.forward_train(phonemes, mel, f0, energy, spk, ctx)["mel_post"].data
+        return model.forward_train(pack_of(sample_inputs()), ctx)["mel_post"].data
 
     np.testing.assert_array_equal(run(0), run(0))
     assert np.abs(run(0) - run(1)).max() > 0
@@ -90,17 +141,21 @@ def test_forward_train_input_validation():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     with pytest.raises(InputError):
-        model.forward_train(phonemes, mel[: len(phonemes) - 2], f0, energy, spk,
+        model.forward_train(Pack([phonemes], [mel[: len(phonemes) - 2]], [f0], [energy], [spk]),
                             RunCtx(training=False))
     with pytest.raises(InputError):
-        model.forward_train(phonemes, mel, f0, energy, spk[:-1], RunCtx(training=False))
+        model.forward_train(Pack([phonemes], [mel], [f0], [energy], [spk[:-1]]),
+                            RunCtx(training=False))
+    with pytest.raises(InputError):
+        Pack([phonemes], [mel], [f0[:-1]], [energy], [spk])
+    with pytest.raises(InputError):
+        Pack([phonemes, phonemes], [mel, mel], [f0, f0], [energy, energy], [spk, spk[:-1]])
 
 
 def test_ranges_must_be_set_before_training_pass():
     model = TTSModel(CFG, seed=3)  # no set_ranges
-    phonemes, mel, f0, energy, spk = sample_inputs()
     with pytest.raises(StateError):
-        model.forward_train(phonemes, mel, f0, energy, spk, RunCtx(training=False))
+        model.forward_train(pack_of(sample_inputs()), RunCtx(training=False))
 
 
 # -----------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from hyperadapt.training import (
     lr_at,
 )
 
+from oracles import adam_reference
+
 TRAIN_CFG = ModelConfig(
     vocab_size=32, n_mels=20, d_h=24, heads=2, enc_layers=1, dec_layers=1,
     d_spk=24, d_attn=12, postnet_channels=16, postnet_layers=3,
@@ -133,31 +135,36 @@ def test_loss_weights_gate_and_ramp():
 
 
 class _EchoModel:
-    """Returns the training targets themselves; every component must be 0."""
+    """Returns the training targets of a pack of one-phoneme utterances
+    themselves; every component must be 0."""
 
-    def forward_train(self, phonemes, mel, f0, energy, spk, ctx, hooks=None):
-        frames = mel.shape[0]
-        durations = np.array([frames], dtype=np.int64)  # one phoneme, every frame
-        spec, mean, var = var_mod.pitch_targets(f0.astype(np.float64))
-        amap = AlignmentMap(Tensor(np.zeros((1, frames), dtype=np.float32)),
-                            hard_path=np.zeros(frames, dtype=np.int64))
+    def __init__(self, f0s):
+        self.f0s = f0s
+
+    def forward_train(self, pack, ctx, hooks=None):
+        frames = pack.frames_seg.lengths
+        durations = frames.copy()  # one phoneme, every frame
+        targets = [var_mod.pitch_targets(f0.astype(np.float64)) for f0 in self.f0s]
+        amap = AlignmentMap(Tensor(np.zeros((len(frames), 1, frames.max()), dtype=np.float32)),
+                            np.ones(len(frames), dtype=np.int64), frames,
+                            hard_path=np.zeros(frames.sum(), dtype=np.int64))
         return {
-            "mel_pre": Tensor(np.asarray(mel, dtype=np.float32)),
-            "mel_post": Tensor(np.asarray(mel, dtype=np.float32)),
+            "mel_pre": Tensor(pack.mel),
+            "mel_post": Tensor(pack.mel),
             "log_dur": Tensor(np.log(durations).astype(np.float32)),
-            "pitch_spec": Tensor(spec.astype(np.float32)),
-            "pitch_mean": Tensor(np.array([mean], dtype=np.float32)),
-            "pitch_var": Tensor(np.array([var], dtype=np.float32)),
-            "energy": Tensor(energy.astype(np.float32)),
+            "pitch_spec": Tensor(np.concatenate([t[0].T for t in targets]).astype(np.float32)),
+            "pitch_mean": Tensor(np.array([t[1] for t in targets], dtype=np.float32)),
+            "pitch_var": Tensor(np.array([t[2] for t in targets], dtype=np.float32)),
+            "energy": Tensor(pack.energy.astype(np.float32)),
             "amap": amap,
             "durations": durations,
         }
 
 
-def _toy_utterance(frames=24):
-    rng = np.random.default_rng(4)
+def _toy_utterance(frames=24, seed=4):
+    rng = np.random.default_rng(seed)
     return Utterance(
-        utt_id="toy", speaker="spk", split="train",
+        utt_id=f"toy{seed}", speaker="spk", split="train",
         phonemes=np.array([1]),
         mel=rng.normal(size=(frames, 6)).astype(np.float32),
         f0=rng.uniform(100.0, 200.0, frames).astype(np.float32),
@@ -167,7 +174,8 @@ def _toy_utterance(frames=24):
 
 def test_exact_predictions_zero_every_component():
     sched = adaptation_schedule(steps=10)
-    total, bd = compute_losses(_EchoModel(), _toy_utterance(), 1, sched,
+    utts = [_toy_utterance(), _toy_utterance(frames=17, seed=5)]
+    total, bd = compute_losses(_EchoModel([u.f0 for u in utts]), utts, 1, sched,
                                RunCtx(training=False))
     assert all(bd.components[k] == 0.0 for k in LOSS_NAMES)
     assert bd.total == 0.0
@@ -179,7 +187,7 @@ def test_total_matches_manual_weighted_sum(pretrained, corpus_manifest):
     model = tr.load_checkpoint(ck).model
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
-    total, bd = compute_losses(model, utt, 5, sched, RunCtx(training=False))
+    total, bd = compute_losses(model, [utt], 5, sched, RunCtx(training=False))
     manual = sum(bd.weights[k] * bd.components[k] for k in LOSS_NAMES)
     assert bd.total == pytest.approx(manual, abs=1e-9)
     # the graph scalar is the same quantity accumulated in float32
@@ -193,7 +201,7 @@ def test_gated_components_stay_out_of_graph(pretrained, corpus_manifest):
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     sched = ScheduleConfig(warmup_steps=2, milestones=(20,), duration_start_step=10,
                            total_steps=30)
-    total, bd = compute_losses(model, utt, 0, sched, RunCtx(training=False))
+    total, bd = compute_losses(model, [utt], 0, sched, RunCtx(training=False))
     # gated components are still reported for the log
     assert bd.components["duration"] > 0.0
     assert bd.weights["duration"] == 0.0
@@ -216,7 +224,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     sched = adaptation_schedule(steps=10)
 
     def loss():
-        total, _ = compute_losses(model, utt, 5, sched, RunCtx(training=False))
+        total, _ = compute_losses(model, [utt], 5, sched, RunCtx(training=False))
         return total
 
     picks = []
@@ -244,7 +252,7 @@ def test_nonfinite_component_is_named(pretrained, corpus_manifest):
     model.encoder.embed.table.data[:] = np.nan
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     with pytest.raises(NumericsError, match="mel_pre"):
-        compute_losses(model, utt, 5, adaptation_schedule(steps=10),
+        compute_losses(model, [utt], 5, adaptation_schedule(steps=10),
                        RunCtx(training=False))
 
 
@@ -280,7 +288,7 @@ def _named_tensor_set(seed):
 
 def _grads_at(t, params):
     rng = rng_for(1, "grad", t)
-    return {name: rng.normal(size=p.data.shape).astype(np.float32) for name, p in params}
+    return np.concatenate([rng.normal(size=p.size).astype(np.float32) for _, p in params])
 
 
 def test_adam_state_roundtrip_continues_identically():
@@ -305,11 +313,24 @@ def test_adam_state_roundtrip_continues_identically():
         assert p.data.tobytes() == q.data.tobytes()
 
 
+def test_adam_flat_update_matches_per_tensor_bit_for_bit():
+    flat_params, ref_params = _named_tensor_set(3), _named_tensor_set(3)
+    opt = Adam(flat_params)
+    steps = [_grads_at(t, flat_params) for t in range(5)]
+    lrs = [1e-2, 2e-2, 5e-3, 1e-2, 3e-2]
+    for grad, lr in zip(steps, lrs):
+        opt.step(grad, lr)
+    adam_reference(ref_params, [dict(tr.per_tensor(ref_params, g)) for g in steps], lrs)
+    for (name, p), (_, q) in zip(flat_params, ref_params):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert np.shares_memory(p.data, opt.flat), name
+
+
 def test_adam_descends_a_quadratic():
     x = Tensor(np.array([3.0], dtype=np.float32))
     opt = Adam([("x", x)])
     for _ in range(200):
-        opt.step({"x": x.data.copy()}, lr=0.1)  # grad of 0.5 x^2 is x
+        opt.step(x.data.copy(), lr=0.1)  # grad of 0.5 x^2 is x
     assert abs(float(x.data[0])) < 0.5
 
 
@@ -427,29 +448,24 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_manife
     trainable = list(model.named_parameters())
 
     def batch_loss():
-        return float(np.mean([
-            compute_losses(model, u, 5, sched, RunCtx(training=False))[1].total
-            for u in batch
-        ]))
+        return compute_losses(model, batch, 5, sched, RunCtx(training=False))[1].total
 
     before = batch_loss()
-    grads = {name: np.zeros_like(p.data) for name, p in trainable}
-    for u in batch:
-        total, _ = compute_losses(model, u, 5, sched, RunCtx(training=False))
-        for name, g in ad.grads_for(total, trainable).items():
-            grads[name] += g / len(batch)
-    Adam(trainable).step(grads, lr=1e-6)
+    total, _ = compute_losses(model, batch, 5, sched, RunCtx(training=False))
+    grads = ad.grads_for(total, trainable)
+    flat = np.concatenate([grads[name].reshape(-1) / len(batch) for name, _ in trainable])
+    Adam(trainable).step(flat, lr=1e-6)
     assert batch_loss() <= before
 
 
 class _GradRecorder:
-    """Stands in for Adam: keeps each step's gradients, changes nothing."""
+    """Stands in for Adam: keeps each step's flat gradient, changes nothing."""
 
     def __init__(self):
         self.steps = []
 
-    def step(self, grads, lr):
-        self.steps.append({name: g.copy() for name, g in grads.items()})
+    def step(self, grad, lr):
+        self.steps.append(grad.copy())
 
 
 def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
@@ -458,6 +474,25 @@ def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
         log=tr._LossLog(str(tmp_path / "log.tsv")), val_utterances=None, val_log=None,
         ckpt_every=sched.total_steps, save_fn=lambda done: None,
     )
+
+
+def _split(flat, trainable):
+    assert flat.size == sum(p.size for _, p in trainable)
+    return dict(tr.per_tensor(trainable, flat))
+
+
+def _packs_of_one(model, trainable, batch, sched, seed=7):
+    """(mean of the logged totals, mean gradient) with every utterance run
+    as a pack of one under its own dropout stream."""
+    expected = {name: np.zeros_like(p.data) for name, p in trainable}
+    totals = []
+    for pos, utt in enumerate(batch):
+        ctx = RunCtx(rng_for(seed, "dropout", 0, pos), training=True)
+        total, bd = compute_losses(model, [utt], 0, sched, ctx)
+        totals.append(bd.total)
+        for name, g in ad.grads_for(total, trainable).items():
+            expected[name] += g / len(batch)
+    return float(np.mean(totals)), expected
 
 
 def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifest, tmp_path):
@@ -469,17 +504,40 @@ def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifes
     rec = _GradRecorder()
     _run_one_step(model, trainable, train, sched, rec, tmp_path)
 
-    expected = {name: np.zeros_like(p.data) for name, p in trainable}
-    for pos, idx in enumerate(tr._Batcher(7, len(train), 3).batch(0)):
-        ctx = RunCtx(rng_for(7, "dropout", 0, pos), training=True)
-        total, _ = compute_losses(model, train[idx], 0, sched, ctx)
-        for name, g in ad.grads_for(total, trainable).items():
-            expected[name] += g / 3
-    assert len(rec.steps) == 1 and set(rec.steps[0]) == set(expected)
-    for name, g in rec.steps[0].items():
+    batch = [train[idx] for idx in tr._Batcher(7, len(train), 3).batch(0)]
+    _, expected = _packs_of_one(model, trainable, batch, sched)
+    assert len(rec.steps) == 1
+    for name, g in _split(rec.steps[0], trainable).items():
         assert g.dtype == np.float32, name
         scale = max(float(np.abs(expected[name]).max()), 1e-3)
         np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)
+
+
+def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpus_manifest,
+                                                                tmp_path):
+    # a full desk-size pack, dropout on, utterances of different lengths.
+    # float32 sums run in another order, so entries are compared at 1e-6 of
+    # the step's largest gradient entry; tensors whose exact gradient is 0
+    # (attention key biases) carry only that rounding
+    ck, _ = pretrained
+    model = tr.load_checkpoint(ck).model
+    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    sched = dataclasses.replace(SCHED, total_steps=1, batch_size=8)
+    trainable = list(model.named_parameters())
+    rec = _GradRecorder()
+    _run_one_step(model, trainable, train, sched, rec, tmp_path)
+
+    batch = [train[idx] for idx in tr._Batcher(7, len(train), 8).batch(0)]
+    assert len({u.mel.shape[0] for u in batch}) > 1
+    ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(8)], training=True)
+    packed_total, packed_bd = compute_losses(model, batch, 0, sched, ctx)
+    mean_total, expected = _packs_of_one(model, trainable, batch, sched)
+    assert packed_bd.total == pytest.approx(mean_total, rel=1e-5)
+    assert float(packed_total.data) / 8 == pytest.approx(mean_total, rel=1e-5)
+    got = _split(rec.steps[0], trainable)
+    top = max(float(np.abs(g).max()) for g in expected.values())
+    for name, g in got.items():
+        np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * top, err_msg=name)
 
 
 def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpus_manifest,
@@ -507,11 +565,13 @@ def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpu
 
 
 def test_finite_guard_reports_first_bad_tensor_only_on_failure():
-    finite = {"a": np.ones(3, np.float32), "b": np.full(2, 3e38, np.float32)}
-    tr.check_finite_grads(finite, 4)  # the summed check overflows; no entry is bad
-    bad = {"a": np.ones(3), "b": np.array([1.0, np.inf]), "c": np.array([np.nan])}
+    params = [(name, Tensor(np.zeros(size, np.float32))) for name, size in (("a", 3), ("b", 2),
+                                                                            ("c", 1))]
+    finite = np.array([1, 1, 1, 3e38, 3e38, 1], np.float32)
+    tr.check_finite_grads(finite, 4, params)  # the summed check overflows; no entry is bad
+    bad = np.array([1.0, 1.0, 1.0, 1.0, np.inf, np.nan])
     with pytest.raises(NumericsError, match="for b at step 9"):
-        tr.check_finite_grads(bad, 9)
+        tr.check_finite_grads(bad, 9, params)
 
 
 # -----------------------------------------------------------------------------
@@ -584,7 +644,7 @@ def test_adapted_checkpoint_reloads_with_hooks(adapted):
     emb[0] = 1.0
     hooks = loaded.hooks_for(emb)
     assert set(hooks) == {"e", "v"}
-    assert len(hooks["e"]) == TRAIN_CFG.enc_layers and len(hooks["v"]) == 2
+    assert hooks["e"].shape[0] == TRAIN_CFG.enc_layers and hooks["v"].shape[0] == 2
 
 
 def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_manifest,

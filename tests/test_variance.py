@@ -174,9 +174,20 @@ class TestPredictors:
         va = variance.VarianceAdapter(rng_for(1, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(0).standard_normal((9, self.D)).astype(np.float32))
         spec, mean, var = va.pitch(h, self._ctx())
-        assert spec.shape == (variance.N_SCALES, 9)
+        assert spec.shape == (9, variance.N_SCALES)
         assert mean.shape == (1,)
         assert var.shape == (1,)
+
+    def test_pitch_statistics_pool_each_segment(self):
+        va = variance.VarianceAdapter(rng_for(13, "va"), self.D, d_spk=6)
+        h = np.random.default_rng(2).standard_normal((9, self.D)).astype(np.float32)
+        spec, mean, var = va.pitch(Tensor(h), self._ctx(), ad.Segments([4, 5]))
+        assert spec.shape == (9, variance.N_SCALES) and mean.shape == var.shape == (2,)
+        for b, rows in enumerate((slice(0, 4), slice(4, 9))):
+            spec_b, mean_b, var_b = va.pitch(Tensor(h[rows]), self._ctx())
+            np.testing.assert_allclose(spec.data[rows], spec_b.data, atol=1e-5)
+            np.testing.assert_allclose(mean.data[b], mean_b.data[0], atol=1e-5)
+            np.testing.assert_allclose(var.data[b], var_b.data[0], atol=1e-5)
 
     def test_prediction_against_itself_has_zero_loss(self):
         va = variance.VarianceAdapter(rng_for(2, "va"), self.D, d_spk=6)
@@ -192,7 +203,7 @@ class TestPredictors:
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
         h = Tensor(np.random.default_rng(4).standard_normal((6, self.D)), requires_grad=True)
-        t_spec = ad.constant(np.random.default_rng(5).standard_normal((variance.N_SCALES, 6)), dtype=np.float64)
+        t_spec = ad.constant(np.random.default_rng(5).standard_normal((6, variance.N_SCALES)), dtype=np.float64)
         ctx = RunCtx(training=False)
 
         def fn(x):
@@ -241,3 +252,15 @@ class TestPredictors:
         out = va.condition(h, spk)
         rows = np.unique(out.data.round(6), axis=0)
         assert rows.shape[0] == 1
+
+    def test_condition_gives_each_segment_its_own_speaker(self):
+        va = variance.VarianceAdapter(rng_for(14, "va"), self.D, d_spk=6)
+        h = Tensor(np.zeros((5, self.D), dtype=np.float32))
+        spk = np.random.default_rng(1).standard_normal((2, 6)).astype(np.float32)
+        out = va.condition(h, Tensor(spk), ad.Segments([2, 3])).data
+        for rows, b in ((slice(0, 2), 0), (slice(2, 5), 1)):
+            alone = va.condition(Tensor(np.zeros((1, self.D), dtype=np.float32)), Tensor(spk[b:b + 1]))
+            np.testing.assert_allclose(out[rows], np.repeat(alone.data, rows.stop - rows.start, 0),
+                                       atol=1e-6)
+        with pytest.raises(InputError):
+            va.condition(h, Tensor(spk), ad.Segments([5]))
