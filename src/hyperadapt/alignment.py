@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from . import featio, kernels
+from . import kernels
 from .autodiff import Tensor
 from .errors import InfeasibleAlignmentError, InputError, StateError
 from .layers import Conv1d, Module
@@ -161,14 +161,3 @@ def binarization_loss(amap):
         return (gl,)
 
     return ad.from_op(np.asarray(value, dtype=logp.data.dtype), (logp,), grad_fn, "binarization")
-
-
-def dump_alignment(amap, logits_path, path_path=None):
-    """Debug artifact: the first map of the pack, its valid (n, m) region of
-    the soft map (and its hard path when present), as feature files."""
-    n, m = int(amap.n_len[0]), int(amap.m_len[0])
-    featio.write_array(logits_path, amap.log_probs.data[0, :n, :m].astype(np.float32))
-    if path_path is not None:
-        if amap.hard_path is None:
-            raise StateError("dump_alignment: no hard path to dump")
-        featio.write_array(path_path, amap.hard_path[:m].astype(np.int64))

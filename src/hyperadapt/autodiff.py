@@ -19,17 +19,17 @@ from its own stream), `repeat_rows` (one row per segment or phoneme spread
 over its rows), `segment_mean` and the losses (per-segment means, summed).
 Without a layout an op treats all rows as one segment.
 
-The op set is exactly what the acoustic model needs: matmul (2D and stacked
-3D), the fused affine map `linear` (matmul plus bias), 1D convolution with
-its bias, the fused multi-head attention core (head split, scaled scores,
-softmax, seeded dropout, weighted sum, head merge), ReLU/tanh, softmax and
-log-softmax, layer norm, seeded dropout, embedding lookup, row repetition,
-elementwise add/sub/mul, sum/mean reductions, MSE/L1 losses, and
-reshape/permute plumbing. Fused ops carry hand-written gradients and record
-one tape node each. Two more fused ops live next to their only caller in
-`adaptation`: `HyperNetwork.generate` (a module's whole adapter table from
-the speaker embedding) and `adapter_forward` (one bottleneck adapter site
-applied from each segment's own table).
+The op set is exactly what the acoustic model needs: the fused affine map
+`linear` (matmul plus bias), 1D convolution with its bias, the fused
+multi-head attention core (head split, scaled scores, softmax, seeded
+dropout, weighted sum, head merge), ReLU/tanh, layer norm, seeded dropout,
+embedding lookup, row repetition, elementwise add and scaling, the full sum
+and per-segment mean, MSE/L1 losses, and reshape. Fused ops carry
+hand-written gradients and record one tape node each. Two more fused ops
+live next to their only caller in `adaptation`: `HyperNetwork.generate` (a
+module's whole adapter table from the speaker embedding) and
+`adapter_forward` (one bottleneck adapter site applied from each segment's
+own table).
 
 Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).
@@ -81,21 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.data.shape}, grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def backward(self):
-        backward(self)
 
 
 def from_op(data, parents, grad_fn, op):
@@ -201,7 +186,7 @@ def _broadcast_kind(op, a, b):
     raise ShapeError(op, f"cannot broadcast {b.shape} onto {a.shape} (trailing axis mismatch)")
 
 
-def _reduce_to(g, kind, shape):
+def _reduce_to(g, kind):
     if kind == "same":
         return g
     if kind == "scalar":
@@ -218,36 +203,9 @@ def add(a, b):
     out_data = a.data + b.data
 
     def grad_fn(g):
-        return g, _reduce_to(g, kind, b.shape)
+        return g, _reduce_to(g, kind)
 
     return from_op(out_data, (a, b), grad_fn, "add")
-
-
-def sub(a, b):
-    a = _coerce("sub", a)
-    b = _coerce("sub", b, like=a)
-    _check_same_dtype("sub", a, b)
-    kind = _broadcast_kind("sub", a, b)
-    out_data = a.data - b.data
-
-    def grad_fn(g):
-        return g, -_reduce_to(g, kind, b.shape)
-
-    return from_op(out_data, (a, b), grad_fn, "sub")
-
-
-def mul(a, b):
-    a = _coerce("mul", a)
-    b = _coerce("mul", b, like=a)
-    _check_same_dtype("mul", a, b)
-    kind = _broadcast_kind("mul", a, b)
-    ad, bd = a.data, b.data
-    out_data = ad * bd
-
-    def grad_fn(g):
-        return g * bd, _reduce_to(g * ad, kind, b.shape)
-
-    return from_op(out_data, (a, b), grad_fn, "mul")
 
 
 def scale(a, c):
@@ -257,40 +215,6 @@ def scale(a, c):
         return (g * c,)
 
     return from_op(a.data * a.dtype.type(c), (a,), grad_fn, "scale")
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-# -----------------------------------------------------------------------------
-# matmul: 2D @ 2D, 3D @ 3D (matching batch), 3D @ 2D
-# -----------------------------------------------------------------------------
-
-
-def matmul(a, b):
-    _check_same_dtype("matmul", a, b)
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.ndim > 3 or bd.ndim > 3:
-        raise ShapeError("matmul", f"ranks {ad.ndim} and {bd.ndim} unsupported (need 2 or 3)")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(
-            "matmul", f"inner axes differ: {ad.shape} @ {bd.shape} ({ad.shape[-1]} vs {bd.shape[-2]})"
-        )
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError("matmul", f"batch axes differ: {ad.shape[0]} vs {bd.shape[0]}")
-    out_data = np.matmul(ad, bd)
-
-    def grad_fn(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        if ga.ndim > ad.ndim:
-            ga = ga.sum(axis=0)
-        if gb.ndim > bd.ndim:
-            gb = gb.sum(axis=0)
-        return ga, gb
-
-    return from_op(out_data, (a, b), grad_fn, "matmul")
 
 
 def linear(x, w, b=None):
@@ -325,24 +249,6 @@ def reshape(a, shape):
     return from_op(a.data.reshape(shape), (a,), grad_fn, "reshape")
 
 
-def permute(a, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        return (g.transpose(inv),)
-
-    return from_op(a.data.transpose(axes), (a,), grad_fn, "permute")
-
-
-def transpose_last(a):
-    nd = a.data.ndim
-    if nd < 2:
-        raise ShapeError("transpose_last", f"rank {nd} has no trailing axis pair")
-    axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
-    return permute(a, axes)
-
-
 # -----------------------------------------------------------------------------
 # nonlinearities and normalization
 # -----------------------------------------------------------------------------
@@ -365,31 +271,6 @@ def tanh(a):
         return (g * (1.0 - out_data * out_data),)
 
     return from_op(out_data, (a,), grad_fn, "tanh")
-
-
-def softmax(a, axis=-1):
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return from_op(y, (a,), grad_fn, "softmax")
-
-
-def log_softmax(a, axis=-1):
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def grad_fn(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return from_op(y, (a,), grad_fn, "log_softmax")
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
@@ -642,24 +523,6 @@ def sum_all(a):
     return from_op(_add_reduce(a.data, axis=None), (a,), grad_fn, "sum")
 
 
-def mean_all(a):
-    n = a.size
-
-    def grad_fn(g):
-        return (np.full_like(a.data, g / n),)
-
-    return from_op(_add_reduce(a.data, axis=None) / n, (a,), grad_fn, "mean")
-
-
-def mean_axis(a, axis):
-    n = a.shape[axis]
-
-    def grad_fn(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return from_op(_add_reduce(a.data, axis=axis) / n, (a,), grad_fn, "mean_axis")
-
-
 def segment_mean(a, seg=None):
     """(B, ...) mean over each segment's rows of a packed tensor, one node;
     (1, ...) without a layout."""
@@ -794,14 +657,6 @@ def backward(loss):
                 pg = conformed
             cur = parent.grad
             parent.grad = pg if cur is None else cur + pg
-
-
-def grads_for(loss, params):
-    """Run backward and return one gradient array per param, zeros if untouched."""
-    for _, p in params:
-        p.grad = None
-    backward(loss)
-    return {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in params}
 
 
 # -----------------------------------------------------------------------------

@@ -52,7 +52,9 @@ class MultiHeadAttention(Module):
             raise ConfigError(f"hidden size {d_h} not divisible by {heads} heads")
         self.heads = heads
         self.wq = Dense(rng, d_h, d_h)
-        self.wk = Dense(rng, d_h, d_h)
+        # no key bias: q . b_k is the same for every key of a query, so the
+        # softmax cancels it and its gradient is exactly zero
+        self.wk = Dense(rng, d_h, d_h, bias=False)
         self.wv = Dense(rng, d_h, d_h)
         self.wo = Dense(rng, d_h, d_h)
         self.p_dropout = p_dropout

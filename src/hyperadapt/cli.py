@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage (bad flags, bad config, bad inputs),
 """
 
 import argparse
-import copy
 import dataclasses
 import hashlib
 import json
@@ -28,7 +27,7 @@ from .autodiff import Tensor
 from .corpus import CorpusSpec, synthetic_embedding
 from .errors import ConfigError, HyperadaptError, InputError, StateError
 from .features import FeatureConfig, mel_to_waveform, write_wav
-from .model import ModelConfig
+from .model import ModelConfig, TTSModel
 from .training import ScheduleConfig, adaptation_schedule
 
 CONFIG_DIR_ENV = "HYPERADAPT_CONFIG_DIR"
@@ -158,10 +157,6 @@ def _schedule(cfg):
     return ScheduleConfig(**data)
 
 
-def _site_counts(model_config):
-    return {"e": model_config.enc_layers, "v": 2, "d": model_config.dec_layers}
-
-
 def _require_path(cfg, key, flag):
     value = cfg["paths"][key]
     if not value:
@@ -169,13 +164,6 @@ def _require_path(cfg, key, flag):
     if not os.path.exists(value):
         raise InputError(f"{key} does not exist: {value}")
     return value
-
-
-def _backbone_param_count(model_config):
-    from .model import TTSModel
-
-    model = TTSModel(model_config, seed=0)
-    return sum(p.data.size for _, p in model.named_parameters())
 
 
 def _speaker_centroid(utterances):
@@ -277,15 +265,18 @@ def _cmd_synthesize(cfg):
     return 0
 
 
-def _trainable_for_checkpoint(loaded, model_config):
+def _trainable_count(strategy, model):
+    backbone = model.param_count() if strategy.name == "ft" else None
+    return count_trainable_params(strategy, backbone_param_count=backbone,
+                                  site_counts=model.site_counts())
+
+
+def _trainable_for_checkpoint(loaded):
     strategy_label = loaded.meta.get("strategy", "")
     if not strategy_label or strategy_label == "tts0":
         return 0
     dims = AdapterDims(**loaded.meta["adapter_dims"])
-    strategy = StrategyConfig.parse(strategy_label, dims)
-    backbone = _backbone_param_count(model_config) if strategy_label == "ft" else None
-    return count_trainable_params(strategy, backbone_param_count=backbone,
-                                  site_counts=_site_counts(model_config))
+    return _trainable_count(StrategyConfig.parse(strategy_label, dims), loaded.model)
 
 
 def _cmd_evaluate(cfg):
@@ -318,8 +309,8 @@ def _cmd_evaluate(cfg):
 
     report = metrics.evaluate(
         synth, utts, lambda mel: synthetic_embedding(mel, d_spk),
-        trainable_params=_trainable_for_checkpoint(loaded, model.config),
-        backbone_params=_backbone_param_count(model.config),
+        trainable_params=_trainable_for_checkpoint(loaded),
+        backbone_params=model.param_count(),
         n_coeffs=section["coeffs"],
     )
     path = report.write(run_dir)
@@ -333,11 +324,7 @@ def _cmd_evaluate(cfg):
 
 def _cmd_params(cfg):
     strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], _dims(cfg))
-    model_config = _model_config(cfg)
-    backbone = _backbone_param_count(model_config) if strategy.name == "ft" else None
-    count = count_trainable_params(strategy, backbone_param_count=backbone,
-                                   site_counts=_site_counts(model_config))
-    print(count)
+    print(_trainable_count(strategy, TTSModel(_model_config(cfg), seed=0)))
     return 0
 
 

@@ -18,7 +18,7 @@ at evaluation time without knowing how the corpus was built.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,21 +238,6 @@ def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
         v = v + jitter * noise / np.linalg.norm(noise)
         v = v / np.linalg.norm(v)
     return v.astype(np.float32)
-
-
-def speaker_embed(features, mode, d_spk=None, path=None, jitter=0.0, stream=()):
-    """Embedding provisioning: 'file' loads a stored vector, 'synthetic'
-    derives one from the utterance's mel."""
-    if mode == "file":
-        vec = featio.read_array(path)
-        if vec.ndim != 1 or (d_spk is not None and vec.shape[0] != d_spk):
-            raise InputError(f"stored embedding {vec.shape} does not match d_spk={d_spk}")
-        return vec.astype(np.float32)
-    if mode == "synthetic":
-        if d_spk is None:
-            raise InputError("synthetic embedding needs d_spk")
-        return synthetic_embedding(features, d_spk, jitter=jitter, stream=stream)
-    raise InputError(f"unknown embedding mode {mode!r}")
 
 
 # -----------------------------------------------------------------------------

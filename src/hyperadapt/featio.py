@@ -19,9 +19,10 @@ the same bytes always come back out after a load/save round trip.
 """
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,35 +164,45 @@ def write_manifest(path, entries):
     os.replace(tmp, path)
 
 
-def read_manifest(path, check_paths=True):
+def read_manifest(path):
+    """Every entry of a manifest, each checked to be a JSON object of string
+    fields whose feature files exist; anything else is an InputError."""
     base = os.path.dirname(os.path.abspath(path))
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        lines = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
     entries = []
     seen = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise InputError(f"{path}:{lineno}: bad record ({e})") from None
-            unknown = set(rec) - _ENTRY_KEYS
-            if unknown:
-                raise InputError(f"{path}:{lineno}: unknown manifest keys {sorted(unknown)}")
-            missing = _REQUIRED_KEYS - set(rec)
-            if missing:
-                raise InputError(f"{path}:{lineno}: missing manifest keys {sorted(missing)}")
-            entry = ManifestEntry(**rec)
-            if entry.utt_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate utterance id {entry.utt_id}")
-            seen.add(entry.utt_id)
-            if check_paths:
-                for rel in entry.paths():
-                    full = os.path.join(base, rel)
-                    if not os.path.exists(full):
-                        raise InputError(f"{path}:{lineno}: missing feature file {rel}")
-            entries.append(entry)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}:{lineno}: bad record ({e})") from None
+        if not isinstance(rec, dict):
+            raise InputError(f"{path}:{lineno}: record is not a JSON object")
+        unknown = set(rec) - _ENTRY_KEYS
+        if unknown:
+            raise InputError(f"{path}:{lineno}: unknown manifest keys {sorted(unknown)}")
+        missing = _REQUIRED_KEYS - set(rec)
+        if missing:
+            raise InputError(f"{path}:{lineno}: missing manifest keys {sorted(missing)}")
+        not_text = sorted(k for k, v in rec.items() if not isinstance(v, str))
+        if not_text:
+            raise InputError(f"{path}:{lineno}: manifest key {not_text[0]} is not a string")
+        entry = ManifestEntry(**rec)
+        if entry.utt_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate utterance id {entry.utt_id}")
+        seen.add(entry.utt_id)
+        for rel in entry.paths():
+            if not os.path.isfile(os.path.join(base, rel)):
+                raise InputError(f"{path}:{lineno}: missing feature file {rel}")
+        entries.append(entry)
     return entries
 
 
@@ -231,6 +242,19 @@ def write_checkpoint(path, meta, tensors):
     os.replace(tmp, path)
 
 
+def _index_item(path, item):
+    """(name, dtype, shape) of one entry of a checkpoint's tensor index."""
+    if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+        raise InputError(f"{path}: tensor index entry {item!r:.60} has no name")
+    name, code, shape = item["name"], item.get("dtype"), item.get("shape")
+    dtype = _CODE_TO_DTYPE.get(code) if type(code) is int else None
+    if dtype is None:
+        raise InputError(f"{path}: tensor {name}: unknown dtype code")
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise InputError(f"{path}: tensor {name}: shape {shape!r:.60} is not a list of sizes")
+    return name, dtype, tuple(shape)
+
+
 def read_checkpoint(path):
     """Returns (meta, tensors) with the 'tensors' index stripped from meta."""
     with open(path, "rb") as f:
@@ -244,22 +268,23 @@ def read_checkpoint(path):
         meta = json.loads(blob[12 : 12 + meta_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputError(f"{path}: unreadable metadata ({e})") from None
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: metadata is not a JSON object")
     index = meta.pop("tensors", None)
-    if index is None:
+    if not isinstance(index, list):
         raise InputError(f"{path}: metadata missing tensor index")
     tensors = {}
     offset = 12 + meta_len
     for item in index:
-        dtype = _CODE_TO_DTYPE.get(item.get("dtype"))
-        if dtype is None:
-            raise InputError(f"{path}: tensor {item.get('name')}: unknown dtype code")
-        shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        name, dtype, shape = _index_item(path, item)
+        if name in tensors:
+            raise InputError(f"{path}: tensor {name} listed twice")
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):
-            raise InputError(f"{path}: tensor {item['name']}: payload truncated")
+            raise InputError(f"{path}: tensor {name}: payload truncated")
         arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=offset)
-        tensors[item["name"]] = arr.astype(dtype, copy=True).reshape(shape)
+        tensors[name] = arr.astype(dtype, copy=True).reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise InputError(f"{path}: {len(blob) - offset} trailing bytes after last tensor")

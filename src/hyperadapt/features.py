@@ -1,9 +1,9 @@
-"""Waveform-side feature extraction: STFT, log-mel, per-frame energy, a
-time-domain pitch tracker, and scalar quantization for the variance bins.
+"""Waveform-side signal processing: STFT/ISTFT, the mel filterbank, the
+iterative phase reconstruction behind the `--wav` synthesis preview, a WAV
+writer, and scalar quantization for the variance bins.
 
-The synthetic corpus writes features directly, so this module only touches
-real audio: ingestion of external recordings and the deliberately crude
-phase-reconstruction waveform preview for synthesized mels.
+The synthetic corpus writes mel/F0/energy features directly, so nothing in
+the pipeline reads audio.
 """
 
 import wave as _wave
@@ -22,11 +22,6 @@ class FeatureConfig:
     n_mels: int = 80
     fmin: float = 0.0
     fmax: float = 8000.0
-    log_floor: float = 1e-5
-    f0_min: float = 50.0
-    f0_max: float = 600.0
-    voicing_threshold: float = 0.3
-    silence_floor: float = 1e-6
 
 
 def hann_window(n):
@@ -87,50 +82,6 @@ def mel_filterbank(config):
     return fb
 
 
-def _autocorr_f0(frame, config):
-    x = frame - frame.mean()
-    if np.abs(x).max() < config.silence_floor:
-        return 0.0
-    r = np.correlate(x, x, mode="full")[len(x) - 1 :]
-    if r[0] <= 0:
-        return 0.0
-    r = r / r[0]
-    lag_min = max(2, int(config.sample_rate / config.f0_max))
-    lag_max = min(len(r) - 2, int(np.ceil(config.sample_rate / config.f0_min)))
-    if lag_max <= lag_min:
-        return 0.0
-    window = r[lag_min : lag_max + 1]
-    best = int(np.argmax(window)) + lag_min
-    if r[best] < config.voicing_threshold:
-        return 0.0
-    # parabolic peak refinement on the autocorrelation
-    a, b, c = r[best - 1], r[best], r[best + 1]
-    denom = a - 2 * b + c
-    shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (a - c) / denom
-    lag = best + float(np.clip(shift, -1.0, 1.0))
-    return config.sample_rate / lag
-
-
-def extract_features(waveform, config, sample_rate=None):
-    """(log-mel (m, n_mels), f0 Hz with 0 for unvoiced (m,), energy (m,))."""
-    wave = np.asarray(waveform, dtype=np.float64)
-    if wave.ndim != 1 or wave.size == 0:
-        raise InputError("extract_features: waveform must be a non-empty 1-D array")
-    if not np.isfinite(wave).all():
-        raise InputError("extract_features: waveform has non-finite samples")
-    if sample_rate is not None and sample_rate != config.sample_rate:
-        raise InputError(
-            f"extract_features: waveform at {sample_rate} Hz, config expects {config.sample_rate}; resample first"
-        )
-    spec = np.abs(stft(wave, config))
-    energy = np.sqrt((spec * spec).sum(axis=-1))
-    fb = mel_filterbank(config)
-    mel = np.log(np.maximum(spec @ fb.T, config.log_floor))
-    frames = frame_signal(wave, config.n_fft, config.hop)
-    f0 = np.array([_autocorr_f0(fr, config) for fr in frames])
-    return mel.astype(np.float32), f0.astype(np.float32), energy.astype(np.float32)
-
-
 def quantize(value, vmin, vmax, n_bins=256):
     """Bin index in [0, n_bins): floor of the linear position inside [vmin, vmax]."""
     if vmax <= vmin:
@@ -140,13 +91,6 @@ def quantize(value, vmin, vmax, n_bins=256):
         raise InputError("quantize: non-finite value")
     idx = np.floor(n_bins * (value - vmin) / (vmax - vmin))
     return np.clip(idx, 0, n_bins - 1).astype(np.int64)
-
-
-def dequantize(index, vmin, vmax, n_bins=256):
-    """Bin center of the given index."""
-    index = np.asarray(index, dtype=np.float64)
-    width = (vmax - vmin) / n_bins
-    return vmin + (index + 0.5) * width
 
 
 def mel_to_waveform(logmel, config, n_iter=30, length=None, seed=0):

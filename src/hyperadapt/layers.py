@@ -69,10 +69,17 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters(prefix)}
 
     def load_state_arrays(self, arrays, prefix=""):
+        """Copy in every parameter from `arrays` (name -> ndarray). Names under
+        `prefix` must match this module's exactly: a missing tensor or one the
+        module does not have (say, from an older layout) is an InputError."""
         mine = dict(self.named_parameters(prefix))
         missing = sorted(set(mine) - set(arrays))
         if missing:
             raise InputError(f"state load missing {len(missing)} tensors, first: {missing[0]}")
+        unexpected = sorted(k for k in arrays if k.startswith(prefix) and k not in mine)
+        if unexpected:
+            raise InputError(f"state load has {len(unexpected)} tensors this model does not, "
+                             f"first: {unexpected[0]}")
         for name, p in mine.items():
             src = arrays[name]
             if src.shape != p.data.shape:

@@ -2,15 +2,12 @@
 mel-cepstral distortion, plus report assembly for system comparisons.
 
 The desk-scale speaker embedder is synthetic, so COS numbers mean nothing in
-absolute terms; they exist to order systems against each other. Word error
-rate has no built-in recognizer: `wer_external` shells out to a caller-provided
-transcriber command instead.
+absolute terms; they exist to order systems against each other.
 """
 
 import functools
 import json
 import os
-import subprocess
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -155,49 +152,6 @@ def mcd_metric(pred_mel, ref_mel, n_coeffs=MCD_COEFFS):
     dist = _MCD_SCALE * np.sqrt(2.0 * sq)
     path = kernels.dtw_path(dist)
     return float(dist[path[:, 0], path[:, 1]].mean())
-
-
-# -----------------------------------------------------------------------------
-# word error rate (external transcriber only)
-# -----------------------------------------------------------------------------
-
-
-def word_error_rate(hypothesis, reference):
-    """Word-level edit distance as a percentage of the reference length."""
-    ref = reference.split()
-    hyp = hypothesis.split()
-    if not ref:
-        raise InputError("word_error_rate: empty reference transcript")
-    prev = list(range(len(hyp) + 1))
-    for i, rw in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, hw in enumerate(hyp, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (rw != hw))
-        prev = cur
-    return 100.0 * prev[-1] / len(ref)
-
-
-def wer_external(command, items):
-    """Score waveforms with a caller-provided transcriber.
-
-    `command` is an argv prefix; each audio path is appended as the final
-    argument and the transcript is read from stdout. `items` pairs audio paths
-    with reference transcripts.
-    """
-    if not items:
-        raise InputError("wer_external: nothing to score")
-    values = []
-    for path, ref_text in items:
-        proc = subprocess.run(
-            list(command) + [str(path)], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            raise InputError(
-                f"wer_external: transcriber failed on {path} "
-                f"(exit {proc.returncode}): {proc.stderr.strip()}"
-            )
-        values.append(word_error_rate(proc.stdout.strip(), ref_text))
-    return _stat(values)
 
 
 # -----------------------------------------------------------------------------

@@ -501,7 +501,7 @@ def _write_latest(run_dir, filename):
 
 
 def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
-             log_every=10, val_every=200, ckpt_every=500, resume=True):
+             log_every=10, val_every=200, ckpt_every=500):
     """Train the backbone on the pretrain speakers. Returns the final
     checkpoint path. Interrupted runs resume from the newest checkpoint."""
     os.makedirs(run_dir, exist_ok=True)
@@ -517,7 +517,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     trainable = list(model.named_parameters())
 
     start_step = 0
-    latest = _read_latest(run_dir) if resume else None
+    latest = _read_latest(run_dir)
     if latest is not None:
         loaded = load_checkpoint(latest)
         if loaded.meta.get("kind") != "pretrain":

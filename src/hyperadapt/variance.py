@@ -11,7 +11,7 @@ the bank and de-normalizes.
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError, StateError
+from .errors import InputError, NumericsError, StateError
 from .features import quantize
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
@@ -122,8 +122,13 @@ def length_regulate(h, durations):
 
 
 def durations_from_log(log_durations):
-    """Inference rounding: round(exp(x)) clamped to at least one frame."""
-    d = np.rint(np.exp(np.asarray(log_durations, dtype=np.float64)))
+    """Inference rounding: round(exp(x)) clamped to at least one frame. A
+    prediction that is NaN, or whose exp is infinite or past the int64
+    range, is a NumericsError: it has no integer frame count."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.rint(np.exp(np.asarray(log_durations, dtype=np.float64)))
+    if not (d < 2.0 ** 63).all():  # False for NaN too
+        raise NumericsError("durations_from_log: predicted duration is NaN or overflows")
     return np.maximum(d, 1).astype(np.int64)
 
 

@@ -3,8 +3,10 @@
 The alignment oracles enumerate every monotonic segmentation of m frames into
 n contiguous nonempty phoneme runs, so they are exact (and exponentially
 slow): keep n and m small. The others keep the straightforward construction
-a fused or vectorised library routine replaced, including the `narrow` and
-`concat` tape ops those constructions were built from.
+a fused or vectorised library routine replaced, including the tape ops those
+constructions were built from and the library no longer has: `narrow`,
+`concat`, `matmul`, `permute` and `softmax`. `weighted_sum` (a random linear
+probe) and a numpy `log_softmax` build test losses and alignment maps.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 
 import hyperadapt.autodiff as ad
 from hyperadapt import variance
+from hyperadapt.errors import ShapeError
 
 
 def all_paths(n, m):
@@ -121,6 +124,84 @@ def cwt_reference(contour):
     return out
 
 
+def log_softmax(x, axis):
+    """numpy log-softmax of an array along `axis`."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def weighted_sum(x, weights):
+    """Tape op: the scalar sum of x * weights for a constant array, so the
+    gradient reaching x is exactly `weights`: a random linear probe."""
+    w = np.asarray(weights, dtype=x.dtype)
+
+    def grad_fn(g):
+        return (g * w,)
+
+    return ad.from_op(np.asarray((x.data * w).sum(), dtype=x.dtype), (x,), grad_fn,
+                      "weighted_sum")
+
+
+def matmul(a, b):
+    """Tape op: 2D @ 2D, 3D @ 3D (matching batch) or 3D @ 2D."""
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim < 2 or x.ndim > 3 or y.ndim > 3:
+        raise ShapeError("matmul", f"ranks {x.ndim} and {y.ndim} unsupported (need 2 or 3)")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeError("matmul", f"inner axes differ: {x.shape} @ {y.shape}")
+    if x.ndim == 3 and y.ndim == 3 and x.shape[0] != y.shape[0]:
+        raise ShapeError("matmul", f"batch axes differ: {x.shape[0]} vs {y.shape[0]}")
+
+    def grad_fn(g):
+        ga = np.matmul(g, y.swapaxes(-1, -2))
+        gb = np.matmul(x.swapaxes(-1, -2), g)
+        if ga.ndim > x.ndim:
+            ga = ga.sum(axis=0)
+        if gb.ndim > y.ndim:
+            gb = gb.sum(axis=0)
+        return ga, gb
+
+    return ad.from_op(np.matmul(x, y), (a, b), grad_fn, "matmul")
+
+
+def permute(a, axes):
+    """Tape op: a with its axes reordered."""
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+
+    def grad_fn(g):
+        return (g.transpose(inv),)
+
+    return ad.from_op(a.data.transpose(axes), (a,), grad_fn, "permute")
+
+
+def softmax(a, axis=-1):
+    """Tape op: softmax along `axis`."""
+    x = a.data
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+
+    return ad.from_op(y, (a,), grad_fn, "softmax")
+
+
+def attention_reference(q, k, v, heads, p, rng, training):
+    """Multi-head attention over one segment by the op-by-op graph the fused
+    `autodiff.attention` node replaces: head split, scaled scores, softmax,
+    seeded dropout, weighted sum, head merge."""
+    n, d = q.shape
+    hd = d // heads
+
+    def split(x):
+        return permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
+
+    scores = ad.scale(matmul(split(q), permute(split(k), (0, 2, 1))), 1.0 / np.sqrt(hd))
+    att = ad.dropout(softmax(scores, axis=-1), p, [rng], training)
+    return ad.reshape(permute(matmul(att, split(v)), (1, 0, 2)), (n, d))
+
+
 def concat(tensors, axis=-1):
     """Tape op: tensors joined along `axis`."""
     sizes = [t.shape[axis] for t in tensors]
@@ -183,8 +264,8 @@ def table_row_reference(table, site, d_h, d_r):
 
 def adapter_reference(h, w_down, b_down, w_up, b_up):
     """h + ReLU(h W_d + b_d) W_u + b_u by matmul, add and relu nodes."""
-    z = ad.relu(ad.add(ad.matmul(h, w_down), b_down))
-    return ad.add(h, ad.add(ad.matmul(z, w_up), b_up))
+    z = ad.relu(ad.add(matmul(h, w_down), b_down))
+    return ad.add(h, ad.add(matmul(z, w_up), b_up))
 
 
 def adam_reference(named_params, grads, lr_list, beta1=0.9, beta2=0.98, eps=1e-9):

@@ -20,7 +20,7 @@ from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
-from oracles import adapter_reference, generate_reference, table_row_reference
+from oracles import adapter_reference, generate_reference, table_row_reference, weighted_sum
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 
@@ -84,7 +84,7 @@ def test_static_adapter_gradients_flow_at_init():
     table = static_table(3, d_h=6, d_r=2)
     h = Tensor(rng_for(4, "h").normal(size=(3, 6)).astype(np.float32))
     loss = ad.sum_all(adapter_forward(h, [table], 0))
-    loss.backward()
+    ad.backward(loss)
     g_w_down, _, g_w_up, _ = split_row(table.grad[0], 6, 2)
     assert np.abs(g_w_up).max() > 0
     # w_down only matters through the (currently zero) up matrix
@@ -121,7 +121,7 @@ def test_adapter_forward_matches_op_by_op_graph(site):
 
     def grads(out):
         h.grad = table.grad = None
-        ad.sum_all(ad.mul(out, Tensor(probe))).backward()
+        ad.backward(weighted_sum(out, probe))
         return h.grad.copy(), table.grad.copy()
 
     fused = adapter_forward(h, [table], site)
@@ -241,7 +241,7 @@ def test_hypernetwork_gradients_reach_all_parameters():
     hyper.sampler_up.w.data += 0.01
     h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
     out = adapter_forward(h, [hyper.generate(spk(SMALL))], 1)
-    ad.sum_all(out).backward()
+    ad.backward(ad.sum_all(out))
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
         assert np.abs(p.grad).max() > 0, name
@@ -268,7 +268,7 @@ def test_hypernetwork_fused_generate_gradcheck_every_entry():
     v = Tensor(rng_for(15, "v").normal(size=(1, 4)), requires_grad=True)
 
     def fn(spk_vec, *ps):
-        return ad.sum_all(ad.mul(hyper.generate(spk_vec), Tensor(probe)))
+        return weighted_sum(hyper.generate(spk_vec), probe)
 
     params = hyper.parameters()
     assert len(params) == 7
@@ -292,7 +292,7 @@ def test_hypernetwork_generate_matches_op_by_op_graph():
         total = outs[0]
         for o in outs[1:]:
             total = ad.add(total, o)
-        total.backward()
+        ad.backward(total)
         return [p.grad.copy() for p in params]
 
     table = hyper.generate(v)

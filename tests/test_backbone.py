@@ -9,6 +9,8 @@ from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 
+from oracles import weighted_sum
+
 D = 8
 CTX = RunCtx(training=False)
 
@@ -131,7 +133,7 @@ class TestFFTBlock:
             h = Tensor(rows, requires_grad=True)
             ctx = RunCtx([rng_for(3, "dropout", i) for i in range(2)], training=True)
             out = block(h, seg, ctx)
-            ad.backward(ad.sum_all(ad.mul(out, Tensor(c))))
+            ad.backward(weighted_sum(out, c))
             return out.data, h.grad
 
         rows = np.random.default_rng(13).standard_normal((7, D)).astype(np.float32)

@@ -15,12 +15,11 @@ from hyperadapt.corpus import (
     generate_corpus,
     load_corpus,
     phoneme_tables,
-    speaker_embed,
     speaker_latents,
     synth_utterance,
     synthetic_embedding,
 )
-from hyperadapt.errors import ConfigError, InputError
+from hyperadapt.errors import ConfigError
 from hyperadapt.layers import rng_for
 
 SMALL = CorpusSpec(utts_per_speaker=6)
@@ -136,18 +135,6 @@ def test_embedding_loudness_invariance():
     a = synthetic_embedding(mel, 24)
     b = synthetic_embedding(mel + 3.0, 24)
     np.testing.assert_allclose(a, b, atol=1e-6)
-
-
-def test_speaker_embed_file_mode(tmp_path):
-    vec = rng_for(2, "v").normal(size=24).astype(np.float32)
-    path = str(tmp_path / "emb.bin")
-    featio.write_array(path, vec)
-    out = speaker_embed(None, "file", d_spk=24, path=path)
-    np.testing.assert_array_equal(out, vec)
-    with pytest.raises(InputError):
-        speaker_embed(None, "file", d_spk=16, path=path)
-    with pytest.raises(InputError):
-        speaker_embed(np.zeros((4, 20)), "nope")
 
 
 def test_spec_validation():

@@ -1,7 +1,11 @@
 """Binary formats: feature arrays, phoneme files, manifests, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperadapt import featio
 from hyperadapt.errors import InputError
@@ -112,11 +116,22 @@ class TestManifest:
         featio.write_manifest(mpath, entries)
         with pytest.raises(InputError):
             featio.read_manifest(mpath)
-        featio.read_manifest(mpath, check_paths=False)
 
     def test_unknown_key_rejected(self, tmp_path):
         mpath = tmp_path / "manifest.jsonl"
         mpath.write_text('{"utt_id": "a", "speaker": "s", "split": "train", "bogus": 1}\n')
+        with pytest.raises(InputError):
+            featio.read_manifest(mpath)
+
+    @pytest.mark.parametrize("line", [
+        b"7",                                                 # not an object
+        b'{"utt_id": 1, "speaker": "s", "split": "train", "phonemes": "p", '
+        b'"mel": "m", "f0": "f", "energy": "e"}',              # a non-string field
+        b"\xff\xfe",                                          # not UTF-8
+    ])
+    def test_malformed_record_rejected(self, tmp_path, line):
+        mpath = tmp_path / "manifest.jsonl"
+        mpath.write_bytes(line + b"\n")
         with pytest.raises(InputError):
             featio.read_manifest(mpath)
 
@@ -171,3 +186,57 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(InputError):
             featio.read_checkpoint(p)
+
+    @pytest.mark.parametrize("meta", [
+        b"[1, 2]",
+        b'{"tensors": 3}',
+        b'{"tensors": [3]}',
+        b'{"tensors": [{"name": "a", "dtype": 1}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": "ab"}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [-1]}]}',
+        b'{"tensors": [{"name": "a", "dtype": [1], "shape": [1]}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}, '
+        b'{"name": "a", "dtype": 1, "shape": [0]}]}',
+    ])
+    def test_malformed_index_rejected(self, tmp_path, meta):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(featio.CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta)
+        with pytest.raises(InputError):
+            featio.read_checkpoint(p)
+
+
+def _damaged(blob):
+    """A truncation of blob, or blob with one byte XORed by a nonzero mask."""
+    cut = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    flip = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(
+        lambda im: blob[:im[0]] + bytes([blob[im[0]] ^ im[1]]) + blob[im[0] + 1:])
+    return st.one_of(cut, flip)
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """reader -> (directory, name, bytes) of one valid file each; the
+    manifest's feature files sit next to it."""
+    d = tmp_path_factory.mktemp("intact")
+    featio.write_array(d / "x.bin", np.arange(6, dtype=np.float32).reshape(2, 3))
+    featio.write_checkpoint(d / "x.ckpt", {"step": 3, "ranges": [0.5, 2.0]}, {
+        "a.w": np.ones((2, 3), dtype=np.float32), "b": np.arange(4, dtype=np.int64)})
+    entries = [_entry(d, f"u{i}") for i in range(2)]
+    featio.write_manifest(d / "m.jsonl", entries)
+    return {reader: (d, name, (d / name).read_bytes()) for reader, name in (
+        (featio.read_array, "x.bin"), (featio.read_checkpoint, "x.ckpt"),
+        (featio.read_manifest, "m.jsonl"))}
+
+
+@pytest.mark.parametrize("reader", [featio.read_array, featio.read_checkpoint,
+                                    featio.read_manifest], ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_file_reads_or_raises_input_error(intact, reader, data):
+    directory, name, blob = intact[reader]
+    path = directory / ("damaged-" + name)
+    path.write_bytes(data.draw(_damaged(blob)))
+    try:
+        reader(path)
+    except InputError:
+        pass

@@ -1,4 +1,4 @@
-"""Feature extraction on synthetic audio with analytic expectations."""
+"""Signal processing on synthetic audio, and the variance-bin quantizer."""
 
 import numpy as np
 import pytest
@@ -12,62 +12,6 @@ CFG = features.FeatureConfig()
 def sine(freq, seconds=1.0, sr=16000, amp=0.3):
     t = np.arange(int(seconds * sr)) / sr
     return (amp * np.sin(2 * np.pi * freq * t)).astype(np.float64)
-
-
-class TestExtractFeatures:
-    def test_zero_waveform(self):
-        mel, f0, energy = features.extract_features(np.zeros(16000), CFG)
-        np.testing.assert_array_equal(energy, 0.0)
-        np.testing.assert_array_equal(f0, 0.0)
-        # log floor everywhere
-        np.testing.assert_allclose(mel, np.log(CFG.log_floor), atol=1e-6)
-
-    def test_sine_pitch_within_three_percent(self):
-        _, f0, _ = features.extract_features(sine(200.0), CFG)
-        interior = f0[5:-5]
-        assert (interior > 0).all(), "interior frames must be voiced"
-        np.testing.assert_allclose(interior, 200.0, rtol=0.03)
-
-    @pytest.mark.parametrize("freq", [80.0, 120.0, 330.0, 550.0])
-    def test_pitch_tracks_other_frequencies(self, freq):
-        _, f0, _ = features.extract_features(sine(freq), CFG)
-        interior = f0[6:-6]
-        voiced = interior[interior > 0]
-        assert voiced.size > 0.8 * interior.size
-        np.testing.assert_allclose(voiced, freq, rtol=0.03)
-
-    def test_amplitude_doubling_doubles_energy(self):
-        wave = sine(150.0, seconds=0.5)
-        _, _, e1 = features.extract_features(wave, CFG)
-        _, _, e2 = features.extract_features(2.0 * wave, CFG)
-        np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-6)
-
-    def test_frame_count(self):
-        wave = np.zeros(16000)
-        mel, f0, energy = features.extract_features(wave, CFG)
-        m = 1 + len(wave) // CFG.hop
-        assert mel.shape == (m, CFG.n_mels)
-        assert f0.shape == (m,)
-        assert energy.shape == (m,)
-
-    def test_empty_waveform_rejected(self):
-        with pytest.raises(InputError):
-            features.extract_features(np.array([]), CFG)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            features.extract_features(np.array([0.0, np.nan]), CFG)
-
-    def test_sample_rate_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            features.extract_features(np.zeros(100), CFG, sample_rate=22050)
-
-    def test_determinism(self):
-        wave = sine(260.0, seconds=0.4)
-        a = features.extract_features(wave, CFG)
-        b = features.extract_features(wave, CFG)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
 
 
 class TestQuantize:
@@ -87,8 +31,8 @@ class TestQuantize:
         vmin, vmax = -2.0, 5.0
         width = (vmax - vmin) / 256
         vals = rng.uniform(vmin, vmax, size=200)
-        back = features.dequantize(features.quantize(vals, vmin, vmax), vmin, vmax)
-        assert np.abs(back - vals).max() <= width
+        centres = vmin + (features.quantize(vals, vmin, vmax) + 0.5) * width
+        assert np.abs(centres - vals).max() <= width / 2 + 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
@@ -97,6 +41,14 @@ class TestQuantize:
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):
             features.quantize(0.5, 1.0, 1.0)
+
+
+class TestStft:
+    def test_frame_count_and_inverse(self):
+        wave = sine(150.0, seconds=0.5)
+        spec = features.stft(wave, CFG)
+        assert spec.shape == (1 + len(wave) // CFG.hop, CFG.n_fft // 2 + 1)
+        np.testing.assert_allclose(features.istft(spec, CFG, len(wave)), wave, atol=1e-9)
 
 
 class TestMelFilterbank:

@@ -1,7 +1,6 @@
 """Metric oracles: exact identities, worked examples, and report assembly."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from hyperadapt.metrics import (
     evaluate,
     ffe_metric,
     mcd_metric,
-    wer_external,
-    word_error_rate,
 )
 
 MCD_UNIT = 10.0 / np.log(10.0) * np.sqrt(2.0)
@@ -198,35 +195,6 @@ def test_mcd_input_validation():
         mcd_metric(np.zeros(8), mel)
     with pytest.raises(InputError):
         mcd_metric(np.zeros((4, 1)), np.zeros((4, 1)))
-
-
-# -----------------------------------------------------------------------------
-# word error rate
-# -----------------------------------------------------------------------------
-
-
-def test_word_error_rate_basics():
-    assert word_error_rate("a b c", "a b c") == 0.0
-    assert word_error_rate("a x c", "a b c") == pytest.approx(100.0 / 3)
-    assert word_error_rate("a b c d", "a b c") == pytest.approx(100.0 / 3)
-    assert word_error_rate("", "a b") == 100.0
-    with pytest.raises(InputError):
-        word_error_rate("something", "")
-
-
-def test_wer_external_runs_command(tmp_path):
-    wav = tmp_path / "x.wav"
-    wav.write_bytes(b"")
-    cmd = [sys.executable, "-c", "print('hello world')"]
-    stat = wer_external(cmd, [(str(wav), "hello world"), (str(wav), "hello there")])
-    assert stat.mean == pytest.approx(25.0)  # 0% and 50%
-    assert stat.n_used == 2
-
-    failing = [sys.executable, "-c", "import sys; sys.exit(3)"]
-    with pytest.raises(InputError, match="exit 3"):
-        wer_external(failing, [(str(wav), "hello")])
-    with pytest.raises(InputError):
-        wer_external(cmd, [])
 
 
 # -----------------------------------------------------------------------------

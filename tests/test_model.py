@@ -209,6 +209,14 @@ def test_site_counts_follow_layer_config():
     assert build_model().site_counts() == {"e": CFG.enc_layers, "v": 2, "d": CFG.dec_layers}
 
 
+def test_state_load_rejects_a_tensor_the_model_lacks():
+    # such as the attention key bias of a checkpoint from before it was dropped
+    arrays = build_model(seed=3).state_arrays()
+    arrays["encoder.blocks.0.attn.wk.b"] = np.zeros(CFG.d_h, dtype=np.float32)
+    with pytest.raises(InputError, match=r"encoder\.blocks\.0\.attn\.wk\.b"):
+        TTSModel(CFG, seed=99).load_state_arrays(arrays)
+
+
 def test_state_roundtrip_is_bitwise():
     src = build_model(seed=3)
     dst = TTSModel(CFG, seed=99)

@@ -209,6 +209,14 @@ def test_gated_components_stay_out_of_graph(pretrained, corpus_manifest):
     assert float(total.data) == pytest.approx(expected, rel=1e-5)
 
 
+def _grads(loss, named):
+    """name -> gradient of a scalar loss, zeros for a tensor it does not reach."""
+    for _, p in named:
+        p.grad = None
+    ad.backward(loss)
+    return {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in named}
+
+
 def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     # run the whole pass in float64 so the FD oracle is meaningful
     monkeypatch.setattr(ad, "DEFAULT_DTYPE", np.float64)
@@ -230,7 +238,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     picks = []
     for probe in ("embed.table", "duration", "postnet"):
         picks.append(next((n, p) for n, p in model.named_parameters() if probe in n))
-    grads = ad.grads_for(loss(), picks)
+    grads = _grads(loss(), picks)
 
     eps = 1e-6
     for name, p in picks:
@@ -452,7 +460,7 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_manife
 
     before = batch_loss()
     total, _ = compute_losses(model, batch, 5, sched, RunCtx(training=False))
-    grads = ad.grads_for(total, trainable)
+    grads = _grads(total, trainable)
     flat = np.concatenate([grads[name].reshape(-1) / len(batch) for name, _ in trainable])
     Adam(trainable).step(flat, lr=1e-6)
     assert batch_loss() <= before
@@ -490,7 +498,7 @@ def _packs_of_one(model, trainable, batch, sched, seed=7):
         ctx = RunCtx(rng_for(seed, "dropout", 0, pos), training=True)
         total, bd = compute_losses(model, [utt], 0, sched, ctx)
         totals.append(bd.total)
-        for name, g in ad.grads_for(total, trainable).items():
+        for name, g in _grads(total, trainable).items():
             expected[name] += g / len(batch)
     return float(np.mean(totals)), expected
 
@@ -516,9 +524,8 @@ def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifes
 def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpus_manifest,
                                                                 tmp_path):
     # a full desk-size pack, dropout on, utterances of different lengths.
-    # float32 sums run in another order, so entries are compared at 1e-6 of
-    # the step's largest gradient entry; tensors whose exact gradient is 0
-    # (attention key biases) carry only that rounding
+    # float32 sums run in another order, so each tensor's entries are
+    # compared at 1e-6 of that tensor's largest gradient entry
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
     train = load_corpus(corpus_manifest, adaptation=False, split="train")
@@ -534,10 +541,9 @@ def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpu
     mean_total, expected = _packs_of_one(model, trainable, batch, sched)
     assert packed_bd.total == pytest.approx(mean_total, rel=1e-5)
     assert float(packed_total.data) / 8 == pytest.approx(mean_total, rel=1e-5)
-    got = _split(rec.steps[0], trainable)
-    top = max(float(np.abs(g).max()) for g in expected.values())
-    for name, g in got.items():
-        np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * top, err_msg=name)
+    for name, g in _split(rec.steps[0], trainable).items():
+        scale = max(float(np.abs(expected[name]).max()), 1e-3)
+        np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)
 
 
 def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpus_manifest,

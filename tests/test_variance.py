@@ -7,7 +7,7 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import variance
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import InputError, StateError
+from hyperadapt.errors import InputError, NumericsError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 
 from oracles import cwt_reference
@@ -156,6 +156,12 @@ class TestDurationRounding:
     def test_never_below_one(self):
         out = variance.durations_from_log(np.array([-3.0, -10.0, 0.2]))
         assert out.min() >= 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e3])
+    def test_unrepresentable_duration_is_a_numerics_fault(self, bad):
+        # NaN, inf, and an exp past the int64 range have no frame count
+        with pytest.raises(NumericsError):
+            variance.durations_from_log(np.array([0.0, bad]))
 
 
 class TestPredictors:
