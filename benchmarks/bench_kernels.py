@@ -1,11 +1,13 @@
 """Times the numpy kernels of hyperadapt.kernels at fixed shapes: the conv
-forward/backward, the alignment DPs on one map and on a desk-size batch of
+forward/backward (the backward also without the weight gradient, as a frozen
+weight asks for it), the alignment DPs on one map and on a desk-size batch of
 eight, and DTW. perfbench/layertrace.py reuses `build_cases` and `_time`.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--min-time SECONDS]
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -52,6 +54,8 @@ def build_cases(rng):
          kernels.conv1d_forward_np, (xp, w), 1e-4),
         ("conv1d_backward", f"T={t} K={k} C={cin}",
          kernels.conv1d_backward_np, (xp, w, gout), 1e-4),
+        ("conv1d_backward_x", f"T={t} K={k} C={cin}",
+         functools.partial(kernels.conv1d_backward_np, need_w=False), (xp, w, gout), 1e-4),
         ("forward_sum", f"n={n} m={m}",
          kernels.forward_sum_np, (logp,), 1e-10),
         ("viterbi", f"n={n} m={m}",

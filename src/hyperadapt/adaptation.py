@@ -174,7 +174,10 @@ class HyperNetwork(Module):
             gz = g_down @ wd.T + g_up @ wu.T
             gx = gz @ ws.T
             gsv = ad._add_reduce(gx[:, :d_2], axis=0, keepdims=True)
-            return (gsv @ wp.T, v.T @ gsv, gsv[0], gx[:, d_2:], x.T @ gz,
+            # the speaker vector is a constant in training; the seven
+            # hypernetwork tensors train whenever this node is on a tape
+            g_spk = gsv @ wp.T if spk_vec.requires_grad else None
+            return (g_spk, v.T @ gsv, gsv[0], gx[:, d_2:], x.T @ gz,
                     ad._add_reduce(gz, axis=0), z.T @ g_down, z.T @ g_up)
 
         return ad.from_op(out_data, parents, grad_fn, "hyper_generate")

@@ -7,6 +7,11 @@ its DPs run as one batched kernel call. Training drives the marginal
 likelihood of all monotonic paths (forward-sum DP) plus a binarization term
 tying the soft distribution to the extracted Viterbi path; the schedule
 ramps the binarization term in after the variance losses switch on.
+
+Each loss value is a sum over per-map (forward-sum) or per-frame
+(binarization) numbers, exposed on their own so that a run with a frozen
+aligner can keep them per utterance and rebuild a pack's values by the same
+sums (see `training.compute_losses`).
 """
 
 from dataclasses import dataclass
@@ -114,19 +119,30 @@ def _require_feasible(amap, where):
         )
 
 
+def map_forward_sums(amap):
+    """(B,) float64 negative log marginal probability of each map's monotonic
+    complete paths, and its float64 gradient wrt the maps: one batched DP
+    call."""
+    _require_feasible(amap, "forward_sum_loss")
+    return kernels.forward_sum(amap.log_probs.data.astype(np.float64), amap.n_len, amap.m_len)
+
+
+def forward_sum_value(losses, dtype):
+    """The forward-sum loss of a pack from its maps' losses, in order."""
+    return np.asarray(losses.sum(), dtype=dtype)
+
+
 def forward_sum_loss(amap):
     """Negative log marginal probability of all monotonic complete paths,
-    summed over the maps of a pack: one batched DP call."""
+    summed over the maps of a pack."""
     logp = amap.log_probs
-    _require_feasible(amap, "forward_sum_loss")
-    losses, grad = kernels.forward_sum(logp.data.astype(np.float64), amap.n_len, amap.m_len)
+    losses, grad = map_forward_sums(amap)
     grad = grad.astype(logp.data.dtype)
 
     def grad_fn(g):
         return (g * grad,)
 
-    return ad.from_op(np.asarray(losses.sum(), dtype=logp.data.dtype), (logp,), grad_fn,
-                      "forward_sum")
+    return ad.from_op(forward_sum_value(losses, logp.data.dtype), (logp,), grad_fn, "forward_sum")
 
 
 def viterbi_durations(amap):
@@ -141,23 +157,39 @@ def viterbi_durations(amap):
     return durations
 
 
-def binarization_loss(amap):
-    """Cross-entropy of the soft alignment against the extracted hard path,
-    summed over the maps of a pack."""
+def _hard_path_cells(amap):
+    """(map, phoneme, frame) index arrays of every frame's hard-path cell,
+    packed by utterance."""
     if amap.hard_path is None:
         raise StateError("binarization_loss: extract a hard path first")
-    logp = amap.log_probs
     path = np.asarray(amap.hard_path)
     frames = int(amap.m_len.sum())
     if path.shape != (frames,):
         raise InputError(f"binarization_loss: path length {path.shape} vs {frames} frames")
     maps = np.repeat(np.arange(amap.m_len.size), amap.m_len)
     cols = np.concatenate([np.arange(m) for m in amap.m_len])
-    value = -logp.data[maps, path, cols].sum()
+    return maps, path, cols
+
+
+def hard_path_log_probs(amap):
+    """(frames,) log-probability of each frame's hard-path phoneme, packed."""
+    return amap.log_probs.data[_hard_path_cells(amap)]
+
+
+def binarization_value(path_log_probs):
+    """The binarization loss of a pack from its packed hard-path log-probs."""
+    return np.asarray(-path_log_probs.sum(), dtype=path_log_probs.dtype)
+
+
+def binarization_loss(amap):
+    """Cross-entropy of the soft alignment against the extracted hard path,
+    summed over the maps of a pack."""
+    logp = amap.log_probs
+    cells = _hard_path_cells(amap)
 
     def grad_fn(g):
         gl = np.zeros_like(logp.data)
-        gl[maps, path, cols] = -g
+        gl[cells] = -g
         return (gl,)
 
-    return ad.from_op(np.asarray(value, dtype=logp.data.dtype), (logp,), grad_fn, "binarization")
+    return ad.from_op(binarization_value(logp.data[cells]), (logp,), grad_fn, "binarization")

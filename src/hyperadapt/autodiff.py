@@ -8,6 +8,18 @@ several parents share is never mutated; an interior node's gradient and its
 closure (with the arrays it saved) are released once the closure has run.
 Leaf gradients accumulate across backward calls until the caller resets them.
 
+Only what is needed is computed. A node requires a gradient when any parent
+does. The closures of the ops with weights (`linear`, `conv1d`,
+`layer_norm`, and `generate` and `adapter_forward` in `adaptation`) and of
+the losses compute a parent's gradient only when that parent
+`requires_grad`, read when the closure runs, and return None for the rest:
+a frozen weight costs its op no dW, conv gW or layer-norm gain/bias
+gradient, and a constant input or loss target no gradient of its own (the
+conv kernel forms its input gradient in any case). Inside `no_grad()` no
+tape is recorded at all: ops compute their outputs and keep neither parents
+nor closures, so the arrays a closure would have saved are freed as soon as
+the forward pass moves on (validation and synthesis run this way).
+
 A training batch is one packed graph: its B utterances are stacked along
 axis 0 with no padding, and `Segments` records how many rows each one owns.
 Row-wise ops (linear, layer norm, activations, embedding lookup, elementwise
@@ -23,7 +35,7 @@ The op set is exactly what the acoustic model needs: the fused affine map
 `linear` (matmul plus bias), 1D convolution with its bias, the fused
 multi-head attention core (head split, scaled scores, softmax, seeded
 dropout, weighted sum, head merge), ReLU/tanh, layer norm, seeded dropout,
-embedding lookup, row repetition, elementwise add and scaling, the full sum
+embedding lookup, row repetition, same-shape add and scaling, the full sum
 and per-segment mean, MSE/L1 losses, and reshape. Fused ops carry
 hand-written gradients and record one tape node each. Two more fused ops
 live next to their only caller in `adaptation`: `HyperNetwork.generate` (a
@@ -35,6 +47,7 @@ Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).
 """
 
+import contextlib
 import itertools
 import operator
 
@@ -48,6 +61,7 @@ DEFAULT_DTYPE = np.float32
 _add_reduce = np.add.reduce
 _node_counter = itertools.count(1)
 _creation_order = operator.attrgetter("_seq")
+_recording = True  # False inside no_grad()
 
 
 class Tensor:
@@ -84,15 +98,28 @@ class Tensor:
 
 
 def from_op(data, parents, grad_fn, op):
-    """Create a graph node. grad_fn(g) returns one gradient per parent (or None)."""
+    """Create a graph node. grad_fn(g) returns one gradient per parent (or
+    None). Inside no_grad() the node is a constant: no parents, no closure."""
     out = Tensor(data)
     out.op = op
     out._seq = next(_node_counter)
-    out._parents = tuple(parents)
-    out.requires_grad = any(p.requires_grad for p in out._parents)
-    if out.requires_grad:
-        out._grad_fn = grad_fn
+    if _recording:
+        out._parents = tuple(parents)
+        out.requires_grad = any(p.requires_grad for p in out._parents)
+        if out.requires_grad:
+            out._grad_fn = grad_fn
     return out
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op's output is a constant."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def constant(data, dtype=DEFAULT_DTYPE):
@@ -103,15 +130,6 @@ def _check_same_dtype(op, *tensors):
     dts = {t.dtype for t in tensors}
     if len(dts) > 1:
         raise InputError(f"{op}: mixed dtypes {sorted(str(d) for d in dts)}")
-
-
-def _coerce(op, a, like=None):
-    if isinstance(a, Tensor):
-        return a
-    if isinstance(a, (int, float)):
-        dt = like.dtype if like is not None else DEFAULT_DTYPE
-        return Tensor(np.asarray(a, dtype=dt))
-    raise InputError(f"{op}: expected Tensor or scalar, got {type(a).__name__}")
 
 
 class Segments:
@@ -171,41 +189,20 @@ def _segments_of(op, seg, n):
 
 
 # -----------------------------------------------------------------------------
-# elementwise arithmetic (strict broadcasting: same shape, scalar, or a
-# trailing-axis bias vector)
+# elementwise arithmetic
 # -----------------------------------------------------------------------------
 
 
-def _broadcast_kind(op, a, b):
-    if a.shape == b.shape:
-        return "same"
-    if b.data.ndim == 0:
-        return "scalar"
-    if b.data.ndim == 1 and a.data.ndim >= 1 and b.shape[0] == a.shape[-1]:
-        return "bias"
-    raise ShapeError(op, f"cannot broadcast {b.shape} onto {a.shape} (trailing axis mismatch)")
-
-
-def _reduce_to(g, kind):
-    if kind == "same":
-        return g
-    if kind == "scalar":
-        return g.sum()
-    axes = tuple(range(g.ndim - 1))
-    return g.sum(axis=axes) if axes else g
-
-
 def add(a, b):
-    a = _coerce("add", a)
-    b = _coerce("add", b, like=a)
+    """a + b for two tensors of one shape and dtype."""
     _check_same_dtype("add", a, b)
-    kind = _broadcast_kind("add", a, b)
-    out_data = a.data + b.data
+    if a.shape != b.shape:
+        raise ShapeError("add", f"operand shapes differ: {a.shape} vs {b.shape}")
 
     def grad_fn(g):
-        return g, _reduce_to(g, kind)
+        return g, g
 
-    return from_op(out_data, (a, b), grad_fn, "add")
+    return from_op(a.data + b.data, (a, b), grad_fn, "add")
 
 
 def scale(a, c):
@@ -230,7 +227,9 @@ def linear(x, w, b=None):
         out_data += b.data
 
     def grad_fn(g):
-        return g @ wd.T, xd.T @ g, None if b is None else g.sum(axis=0)
+        return (g @ wd.T if x.requires_grad else None,
+                xd.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b is not None and b.requires_grad else None)
 
     return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "linear")
 
@@ -293,13 +292,17 @@ def layer_norm(a, gain, bias, eps=1e-5):
     def grad_fn(g):
         # the node keeps the row statistics, not the normalized input
         xhat = (x - mean) * inv
-        gxhat = g * gain.data
-        m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
-        m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
-        gx = inv * (gxhat - m1 - xhat * m2)
+        gx = ggain = gbias = None
+        if a.requires_grad:
+            gxhat = g * gain.data
+            m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
+            m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
+            gx = inv * (gxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        gbias = g.sum(axis=lead) if lead else g
+        if gain.requires_grad:
+            ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
+        if bias.requires_grad:
+            gbias = g.sum(axis=lead) if lead else g
         return gx, ggain, gbias
 
     return from_op(out_data, (a, gain, bias), grad_fn, "layer_norm")
@@ -497,16 +500,19 @@ def conv1d(x, w, b=None, seg=None):
         out_data += b.data
 
     def grad_fn(g):
+        # the kernel always forms the input gradient; backward drops it when
+        # x is a constant (only the aligner's first mel conv, while it trains)
         xp = padded()
+        need_w = w.requires_grad
         if rows is None:
-            gxp, gw = kernels.conv1d_backward(xp, w.data, g)
+            gxp, gw = kernels.conv1d_backward(xp, w.data, g, need_w=need_w)
             gx = gxp[pad : pad + t]
         else:
             gout = np.zeros((xp.shape[0] - 2 * pad, cout), g.dtype)
             gout[rows - pad] = g
-            gxp, gw = kernels.conv1d_backward(xp, w.data, gout)
+            gxp, gw = kernels.conv1d_backward(xp, w.data, gout, need_w=need_w)
             gx = gxp[rows]
-        return gx, gw, None if b is None else g.sum(axis=0)
+        return gx, gw, g.sum(axis=0) if b is not None and b.requires_grad else None
 
     return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "conv1d")
 
@@ -574,7 +580,7 @@ def mse_loss(a, b, seg=None):
 
     def grad_fn(g):
         d = g * 2.0 * _entry_weights(seg, diff) * diff
-        return d, -d
+        return d, -d if b.requires_grad else None
 
     value = seg.means(diff * diff).sum()
     return from_op(np.asarray(value, dtype=a.dtype), (a, b), grad_fn, "mse_loss")
@@ -587,7 +593,7 @@ def l1_loss(a, b, seg=None):
 
     def grad_fn(g):
         d = g * _entry_weights(seg, diff) * np.sign(diff)
-        return d, -d
+        return d, -d if b.requires_grad else None
 
     value = seg.means(np.abs(diff)).sum()
     return from_op(np.asarray(value, dtype=a.dtype), (a, b), grad_fn, "l1_loss")

@@ -44,12 +44,14 @@ def conv1d_forward_np(xp, w):
     return _im2col(xp, k, t) @ w.reshape(k * cin, cout)
 
 
-def conv1d_backward_np(xp, w, gout):
+def conv1d_backward_np(xp, w, gout, need_w=True):
+    """(gradient wrt xp, gradient wrt w); the weight gradient (and the im2col
+    matrix it needs) is skipped and returned as None when need_w is False."""
     k, cin, cout = w.shape
     if k == 1:
-        return gout @ w[0].T, (xp.T @ gout).reshape(1, cin, cout)
+        return gout @ w[0].T, (xp.T @ gout).reshape(1, cin, cout) if need_w else None
     t = gout.shape[0]
-    gw = (_im2col(xp, k, t).T @ gout).reshape(k, cin, cout)
+    gw = (_im2col(xp, k, t).T @ gout).reshape(k, cin, cout) if need_w else None
     tmp = (gout @ w.reshape(k * cin, cout).T).reshape(t, k, cin)
     gxp = np.zeros_like(xp)
     for kk in range(k):

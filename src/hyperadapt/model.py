@@ -62,9 +62,11 @@ class Pack:
     padding; `phonemes_seg` and `frames_seg` give each utterance's share of
     rows, and `utterances_seg` one row per utterance (speakers, pitch
     statistics). `log_f0` is each contour's interpolated log-F0, packed.
+    `utt_ids` names the utterances in pack order (None when built from bare
+    arrays).
     """
 
-    def __init__(self, phonemes, mels, f0s, energies, speakers):
+    def __init__(self, phonemes, mels, f0s, energies, speakers, utt_ids=None):
         counts = {len(phonemes), len(mels), len(f0s), len(energies), len(speakers)}
         if len(counts) != 1 or not phonemes:
             raise InputError("pack: need the same nonzero number of phoneme, mel, f0, energy "
@@ -87,11 +89,13 @@ class Pack:
         self.phonemes_seg = Segments([len(ph) for ph in phonemes])
         self.frames_seg = Segments([mel.shape[0] for mel in mels])
         self.utterances_seg = Segments(np.ones(len(mels), dtype=np.int64))
+        self.utt_ids = None if utt_ids is None else list(utt_ids)
 
     @classmethod
     def of(cls, utts):
         return cls([u.phonemes for u in utts], [u.mel for u in utts], [u.f0 for u in utts],
-                   [u.energy for u in utts], [u.embedding for u in utts])
+                   [u.energy for u in utts], [u.embedding for u in utts],
+                   [u.utt_id for u in utts])
 
 
 class TTSModel(Module):
@@ -137,20 +141,29 @@ class TTSModel(Module):
             raise InputError(f"speaker embedding dim {v.shape[1]}, model expects {self.config.d_spk}")
         return Tensor(v)
 
-    def forward_train(self, pack, ctx, hooks=None):
+    def align(self, pack):
+        """(soft alignment maps, packed Viterbi durations) of a Pack."""
+        ph, fr = pack.phonemes_seg, pack.frames_seg
+        text_feats = self.aligner.project_text(self.encoder.embed(pack.phonemes), ph)
+        mel_feats = self.aligner.project_mel(Tensor(pack.mel), fr)
+        amap = soft_align(text_feats, mel_feats, ph, fr)
+        return amap, viterbi_durations(amap)
+
+    def forward_train(self, pack, ctx, hooks=None, durations=None):
         """Teacher-forced pass over a Pack, one graph for all its utterances.
         `hooks` holds one AdaptedModel.hooks_for result per utterance, or is
         None. Returns packed predictions (rows in pack order; pitch mean and
         variance one per utterance) plus the alignment maps and the packed
-        Viterbi durations used for length regulation."""
+        Viterbi durations used for length regulation. Given `durations`
+        (those a frozen aligner gave the pack before), the aligner does not
+        run and the maps are None."""
         ph, fr = pack.phonemes_seg, pack.frames_seg
         spk_t = self._speaker_tensor(pack.speakers)
         h_enc = self.encoder(pack.phonemes, ctx, ph, adapters=self._adapters(hooks, "e", ph))
 
-        text_feats = self.aligner.project_text(self.encoder.embed(pack.phonemes), ph)
-        mel_feats = self.aligner.project_mel(Tensor(pack.mel), fr)
-        amap = soft_align(text_feats, mel_feats, ph, fr)
-        durations = viterbi_durations(amap)
+        amap = None
+        if durations is None:
+            amap, durations = self.align(pack)
 
         h = self.variance.condition(h_enc, spk_t, ph)
         log_dur_pred = self.variance.duration(h, ctx, ph)
@@ -178,9 +191,11 @@ class TTSModel(Module):
             "durations": durations,
         }
 
+    @ad.no_grad()
     def synthesize(self, phonemes, spk, ctx=None, hooks=None):
         """Free-running synthesis from phonemes and a speaker embedding, as a
         pack of one; `hooks` is one AdaptedModel.hooks_for result or None.
+        Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
         """

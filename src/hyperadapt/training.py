@@ -9,7 +9,18 @@ gradient over all trainable tensors is scaled by 1/B once, before the
 finite-gradient check and the Adam step: the gradient of the batch-mean
 loss. Each utterance draws its dropout masks from its own stream,
 rng_for(seed, "dropout", step, position in the batch). Validation runs the
-same packed pass in packs of B, and synthesis is a pack of one.
+same packed pass in packs of B under `autodiff.no_grad` (no tape), and
+synthesis is a pack of one.
+
+A run keeps per-utterance caches that its steps and its validation passes
+share: `pitch_cache` (the wavelet pitch targets) always, and `align_cache`
+beside it when nothing the aligner reads trains (every adaptation strategy
+but `ft`). A frozen aligner gives an utterance the same Viterbi durations,
+forward-sum loss and hard-path log-probs at every step, so they are computed
+in the first pack that holds the utterance and a later pack takes them from
+the cache: its aligner, soft alignment and DPs do not run, and its logged
+values are bit for bit what the aligner's loss nodes would hold. Pretraining
+and `ft` train the aligner and keep the graph path.
 
 Checkpoints carry the model tensors under their bare names, adapter-surface
 tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
@@ -18,7 +29,8 @@ resumed run continues exactly where it stopped.
 
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +39,8 @@ from . import corpus as corpus_mod
 from . import featio
 from . import variance as var_mod
 from .adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from .alignment import binarization_loss, forward_sum_loss
+from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
+                        forward_sum_value, hard_path_log_probs, map_forward_sums)
 from .autodiff import Tensor
 from .errors import ConfigError, InputError, InternalInvariantError, NumericsError, StateError
 from .layers import RunCtx, rng_for
@@ -141,7 +154,30 @@ def _pitch_targets(utt, pitch_cache):
     return targets
 
 
-def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None):
+class FrozenAlignment(NamedTuple):
+    """What a frozen aligner gives one utterance, at every step of a run."""
+
+    durations: np.ndarray  # (n,) int64 Viterbi durations
+    forward_sum: np.float64  # its map's forward-sum loss
+    path_log_probs: np.ndarray  # (m,) float32 log-prob of each frame's hard-path phoneme
+
+
+def _frozen_alignments(model, pack, align_cache):
+    """One FrozenAlignment per utterance of the pack, from align_cache. A
+    pack with an utterance not cached yet runs the aligner once, through the
+    routines the loss nodes use, and stores each utterance it lacks."""
+    if any(uid not in align_cache for uid in pack.utt_ids):
+        amap, durations = model.align(pack)
+        losses, _ = map_forward_sums(amap)
+        path = hard_path_log_probs(amap)
+        bounds = zip(pack.phonemes_seg.bounds, pack.frames_seg.bounds)
+        for b, (uid, ((ps, pe), (fs, fe))) in enumerate(zip(pack.utt_ids, bounds)):
+            align_cache.setdefault(uid, FrozenAlignment(durations[ps:pe], losses[b], path[fs:fe]))
+    return [align_cache[uid] for uid in pack.utt_ids]
+
+
+def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None,
+                   align_cache=None):
     """(total loss Tensor, LossBreakdown) for a pack of utterances.
 
     One packed forward pass; the graph's total is the sum over the pack of
@@ -149,10 +185,18 @@ def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None):
     means. `hooks` holds one adapter hooks dict per utterance, or is None.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
+
+    `align_cache` (utt_id -> FrozenAlignment) is for a model whose aligner
+    is frozen: the pack then takes its durations and its forward-sum and
+    binarization values from the cache (filling it as needed), as constants
+    equal bit for bit to what the aligner's loss nodes would hold, and the
+    aligner does not run.
     """
     weights = loss_weights(sched, step)
     pack = Pack.of(utts)
-    out = model.forward_train(pack, ctx, hooks=hooks)
+    frozen = None if align_cache is None else _frozen_alignments(model, pack, align_cache)
+    out = model.forward_train(pack, ctx, hooks=hooks, durations=None if frozen is None else
+                              np.concatenate([a.durations for a in frozen]))
     phonemes, frames, per_utt = pack.phonemes_seg, pack.frames_seg, pack.utterances_seg
     targets = [_pitch_targets(u, pitch_cache) for u in utts]
     spec_t = np.concatenate([t[0] for t in targets])
@@ -178,10 +222,18 @@ def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None):
         pred = out[key or name]
         term(name, lambda: loss(pred, target, seg), lambda: seg.means(error(pred.data - target)))
 
+    if frozen is None:
+        amap = out["amap"]
+        alignment_terms = (lambda: forward_sum_loss(amap), lambda: binarization_loss(amap))
+    else:
+        fs = forward_sum_value(np.array([a.forward_sum for a in frozen]), ad.DEFAULT_DTYPE)
+        bz = binarization_value(np.concatenate([a.path_log_probs for a in frozen]))
+        alignment_terms = (lambda: Tensor(fs), lambda: Tensor(bz))
+
     fit("mel_pre", mel, frames, ad.l1_loss, np.abs)
     fit("mel_post", mel, frames, ad.l1_loss, np.abs)
-    term("forward_sum", lambda: forward_sum_loss(out["amap"]), lambda: np.zeros(1))
-    term("binarization", lambda: binarization_loss(out["amap"]), lambda: np.zeros(1))
+    term("forward_sum", alignment_terms[0], lambda: np.zeros(1))
+    term("binarization", alignment_terms[1], lambda: np.zeros(1))
     fit("duration", log_dur_t, phonemes, ad.mse_loss, np.square, key="log_dur")
     fit("pitch_spec", spec_t, frames, ad.mse_loss, np.square)
     fit("pitch_mean", mean_t, per_utt, ad.mse_loss, np.square)
@@ -408,11 +460,19 @@ class _LossLog:
             f.write(f"{step}\t{row}\t{lr:.8f}\n")
 
 
+def _aligner_frozen(model):
+    """True when nothing the aligner reads trains: its own tensors and the
+    phoneme embedding table it projects."""
+    reads = model.aligner.parameters() + [model.encoder.embed.table]
+    return not any(p.requires_grad for p in reads)
+
+
 def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
                  hooks_fn, log, val_utterances, val_log, ckpt_every,
                  save_fn, log_every=10, val_every=200):
     batcher = _Batcher(seed, len(utterances), sched.batch_size)
     pitch_cache = {}
+    align_cache = {} if _aligner_frozen(model) else None
     inv_bs = 1.0 / sched.batch_size
     for step in range(start_step, sched.total_steps):
         for _, p in trainable:
@@ -423,7 +483,7 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
         total, breakdown = compute_losses(
             model, utts, step, sched, ctx,
             hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
-            pitch_cache=pitch_cache,
+            pitch_cache=pitch_cache, align_cache=align_cache,
         )
         ad.backward(total)
         grad = flat_grads(trainable)
@@ -436,7 +496,7 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
             log.append(done, breakdown, lr)
         if val_utterances and (done % val_every == 0 or done == sched.total_steps):
             val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn,
-                                          pitch_cache=pitch_cache), lr)
+                                          pitch_cache=pitch_cache, align_cache=align_cache), lr)
         if done % ckpt_every == 0 or done == sched.total_steps:
             save_fn(done)
     return sched.total_steps
@@ -456,20 +516,20 @@ def check_finite_grads(grad, step, named_params):
             raise NumericsError(f"non-finite gradient for {name} at step {step}")
 
 
-def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None):
+@ad.no_grad()
+def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, align_cache=None):
     """Teacher-forced loss over a split in packs of sched.batch_size, dropout
-    off. Returns the per-utterance average breakdown; weights are evaluated
-    at `step` so logs stay comparable. `pitch_cache` (utt_id -> pitch
-    targets) is read and filled as in `compute_losses`; a training run
-    passes the one its steps use."""
+    off, recording no tape. Returns the per-utterance average breakdown;
+    weights are evaluated at `step` so logs stay comparable. `pitch_cache`
+    (utt_id -> pitch targets) and `align_cache` are read and filled as in
+    `compute_losses`; a training run passes the ones its steps use."""
     outs, counts = [], []
     for start in range(0, len(utterances), sched.batch_size):
         utts = utterances[start : start + sched.batch_size]
-        # keep only the breakdown, so one pack's graph is alive at a time
         outs.append(compute_losses(
             model, utts, step, sched, RunCtx(training=False),
             hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
-            pitch_cache=pitch_cache,
+            pitch_cache=pitch_cache, align_cache=align_cache,
         )[1])
         counts.append(len(utts))
     return LossBreakdown.average(outs, counts)
@@ -500,10 +560,21 @@ def _write_latest(run_dir, filename):
     os.replace(tmp, _latest_path(run_dir))
 
 
+def _run_meta(sched, seed):
+    """What a resumed pretraining run must share with the run that wrote its
+    checkpoint: the seed and every schedule field but total_steps, which
+    only ends the run (a resume may extend it)."""
+    schedule = {k: v for k, v in asdict(sched).items() if k != "total_steps"}
+    schedule["milestones"] = list(schedule["milestones"])  # as JSON gives it back
+    return {"schedule": schedule, "seed": seed}
+
+
 def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
              log_every=10, val_every=200, ckpt_every=500):
     """Train the backbone on the pretrain speakers. Returns the final
-    checkpoint path. Interrupted runs resume from the newest checkpoint."""
+    checkpoint path. Interrupted runs resume from the newest checkpoint; a
+    resume with another model config, schedule (total_steps aside) or seed
+    is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
     train = corpus_mod.load_corpus(manifest_path, adaptation=False, split="train")
     val = corpus_mod.load_corpus(manifest_path, adaptation=False, split="val")
@@ -517,6 +588,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     trainable = list(model.named_parameters())
 
     start_step = 0
+    run_meta = _run_meta(sched, seed)
     latest = _read_latest(run_dir)
     if latest is not None:
         loaded = load_checkpoint(latest)
@@ -524,6 +596,10 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
             raise StateError(f"{latest} is not a pretraining checkpoint")
         if loaded.meta["model_config"] != model_config.to_dict():
             raise ConfigError("run directory holds a checkpoint with a different model config")
+        for key in ("schedule", "seed"):
+            if loaded.meta.get(key) != run_meta[key]:
+                raise ConfigError(f"run directory holds a checkpoint with a different {key}: "
+                                  f"{loaded.meta.get(key)} vs {run_meta[key]}")
         model.load_state_arrays({
             k: v for k, v in loaded.arrays.items() if not k.startswith("opt.")
         })
@@ -538,7 +614,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
 
     def save_fn(done):
         name = f"ckpt-{done:06d}.bin"
-        save_checkpoint(os.path.join(run_dir, name), model, done, opt=opt)
+        save_checkpoint(os.path.join(run_dir, name), model, done, opt=opt, extra_meta=run_meta)
         _write_latest(run_dir, name)
 
     if start_step >= sched.total_steps:

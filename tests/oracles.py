@@ -5,7 +5,7 @@ n contiguous nonempty phoneme runs, so they are exact (and exponentially
 slow): keep n and m small. The others keep the straightforward construction
 a fused or vectorised library routine replaced, including the tape ops those
 constructions were built from and the library no longer has: `narrow`,
-`concat`, `matmul`, `permute` and `softmax`. `weighted_sum` (a random linear
+`concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
 probe) and a numpy `log_softmax` build test losses and alignment maps.
 """
 
@@ -164,6 +164,18 @@ def matmul(a, b):
     return ad.from_op(np.matmul(x, y), (a, b), grad_fn, "matmul")
 
 
+def add_bias(x, b):
+    """Tape op: x plus a (d,) bias broadcast over x's trailing axis."""
+    if b.data.ndim != 1 or x.shape[-1:] != b.shape:
+        raise ShapeError("add_bias", f"bias {b.shape} does not match trailing axis of {x.shape}")
+    lead = tuple(range(x.data.ndim - 1))
+
+    def grad_fn(g):
+        return g, g.sum(axis=lead)
+
+    return ad.from_op(x.data + b.data, (x, b), grad_fn, "add_bias")
+
+
 def permute(a, axes):
     """Tape op: a with its axes reordered."""
     axes = tuple(axes)
@@ -263,9 +275,10 @@ def table_row_reference(table, site, d_h, d_r):
 
 
 def adapter_reference(h, w_down, b_down, w_up, b_up):
-    """h + ReLU(h W_d + b_d) W_u + b_u by matmul, add and relu nodes."""
-    z = ad.relu(ad.add(matmul(h, w_down), b_down))
-    return ad.add(h, ad.add(matmul(z, w_up), b_up))
+    """h + ReLU(h W_d + b_d) W_u + b_u by matmul, add_bias, add and relu
+    nodes."""
+    z = ad.relu(add_bias(matmul(h, w_down), b_down))
+    return ad.add(h, add_bias(matmul(z, w_up), b_up))
 
 
 def adam_reference(named_params, grads, lr_list, beta1=0.9, beta2=0.98, eps=1e-9):

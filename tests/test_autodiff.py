@@ -125,7 +125,8 @@ class TestOpGradients:
         rng = np.random.default_rng(9)
         x = t64(rng.standard_normal((6, 3)))
         bias = t64(rng.standard_normal(3))
-        _fd_check(lambda a, b: ad.sum_all(ad.tanh(ad.segment_mean(ad.add(a, b)))), [x, bias])
+        _fd_check(lambda a, b: ad.sum_all(ad.tanh(ad.segment_mean(oracles.add_bias(a, b)))),
+                  [x, bias])
 
     def test_two_layer_composite(self):
         rng = np.random.default_rng(10)
@@ -165,7 +166,7 @@ class TestFusedOps:
         b = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
         out = ad.linear(x, w, b)
         assert out.op == "linear" and out._parents == (x, w, b)
-        np.testing.assert_array_equal(out.data, ad.add(oracles.matmul(x, w), b).data)
+        np.testing.assert_array_equal(out.data, oracles.add_bias(oracles.matmul(x, w), b).data)
 
     def test_conv1d_bias_is_fused(self):
         rng = np.random.default_rng(23)
@@ -409,6 +410,70 @@ class TestBackwardSemantics:
             np.testing.assert_array_equal(a, b)
 
 
+def _op_with_parents(op, rng):
+    """(fn of three float64 parents, the parents) of one fused op with a
+    weight and a bias: linear, conv1d or layer_norm."""
+    if op == "linear":
+        shapes, fn = ((5, 3), (3, 4), (4,)), ad.linear
+    elif op == "conv1d":
+        shapes, fn = ((7, 3), (3, 3, 2), (2,)), ad.conv1d
+    else:
+        shapes, fn = ((4, 6), (6,), (6,)), ad.layer_norm
+    return fn, [t64(rng.standard_normal(shape)) for shape in shapes]
+
+
+class TestFrozenParents:
+    # each pattern leaves at least one parent trainable; (x, w, b) order
+    PATTERNS = [(True, False, False), (True, False, True), (False, True, False),
+                (False, False, True), (True, True, False)]
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("op", ["linear", "conv1d", "layer_norm"])
+    def test_grad_check_with_frozen_parents(self, op, pattern):
+        fn, parents = _op_with_parents(op, np.random.default_rng(31))
+        for p, flag in zip(parents, pattern):
+            p.requires_grad = flag
+        c = np.random.default_rng(32).standard_normal(fn(*parents).shape)
+        _fd_check(lambda *args: oracles.weighted_sum(ad.tanh(fn(*args)), c), parents)
+        for p, flag in zip(parents, pattern):
+            assert (p.grad is not None) == flag
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("op", ["linear", "conv1d", "layer_norm"])
+    def test_closure_computes_no_frozen_gradient(self, op, pattern):
+        # conv1d's kernel forms the input gradient whatever x is; a frozen
+        # weight or bias gets None from every op
+        fn, parents = _op_with_parents(op, np.random.default_rng(33))
+        for p, flag in zip(parents, pattern):
+            p.requires_grad = flag
+        out = fn(*parents)
+        grads = out._grad_fn(np.ones_like(out.data))
+        checked = range(1, 3) if op == "conv1d" else range(3)
+        assert [grads[i] is not None for i in checked] == [pattern[i] for i in checked]
+
+
+class TestNoGrad:
+    def test_records_no_tape_and_restores_on_exit(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                out = ad.tanh(ad.linear(x, w))
+                assert out._parents == () and out._grad_fn is None
+                assert not out.requires_grad
+                raise RuntimeError("leaves the block early")
+        np.testing.assert_array_equal(out.data, ad.tanh(ad.linear(x, w)).data)
+        again = ad.linear(x, w)
+        assert again._parents == (x, w) and again.requires_grad
+
+    def test_backward_through_a_no_grad_output_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            loss = ad.sum_all(ad.scale(x, 2.0))
+        with pytest.raises(StateError):
+            ad.backward(loss)
+
+
 class TestShapeValidation:
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ShapeError):
@@ -429,5 +494,7 @@ class TestShapeValidation:
             ad.add(a, b)
 
     def test_bad_broadcast_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.add(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+        # add takes two tensors of one shape: no bias or scalar broadcasting
+        for other in (np.ones(3), np.ones(4), np.ones(())):
+            with pytest.raises(ShapeError):
+                ad.add(Tensor(np.ones((3, 4))), Tensor(other))

@@ -164,7 +164,7 @@ class TestFFTBlock:
         np.testing.assert_array_equal(plain, hooked)
         # uniform shifts would be erased by the closing layer norm, so perturb
         # channels unevenly to observe the hook
-        probe = Tensor(np.arange(D, dtype=np.float32))
+        probe = Tensor(np.tile(np.arange(D, dtype=np.float32), (4, 1)))
         shifted = block(h, None, CTX, adapter=lambda t: ad.add(t, probe)).data
         assert np.abs(shifted - plain).max() > 1e-3
 

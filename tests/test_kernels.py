@@ -146,6 +146,10 @@ class TestConv1d:
                 want_gw[idx] = (self._oracle(xp, unit) * g).sum()
             np.testing.assert_allclose(gxp, want_gxp, atol=1e-12)
             np.testing.assert_allclose(gw, want_gw, atol=1e-12)
+            # a frozen weight asks for no gradient; the input's is unchanged
+            gxp_only, none = kernels.conv1d_backward(xp, w, g, need_w=False)
+            assert none is None
+            np.testing.assert_array_equal(gxp_only, gxp)
 
 
 class TestDtw:

@@ -5,6 +5,8 @@ import pytest
 
 from hyperadapt import autodiff as ad
 from hyperadapt import variance as var_mod
+from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
+from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
@@ -184,6 +186,27 @@ def test_synthesize_deterministic():
     mel_b, info_b = build_model().synthesize(phonemes, spk)
     np.testing.assert_array_equal(mel_a, mel_b)
     np.testing.assert_array_equal(info_a["f0"], info_b["f0"])
+
+
+def test_synthesize_records_no_tape(monkeypatch):
+    # every node of a synthesis pass, adapters included, is a constant: no
+    # parents, no closure, so nothing the forward pass saved outlives it
+    model = build_model()
+    dims = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
+    phonemes, _, _, _, spk = sample_inputs()
+    hooks = adapted.hooks_for(Tensor(spk.reshape(1, -1)))
+    nodes = []
+    real = ad.from_op
+
+    def recording(data, parents, grad_fn, op):
+        nodes.append(real(data, parents, grad_fn, op))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "from_op", recording)
+    model.synthesize(phonemes, spk, hooks=hooks)
+    assert {"linear", "conv1d", "attention", "adapter"} <= {n.op for n in nodes}
+    assert all(n._parents == () and n._grad_fn is None for n in nodes)
 
 
 def test_synthesize_rejects_wrong_speaker_dim():

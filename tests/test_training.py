@@ -8,9 +8,10 @@ import pytest
 
 import hyperadapt.autodiff as ad
 import hyperadapt.training as tr
-from hyperadapt import featio
+from hyperadapt import featio, kernels
+from hyperadapt import model as model_mod
 from hyperadapt import variance as var_mod
-from hyperadapt.adaptation import AdapterDims, StrategyConfig, count_trainable_params
+from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig, count_trainable_params
 from hyperadapt.alignment import AlignmentMap
 from hyperadapt.autodiff import Tensor
 from hyperadapt.corpus import CorpusSpec, Utterance, generate_corpus, load_corpus
@@ -141,7 +142,7 @@ class _EchoModel:
     def __init__(self, f0s):
         self.f0s = f0s
 
-    def forward_train(self, pack, ctx, hooks=None):
+    def forward_train(self, pack, ctx, hooks=None, durations=None):
         frames = pack.frames_seg.lengths
         durations = frames.copy()  # one phoneme, every frame
         targets = [var_mod.pitch_targets(f0.astype(np.float64)) for f0 in self.f0s]
@@ -414,6 +415,19 @@ def test_pretrain_rejects_config_change_on_resume(pretrained, corpus_manifest):
         tr.pretrain(corpus_manifest, other, SCHED, run, seed=3)
 
 
+def test_pretrain_rejects_schedule_change_on_resume(pretrained, corpus_manifest):
+    _, run = pretrained
+    other = dataclasses.replace(SCHED, peak_lr=2e-3)
+    with pytest.raises(ConfigError, match="schedule"):
+        tr.pretrain(corpus_manifest, TRAIN_CFG, other, run, seed=3)
+
+
+def test_pretrain_rejects_seed_change_on_resume(pretrained, corpus_manifest):
+    _, run = pretrained
+    with pytest.raises(ConfigError, match="seed"):
+        tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, run, seed=4)
+
+
 def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_manifest, tmp_path):
     adapted_ck, _ = adapted
     import shutil
@@ -675,3 +689,160 @@ def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_manif
     with pytest.raises(InternalInvariantError, match="frozen"):
         tr.adapt(ck, corpus_manifest, "hyper_e", adaptation_schedule(steps=1, batch_size=2),
                  str(tmp_path), seed=5, dims=DIMS)
+
+
+# -----------------------------------------------------------------------------
+# frozen backbone: no frozen-weight gradients, one alignment per utterance
+# -----------------------------------------------------------------------------
+
+
+def _adapted_model(ck, label):
+    """A loaded backbone with `label`'s surface attached and moved off the
+    identity, so every adapter site passes gradient."""
+    model = tr.load_checkpoint(ck).model
+    adapted = AdaptedModel(model, StrategyConfig.parse(label, DIMS), seed=5)
+    for name, p in adapted.extras.named_parameters():
+        p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
+    return model, adapted
+
+
+def _adapt_step(model, adapted, batch, align_cache=None):
+    """(breakdown, flat gradient) of one training step of an adapted model."""
+    trainable = adapted.named_trainable()
+    for _, p in trainable:
+        p.grad = None
+    ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(len(batch))], training=True)
+    hooks = [adapted.hooks_for(Tensor(u.embedding.reshape(1, -1))) for u in batch]
+    total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), ctx,
+                               hooks=hooks, align_cache=align_cache)
+    ad.backward(total)
+    return bd, tr.flat_grads(trainable)
+
+
+def test_adapter_step_computes_no_frozen_weight_gradient(monkeypatch, pretrained,
+                                                         corpus_manifest):
+    ck, _ = pretrained
+    model, adapted = _adapted_model(ck, "adapter_evd")
+    weights = {id(p): p for p in model.parameters()}
+    weight_arrays = {id(p.data) for p in model.parameters()}
+    assert not any(p.requires_grad for p in weights.values())
+    conv_calls, closures = [], []
+    real_conv, real_from_op = kernels.conv1d_backward, ad.from_op
+
+    def conv_backward(xp, w, gout, need_w=True):
+        conv_calls.append((id(w) in weight_arrays, need_w))
+        return real_conv(xp, w, gout, need_w=need_w)
+
+    def recording(data, parents, grad_fn, op):
+        if op in ("linear", "conv1d", "layer_norm"):
+            def grad_fn(g, inner=grad_fn):
+                grads = inner(g)
+                closures.append((op, parents, grads))
+                return grads
+        return real_from_op(data, parents, grad_fn, op)
+
+    monkeypatch.setattr(kernels, "conv1d_backward", conv_backward)
+    monkeypatch.setattr(ad, "from_op", recording)
+    batch = load_corpus(corpus_manifest, adaptation=True, split="train")[:2]
+    _adapt_step(model, adapted, batch)
+    assert conv_calls and all(frozen and not need_w for frozen, need_w in conv_calls)
+    assert {op for op, _, _ in closures} == {"linear", "conv1d", "layer_norm"}
+    for op, parents, grads in closures:
+        for p, g in zip(parents, grads):
+            if id(p) in weights:
+                assert g is None, op
+
+
+@pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
+def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrained,
+                                                            corpus_manifest, label):
+    ck, _ = pretrained
+    model, adapted = _adapted_model(ck, label)
+    train = load_corpus(corpus_manifest, adaptation=True, split="train")
+    batch = train[:4]
+    cache = {}
+    for utt in reversed(train):  # filled from packs of one, in another order
+        _adapt_step(model, adapted, [utt], cache)
+    assert set(cache) == {u.utt_id for u in train}
+    bd_plain, grad_plain = _adapt_step(model, adapted, batch)
+
+    ops, dp_calls = set(), []
+    real_from_op = ad.from_op
+
+    def recording(data, parents, grad_fn, op):
+        ops.add(op)
+        return real_from_op(data, parents, grad_fn, op)
+
+    monkeypatch.setattr(ad, "from_op", recording)
+    for name in ("forward_sum", "viterbi"):
+        monkeypatch.setattr(kernels, name, lambda *a, name=name: dp_calls.append(name))
+    bd_cached, grad_cached = _adapt_step(model, adapted, batch, cache)
+    assert bd_cached.components == bd_plain.components
+    assert bd_cached.weights["binarization"] == 1.0
+    assert bd_cached.total == bd_plain.total
+    np.testing.assert_array_equal(grad_cached, grad_plain)
+    assert not dp_calls
+    assert not ops & {"soft_align", "forward_sum", "binarization"}
+
+
+def _aligner_runs(monkeypatch, ck, manifest, strategy, steps, run_dir):
+    """(soft_align calls, _frozen_alignments calls) over one adapt run."""
+    calls = {"soft_align": 0, "cache": 0}
+    real_align, real_cache = model_mod.soft_align, tr._frozen_alignments
+
+    def soft_align(*args):
+        calls["soft_align"] += 1
+        return real_align(*args)
+
+    def frozen_alignments(*args):
+        calls["cache"] += 1
+        return real_cache(*args)
+
+    monkeypatch.setattr(model_mod, "soft_align", soft_align)
+    monkeypatch.setattr(tr, "_frozen_alignments", frozen_alignments)
+    tr.adapt(ck, manifest, strategy, adaptation_schedule(steps=steps, batch_size=2), run_dir,
+             seed=5, dims=DIMS, val_every=2)
+    monkeypatch.undo()
+    return calls["soft_align"], calls["cache"]
+
+
+def test_frozen_aligner_runs_once_per_utterance_per_run(monkeypatch, pretrained,
+                                                        corpus_manifest, tmp_path):
+    # three epochs align no more often than one: each utterance, training
+    # and validation alike, is aligned in the first pack that holds it
+    ck, _ = pretrained
+    n = len(load_corpus(corpus_manifest, adaptation=True, split="train"))
+    one = _aligner_runs(monkeypatch, ck, corpus_manifest, "adapter_e", n // 2,
+                        str(tmp_path / "one"))
+    three = _aligner_runs(monkeypatch, ck, corpus_manifest, "adapter_e", 3 * (n // 2),
+                          str(tmp_path / "three"))
+    assert 0 < one[0] == three[0] < one[1] < three[1]
+
+
+def test_pretrain_and_ft_never_fill_the_alignment_cache(monkeypatch, pretrained,
+                                                        corpus_manifest, tmp_path):
+    ck, _ = pretrained
+    ft = _aligner_runs(monkeypatch, ck, corpus_manifest, "ft", 3, str(tmp_path / "ft"))
+    assert ft[1] == 0 and ft[0] > 3
+    filled = []
+    monkeypatch.setattr(tr, "_frozen_alignments", lambda *args: filled.append(args))
+    tr.pretrain(corpus_manifest, TRAIN_CFG, dataclasses.replace(SCHED, total_steps=2),
+                str(tmp_path / "pre"), seed=3, val_every=1)
+    assert not filled
+
+
+def test_validate_records_no_tape(monkeypatch, pretrained, corpus_manifest):
+    ck, _ = pretrained
+    model = tr.load_checkpoint(ck).model
+    val = load_corpus(corpus_manifest, adaptation=False, split="val")
+    nodes = []
+    real = ad.from_op
+
+    def recording(data, parents, grad_fn, op):
+        nodes.append(real(data, parents, grad_fn, op))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "from_op", recording)
+    bd = tr.validate(model, val, 5, SCHED)
+    assert np.isfinite(bd.total) and nodes
+    assert all(n._parents == () and n._grad_fn is None for n in nodes)
