@@ -12,12 +12,13 @@ starts from the frozen model's behavior exactly.
 
 Each backbone module keeps its adapters as one (n_sites, n_flat) table whose
 row s is site s flattened as [w_down.flat | b_down | w_up.flat | b_up]. For
-static adapters the table is itself the trainable tensor; for the
-hypernetwork it is generated once per module and utterance. Two fused tape
-ops with hand-written gradients carry the whole path: `HyperNetwork.generate`
-(one node per module and utterance) and `adapter_forward` (one node per site
-over a whole pack, reading one row of each utterance's table and sending
-gradient only to that row).
+static adapters the table is itself the trainable tensor, shared by every
+utterance; the hypernetwork generates a pack's tables from its (B, d_1)
+speaker matrix, stacked speaker-major. Two fused tape ops with hand-written
+gradients carry the whole path: `HyperNetwork.generate` (one node per module
+per pack) and `adapter_forward` (one node per site over a whole pack, with
+no loop over segments: each segment reads one table row, and only the rows
+read get gradient).
 
 The hypernetwork (one per module, never shared across modules) maps the
 speaker embedding through a projector, concatenates it with each site's
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, StateError
 from .layers import Dense, Module, rng_for, xavier_uniform
 
 SITE_COUNTS = {"e": 4, "v": 2, "d": 6}
@@ -51,68 +52,81 @@ class AdapterDims:
     d_s: int = 8
 
 
-def adapter_forward(h, tables, site, seg=None):
+def adapter_forward(h, table, rows, seg=None):
     """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence in one
-    node: segment b (all of h when seg is None) goes through row `site` of
-    tables[b].
+    node: segment b (all of h when seg is None) goes through row rows[b] of
+    the (n_rows, n_flat) table; an int `rows` sends every segment through
+    that row.
 
-    Each table is (n_sites, n_flat), row s laid out as
-    [w_down.flat | b_down | w_up.flat | b_up]; d_r follows from n_flat and
-    d_h. Segments may share a table (static adapters share one); its
-    gradient then sums over them. A table's gradient is zero outside row
-    `site`.
+    Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]; d_r
+    follows from n_flat and d_h. The K distinct rows read are applied
+    block-diagonally, with no loop over segments: one (T, K d_r)
+    down-projection, each packed row masked to its own row's block before
+    the ReLU, one (K d_r, d_h) up-projection. A row several segments read
+    (a static table's) is one block, so its gradient sums over them; rows
+    nobody reads get zero gradient.
     """
-    bounds = ad._segments_of("adapter_forward", seg, h.shape[0])
-    if len(tables) != len(bounds):
-        raise InputError(f"adapter_forward: {len(tables)} tables for {len(bounds)} segments")
-    ad._check_same_dtype("adapter_forward", h, *tables)
+    ad._segments_of("adapter_forward", seg, h.shape[0])
+    ad._check_same_dtype("adapter_forward", h, table)
     d_h = h.shape[-1]
-    shape = tables[0].shape
-    n_sites, n_flat = shape if len(shape) == 2 else (0, 0)
+    n_rows, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
     d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
-    if h.data.ndim != 2 or not n_sites or rest or d_r < 1 or any(t.shape != shape for t in tables):
-        raise ShapeError("adapter_forward",
-                         f"hidden dim {d_h} vs adapter tables {[t.shape for t in tables]}")
-    if not 0 <= site < n_sites:
-        raise InputError(f"adapter table has {n_sites} sites, got index {site}")
+    if h.data.ndim != 2 or not n_rows or rest or d_r < 1:
+        raise ShapeError("adapter_forward", f"hidden dim {d_h} vs adapter table {table.shape}")
+    seg = ad.Segments([h.shape[0]]) if seg is None else seg
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu" or rows.shape not in ((), (len(seg),)):
+        raise InputError(f"adapter_forward: rows {rows.tolist()} for {len(seg)} segments")
+    rows = np.full(len(seg), rows)
+    # the K distinct rows read, one block each; a set, since np.unique costs
+    # more than a one-utterance pack's adapter arithmetic and imports numpy.ma
+    used = sorted(set(rows.tolist()))
+    if used[0] < 0 or used[-1] >= n_rows:
+        raise InputError(f"adapter table has {n_rows} rows, got index {rows.tolist()}")
+    used = np.array(used)
+    k = used.size
     n_wd = d_h * d_r
     n_down = n_wd + d_r
+    picked = table.data[used]
+    w_down = picked[:, :n_wd].reshape(k, d_h, d_r).transpose(1, 0, 2).reshape(d_h, k * d_r)
+    w_up = picked[:, n_down : n_flat - d_h].reshape(k * d_r, d_h)
     x = h.data
-    outs = []
-    saved = []  # per segment: (w_down, w_up, relu mask, activations)
-    for (s, e), table in zip(bounds, tables):
-        row = table.data[site]
-        w_down = row[:n_wd].reshape(d_h, d_r)
-        w_up = row[n_down : n_flat - d_h].reshape(d_r, d_h)
-        pre = x[s:e] @ w_down
-        pre += row[n_wd:n_down]
-        mask = pre > 0
-        z = np.where(mask, pre, pre.dtype.type(0))
-        delta = z @ w_up
-        delta += row[n_flat - d_h :]
-        outs.append(x[s:e] + delta)
-        saved.append((w_down, w_up, mask, z))
-    out_data = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    parents = [h, *{id(t): t for t in tables}.values()]
+    pre = x @ w_down
+    pre += picked[:, n_wd:n_down].reshape(-1)
+    keep = pre > 0  # each packed row keeps only its own row's block
+    keep &= np.repeat(used.repeat(d_r) == rows[:, None], seg.lengths, axis=0)
+    z = np.where(keep, pre, pre.dtype.type(0))
+    delta = z @ w_up
+    delta += np.repeat(table.data[rows, n_flat - d_h :], seg.lengths, axis=0)
 
     def grad_fn(g):
-        g_tables = {id(t): np.zeros_like(t.data) for t in parents[1:] if t.requires_grad}
-        gh = []
-        for (s, e), table, (w_down, w_up, mask, z) in zip(bounds, tables, saved):
-            gs = g[s:e]
-            gpre = (gs @ w_up.T) * mask
-            if id(table) in g_tables:
-                g_row = g_tables[id(table)][site]
-                g_row[:n_wd] += (x[s:e].T @ gpre).reshape(-1)
-                g_row[n_wd:n_down] += ad._add_reduce(gpre, axis=0)
-                g_row[n_down : n_flat - d_h] += (z.T @ gs).reshape(-1)
-                g_row[n_flat - d_h :] += ad._add_reduce(gs, axis=0)
-            if h.requires_grad:
-                gh.append(gs + gpre @ w_down.T)
-        gx = (gh[0] if len(gh) == 1 else np.concatenate(gh)) if gh else None
-        return (gx,) + tuple(g_tables.get(id(t)) for t in parents[1:])
+        gpre = g @ w_up.T
+        gpre *= keep
+        g_table = None
+        if table.requires_grad:
+            g_table = np.zeros_like(table.data)
+            g_table[used, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
+            g_table[used, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)
+            g_table[used, n_down : n_flat - d_h] = (z.T @ g).reshape(k, -1)
+            np.add.at(g_table[:, n_flat - d_h :], rows, np.add.reduceat(g, seg.starts, axis=0))
+        gx = g + gpre @ w_down.T if h.requires_grad else None
+        return gx, g_table
 
-    return ad.from_op(out_data, parents, grad_fn, "adapter")
+    return ad.from_op(x + delta, (h, table), grad_fn, "adapter")
+
+
+def site_adapters(table, n_sites, seg):
+    """One adapter callable per site of a module over a packed sequence,
+    from the pack's table (see AdaptedModel.hooks_for): segment b reads site
+    s from row b n_sites + s of a generated table (B n_sites rows,
+    speaker-major), or from row s of a table every segment shares (n_sites
+    rows). Each callable looks adapter_forward up when called."""
+    if table.shape[0] not in (n_sites, n_sites * len(seg)):
+        raise ShapeError("site_adapters", f"table of {table.shape[0]} rows for "
+                                          f"{n_sites} sites and {len(seg)} segments")
+    first = np.arange(len(seg)) * n_sites if table.shape[0] > n_sites else 0
+    return [lambda h, rows=first + site: adapter_forward(h, table, rows, seg)
+            for site in range(n_sites)]
 
 
 def static_adapter_table(seed, tag, n_sites, d_h, d_r, dtype=ad.DEFAULT_DTYPE):
@@ -144,40 +158,49 @@ class HyperNetwork(Module):
         self.dims = d
         self.n_sites = n_sites
 
-    def generate(self, spk_vec):
-        """(n_sites, n_down + n_up) adapter table for a (1, d_1) speaker
-        vector, in one node; differentiable in spk_vec and all seven
+    def generate(self, spk):
+        """Adapter tables of B speakers, a (B, d_1) matrix, in one node:
+        (B n_sites, n_down + n_up), speaker-major, so row b n_sites + s is
+        site s of speaker b (a (1, d_1) input gives the module's
+        (n_sites, n_flat) table). Differentiable in spk and all seven
         hypernetwork tensors, deterministic given both.
 
-        The speaker projection runs once; the source projection maps every
-        [speaker | layer embedding] row in one matmul, and each sampler maps
-        every source row in one matmul.
+        The speaker projection maps every speaker in one matmul, the source
+        projection every [speaker | layer embedding] row, and each sampler
+        every source row; the gradients of the layer embedding and the
+        projections sum over the speakers.
         """
-        if spk_vec.data.ndim != 2 or spk_vec.shape != (1, self.dims.d_1):
-            raise ShapeError("generate", f"speaker vector must be (1, {self.dims.d_1}), got {spk_vec.shape}")
+        n_sites = self.n_sites
+        if spk.data.ndim != 2 or spk.shape[0] < 1 or spk.shape[1] != self.dims.d_1:
+            raise ShapeError("generate", f"speakers must be (B, {self.dims.d_1}), got {spk.shape}")
         sp, so = self.speaker_proj, self.source_proj
-        parents = (spk_vec, sp.w, sp.b, self.layer_embed, so.w, so.b,
+        parents = (spk, sp.w, sp.b, self.layer_embed, so.w, so.b,
                    self.sampler_down.w, self.sampler_up.w)
         ad._check_same_dtype("generate", *parents)
-        v, wp, le, ws, wd, wu = (spk_vec.data, sp.w.data, self.layer_embed.data,
+        v, wp, le, ws, wd, wu = (spk.data, sp.w.data, self.layer_embed.data,
                                  so.w.data, self.sampler_down.w.data, self.sampler_up.w.data)
+        n_spk = v.shape[0]
         d_2, n_down = wp.shape[1], wd.shape[1]
         sv = v @ wp
-        sv += sp.b.data                                           # (1, d_2)
-        x = np.concatenate([np.repeat(sv, self.n_sites, axis=0), le], axis=1)
+        sv += sp.b.data                                           # (B, d_2)
+        x = np.empty((n_spk, n_sites, d_2 + le.shape[1]), dtype=sv.dtype)
+        x[:, :, :d_2] = sv[:, None]
+        x[:, :, d_2:] = le
+        x = x.reshape(n_spk * n_sites, -1)
         z = x @ ws
-        z += so.b.data                                            # (n_sites, d_s)
+        z += so.b.data                                            # (B n_sites, d_s)
         out_data = np.concatenate([z @ wd, z @ wu], axis=1)
 
         def grad_fn(g):
             g_down, g_up = g[:, :n_down], g[:, n_down:]
             gz = g_down @ wd.T + g_up @ wu.T
             gx = gz @ ws.T
-            gsv = ad._add_reduce(gx[:, :d_2], axis=0, keepdims=True)
-            # the speaker vector is a constant in training; the seven
-            # hypernetwork tensors train whenever this node is on a tape
-            g_spk = gsv @ wp.T if spk_vec.requires_grad else None
-            return (g_spk, v.T @ gsv, gsv[0], gx[:, d_2:], x.T @ gz,
+            gsv = ad._add_reduce(gx[:, :d_2].reshape(n_spk, n_sites, d_2), axis=1)
+            g_le = ad._add_reduce(gx[:, d_2:].reshape(n_spk, n_sites, -1), axis=0)
+            # the speakers are constants in training; the seven hypernetwork
+            # tensors train whenever this node is on a tape
+            g_spk = gsv @ wp.T if spk.requires_grad else None
+            return (g_spk, v.T @ gsv, ad._add_reduce(gsv, axis=0), g_le, x.T @ gz,
                     ad._add_reduce(gz, axis=0), z.T @ g_down, z.T @ g_up)
 
         return ad.from_op(out_data, parents, grad_fn, "hyper_generate")
@@ -261,15 +284,23 @@ class _Bank(Module):
     """Attribute bag so adapter/hypernetwork tensors get stable names."""
 
 
-def site_adapters(tables, seg=None):
-    """One callable per adapter site of a module over a packed sequence:
-    site s sends segment b through row s of tables[b]."""
-    return [_site_hook(tables, site, seg) for site in range(tables[0].shape[0])]
-
-
-def _site_hook(tables, site, seg):
-    # adapter_forward is looked up by name when the hook runs, not bound here
-    return lambda h: adapter_forward(h, tables, site, seg)
+def stack_hooks(hooks):
+    """One pack's adapter tables from one hooks_for result per utterance of
+    a pass that records no tape: a table every utterance shares (a static
+    one) is kept, per-utterance tables are stacked in pack order. Raises
+    StateError while a tape records, since the stacked copy would cut the
+    gradient back to the hypernetwork."""
+    if ad._recording:
+        raise StateError("stack_hooks: stacked adapter tables carry no gradient; "
+                         "call it under autodiff.no_grad() or generate for the pack")
+    if hooks[0] is None:
+        return None
+    stacked = {}
+    for tag, first in hooks[0].items():
+        tables = [h[tag] for h in hooks]
+        stacked[tag] = first if all(t is first for t in tables) else \
+            Tensor(np.concatenate([t.data for t in tables]))
+    return stacked
 
 
 class AdaptedModel:
@@ -301,17 +332,20 @@ class AdaptedModel:
                 bank = HyperNetwork(rng_for(seed, "hyper", tag), n, dims)
             setattr(self.extras, f"{strategy.name}_{tag}", bank)
 
-    def hooks_for(self, spk_vec):
-        """One utterance's adapters: module tag -> its (n_sites, n_flat)
-        adapter table, or None when the strategy adds nothing (tts0/ft) or
-        adapters are detached. A hypernetwork generates its module's table
-        once, here; static adapters hand out their trainable table."""
+    def hooks_for(self, speakers):
+        """Adapter tables for a pack whose speakers are the rows of the
+        (B, d_1) tensor `speakers`: module tag -> table, or None when the
+        strategy adds nothing (tts0/ft) or adapters are detached. A
+        hypernetwork generates its module's tables for the whole pack here,
+        in one node ((B n_sites, n_flat), speaker-major); static adapters
+        hand out their shared trainable (n_sites, n_flat) table. A pack of
+        one gets each module's (n_sites, n_flat) table either way."""
         if self.detached or self.strategy.name in ("tts0", "ft"):
             return None
         hooks = {}
         for tag in self.strategy.sites:
             bank = getattr(self.extras, f"{self.strategy.name}_{tag}")
-            hooks[tag] = bank.generate(spk_vec) if self.strategy.name == "hyper" else bank
+            hooks[tag] = bank.generate(speakers) if self.strategy.name == "hyper" else bank
         return hooks
 
     def named_trainable(self):

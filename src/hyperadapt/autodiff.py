@@ -39,9 +39,9 @@ embedding lookup, row repetition, same-shape add and scaling, the full sum
 and per-segment mean, MSE/L1 losses, and reshape. Fused ops carry
 hand-written gradients and record one tape node each. Two more fused ops
 live next to their only caller in `adaptation`: `HyperNetwork.generate` (a
-module's whole adapter table from the speaker embedding) and
-`adapter_forward` (one bottleneck adapter site applied from each segment's
-own table).
+module's adapter tables for every speaker of a pack, in one node) and
+`adapter_forward` (one bottleneck adapter site applied to a whole pack,
+each segment through its own table row, without a loop over segments).
 
 Training runs in float32 by default; gradient checking should build float64
 tensors (finite differences are unreliable in 32-bit).

@@ -13,15 +13,18 @@ Feature file layout (16-byte header, little-endian, then raw C-order data):
 
 Checkpoint layout: 8-byte magic "HACKPT01", u32 metadata length, canonical
 JSON metadata (sorted keys, compact separators), then tensor payloads
-concatenated in the order given by the metadata's "tensors" index. The
-metadata carries the step counter, a config echo, and quantization ranges;
-the same bytes always come back out after a load/save round trip.
+concatenated in the order given by the metadata's "tensors" index. Each
+index entry records the tensor's name, dtype code, shape and the zlib CRC-32
+of its payload bytes; a load verifies every CRC. The metadata carries the
+step counter, a config echo, and quantization ranges; the same bytes always
+come back out after a load/save round trip.
 """
 
 import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +229,8 @@ def write_checkpoint(path, meta, tensors):
         arr = np.ascontiguousarray(tensors[name])
         code = _dtype_code(arr, f"checkpoint tensor {name}")
         payloads.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-        index.append({"name": name, "dtype": code, "shape": list(arr.shape)})
+        index.append({"name": name, "dtype": code, "shape": list(arr.shape),
+                      "crc32": zlib.crc32(payloads[-1])})
     full_meta = dict(meta)
     if "tensors" in full_meta:
         raise InputError("checkpoint meta may not define the reserved key 'tensors'")
@@ -243,7 +247,8 @@ def write_checkpoint(path, meta, tensors):
 
 
 def _index_item(path, item):
-    """(name, dtype, shape) of one entry of a checkpoint's tensor index."""
+    """(name, dtype, shape, crc32) of one entry of a checkpoint's tensor
+    index."""
     if not isinstance(item, dict) or not isinstance(item.get("name"), str):
         raise InputError(f"{path}: tensor index entry {item!r:.60} has no name")
     name, code, shape = item["name"], item.get("dtype"), item.get("shape")
@@ -252,7 +257,11 @@ def _index_item(path, item):
         raise InputError(f"{path}: tensor {name}: unknown dtype code")
     if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
         raise InputError(f"{path}: tensor {name}: shape {shape!r:.60} is not a list of sizes")
-    return name, dtype, tuple(shape)
+    crc = item.get("crc32")
+    if type(crc) is not int:
+        raise InputError(f"{path}: tensor {name}: no CRC-32 in the index (a checkpoint written "
+                         "before per-tensor CRCs; re-create it)")
+    return name, dtype, tuple(shape), crc
 
 
 def read_checkpoint(path):
@@ -274,15 +283,18 @@ def read_checkpoint(path):
     if not isinstance(index, list):
         raise InputError(f"{path}: metadata missing tensor index")
     tensors = {}
+    view = memoryview(blob)
     offset = 12 + meta_len
     for item in index:
-        name, dtype, shape = _index_item(path, item)
+        name, dtype, shape, crc = _index_item(path, item)
         if name in tensors:
             raise InputError(f"{path}: tensor {name} listed twice")
         count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):
             raise InputError(f"{path}: tensor {name}: payload truncated")
+        if zlib.crc32(view[offset : offset + nbytes]) != crc:
+            raise InputError(f"{path}: tensor {name}: payload CRC-32 mismatch (file damaged)")
         arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=offset)
         tensors[name] = arr.astype(dtype, copy=True).reshape(shape)
         offset += nbytes

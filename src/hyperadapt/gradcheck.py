@@ -104,17 +104,20 @@ def _postnet(seed):
 
 
 def _adapter(seed):
-    # a two-site table, randomized (identity init zeroes half the gradients)
-    # so every path carries and the other row's zero gradient is checked too
+    # a three-row table, randomized (identity init zeroes half the gradients)
+    # so every path carries; two segments read distinct rows (even seeds) or
+    # share one, as static adapters do (odd seeds), and the unread row's zero
+    # gradient is checked too
     n_flat = adapter_param_count(AdapterDims(d_h=_D, d_r=3))
-    table = Tensor(np.random.default_rng(seed + 17).standard_normal((2, n_flat)) * 0.3,
+    table = Tensor(np.random.default_rng(seed + 17).standard_normal((3, n_flat)) * 0.3,
                    requires_grad=True)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
-    seg = ad.Segments([2, 3])  # two utterances sharing the table, as static adapters do
+    seg = ad.Segments([2, 3])
+    rows = np.array([seed % 2, 1])
 
     def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, [t, t], seed % 2, seg), target, seg)
+        return ad.mse_loss(adapter_forward(x, t, rows, seg), target, seg)
 
     return fn, [h, table]
 
@@ -125,16 +128,16 @@ def _hypernetwork(seed):
     hyper.sampler_up.w.data = rng_for(seed, "gc", "up").normal(
         size=hyper.sampler_up.w.shape).astype(np.float32) * 0.1
     params = _f64_params(hyper)
-    # a pack of two utterances: the probed speaker's and a fixed one's
+    # a pack of two utterances of two speakers, generated in one call;
+    # segment b reads site `seed % 2` of speaker b
     h_data = np.random.default_rng(seed + 29).standard_normal((5, 5))
-    spk = _probe(seed, (1, 4))
-    other = ad.constant(np.random.default_rng(seed + 31).standard_normal((1, 4)), dtype=np.float64)
+    spk = _probe(seed, (2, 4))
     target = _target(seed, (5, 5))
     seg = ad.Segments([3, 2])
+    rows = np.array([0, 2]) + seed % 2
 
     def fn(v, *ps):
-        out = adapter_forward(ad.constant(h_data, dtype=np.float64),
-                              [hyper.generate(v), hyper.generate(other)], seed % 2, seg)
+        out = adapter_forward(ad.constant(h_data, dtype=np.float64), hyper.generate(v), rows, seg)
         return ad.mse_loss(out, target, seg)
 
     return fn, [spk, *params]

@@ -126,13 +126,11 @@ class TTSModel(Module):
     def set_ranges(self, pitch_range, energy_range):
         self.variance.set_ranges(pitch_range, energy_range)
 
-    @staticmethod
-    def _adapters(hooks, tag, seg):
-        """Per-site adapter callables of module `tag` over a packed sequence,
-        from one hooks dict per utterance (see AdaptedModel.hooks_for)."""
-        if hooks is None or hooks[0] is None or tag not in hooks[0]:
-            return None
-        return adaptation.site_adapters([h[tag] for h in hooks], seg)
+    def _adapters(self, hooks, tag, seg):
+        """Per-site adapter callables of module `tag` over a packed sequence
+        from the pack's tables (see adaptation.site_adapters), or None."""
+        table = None if hooks is None else hooks.get(tag)
+        return None if table is None else adaptation.site_adapters(table, self.site_counts()[tag], seg)
 
     def _speaker_tensor(self, speakers):
         v = np.asarray(speakers, dtype=ad.DEFAULT_DTYPE)
@@ -151,10 +149,11 @@ class TTSModel(Module):
 
     def forward_train(self, pack, ctx, hooks=None, durations=None):
         """Teacher-forced pass over a Pack, one graph for all its utterances.
-        `hooks` holds one AdaptedModel.hooks_for result per utterance, or is
-        None. Returns packed predictions (rows in pack order; pitch mean and
-        variance one per utterance) plus the alignment maps and the packed
-        Viterbi durations used for length regulation. Given `durations`
+        `hooks` is AdaptedModel.hooks_for of the pack's speakers (one table
+        per module for the whole pack), or None. Returns packed predictions
+        (rows in pack order; pitch mean and variance one per utterance) plus
+        the alignment maps and the packed Viterbi durations used for length
+        regulation. Given `durations`
         (those a frozen aligner gave the pack before), the aligner does not
         run and the maps are None."""
         ph, fr = pack.phonemes_seg, pack.frames_seg
@@ -194,8 +193,8 @@ class TTSModel(Module):
     @ad.no_grad()
     def synthesize(self, phonemes, spk, ctx=None, hooks=None):
         """Free-running synthesis from phonemes and a speaker embedding, as a
-        pack of one; `hooks` is one AdaptedModel.hooks_for result or None.
-        Records no tape.
+        pack of one; `hooks` is AdaptedModel.hooks_for of that one speaker,
+        or None. Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
         """
@@ -204,7 +203,6 @@ class TTSModel(Module):
         spk_t = self._speaker_tensor(spk)
         if spk_t.shape[0] != 1:
             raise InputError(f"synthesize takes one speaker embedding, got {spk_t.shape[0]}")
-        hooks = None if hooks is None else [hooks]
         ph = Segments([ids.size])
         h_enc = self.encoder(ids, ctx, ph, adapters=self._adapters(hooks, "e", ph))
         h = self.variance.condition(h_enc, spk_t, ph)

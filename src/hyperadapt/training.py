@@ -38,7 +38,7 @@ from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import featio
 from . import variance as var_mod
-from .adaptation import AdaptedModel, AdapterDims, StrategyConfig
+from .adaptation import AdaptedModel, AdapterDims, StrategyConfig, stack_hooks
 from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
                         forward_sum_value, hard_path_log_probs, map_forward_sums)
 from .autodiff import Tensor
@@ -182,7 +182,8 @@ def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None,
 
     One packed forward pass; the graph's total is the sum over the pack of
     each utterance's weighted loss, and the breakdown reports per-utterance
-    means. `hooks` holds one adapter hooks dict per utterance, or is None.
+    means. `hooks` is the pack's adapter tables (AdaptedModel.hooks_for of
+    its speakers, in pack order), or None.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
 
@@ -468,23 +469,26 @@ def _aligner_frozen(model):
 
 
 def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
-                 hooks_fn, log, val_utterances, val_log, ckpt_every,
+                 hooks_for, log, val_utterances, val_log, ckpt_every,
                  save_fn, log_every=10, val_every=200):
+    """The shared step loop. `hooks_for` (AdaptedModel.hooks_for, or None)
+    maps a (B, d_1) speaker tensor to adapter tables: each step calls it once
+    for its pack, validation once per utterance."""
     batcher = _Batcher(seed, len(utterances), sched.batch_size)
     pitch_cache = {}
     align_cache = {} if _aligner_frozen(model) else None
     inv_bs = 1.0 / sched.batch_size
+    hooks_fn = None if hooks_for is None else (
+        lambda u: hooks_for(Tensor(u.embedding.reshape(1, -1))))
     for step in range(start_step, sched.total_steps):
         for _, p in trainable:
             p.grad = None
         utts = [utterances[idx] for idx in batcher.batch(step)]
         ctx = RunCtx([rng_for(seed, "dropout", step, pos) for pos in range(len(utts))],
                      training=True)
-        total, breakdown = compute_losses(
-            model, utts, step, sched, ctx,
-            hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
-            pitch_cache=pitch_cache, align_cache=align_cache,
-        )
+        hooks = hooks_for(Tensor(np.stack([u.embedding for u in utts]))) if hooks_for else None
+        total, breakdown = compute_losses(model, utts, step, sched, ctx, hooks=hooks,
+                                          pitch_cache=pitch_cache, align_cache=align_cache)
         ad.backward(total)
         grad = flat_grads(trainable)
         grad *= inv_bs
@@ -520,7 +524,9 @@ def check_finite_grads(grad, step, named_params):
 def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, align_cache=None):
     """Teacher-forced loss over a split in packs of sched.batch_size, dropout
     off, recording no tape. Returns the per-utterance average breakdown;
-    weights are evaluated at `step` so logs stay comparable. `pitch_cache`
+    weights are evaluated at `step` so logs stay comparable. `hooks_fn`
+    maps one utterance to its adapter tables (one hooks_for result); each
+    pack runs on them stacked (adaptation.stack_hooks). `pitch_cache`
     (utt_id -> pitch targets) and `align_cache` are read and filled as in
     `compute_losses`; a training run passes the ones its steps use."""
     outs, counts = [], []
@@ -528,7 +534,7 @@ def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, al
         utts = utterances[start : start + sched.batch_size]
         outs.append(compute_losses(
             model, utts, step, sched, RunCtx(training=False),
-            hooks=[hooks_fn(u) for u in utts] if hooks_fn else None,
+            hooks=stack_hooks([hooks_fn(u) for u in utts]) if hooks_fn else None,
             pitch_cache=pitch_cache, align_cache=align_cache,
         )[1])
         counts.append(len(utts))
@@ -621,7 +627,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
         return _read_latest(run_dir)
     _train_steps(
         model, trainable, train, sched, seed, start_step=start_step, opt=opt,
-        hooks_fn=None, log=log, val_utterances=val, val_log=val_log,
+        hooks_for=None, log=log, val_utterances=val, val_log=val_log,
         ckpt_every=ckpt_every, save_fn=save_fn,
         log_every=log_every, val_every=val_every,
     )
@@ -678,15 +684,12 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
     opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
     val_log = _LossLog(os.path.join(run_dir, "adapt_val_log.tsv"))
 
-    def hooks_fn(utt):
-        return adapted.hooks_for(Tensor(utt.embedding.reshape(1, -1)))
-
     def save_fn(done):
         save_checkpoint(out_path, model, done, adapted=adapted, opt=opt)
 
     _train_steps(
         model, trainable, train, sched, seed, start_step=0, opt=opt,
-        hooks_fn=hooks_fn, log=log, val_utterances=val, val_log=val_log,
+        hooks_for=adapted.hooks_for, log=log, val_utterances=val, val_log=val_log,
         ckpt_every=sched.total_steps, save_fn=save_fn,
         log_every=log_every, val_every=val_every,
     )

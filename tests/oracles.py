@@ -262,6 +262,20 @@ def generate_reference(hyper, spk_vec, site):
             ad.reshape(narrow(flat_up, 1, n_w, d.d_h), (d.d_h,)))
 
 
+def single_speaker_table(hyper, spk_vec):
+    """A (1, d_1) speaker's (n_sites, n_flat) table by the arithmetic
+    `HyperNetwork.generate` used when it took one speaker at a time, in
+    numpy: the speaker projection once, every [speaker | layer embedding]
+    row through the source projection, then both samplers."""
+    sp, so = hyper.speaker_proj, hyper.source_proj
+    sv = spk_vec.data @ sp.w.data
+    sv += sp.b.data
+    x = np.concatenate([np.repeat(sv, hyper.n_sites, axis=0), hyper.layer_embed.data], axis=1)
+    z = x @ so.w.data
+    z += so.b.data
+    return np.concatenate([z @ hyper.sampler_down.w.data, z @ hyper.sampler_up.w.data], axis=1)
+
+
 def table_row_reference(table, site, d_h, d_r):
     """Row `site` of an adapter table split into (w_down, b_down, w_up, b_up)
     Tensors by narrow and reshape."""

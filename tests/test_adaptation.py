@@ -13,14 +13,17 @@ from hyperadapt.adaptation import (
     adapter_param_count,
     count_trainable_params,
     hyper_param_count,
+    site_adapters,
+    stack_hooks,
     static_adapter_table,
 )
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import ConfigError, InputError, ShapeError
+from hyperadapt.errors import ConfigError, InputError, ShapeError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
-from oracles import adapter_reference, generate_reference, table_row_reference, weighted_sum
+from oracles import (adapter_reference, concat, generate_reference, narrow, single_speaker_table,
+                     table_row_reference, weighted_sum)
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 
@@ -62,28 +65,28 @@ def test_adapter_forward_matches_hand_computation():
     # pre-activation: [1+3+0.5, 2-3-1] = [4.5, -2]; relu -> [4.5, 0]
     # delta: [4.5, 0, 9, 0] + b_up = [4.75, 0, 9, 0]
     expected = np.array([[5.75, 2.0, 12.0, 4.0]], dtype=np.float32)
-    out = adapter_forward(Tensor(h), [table], 0)
+    out = adapter_forward(Tensor(h), table, 0)
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_static_adapter_is_identity_at_init():
     table = static_table(0, d_h=16, d_r=4)
     h = Tensor(rng_for(1, "h").normal(size=(5, 16)).astype(np.float32))
-    out = adapter_forward(h, [table], 0)
+    out = adapter_forward(h, table, 0)
     np.testing.assert_array_equal(out.data, h.data)
 
 
 def test_adapter_forward_rejects_dim_mismatch():
     table = static_table(0, d_h=16, d_r=4)
     with pytest.raises(ShapeError):
-        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), [table], 0)
+        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), table, 0)
 
 
 def test_static_adapter_gradients_flow_at_init():
     # zero up-projection must not block gradients into the up matrix itself
     table = static_table(3, d_h=6, d_r=2)
     h = Tensor(rng_for(4, "h").normal(size=(3, 6)).astype(np.float32))
-    loss = ad.sum_all(adapter_forward(h, [table], 0))
+    loss = ad.sum_all(adapter_forward(h, table, 0))
     ad.backward(loss)
     g_w_down, _, g_w_up, _ = split_row(table.grad[0], 6, 2)
     assert np.abs(g_w_up).max() > 0
@@ -124,7 +127,7 @@ def test_adapter_forward_matches_op_by_op_graph(site):
         ad.backward(weighted_sum(out, probe))
         return h.grad.copy(), table.grad.copy()
 
-    fused = adapter_forward(h, [table], site)
+    fused = adapter_forward(h, table, site)
     g_fused = grads(fused)
     ref = adapter_reference(h, *table_row_reference(table, site, d_h, d_r))
     g_ref = grads(ref)
@@ -142,24 +145,84 @@ def test_adapter_forward_gradcheck_static_table(site):
     h = Tensor(np.random.default_rng(33).standard_normal((4, d_h)), requires_grad=True)
     target = np.random.default_rng(34).standard_normal((4, d_h))
 
-    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, [t], site), target),
+    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, t, site), target),
                            [h, table])
     assert report.passed, repr(report)
 
 
 def test_adapter_forward_gradcheck_per_segment_tables():
-    # segments 0 and 2 share one table (its gradient sums over both), segment 1 has its own
+    # segments 0 and 2 read one row (its gradient sums over both), segment 1
+    # reads its own, and the rows nobody reads get zero gradient
     d_h, d_r = 5, 2
-    shared, own = _random_table(35, 2, d_h, d_r), _random_table(36, 2, d_h, d_r)
+    table = _random_table(35, 4, d_h, d_r)
     seg = ad.Segments([2, 3, 1])
     h = Tensor(np.random.default_rng(37).standard_normal((6, d_h)), requires_grad=True)
     target = np.random.default_rng(38).standard_normal((6, d_h))
 
-    def fn(x, a, b):
-        return ad.mse_loss(adapter_forward(x, [a, b, a], 1, seg), target, seg)
+    def fn(x, t):
+        return ad.mse_loss(adapter_forward(x, t, [1, 3, 1], seg), target, seg)
 
-    report = ad.grad_check(fn, [h, shared, own])
+    report = ad.grad_check(fn, [h, table])
     assert report.passed, repr(report)
+
+
+@pytest.mark.parametrize("rows", [[0, 2, 1], [2, 0, 2]], ids=["distinct", "shared"])
+def test_adapter_forward_pack_matches_per_segment_oracle(rows):
+    # one node over a pack of three segments: values and both gradients equal
+    # the op-by-op adapter run on each segment alone with its own row, within
+    # 1e-12 in float64; a row two segments read gets the sum of their gradients
+    d_h, d_r = 6, 3
+    table = _random_table(41, 3, d_h, d_r)
+    seg = ad.Segments([3, 5, 2])
+    h = Tensor(np.random.default_rng(42).standard_normal((10, d_h)), requires_grad=True)
+    probe = np.random.default_rng(43).standard_normal((10, d_h))
+
+    def grads(build):
+        h.grad = table.grad = None
+        out = build()
+        ad.backward(weighted_sum(out, probe))
+        return out.data, h.grad.copy(), table.grad.copy()
+
+    def per_segment():
+        h_segs = [narrow(h, 0, s, e - s) for s, e in seg.bounds]
+        outs = [adapter_reference(x, *table_row_reference(table, r, d_h, d_r))
+                for x, r in zip(h_segs, rows)]
+        return concat(outs, axis=0)
+
+    fused = grads(lambda: adapter_forward(h, table, rows, seg))
+    ref = grads(per_segment)
+    for a, b in zip(fused, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert not np.delete(fused[2], rows, axis=0).any()
+
+
+def test_adapter_forward_rejects_bad_rows():
+    table = static_table(0, d_h=8, d_r=2, n_sites=2)
+    h = Tensor(np.zeros((5, 8), dtype=np.float32))
+    seg = ad.Segments([2, 3])
+    for rows in ([0, 1, 1], [1], [0, 2], [[0, 1]], [0.0, 1.0], 0.5, -1):
+        with pytest.raises(InputError):
+            adapter_forward(h, table, rows, seg)
+    # an int sends every segment through that row
+    np.testing.assert_array_equal(adapter_forward(h, table, [1, 1], seg).data,
+                                  adapter_forward(h, table, 1, seg).data)
+
+
+def test_site_adapters_read_speaker_major_rows():
+    # a generated table of two speakers: segment b runs site s through row
+    # b n_sites + s; a table of n_sites rows is shared by every segment
+    d_h, d_r, n_sites = 6, 2, 3
+    seg = ad.Segments([2, 3])
+    h = Tensor(np.random.default_rng(51).standard_normal((5, d_h)))
+    generated = _random_table(52, 2 * n_sites, d_h, d_r)
+    for site, hook in enumerate(site_adapters(generated, n_sites, seg)):
+        np.testing.assert_array_equal(
+            hook(h).data, adapter_forward(h, generated, [site, n_sites + site], seg).data)
+    shared = _random_table(53, n_sites, d_h, d_r)
+    for site, hook in enumerate(site_adapters(shared, n_sites, seg)):
+        np.testing.assert_array_equal(hook(h).data, adapter_forward(h, shared, site, seg).data)
+    with pytest.raises(ShapeError):
+        site_adapters(_random_table(54, 4, d_h, d_r), n_sites, seg)
 
 
 # -----------------------------------------------------------------------------
@@ -187,7 +250,7 @@ def test_hypernetwork_identity_at_init():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
     table = hyper.generate(spk(SMALL))
     h = Tensor(rng_for(2, "x").normal(size=(4, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, [table], 1)
+    out = adapter_forward(h, table, 1)
     np.testing.assert_array_equal(out.data, h.data)
     _, _, w_up, b_up = split_row(table.data[1], SMALL.d_h, SMALL.d_r)
     assert np.abs(w_up).max() == 0
@@ -230,7 +293,7 @@ def test_hypernetwork_site_index_validated():
     table = hyper.generate(spk(SMALL))
     for site in (2, -1):
         with pytest.raises(InputError):
-            adapter_forward(h, [table], site)
+            adapter_forward(h, table, site)
     with pytest.raises(ShapeError):
         hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)))
 
@@ -240,7 +303,7 @@ def test_hypernetwork_gradients_reach_all_parameters():
     # nudge the up sampler off zero so the down path participates too
     hyper.sampler_up.w.data += 0.01
     h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, [hyper.generate(spk(SMALL))], 1)
+    out = adapter_forward(h, hyper.generate(spk(SMALL)), 1)
     ad.backward(ad.sum_all(out))
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
@@ -253,7 +316,7 @@ def test_hypernetwork_generate_gradcheck():
     v_data = rng_for(12, "v").normal(size=(1, 4))
 
     def fn(v, x, *ps):
-        out = adapter_forward(x, [hyper.generate(v)], 0)
+        out = adapter_forward(x, hyper.generate(v), 0)
         return ad.sum_all(out)
 
     report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()])
@@ -303,12 +366,69 @@ def test_hypernetwork_generate_matches_op_by_op_graph():
 
     def fused_sites():
         shared = hyper.generate(v)  # one table per module, as hooks_for builds it
-        return [ad.sum_all(adapter_forward(h, [shared], s)) for s in range(3)]
+        return [ad.sum_all(adapter_forward(h, shared, s)) for s in range(3)]
 
     fused = run(fused_sites)
     ref = run(lambda: [ad.sum_all(adapter_reference(h, *generate_reference(hyper, v, s)))
                        for s in range(3)])
     for a, b in zip(fused, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hypernetwork_single_speaker_table_is_unchanged_bit_for_bit(dtype):
+    # a (1, d_1) speaker still gets the module's (n_sites, n_flat) table,
+    # computed by the same arithmetic as one speaker at a time
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
+    for p in hyper.parameters():
+        p.data = (p.data + rng_for(1, "n").normal(size=p.shape) * 0.05).astype(dtype)
+    v = Tensor(rng_for(2, "v").normal(size=(1, SMALL.d_1)).astype(dtype))
+    table = hyper.generate(v)
+    assert table.shape == (3, adapter_param_count(SMALL))
+    np.testing.assert_array_equal(table.data, single_speaker_table(hyper, v))
+
+
+def test_hypernetwork_batched_generate_matches_per_speaker_calls():
+    # three speakers in one call: row b n_sites + s is site s of speaker b,
+    # and the speaker, layer-embedding and projection gradients sum over
+    # the speakers; values and every gradient against the op-by-op graph of
+    # each (1, d_1) speaker alone, within 1e-12 in float64
+    hyper = _f64_hyper(23, n_sites=3)
+    d = hyper.dims
+    speakers = rng_for(24, "v").normal(size=(3, d.d_1))
+    probe = rng_for(25, "p").normal(size=(9, adapter_param_count(d)))
+    params = hyper.parameters()
+
+    def grads(spk_tensors, build):
+        for p in [*spk_tensors, *params]:
+            p.grad = None
+        ad.backward(build())
+        return [np.concatenate([v.grad for v in spk_tensors]),
+                *(p.grad.copy() for p in params)]
+
+    batched = Tensor(speakers, requires_grad=True)
+    table = hyper.generate(batched)
+    assert table.shape == probe.shape
+    g_batched = grads([batched], lambda: weighted_sum(hyper.generate(batched), probe))
+
+    alone = [Tensor(speakers[b : b + 1], requires_grad=True) for b in range(3)]
+
+    def per_speaker():
+        total = None
+        for b, v in enumerate(alone):
+            for s in range(3):
+                row = probe[3 * b + s]
+                for part, (want, got) in zip(np.split(row, np.cumsum([d.d_h * d.d_r, d.d_r,
+                                                                       d.d_r * d.d_h])),
+                                             zip(generate_reference(hyper, v, s),
+                                                 split_row(table.data[3 * b + s], d.d_h, d.d_r))):
+                    np.testing.assert_allclose(got, want.data, rtol=0, atol=1e-12)
+                    term = weighted_sum(want, part.reshape(want.shape))
+                    total = term if total is None else ad.add(total, term)
+        return total
+
+    g_alone = grads(alone, per_speaker)
+    for a, b in zip(g_batched, g_alone):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -480,7 +600,8 @@ def pack_of(*utterances):
 
 def _forward_train_ops(monkeypatch, model, hooks_fn):
     """op name -> count of the tape nodes that building the hooks and one
-    forward_train record."""
+    forward_train over a pack of eight utterances of eight speakers
+    record."""
     counts = {}
     real = ad.from_op
 
@@ -488,23 +609,23 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
         counts[op] = counts.get(op, 0) + 1
         return real(data, parents, grad_fn, op)
 
-    args = train_args(model)
+    utts = [train_args(model, seed=3 + b, frames=12 + b) for b in range(8)]
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
-        hooks = hooks_fn(Tensor(args[4].reshape(1, -1)))
-        model.forward_train(pack_of(args), RunCtx(training=False),
-                            hooks=None if hooks is None else [hooks])
+        hooks = hooks_fn(Tensor(np.stack([u[4] for u in utts])))
+        model.forward_train(pack_of(*utts), RunCtx(training=False), hooks=hooks)
     return counts
 
 
 def test_hyper_forward_train_adds_one_node_per_module_and_per_site(monkeypatch):
-    # desk hyper_evd: 3 modules, 6 sites; adaptation adds exactly one
-    # generate node per module and one adapter node per site, nothing else
+    # desk hyper_evd: 3 modules, 6 sites; over a pack of eight speakers,
+    # adaptation adds exactly one generate node per module and one adapter
+    # node per site, nothing else
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", SMALL), seed=5)
     with_hooks = _forward_train_ops(monkeypatch, model, adapted.hooks_for)
-    without = _forward_train_ops(monkeypatch, model, lambda spk_vec: None)
+    without = _forward_train_ops(monkeypatch, model, lambda speakers: None)
     assert with_hooks.pop("hyper_generate") == 3
     assert with_hooks.pop("adapter") == 6
     assert with_hooks == without
@@ -519,7 +640,7 @@ def test_adapted_forward_train_identity_at_init(label):
     ref = model.forward_train(pack_of(args), RunCtx(training=False))
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
     out = model.forward_train(pack_of(args), RunCtx(training=False),
-                              hooks=[adapted.hooks_for(Tensor(args[4].reshape(1, -1)))])
+                              hooks=adapted.hooks_for(Tensor(args[4].reshape(1, -1))))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
 
@@ -540,7 +661,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
     def run(pack_utts):
         for _, p in trainable:
             p.grad = None
-        hooks = [adapted.hooks_for(Tensor(u[4].reshape(1, -1))) for u in pack_utts]
+        hooks = adapted.hooks_for(Tensor(np.stack([u[4] for u in pack_utts])))
         out = model.forward_train(pack_of(*pack_utts), RunCtx(training=False), hooks=hooks)
         total = ad.sum_all(out["mel_post"])
         for key in ("pitch_spec", "energy", "log_dur"):
@@ -561,6 +682,31 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
     for n, g in packed_grads.items():
         np.testing.assert_allclose(g, grads[n], rtol=1e-4, atol=1e-4 * np.abs(grads[n]).max(),
                                    err_msg=n)
+
+
+def test_stack_hooks_needs_a_pass_without_tape():
+    # per-utterance tables stacked in pack order equal the pack's own
+    # generated tables; a shared static table is passed through; under a
+    # recording tape the stacked copy would cut the gradient, so it raises
+    model = small_model()
+    speakers = rng_for(3, "spk").normal(size=(3, SMALL.d_1)).astype(np.float32)
+    for label in ("hyper_evd", "adapter_evd"):
+        adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
+        per_utt = [adapted.hooks_for(Tensor(v[None])) for v in speakers]
+        with pytest.raises(StateError):
+            stack_hooks(per_utt)
+        with ad.no_grad():
+            stacked = stack_hooks(per_utt)
+            pack = adapted.hooks_for(Tensor(speakers))
+        for tag in ("e", "v", "d"):
+            if label == "adapter_evd":
+                assert stacked[tag] is pack[tag]
+            else:
+                assert stacked[tag].shape == (3 * model.site_counts()[tag], pack[tag].shape[1])
+                np.testing.assert_allclose(stacked[tag].data, pack[tag].data, rtol=1e-6,
+                                           atol=1e-7)
+    with ad.no_grad():
+        assert stack_hooks([None, None]) is None
 
 
 def test_tts0_and_ft_add_no_hooks():

@@ -195,8 +195,10 @@ class TestCheckpoint:
         b'{"tensors": [{"name": "a", "dtype": 1, "shape": "ab"}]}',
         b'{"tensors": [{"name": "a", "dtype": 1, "shape": [-1]}]}',
         b'{"tensors": [{"name": "a", "dtype": [1], "shape": [1]}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}, '
-        b'{"name": "a", "dtype": 1, "shape": [0]}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": "0"}]}',
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": 0}, '
+        b'{"name": "a", "dtype": 1, "shape": [0], "crc32": 0}]}',
     ])
     def test_malformed_index_rejected(self, tmp_path, meta):
         p = tmp_path / "x.ckpt"
@@ -233,10 +235,35 @@ def intact(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_damaged_file_reads_or_raises_input_error(intact, reader, data):
+    # a checkpoint whose tensor payload took the damage never reads: its
+    # CRC-32 no longer matches, so no wrong numbers come back
     directory, name, blob = intact[reader]
     path = directory / ("damaged-" + name)
-    path.write_bytes(data.draw(_damaged(blob)))
+    damaged = data.draw(_damaged(blob))
+    path.write_bytes(damaged)
+    start = _payload_start(blob)
+    payload_hit = (reader is featio.read_checkpoint and len(damaged) == len(blob)
+                   and damaged[start:] != blob[start:])
     try:
         reader(path)
     except InputError:
-        pass
+        return
+    assert not payload_hit, "a checkpoint with a damaged tensor payload read back"
+
+
+def _payload_start(blob):
+    """Offset of the first tensor payload byte of a checkpoint."""
+    return 12 + struct.unpack("<I", blob[8:12])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checkpoint_payload_flip_raises_naming_the_tensor(intact, data):
+    directory, name, blob = intact[featio.read_checkpoint]
+    i = data.draw(st.integers(_payload_start(blob), len(blob) - 1))
+    mask = data.draw(st.integers(1, 255))
+    path = directory / ("flipped-" + name)
+    path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])
+    tensor = "a.w" if i - _payload_start(blob) < 4 * 6 else "b"  # payloads in name order
+    with pytest.raises(InputError, match=f"tensor {tensor}: payload CRC-32 mismatch"):
+        featio.read_checkpoint(path)

@@ -492,7 +492,7 @@ class _GradRecorder:
 
 def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
     tr._train_steps(
-        model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_fn=None,
+        model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_for=None,
         log=tr._LossLog(str(tmp_path / "log.tsv")), val_utterances=None, val_log=None,
         ckpt_every=sched.total_steps, save_fn=lambda done: None,
     )
@@ -712,7 +712,7 @@ def _adapt_step(model, adapted, batch, align_cache=None):
     for _, p in trainable:
         p.grad = None
     ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(len(batch))], training=True)
-    hooks = [adapted.hooks_for(Tensor(u.embedding.reshape(1, -1))) for u in batch]
+    hooks = adapted.hooks_for(Tensor(np.stack([u.embedding for u in batch])))
     total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), ctx,
                                hooks=hooks, align_cache=align_cache)
     ad.backward(total)
@@ -846,3 +846,22 @@ def test_validate_records_no_tape(monkeypatch, pretrained, corpus_manifest):
     bd = tr.validate(model, val, 5, SCHED)
     assert np.isfinite(bd.total) and nodes
     assert all(n._parents == () and n._grad_fn is None for n in nodes)
+
+
+@pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
+def test_validate_per_utterance_hooks_match_pack_hooks(pretrained, corpus_manifest, label):
+    # validate generates each utterance's tables alone and stacks them; the
+    # breakdown equals one pass on the tables hooks_for gives the whole pack
+    ck, _ = pretrained
+    model, adapted = _adapted_model(ck, label)
+    utts = load_corpus(corpus_manifest, adaptation=True, split="train")[::3][:SCHED.batch_size]
+    assert len({u.speaker for u in utts}) == SCHED.batch_size
+    got = tr.validate(model, utts, 5, SCHED,
+                      lambda u: adapted.hooks_for(Tensor(u.embedding.reshape(1, -1))))
+    with ad.no_grad():
+        hooks = adapted.hooks_for(Tensor(np.stack([u.embedding for u in utts])))
+        _, want = compute_losses(model, utts, 5, SCHED, RunCtx(training=False), hooks=hooks)
+    for name in LOSS_NAMES:
+        np.testing.assert_allclose(got.components[name], want.components[name], rtol=1e-6,
+                                   err_msg=name)
+    np.testing.assert_allclose(got.total, want.total, rtol=1e-6)
