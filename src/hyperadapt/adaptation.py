@@ -18,7 +18,7 @@ speaker matrix, stacked speaker-major. Two fused tape ops with hand-written
 gradients carry the whole path: `HyperNetwork.generate` (one node per module
 per pack) and `adapter_forward` (one node per site over a whole pack, with
 no loop over segments: each segment reads one table row, and only the rows
-read get gradient).
+read get gradient; which row is a RowLayout shared by a module's sites).
 
 The hypernetwork (one per module, never shared across modules) maps the
 speaker embedding through a projector, concatenates it with each site's
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError, ShapeError, StateError
+from .errors import ConfigError, InputError, ShapeError
 from .layers import Dense, Module, rng_for, xavier_uniform
 
 SITE_COUNTS = {"e": 4, "v": 2, "d": 6}
@@ -52,38 +52,54 @@ class AdapterDims:
     d_s: int = 8
 
 
-def adapter_forward(h, table, rows, seg=None):
-    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence in one
-    node: segment b (all of h when seg is None) goes through row rows[b] of
-    the (n_rows, n_flat) table; an int `rows` sends every segment through
-    that row.
+class RowLayout:
+    """Which row of a module's (n_rows, n_flat) adapter table each segment
+    of a pack reads, worked out once for all n_sites sites: at site s,
+    segment b reads row b n_sites + s of a generated table (B n_sites rows,
+    speaker-major) or row s of a shared one (n_sites rows). Holds the site-0
+    rows (`used`, the K distinct ones; `rows`, per segment), each packed
+    row's block among the K and the (T, K d_r) mask of its own block."""
 
-    Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]; d_r
-    follows from n_flat and d_h. The K distinct rows read are applied
-    block-diagonally, with no loop over segments: one (T, K d_r)
-    down-projection, each packed row masked to its own row's block before
-    the ReLU, one (K d_r, d_h) up-projection. A row several segments read
-    (a static table's) is one block, so its gradient sums over them; rows
-    nobody reads get zero gradient.
+    def __init__(self, table_shape, n_sites, seg, d_h):
+        n_rows, n_flat = table_shape if len(table_shape) == 2 else (0, 0)
+        d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
+        if rest or d_r < 1:
+            raise ShapeError("adapter layout", f"hidden dim {d_h} vs adapter table {table_shape}")
+        if n_rows not in (n_sites, n_sites * len(seg)):
+            raise ShapeError("adapter layout", f"table of {n_rows} rows for "
+                                               f"{n_sites} sites and {len(seg)} segments")
+        k = len(seg) if n_rows > n_sites else 1
+        block = np.arange(len(seg)) % k
+        self.table_shape, self.n_sites, self.seg, self.d_h, self.d_r = (
+            tuple(table_shape), n_sites, seg, d_h, d_r)
+        self.used = np.arange(k) * n_sites
+        self.rows = block * n_sites
+        self.frame_block = np.repeat(block, seg.lengths)
+        self.keep = self.frame_block[:, None] == np.arange(k).repeat(d_r)
+
+
+def adapter_forward(h, table, layout, site):
+    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence in one
+    node, at site `site` of the table as `layout` (a RowLayout) reads it.
+
+    Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]. The K
+    distinct rows read are applied block-diagonally, with no loop over
+    segments: one (T, K d_r) down-projection, each packed row masked to its
+    own row's block before the ReLU, one (K d_r, d_h) up-projection. A row
+    several segments read (a shared table's) is one block, so its gradient
+    sums over them (segment by segment for the up bias); rows nobody reads
+    get zero gradient.
     """
-    ad._segments_of("adapter_forward", seg, h.shape[0])
+    ad._segments_of("adapter_forward", layout.seg, h.shape[0])
     ad._check_same_dtype("adapter_forward", h, table)
-    d_h = h.shape[-1]
-    n_rows, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
-    d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
-    if h.data.ndim != 2 or not n_rows or rest or d_r < 1:
-        raise ShapeError("adapter_forward", f"hidden dim {d_h} vs adapter table {table.shape}")
-    seg = ad.Segments([h.shape[0]]) if seg is None else seg
-    rows = np.asarray(rows)
-    if rows.dtype.kind not in "iu" or rows.shape not in ((), (len(seg),)):
-        raise InputError(f"adapter_forward: rows {rows.tolist()} for {len(seg)} segments")
-    rows = np.full(len(seg), rows)
-    # the K distinct rows read, one block each; a set, since np.unique costs
-    # more than a one-utterance pack's adapter arithmetic and imports numpy.ma
-    used = sorted(set(rows.tolist()))
-    if used[0] < 0 or used[-1] >= n_rows:
-        raise InputError(f"adapter table has {n_rows} rows, got index {rows.tolist()}")
-    used = np.array(used)
+    d_h, d_r = layout.d_h, layout.d_r
+    if h.data.ndim != 2 or h.shape[1] != d_h or table.shape != layout.table_shape:
+        raise ShapeError("adapter_forward", f"hidden {h.shape} and table {table.shape} "
+                                            f"vs a layout for {layout.table_shape}")
+    if not isinstance(site, (int, np.integer)) or not 0 <= site < layout.n_sites:
+        raise InputError(f"adapter_forward: site {site!r} of {layout.n_sites}")
+    n_flat = table.shape[1]
+    used = layout.used + site
     k = used.size
     n_wd = d_h * d_r
     n_down = n_wd + d_r
@@ -93,11 +109,11 @@ def adapter_forward(h, table, rows, seg=None):
     x = h.data
     pre = x @ w_down
     pre += picked[:, n_wd:n_down].reshape(-1)
-    keep = pre > 0  # each packed row keeps only its own row's block
-    keep &= np.repeat(used.repeat(d_r) == rows[:, None], seg.lengths, axis=0)
+    keep = pre > 0
+    keep &= layout.keep
     z = np.where(keep, pre, pre.dtype.type(0))
     delta = z @ w_up
-    delta += np.repeat(table.data[rows, n_flat - d_h :], seg.lengths, axis=0)
+    delta += picked[layout.frame_block, n_flat - d_h :]
 
     def grad_fn(g):
         gpre = g @ w_up.T
@@ -108,24 +124,20 @@ def adapter_forward(h, table, rows, seg=None):
             g_table[used, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
             g_table[used, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)
             g_table[used, n_down : n_flat - d_h] = (z.T @ g).reshape(k, -1)
-            np.add.at(g_table[:, n_flat - d_h :], rows, np.add.reduceat(g, seg.starts, axis=0))
+            np.add.at(g_table[:, n_flat - d_h :], layout.rows + site,
+                      np.add.reduceat(g, layout.seg.starts, axis=0))
         gx = g + gpre @ w_down.T if h.requires_grad else None
         return gx, g_table
 
     return ad.from_op(x + delta, (h, table), grad_fn, "adapter")
 
 
-def site_adapters(table, n_sites, seg):
+def site_adapters(table, n_sites, seg, d_h):
     """One adapter callable per site of a module over a packed sequence,
-    from the pack's table (see AdaptedModel.hooks_for): segment b reads site
-    s from row b n_sites + s of a generated table (B n_sites rows,
-    speaker-major), or from row s of a table every segment shares (n_sites
-    rows). Each callable looks adapter_forward up when called."""
-    if table.shape[0] not in (n_sites, n_sites * len(seg)):
-        raise ShapeError("site_adapters", f"table of {table.shape[0]} rows for "
-                                          f"{n_sites} sites and {len(seg)} segments")
-    first = np.arange(len(seg)) * n_sites if table.shape[0] > n_sites else 0
-    return [lambda h, rows=first + site: adapter_forward(h, table, rows, seg)
+    from the pack's table (see AdaptedModel.hooks_for), all sharing one
+    RowLayout. Each callable looks adapter_forward up when called."""
+    layout = RowLayout(table.shape, n_sites, seg, d_h)
+    return [lambda h, site=site: adapter_forward(h, table, layout, site)
             for site in range(n_sites)]
 
 
@@ -284,25 +296,6 @@ class _Bank(Module):
     """Attribute bag so adapter/hypernetwork tensors get stable names."""
 
 
-def stack_hooks(hooks):
-    """One pack's adapter tables from one hooks_for result per utterance of
-    a pass that records no tape: a table every utterance shares (a static
-    one) is kept, per-utterance tables are stacked in pack order. Raises
-    StateError while a tape records, since the stacked copy would cut the
-    gradient back to the hypernetwork."""
-    if ad._recording:
-        raise StateError("stack_hooks: stacked adapter tables carry no gradient; "
-                         "call it under autodiff.no_grad() or generate for the pack")
-    if hooks[0] is None:
-        return None
-    stacked = {}
-    for tag, first in hooks[0].items():
-        tables = [h[tag] for h in hooks]
-        stacked[tag] = first if all(t is first for t in tables) else \
-            Tensor(np.concatenate([t.data for t in tables]))
-    return stacked
-
-
 class AdaptedModel:
     """A backbone plus one strategy's trainable surface.
 
@@ -333,19 +326,21 @@ class AdaptedModel:
             setattr(self.extras, f"{strategy.name}_{tag}", bank)
 
     def hooks_for(self, speakers):
-        """Adapter tables for a pack whose speakers are the rows of the
-        (B, d_1) tensor `speakers`: module tag -> table, or None when the
-        strategy adds nothing (tts0/ft) or adapters are detached. A
-        hypernetwork generates its module's tables for the whole pack here,
-        in one node ((B n_sites, n_flat), speaker-major); static adapters
-        hand out their shared trainable (n_sites, n_flat) table. A pack of
-        one gets each module's (n_sites, n_flat) table either way."""
+        """Adapter tables for one speaker embedding, a (d_1,) array, or for
+        a pack whose speakers are the rows of a (B, d_1) array: module tag
+        -> table, or None when the strategy adds nothing (tts0/ft) or
+        adapters are detached. A hypernetwork generates its module's tables
+        for the whole pack here, in one node ((B n_sites, n_flat),
+        speaker-major); static adapters hand out their shared trainable
+        (n_sites, n_flat) table. One speaker gets each module's
+        (n_sites, n_flat) table either way."""
         if self.detached or self.strategy.name in ("tts0", "ft"):
             return None
+        spk = self.model._speaker_tensor(speakers)
         hooks = {}
         for tag in self.strategy.sites:
             bank = getattr(self.extras, f"{self.strategy.name}_{tag}")
-            hooks[tag] = bank.generate(speakers) if self.strategy.name == "hyper" else bank
+            hooks[tag] = bank.generate(spk) if self.strategy.name == "hyper" else bank
         return hooks
 
     def named_trainable(self):

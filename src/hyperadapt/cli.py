@@ -23,7 +23,6 @@ from . import corpus as corpus_mod
 from . import featio, gradcheck, metrics
 from . import training as tr
 from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
-from .autodiff import Tensor
 from .corpus import CorpusSpec, synthetic_embedding
 from .errors import ConfigError, HyperadaptError, InputError, StateError
 from .features import FeatureConfig, mel_to_waveform, write_wav
@@ -363,10 +362,8 @@ def _cmd_dump_hyper_params(cfg):
                                       stream=("dump", speaker, k))
             variants.append((f"jitter{k}", emb.astype(np.float32)))
         for variant, emb in variants:
-            spk_t = Tensor(np.asarray(emb, dtype=np.float32).reshape(1, -1))
-            for tag in adapted.strategy.sites:
-                table = getattr(adapted.extras, f"hyper_{tag}").generate(spk_t).data
-                for site, row in enumerate(table.astype(np.float64)):
+            for tag, table in adapted.hooks_for(emb).items():
+                for site, row in enumerate(table.data.astype(np.float64)):
                     arrays[f"{speaker}/{variant}/{tag}{site}"] = row
 
     meta = {

@@ -14,10 +14,10 @@ Feature file layout (16-byte header, little-endian, then raw C-order data):
 Checkpoint layout: 8-byte magic "HACKPT01", u32 metadata length, canonical
 JSON metadata (sorted keys, compact separators), then tensor payloads
 concatenated in the order given by the metadata's "tensors" index. Each
-index entry records the tensor's name, dtype code, shape and the zlib CRC-32
-of its payload bytes; a load verifies every CRC. The metadata carries the
-step counter, a config echo, and quantization ranges; the same bytes always
-come back out after a load/save round trip.
+index entry records the tensor's name, dtype code, shape and a zlib CRC-32
+over the dtype code, shape and payload bytes; a load verifies every CRC. The
+metadata carries the step counter, a config echo, and quantization ranges;
+the same bytes always come back out after a load/save round trip.
 """
 
 import json
@@ -230,7 +230,7 @@ def write_checkpoint(path, meta, tensors):
         code = _dtype_code(arr, f"checkpoint tensor {name}")
         payloads.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
         index.append({"name": name, "dtype": code, "shape": list(arr.shape),
-                      "crc32": zlib.crc32(payloads[-1])})
+                      "crc32": _tensor_crc(code, arr.shape, payloads[-1])})
     full_meta = dict(meta)
     if "tensors" in full_meta:
         raise InputError("checkpoint meta may not define the reserved key 'tensors'")
@@ -244,6 +244,11 @@ def write_checkpoint(path, meta, tensors):
         for blob in payloads:
             f.write(blob)
     os.replace(tmp, path)
+
+
+def _tensor_crc(code, shape, payload):
+    """CRC-32 of a tensor's dtype code and shape, then of its payload."""
+    return zlib.crc32(payload, zlib.crc32(json.dumps([code, *shape]).encode("ascii")))
 
 
 def _index_item(path, item):
@@ -293,7 +298,7 @@ def read_checkpoint(path):
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):
             raise InputError(f"{path}: tensor {name}: payload truncated")
-        if zlib.crc32(view[offset : offset + nbytes]) != crc:
+        if _tensor_crc(_DTYPE_TO_CODE[dtype], shape, view[offset : offset + nbytes]) != crc:
             raise InputError(f"{path}: tensor {name}: payload CRC-32 mismatch (file damaged)")
         arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=offset)
         tensors[name] = arr.astype(dtype, copy=True).reshape(shape)

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, backbone, variance
-from .adaptation import AdapterDims, HyperNetwork, adapter_forward, adapter_param_count
+from .adaptation import (AdapterDims, HyperNetwork, RowLayout, adapter_forward,
+                         adapter_param_count, site_adapters)
 from .autodiff import Tensor
 from .errors import InputError
 from .layers import RunCtx, rng_for
@@ -104,20 +105,22 @@ def _postnet(seed):
 
 
 def _adapter(seed):
-    # a three-row table, randomized (identity init zeroes half the gradients)
-    # so every path carries; two segments read distinct rows (even seeds) or
-    # share one, as static adapters do (odd seeds), and the unread row's zero
+    # site 1 of a two-site table, randomized (identity init zeroes half the
+    # gradients) so every path carries: two segments read distinct rows of a
+    # generated four-row table (even seeds) or share one row of a two-row
+    # table, as static adapters do (odd seeds); the unread rows' zero
     # gradient is checked too
     n_flat = adapter_param_count(AdapterDims(d_h=_D, d_r=3))
-    table = Tensor(np.random.default_rng(seed + 17).standard_normal((3, n_flat)) * 0.3,
+    n_rows = 2 if seed % 2 else 4
+    table = Tensor(np.random.default_rng(seed + 17).standard_normal((n_rows, n_flat)) * 0.3,
                    requires_grad=True)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
     seg = ad.Segments([2, 3])
-    rows = np.array([seed % 2, 1])
+    layout = RowLayout(table.shape, 2, seg, _D)
 
     def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, t, rows, seg), target, seg)
+        return ad.mse_loss(adapter_forward(x, t, layout, 1), target, seg)
 
     return fn, [h, table]
 
@@ -134,10 +137,10 @@ def _hypernetwork(seed):
     spk = _probe(seed, (2, 4))
     target = _target(seed, (5, 5))
     seg = ad.Segments([3, 2])
-    rows = np.array([0, 2]) + seed % 2
 
     def fn(v, *ps):
-        out = adapter_forward(ad.constant(h_data, dtype=np.float64), hyper.generate(v), rows, seg)
+        hooks = site_adapters(hyper.generate(v), 2, seg, dims.d_h)
+        out = hooks[seed % 2](ad.constant(h_data, dtype=np.float64))
         return ad.mse_loss(out, target, seg)
 
     return fn, [spk, *params]

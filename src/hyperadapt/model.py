@@ -60,10 +60,11 @@ class Pack:
 
     Phonemes, mel frames and the per-frame f0/energy are concatenated with no
     padding; `phonemes_seg` and `frames_seg` give each utterance's share of
-    rows, and `utterances_seg` one row per utterance (speakers, pitch
-    statistics). `log_f0` is each contour's interpolated log-F0, packed.
-    `utt_ids` names the utterances in pack order (None when built from bare
-    arrays).
+    rows, and `utterances_seg` one row per utterance (pitch statistics).
+    `embedding` is the (B, d_spk) speaker embeddings, so a pack stands in for
+    an utterance where only `.embedding` is read (a hooks_fn). `log_f0` is
+    each contour's interpolated log-F0, packed. `utt_ids` names the
+    utterances in pack order (None when built from bare arrays).
     """
 
     def __init__(self, phonemes, mels, f0s, energies, speakers, utt_ids=None):
@@ -85,7 +86,7 @@ class Pack:
         self.mel = np.concatenate(mels)
         self.log_f0 = np.concatenate([var_mod.interpolated_log_f0(f0) for f0 in f0s])
         self.energy = np.concatenate([np.asarray(en, dtype=np.float64) for en in energies])
-        self.speakers = np.stack(speakers)
+        self.embedding = np.stack(speakers)
         self.phonemes_seg = Segments([len(ph) for ph in phonemes])
         self.frames_seg = Segments([mel.shape[0] for mel in mels])
         self.utterances_seg = Segments(np.ones(len(mels), dtype=np.int64))
@@ -128,9 +129,13 @@ class TTSModel(Module):
 
     def _adapters(self, hooks, tag, seg):
         """Per-site adapter callables of module `tag` over a packed sequence
-        from the pack's tables (see adaptation.site_adapters), or None."""
+        from the pack's tables (see adaptation.site_adapters), or one None
+        per site."""
+        n_sites = self.site_counts()[tag]
         table = None if hooks is None else hooks.get(tag)
-        return None if table is None else adaptation.site_adapters(table, self.site_counts()[tag], seg)
+        if table is None:
+            return [None] * n_sites
+        return adaptation.site_adapters(table, n_sites, seg, self.config.d_h)
 
     def _speaker_tensor(self, speakers):
         v = np.asarray(speakers, dtype=ad.DEFAULT_DTYPE)
@@ -157,7 +162,7 @@ class TTSModel(Module):
         (those a frozen aligner gave the pack before), the aligner does not
         run and the maps are None."""
         ph, fr = pack.phonemes_seg, pack.frames_seg
-        spk_t = self._speaker_tensor(pack.speakers)
+        spk_t = self._speaker_tensor(pack.embedding)
         h_enc = self.encoder(pack.phonemes, ctx, ph, adapters=self._adapters(hooks, "e", ph))
 
         amap = None
@@ -168,12 +173,10 @@ class TTSModel(Module):
         log_dur_pred = self.variance.duration(h, ctx, ph)
         h_reg = var_mod.length_regulate(h, durations)
 
-        v_adapters = self._adapters(hooks, "v", fr)
-        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(
-            h_reg, ctx, fr, adapter=v_adapters[0] if v_adapters else None
-        )
+        pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
+        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, ctx, fr, adapter=pitch_adapter)
         h_p = self.variance.inject_pitch(h_reg, pack.log_f0)
-        energy_pred = self.variance.energy(h_p, ctx, fr, adapter=v_adapters[1] if v_adapters else None)
+        energy_pred = self.variance.energy(h_p, ctx, fr, adapter=energy_adapter)
         h_pe = self.variance.inject_energy(h_p, pack.energy)
 
         mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
@@ -210,17 +213,15 @@ class TTSModel(Module):
         h_reg = var_mod.length_regulate(h, durations)
 
         fr = Segments([int(durations.sum())])
-        v_adapters = self._adapters(hooks, "v", fr)
-        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(
-            h_reg, ctx, fr, adapter=v_adapters[0] if v_adapters else None
-        )
+        pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
+        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, ctx, fr, adapter=pitch_adapter)
         f0 = var_mod.icwt_reconstruct(
             pitch_spec.data.T.astype(np.float64),
             float(pitch_mean.data[0]),
             max(float(pitch_var.data[0]), 0.0),
         )
         h_p = self.variance.inject_pitch(h_reg, np.log(f0))
-        energy = self.variance.energy(h_p, ctx, fr, adapter=v_adapters[1] if v_adapters else None)
+        energy = self.variance.energy(h_p, ctx, fr, adapter=energy_adapter)
         h_pe = self.variance.inject_energy(h_p, energy.data.astype(np.float64))
 
         mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))

@@ -38,7 +38,7 @@ from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import featio
 from . import variance as var_mod
-from .adaptation import AdaptedModel, AdapterDims, StrategyConfig, stack_hooks
+from .adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
                         forward_sum_value, hard_path_log_probs, map_forward_sums)
 from .autodiff import Tensor
@@ -176,14 +176,15 @@ def _frozen_alignments(model, pack, align_cache):
     return [align_cache[uid] for uid in pack.utt_ids]
 
 
-def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None,
+def compute_losses(model, utts, step, sched, ctx, hooks_fn=None, pitch_cache=None,
                    align_cache=None):
     """(total loss Tensor, LossBreakdown) for a pack of utterances.
 
     One packed forward pass; the graph's total is the sum over the pack of
     each utterance's weighted loss, and the breakdown reports per-utterance
-    means. `hooks` is the pack's adapter tables (AdaptedModel.hooks_for of
-    its speakers, in pack order), or None.
+    means. `hooks_fn` maps the Pack (its `.embedding` holds the (B, d_spk)
+    speakers) to adapter tables, as `lambda u: adapted.hooks_for(u.embedding)`
+    does, once per pass and before any other node; None adds no adapters.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
 
@@ -195,6 +196,7 @@ def compute_losses(model, utts, step, sched, ctx, hooks=None, pitch_cache=None,
     """
     weights = loss_weights(sched, step)
     pack = Pack.of(utts)
+    hooks = None if hooks_fn is None else hooks_fn(pack)
     frozen = None if align_cache is None else _frozen_alignments(model, pack, align_cache)
     out = model.forward_train(pack, ctx, hooks=hooks, durations=None if frozen is None else
                               np.concatenate([a.durations for a in frozen]))
@@ -375,9 +377,8 @@ class LoadedCheckpoint:
     arrays: dict = field(default_factory=dict)
 
     def hooks_for(self, embedding):
-        if self.adapted is None:
-            return None
-        return self.adapted.hooks_for(Tensor(np.asarray(embedding, dtype=ad.DEFAULT_DTYPE).reshape(1, -1)))
+        """AdaptedModel.hooks_for of a (d_spk,) or (B, d_spk) array, or None."""
+        return None if self.adapted is None else self.adapted.hooks_for(embedding)
 
 
 def load_checkpoint(path):
@@ -469,25 +470,22 @@ def _aligner_frozen(model):
 
 
 def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
-                 hooks_for, log, val_utterances, val_log, ckpt_every,
+                 hooks_fn, log, val_utterances, val_log, ckpt_every,
                  save_fn, log_every=10, val_every=200):
-    """The shared step loop. `hooks_for` (AdaptedModel.hooks_for, or None)
-    maps a (B, d_1) speaker tensor to adapter tables: each step calls it once
-    for its pack, validation once per utterance."""
+    """The shared step loop. `hooks_fn` (see compute_losses, or None) gives
+    a pack its adapter tables: once per training step, and once per pack
+    of each validation."""
     batcher = _Batcher(seed, len(utterances), sched.batch_size)
     pitch_cache = {}
     align_cache = {} if _aligner_frozen(model) else None
     inv_bs = 1.0 / sched.batch_size
-    hooks_fn = None if hooks_for is None else (
-        lambda u: hooks_for(Tensor(u.embedding.reshape(1, -1))))
     for step in range(start_step, sched.total_steps):
         for _, p in trainable:
             p.grad = None
         utts = [utterances[idx] for idx in batcher.batch(step)]
         ctx = RunCtx([rng_for(seed, "dropout", step, pos) for pos in range(len(utts))],
                      training=True)
-        hooks = hooks_for(Tensor(np.stack([u.embedding for u in utts]))) if hooks_for else None
-        total, breakdown = compute_losses(model, utts, step, sched, ctx, hooks=hooks,
+        total, breakdown = compute_losses(model, utts, step, sched, ctx, hooks_fn=hooks_fn,
                                           pitch_cache=pitch_cache, align_cache=align_cache)
         ad.backward(total)
         grad = flat_grads(trainable)
@@ -525,16 +523,15 @@ def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, al
     """Teacher-forced loss over a split in packs of sched.batch_size, dropout
     off, recording no tape. Returns the per-utterance average breakdown;
     weights are evaluated at `step` so logs stay comparable. `hooks_fn`
-    maps one utterance to its adapter tables (one hooks_for result); each
-    pack runs on them stacked (adaptation.stack_hooks). `pitch_cache`
+    gives each pack its adapter tables, as in `compute_losses`, so a
+    hypernetwork generates once per pack. `pitch_cache`
     (utt_id -> pitch targets) and `align_cache` are read and filled as in
     `compute_losses`; a training run passes the ones its steps use."""
     outs, counts = [], []
     for start in range(0, len(utterances), sched.batch_size):
         utts = utterances[start : start + sched.batch_size]
         outs.append(compute_losses(
-            model, utts, step, sched, RunCtx(training=False),
-            hooks=stack_hooks([hooks_fn(u) for u in utts]) if hooks_fn else None,
+            model, utts, step, sched, RunCtx(training=False), hooks_fn=hooks_fn,
             pitch_cache=pitch_cache, align_cache=align_cache,
         )[1])
         counts.append(len(utts))
@@ -627,7 +624,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
         return _read_latest(run_dir)
     _train_steps(
         model, trainable, train, sched, seed, start_step=start_step, opt=opt,
-        hooks_for=None, log=log, val_utterances=val, val_log=val_log,
+        hooks_fn=None, log=log, val_utterances=val, val_log=val_log,
         ckpt_every=ckpt_every, save_fn=save_fn,
         log_every=log_every, val_every=val_every,
     )
@@ -689,8 +686,8 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
 
     _train_steps(
         model, trainable, train, sched, seed, start_step=0, opt=opt,
-        hooks_for=adapted.hooks_for, log=log, val_utterances=val, val_log=val_log,
-        ckpt_every=sched.total_steps, save_fn=save_fn,
+        hooks_fn=lambda u: adapted.hooks_for(u.embedding), log=log, val_utterances=val,
+        val_log=val_log, ckpt_every=sched.total_steps, save_fn=save_fn,
         log_every=log_every, val_every=val_every,
     )
 

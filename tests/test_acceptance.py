@@ -212,7 +212,7 @@ def test_criterion_04_identity_at_init_and_frozen_backbone(pipeline):
     for label in ("adapter_evd", "hyper_evd"):
         fresh = AdaptedModel(loaded.model,
                              StrategyConfig.parse(label, DESK_DIMS), seed=99)
-        hooks = fresh.hooks_for(Tensor(probe.embedding.reshape(1, -1)))
+        hooks = fresh.hooks_for(probe.embedding)
         with_hooks, _ = loaded.model.synthesize(probe.phonemes, probe.embedding,
                                                 hooks=hooks)
         diff = float(np.max(np.abs(with_hooks - base_mel)))

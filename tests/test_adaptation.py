@@ -8,17 +8,17 @@ from hyperadapt.adaptation import (
     AdaptedModel,
     AdapterDims,
     HyperNetwork,
+    RowLayout,
     StrategyConfig,
     adapter_forward,
     adapter_param_count,
     count_trainable_params,
     hyper_param_count,
     site_adapters,
-    stack_hooks,
     static_adapter_table,
 )
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import ConfigError, InputError, ShapeError, StateError
+from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
@@ -49,6 +49,13 @@ def static_table(seed, d_h, d_r, n_sites=1):
     return static_adapter_table(seed, "t", n_sites, d_h, d_r)
 
 
+def adapter_at(h, table, site):
+    """adapter_forward at `site` over all of h as one segment, which reads
+    row `site` of the table."""
+    layout = RowLayout(table.shape, table.shape[0], ad.Segments([h.shape[0]]), h.shape[1])
+    return adapter_forward(h, table, layout, site)
+
+
 # -----------------------------------------------------------------------------
 # adapter algebra
 # -----------------------------------------------------------------------------
@@ -65,28 +72,28 @@ def test_adapter_forward_matches_hand_computation():
     # pre-activation: [1+3+0.5, 2-3-1] = [4.5, -2]; relu -> [4.5, 0]
     # delta: [4.5, 0, 9, 0] + b_up = [4.75, 0, 9, 0]
     expected = np.array([[5.75, 2.0, 12.0, 4.0]], dtype=np.float32)
-    out = adapter_forward(Tensor(h), table, 0)
+    out = adapter_at(Tensor(h), table, 0)
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_static_adapter_is_identity_at_init():
     table = static_table(0, d_h=16, d_r=4)
     h = Tensor(rng_for(1, "h").normal(size=(5, 16)).astype(np.float32))
-    out = adapter_forward(h, table, 0)
+    out = adapter_at(h, table, 0)
     np.testing.assert_array_equal(out.data, h.data)
 
 
 def test_adapter_forward_rejects_dim_mismatch():
     table = static_table(0, d_h=16, d_r=4)
     with pytest.raises(ShapeError):
-        adapter_forward(Tensor(np.zeros((3, 8), dtype=np.float32)), table, 0)
+        adapter_at(Tensor(np.zeros((3, 8), dtype=np.float32)), table, 0)
 
 
 def test_static_adapter_gradients_flow_at_init():
     # zero up-projection must not block gradients into the up matrix itself
     table = static_table(3, d_h=6, d_r=2)
     h = Tensor(rng_for(4, "h").normal(size=(3, 6)).astype(np.float32))
-    loss = ad.sum_all(adapter_forward(h, table, 0))
+    loss = ad.sum_all(adapter_at(h, table, 0))
     ad.backward(loss)
     g_w_down, _, g_w_up, _ = split_row(table.grad[0], 6, 2)
     assert np.abs(g_w_up).max() > 0
@@ -127,7 +134,7 @@ def test_adapter_forward_matches_op_by_op_graph(site):
         ad.backward(weighted_sum(out, probe))
         return h.grad.copy(), table.grad.copy()
 
-    fused = adapter_forward(h, table, site)
+    fused = adapter_at(h, table, site)
     g_fused = grads(fused)
     ref = adapter_reference(h, *table_row_reference(table, site, d_h, d_r))
     g_ref = grads(ref)
@@ -145,37 +152,60 @@ def test_adapter_forward_gradcheck_static_table(site):
     h = Tensor(np.random.default_rng(33).standard_normal((4, d_h)), requires_grad=True)
     target = np.random.default_rng(34).standard_normal((4, d_h))
 
-    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_forward(x, t, site), target),
+    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_at(x, t, site), target),
                            [h, table])
     assert report.passed, repr(report)
 
 
 def test_adapter_forward_gradcheck_per_segment_tables():
-    # segments 0 and 2 read one row (its gradient sums over both), segment 1
-    # reads its own, and the rows nobody reads get zero gradient
-    d_h, d_r = 5, 2
-    table = _random_table(35, 4, d_h, d_r)
+    # site 1 of a generated table of three speakers (each segment reads its
+    # own row; the rows nobody reads get zero gradient) and site 0 of a
+    # shared table, whose one row all three segments read (its gradient
+    # sums over them)
+    d_h, d_r, n_sites = 5, 2, 2
     seg = ad.Segments([2, 3, 1])
+    generated = _random_table(35, 3 * n_sites, d_h, d_r)
+    shared = _random_table(36, n_sites, d_h, d_r)
     h = Tensor(np.random.default_rng(37).standard_normal((6, d_h)), requires_grad=True)
     target = np.random.default_rng(38).standard_normal((6, d_h))
 
-    def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, t, [1, 3, 1], seg), target, seg)
+    def fn(x, t, u):
+        a = adapter_forward(x, t, RowLayout(t.shape, n_sites, seg, d_h), 1)
+        b = adapter_forward(x, u, RowLayout(u.shape, n_sites, seg, d_h), 0)
+        return ad.add(ad.mse_loss(a, target, seg), ad.mse_loss(b, target, seg))
 
-    report = ad.grad_check(fn, [h, table])
+    report = ad.grad_check(fn, [h, generated, shared])
     assert report.passed, repr(report)
 
 
-@pytest.mark.parametrize("rows", [[0, 2, 1], [2, 0, 2]], ids=["distinct", "shared"])
-def test_adapter_forward_pack_matches_per_segment_oracle(rows):
-    # one node over a pack of three segments: values and both gradients equal
-    # the op-by-op adapter run on each segment alone with its own row, within
-    # 1e-12 in float64; a row two segments read gets the sum of their gradients
-    d_h, d_r = 6, 3
-    table = _random_table(41, 3, d_h, d_r)
-    seg = ad.Segments([3, 5, 2])
-    h = Tensor(np.random.default_rng(42).standard_normal((10, d_h)), requires_grad=True)
-    probe = np.random.default_rng(43).standard_normal((10, d_h))
+def _exact(rng, shape, scale):
+    """Multiples of 1/4 in [-scale, scale], as float64: every product and sum
+    an adapter forms of them is exact, so any summation order gives the same
+    bits."""
+    return rng.integers(-4 * scale, 4 * scale + 1, size=shape) / 4.0
+
+
+@pytest.mark.parametrize("speakers", [[0, 1, 2], None, [0, 1, 0], [0]],
+                         ids=["distinct", "shared", "repeated", "one"])
+def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
+    # one RowLayout serves every site of a module: at each site, values and
+    # both gradients equal, bit for bit, the op-by-op adapter run on each
+    # segment alone with its own row. The table is generated-style (row
+    # b n_sites + s for segment b; speakers [0, 1, 0] give two segments
+    # equal but separate rows, and a pack of one reads n_sites rows) or
+    # shared (None: every segment reads row s, whose gradient sums over them)
+    d_h, d_r, n_sites = 6, 3, 2
+    n_flat = adapter_param_count(AdapterDims(d_h=d_h, d_r=d_r))
+    rng = np.random.default_rng(41)
+    seg = ad.Segments([3, 5, 2][: len(speakers or [0, 1, 2])])
+    if speakers is None:
+        table = Tensor(_exact(rng, (n_sites, n_flat), 1), requires_grad=True)
+    else:
+        per_speaker = _exact(rng, (max(speakers) + 1, n_sites, n_flat), 1)
+        table = Tensor(per_speaker[speakers].reshape(-1, n_flat), requires_grad=True)
+    h = Tensor(_exact(rng, (seg.total, d_h), 2), requires_grad=True)
+    probe = _exact(rng, (seg.total, d_h), 2)
+    layout = RowLayout(table.shape, n_sites, seg, d_h)
 
     def grads(build):
         h.grad = table.grad = None
@@ -183,46 +213,68 @@ def test_adapter_forward_pack_matches_per_segment_oracle(rows):
         ad.backward(weighted_sum(out, probe))
         return out.data, h.grad.copy(), table.grad.copy()
 
-    def per_segment():
+    def per_segment(rows):
         h_segs = [narrow(h, 0, s, e - s) for s, e in seg.bounds]
         outs = [adapter_reference(x, *table_row_reference(table, r, d_h, d_r))
                 for x, r in zip(h_segs, rows)]
         return concat(outs, axis=0)
 
-    fused = grads(lambda: adapter_forward(h, table, rows, seg))
-    ref = grads(per_segment)
-    for a, b in zip(fused, ref):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-    assert not np.delete(fused[2], rows, axis=0).any()
+    for site in range(n_sites):
+        rows = [site if speakers is None else b * n_sites + site for b in range(len(seg))]
+        fused = grads(lambda: adapter_forward(h, table, layout, site))
+        ref = grads(lambda: per_segment(rows))
+        assert fused[0].any() and fused[2][rows].any()
+        for got, want in zip(fused, ref):
+            np.testing.assert_array_equal(got, want)
+        assert not np.delete(fused[2], rows, axis=0).any()
 
 
 def test_adapter_forward_rejects_bad_rows():
+    # a layout takes a table of n_sites rows (shared) or n_sites rows per
+    # segment (generated), and a site below n_sites
     table = static_table(0, d_h=8, d_r=2, n_sites=2)
     h = Tensor(np.zeros((5, 8), dtype=np.float32))
     seg = ad.Segments([2, 3])
-    for rows in ([0, 1, 1], [1], [0, 2], [[0, 1]], [0.0, 1.0], 0.5, -1):
+    for n_sites in (3, 4):
+        with pytest.raises(ShapeError):
+            RowLayout(table.shape, n_sites, seg, 8)
+    layout = RowLayout(table.shape, 2, seg, 8)
+    for site in (2, -1, 0.5, [0, 1], None):
         with pytest.raises(InputError):
-            adapter_forward(h, table, rows, seg)
-    # an int sends every segment through that row
-    np.testing.assert_array_equal(adapter_forward(h, table, [1, 1], seg).data,
-                                  adapter_forward(h, table, 1, seg).data)
+            adapter_forward(h, table, layout, site)
+    with pytest.raises(ShapeError):  # segments covering other rows than h
+        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)), table, layout, 0)
+    with pytest.raises(ShapeError):  # another table than the layout's
+        adapter_forward(h, static_table(0, d_h=8, d_r=2, n_sites=4), layout, 0)
 
 
 def test_site_adapters_read_speaker_major_rows():
-    # a generated table of two speakers: segment b runs site s through row
-    # b n_sites + s; a table of n_sites rows is shared by every segment
+    # a generated table: segment b runs site s through row b n_sites + s,
+    # also when two segments have one speaker; a pack of one reads its
+    # n_sites rows; a table of n_sites rows is shared by every segment. Each
+    # hook equals the segments run alone, bit for bit on exact data
     d_h, d_r, n_sites = 6, 2, 3
-    seg = ad.Segments([2, 3])
-    h = Tensor(np.random.default_rng(51).standard_normal((5, d_h)))
-    generated = _random_table(52, 2 * n_sites, d_h, d_r)
-    for site, hook in enumerate(site_adapters(generated, n_sites, seg)):
-        np.testing.assert_array_equal(
-            hook(h).data, adapter_forward(h, generated, [site, n_sites + site], seg).data)
-    shared = _random_table(53, n_sites, d_h, d_r)
-    for site, hook in enumerate(site_adapters(shared, n_sites, seg)):
-        np.testing.assert_array_equal(hook(h).data, adapter_forward(h, shared, site, seg).data)
+    n_flat = adapter_param_count(AdapterDims(d_h=d_h, d_r=d_r))
+    rng = np.random.default_rng(51)
+
+    def alone(h, table, seg, rows_of):
+        return np.concatenate([
+            adapter_at(Tensor(h.data[s:e]), Tensor(table.data[rows_of(b)]), 0).data
+            for b, (s, e) in enumerate(seg.bounds)])
+
+    per_speaker = _exact(rng, (2, n_sites, n_flat), 1)
+    shared = Tensor(_exact(rng, (n_sites, n_flat), 1))
+    for speakers, lengths in (([0, 1], [2, 3]), ([1, 0, 1], [2, 3, 1]), ([0], [4])):
+        seg = ad.Segments(lengths)
+        h = Tensor(_exact(rng, (seg.total, d_h), 2))
+        generated = Tensor(per_speaker[speakers].reshape(-1, n_flat))
+        for site, hook in enumerate(site_adapters(generated, n_sites, seg, d_h)):
+            np.testing.assert_array_equal(
+                hook(h).data, alone(h, generated, seg, lambda b: [b * n_sites + site]))
+        for site, hook in enumerate(site_adapters(shared, n_sites, seg, d_h)):
+            np.testing.assert_array_equal(hook(h).data, alone(h, shared, seg, lambda b: [site]))
     with pytest.raises(ShapeError):
-        site_adapters(_random_table(54, 4, d_h, d_r), n_sites, seg)
+        site_adapters(_random_table(54, 4, d_h, d_r), n_sites, ad.Segments([2, 3]), d_h)
 
 
 # -----------------------------------------------------------------------------
@@ -250,7 +302,7 @@ def test_hypernetwork_identity_at_init():
     hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
     table = hyper.generate(spk(SMALL))
     h = Tensor(rng_for(2, "x").normal(size=(4, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, table, 1)
+    out = adapter_at(h, table, 1)
     np.testing.assert_array_equal(out.data, h.data)
     _, _, w_up, b_up = split_row(table.data[1], SMALL.d_h, SMALL.d_r)
     assert np.abs(w_up).max() == 0
@@ -293,7 +345,7 @@ def test_hypernetwork_site_index_validated():
     table = hyper.generate(spk(SMALL))
     for site in (2, -1):
         with pytest.raises(InputError):
-            adapter_forward(h, table, site)
+            adapter_at(h, table, site)
     with pytest.raises(ShapeError):
         hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)))
 
@@ -303,7 +355,7 @@ def test_hypernetwork_gradients_reach_all_parameters():
     # nudge the up sampler off zero so the down path participates too
     hyper.sampler_up.w.data += 0.01
     h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
-    out = adapter_forward(h, hyper.generate(spk(SMALL)), 1)
+    out = adapter_at(h, hyper.generate(spk(SMALL)), 1)
     ad.backward(ad.sum_all(out))
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
@@ -316,7 +368,7 @@ def test_hypernetwork_generate_gradcheck():
     v_data = rng_for(12, "v").normal(size=(1, 4))
 
     def fn(v, x, *ps):
-        out = adapter_forward(x, hyper.generate(v), 0)
+        out = adapter_at(x, hyper.generate(v), 0)
         return ad.sum_all(out)
 
     report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()])
@@ -366,7 +418,7 @@ def test_hypernetwork_generate_matches_op_by_op_graph():
 
     def fused_sites():
         shared = hyper.generate(v)  # one table per module, as hooks_for builds it
-        return [ad.sum_all(adapter_forward(h, shared, s)) for s in range(3)]
+        return [ad.sum_all(adapter_at(h, shared, s)) for s in range(3)]
 
     fused = run(fused_sites)
     ref = run(lambda: [ad.sum_all(adapter_reference(h, *generate_reference(hyper, v, s)))
@@ -558,7 +610,7 @@ def test_adapted_synthesis_identity_at_init(label):
     phon, spk_vec = synth_args(model)
     ref, _ = model.synthesize(phon, spk_vec)
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    hooks = adapted.hooks_for(Tensor(spk_vec.reshape(1, -1)))
+    hooks = adapted.hooks_for(spk_vec)
     assert set(hooks) == {"e", "v", "d"}
     assert [hooks[t].shape[0] for t in ("e", "v", "d")] == [2, 2, 2]
     out, _ = model.synthesize(phon, spk_vec, hooks=hooks)
@@ -575,7 +627,7 @@ def test_adapted_synthesis_diverges_once_trained_weights_move():
     for tag in ("e", "v", "d"):
         w = getattr(adapted.extras, f"hyper_{tag}").sampler_up.w
         w.data += rng_for(8, "nudge", tag).normal(size=w.shape).astype(np.float32) * 0.05
-    hooks = adapted.hooks_for(Tensor(spk_vec.reshape(1, -1)))
+    hooks = adapted.hooks_for(spk_vec)
     out, _ = model.synthesize(phon, spk_vec, hooks=hooks)
     # encoder adapters feed the duration head, so even the length may move
     if out.shape == ref.shape:
@@ -612,7 +664,7 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
     utts = [train_args(model, seed=3 + b, frames=12 + b) for b in range(8)]
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
-        hooks = hooks_fn(Tensor(np.stack([u[4] for u in utts])))
+        hooks = hooks_fn(np.stack([u[4] for u in utts]))
         model.forward_train(pack_of(*utts), RunCtx(training=False), hooks=hooks)
     return counts
 
@@ -640,7 +692,7 @@ def test_adapted_forward_train_identity_at_init(label):
     ref = model.forward_train(pack_of(args), RunCtx(training=False))
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
     out = model.forward_train(pack_of(args), RunCtx(training=False),
-                              hooks=adapted.hooks_for(Tensor(args[4].reshape(1, -1))))
+                              hooks=adapted.hooks_for(args[4]))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
 
@@ -661,7 +713,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
     def run(pack_utts):
         for _, p in trainable:
             p.grad = None
-        hooks = adapted.hooks_for(Tensor(np.stack([u[4] for u in pack_utts])))
+        hooks = adapted.hooks_for(np.stack([u[4] for u in pack_utts]))
         out = model.forward_train(pack_of(*pack_utts), RunCtx(training=False), hooks=hooks)
         total = ad.sum_all(out["mel_post"])
         for key in ("pitch_spec", "energy", "log_dur"):
@@ -684,43 +736,18 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
                                    err_msg=n)
 
 
-def test_stack_hooks_needs_a_pass_without_tape():
-    # per-utterance tables stacked in pack order equal the pack's own
-    # generated tables; a shared static table is passed through; under a
-    # recording tape the stacked copy would cut the gradient, so it raises
-    model = small_model()
-    speakers = rng_for(3, "spk").normal(size=(3, SMALL.d_1)).astype(np.float32)
-    for label in ("hyper_evd", "adapter_evd"):
-        adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-        per_utt = [adapted.hooks_for(Tensor(v[None])) for v in speakers]
-        with pytest.raises(StateError):
-            stack_hooks(per_utt)
-        with ad.no_grad():
-            stacked = stack_hooks(per_utt)
-            pack = adapted.hooks_for(Tensor(speakers))
-        for tag in ("e", "v", "d"):
-            if label == "adapter_evd":
-                assert stacked[tag] is pack[tag]
-            else:
-                assert stacked[tag].shape == (3 * model.site_counts()[tag], pack[tag].shape[1])
-                np.testing.assert_allclose(stacked[tag].data, pack[tag].data, rtol=1e-6,
-                                           atol=1e-7)
-    with ad.no_grad():
-        assert stack_hooks([None, None]) is None
-
-
 def test_tts0_and_ft_add_no_hooks():
     model = small_model()
     for label in ("tts0", "ft"):
         adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL))
-        assert adapted.hooks_for(Tensor(np.zeros((1, 24), dtype=np.float32))) is None
+        assert adapted.hooks_for(np.zeros(24, dtype=np.float32)) is None
 
 
 def test_detached_bypasses_adapters():
     model = small_model()
     adapted = AdaptedModel(model, StrategyConfig.parse("adapter_e", SMALL))
     adapted.detached = True
-    assert adapted.hooks_for(Tensor(np.zeros((1, 24), dtype=np.float32))) is None
+    assert adapted.hooks_for(np.zeros(24, dtype=np.float32)) is None
 
 
 def test_adapted_state_roundtrip():

@@ -197,14 +197,28 @@ class TestCheckpoint:
         b'{"tensors": [{"name": "a", "dtype": [1], "shape": [1]}]}',
         b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}]}',
         b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": "0"}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": 0}, '
-        b'{"name": "a", "dtype": 1, "shape": [0], "crc32": 0}]}',
+        # the CRC-32 of an empty f32 tensor of shape [0], so the duplicate
+        # name is what fails
+        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": 1409254781}, '
+        b'{"name": "a", "dtype": 1, "shape": [0], "crc32": 1409254781}]}',
     ])
     def test_malformed_index_rejected(self, tmp_path, meta):
         p = tmp_path / "x.ckpt"
         p.write_bytes(featio.CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta)
         with pytest.raises(InputError):
             featio.read_checkpoint(p)
+
+
+def test_checkpoint_index_dtype_flip_raises(tmp_path):
+    # the dtype code and shape are covered by the tensor's CRC-32: a float32
+    # ones tensor whose index says int32 would read back as 1065353216
+    p = tmp_path / "x.ckpt"
+    featio.write_checkpoint(p, {}, {"w": np.ones(4, dtype=np.float32)})
+    blob = p.read_bytes()
+    assert blob.count(b'"dtype":1') == 1
+    p.write_bytes(blob.replace(b'"dtype":1', b'"dtype":3'))
+    with pytest.raises(InputError, match="tensor w: payload CRC-32 mismatch"):
+        featio.read_checkpoint(p)
 
 
 def _damaged(blob):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.autodiff import Tensor
 from hyperadapt.model import ModelConfig, TTSModel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,7 +51,7 @@ def test_adaptation_spans_see_every_call(layertrace):
     tracer = layertrace.Tracer()
     uninstall = layertrace.install(tracer)
     try:
-        hooks = adapted.hooks_for(Tensor(spk_vec.reshape(1, -1)))
+        hooks = adapted.hooks_for(spk_vec)
         model.synthesize(np.array([1, 4, 2, 7], dtype=np.int64), spk_vec, hooks=hooks)
     finally:
         uninstall()

@@ -6,7 +6,6 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
@@ -195,7 +194,7 @@ def test_synthesize_records_no_tape(monkeypatch):
     dims = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
     adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
     phonemes, _, _, _, spk = sample_inputs()
-    hooks = adapted.hooks_for(Tensor(spk.reshape(1, -1)))
+    hooks = adapted.hooks_for(spk)
     nodes = []
     real = ad.from_op
 

@@ -492,7 +492,7 @@ class _GradRecorder:
 
 def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
     tr._train_steps(
-        model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_for=None,
+        model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_fn=None,
         log=tr._LossLog(str(tmp_path / "log.tsv")), val_utterances=None, val_log=None,
         ckpt_every=sched.total_steps, save_fn=lambda done: None,
     )
@@ -667,6 +667,20 @@ def test_adapted_checkpoint_reloads_with_hooks(adapted):
     assert hooks["e"].shape[0] == TRAIN_CFG.enc_layers and hooks["v"].shape[0] == 2
 
 
+def test_loaded_checkpoint_hooks_for_a_pack_of_speakers(adapted):
+    # a (B, d_spk) embedding array gives the pack's speaker-major tables,
+    # exactly those AdaptedModel.hooks_for gives the same B speakers
+    out, _ = adapted
+    loaded = tr.load_checkpoint(out)
+    speakers = np.random.default_rng(4).normal(size=(3, TRAIN_CFG.d_spk)).astype(np.float32)
+    got = loaded.hooks_for(speakers)
+    want = loaded.adapted.hooks_for(speakers)
+    assert set(got) == set(want) == {"e", "v"}
+    for tag, n_sites in (("e", TRAIN_CFG.enc_layers), ("v", 2)):
+        assert got[tag].shape[0] == 3 * n_sites
+        np.testing.assert_array_equal(got[tag].data, want[tag].data)
+
+
 def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_manifest,
                                             tmp_path):
     ck, _ = pretrained
@@ -712,9 +726,9 @@ def _adapt_step(model, adapted, batch, align_cache=None):
     for _, p in trainable:
         p.grad = None
     ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(len(batch))], training=True)
-    hooks = adapted.hooks_for(Tensor(np.stack([u.embedding for u in batch])))
     total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), ctx,
-                               hooks=hooks, align_cache=align_cache)
+                               hooks_fn=lambda u: adapted.hooks_for(u.embedding),
+                               align_cache=align_cache)
     ad.backward(total)
     return bd, tr.flat_grads(trainable)
 
@@ -849,19 +863,28 @@ def test_validate_records_no_tape(monkeypatch, pretrained, corpus_manifest):
 
 
 @pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
-def test_validate_per_utterance_hooks_match_pack_hooks(pretrained, corpus_manifest, label):
-    # validate generates each utterance's tables alone and stacks them; the
-    # breakdown equals one pass on the tables hooks_for gives the whole pack
+def test_validate_matches_compute_losses_on_each_pack(pretrained, corpus_manifest, label):
+    # validate hands its hooks_fn to compute_losses, which generates once
+    # per pack: its breakdown equals one compute_losses call on the same
+    # pack bit for bit, for a pack of distinct speakers and for one in
+    # which two utterances share a speaker
     ck, _ = pretrained
     model, adapted = _adapted_model(ck, label)
-    utts = load_corpus(corpus_manifest, adaptation=True, split="train")[::3][:SCHED.batch_size]
-    assert len({u.speaker for u in utts}) == SCHED.batch_size
-    got = tr.validate(model, utts, 5, SCHED,
-                      lambda u: adapted.hooks_for(Tensor(u.embedding.reshape(1, -1))))
-    with ad.no_grad():
-        hooks = adapted.hooks_for(Tensor(np.stack([u.embedding for u in utts])))
-        _, want = compute_losses(model, utts, 5, SCHED, RunCtx(training=False), hooks=hooks)
-    for name in LOSS_NAMES:
-        np.testing.assert_allclose(got.components[name], want.components[name], rtol=1e-6,
-                                   err_msg=name)
-    np.testing.assert_allclose(got.total, want.total, rtol=1e-6)
+    train = load_corpus(corpus_manifest, adaptation=True, split="train")
+    distinct = train[::3][:SCHED.batch_size]
+    assert len({u.speaker for u in distinct}) == SCHED.batch_size
+    shared = [u for u in train if u.speaker == distinct[0].speaker][:2] + distinct[2:]
+    assert len({u.speaker for u in shared}) == len(shared) - 1 == SCHED.batch_size - 1
+
+    def hooks_fn(u):
+        return adapted.hooks_for(u.embedding)
+
+    for utts in (distinct, shared):
+        got = tr.validate(model, utts, 5, SCHED, hooks_fn)
+        with ad.no_grad():
+            _, want = compute_losses(model, utts, 5, SCHED, RunCtx(training=False),
+                                     hooks_fn=hooks_fn)
+        for name in LOSS_NAMES:
+            np.testing.assert_array_equal(got.components[name], want.components[name],
+                                          err_msg=name)
+        np.testing.assert_array_equal(got.total, want.total)
