@@ -141,32 +141,32 @@ def site_adapters(table, n_sites, seg, d_h):
             for site in range(n_sites)]
 
 
-def static_adapter_table(seed, tag, n_sites, d_h, d_r, dtype=ad.DEFAULT_DTYPE):
+def static_adapter_table(seed, tag, n_sites, d_h, d_r):
     """Trainable (n_sites, n_flat) table of directly trained adapters for one
     module. Row i draws w_down from the rng_for(seed, "adapter", tag, i)
     stream; everything else starts at zero, so each site is the identity."""
     n_wd = d_h * d_r
-    rows = np.zeros((n_sites, 2 * n_wd + d_r + d_h), dtype=dtype)
+    rows = np.zeros((n_sites, 2 * n_wd + d_r + d_h), dtype=ad.DEFAULT_DTYPE)
     for i in range(n_sites):
         rows[i, :n_wd] = xavier_uniform(rng_for(seed, "adapter", tag, i), (d_h, d_r),
-                                        d_h, d_r, dtype).reshape(-1)
+                                        d_h, d_r).reshape(-1)
     return Tensor(rows, requires_grad=True)
 
 
 class HyperNetwork(Module):
     """Generates adapter weights for every site of one backbone module."""
 
-    def __init__(self, rng, n_sites, dims, dtype=ad.DEFAULT_DTYPE):
+    def __init__(self, rng, n_sites, dims):
         d = dims
-        self.speaker_proj = Dense(rng, d.d_1, d.d_2, dtype=dtype)
-        table = (rng.standard_normal((n_sites, d.d_l)) * d.d_l ** -0.5).astype(dtype)
+        self.speaker_proj = Dense(rng, d.d_1, d.d_2)
+        table = (rng.standard_normal((n_sites, d.d_l)) * d.d_l ** -0.5).astype(ad.DEFAULT_DTYPE)
         self.layer_embed = Tensor(table, requires_grad=True)
-        self.source_proj = Dense(rng, d.d_2 + d.d_l, d.d_s, dtype=dtype)
+        self.source_proj = Dense(rng, d.d_2 + d.d_l, d.d_s)
         n_down = d.d_h * d.d_r + d.d_r
         n_up = d.d_r * d.d_h + d.d_h
-        self.sampler_down = Dense(rng, d.d_s, n_down, bias=False, dtype=dtype)
+        self.sampler_down = Dense(rng, d.d_s, n_down, bias=False)
         # zero start: generated up-projections vanish, adapters begin as identity
-        self.sampler_up = Dense(rng, d.d_s, n_up, bias=False, dtype=dtype, zero_init=True)
+        self.sampler_up = Dense(rng, d.d_s, n_up, bias=False, zero_init=True)
         self.dims = d
         self.n_sites = n_sites
 
@@ -300,8 +300,7 @@ class AdaptedModel:
     """A backbone plus one strategy's trainable surface.
 
     Freezing is enforced at build time via requires_grad; the training loop
-    additionally verifies frozen tensors never change. `detached` bypasses
-    every adapter hook, which must reproduce the plain backbone exactly.
+    additionally verifies frozen tensors never change.
     """
 
     def __init__(self, model, strategy, seed=0):
@@ -315,7 +314,6 @@ class AdaptedModel:
         self.strategy = strategy
         self.site_counts = model.site_counts()
         self.extras = _Bank()
-        self.detached = False
         model.set_trainable(strategy.name == "ft")
         for tag in strategy.sites:
             n = self.site_counts[tag]
@@ -328,13 +326,12 @@ class AdaptedModel:
     def hooks_for(self, speakers):
         """Adapter tables for one speaker embedding, a (d_1,) array, or for
         a pack whose speakers are the rows of a (B, d_1) array: module tag
-        -> table, or None when the strategy adds nothing (tts0/ft) or
-        adapters are detached. A hypernetwork generates its module's tables
-        for the whole pack here, in one node ((B n_sites, n_flat),
-        speaker-major); static adapters hand out their shared trainable
-        (n_sites, n_flat) table. One speaker gets each module's
-        (n_sites, n_flat) table either way."""
-        if self.detached or self.strategy.name in ("tts0", "ft"):
+        -> table, or None when the strategy adds nothing (tts0/ft). A
+        hypernetwork generates its module's tables for the whole pack here,
+        in one node ((B n_sites, n_flat), speaker-major); static adapters
+        hand out their shared trainable (n_sites, n_flat) table. One speaker
+        gets each module's (n_sites, n_flat) table either way."""
+        if self.strategy.name in ("tts0", "ft"):
             return None
         spk = self.model._speaker_tensor(speakers)
         hooks = {}

@@ -29,20 +29,19 @@ from .layers import Conv1d, Module
 @dataclass
 class AlignmentMap:
     """Soft alignments of a pack: log_probs is (B, n, m), map b spanning
-    [:n_len[b], :m_len[b]] (the whole grid when the counts are None) with
-    -inf beyond; each valid column is a log distribution over phonemes."""
+    [:n_len[b], :m_len[b]] with -inf beyond; each valid column is a log
+    distribution over phonemes."""
 
     log_probs: Tensor
-    n_len: Optional[np.ndarray] = None
-    m_len: Optional[np.ndarray] = None
+    n_len: np.ndarray
+    m_len: np.ndarray
     hard_path: Optional[np.ndarray] = None  # packed per-frame phoneme index within each map
 
     def __post_init__(self):
         if self.log_probs.data.ndim != 3:
             raise InputError(f"alignment maps must be (B, n, m), got {self.log_probs.shape}")
-        b, n, m = self.log_probs.shape
-        self.n_len = np.full(b, n, dtype=np.int64) if self.n_len is None else np.asarray(self.n_len)
-        self.m_len = np.full(b, m, dtype=np.int64) if self.m_len is None else np.asarray(self.m_len)
+        self.n_len = np.asarray(self.n_len)
+        self.m_len = np.asarray(self.m_len)
 
 
 class AlignmentEncoder(Module):
@@ -54,23 +53,23 @@ class AlignmentEncoder(Module):
         self.mel_conv1 = Conv1d(rng, d_mel, d_attn, 3)
         self.mel_conv2 = Conv1d(rng, d_attn, d_attn, 1)
 
-    def project_text(self, h, seg=None):
+    def project_text(self, h, seg):
         return self.text_conv2(ad.relu(self.text_conv1(h, seg)), seg)
 
-    def project_mel(self, mel, seg=None):
+    def project_mel(self, mel, seg):
         return self.mel_conv2(ad.relu(self.mel_conv1(mel, seg)), seg)
 
 
-def soft_align(text_feats, mel_feats, text_seg=None, mel_seg=None):
+def soft_align(text_feats, mel_feats, text_seg, mel_seg):
     """Per-frame log distribution over phonemes from pairwise affinities.
 
     Both inputs must already live in the shared attention space, packed by
-    utterance (None: one utterance). Map b pairs utterance b's phonemes with
-    its frames only; the maps fill one (B, n_max, m_max) node, -inf past
-    each map's counts. The affinity -|t_i - m_j|^2 and its log-softmax over
-    phonemes are one node. The frame norm |m_j|^2 is constant down each
-    column, which the log-softmax cancels, so it is never formed and gets no
-    gradient.
+    utterance as text_seg and mel_seg lay them out. Map b pairs utterance
+    b's phonemes with its frames only; the maps fill one (B, n_max, m_max)
+    node, -inf past each map's counts. The affinity -|t_i - m_j|^2 and its
+    log-softmax over phonemes are one node. The frame norm |m_j|^2 is
+    constant down each column, which the log-softmax cancels, so it is never
+    formed and gets no gradient.
     """
     n, k = text_feats.shape
     m, k2 = mel_feats.shape

@@ -29,10 +29,10 @@ node each: length-preserving 1D convolution (zero padding at every boundary),
 the attention core (one softmax per segment), dropout (each segment's mask
 from its own stream), `repeat_rows` (one row per segment or phoneme spread
 over its rows), `segment_mean` and the losses (per-segment means, summed).
-Without a layout an op treats all rows as one segment.
+A single utterance is a pack of one segment.
 
 The op set is exactly what the acoustic model needs: the fused affine map
-`linear` (matmul plus bias), 1D convolution with its bias, the fused
+`linear` (matmul plus bias), 1D convolution plus bias, the fused
 multi-head attention core (head split, scaled scores, softmax, seeded
 dropout, weighted sum, head merge), ReLU/tanh, layer norm, seeded dropout,
 embedding lookup, row repetition, same-shape add and scaling, the full sum
@@ -57,6 +57,8 @@ from . import kernels
 from .errors import InputError, NumericsError, ShapeError, StateError
 
 DEFAULT_DTYPE = np.float32
+LN_EPS = 1e-5  # added to the variance under layer norm's square root
+GRAD_CHECK_FLOOR = 1e-3  # smallest denominator of a gradient check's relative error
 
 _add_reduce = np.add.reduce
 _node_counter = itertools.count(1)
@@ -67,8 +69,8 @@ _recording = True  # False inside no_grad()
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_grad_fn", "_seq")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -183,9 +185,10 @@ class Segments:
 
 
 def _segments_of(op, seg, n):
-    if seg is not None and seg.total != n:
+    """seg.bounds, once seg is checked to cover the n rows of a tensor."""
+    if seg.total != n:
         raise ShapeError(op, f"segments cover {seg.total} rows, tensor has {n}")
-    return [(0, n)] if seg is None else seg.bounds
+    return seg.bounds
 
 
 # -----------------------------------------------------------------------------
@@ -272,7 +275,7 @@ def tanh(a):
     return from_op(out_data, (a,), grad_fn, "tanh")
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
+def layer_norm(a, gain, bias):
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
     _check_same_dtype("layer_norm", a, gain, bias)
     d = a.shape[-1]
@@ -284,7 +287,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     mean = _add_reduce(x, axis=-1, keepdims=True) / d
     xc = x - mean
     var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     out_data = xc * inv
     out_data *= gain.data
     out_data += bias.data
@@ -329,12 +332,11 @@ def _dropped(x, keep, scale):
     return out
 
 
-def dropout(a, p, rngs, training, seg=None):
+def dropout(a, p, rngs, training, seg):
     """Seeded inverted dropout; identity when p == 0 or not training.
 
-    rngs holds one generator per segment (one for the whole tensor without
-    a layout); each segment's mask comes from its own stream. The node keeps
-    only the boolean mask."""
+    rngs holds one generator per segment; each segment's mask comes from its
+    own stream. The node keeps only the boolean mask."""
     if not _dropout_on(p, training):
         return a
     rest = a.shape[1:]
@@ -349,7 +351,7 @@ def dropout(a, p, rngs, training, seg=None):
     return from_op(_dropped(a.data, keep, scale), (a,), grad_fn, "dropout")
 
 
-def attention(q, k, v, heads, seg=None, p=0.0, rngs=None, training=False):
+def attention(q, k, v, heads, seg, p, rngs, training):
     """Multi-head scaled dot-product attention over (n, d) projections.
 
     Splits d into `heads` heads, scores queries against the keys of their
@@ -459,15 +461,15 @@ def repeat_rows(x, counts):
 # -----------------------------------------------------------------------------
 
 
-def conv1d(x, w, b=None, seg=None):
+def conv1d(x, w, b, seg):
     """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
-    optional bias (Cout,), in one node.
+    bias b (Cout,), in one node.
 
     Every segment is zero-padded at both ends, so no tap reaches across a
     boundary: the segments are laid out with (K - 1) / 2 zero rows before,
     between and after them, convolved by one im2col matmul, and the rows
     centred on packed rows are kept."""
-    _check_same_dtype("conv1d", *((x, w) if b is None else (x, w, b)))
+    _check_same_dtype("conv1d", x, w, b)
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError("conv1d", f"need x (T, Cin) and w (K, Cin, Cout), got {x.shape} and {w.shape}")
     k, cin, cout = w.shape
@@ -475,7 +477,7 @@ def conv1d(x, w, b=None, seg=None):
         raise ShapeError("conv1d", f"kernel size {k} must be odd to preserve length")
     if x.shape[1] != cin:
         raise ShapeError("conv1d", f"channel axes differ: input {x.shape[1]} vs weight {cin}")
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ShapeError("conv1d", f"bias {b.shape} does not match {cout} output channels")
     pad = (k - 1) // 2
     t = x.shape[0]
@@ -496,8 +498,7 @@ def conv1d(x, w, b=None, seg=None):
     out_data = kernels.conv1d_forward(padded(), w.data)
     if rows is not None:
         out_data = out_data[rows - pad]
-    if b is not None:
-        out_data += b.data
+    out_data += b.data
 
     def grad_fn(g):
         # the kernel always forms the input gradient; backward drops it when
@@ -512,9 +513,9 @@ def conv1d(x, w, b=None, seg=None):
             gout[rows - pad] = g
             gxp, gw = kernels.conv1d_backward(xp, w.data, gout, need_w=need_w)
             gx = gxp[rows]
-        return gx, gw, g.sum(axis=0) if b is not None and b.requires_grad else None
+        return gx, gw, g.sum(axis=0) if b.requires_grad else None
 
-    return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "conv1d")
+    return from_op(out_data, (x, w, b), grad_fn, "conv1d")
 
 
 # -----------------------------------------------------------------------------
@@ -529,11 +530,9 @@ def sum_all(a):
     return from_op(_add_reduce(a.data, axis=None), (a,), grad_fn, "sum")
 
 
-def segment_mean(a, seg=None):
-    """(B, ...) mean over each segment's rows of a packed tensor, one node;
-    (1, ...) without a layout."""
+def segment_mean(a, seg):
+    """(B, ...) mean over each segment's rows of a packed tensor, one node."""
     _segments_of("segment_mean", seg, a.shape[0])
-    seg = seg if seg is not None else Segments([a.shape[0]])
     shape = (-1,) + (1,) * (a.data.ndim - 1)
     counts = seg.lengths.astype(a.dtype).reshape(shape)
 
@@ -554,14 +553,13 @@ def _as_target(op, b):
 
 
 def _loss_operands(op, a, b, seg):
-    """Target as a Tensor, the difference a - b, and the layout (all rows one
-    segment when seg is None)."""
+    """Target as a Tensor and the difference a - b, once seg is checked."""
     b = _as_target(op, b)
     _check_same_dtype(op, a, b)
     if a.shape != b.shape:
         raise ShapeError(op, f"operand shapes differ: {a.shape} vs {b.shape}")
     _segments_of(op, seg, a.shape[0])
-    return b, a.data - b.data, seg if seg is not None else Segments([a.shape[0]])
+    return b, a.data - b.data
 
 
 def _entry_weights(seg, x):
@@ -572,11 +570,10 @@ def _entry_weights(seg, x):
     return w.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def mse_loss(a, b, seg=None):
+def mse_loss(a, b, seg):
     """Sum over segments of each segment's mean squared difference (rows along
-    axis 0), so each utterance counts once; without a layout, the mean over
-    the whole array."""
-    b, diff, seg = _loss_operands("mse_loss", a, b, seg)
+    axis 0), so each utterance counts once."""
+    b, diff = _loss_operands("mse_loss", a, b, seg)
 
     def grad_fn(g):
         d = g * 2.0 * _entry_weights(seg, diff) * diff
@@ -586,10 +583,10 @@ def mse_loss(a, b, seg=None):
     return from_op(np.asarray(value, dtype=a.dtype), (a, b), grad_fn, "mse_loss")
 
 
-def l1_loss(a, b, seg=None):
+def l1_loss(a, b, seg):
     """Sum over segments of each segment's mean absolute difference, as in
     mse_loss."""
-    b, diff, seg = _loss_operands("l1_loss", a, b, seg)
+    b, diff = _loss_operands("l1_loss", a, b, seg)
 
     def grad_fn(g):
         d = g * _entry_weights(seg, diff) * np.sign(diff)
@@ -692,7 +689,7 @@ class GradCheckReport:
         )
 
 
-def grad_check(fn, inputs, eps=1e-5, threshold=1e-4, rel_floor=1e-3):
+def grad_check(fn, inputs, eps=1e-5, threshold=1e-4):
     """Compare analytic gradients of scalar-valued fn(*inputs) against central
     finite differences.
 
@@ -730,7 +727,7 @@ def grad_check(fn, inputs, eps=1e-5, threshold=1e-4, rel_floor=1e-3):
                 )
             fd = (f_plus - f_minus) / (2.0 * eps)
             an = analytic[ti].reshape(-1)[j]
-            rel = abs(an - fd) / max(abs(an), abs(fd), rel_floor)
+            rel = abs(an - fd) / max(abs(an), abs(fd), GRAD_CHECK_FLOOR)
             sum_rel += rel
             count += 1
             if rel > max_rel:

@@ -5,9 +5,9 @@ convolutional Postnet.
 Each block is self-attention plus a two-layer conv stack (kernel sizes 9 and
 1, first conv ReLU-activated), with residual connections and post layer norm
 around both sub-stacks. Every module runs over a packed sequence: B
-utterances stacked along time, laid out by an `autodiff.Segments` (None
-for a single utterance). Attention, convolution and positions restart at
-each segment, so no utterance sees another's rows.
+utterances stacked along time, laid out by an `autodiff.Segments` (one
+segment for a single utterance). Attention, convolution and positions
+restart at each segment, so no utterance sees another's rows.
 
 Adapter hooks slot in after a block's conv stack, before the closing
 residual+norm; every block therefore exposes exactly one insertion site.
@@ -35,15 +35,15 @@ def sinusoidal_table(n, d, dtype=np.float32):
 _TABLES = {}  # (d, dtype) -> the longest sinusoidal table built so far
 
 
-def positions(n, d, dtype, seg=None):
-    """(n, d) sinusoidal rows restarting at 0 in every segment, cut from one
-    cached table; each row equals the same row of sinusoidal_table."""
-    longest = n if seg is None else int(seg.lengths.max())
+def positions(seg, d, dtype):
+    """(seg.total, d) sinusoidal rows restarting at 0 in every segment, cut
+    from one cached table; each row equals the same row of sinusoidal_table."""
+    longest = int(seg.lengths.max())
     key = (d, np.dtype(dtype))
     table = _TABLES.get(key)
     if table is None or table.shape[0] < longest:
         table = _TABLES[key] = sinusoidal_table(max(256, 1 << (longest - 1).bit_length()), d, dtype)
-    return table[:n] if seg is None or len(seg) == 1 else table[seg.positions()]
+    return table[:seg.total] if len(seg) == 1 else table[seg.positions()]
 
 
 class MultiHeadAttention(Module):
@@ -74,7 +74,8 @@ class FFTBlock(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, h, seg, ctx, adapter=None):
+    def __call__(self, h, seg, ctx, adapter):
+        """`adapter` is the block's adapter callable, or None."""
         a = ad.dropout(self.attn(h, seg, ctx), self.p_dropout, ctx.rngs, ctx.training, seg)
         h = self.norm1(ad.add(h, a))
         c = self.conv2(ad.relu(self.conv1(h, seg)), seg)
@@ -92,14 +93,15 @@ class Encoder(Module):
         self.blocks = [FFTBlock(rng, d_h, heads, conv_kernels, p_dropout) for _ in range(n_layers)]
         self.d_h = d_h
 
-    def __call__(self, phoneme_ids, ctx, seg=None, adapters=None):
+    def __call__(self, phoneme_ids, ctx, seg, adapters):
+        """`adapters` holds one adapter callable, or None, per block."""
         ids = np.asarray(phoneme_ids)
         if ids.size == 0:
             raise InputError("encode: empty phoneme sequence")
-        pe = positions(ids.size, self.d_h, self.embed.table.dtype, seg)
+        pe = positions(seg, self.d_h, self.embed.table.dtype)
         h = ad.add(self.embed(ids), Tensor(pe))
-        for i, block in enumerate(self.blocks):
-            h = block(h, seg, ctx, adapter=adapters[i] if adapters else None)
+        for block, adapter in zip(self.blocks, adapters, strict=True):
+            h = block(h, seg, ctx, adapter)
         return h
 
 
@@ -111,13 +113,13 @@ class Decoder(Module):
         self.mel_head = Dense(rng, d_h, n_mels)
         self.d_h = d_h
 
-    def __call__(self, h, ctx, seg=None, adapters=None):
-        m = h.shape[0]
-        if m == 0:
+    def __call__(self, h, ctx, seg, adapters):
+        """`adapters` holds one adapter callable, or None, per block."""
+        if h.shape[0] == 0:
             raise InputError("decode: zero-length frame sequence")
-        h = ad.add(h, Tensor(positions(m, self.d_h, h.dtype, seg)))
-        for i, block in enumerate(self.blocks):
-            h = block(h, seg, ctx, adapter=adapters[i] if adapters else None)
+        h = ad.add(h, Tensor(positions(seg, self.d_h, h.dtype)))
+        for block, adapter in zip(self.blocks, adapters, strict=True):
+            h = block(h, seg, ctx, adapter)
         return self.mel_head(h)
 
 
@@ -135,7 +137,7 @@ class Postnet(Module):
         self.convs = convs
         self.p_dropout = p_dropout
 
-    def __call__(self, mel, ctx, seg=None):
+    def __call__(self, mel, ctx, seg):
         h = mel
         for conv in self.convs[:-1]:
             h = ad.dropout(ad.tanh(conv(h, seg)), self.p_dropout, ctx.rngs, ctx.training, seg)

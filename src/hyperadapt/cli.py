@@ -219,8 +219,6 @@ def _resolve_synthesis_inputs(cfg, manifest):
         if not matches:
             raise InputError(f"utterance '{section['utt']}' not in manifest")
         utt = corpus_mod.load_utterance(matches[0], base)
-        if utt.embedding is None:
-            raise InputError(f"utterance '{utt.utt_id}' has no stored embedding")
         return utt.phonemes, utt.embedding, utt.utt_id
     if section["phonemes"] and section["speaker"]:
         try:
@@ -294,9 +292,6 @@ def _cmd_evaluate(cfg):
                                   split=split)
     if not utts:
         raise InputError("no utterances matched the evaluate filters")
-    for u in utts:
-        if u.embedding is None:
-            raise InputError(f"utterance {u.utt_id} has no stored embedding")
 
     loaded = tr.load_checkpoint(checkpoint)
     model = loaded.model
@@ -341,14 +336,11 @@ def _cmd_dump_hyper_params(cfg):
     d_spk = loaded.model.config.d_spk
     section = cfg["dump"]
 
-    speakers = sorted({
-        e.speaker for e in featio.read_manifest(manifest)
-        if corpus_mod.is_adaptation_speaker(e.speaker)
-    })
+    entries = featio.read_manifest(manifest)
+    speakers = sorted({e.speaker for e in entries if corpus_mod.is_adaptation_speaker(e.speaker)})
     if not speakers:
         raise InputError("manifest has no adaptation speakers to dump")
     base = featio.manifest_dir(manifest)
-    entries = featio.read_manifest(manifest)
 
     arrays = {}
     for speaker in speakers:

@@ -79,8 +79,7 @@ class Utterance:
     mel: np.ndarray
     f0: np.ndarray
     energy: np.ndarray
-    durations: np.ndarray = None
-    embedding: np.ndarray = None
+    embedding: np.ndarray
 
 
 # -----------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def generate_corpus(spec, seed, out_dir):
             rng_text = rng_for(seed, "text", sid, u)
             n = int(rng_text.integers(spec.min_phonemes, spec.max_phonemes + 1))
             phonemes = rng_text.integers(0, spec.vocab_size, size=n).astype(np.int64)
-            mel, f0, energy, durs = synth_utterance(
+            mel, f0, energy, _ = synth_utterance(
                 spec, tables, latent, phonemes, rng_for(seed, "texture", utt_id)
             )
             emb = synthetic_embedding(mel, spec.d_spk, spec.jitter, stream=(utt_id,))
@@ -273,14 +272,12 @@ def generate_corpus(spec, seed, out_dir):
                 "mel": f"{sid}/{utt_id}.mel.bin",
                 "f0": f"{sid}/{utt_id}.f0.bin",
                 "energy": f"{sid}/{utt_id}.energy.bin",
-                "durations": f"{sid}/{utt_id}.dur.bin",
                 "embedding": f"{sid}/{utt_id}.emb.bin",
             }
             featio.write_phonemes(os.path.join(out_dir, rel["phonemes"]), phonemes)
             featio.write_array(os.path.join(out_dir, rel["mel"]), mel)
             featio.write_array(os.path.join(out_dir, rel["f0"]), f0)
             featio.write_array(os.path.join(out_dir, rel["energy"]), energy)
-            featio.write_array(os.path.join(out_dir, rel["durations"]), durs)
             featio.write_array(os.path.join(out_dir, rel["embedding"]), emb)
             entries.append(featio.ManifestEntry(
                 utt_id=utt_id,
@@ -325,8 +322,7 @@ def load_utterance(entry, base_dir):
         mel=featio.read_array(path(entry.mel)),
         f0=featio.read_array(path(entry.f0)),
         energy=featio.read_array(path(entry.energy)),
-        durations=featio.read_array(path(entry.durations)) if entry.durations else None,
-        embedding=featio.read_array(path(entry.embedding)) if entry.embedding else None,
+        embedding=featio.read_array(path(entry.embedding)),
     )
 
 

@@ -25,7 +25,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -115,13 +115,10 @@ def read_phonemes(path):
 # manifest
 # -----------------------------------------------------------------------------
 
-_ENTRY_KEYS = {"utt_id", "speaker", "split", "phonemes", "mel", "f0", "energy", "durations", "embedding"}
-_REQUIRED_KEYS = {"utt_id", "speaker", "split", "phonemes", "mel", "f0", "energy"}
-
-
 @dataclass
 class ManifestEntry:
-    """One utterance: ids plus feature paths relative to the manifest file."""
+    """One utterance: ids plus feature paths relative to the manifest file.
+    Every field is a required manifest key, and no other key is allowed."""
 
     utt_id: str
     speaker: str
@@ -130,39 +127,20 @@ class ManifestEntry:
     mel: str
     f0: str
     energy: str
-    durations: str = ""
-    embedding: str = ""
-
-    def to_record(self):
-        rec = {
-            "utt_id": self.utt_id,
-            "speaker": self.speaker,
-            "split": self.split,
-            "phonemes": self.phonemes,
-            "mel": self.mel,
-            "f0": self.f0,
-            "energy": self.energy,
-        }
-        if self.durations:
-            rec["durations"] = self.durations
-        if self.embedding:
-            rec["embedding"] = self.embedding
-        return rec
+    embedding: str
 
     def paths(self):
-        out = [self.phonemes, self.mel, self.f0, self.energy]
-        if self.durations:
-            out.append(self.durations)
-        if self.embedding:
-            out.append(self.embedding)
-        return out
+        return [self.phonemes, self.mel, self.f0, self.energy, self.embedding]
+
+
+_ENTRY_KEYS = {f.name for f in fields(ManifestEntry)}
 
 
 def write_manifest(path, entries):
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
         for e in entries:
-            f.write(json.dumps(e.to_record(), sort_keys=True))
+            f.write(json.dumps(asdict(e), sort_keys=True))
             f.write("\n")
     os.replace(tmp, path)
 
@@ -192,7 +170,7 @@ def read_manifest(path):
         unknown = set(rec) - _ENTRY_KEYS
         if unknown:
             raise InputError(f"{path}:{lineno}: unknown manifest keys {sorted(unknown)}")
-        missing = _REQUIRED_KEYS - set(rec)
+        missing = _ENTRY_KEYS - set(rec)
         if missing:
             raise InputError(f"{path}:{lineno}: missing manifest keys {sorted(missing)}")
         not_text = sorted(k for k, v in rec.items() if not isinstance(v, str))

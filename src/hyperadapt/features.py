@@ -93,16 +93,15 @@ def quantize(value, vmin, vmax, n_bins=256):
     return np.clip(idx, 0, n_bins - 1).astype(np.int64)
 
 
-def mel_to_waveform(logmel, config, n_iter=30, length=None, seed=0):
-    """Iterative phase reconstruction (no vocoder): rough audio preview only."""
+def mel_to_waveform(logmel, config, n_iter=30):
+    """Iterative phase reconstruction (no vocoder): rough audio preview only,
+    (m - 1) hops long (one hop at least), from a fixed random start phase."""
     mel = np.exp(np.asarray(logmel, dtype=np.float64))
     fb = mel_filterbank(config)
     mag = np.clip(mel @ np.linalg.pinv(fb).T, 0.0, None)
     m = mag.shape[0]
-    if length is None:
-        length = (m - 1) * config.hop
-    length = max(length, config.hop)
-    rng = np.random.default_rng(seed)
+    length = max((m - 1) * config.hop, config.hop)
+    rng = np.random.default_rng(0)
     phase = np.exp(2j * np.pi * rng.random(mag.shape))
     for _ in range(n_iter):
         wave = istft(mag * phase, config, length)

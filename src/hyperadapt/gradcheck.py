@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .errors import InputError
 from .layers import RunCtx, rng_for
 
-_CTX = RunCtx(training=False)
+_CTX = RunCtx((), training=False)
 _D = 8
 
 
@@ -48,9 +48,13 @@ def _fft_block(seed):
     seg = ad.Segments([2, 3])
 
     def fn(x, *ps):
-        return ad.mse_loss(block(x, seg, _CTX), target, seg)
+        return ad.mse_loss(block(x, seg, _CTX, None), target, seg)
 
     return fn, [h, *params]
+
+
+# the variance heads run over a pack of two utterances too, so their convs
+# see a boundary and the pitch head pools each segment on its own
 
 
 def _duration_head(seed):
@@ -58,9 +62,10 @@ def _duration_head(seed):
     params = _f64_params(head)
     h = _probe(seed, (6, _D))
     target = _target(seed, (6,))
+    seg = ad.Segments([2, 4])
 
     def fn(x, *ps):
-        return ad.mse_loss(head(x, _CTX), target)
+        return ad.mse_loss(head(x, _CTX, seg), target, seg)
 
     return fn, [h, *params]
 
@@ -70,10 +75,11 @@ def _pitch_head(seed):
     params = _f64_params(head)
     h = _probe(seed, (6, _D))
     target = _target(seed, (6, variance.N_SCALES))
+    seg = ad.Segments([2, 4])
 
     def fn(x, *ps):
-        spec, mean, var = head(x, _CTX)
-        return ad.add(ad.mse_loss(spec, target), ad.add(ad.sum_all(mean), ad.sum_all(var)))
+        spec, mean, var = head(x, _CTX, seg, None)
+        return ad.add(ad.mse_loss(spec, target, seg), ad.add(ad.sum_all(mean), ad.sum_all(var)))
 
     return fn, [h, *params]
 
@@ -83,9 +89,10 @@ def _energy_head(seed):
     params = _f64_params(head)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5,))
+    seg = ad.Segments([2, 3])
 
     def fn(x, *ps):
-        return ad.mse_loss(head(x, _CTX), target)
+        return ad.mse_loss(head(x, _CTX, seg, None), target, seg)
 
     return fn, [h, *params]
 
@@ -94,6 +101,9 @@ def _postnet(seed):
     net = backbone.Postnet(rng_for(seed, "gc", "post"), n_mels=6, channels=10,
                            kernel=5, n_layers=3, p_dropout=0.0)
     params = _f64_params(net)
+    # off the zero init of the last conv, or no gradient reaches the others
+    last = net.convs[-1].w
+    last.data += rng_for(seed, "gc", "post-last").normal(size=last.shape) * 0.1
     mel = _probe(seed, (7, 6))
     target = _target(seed, (7, 6))
     seg = ad.Segments([3, 4])

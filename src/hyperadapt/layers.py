@@ -32,9 +32,9 @@ def _hash_text(s):
     return h
 
 
-def xavier_uniform(rng, shape, fan_in, fan_out, dtype=ad.DEFAULT_DTYPE):
+def xavier_uniform(rng, shape, fan_in, fan_out):
     lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=shape).astype(dtype)
+    return rng.uniform(-lim, lim, size=shape).astype(ad.DEFAULT_DTYPE)
 
 
 class Module:
@@ -89,24 +89,23 @@ class Module:
 
 class RunCtx:
     """Per-call context: the dropout streams, one generator per packed
-    utterance (a single generator stands for a pack of one), plus the
+    utterance (none when nothing drops out, as at inference), plus the
     train/inference flag."""
 
-    def __init__(self, rng=None, training=False):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    def __init__(self, rngs, training):
+        self.rngs = list(rngs)
         self.training = training
 
 
 class Dense(Module):
-    def __init__(self, rng, d_in, d_out, bias=True, dtype=ad.DEFAULT_DTYPE, zero_init=False):
+    def __init__(self, rng, d_in, d_out, bias=True, zero_init=False):
         if zero_init:
-            w = np.zeros((d_in, d_out), dtype=dtype)
+            w = np.zeros((d_in, d_out), dtype=ad.DEFAULT_DTYPE)
         else:
-            w = xavier_uniform(rng, (d_in, d_out), d_in, d_out, dtype)
+            w = xavier_uniform(rng, (d_in, d_out), d_in, d_out)
         self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
+        self.b = (Tensor(np.zeros(d_out, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
+                  if bias else None)
 
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)
@@ -116,33 +115,32 @@ class Conv1d(Module):
     """Length-preserving conv over (T, C_in); odd kernel, symmetric zero pad
     at both ends of every segment of a packed input."""
 
-    def __init__(self, rng, c_in, c_out, kernel_size, bias=True, dtype=ad.DEFAULT_DTYPE, zero_init=False):
+    def __init__(self, rng, c_in, c_out, kernel_size, zero_init=False):
         fan_in = kernel_size * c_in
         fan_out = kernel_size * c_out
         if zero_init:
-            w = np.zeros((kernel_size, c_in, c_out), dtype=dtype)
+            w = np.zeros((kernel_size, c_in, c_out), dtype=ad.DEFAULT_DTYPE)
         else:
-            w = xavier_uniform(rng, (kernel_size, c_in, c_out), fan_in, fan_out, dtype)
+            w = xavier_uniform(rng, (kernel_size, c_in, c_out), fan_in, fan_out)
         self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(c_out, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
 
-    def __call__(self, x, seg=None):
+    def __call__(self, x, seg):
         return ad.conv1d(x, self.w, self.b, seg)
 
 
 class LayerNorm(Module):
-    def __init__(self, d, eps=1e-5, dtype=ad.DEFAULT_DTYPE):
-        self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.eps = eps
+    def __init__(self, d):
+        self.gain = Tensor(np.ones(d, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
+        self.bias = Tensor(np.zeros(d, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x):
-        return ad.layer_norm(x, self.gain, self.bias, self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Embedding(Module):
-    def __init__(self, rng, vocab, dim, dtype=ad.DEFAULT_DTYPE):
-        table = (rng.standard_normal((vocab, dim)) * dim ** -0.5).astype(dtype)
+    def __init__(self, rng, vocab, dim):
+        table = (rng.standard_normal((vocab, dim)) * dim ** -0.5).astype(ad.DEFAULT_DTYPE)
         self.table = Tensor(table, requires_grad=True)
 
     def __call__(self, ids):

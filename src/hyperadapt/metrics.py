@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, NumericsError
 
 F0_REL_THRESHOLD = 0.2  # both-voiced frames count as errors past 20% deviation
 MCD_COEFFS = 13         # cepstral coefficients 1..13; the 0th (loudness) is excluded
@@ -238,8 +238,9 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     `synthesize_fn(utt) -> (mel, info)` must provide info["f0"]; `embedder`
     maps a mel to a fixed-size vector. An InputError (bad input for one
     utterance, such as an alignment it cannot have) is recorded on its row
-    and excluded from the aggregates; any other exception is a fault and
-    propagates.
+    and excluded from the aggregates; a NumericsError propagates with the
+    utterance id prefixed, and any other exception is a fault and propagates
+    as it is.
     """
     if not utterances:
         raise InputError("evaluate: empty utterance list")
@@ -256,6 +257,8 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
             rows.append(EvalRow(utt.utt_id, utt.speaker,
                                 error=f"{type(e).__name__}: {e}"))
             continue
+        except NumericsError as e:
+            raise NumericsError(f"{utt.utt_id}: {e}") from e
         rows.append(EvalRow(utt.utt_id, utt.speaker, cos=cos, ffe=ffe, mcd=mcd))
         cos_vals.append(cos)
         ffe_vals.append(ffe)

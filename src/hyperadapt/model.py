@@ -56,7 +56,8 @@ class ModelConfig:
 
 
 class Pack:
-    """B utterances stacked along time for one teacher-forced pass.
+    """B utterances (`corpus.Utterance`s) stacked along time for one
+    teacher-forced pass.
 
     Phonemes, mel frames and the per-frame f0/energy are concatenated with no
     padding; `phonemes_seg` and `frames_seg` give each utterance's share of
@@ -64,39 +65,31 @@ class Pack:
     `embedding` is the (B, d_spk) speaker embeddings, so a pack stands in for
     an utterance where only `.embedding` is read (a hooks_fn). `log_f0` is
     each contour's interpolated log-F0, packed. `utt_ids` names the
-    utterances in pack order (None when built from bare arrays).
+    utterances in pack order.
     """
 
-    def __init__(self, phonemes, mels, f0s, energies, speakers, utt_ids=None):
-        counts = {len(phonemes), len(mels), len(f0s), len(energies), len(speakers)}
-        if len(counts) != 1 or not phonemes:
-            raise InputError("pack: need the same nonzero number of phoneme, mel, f0, energy "
-                             "and speaker entries")
-        mels = [np.asarray(mel, dtype=ad.DEFAULT_DTYPE) for mel in mels]
-        speakers = [np.asarray(v, dtype=ad.DEFAULT_DTYPE).reshape(-1) for v in speakers]
-        for ph, mel, f0, en, spk in zip(phonemes, mels, f0s, energies, speakers):
-            if mel.ndim != 2 or mel.shape[0] < len(ph):
-                raise InputError(f"mel {mel.shape} too short for {len(ph)} phonemes")
-            if len(f0) != mel.shape[0] or len(en) != mel.shape[0]:
-                raise InputError(f"f0/energy lengths {len(f0)}/{len(en)} differ from "
+    def __init__(self, utts):
+        if not utts:
+            raise InputError("pack: need at least one utterance")
+        mels = [np.asarray(u.mel, dtype=ad.DEFAULT_DTYPE) for u in utts]
+        speakers = [np.asarray(u.embedding, dtype=ad.DEFAULT_DTYPE).reshape(-1) for u in utts]
+        for u, mel, spk in zip(utts, mels, speakers):
+            if mel.ndim != 2 or mel.shape[0] < len(u.phonemes):
+                raise InputError(f"mel {mel.shape} too short for {len(u.phonemes)} phonemes")
+            if len(u.f0) != mel.shape[0] or len(u.energy) != mel.shape[0]:
+                raise InputError(f"f0/energy lengths {len(u.f0)}/{len(u.energy)} differ from "
                                  f"{mel.shape[0]} mel frames")
             if spk.size != speakers[0].size:
                 raise InputError(f"speaker embeddings of {spk.size} and {speakers[0].size} dims")
-        self.phonemes = np.concatenate([np.asarray(ph) for ph in phonemes])
+        self.phonemes = np.concatenate([np.asarray(u.phonemes) for u in utts])
         self.mel = np.concatenate(mels)
-        self.log_f0 = np.concatenate([var_mod.interpolated_log_f0(f0) for f0 in f0s])
-        self.energy = np.concatenate([np.asarray(en, dtype=np.float64) for en in energies])
+        self.log_f0 = np.concatenate([var_mod.interpolated_log_f0(u.f0) for u in utts])
+        self.energy = np.concatenate([np.asarray(u.energy, dtype=np.float64) for u in utts])
         self.embedding = np.stack(speakers)
-        self.phonemes_seg = Segments([len(ph) for ph in phonemes])
+        self.phonemes_seg = Segments([len(u.phonemes) for u in utts])
         self.frames_seg = Segments([mel.shape[0] for mel in mels])
         self.utterances_seg = Segments(np.ones(len(mels), dtype=np.int64))
-        self.utt_ids = None if utt_ids is None else list(utt_ids)
-
-    @classmethod
-    def of(cls, utts):
-        return cls([u.phonemes for u in utts], [u.mel for u in utts], [u.f0 for u in utts],
-                   [u.energy for u in utts], [u.embedding for u in utts],
-                   [u.utt_id for u in utts])
+        self.utt_ids = [u.utt_id for u in utts]
 
 
 class TTSModel(Module):
@@ -194,14 +187,14 @@ class TTSModel(Module):
         }
 
     @ad.no_grad()
-    def synthesize(self, phonemes, spk, ctx=None, hooks=None):
+    def synthesize(self, phonemes, spk, hooks=None):
         """Free-running synthesis from phonemes and a speaker embedding, as a
-        pack of one; `hooks` is AdaptedModel.hooks_for of that one speaker,
-        or None. Records no tape.
+        pack of one with dropout off; `hooks` is AdaptedModel.hooks_for of
+        that one speaker, or None. Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
         """
-        ctx = ctx if ctx is not None else RunCtx(training=False)
+        ctx = RunCtx((), training=False)
         ids = np.asarray(phonemes)
         spk_t = self._speaker_tensor(spk)
         if spk_t.shape[0] != 1:

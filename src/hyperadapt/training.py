@@ -106,9 +106,9 @@ class LossBreakdown:
     weights: dict
     total: float
 
-    def check_consistent(self, tol=1e-6):
+    def check_consistent(self):
         s = sum(self.weights[k] * self.components[k] for k in LOSS_NAMES)
-        if abs(s - self.total) > tol:
+        if abs(s - self.total) > 1e-6:
             raise InternalInvariantError(
                 f"loss total {self.total} != weighted component sum {s}"
             )
@@ -195,7 +195,7 @@ def compute_losses(model, utts, step, sched, ctx, hooks_fn=None, pitch_cache=Non
     aligner does not run.
     """
     weights = loss_weights(sched, step)
-    pack = Pack.of(utts)
+    pack = Pack(utts)
     hooks = None if hooks_fn is None else hooks_fn(pack)
     frozen = None if align_cache is None else _frozen_alignments(model, pack, align_cache)
     out = model.forward_train(pack, ctx, hooks=hooks, durations=None if frozen is None else
@@ -471,7 +471,7 @@ def _aligner_frozen(model):
 
 def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
                  hooks_fn, log, val_utterances, val_log, ckpt_every,
-                 save_fn, log_every=10, val_every=200):
+                 save_fn, log_every, val_every):
     """The shared step loop. `hooks_fn` (see compute_losses, or None) gives
     a pack its adapter tables: once per training step, and once per pack
     of each validation."""
@@ -531,7 +531,7 @@ def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, al
     for start in range(0, len(utterances), sched.batch_size):
         utts = utterances[start : start + sched.batch_size]
         outs.append(compute_losses(
-            model, utts, step, sched, RunCtx(training=False), hooks_fn=hooks_fn,
+            model, utts, step, sched, RunCtx((), training=False), hooks_fn=hooks_fn,
             pitch_cache=pitch_cache, align_cache=align_cache,
         )[1])
         counts.append(len(utts))
@@ -581,9 +581,6 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     os.makedirs(run_dir, exist_ok=True)
     train = corpus_mod.load_corpus(manifest_path, adaptation=False, split="train")
     val = corpus_mod.load_corpus(manifest_path, adaptation=False, split="val")
-    for u in train + val:
-        if u.embedding is None:
-            raise InputError(f"utterance {u.utt_id} has no stored speaker embedding")
 
     model = TTSModel(model_config, seed=seed)
     pitch_range, energy_range = compute_feature_ranges(train)
@@ -638,16 +635,17 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
 
 def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
           dims=None, log_every=10, val_every=200):
-    """Adapt a pretrained checkpoint to the adaptation speakers with one
-    strategy. Returns the adapted checkpoint path.
+    """Adapt a pretrained checkpoint to the adaptation speakers with the
+    strategy a label names ('tts0', 'ft', 'adapter_e', 'hyper_evd', ...;
+    see StrategyConfig.parse) and `dims`. Returns the adapted checkpoint
+    path.
 
     tts0 trains nothing: the output file is a byte-for-byte copy of the
     input. For every other strategy the frozen tensors are snapshotted before
     and compared bitwise after training; any drift is an internal error.
     """
     os.makedirs(run_dir, exist_ok=True)
-    if isinstance(strategy, str):
-        strategy = StrategyConfig.parse(strategy, dims) if dims else StrategyConfig.parse(strategy)
+    strategy = StrategyConfig.parse(strategy, dims)
     out_path = os.path.join(run_dir, "adapted.bin")
     log_path = os.path.join(run_dir, "adapt_log.tsv")
     # adaptation never resumes: a rerun rewrites the logs instead of appending

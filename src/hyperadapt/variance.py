@@ -16,6 +16,9 @@ from .features import quantize
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
 N_SCALES = 10
+# Longest duration synthesis accepts for one phoneme: about 16 s at 16 kHz
+# with a 256-sample hop.
+MAX_FRAMES_PER_PHONEME = 1000
 _SCALES = 2.0 ** np.arange(N_SCALES)
 
 # Amplitude constant for the delta-style inverse of the dyadic Mexican-hat
@@ -123,12 +126,14 @@ def length_regulate(h, durations):
 
 def durations_from_log(log_durations):
     """Inference rounding: round(exp(x)) clamped to at least one frame. A
-    prediction that is NaN, or whose exp is infinite or past the int64
-    range, is a NumericsError: it has no integer frame count."""
+    prediction that is NaN or asks for more than MAX_FRAMES_PER_PHONEME
+    frames (an infinite exp included) is a NumericsError, raised before any
+    frame is allocated."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.rint(np.exp(np.asarray(log_durations, dtype=np.float64)))
-    if not (d < 2.0 ** 63).all():  # False for NaN too
-        raise NumericsError("durations_from_log: predicted duration is NaN or overflows")
+    if not (d <= MAX_FRAMES_PER_PHONEME).all():  # False for NaN too
+        raise NumericsError(f"durations_from_log: predicted duration is NaN or above "
+                            f"{MAX_FRAMES_PER_PHONEME} frames")
     return np.maximum(d, 1).astype(np.int64)
 
 
@@ -146,7 +151,7 @@ class ConvStack(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, x, ctx, seg=None, adapter=None):
+    def __call__(self, x, ctx, seg, adapter):
         h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), self.p_dropout, ctx.rngs,
                        ctx.training, seg)
         h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), self.p_dropout, ctx.rngs,
@@ -161,8 +166,8 @@ class DurationPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg=None):
-        out = self.head(self.stack(h, ctx, seg))
+    def __call__(self, h, ctx, seg):
+        out = self.head(self.stack(h, ctx, seg, None))
         return ad.reshape(out, (h.shape[0],))
 
 
@@ -171,13 +176,13 @@ class PitchPredictor(Module):
     utterance's contour mean and variance from its mean-pooled trunk, (B,)
     each."""
 
-    def __init__(self, rng, d_h, n_scales=N_SCALES, kernel=3, p_dropout=0.5):
+    def __init__(self, rng, d_h, kernel=3, p_dropout=0.5):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
-        self.spec_head = Dense(rng, d_h, n_scales)
+        self.spec_head = Dense(rng, d_h, N_SCALES)
         self.mean_head = Dense(rng, d_h, 1)
         self.var_head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg=None, adapter=None):
+    def __call__(self, h, ctx, seg, adapter):
         trunk = self.stack(h, ctx, seg, adapter)
         spec = self.spec_head(trunk)
         pooled = ad.segment_mean(trunk, seg)
@@ -191,7 +196,7 @@ class EnergyPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg=None, adapter=None):
+    def __call__(self, h, ctx, seg, adapter):
         out = self.head(self.stack(h, ctx, seg, adapter))
         return ad.reshape(out, (h.shape[0],))
 
@@ -207,10 +212,10 @@ class VarianceAdapter(Module):
 
     N_BINS = 256
 
-    def __init__(self, rng, d_h, d_spk, n_scales=N_SCALES, kernel=3, p_dropout=0.5):
+    def __init__(self, rng, d_h, d_spk, kernel=3, p_dropout=0.5):
         self.spk_proj = Dense(rng, d_spk, d_h)
         self.duration = DurationPredictor(rng, d_h, kernel, p_dropout)
-        self.pitch = PitchPredictor(rng, d_h, n_scales, kernel, p_dropout)
+        self.pitch = PitchPredictor(rng, d_h, kernel, p_dropout)
         self.energy = EnergyPredictor(rng, d_h, kernel, p_dropout)
         self.pitch_embed = Embedding(rng, self.N_BINS, d_h)
         self.energy_embed = Embedding(rng, self.N_BINS, d_h)
@@ -221,14 +226,13 @@ class VarianceAdapter(Module):
         self.pitch_range = (float(pitch_range[0]), float(pitch_range[1]))
         self.energy_range = (float(energy_range[0]), float(energy_range[1]))
 
-    def condition(self, h, spk_vecs, seg=None):
+    def condition(self, h, spk_vecs, seg):
         """Add each utterance's projected speaker embedding, one (B, d_spk)
         row per segment, to every position of its segment."""
-        lengths = [h.shape[0]] if seg is None else seg.lengths
-        if spk_vecs.data.ndim != 2 or spk_vecs.shape[0] != len(lengths):
-            raise InputError(f"condition: need one speaker row per segment ({len(lengths)}), "
+        if spk_vecs.data.ndim != 2 or spk_vecs.shape[0] != len(seg):
+            raise InputError(f"condition: need one speaker row per segment ({len(seg)}), "
                              f"got {spk_vecs.shape}")
-        return ad.add(h, ad.repeat_rows(self.spk_proj(spk_vecs), lengths))
+        return ad.add(h, ad.repeat_rows(self.spk_proj(spk_vecs), seg.lengths))
 
     def _require(self, which):
         value = getattr(self, which)

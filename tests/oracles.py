@@ -6,7 +6,9 @@ slow): keep n and m small. The others keep the straightforward construction
 a fused or vectorised library routine replaced, including the tape ops those
 constructions were built from and the library no longer has: `narrow`,
 `concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
-probe) and a numpy `log_softmax` build test losses and alignment maps.
+probe) and a numpy `log_softmax` build test losses and alignment maps;
+`one` lays out a single utterance and `utterance` wraps feature arrays as a
+corpus utterance.
 """
 
 import itertools
@@ -15,7 +17,17 @@ import numpy as np
 
 import hyperadapt.autodiff as ad
 from hyperadapt import variance
+from hyperadapt.corpus import Utterance
 from hyperadapt.errors import ShapeError
+
+
+def one(n):
+    """The layout of a single utterance of n rows: a pack of one."""
+    return ad.Segments([n])
+
+
+def utterance(phonemes, mel, f0, energy, embedding, utt_id):
+    return Utterance(utt_id, "spk", "train", np.asarray(phonemes), mel, f0, energy, embedding)
 
 
 def all_paths(n, m):
@@ -210,7 +222,7 @@ def attention_reference(q, k, v, heads, p, rng, training):
         return permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
 
     scores = ad.scale(matmul(split(q), permute(split(k), (0, 2, 1))), 1.0 / np.sqrt(hd))
-    att = ad.dropout(softmax(scores, axis=-1), p, [rng], training)
+    att = ad.dropout(softmax(scores, axis=-1), p, [rng], training, one(heads))
     return ad.reshape(permute(matmul(att, split(v)), (1, 0, 2)), (n, d))
 
 

@@ -240,7 +240,8 @@ def test_criterion_05_alignment_matches_exhaustive_enumeration():
     start = time.perf_counter()
     cases = 0
     for logits in random_grids(200, seed=17, n_max=6, m_max=10):
-        amap = alignment.AlignmentMap(Tensor(log_softmax(logits[None], axis=1)))
+        n, m = logits.shape
+        amap = alignment.AlignmentMap(Tensor(log_softmax(logits[None], axis=1)), [n], [m])
         want_loss, _ = enumerate_paths_logsumexp(amap.log_probs.data[0])
         got_loss = alignment.forward_sum_loss(amap).item()
         assert got_loss == pytest.approx(want_loss, abs=1e-6)

@@ -22,8 +22,8 @@ from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
-from oracles import (adapter_reference, concat, generate_reference, narrow, single_speaker_table,
-                     table_row_reference, weighted_sum)
+from oracles import (adapter_reference, concat, generate_reference, narrow, one, single_speaker_table,
+                     table_row_reference, utterance, weighted_sum)
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 
@@ -152,7 +152,7 @@ def test_adapter_forward_gradcheck_static_table(site):
     h = Tensor(np.random.default_rng(33).standard_normal((4, d_h)), requires_grad=True)
     target = np.random.default_rng(34).standard_normal((4, d_h))
 
-    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_at(x, t, site), target),
+    report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_at(x, t, site), target, one(4)),
                            [h, table])
     assert report.passed, repr(report)
 
@@ -647,7 +647,7 @@ def train_args(model, seed=3, frames=15, phonemes=(1, 4, 2, 7, 3)):
 
 
 def pack_of(*utterances):
-    return Pack(*(list(column) for column in zip(*utterances)))
+    return Pack([utterance(*u, utt_id=f"u{i}") for i, u in enumerate(utterances)])
 
 
 def _forward_train_ops(monkeypatch, model, hooks_fn):
@@ -665,7 +665,7 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
         hooks = hooks_fn(np.stack([u[4] for u in utts]))
-        model.forward_train(pack_of(*utts), RunCtx(training=False), hooks=hooks)
+        model.forward_train(pack_of(*utts), RunCtx((), training=False), hooks=hooks)
     return counts
 
 
@@ -689,9 +689,9 @@ def test_adapted_forward_train_identity_at_init(label):
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     args = train_args(model, seed=4, frames=12)
-    ref = model.forward_train(pack_of(args), RunCtx(training=False))
+    ref = model.forward_train(pack_of(args), RunCtx((), training=False))
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    out = model.forward_train(pack_of(args), RunCtx(training=False),
+    out = model.forward_train(pack_of(args), RunCtx((), training=False),
                               hooks=adapted.hooks_for(args[4]))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
@@ -714,7 +714,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
         for _, p in trainable:
             p.grad = None
         hooks = adapted.hooks_for(np.stack([u[4] for u in pack_utts]))
-        out = model.forward_train(pack_of(*pack_utts), RunCtx(training=False), hooks=hooks)
+        out = model.forward_train(pack_of(*pack_utts), RunCtx((), training=False), hooks=hooks)
         total = ad.sum_all(out["mel_post"])
         for key in ("pitch_spec", "energy", "log_dur"):
             total = ad.add(total, ad.sum_all(out[key]))
@@ -741,13 +741,6 @@ def test_tts0_and_ft_add_no_hooks():
     for label in ("tts0", "ft"):
         adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL))
         assert adapted.hooks_for(np.zeros(24, dtype=np.float32)) is None
-
-
-def test_detached_bypasses_adapters():
-    model = small_model()
-    adapted = AdaptedModel(model, StrategyConfig.parse("adapter_e", SMALL))
-    adapted.detached = True
-    assert adapted.hooks_for(np.zeros(24, dtype=np.float32)) is None
 
 
 def test_adapted_state_roundtrip():

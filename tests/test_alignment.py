@@ -9,14 +9,25 @@ from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InfeasibleAlignmentError, InputError, StateError
 from hyperadapt.layers import rng_for
 
-from oracles import (best_path_durations, enumerate_paths_logsumexp, log_softmax, random_grids,
-                     weighted_sum)
+from oracles import (best_path_durations, enumerate_paths_logsumexp, log_softmax, one,
+                     random_grids, weighted_sum)
 
 
 def amap_from_logits(logits):
     """A pack of one map, (1, n, m), from (n, m) logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    return alignment.AlignmentMap(Tensor(log_softmax(logits[None], axis=1)))
+    return whole_map(Tensor(log_softmax(logits[None], axis=1)))
+
+
+def whole_map(log_probs, hard_path=None):
+    """An AlignmentMap whose maps each span the whole (n, m) grid."""
+    b, n, m = log_probs.shape
+    return alignment.AlignmentMap(log_probs, [n] * b, [m] * b, hard_path)
+
+
+def align_one(text, mel):
+    """soft_align of a single utterance."""
+    return alignment.soft_align(text, mel, one(text.shape[0]), one(mel.shape[0]))
 
 
 class TestSoftAlign:
@@ -24,28 +35,28 @@ class TestSoftAlign:
         rng = np.random.default_rng(0)
         text = Tensor(rng.standard_normal((1, 4)).astype(np.float32))
         mel = Tensor(rng.standard_normal((9, 4)).astype(np.float32))
-        amap = alignment.soft_align(text, mel)
+        amap = align_one(text, mel)
         np.testing.assert_allclose(np.exp(amap.log_probs.data), 1.0, atol=1e-6)
 
     def test_identical_text_rows_give_uniform_columns(self):
         row = np.random.default_rng(1).standard_normal(5).astype(np.float32)
         text = Tensor(np.tile(row, (4, 1)))
         mel = Tensor(np.random.default_rng(2).standard_normal((7, 5)).astype(np.float32))
-        amap = alignment.soft_align(text, mel)
+        amap = align_one(text, mel)
         np.testing.assert_allclose(np.exp(amap.log_probs.data), 0.25, atol=1e-5)
 
     def test_columns_normalize(self):
         rng = np.random.default_rng(3)
         text = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
         mel = Tensor(rng.standard_normal((13, 8)).astype(np.float32))
-        amap = alignment.soft_align(text, mel)
+        amap = align_one(text, mel)
         np.testing.assert_allclose(np.exp(amap.log_probs.data).sum(axis=1), 1.0, atol=1e-5)
 
     def test_matches_log_softmax_of_negative_squared_distances(self):
         rng = np.random.default_rng(4)
         text = rng.standard_normal((5, 6))
         mel = rng.standard_normal((10, 6))
-        amap = alignment.soft_align(Tensor(text), Tensor(mel))
+        amap = align_one(Tensor(text), Tensor(mel))
         dist = ((text[:, None, :] - mel[None, :, :]) ** 2).sum(-1)
         expected = log_softmax(-dist, axis=0)
         np.testing.assert_allclose(amap.log_probs.data[0], expected, atol=1e-12)
@@ -58,7 +69,7 @@ class TestSoftAlign:
         weights = rng.standard_normal((1, 4, 7))
 
         def fn(t, m):
-            return weighted_sum(alignment.soft_align(t, m).log_probs, weights)
+            return weighted_sum(align_one(t, m).log_probs, weights)
 
         report = ad.grad_check(fn, [text, mel])
         assert report.passed, repr(report)
@@ -74,7 +85,7 @@ class TestSoftAlign:
         np.testing.assert_array_equal(amap.n_len, [2, 3])
         np.testing.assert_array_equal(amap.m_len, [5, 4])
         for b, (t, m) in enumerate(((slice(0, 2), slice(0, 5)), (slice(2, 5), slice(5, 9)))):
-            alone = alignment.soft_align(Tensor(text[t]), Tensor(mel[m])).log_probs.data[0]
+            alone = align_one(Tensor(text[t]), Tensor(mel[m])).log_probs.data[0]
             n_b, m_b = alone.shape
             np.testing.assert_allclose(amap.log_probs.data[b, :n_b, :m_b], alone, atol=1e-12)
             padded = np.ones(amap.log_probs.shape[1:], dtype=bool)
@@ -98,13 +109,12 @@ class TestSoftAlign:
     def test_empty_inputs_rejected(self):
         mel = Tensor(np.zeros((4, 3), dtype=np.float32))
         with pytest.raises(InputError):
-            alignment.soft_align(Tensor(np.zeros((0, 3), dtype=np.float32)), mel)
+            alignment.soft_align(Tensor(np.zeros((0, 3), dtype=np.float32)), mel, None, one(4))
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(InputError):
-            alignment.soft_align(
-                Tensor(np.zeros((2, 3), dtype=np.float32)), Tensor(np.zeros((4, 5), dtype=np.float32))
-            )
+            align_one(Tensor(np.zeros((2, 3), dtype=np.float32)),
+                      Tensor(np.zeros((4, 5), dtype=np.float32)))
 
     def test_gradients_flow_through_projection(self):
         enc = alignment.AlignmentEncoder(rng_for(0, "align"), d_text=4, d_mel=3, d_attn=5)
@@ -115,7 +125,7 @@ class TestSoftAlign:
         mel = ad.constant(np.random.default_rng(6).standard_normal((6, 3)), dtype=np.float64)
 
         def fn(t):
-            amap = alignment.soft_align(enc.project_text(t), enc.project_mel(mel))
+            amap = align_one(enc.project_text(t, one(3)), enc.project_mel(mel, one(6)))
             return alignment.forward_sum_loss(amap)
 
         report = ad.grad_check(fn, [text])
@@ -155,7 +165,7 @@ class TestForwardSumLoss:
         logp = Tensor(log_softmax(logits, axis=1), requires_grad=True)
 
         def fn(x):
-            return alignment.forward_sum_loss(alignment.AlignmentMap(x))
+            return alignment.forward_sum_loss(whole_map(x))
 
         report = ad.grad_check(fn, [logp])
         assert report.passed, repr(report)
@@ -216,7 +226,7 @@ class TestBinarizationLoss:
         logp = Tensor(log_softmax(logits, axis=1), requires_grad=True)
 
         def fn(x):
-            return alignment.binarization_loss(alignment.AlignmentMap(x, hard_path=path))
+            return alignment.binarization_loss(whole_map(x, path))
 
         report = ad.grad_check(fn, [logp])
         assert report.passed, repr(report)

@@ -9,6 +9,7 @@ from hyperadapt.errors import InputError, NumericsError, ShapeError, StateError
 from hyperadapt.layers import rng_for
 
 import oracles
+from oracles import one
 
 
 def t64(arr, grad=True):
@@ -20,7 +21,7 @@ class TestGradCheckHarness:
         x = t64([3.0])
 
         def fn(v):
-            return ad.mse_loss(v, np.zeros(1))
+            return ad.mse_loss(v, np.zeros(1), one(1))
 
         report = ad.grad_check(fn, [x], eps=1e-5)
         assert report.passed
@@ -73,7 +74,7 @@ class TestOpGradients:
         x = t64(rng.standard_normal((9, 2)))
         w = t64(rng.standard_normal((3, 2, 4)))
         b = t64(rng.standard_normal(4))
-        _fd_check(lambda *args: ad.sum_all(ad.relu(ad.conv1d(*args))), [x, w, b])
+        _fd_check(lambda *args: ad.sum_all(ad.relu(ad.conv1d(*args, one(9)))), [x, w, b])
 
     def test_softmax_log_softmax(self):
         rng = np.random.default_rng(4)
@@ -109,7 +110,8 @@ class TestOpGradients:
             joined = oracles.concat([x, y], axis=-1)
             sliced = oracles.narrow(joined, 1, 1, 4)
             flipped = oracles.permute(sliced, (1, 0))
-            return ad.mse_loss(ad.reshape(flipped, (12,)), ad.constant(np.arange(12.0), dtype=np.float64))
+            return ad.mse_loss(ad.reshape(flipped, (12,)), ad.constant(np.arange(12.0), dtype=np.float64),
+                               one(12))
 
         _fd_check(fn, [a, b])
 
@@ -117,15 +119,15 @@ class TestOpGradients:
         rng = np.random.default_rng(8)
         a = t64(rng.standard_normal((5, 2)))
         b = ad.constant(rng.standard_normal((5, 2)), dtype=np.float64)
-        _fd_check(lambda x: ad.mse_loss(x, b), [a])
+        _fd_check(lambda x: ad.mse_loss(x, b, one(5)), [a])
         # keep FD away from |.| kinks
-        _fd_check(lambda x: ad.l1_loss(x, b), [a], eps=1e-7)
+        _fd_check(lambda x: ad.l1_loss(x, b, one(5)), [a], eps=1e-7)
 
     def test_mean_axis_and_add_bias(self):
         rng = np.random.default_rng(9)
         x = t64(rng.standard_normal((6, 3)))
         bias = t64(rng.standard_normal(3))
-        _fd_check(lambda a, b: ad.sum_all(ad.tanh(ad.segment_mean(oracles.add_bias(a, b)))),
+        _fd_check(lambda a, b: ad.sum_all(ad.tanh(ad.segment_mean(oracles.add_bias(a, b), one(6)))),
                   [x, bias])
 
     def test_two_layer_composite(self):
@@ -138,7 +140,7 @@ class TestOpGradients:
 
         def fn(wa, ba, wb):
             h = ad.relu(ad.linear(x, wa, ba))
-            return ad.mse_loss(ad.linear(h, wb), target)
+            return ad.mse_loss(ad.linear(h, wb), target, one(5))
 
         _fd_check(fn, [w1, b1, w2])
 
@@ -173,9 +175,9 @@ class TestFusedOps:
         x = t64(rng.standard_normal((7, 3)))
         w = t64(rng.standard_normal((1, 3, 2)))
         b = t64(rng.standard_normal(2))
-        out = ad.conv1d(x, w, b)
+        out = ad.conv1d(x, w, b, one(7))
         assert out.op == "conv1d" and out._parents == (x, w, b)
-        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.conv1d(*args))), [x, w, b])
+        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.conv1d(*args, one(7)))), [x, w, b])
 
     def _qkv(self, seed, n=5, d=6):
         rng = np.random.default_rng(seed)
@@ -199,13 +201,13 @@ class TestFusedOps:
         packed, packed_grads = run([q, k, v], slice(0, 5), seg, [0, 1])
         for i, rows in enumerate((slice(0, 2), slice(2, 5))):
             alone = [t64(t.data[rows]) for t in (q, k, v)]
-            out, grads = run(alone, rows, None, [i])
+            out, grads = run(alone, rows, one(alone[0].shape[0]), [i])
             np.testing.assert_allclose(packed[rows], out, atol=1e-12)
             for g_packed, g_alone in zip(packed_grads, grads):
                 np.testing.assert_allclose(g_packed[rows], g_alone, atol=1e-12)
 
         def fn(a, b, e):
-            return oracles.weighted_sum(ad.attention(a, b, e, 2, seg), c)
+            return oracles.weighted_sum(ad.attention(a, b, e, 2, seg, 0.0, [], False), c)
 
         _fd_check(fn, [q, k, v])
 
@@ -222,16 +224,16 @@ class TestFusedOps:
             # the stream continues exactly where a separate dropout op left it
             return out.data, [t.grad.copy() for t in (q, k, v)], rng.random(4)
 
-        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, None, p, [rng], True))
+        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, one(5), p, [rng], True))
         ref = run(lambda a, b, e, h, p, rng: oracles.attention_reference(a, b, e, h, p, rng, True))
         np.testing.assert_allclose(fused[0], ref[0], atol=1e-12)
         for g_fused, g_ref in zip(fused[1], ref[1]):
             np.testing.assert_allclose(g_fused, g_ref, atol=1e-12)
         np.testing.assert_array_equal(fused[2], ref[2])
-        assert not np.allclose(fused[0], ad.attention(q, k, v, 3).data)
+        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, one(5), 0.0, [], False).data)
 
         def fn(a, b, e):
-            out = ad.attention(a, b, e, 3, None, 0.3, [rng_for(9, "attn-drop")], True)
+            out = ad.attention(a, b, e, 3, one(5), 0.3, [rng_for(9, "attn-drop")], True)
             return oracles.weighted_sum(out, c)
 
         _fd_check(fn, [q, k, v])
@@ -239,7 +241,7 @@ class TestFusedOps:
     def test_attention_inference_matches_reference(self):
         rng = np.random.default_rng(28)
         q, k, v = (Tensor(rng.standard_normal((7, 8)).astype(np.float32)) for _ in range(3))
-        fused = ad.attention(q, k, v, 2, None, 0.1, [rng_for(1, "x")], False)
+        fused = ad.attention(q, k, v, 2, one(7), 0.1, [rng_for(1, "x")], False)
         ref = oracles.attention_reference(q, k, v, 2, 0.1, rng_for(1, "x"), False)
         np.testing.assert_allclose(fused.data, ref.data, atol=1e-6)
 
@@ -267,7 +269,8 @@ class TestSegmentOps:
         _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.conv1d(*args, seg))), [x, w, b])
         packed = ad.conv1d(x, w, b, seg).data
         for rows, alone in self._per_segment(x):
-            np.testing.assert_allclose(packed[rows], ad.conv1d(alone, w, b).data, atol=1e-12)
+            np.testing.assert_allclose(packed[rows], ad.conv1d(alone, w, b, one(alone.shape[0])).data,
+                                       atol=1e-12)
 
     def test_repeat_rows(self):
         x = self._packed(32, 3)
@@ -289,7 +292,8 @@ class TestSegmentOps:
         target = np.random.default_rng(35).standard_normal(x.shape)
         seg = ad.Segments(self.SEG)
         for loss in (ad.mse_loss, ad.l1_loss):
-            want = sum(loss(alone, target[rows]).item() for rows, alone in self._per_segment(x))
+            want = sum(loss(alone, target[rows], one(alone.shape[0])).item()
+                       for rows, alone in self._per_segment(x))
             assert loss(x, target, seg).item() == pytest.approx(want, abs=1e-12)
         _fd_check(lambda a: ad.mse_loss(a, target, seg), [x])
         _fd_check(lambda a: ad.l1_loss(a, target, seg), [x], eps=1e-7)
@@ -299,7 +303,7 @@ class TestSegmentOps:
         seg = ad.Segments(self.SEG)
         packed = ad.dropout(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], True, seg).data
         for i, (rows, alone) in enumerate(self._per_segment(x)):
-            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], True).data
+            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], True, one(alone.shape[0])).data
             np.testing.assert_array_equal(packed[rows], want)
         with pytest.raises(InputError):
             ad.dropout(x, 0.4, [rng_for(3, "drop")], True, seg)
@@ -330,23 +334,23 @@ class TestExactValues:
 class TestDropout:
     def test_zero_probability_is_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((8, 4)), requires_grad=True)
-        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], training=True)
+        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], True, one(8))
         assert out is x
 
     def test_inference_is_identity(self):
         x = Tensor(np.ones((8, 4)))
-        out = ad.dropout(x, 0.5, [rng_for(1, "drop")], training=False)
+        out = ad.dropout(x, 0.5, [rng_for(1, "drop")], False, one(8))
         assert out is x
 
     def test_seeded_mask_replays(self):
         x = Tensor(np.ones((64, 16)), requires_grad=True)
-        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], training=True)
-        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], training=True)
+        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], True, one(64))
+        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], True, one(64))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_kept_entries_are_rescaled(self):
         x = Tensor(np.ones((400, 10)))
-        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], training=True)
+        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], True, one(400))
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(kept.size / out.data.size - 0.75) < 0.05
@@ -399,7 +403,7 @@ class TestBackwardSemantics:
             rng = rng_for(42, "replay")
             x = Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
-            h = ad.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], training=True)
+            h = ad.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], True, one(6))
             loss = ad.sum_all(h)
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -416,7 +420,10 @@ def _op_with_parents(op, rng):
     if op == "linear":
         shapes, fn = ((5, 3), (3, 4), (4,)), ad.linear
     elif op == "conv1d":
-        shapes, fn = ((7, 3), (3, 3, 2), (2,)), ad.conv1d
+        shapes = ((7, 3), (3, 3, 2), (2,))
+
+        def fn(x, w, b):
+            return ad.conv1d(x, w, b, one(7))
     else:
         shapes, fn = ((4, 6), (6,), (6,)), ad.layer_norm
     return fn, [t64(rng.standard_normal(shape)) for shape in shapes]
@@ -481,7 +488,8 @@ class TestShapeValidation:
 
     def test_conv_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            ad.conv1d(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 2, 2))))
+            ad.conv1d(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 2, 2))), Tensor(np.ones(2)),
+                      one(5))
 
     def test_embedding_id_out_of_range(self):
         with pytest.raises(InputError):

@@ -69,11 +69,16 @@ def test_utterance_invariants(tmp_path):
     man = generate_corpus(SMALL, 11, str(tmp_path))
     utts = load_corpus(man)
     assert len(utts) == 12 * 6
+    tables, latents = phoneme_tables(SMALL, 11), speaker_latents(SMALL, 11)
     for u in utts:
         m = u.mel.shape[0]
         assert m >= 1 and np.isfinite(u.mel).all()
         assert len(u.f0) == len(u.energy) == m
-        assert int(u.durations.sum()) == m
+        # the ground-truth durations the corpus rule drew the mel from
+        mel, _, _, durations = synth_utterance(SMALL, tables, latents[u.speaker], u.phonemes,
+                                               rng_for(11, "texture", u.utt_id))
+        np.testing.assert_array_equal(mel, u.mel)
+        assert int(durations.sum()) == m
         voiced = u.f0 > 0
         assert np.all((u.f0[voiced] >= 50.0) & (u.f0[voiced] <= 600.0))
         assert abs(float(np.linalg.norm(u.embedding)) - 1.0) < 1e-5

@@ -1,5 +1,7 @@
 """Binary formats: feature arrays, phoneme files, manifests, checkpoints."""
 
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -83,7 +85,7 @@ class TestPhonemeFiles:
 
 def _entry(tmp_path, utt_id, speaker="spk0"):
     files = {}
-    for key in ("phonemes", "mel", "f0", "energy"):
+    for key in ("phonemes", "mel", "f0", "energy", "embedding"):
         rel = f"{utt_id}.{key}"
         if key == "phonemes":
             featio.write_phonemes(tmp_path / rel, [1, 2, 3])
@@ -115,6 +117,22 @@ class TestManifest:
         mpath = tmp_path / "manifest.jsonl"
         featio.write_manifest(mpath, entries)
         with pytest.raises(InputError):
+            featio.read_manifest(mpath)
+
+    @pytest.mark.parametrize("change", ["drop embedding", "add durations"])
+    def test_entry_needs_exactly_the_manifest_keys(self, tmp_path, change):
+        # every entry names its speaker embedding, and a ground-truth
+        # durations file is not part of the format
+        record = dataclasses.asdict(_entry(tmp_path, "utt0"))
+        if change == "drop embedding":
+            del record["embedding"]
+        else:
+            featio.write_array(tmp_path / "utt0.dur", np.ones(3, dtype=np.int64))
+            record["durations"] = "utt0.dur"
+        mpath = tmp_path / "manifest.jsonl"
+        mpath.write_text(json.dumps(record) + "\n")
+        with pytest.raises(InputError, match="embedding" if change == "drop embedding"
+                           else "durations"):
             featio.read_manifest(mpath)
 
     def test_unknown_key_rejected(self, tmp_path):

@@ -213,6 +213,7 @@ def _toy_utterances(n=4, frames=20, mels=12):
             mel=rng.normal(size=(frames, mels)).astype(np.float32),
             f0=f0.astype(np.float32),
             energy=rng.uniform(0.2, 1.0, frames).astype(np.float32),
+            embedding=np.ones(4, dtype=np.float32) / 2.0,
         ))
     return utts
 
@@ -265,8 +266,10 @@ def test_evaluate_records_and_excludes_failures():
 
 @pytest.mark.parametrize("exc", [NumericsError("nan in decoder"), ValueError("bad op")])
 def test_evaluate_propagates_faults(exc):
-    # only bad input becomes a failure row; a fault in the model must surface
-    with pytest.raises(type(exc), match=str(exc)):
+    # only bad input becomes a failure row; a fault in the model must
+    # surface, a numerics fault naming the utterance it came from
+    prefix = "u2: " if isinstance(exc, NumericsError) else ""
+    with pytest.raises(type(exc), match=f"^{prefix}{exc}$"):
         evaluate(_failing_on("u2", exc), _toy_utterances(), _embedder)
 
 

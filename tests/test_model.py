@@ -6,9 +6,11 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.errors import ConfigError, InputError, StateError
+from hyperadapt.errors import ConfigError, InputError, NumericsError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
+
+from oracles import utterance
 
 CFG = ModelConfig(
     vocab_size=12, n_mels=16, d_h=32, heads=2, enc_layers=2, dec_layers=2,
@@ -39,7 +41,7 @@ def sample_inputs(seed=5, n=6, frames_per=3):
 
 def pack_of(*utterances):
     """A Pack from sample_inputs() tuples."""
-    return Pack(*(list(column) for column in zip(*utterances)))
+    return Pack([utterance(*u, utt_id=f"u{i}") for i, u in enumerate(utterances)])
 
 
 # -----------------------------------------------------------------------------
@@ -51,7 +53,7 @@ def test_forward_train_shapes_and_duration_accounting():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     n, frames = len(phonemes), mel.shape[0]
-    out = model.forward_train(pack_of(sample_inputs()), RunCtx(training=False))
+    out = model.forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
 
     assert out["mel_pre"].data.shape == (frames, CFG.n_mels)
     assert out["mel_post"].data.shape == (frames, CFG.n_mels)
@@ -78,10 +80,10 @@ def test_pack_matches_packs_of_one():
     # utterance the predictions it gets alone
     model = build_model()
     utts = [sample_inputs(seed=s, n=n, frames_per=f) for s, n, f in ((5, 6, 3), (6, 4, 5), (7, 9, 2))]
-    packed = model.forward_train(pack_of(*utts), RunCtx(training=False))
+    packed = model.forward_train(pack_of(*utts), RunCtx((), training=False))
     starts = {"p": 0, "f": 0}
     for b, utt in enumerate(utts):
-        alone = model.forward_train(pack_of(utt), RunCtx(training=False))
+        alone = model.forward_train(pack_of(utt), RunCtx((), training=False))
         n, m = len(utt[0]), utt[1].shape[0]
         p, f = slice(starts["p"], starts["p"] + n), slice(starts["f"], starts["f"] + m)
         np.testing.assert_array_equal(packed["durations"][p], alone["durations"])
@@ -121,8 +123,8 @@ def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
 
 
 def test_forward_train_deterministic_in_eval():
-    a = build_model().forward_train(pack_of(sample_inputs()), RunCtx(training=False))
-    b = build_model().forward_train(pack_of(sample_inputs()), RunCtx(training=False))
+    a = build_model().forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
+    b = build_model().forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
     np.testing.assert_array_equal(a["mel_post"].data, b["mel_post"].data)
     np.testing.assert_array_equal(a["durations"], b["durations"])
 
@@ -131,7 +133,7 @@ def test_dropout_seed_controls_training_pass():
     model = build_model()
 
     def run(stream):
-        ctx = RunCtx(rng_for(0, "drop", stream), training=True)
+        ctx = RunCtx([rng_for(0, "drop", stream)], training=True)
         return model.forward_train(pack_of(sample_inputs()), ctx)["mel_post"].data
 
     np.testing.assert_array_equal(run(0), run(0))
@@ -142,21 +144,22 @@ def test_forward_train_input_validation():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     with pytest.raises(InputError):
-        model.forward_train(Pack([phonemes], [mel[: len(phonemes) - 2]], [f0], [energy], [spk]),
-                            RunCtx(training=False))
+        pack_of((phonemes, mel[: len(phonemes) - 2], f0, energy, spk))
     with pytest.raises(InputError):
-        model.forward_train(Pack([phonemes], [mel], [f0], [energy], [spk[:-1]]),
-                            RunCtx(training=False))
+        model.forward_train(pack_of((phonemes, mel, f0, energy, spk[:-1])),
+                            RunCtx((), training=False))
     with pytest.raises(InputError):
-        Pack([phonemes], [mel], [f0[:-1]], [energy], [spk])
+        pack_of((phonemes, mel, f0[:-1], energy, spk))
     with pytest.raises(InputError):
-        Pack([phonemes, phonemes], [mel, mel], [f0, f0], [energy, energy], [spk, spk[:-1]])
+        pack_of((phonemes, mel, f0, energy, spk), (phonemes, mel, f0, energy, spk[:-1]))
+    with pytest.raises(InputError):
+        Pack([])
 
 
 def test_ranges_must_be_set_before_training_pass():
     model = TTSModel(CFG, seed=3)  # no set_ranges
     with pytest.raises(StateError):
-        model.forward_train(pack_of(sample_inputs()), RunCtx(training=False))
+        model.forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
 
 
 # -----------------------------------------------------------------------------
@@ -206,6 +209,22 @@ def test_synthesize_records_no_tape(monkeypatch):
     model.synthesize(phonemes, spk, hooks=hooks)
     assert {"linear", "conv1d", "attention", "adapter"} <= {n.op for n in nodes}
     assert all(n._parents == () and n._grad_fn is None for n in nodes)
+
+
+def test_synthesize_rejects_an_oversized_duration_before_expanding(monkeypatch):
+    # a log-duration of 15 asks for about 3.3 million frames per phoneme
+    model = build_model()
+    head = model.variance.duration.head
+    head.w.data[:] = 0.0
+    head.b.data[:] = 15.0
+
+    def expand(*args):
+        raise AssertionError("length_regulate ran on a rejected duration")
+
+    monkeypatch.setattr(var_mod, "length_regulate", expand)
+    phonemes, _, _, _, spk = sample_inputs()
+    with pytest.raises(NumericsError, match="above 1000 frames"):
+        model.synthesize(phonemes, spk)
 
 
 def test_synthesize_rejects_wrong_speaker_dim():

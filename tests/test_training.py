@@ -1,6 +1,7 @@
 """Schedule, loss assembly, optimizer, and the two training loops."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import hyperadapt.autodiff as ad
 import hyperadapt.training as tr
-from hyperadapt import featio, kernels
+from hyperadapt import cli, featio, kernels
 from hyperadapt import model as model_mod
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig, count_trainable_params
@@ -170,6 +171,7 @@ def _toy_utterance(frames=24, seed=4):
         mel=rng.normal(size=(frames, 6)).astype(np.float32),
         f0=rng.uniform(100.0, 200.0, frames).astype(np.float32),
         energy=rng.uniform(0.5, 1.0, frames).astype(np.float32),
+        embedding=np.zeros(3, dtype=np.float32),
     )
 
 
@@ -177,7 +179,7 @@ def test_exact_predictions_zero_every_component():
     sched = adaptation_schedule(steps=10)
     utts = [_toy_utterance(), _toy_utterance(frames=17, seed=5)]
     total, bd = compute_losses(_EchoModel([u.f0 for u in utts]), utts, 1, sched,
-                               RunCtx(training=False))
+                               RunCtx((), training=False))
     assert all(bd.components[k] == 0.0 for k in LOSS_NAMES)
     assert bd.total == 0.0
     assert float(total.data) == 0.0
@@ -188,7 +190,7 @@ def test_total_matches_manual_weighted_sum(pretrained, corpus_manifest):
     model = tr.load_checkpoint(ck).model
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
-    total, bd = compute_losses(model, [utt], 5, sched, RunCtx(training=False))
+    total, bd = compute_losses(model, [utt], 5, sched, RunCtx((), training=False))
     manual = sum(bd.weights[k] * bd.components[k] for k in LOSS_NAMES)
     assert bd.total == pytest.approx(manual, abs=1e-9)
     # the graph scalar is the same quantity accumulated in float32
@@ -202,7 +204,7 @@ def test_gated_components_stay_out_of_graph(pretrained, corpus_manifest):
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     sched = ScheduleConfig(warmup_steps=2, milestones=(20,), duration_start_step=10,
                            total_steps=30)
-    total, bd = compute_losses(model, [utt], 0, sched, RunCtx(training=False))
+    total, bd = compute_losses(model, [utt], 0, sched, RunCtx((), training=False))
     # gated components are still reported for the log
     assert bd.components["duration"] > 0.0
     assert bd.weights["duration"] == 0.0
@@ -233,7 +235,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     sched = adaptation_schedule(steps=10)
 
     def loss():
-        total, _ = compute_losses(model, [utt], 5, sched, RunCtx(training=False))
+        total, _ = compute_losses(model, [utt], 5, sched, RunCtx((), training=False))
         return total
 
     picks = []
@@ -262,7 +264,7 @@ def test_nonfinite_component_is_named(pretrained, corpus_manifest):
     utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
     with pytest.raises(NumericsError, match="mel_pre"):
         compute_losses(model, [utt], 5, adaptation_schedule(steps=10),
-                       RunCtx(training=False))
+                       RunCtx((), training=False))
 
 
 def test_breakdown_consistency_guard():
@@ -365,6 +367,7 @@ def test_compute_feature_ranges():
             mel=np.zeros((frames, 4), dtype=np.float32),
             f0=np.linspace(f0_lo, f0_hi, frames).astype(np.float32),
             energy=np.linspace(e_lo, e_hi, frames).astype(np.float32),
+            embedding=np.zeros(3, dtype=np.float32),
         )
 
     pitch, energy = tr.compute_feature_ranges(
@@ -438,13 +441,33 @@ def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_manifest, tmp_
         tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
 
 
-def test_pretrain_requires_embeddings(corpus_manifest, tmp_path):
-    entries = featio.read_manifest(corpus_manifest)
-    stripped = [dataclasses.replace(e, embedding="") for e in entries]
-    noemb = os.path.join(os.path.dirname(corpus_manifest), "manifest_noemb.jsonl")
-    featio.write_manifest(noemb, stripped)
-    with pytest.raises(InputError):
-        tr.pretrain(noemb, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
+def test_pretrain_requires_embeddings(pretrained, adapted, corpus_manifest, tmp_path, capsys):
+    # every entry names its speaker embedding, and no entry a durations file:
+    # read_manifest rejects anything else, so pretrain, adapt and
+    # dump-hyper-params all stop on bad input (exit 2) before using it
+    pretrained_ck, hyper_ck = pretrained[0], adapted[0]
+    dims = [f"--set=dims.{k}={v}" for k, v in dataclasses.asdict(DIMS).items()]
+    for key in ("embedding", "durations"):
+        records = []
+        for e in featio.read_manifest(corpus_manifest):
+            record = dataclasses.asdict(e)
+            if key == "embedding":
+                del record["embedding"]
+            else:
+                record["durations"] = e.mel  # an existing file
+            records.append(json.dumps(record))
+        bad = os.path.join(os.path.dirname(corpus_manifest), f"manifest_{key}.jsonl")
+        with open(bad, "w") as f:
+            f.write("\n".join(records) + "\n")
+        with pytest.raises(InputError, match=key):
+            featio.read_manifest(bad)
+        with pytest.raises(InputError):
+            tr.pretrain(bad, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
+        common = ["--manifest", bad, "--out-dir", str(tmp_path / "runs")]
+        for argv in (["pretrain"], ["adapt", "--checkpoint", pretrained_ck, "--steps", "1", *dims],
+                     ["dump-hyper-params", "--checkpoint", hyper_ck]):
+            assert cli.main([*argv, *common]) == 2, (key, argv[0])
+            assert capsys.readouterr().err.startswith(f"InputError: {bad}:1: "), (key, argv[0])
 
 
 def test_checkpoint_roundtrip_is_bitstable(pretrained, tmp_path):
@@ -470,10 +493,10 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_manife
     trainable = list(model.named_parameters())
 
     def batch_loss():
-        return compute_losses(model, batch, 5, sched, RunCtx(training=False))[1].total
+        return compute_losses(model, batch, 5, sched, RunCtx((), training=False))[1].total
 
     before = batch_loss()
-    total, _ = compute_losses(model, batch, 5, sched, RunCtx(training=False))
+    total, _ = compute_losses(model, batch, 5, sched, RunCtx((), training=False))
     grads = _grads(total, trainable)
     flat = np.concatenate([grads[name].reshape(-1) / len(batch) for name, _ in trainable])
     Adam(trainable).step(flat, lr=1e-6)
@@ -494,7 +517,7 @@ def _run_one_step(model, trainable, utterances, sched, opt, tmp_path, seed=7):
     tr._train_steps(
         model, trainable, utterances, sched, seed, start_step=0, opt=opt, hooks_fn=None,
         log=tr._LossLog(str(tmp_path / "log.tsv")), val_utterances=None, val_log=None,
-        ckpt_every=sched.total_steps, save_fn=lambda done: None,
+        ckpt_every=sched.total_steps, save_fn=lambda done: None, log_every=10, val_every=200,
     )
 
 
@@ -509,7 +532,7 @@ def _packs_of_one(model, trainable, batch, sched, seed=7):
     expected = {name: np.zeros_like(p.data) for name, p in trainable}
     totals = []
     for pos, utt in enumerate(batch):
-        ctx = RunCtx(rng_for(seed, "dropout", 0, pos), training=True)
+        ctx = RunCtx([rng_for(seed, "dropout", 0, pos)], training=True)
         total, bd = compute_losses(model, [utt], 0, sched, ctx)
         totals.append(bd.total)
         for name, g in _grads(total, trainable).items():
@@ -882,7 +905,7 @@ def test_validate_matches_compute_losses_on_each_pack(pretrained, corpus_manifes
     for utts in (distinct, shared):
         got = tr.validate(model, utts, 5, SCHED, hooks_fn)
         with ad.no_grad():
-            _, want = compute_losses(model, utts, 5, SCHED, RunCtx(training=False),
+            _, want = compute_losses(model, utts, 5, SCHED, RunCtx((), training=False),
                                      hooks_fn=hooks_fn)
         for name in LOSS_NAMES:
             np.testing.assert_array_equal(got.components[name], want.components[name],

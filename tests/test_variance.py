@@ -10,7 +10,7 @@ from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, NumericsError, StateError
 from hyperadapt.layers import RunCtx, rng_for
 
-from oracles import cwt_reference
+from oracles import cwt_reference, one
 
 
 def band_limited_contour(rng, length):
@@ -142,7 +142,8 @@ class TestLengthRegulate:
         h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         d = np.array([2, 0, 1, 3])
         target = ad.constant(rng.standard_normal((6, 3)), dtype=np.float64)
-        report = ad.grad_check(lambda x: ad.mse_loss(variance.length_regulate(x, d), target), [h])
+        report = ad.grad_check(
+            lambda x: ad.mse_loss(variance.length_regulate(x, d), target, one(6)), [h])
         assert report.passed, repr(report)
 
 
@@ -157,29 +158,34 @@ class TestDurationRounding:
         out = variance.durations_from_log(np.array([-3.0, -10.0, 0.2]))
         assert out.min() >= 1
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e3, 15.0, np.log(1000.6)])
     def test_unrepresentable_duration_is_a_numerics_fault(self, bad):
-        # NaN, inf, and an exp past the int64 range have no frame count
+        # NaN, inf, an exp past the int64 range, and any count above the cap
+        # (15 asks for about 3.3 million frames) have no usable frame count
         with pytest.raises(NumericsError):
             variance.durations_from_log(np.array([0.0, bad]))
+
+    def test_cap_itself_is_accepted(self):
+        cap = variance.MAX_FRAMES_PER_PHONEME
+        assert variance.durations_from_log(np.array([np.log(cap)]))[0] == cap
 
 
 class TestPredictors:
     D = 8
 
     def _ctx(self, training=False):
-        return RunCtx(rng=rng_for(0, "test", "drop"), training=training)
+        return RunCtx([rng_for(0, "test", "drop")], training=training)
 
     def test_duration_shape(self):
         va = variance.VarianceAdapter(rng_for(0, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(0).standard_normal((7, self.D)).astype(np.float32))
-        out = va.duration(h, self._ctx())
+        out = va.duration(h, self._ctx(), one(7))
         assert out.shape == (7,)
 
     def test_pitch_shapes(self):
         va = variance.VarianceAdapter(rng_for(1, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(0).standard_normal((9, self.D)).astype(np.float32))
-        spec, mean, var = va.pitch(h, self._ctx())
+        spec, mean, var = va.pitch(h, self._ctx(), one(9), None)
         assert spec.shape == (9, variance.N_SCALES)
         assert mean.shape == (1,)
         assert var.shape == (1,)
@@ -187,10 +193,11 @@ class TestPredictors:
     def test_pitch_statistics_pool_each_segment(self):
         va = variance.VarianceAdapter(rng_for(13, "va"), self.D, d_spk=6)
         h = np.random.default_rng(2).standard_normal((9, self.D)).astype(np.float32)
-        spec, mean, var = va.pitch(Tensor(h), self._ctx(), ad.Segments([4, 5]))
+        spec, mean, var = va.pitch(Tensor(h), self._ctx(), ad.Segments([4, 5]), None)
         assert spec.shape == (9, variance.N_SCALES) and mean.shape == var.shape == (2,)
         for b, rows in enumerate((slice(0, 4), slice(4, 9))):
-            spec_b, mean_b, var_b = va.pitch(Tensor(h[rows]), self._ctx())
+            spec_b, mean_b, var_b = va.pitch(Tensor(h[rows]), self._ctx(), one(h[rows].shape[0]),
+                                             None)
             np.testing.assert_allclose(spec.data[rows], spec_b.data, atol=1e-5)
             np.testing.assert_allclose(mean.data[b], mean_b.data[0], atol=1e-5)
             np.testing.assert_allclose(var.data[b], var_b.data[0], atol=1e-5)
@@ -198,8 +205,8 @@ class TestPredictors:
     def test_prediction_against_itself_has_zero_loss(self):
         va = variance.VarianceAdapter(rng_for(2, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(1).standard_normal((5, self.D)).astype(np.float32))
-        spec, _, _ = va.pitch(h, self._ctx())
-        loss = ad.mse_loss(spec, Tensor(spec.data.copy()))
+        spec, _, _ = va.pitch(h, self._ctx(), one(5), None)
+        loss = ad.mse_loss(spec, Tensor(spec.data.copy()), one(5))
         assert loss.item() == 0.0
 
     def test_pitch_head_gradients(self):
@@ -210,11 +217,11 @@ class TestPredictors:
             p.requires_grad = True
         h = Tensor(np.random.default_rng(4).standard_normal((6, self.D)), requires_grad=True)
         t_spec = ad.constant(np.random.default_rng(5).standard_normal((6, variance.N_SCALES)), dtype=np.float64)
-        ctx = RunCtx(training=False)
+        ctx = RunCtx((), training=False)
 
         def fn(x):
-            spec, mean, var = pred(x, ctx)
-            return ad.add(ad.mse_loss(spec, t_spec), ad.add(ad.sum_all(mean), ad.sum_all(var)))
+            spec, mean, var = pred(x, ctx, one(6), None)
+            return ad.add(ad.mse_loss(spec, t_spec, one(6)), ad.add(ad.sum_all(mean), ad.sum_all(var)))
 
         report = ad.grad_check(fn, [h])
         assert report.passed, repr(report)
@@ -226,8 +233,8 @@ class TestPredictors:
             p.requires_grad = True
         h = Tensor(np.random.default_rng(7).standard_normal((5, self.D)), requires_grad=True)
         target = ad.constant(np.random.default_rng(8).standard_normal(5), dtype=np.float64)
-        ctx = RunCtx(training=False)
-        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, ctx), target), [h])
+        ctx = RunCtx((), training=False)
+        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, ctx, one(5), None), target, one(5)), [h])
         assert report.passed, repr(report)
 
     def test_embedding_tables_have_256_rows(self):
@@ -255,7 +262,7 @@ class TestPredictors:
         va = variance.VarianceAdapter(rng_for(12, "va"), self.D, d_spk=6)
         h = Tensor(np.zeros((4, self.D), dtype=np.float32))
         spk = Tensor(np.random.default_rng(0).standard_normal((1, 6)).astype(np.float32))
-        out = va.condition(h, spk)
+        out = va.condition(h, spk, one(4))
         rows = np.unique(out.data.round(6), axis=0)
         assert rows.shape[0] == 1
 
@@ -265,7 +272,8 @@ class TestPredictors:
         spk = np.random.default_rng(1).standard_normal((2, 6)).astype(np.float32)
         out = va.condition(h, Tensor(spk), ad.Segments([2, 3])).data
         for rows, b in ((slice(0, 2), 0), (slice(2, 5), 1)):
-            alone = va.condition(Tensor(np.zeros((1, self.D), dtype=np.float32)), Tensor(spk[b:b + 1]))
+            alone = va.condition(Tensor(np.zeros((1, self.D), dtype=np.float32)), Tensor(spk[b:b + 1]),
+                                 one(1))
             np.testing.assert_allclose(out[rows], np.repeat(alone.data, rows.stop - rows.start, 0),
                                        atol=1e-6)
         with pytest.raises(InputError):
