@@ -51,6 +51,11 @@ class AdapterDims:
     d_l: int = 64
     d_s: int = 8
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"dims.{name} must be at least 1, got {value}")
+
 
 class RowLayout:
     """Which row of a module's (n_rows, n_flat) adapter table each segment
@@ -357,8 +362,3 @@ class AdaptedModel:
         out = self.model.state_arrays()
         out.update(self.extras.state_arrays("extras."))
         return out
-
-    def load_state_arrays(self, arrays):
-        model_arrays = {k: v for k, v in arrays.items() if not k.startswith("extras.")}
-        self.model.load_state_arrays(model_arrays)
-        self.extras.load_state_arrays(arrays, "extras.")

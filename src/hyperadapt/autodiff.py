@@ -124,10 +124,6 @@ def no_grad():
         _recording = saved
 
 
-def constant(data, dtype=DEFAULT_DTYPE):
-    return Tensor(np.asarray(data, dtype=dtype))
-
-
 def _check_same_dtype(op, *tensors):
     dts = {t.dtype for t in tensors}
     if len(dts) > 1:

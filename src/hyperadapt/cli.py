@@ -69,6 +69,22 @@ def _resolve_config_path(path):
     raise InputError(f"config file not found: {path}")
 
 
+def _checked(dotted, default, value):
+    """`value` for config key `dotted` if it has the type of the key's
+    default: an int key takes an int, a float key an int or a float, a bool,
+    str or list key only its own type."""
+    kind = type(default)
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"config key '{dotted}' expects {kind.__name__}, got {value!r}")
+    return value
+
+
 def _merge_into(node, data, prefix):
     for key, value in data.items():
         if key not in node:
@@ -78,17 +94,12 @@ def _merge_into(node, data, prefix):
                 raise ConfigError(f"config key '{prefix}{key}' expects a section")
             _merge_into(node[key], value, f"{prefix}{key}.")
         else:
-            node[key] = value
+            node[key] = _checked(f"{prefix}{key}", node[key], value)
 
 
-def _parse_value(raw):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
-def _set_dotted(cfg, dotted, value):
+def _set_dotted(cfg, dotted, value, *, text=False):
+    """Set config key `dotted` to `value`. A `text` value (a --set override)
+    is parsed as JSON first, unless the key holds a string."""
     parts = dotted.split(".")
     node = cfg
     for part in parts[:-1]:
@@ -100,7 +111,12 @@ def _set_dotted(cfg, dotted, value):
         raise ConfigError(f"unknown config key '{dotted}'")
     if isinstance(node[leaf], dict):
         raise ConfigError(f"config key '{dotted}' is a section, not a value")
-    node[leaf] = value
+    if text and not isinstance(node[leaf], str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+    node[leaf] = _checked(dotted, node[leaf], value)
 
 
 def load_config(config_path=None, overrides=(), seed=None):
@@ -119,7 +135,7 @@ def load_config(config_path=None, overrides=(), seed=None):
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise InputError(f"override '{item}' is not key=value")
-        _set_dotted(cfg, key, _parse_value(raw))
+        _set_dotted(cfg, key, raw, text=True)
     if seed is not None:
         cfg["seed"] = int(seed)
     return cfg
@@ -142,20 +158,6 @@ def prepare_run_dir(cfg, verb):
     return run_dir
 
 
-def _model_config(cfg):
-    return ModelConfig.from_dict(cfg["model"])
-
-
-def _dims(cfg):
-    return AdapterDims(**cfg["dims"])
-
-
-def _schedule(cfg):
-    data = dict(cfg["schedule"])
-    data["milestones"] = tuple(data["milestones"])
-    return ScheduleConfig(**data)
-
-
 def _require_path(cfg, key, flag):
     value = cfg["paths"][key]
     if not value:
@@ -163,6 +165,14 @@ def _require_path(cfg, key, flag):
     if not os.path.exists(value):
         raise InputError(f"{key} does not exist: {value}")
     return value
+
+
+def _speaker_train_utterances(entries, base, speaker):
+    picked = corpus_mod.filter_entries([e for e in entries if e.speaker == speaker],
+                                       split="train")
+    if not picked:
+        raise InputError(f"speaker '{speaker}' has no train utterances")
+    return [corpus_mod.load_utterance(e, base) for e in picked]
 
 
 def _speaker_centroid(utterances):
@@ -190,9 +200,10 @@ def _cmd_gen_corpus(cfg):
 
 def _cmd_pretrain(cfg):
     manifest = _require_path(cfg, "manifest", "--manifest")
+    model_config = ModelConfig.from_dict(cfg["model"])
+    sched = ScheduleConfig(**cfg["schedule"])
     run_dir = prepare_run_dir(cfg, "pretrain")
-    ckpt = tr.pretrain(manifest, _model_config(cfg), _schedule(cfg), run_dir,
-                       cfg["seed"])
+    ckpt = tr.pretrain(manifest, model_config, sched, run_dir, cfg["seed"])
     print(ckpt)
     return 0
 
@@ -200,12 +211,13 @@ def _cmd_pretrain(cfg):
 def _cmd_adapt(cfg):
     manifest = _require_path(cfg, "manifest", "--manifest")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
-    run_dir = prepare_run_dir(cfg, "adapt")
     section = cfg["adapt"]
     sched = adaptation_schedule(section["steps"], lr=section["lr"],
                                 batch_size=section["batch_size"])
+    dims = AdapterDims(**cfg["dims"])
+    run_dir = prepare_run_dir(cfg, "adapt")
     out = tr.adapt(checkpoint, manifest, section["strategy"], sched, run_dir,
-                   cfg["seed"], dims=_dims(cfg))
+                   cfg["seed"], dims=dims)
     print(out)
     return 0
 
@@ -227,11 +239,7 @@ def _resolve_synthesis_inputs(cfg, manifest):
         except ValueError:
             raise InputError(f"phonemes must be comma-separated ids, got "
                              f"'{section['phonemes']}'") from None
-        picked = corpus_mod.filter_entries(
-            [e for e in entries if e.speaker == section["speaker"]], split="train")
-        if not picked:
-            raise InputError(f"speaker '{section['speaker']}' has no train utterances")
-        utts = [corpus_mod.load_utterance(e, base) for e in picked]
+        utts = _speaker_train_utterances(entries, base, section["speaker"])
         return phonemes, _speaker_centroid(utts), f"{section['speaker']}-custom"
     raise InputError("synthesize needs --utt, or both --phonemes and --speaker")
 
@@ -317,8 +325,8 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_params(cfg):
-    strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], _dims(cfg))
-    print(_trainable_count(strategy, TTSModel(_model_config(cfg), seed=0)))
+    strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], AdapterDims(**cfg["dims"]))
+    print(_trainable_count(strategy, TTSModel(ModelConfig.from_dict(cfg["model"]), seed=0)))
     return 0
 
 
@@ -344,9 +352,7 @@ def _cmd_dump_hyper_params(cfg):
 
     arrays = {}
     for speaker in speakers:
-        picked = corpus_mod.filter_entries(
-            [e for e in entries if e.speaker == speaker], split="train")
-        utts = [corpus_mod.load_utterance(e, base) for e in picked]
+        utts = _speaker_train_utterances(entries, base, speaker)
         variants = [("centroid", _speaker_centroid(utts))]
         for k in range(section["jitters"]):
             emb = synthetic_embedding(utts[0].mel, d_spk,
@@ -397,16 +403,54 @@ def _cmd_grad_check(cfg):
 # -----------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", default=None,
-                        help=f"JSON config file (searched in ${CONFIG_DIR_ENV} "
-                             "when not found directly)")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config key (dotted path, JSON value)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--out-dir", default=None,
-                        help="override out_dir (run directories live here)")
+# flag -> (config key, argparse keywords). The key is the flag's argparse
+# dest, and its help names it: a verb flag only sets that key.
+_FLAGS = {
+    "--manifest": ("paths.manifest", {"help": "corpus manifest"}),
+    "--checkpoint": ("paths.checkpoint", {"help": "model checkpoint"}),
+    "--strategy": ("adapt.strategy",
+                   {"help": "tts0 | ft | adapter_<sites> | hyper_<sites>"}),
+    "--steps": ("adapt.steps", {"type": int, "help": "adaptation steps"}),
+    "--utt": ("synthesize.utt", {"help": "synthesize this manifest utterance"}),
+    "--speaker": ("synthesize.speaker", {"help": "speaker for --phonemes mode"}),
+    "--phonemes": ("synthesize.phonemes", {"help": "comma-separated phoneme ids"}),
+    "--wav": ("synthesize.wav", {
+        "action": "store_true",
+        "help": "also write a crude phase-reconstruction wav (not a vocoder)"}),
+    "--split": ("evaluate.split", {"choices": ("train", "val", "all"),
+                                   "help": "which split to score"}),
+    "--speakers": ("evaluate.speakers", {"choices": sorted(_SPEAKER_GROUPS),
+                                         "help": "speaker group to score"}),
+    "--jitters": ("dump.jitters", {"type": int,
+                                   "help": "extra jittered embeddings per speaker"}),
+    "--instances": ("gradcheck.instances",
+                    {"type": int, "help": "random instances per sub-network"}),
+    "--threshold": ("gradcheck.threshold", {"type": float, "help": "max relative error"}),
+    "--networks": ("gradcheck.networks", {"help": "comma-separated subset"}),
+}
+
+# verb -> (handler, help, flags)
+_VERBS = {
+    "gen-corpus": (_cmd_gen_corpus, "generate the synthetic corpus", ()),
+    "pretrain": (_cmd_pretrain, "train the multi-speaker backbone", ("--manifest",)),
+    "adapt": (_cmd_adapt, "adapt a pretrained checkpoint to new speakers",
+              ("--manifest", "--checkpoint", "--strategy", "--steps")),
+    "synthesize": (_cmd_synthesize, "synthesize mel features (optional wav preview)",
+                   ("--manifest", "--checkpoint", "--utt", "--speaker", "--phonemes",
+                    "--wav")),
+    "evaluate": (_cmd_evaluate, "score a checkpoint against reference features",
+                 ("--manifest", "--checkpoint", "--split", "--speakers")),
+    "params": (_cmd_params, "print the trainable parameter count of a strategy",
+               ("--strategy",)),
+    "dump-hyper-params": (_cmd_dump_hyper_params,
+                          "export generated adapter weights per adaptation speaker",
+                          ("--manifest", "--checkpoint", "--jitters")),
+    "grad-check": (_cmd_grad_check, "finite-difference checks on every sub-network",
+                   ("--instances", "--threshold", "--networks")),
+}
+
+# (verb, flag) pairs that must be given on the command line
+_REQUIRED = {("params", "--strategy")}
 
 
 def build_parser():
@@ -416,92 +460,22 @@ def build_parser():
                     "adaptation, synthesis, evaluation.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("gen-corpus", help="generate the synthetic corpus")
-    _add_common(p)
-
-    p = sub.add_parser("pretrain", help="train the multi-speaker backbone")
-    _add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest (paths.manifest)")
-
-    p = sub.add_parser("adapt", help="adapt a pretrained checkpoint to new speakers")
-    _add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest (paths.manifest)")
-    p.add_argument("--checkpoint", default=None,
-                   help="pretrained checkpoint (paths.checkpoint)")
-    p.add_argument("--strategy", default=None,
-                   help="tts0 | ft | adapter_<sites> | hyper_<sites> (adapt.strategy)")
-    p.add_argument("--steps", type=int, default=None, help="adaptation steps (adapt.steps)")
-
-    p = sub.add_parser("synthesize", help="synthesize mel features (optional wav preview)")
-    _add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest (paths.manifest)")
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (paths.checkpoint)")
-    p.add_argument("--utt", default=None, help="synthesize this manifest utterance")
-    p.add_argument("--speaker", default=None, help="speaker for --phonemes mode")
-    p.add_argument("--phonemes", default=None, help="comma-separated phoneme ids")
-    p.add_argument("--wav", action="store_true", default=None,
-                   help="also write a crude phase-reconstruction wav (not a vocoder)")
-
-    p = sub.add_parser("evaluate", help="score a checkpoint against reference features")
-    _add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest (paths.manifest)")
-    p.add_argument("--checkpoint", default=None, help="model checkpoint (paths.checkpoint)")
-    p.add_argument("--split", default=None, choices=("train", "val", "all"),
-                   help="which split to score (evaluate.split)")
-    p.add_argument("--speakers", default=None, choices=sorted(_SPEAKER_GROUPS),
-                   help="speaker group to score (evaluate.speakers)")
-
-    p = sub.add_parser("params", help="print the trainable parameter count of a strategy")
-    _add_common(p)
-    p.add_argument("--strategy", required=True,
-                   help="tts0 | ft | adapter_<sites> | hyper_<sites>")
-
-    p = sub.add_parser("dump-hyper-params",
-                       help="export generated adapter weights per adaptation speaker")
-    _add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest (paths.manifest)")
-    p.add_argument("--checkpoint", default=None,
-                   help="hyper-strategy checkpoint (paths.checkpoint)")
-    p.add_argument("--jitters", type=int, default=None,
-                   help="extra jittered embeddings per speaker (dump.jitters)")
-
-    p = sub.add_parser("grad-check", help="finite-difference checks on every sub-network")
-    _add_common(p)
-    p.add_argument("--instances", type=int, default=None,
-                   help="random instances per sub-network (gradcheck.instances)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="max relative error (gradcheck.threshold)")
-    p.add_argument("--networks", default=None,
-                   help="comma-separated subset (gradcheck.networks)")
-
+    for verb, (_, help_text, flags) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("--config", default=None,
+                       help=f"JSON config file (searched in ${CONFIG_DIR_ENV} "
+                            "when not found directly)")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key (dotted path; a JSON value, "
+                            "or plain text for a text key)")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out-dir", default=None,
+                       help="override out_dir (run directories live here)")
+        for flag in flags:
+            key, kwargs = _FLAGS[flag]
+            p.add_argument(flag, dest=key, default=None, required=(verb, flag) in _REQUIRED,
+                           **{**kwargs, "help": f"{kwargs['help']} ({key})"})
     return parser
-
-
-_FLAG_KEYS = {
-    "manifest": "paths.manifest",
-    "checkpoint": "paths.checkpoint",
-    "strategy": "adapt.strategy",
-    "steps": "adapt.steps",
-    "utt": "synthesize.utt",
-    "speaker": "synthesize.speaker",
-    "phonemes": "synthesize.phonemes",
-    "wav": "synthesize.wav",
-    "split": "evaluate.split",
-    "speakers": "evaluate.speakers",
-    "jitters": "dump.jitters",
-    "instances": "gradcheck.instances",
-    "threshold": "gradcheck.threshold",
-    "networks": "gradcheck.networks",
-    "out_dir": "out_dir",
-}
-
-
-def _apply_flags(cfg, args):
-    for attr, dotted in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            _set_dotted(cfg, dotted, value)
 
 
 def main(argv=None):
@@ -512,18 +486,10 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, args.set, args.seed)
-        _apply_flags(cfg, args)
-        handler = {
-            "gen-corpus": _cmd_gen_corpus,
-            "pretrain": _cmd_pretrain,
-            "adapt": _cmd_adapt,
-            "synthesize": _cmd_synthesize,
-            "evaluate": _cmd_evaluate,
-            "params": _cmd_params,
-            "dump-hyper-params": _cmd_dump_hyper_params,
-            "grad-check": _cmd_grad_check,
-        }[args.verb]
-        return handler(cfg)
+        for key, value in vars(args).items():
+            if value is not None and ("." in key or key == "out_dir"):
+                _set_dotted(cfg, key, value)
+        return _VERBS[args.verb][0](cfg)
     except (InputError, ConfigError, StateError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -35,8 +35,7 @@ def _probe(seed, shape):
 
 
 def _target(seed, shape):
-    return ad.constant(np.random.default_rng(seed ^ 0xA5A5).standard_normal(shape),
-                       dtype=np.float64)
+    return Tensor(np.random.default_rng(seed ^ 0xA5A5).standard_normal(shape))
 
 
 def _fft_block(seed):
@@ -150,7 +149,7 @@ def _hypernetwork(seed):
 
     def fn(v, *ps):
         hooks = site_adapters(hyper.generate(v), 2, seg, dims.d_h)
-        out = hooks[seed % 2](ad.constant(h_data, dtype=np.float64))
+        out = hooks[seed % 2](Tensor(h_data))
         return ad.mse_loss(out, target, seg)
 
     return fn, [spk, *params]
@@ -162,8 +161,7 @@ def _alignment_projections(seed):
                                      d_mel=3, d_attn=5)
     params = _f64_params(enc)
     text = _probe(seed, (5, 4))
-    mel = ad.constant(np.random.default_rng(seed + 41).standard_normal((7, 3)),
-                      dtype=np.float64)
+    mel = Tensor(np.random.default_rng(seed + 41).standard_normal((7, 3)))
     text_seg, mel_seg = ad.Segments([2, 3]), ad.Segments([3, 4])
 
     def fn(t, *ps):

@@ -43,6 +43,14 @@ class ModelConfig:
     var_kernel: int = 3
     var_dropout: float = 0.5
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not 0 <= value < 1:
+                raise ConfigError(f"model.{f.name} must be in [0, 1), got {value}")
+            if f.type is int and value < 1:
+                raise ConfigError(f"model.{f.name} must be at least 1, got {value}")
+
     def to_dict(self):
         return asdict(self)
 

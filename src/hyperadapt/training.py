@@ -397,9 +397,7 @@ def load_checkpoint(path):
     if meta.get("strategy") and meta["strategy"] not in ("tts0", "ft"):
         strategy = StrategyConfig.parse(meta["strategy"], AdapterDims(**meta["adapter_dims"]))
         adapted = AdaptedModel(model, strategy)
-        adapted.load_state_arrays(
-            {k: v for k, v in arrays.items() if not k.startswith("opt.")}
-        )
+        adapted.extras.load_state_arrays(arrays, "extras.")
     return LoadedCheckpoint(model=model, adapted=adapted, meta=meta, arrays=arrays)
 
 
@@ -582,15 +580,13 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     train = corpus_mod.load_corpus(manifest_path, adaptation=False, split="train")
     val = corpus_mod.load_corpus(manifest_path, adaptation=False, split="val")
 
-    model = TTSModel(model_config, seed=seed)
-    pitch_range, energy_range = compute_feature_ranges(train)
-    model.set_ranges(pitch_range, energy_range)
-    trainable = list(model.named_parameters())
-
-    start_step = 0
     run_meta = _run_meta(sched, seed)
     latest = _read_latest(run_dir)
-    if latest is not None:
+    if latest is None:
+        model = TTSModel(model_config, seed=seed)
+        model.set_ranges(*compute_feature_ranges(train))
+        start_step = 0
+    else:
         loaded = load_checkpoint(latest)
         if loaded.meta.get("kind") != "pretrain":
             raise StateError(f"{latest} is not a pretraining checkpoint")
@@ -600,11 +596,9 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
             if loaded.meta.get(key) != run_meta[key]:
                 raise ConfigError(f"run directory holds a checkpoint with a different {key}: "
                                   f"{loaded.meta.get(key)} vs {run_meta[key]}")
-        model.load_state_arrays({
-            k: v for k, v in loaded.arrays.items() if not k.startswith("opt.")
-        })
-        model.set_ranges(loaded.meta["pitch_range"], loaded.meta["energy_range"])
+        model = loaded.model
         start_step = int(loaded.meta["step"])
+    trainable = list(model.named_parameters())
     opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
     if latest is not None:
         opt.load_state_arrays(loaded.arrays, loaded.meta.get("adam_t", 0))

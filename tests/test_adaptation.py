@@ -750,7 +750,8 @@ def test_adapted_state_roundtrip():
     assert any(k.startswith("extras.hyper_e.") for k in state)
 
     fresh = AdaptedModel(small_model(seed=99), StrategyConfig.parse("hyper_ev", SMALL), seed=2)
-    fresh.load_state_arrays(state)
+    fresh.model.load_state_arrays({k: v for k, v in state.items() if not k.startswith("extras.")})
+    fresh.extras.load_state_arrays(state, "extras.")
     for (_, a), (_, b) in zip(
         sorted(adapted.named_trainable()), sorted(fresh.named_trainable())
     ):

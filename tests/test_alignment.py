@@ -122,7 +122,7 @@ class TestSoftAlign:
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
         text = Tensor(np.random.default_rng(5).standard_normal((3, 4)), requires_grad=True)
-        mel = ad.constant(np.random.default_rng(6).standard_normal((6, 3)), dtype=np.float64)
+        mel = Tensor(np.random.default_rng(6).standard_normal((6, 3)))
 
         def fn(t):
             amap = align_one(enc.project_text(t, one(3)), enc.project_mel(mel, one(6)))

@@ -110,7 +110,7 @@ class TestOpGradients:
             joined = oracles.concat([x, y], axis=-1)
             sliced = oracles.narrow(joined, 1, 1, 4)
             flipped = oracles.permute(sliced, (1, 0))
-            return ad.mse_loss(ad.reshape(flipped, (12,)), ad.constant(np.arange(12.0), dtype=np.float64),
+            return ad.mse_loss(ad.reshape(flipped, (12,)), Tensor(np.arange(12.0)),
                                one(12))
 
         _fd_check(fn, [a, b])
@@ -118,7 +118,7 @@ class TestOpGradients:
     def test_losses(self):
         rng = np.random.default_rng(8)
         a = t64(rng.standard_normal((5, 2)))
-        b = ad.constant(rng.standard_normal((5, 2)), dtype=np.float64)
+        b = Tensor(rng.standard_normal((5, 2)))
         _fd_check(lambda x: ad.mse_loss(x, b, one(5)), [a])
         # keep FD away from |.| kinks
         _fd_check(lambda x: ad.l1_loss(x, b, one(5)), [a], eps=1e-7)
@@ -132,11 +132,11 @@ class TestOpGradients:
 
     def test_two_layer_composite(self):
         rng = np.random.default_rng(10)
-        x = ad.constant(rng.standard_normal((5, 4)), dtype=np.float64)
+        x = Tensor(rng.standard_normal((5, 4)))
         w1 = t64(rng.standard_normal((4, 8)) * 0.5)
         b1 = t64(rng.standard_normal(8) * 0.1)
         w2 = t64(rng.standard_normal((8, 2)) * 0.5)
-        target = ad.constant(rng.standard_normal((5, 2)), dtype=np.float64)
+        target = Tensor(rng.standard_normal((5, 2)))
 
         def fn(wa, ba, wb):
             h = ad.relu(ad.linear(x, wa, ba))

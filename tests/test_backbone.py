@@ -98,7 +98,7 @@ class TestFFTBlock:
         block = _f64(backbone.FFTBlock(rng_for(6, "blk"), D, heads=2, p_dropout=0.0))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(2).standard_normal((5, D)), requires_grad=True)
-        target = ad.constant(np.random.default_rng(3).standard_normal((5, D)), dtype=np.float64)
+        target = Tensor(np.random.default_rng(3).standard_normal((5, D)))
 
         def fn(x):
             return ad.mse_loss(block(x, one(5), CTX, None), target, one(5))
@@ -112,7 +112,7 @@ class TestFFTBlock:
         block = _f64(backbone.FFTBlock(rng_for(9, "blk"), D, heads=2, p_dropout=0.0))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(5).standard_normal((6, D)), requires_grad=True)
-        target = ad.constant(np.random.default_rng(6).standard_normal((6, D)), dtype=np.float64)
+        target = Tensor(np.random.default_rng(6).standard_normal((6, D)))
         seg = ad.Segments([4, 2])
         attn = block.attn
         params = [attn.wq.w, attn.wk.w, attn.wv.b, block.conv1.w]
@@ -191,7 +191,7 @@ class TestDecoder:
         dec = _f64(backbone.Decoder(rng_for(11, "dec"), D, n_mels=3, n_layers=2, p_dropout=0.0))
         dec.set_trainable(True)
         h = Tensor(np.random.default_rng(6).standard_normal((4, D)), requires_grad=True)
-        target = ad.constant(np.random.default_rng(7).standard_normal((4, 3)), dtype=np.float64)
+        target = Tensor(np.random.default_rng(7).standard_normal((4, 3)))
         report = ad.grad_check(lambda x: ad.mse_loss(dec(x, CTX, one(4), [None] * 2), target,
                                                      one(4)), [h])
         assert report.passed, repr(report)
@@ -217,7 +217,7 @@ class TestPostnet:
         post.set_trainable(True)
         post.convs[-1].w.data += 0.1  # move off the zero init so grads flow everywhere
         mel = Tensor(np.random.default_rng(10).standard_normal((7, 4)), requires_grad=True)
-        target = ad.constant(np.random.default_rng(11).standard_normal((7, 4)), dtype=np.float64)
+        target = Tensor(np.random.default_rng(11).standard_normal((7, 4)))
         report = ad.grad_check(lambda x: ad.mse_loss(post(x, CTX, one(7)), target, one(7)), [mel])
         assert report.passed, repr(report)
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface: exit codes, config
 plumbing, run-directory layout, and every verb on a tiny pipeline."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from hyperadapt import featio
-from hyperadapt.cli import build_parser, config_hash, load_config, main
+from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -115,13 +116,35 @@ def test_config_dir_env_resolves_relative_names(tmp_path, monkeypatch):
 
 
 def test_set_overrides_and_bad_override():
-    cfg = load_config(None, ["schedule.total_steps=99", "adapt.strategy=ft"])
+    cfg = load_config(None, ["schedule.total_steps=99", "adapt.strategy=ft",
+                             "synthesize.phonemes=5"])
     assert cfg["schedule"]["total_steps"] == 99
     assert cfg["adapt"]["strategy"] == "ft"
+    assert cfg["synthesize"]["phonemes"] == "5"  # a text key keeps the text
     code, _, err = run_cli("params", "--strategy", "tts0", "--set", "no.such=1")
     assert code == 2
     code, _, err = run_cli("params", "--strategy", "tts0", "--set", "plainword")
     assert code == 2
+
+
+@pytest.mark.parametrize("verb, setting, key", [
+    ("pretrain", "model.d_h=abc", "model.d_h"),
+    ("pretrain", "model.heads=0", "model.heads"),
+    ("adapt", "dims.d_r=0", "dims.d_r"),
+    ("pretrain", "model.enc_layers=-1", "model.enc_layers"),
+    ("pretrain", None, "model.d_h"),  # {"d_h": "32"} in the config file
+])
+def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, setting, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({} if setting else {"model": {"d_h": "32"}}))
+    out = tmp_path / "runs"
+    # any existing file passes the path checks that come before the config's
+    paths = ["--manifest", str(cfg)] + (["--checkpoint", str(cfg)] if verb == "adapt" else [])
+    code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *paths,
+                           *(["--set", setting] if setting else []))
+    assert code == 2
+    assert err.startswith("ConfigError") and key in err
+    assert not out.exists()
 
 
 def test_config_hash_ignores_seed_only():
@@ -349,24 +372,48 @@ def test_grad_check_unknown_network_exits_2():
 
 
 def test_every_verb_help_lists_flags():
-    parser = build_parser()
+    """Each verb's flags, with the config key each one sets (its dest) and
+    whether it is required; every such key exists in the default config."""
     expected = {
-        "gen-corpus": ["--config", "--set", "--seed", "--out-dir"],
-        "pretrain": ["--manifest"],
-        "adapt": ["--manifest", "--checkpoint", "--strategy", "--steps"],
-        "synthesize": ["--utt", "--speaker", "--phonemes", "--wav"],
-        "evaluate": ["--split", "--speakers"],
-        "params": ["--strategy"],
-        "dump-hyper-params": ["--jitters"],
-        "grad-check": ["--instances", "--threshold", "--networks"],
+        "gen-corpus": {},
+        "pretrain": {"--manifest": "paths.manifest"},
+        "adapt": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+                  "--strategy": "adapt.strategy", "--steps": "adapt.steps"},
+        "synthesize": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+                       "--utt": "synthesize.utt", "--speaker": "synthesize.speaker",
+                       "--phonemes": "synthesize.phonemes", "--wav": "synthesize.wav"},
+        "evaluate": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+                     "--split": "evaluate.split", "--speakers": "evaluate.speakers"},
+        "params": {"--strategy": "adapt.strategy"},
+        "dump-hyper-params": {"--manifest": "paths.manifest",
+                              "--checkpoint": "paths.checkpoint", "--jitters": "dump.jitters"},
+        "grad-check": {"--instances": "gradcheck.instances",
+                       "--threshold": "gradcheck.threshold",
+                       "--networks": "gradcheck.networks"},
     }
+    required = {("params", "--strategy")}
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(verbs.choices) == set(expected)
+    defaults = default_config()
     for verb, flags in expected.items():
+        got = {a.option_strings[0]: (a.dest, a.required) for a in verbs.choices[verb]._actions
+               if a.dest not in ("help", "config", "set")}
+        want = {flag: (key, (verb, flag) in required)
+                for flag, key in {"--seed": "seed", "--out-dir": "out_dir", **flags}.items()}
+        assert got == want, verb
+        for key, _ in got.values():
+            node = defaults
+            for part in key.split("."):
+                assert isinstance(node, dict) and part in node, f"{verb}: no config key {key}"
+                node = node[part]
+
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as e:
             parser.parse_args([verb, "--help"])
         assert e.value.code == 0
         text = out.getvalue()
-        for flag in flags + ["--config", "--set", "--seed"]:
+        for flag in [*flags, "--config", "--set", "--seed", "--out-dir"]:
             assert flag in text, f"{verb} --help missing {flag}"
 
 

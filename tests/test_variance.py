@@ -141,7 +141,7 @@ class TestLengthRegulate:
         rng = np.random.default_rng(2)
         h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         d = np.array([2, 0, 1, 3])
-        target = ad.constant(rng.standard_normal((6, 3)), dtype=np.float64)
+        target = Tensor(rng.standard_normal((6, 3)))
         report = ad.grad_check(
             lambda x: ad.mse_loss(variance.length_regulate(x, d), target, one(6)), [h])
         assert report.passed, repr(report)
@@ -216,7 +216,7 @@ class TestPredictors:
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
         h = Tensor(np.random.default_rng(4).standard_normal((6, self.D)), requires_grad=True)
-        t_spec = ad.constant(np.random.default_rng(5).standard_normal((6, variance.N_SCALES)), dtype=np.float64)
+        t_spec = Tensor(np.random.default_rng(5).standard_normal((6, variance.N_SCALES)))
         ctx = RunCtx((), training=False)
 
         def fn(x):
@@ -232,7 +232,7 @@ class TestPredictors:
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
         h = Tensor(np.random.default_rng(7).standard_normal((5, self.D)), requires_grad=True)
-        target = ad.constant(np.random.default_rng(8).standard_normal(5), dtype=np.float64)
+        target = Tensor(np.random.default_rng(8).standard_normal(5))
         ctx = RunCtx((), training=False)
         report = ad.grad_check(lambda x: ad.mse_loss(pred(x, ctx, one(5), None), target, one(5)), [h])
         assert report.passed, repr(report)
