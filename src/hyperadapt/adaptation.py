@@ -17,8 +17,8 @@ utterance; the hypernetwork generates a pack's tables from its (B, d_1)
 speaker matrix, stacked speaker-major. Two fused tape ops with hand-written
 gradients carry the whole path: `HyperNetwork.generate` (one node per module
 per pack) and `adapter_forward` (one node per site over a whole pack, with
-no loop over segments: each segment reads one table row, and only the rows
-read get gradient; which row is a RowLayout shared by a module's sites).
+no loop over segments: site s is the strided view table[s::n_sites], and
+the blocks its rows form are cached on the pack's `autodiff.Segments`).
 
 The hypernetwork (one per module, never shared across modules) maps the
 speaker embedding through a projector, concatenates it with each site's
@@ -57,68 +57,43 @@ class AdapterDims:
                 raise ConfigError(f"dims.{name} must be at least 1, got {value}")
 
 
-class RowLayout:
-    """Which row of a module's (n_rows, n_flat) adapter table each segment
-    of a pack reads, worked out once for all n_sites sites: at site s,
-    segment b reads row b n_sites + s of a generated table (B n_sites rows,
-    speaker-major) or row s of a shared one (n_sites rows). Holds the site-0
-    rows (`used`, the K distinct ones; `rows`, per segment), each packed
-    row's block among the K and the (T, K d_r) mask of its own block."""
+def adapter_forward(h, table, seg, site, n_sites):
+    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence laid
+    out by `seg`, in one node, at site `site` of an n_sites-site table.
 
-    def __init__(self, table_shape, n_sites, seg, d_h):
-        n_rows, n_flat = table_shape if len(table_shape) == 2 else (0, 0)
-        d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
-        if rest or d_r < 1:
-            raise ShapeError("adapter layout", f"hidden dim {d_h} vs adapter table {table_shape}")
-        if n_rows not in (n_sites, n_sites * len(seg)):
-            raise ShapeError("adapter layout", f"table of {n_rows} rows for "
-                                               f"{n_sites} sites and {len(seg)} segments")
-        k = len(seg) if n_rows > n_sites else 1
-        block = np.arange(len(seg)) % k
-        self.table_shape, self.n_sites, self.seg, self.d_h, self.d_r = (
-            tuple(table_shape), n_sites, seg, d_h, d_r)
-        self.used = np.arange(k) * n_sites
-        self.rows = block * n_sites
-        self.frame_block = np.repeat(block, seg.lengths)
-        self.keep = self.frame_block[:, None] == np.arange(k).repeat(d_r)
-
-
-def adapter_forward(h, table, layout, site):
-    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence in one
-    node, at site `site` of the table as `layout` (a RowLayout) reads it.
-
-    Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]. The K
-    distinct rows read are applied block-diagonally, with no loop over
-    segments: one (T, K d_r) down-projection, each packed row masked to its
-    own row's block before the ReLU, one (K d_r, d_h) up-projection. A row
-    several segments read (a shared table's) is one block, so its gradient
-    sums over them (segment by segment for the up bias); rows nobody reads
-    get zero gradient.
+    Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]. Site s
+    is the strided view table[s::n_sites]: the one row of a shared
+    (n_sites, n_flat) table, or row b for segment b of a generated
+    speaker-major (B n_sites, n_flat) one. Its K rows are applied
+    block-diagonally: one (T, K d_r) down-projection, each packed row masked
+    to its own block before the ReLU, one (K d_r, d_h) up-projection. A
+    shared row's gradient sums over its segments (segment by segment for the
+    up bias); rows of other sites get zero gradient.
     """
-    ad._segments_of("adapter_forward", layout.seg, h.shape[0])
+    ad._segments_of("adapter_forward", seg, h.shape[0])
     ad._check_same_dtype("adapter_forward", h, table)
-    d_h, d_r = layout.d_h, layout.d_r
-    if h.data.ndim != 2 or h.shape[1] != d_h or table.shape != layout.table_shape:
-        raise ShapeError("adapter_forward", f"hidden {h.shape} and table {table.shape} "
-                                            f"vs a layout for {layout.table_shape}")
-    if not isinstance(site, (int, np.integer)) or not 0 <= site < layout.n_sites:
-        raise InputError(f"adapter_forward: site {site!r} of {layout.n_sites}")
-    n_flat = table.shape[1]
-    used = layout.used + site
-    k = used.size
+    n_rows, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
+    d_h = h.shape[-1]
+    d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
+    if h.data.ndim != 2 or rest or d_r < 1 or n_rows not in (n_sites, n_sites * len(seg)):
+        raise ShapeError("adapter_forward", f"hidden {h.shape} vs a table {table.shape} for "
+                                            f"{n_sites} sites and {len(seg)} segments")
+    if not isinstance(site, (int, np.integer)) or not 0 <= site < n_sites:
+        raise InputError(f"adapter_forward: site {site!r} of {n_sites}")
+    picked = table.data[site::n_sites]
+    k = picked.shape[0]
     n_wd = d_h * d_r
     n_down = n_wd + d_r
-    picked = table.data[used]
     w_down = picked[:, :n_wd].reshape(k, d_h, d_r).transpose(1, 0, 2).reshape(d_h, k * d_r)
     w_up = picked[:, n_down : n_flat - d_h].reshape(k * d_r, d_h)
     x = h.data
     pre = x @ w_down
     pre += picked[:, n_wd:n_down].reshape(-1)
     keep = pre > 0
-    keep &= layout.keep
+    keep &= seg.block_mask(k, d_r)
     z = np.where(keep, pre, pre.dtype.type(0))
     delta = z @ w_up
-    delta += picked[layout.frame_block, n_flat - d_h :]
+    delta += picked[seg.blocks(k), n_flat - d_h :]
 
     def grad_fn(g):
         gpre = g @ w_up.T
@@ -126,23 +101,23 @@ def adapter_forward(h, table, layout, site):
         g_table = None
         if table.requires_grad:
             g_table = np.zeros_like(table.data)
-            g_table[used, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
-            g_table[used, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)
-            g_table[used, n_down : n_flat - d_h] = (z.T @ g).reshape(k, -1)
-            np.add.at(g_table[:, n_flat - d_h :], layout.rows + site,
-                      np.add.reduceat(g, layout.seg.starts, axis=0))
+            g_rows = g_table[site::n_sites]
+            g_rows[:, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
+            g_rows[:, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)
+            g_rows[:, n_down : n_flat - d_h] = (z.T @ g).reshape(k, -1)
+            g_rows[:, n_flat - d_h :] = ad._add_reduce(
+                np.add.reduceat(g, seg.starts, axis=0).reshape(-1, k, d_h), axis=0)
         gx = g + gpre @ w_down.T if h.requires_grad else None
         return gx, g_table
 
     return ad.from_op(x + delta, (h, table), grad_fn, "adapter")
 
 
-def site_adapters(table, n_sites, seg, d_h):
-    """One adapter callable per site of a module over a packed sequence,
-    from the pack's table (see AdaptedModel.hooks_for), all sharing one
-    RowLayout. Each callable looks adapter_forward up when called."""
-    layout = RowLayout(table.shape, n_sites, seg, d_h)
-    return [lambda h, site=site: adapter_forward(h, table, layout, site)
+def site_adapters(table, n_sites, seg):
+    """One adapter callable per site of a module over a packed sequence laid
+    out by `seg`, from the pack's table (see AdaptedModel.hooks_for). Each
+    callable looks adapter_forward up when called."""
+    return [lambda h, site=site: adapter_forward(h, table, seg, site, n_sites)
             for site in range(n_sites)]
 
 

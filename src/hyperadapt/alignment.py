@@ -2,11 +2,13 @@
 
 Affinities come from negative squared distances between conv-projected
 phoneme and mel features; a per-frame softmax over phonemes gives the soft
-alignment. A pack of utterances gets one padded (B, n, m) map tensor, and
-its DPs run as one batched kernel call. Training drives the marginal
-likelihood of all monotonic paths (forward-sum DP) plus a binarization term
-tying the soft distribution to the extracted Viterbi path; the schedule
-ramps the binarization term in after the variance losses switch on.
+alignment. A pack of utterances gets one padded (B, n, m) map tensor, map b
+spanning utterance b's phonemes and frames as the pack's `Segments` count
+them, and its DPs run as one batched kernel call. Training drives the
+marginal likelihood of all monotonic paths (forward-sum DP) plus a
+binarization term tying the soft distribution to the path the Viterbi
+durations trace; the schedule ramps the binarization term in after the
+variance losses switch on.
 
 Each loss value is a sum over per-map (forward-sum) or per-frame
 (binarization) numbers, exposed on their own so that a run with a frozen
@@ -15,33 +17,29 @@ sums (see `training.compute_losses`).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .errors import InfeasibleAlignmentError, InputError, StateError
+from .errors import InfeasibleAlignmentError, InputError
 from .layers import Conv1d, Module
 
 
 @dataclass
 class AlignmentMap:
     """Soft alignments of a pack: log_probs is (B, n, m), map b spanning
-    [:n_len[b], :m_len[b]] with -inf beyond; each valid column is a log
-    distribution over phonemes."""
+    segment b of text_seg by segment b of mel_seg with -inf beyond; each
+    valid column is a log distribution over phonemes."""
 
     log_probs: Tensor
-    n_len: np.ndarray
-    m_len: np.ndarray
-    hard_path: Optional[np.ndarray] = None  # packed per-frame phoneme index within each map
+    text_seg: ad.Segments
+    mel_seg: ad.Segments
 
     def __post_init__(self):
         if self.log_probs.data.ndim != 3:
             raise InputError(f"alignment maps must be (B, n, m), got {self.log_probs.shape}")
-        self.n_len = np.asarray(self.n_len)
-        self.m_len = np.asarray(self.m_len)
 
 
 class AlignmentEncoder(Module):
@@ -85,10 +83,9 @@ def soft_align(text_feats, mel_feats, text_seg, mel_seg):
         raise InputError(f"soft_align: {len(text_bounds)} phoneme segments, "
                          f"{len(mel_bounds)} frame segments")
     pairs = list(zip(text_bounds, mel_bounds))
-    n_len = np.array([e - s for (s, e), _ in pairs], dtype=np.int64)
-    m_len = np.array([e - s for _, (s, e) in pairs], dtype=np.int64)
     t, mf = text_feats.data, mel_feats.data
-    log_probs = np.full((len(pairs), n_len.max(), m_len.max()), -np.inf, dtype=t.dtype)
+    log_probs = np.full((len(pairs), text_seg.lengths.max(), mel_seg.lengths.max()), -np.inf,
+                        dtype=t.dtype)
     for b, ((ts, te), (ms, me)) in enumerate(pairs):
         tb = t[ts:te]
         affinity = 2.0 * (tb @ mf[ms:me].T) - (tb * tb).sum(axis=1, keepdims=True)  # (n_b, m_b)
@@ -106,24 +103,27 @@ def soft_align(text_feats, mel_feats, text_seg, mel_seg):
         return gt, gm
 
     node = ad.from_op(log_probs, (text_feats, mel_feats), grad_fn, "soft_align")
-    return AlignmentMap(node, n_len, m_len)
+    return AlignmentMap(node, text_seg, mel_seg)
 
 
-def _require_feasible(amap, where):
-    short = np.flatnonzero(amap.m_len < amap.n_len)
+def _feasible_counts(amap, where):
+    """The maps' (B,) phoneme and frame counts, once each map is feasible."""
+    n_len, m_len = amap.text_seg.lengths, amap.mel_seg.lengths
+    short = np.flatnonzero(m_len < n_len)
     if short.size:
         b = int(short[0])
         raise InfeasibleAlignmentError(
-            f"{where}: {amap.m_len[b]} frames cannot cover {amap.n_len[b]} phonemes monotonically"
+            f"{where}: {m_len[b]} frames cannot cover {n_len[b]} phonemes monotonically"
         )
+    return n_len, m_len
 
 
 def map_forward_sums(amap):
     """(B,) float64 negative log marginal probability of each map's monotonic
     complete paths, and its float64 gradient wrt the maps: one batched DP
     call."""
-    _require_feasible(amap, "forward_sum_loss")
-    return kernels.forward_sum(amap.log_probs.data.astype(np.float64), amap.n_len, amap.m_len)
+    n_len, m_len = _feasible_counts(amap, "forward_sum_loss")
+    return kernels.forward_sum(amap.log_probs.data.astype(np.float64), n_len, m_len)
 
 
 def forward_sum_value(losses, dtype):
@@ -146,33 +146,27 @@ def forward_sum_loss(amap):
 
 def viterbi_durations(amap):
     """Best-path durations of every map, packed by utterance (one batched
-    DP call); also records the packed hard path on the map."""
-    logp = amap.log_probs
-    _require_feasible(amap, "viterbi_durations")
-    table = kernels.viterbi(logp.data.astype(np.float64), amap.n_len, amap.m_len)
-    durations = table[np.arange(table.shape[1]) < amap.n_len[:, None]]
-    local = np.concatenate([np.arange(n) for n in amap.n_len])
-    amap.hard_path = np.repeat(local, durations)
-    return durations
+    DP call)."""
+    n_len, m_len = _feasible_counts(amap, "viterbi_durations")
+    table = kernels.viterbi(amap.log_probs.data.astype(np.float64), n_len, m_len)
+    return table[np.arange(table.shape[1]) < n_len[:, None]]
 
 
-def _hard_path_cells(amap):
-    """(map, phoneme, frame) index arrays of every frame's hard-path cell,
-    packed by utterance."""
-    if amap.hard_path is None:
-        raise StateError("binarization_loss: extract a hard path first")
-    path = np.asarray(amap.hard_path)
-    frames = int(amap.m_len.sum())
-    if path.shape != (frames,):
-        raise InputError(f"binarization_loss: path length {path.shape} vs {frames} frames")
-    maps = np.repeat(np.arange(amap.m_len.size), amap.m_len)
-    cols = np.concatenate([np.arange(m) for m in amap.m_len])
-    return maps, path, cols
+def _hard_path_cells(amap, durations):
+    """(map, phoneme, frame) index arrays of every frame's cell on the path
+    the packed per-phoneme `durations` trace, packed by utterance."""
+    text_seg, mel_seg = amap.text_seg, amap.mel_seg
+    durations = np.asarray(durations)
+    if (durations.shape != (text_seg.total,) or (durations < 0).any()
+            or (np.add.reduceat(durations, text_seg.starts) != mel_seg.lengths).any()):
+        raise InputError(f"binarization_loss: durations {durations.tolist()} do not cover "
+                         f"{mel_seg.lengths.tolist()} frames")
+    return mel_seg.ids(), np.repeat(text_seg.positions(), durations), mel_seg.positions()
 
 
-def hard_path_log_probs(amap):
+def hard_path_log_probs(amap, durations):
     """(frames,) log-probability of each frame's hard-path phoneme, packed."""
-    return amap.log_probs.data[_hard_path_cells(amap)]
+    return amap.log_probs.data[_hard_path_cells(amap, durations)]
 
 
 def binarization_value(path_log_probs):
@@ -180,11 +174,11 @@ def binarization_value(path_log_probs):
     return np.asarray(-path_log_probs.sum(), dtype=path_log_probs.dtype)
 
 
-def binarization_loss(amap):
-    """Cross-entropy of the soft alignment against the extracted hard path,
-    summed over the maps of a pack."""
+def binarization_loss(amap, durations):
+    """Cross-entropy of the soft alignment against the path the packed
+    `durations` trace, summed over the maps of a pack."""
     logp = amap.log_probs
-    cells = _hard_path_cells(amap)
+    cells = _hard_path_cells(amap, durations)
 
     def grad_fn(g):
         gl = np.zeros_like(logp.data)

@@ -168,6 +168,15 @@ class Segments:
         """(total,) segment index of every row."""
         return self._cached("ids", lambda: np.repeat(np.arange(len(self)), self.lengths))
 
+    def blocks(self, k):
+        """(total,) block of every row: its segment's (k = B) or 0 (k = 1)."""
+        return self._cached(("blocks", k), lambda: self.ids() % k)
+
+    def block_mask(self, k, width):
+        """(total, k width) mask of each row's own block of `width` columns."""
+        return self._cached(("block_mask", k, width),
+                            lambda: self.blocks(k)[:, None] == np.arange(k).repeat(width))
+
     def gapped_rows(self, gap):
         """(total,) row index of every packed row once `gap` zero rows sit
         before, between and after the segments."""

@@ -24,7 +24,7 @@ from . import featio, gradcheck, metrics
 from . import training as tr
 from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
 from .corpus import CorpusSpec, synthetic_embedding
-from .errors import ConfigError, HyperadaptError, InputError, StateError
+from .errors import ConfigError, HyperadaptError, InputError, StateError, checked, merge_checked
 from .features import FeatureConfig, mel_to_waveform, write_wav
 from .model import ModelConfig, TTSModel
 from .training import ScheduleConfig, adaptation_schedule
@@ -69,34 +69,6 @@ def _resolve_config_path(path):
     raise InputError(f"config file not found: {path}")
 
 
-def _checked(dotted, default, value):
-    """`value` for config key `dotted` if it has the type of the key's
-    default: an int key takes an int, a float key an int or a float, a bool,
-    str or list key only its own type."""
-    kind = type(default)
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"config key '{dotted}' expects {kind.__name__}, got {value!r}")
-    return value
-
-
-def _merge_into(node, data, prefix):
-    for key, value in data.items():
-        if key not in node:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-        if isinstance(node[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{prefix}{key}' expects a section")
-            _merge_into(node[key], value, f"{prefix}{key}.")
-        else:
-            node[key] = _checked(f"{prefix}{key}", node[key], value)
-
-
 def _set_dotted(cfg, dotted, value, *, text=False):
     """Set config key `dotted` to `value`. A `text` value (a --set override)
     is parsed as JSON first, unless the key holds a string."""
@@ -116,7 +88,7 @@ def _set_dotted(cfg, dotted, value, *, text=False):
             value = json.loads(value)
         except json.JSONDecodeError:
             pass
-    node[leaf] = _checked(dotted, node[leaf], value)
+    node[leaf] = checked(dotted, node[leaf], value)
 
 
 def load_config(config_path=None, overrides=(), seed=None):
@@ -130,7 +102,7 @@ def load_config(config_path=None, overrides=(), seed=None):
                 raise ConfigError(f"{config_path}: not valid JSON ({e})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{config_path}: top level must be an object")
-        _merge_into(cfg, data, "")
+        merge_checked(cfg, data, "")
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep or not key:

@@ -1,4 +1,5 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and the one type rule for
+JSON values read against defaults (config files, checkpoint metadata).
 
 Exit-code mapping for the CLI lives in cli.py: InputError/ConfigError are
 usage-class failures (exit 2), InternalInvariantError is exit 3.
@@ -42,3 +43,31 @@ class InfeasibleAlignmentError(InputError):
 
 class InternalInvariantError(HyperadaptError):
     """A guaranteed invariant was violated; indicates a bug, not bad input."""
+
+
+def checked(key, default, value):
+    """`value` for `key` if it has the type of the key's default: an int key
+    takes an int, a float key an int or a float, a bool, str, list or dict
+    key only its own type. Otherwise a ConfigError naming the key."""
+    kind = type(default)
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"key '{key}' expects {kind.__name__}, got {value!r}")
+    return value
+
+
+def merge_checked(node, data, prefix):
+    """Merge the JSON object `data` into the defaults `node`, each key known
+    there and each value checked against its default; `prefix` names keys."""
+    for key, value in data.items():
+        if key not in node:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+        if isinstance(node[key], dict):
+            merge_checked(node[key], checked(f"{prefix}{key}", {}, value), f"{prefix}{key}.")
+        else:
+            node[key] = checked(f"{prefix}{key}", node[key], value)

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, backbone, variance
-from .adaptation import (AdapterDims, HyperNetwork, RowLayout, adapter_forward,
-                         adapter_param_count, site_adapters)
+from .adaptation import (AdapterDims, HyperNetwork, adapter_forward, adapter_param_count,
+                         site_adapters)
 from .autodiff import Tensor
 from .errors import InputError
 from .layers import RunCtx, rng_for
@@ -126,10 +126,9 @@ def _adapter(seed):
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
     seg = ad.Segments([2, 3])
-    layout = RowLayout(table.shape, 2, seg, _D)
 
     def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, t, layout, 1), target, seg)
+        return ad.mse_loss(adapter_forward(x, t, seg, 1, 2), target, seg)
 
     return fn, [h, table]
 
@@ -148,7 +147,7 @@ def _hypernetwork(seed):
     seg = ad.Segments([3, 2])
 
     def fn(v, *ps):
-        hooks = site_adapters(hyper.generate(v), 2, seg, dims.d_h)
+        hooks = site_adapters(hyper.generate(v), 2, seg)
         out = hooks[seed % 2](Tensor(h_data))
         return ad.mse_loss(out, target, seg)
 

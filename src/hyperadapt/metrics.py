@@ -8,7 +8,6 @@ absolute terms; they exist to order systems against each other.
 import functools
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ _MCD_SCALE = 10.0 / np.log(10.0)
 
 @dataclass
 class PairedStat:
-    """Mean and standard error over a set of per-pair metric values."""
+    """Mean and standard error over per-pair metric values (none excluded)."""
 
     mean: float
     stderr: float
@@ -31,10 +30,10 @@ class PairedStat:
     n_excluded: int = 0
 
 
-def _stat(values, n_excluded=0):
+def _stat(values):
     arr = np.asarray(values, dtype=np.float64)
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return PairedStat(float(arr.mean()), stderr, int(arr.size), n_excluded)
+    return PairedStat(float(arr.mean()), stderr, int(arr.size))
 
 
 # -----------------------------------------------------------------------------
@@ -42,34 +41,17 @@ def _stat(values, n_excluded=0):
 # -----------------------------------------------------------------------------
 
 
-def cos_metric(synth_embeddings, ref_embeddings):
-    """Mean pairwise cosine similarity x100 with its standard error.
-
-    Zero-norm embeddings have no direction; those pairs are excluded with a
-    warning rather than poisoning the mean.
-    """
-    if len(synth_embeddings) != len(ref_embeddings):
-        raise InputError(
-            f"cos_metric: {len(synth_embeddings)} synth vs {len(ref_embeddings)} reference embeddings"
-        )
-    if not synth_embeddings:
-        raise InputError("cos_metric: empty embedding lists")
-    values = []
-    excluded = 0
-    for i, (a, b) in enumerate(zip(synth_embeddings, ref_embeddings)):
-        a = np.asarray(a, dtype=np.float64).ravel()
-        b = np.asarray(b, dtype=np.float64).ravel()
-        if a.shape != b.shape:
-            raise InputError(f"cos_metric: pair {i} dims {a.shape} vs {b.shape}")
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            warnings.warn(f"cos_metric: zero-norm embedding in pair {i}, excluded")
-            excluded += 1
-            continue
-        values.append(100.0 * float(a @ b / (na * nb)))
-    if not values:
-        raise InputError("cos_metric: every pair had a zero-norm embedding")
-    return _stat(values, excluded)
+def cos_metric(synth_embedding, ref_embedding):
+    """Cosine similarity x100 of one synthesized and one reference speaker
+    embedding. A zero-norm embedding has no direction and is rejected."""
+    a = np.asarray(synth_embedding, dtype=np.float64).ravel()
+    b = np.asarray(ref_embedding, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise InputError(f"cos_metric: dims {a.shape} vs {b.shape}")
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise InputError("cos_metric: zero-norm embedding")
+    return 100.0 * float(a @ b / (na * nb))
 
 
 # -----------------------------------------------------------------------------
@@ -249,7 +231,7 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     for utt in utterances:
         try:
             mel, info = synthesize_fn(utt)
-            cos = cos_metric([embedder(mel)], [embedder(utt.mel)]).mean
+            cos = cos_metric(embedder(mel), embedder(utt.mel))
             pred_f0 = align_to_reference(np.asarray(info["f0"]), utt.f0.shape[0])
             ffe = ffe_metric(pred_f0, utt.f0)
             mcd = mcd_metric(mel, utt.mel, n_coeffs=n_coeffs)

@@ -20,7 +20,7 @@ from . import variance as var_mod
 from .alignment import AlignmentEncoder, soft_align, viterbi_durations
 from .autodiff import Segments, Tensor
 from .backbone import Decoder, Encoder, Postnet
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericsError
 from .layers import Module, RunCtx, rng_for
 from .variance import VarianceAdapter
 
@@ -136,7 +136,7 @@ class TTSModel(Module):
         table = None if hooks is None else hooks.get(tag)
         if table is None:
             return [None] * n_sites
-        return adaptation.site_adapters(table, n_sites, seg, self.config.d_h)
+        return adaptation.site_adapters(table, n_sites, seg)
 
     def _speaker_tensor(self, speakers):
         v = np.asarray(speakers, dtype=ad.DEFAULT_DTYPE)
@@ -201,6 +201,7 @@ class TTSModel(Module):
         that one speaker, or None. Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
+        A non-finite predicted f0, energy or mel is a NumericsError.
         """
         ctx = RunCtx((), training=False)
         ids = np.asarray(phonemes)
@@ -216,20 +217,27 @@ class TTSModel(Module):
         fr = Segments([int(durations.sum())])
         pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
         pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, ctx, fr, adapter=pitch_adapter)
-        f0 = var_mod.icwt_reconstruct(
+        f0 = _finite("f0", var_mod.icwt_reconstruct(
             pitch_spec.data.T.astype(np.float64),
             float(pitch_mean.data[0]),
             max(float(pitch_var.data[0]), 0.0),
-        )
+        ))
         h_p = self.variance.inject_pitch(h_reg, np.log(f0))
-        energy = self.variance.energy(h_p, ctx, fr, adapter=energy_adapter)
-        h_pe = self.variance.inject_energy(h_p, energy.data.astype(np.float64))
+        energy = _finite("energy", self.variance.energy(h_p, ctx, fr, adapter=energy_adapter).data)
+        h_pe = self.variance.inject_energy(h_p, energy.astype(np.float64))
 
         mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
-        mel_post = self.postnet(mel_pre, ctx, fr)
+        mel_post = _finite("mel", self.postnet(mel_pre, ctx, fr).data)
         info = {
             "durations": durations,
             "f0": f0.astype(np.float32),
-            "energy": energy.data.astype(np.float32).copy(),
+            "energy": energy.astype(np.float32).copy(),
         }
-        return mel_post.data.astype(np.float32), info
+        return mel_post.astype(np.float32), info
+
+
+def _finite(name, values):
+    """A synthesis prediction, once every value is finite."""
+    if not np.isfinite(values).all():
+        raise NumericsError(f"synthesize: predicted {name} is non-finite")
+    return values

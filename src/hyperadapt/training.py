@@ -42,7 +42,8 @@ from .adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
                         forward_sum_value, hard_path_log_probs, map_forward_sums)
 from .autodiff import Tensor
-from .errors import ConfigError, InputError, InternalInvariantError, NumericsError, StateError
+from .errors import (ConfigError, InputError, InternalInvariantError, NumericsError, StateError,
+                     checked, merge_checked)
 from .layers import RunCtx, rng_for
 from .model import ModelConfig, Pack, TTSModel
 
@@ -169,7 +170,7 @@ def _frozen_alignments(model, pack, align_cache):
     if any(uid not in align_cache for uid in pack.utt_ids):
         amap, durations = model.align(pack)
         losses, _ = map_forward_sums(amap)
-        path = hard_path_log_probs(amap)
+        path = hard_path_log_probs(amap, durations)
         bounds = zip(pack.phonemes_seg.bounds, pack.frames_seg.bounds)
         for b, (uid, ((ps, pe), (fs, fe))) in enumerate(zip(pack.utt_ids, bounds)):
             align_cache.setdefault(uid, FrozenAlignment(durations[ps:pe], losses[b], path[fs:fe]))
@@ -227,7 +228,8 @@ def compute_losses(model, utts, step, sched, ctx, hooks_fn=None, pitch_cache=Non
 
     if frozen is None:
         amap = out["amap"]
-        alignment_terms = (lambda: forward_sum_loss(amap), lambda: binarization_loss(amap))
+        alignment_terms = (lambda: forward_sum_loss(amap),
+                           lambda: binarization_loss(amap, out["durations"]))
     else:
         fs = forward_sum_value(np.array([a.forward_sum for a in frozen]), ad.DEFAULT_DTYPE)
         bz = binarization_value(np.concatenate([a.path_log_probs for a in frozen]))
@@ -381,21 +383,48 @@ class LoadedCheckpoint:
         return None if self.adapted is None else self.adapted.hooks_for(embedding)
 
 
+def _read_meta(meta):
+    """(ModelConfig, [pitch_range, energy_range], StrategyConfig or None) of
+    checkpoint metadata, once each key it or a caller (step, adam_t) reads
+    holds its JSON type (a range may be null); else a ConfigError."""
+    def section(key, defaults):
+        merge_checked(defaults, checked(key, {}, meta.get(key)), f"{key}.")
+        return defaults
+
+    config = ModelConfig.from_dict(section("model_config", asdict(ModelConfig())))
+    for key in ("step", "adam_t"):
+        checked(key, 0, meta.get(key))
+    ranges = []
+    for key in ("pitch_range", "energy_range"):
+        pair = meta.get(key)
+        if pair is not None and len(checked(key, [], pair)) != 2:
+            raise ConfigError(f"key '{key}' expects two numbers, got {pair!r}")
+        ranges.append(pair and [checked(key, 0.0, v) for v in pair])
+    strategy = None
+    if "strategy" in meta:
+        dims = AdapterDims(**section("adapter_dims", asdict(AdapterDims())))
+        strategy = StrategyConfig.parse(checked("strategy", "", meta["strategy"]), dims)
+    return config, ranges, strategy
+
+
 def load_checkpoint(path):
-    """Rebuild the model (and adapter surface, for adapted checkpoints)."""
+    """Rebuild the model (and adapter surface, for adapted checkpoints);
+    metadata lacking a key or holding a wrong value is an InputError."""
     meta, arrays = featio.read_checkpoint(path)
-    config = ModelConfig.from_dict(meta["model_config"])
+    try:
+        config, ranges, strategy = _read_meta(meta)
+    except ConfigError as e:
+        raise InputError(f"{path}: checkpoint metadata: {e}") from None
     model = TTSModel(config, seed=0)
     model_arrays = {
         k: v for k, v in arrays.items()
         if not k.startswith("extras.") and not k.startswith("opt.")
     }
     model.load_state_arrays(model_arrays)
-    if meta.get("pitch_range") and meta.get("energy_range"):
-        model.set_ranges(meta["pitch_range"], meta["energy_range"])
+    if None not in ranges:
+        model.set_ranges(*ranges)
     adapted = None
-    if meta.get("strategy") and meta["strategy"] not in ("tts0", "ft"):
-        strategy = StrategyConfig.parse(meta["strategy"], AdapterDims(**meta["adapter_dims"]))
+    if strategy is not None and strategy.name not in ("tts0", "ft"):
         adapted = AdaptedModel(model, strategy)
         adapted.extras.load_state_arrays(arrays, "extras.")
     return LoadedCheckpoint(model=model, adapted=adapted, meta=meta, arrays=arrays)

@@ -23,7 +23,7 @@ from hyperadapt.adaptation import (
     StrategyConfig,
     count_trainable_params,
 )
-from hyperadapt.autodiff import Tensor
+from hyperadapt.autodiff import Segments, Tensor
 from hyperadapt.corpus import (
     CorpusSpec,
     filter_entries,
@@ -241,7 +241,8 @@ def test_criterion_05_alignment_matches_exhaustive_enumeration():
     cases = 0
     for logits in random_grids(200, seed=17, n_max=6, m_max=10):
         n, m = logits.shape
-        amap = alignment.AlignmentMap(Tensor(log_softmax(logits[None], axis=1)), [n], [m])
+        amap = alignment.AlignmentMap(Tensor(log_softmax(logits[None], axis=1)),
+                                      Segments([n]), Segments([m]))
         want_loss, _ = enumerate_paths_logsumexp(amap.log_probs.data[0])
         got_loss = alignment.forward_sum_loss(amap).item()
         assert got_loss == pytest.approx(want_loss, abs=1e-6)
@@ -280,7 +281,7 @@ def test_criterion_06_pitch_wavelet_roundtrip():
 def test_criterion_07_metric_identities_and_worked_example():
     rng = np.random.default_rng(29)
     embeds = [rng.standard_normal(24) for _ in range(6)]
-    cos_stat = metrics.cos_metric(embeds, embeds)
+    cos_stat = metrics._stat([metrics.cos_metric(e, e) for e in embeds])
     assert cos_stat.mean == pytest.approx(100.0, abs=1e-9)
     assert f"{cos_stat.mean:.3f}" == "100.000"
 

@@ -8,7 +8,6 @@ from hyperadapt.adaptation import (
     AdaptedModel,
     AdapterDims,
     HyperNetwork,
-    RowLayout,
     StrategyConfig,
     adapter_forward,
     adapter_param_count,
@@ -52,8 +51,7 @@ def static_table(seed, d_h, d_r, n_sites=1):
 def adapter_at(h, table, site):
     """adapter_forward at `site` over all of h as one segment, which reads
     row `site` of the table."""
-    layout = RowLayout(table.shape, table.shape[0], ad.Segments([h.shape[0]]), h.shape[1])
-    return adapter_forward(h, table, layout, site)
+    return adapter_forward(h, table, ad.Segments([h.shape[0]]), site, table.shape[0])
 
 
 # -----------------------------------------------------------------------------
@@ -170,8 +168,8 @@ def test_adapter_forward_gradcheck_per_segment_tables():
     target = np.random.default_rng(38).standard_normal((6, d_h))
 
     def fn(x, t, u):
-        a = adapter_forward(x, t, RowLayout(t.shape, n_sites, seg, d_h), 1)
-        b = adapter_forward(x, u, RowLayout(u.shape, n_sites, seg, d_h), 0)
+        a = adapter_forward(x, t, seg, 1, n_sites)
+        b = adapter_forward(x, u, seg, 0, n_sites)
         return ad.add(ad.mse_loss(a, target, seg), ad.mse_loss(b, target, seg))
 
     report = ad.grad_check(fn, [h, generated, shared])
@@ -188,7 +186,7 @@ def _exact(rng, shape, scale):
 @pytest.mark.parametrize("speakers", [[0, 1, 2], None, [0, 1, 0], [0]],
                          ids=["distinct", "shared", "repeated", "one"])
 def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
-    # one RowLayout serves every site of a module: at each site, values and
+    # at each site of a module, over one pack's segments, values and
     # both gradients equal, bit for bit, the op-by-op adapter run on each
     # segment alone with its own row. The table is generated-style (row
     # b n_sites + s for segment b; speakers [0, 1, 0] give two segments
@@ -205,7 +203,6 @@ def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
         table = Tensor(per_speaker[speakers].reshape(-1, n_flat), requires_grad=True)
     h = Tensor(_exact(rng, (seg.total, d_h), 2), requires_grad=True)
     probe = _exact(rng, (seg.total, d_h), 2)
-    layout = RowLayout(table.shape, n_sites, seg, d_h)
 
     def grads(build):
         h.grad = table.grad = None
@@ -221,7 +218,7 @@ def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
 
     for site in range(n_sites):
         rows = [site if speakers is None else b * n_sites + site for b in range(len(seg))]
-        fused = grads(lambda: adapter_forward(h, table, layout, site))
+        fused = grads(lambda: adapter_forward(h, table, seg, site, n_sites))
         ref = grads(lambda: per_segment(rows))
         assert fused[0].any() and fused[2][rows].any()
         for got, want in zip(fused, ref):
@@ -230,22 +227,22 @@ def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
 
 
 def test_adapter_forward_rejects_bad_rows():
-    # a layout takes a table of n_sites rows (shared) or n_sites rows per
+    # a site takes a table of n_sites rows (shared) or n_sites rows per
     # segment (generated), and a site below n_sites
     table = static_table(0, d_h=8, d_r=2, n_sites=2)
     h = Tensor(np.zeros((5, 8), dtype=np.float32))
     seg = ad.Segments([2, 3])
     for n_sites in (3, 4):
         with pytest.raises(ShapeError):
-            RowLayout(table.shape, n_sites, seg, 8)
-    layout = RowLayout(table.shape, 2, seg, 8)
+            adapter_forward(h, table, seg, 0, n_sites)
     for site in (2, -1, 0.5, [0, 1], None):
         with pytest.raises(InputError):
-            adapter_forward(h, table, layout, site)
+            adapter_forward(h, table, seg, site, 2)
     with pytest.raises(ShapeError):  # segments covering other rows than h
-        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)), table, layout, 0)
-    with pytest.raises(ShapeError):  # another table than the layout's
-        adapter_forward(h, static_table(0, d_h=8, d_r=2, n_sites=4), layout, 0)
+        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)), table, seg, 0, 2)
+    with pytest.raises(ShapeError):  # 4 rows: neither 2 shared sites nor 2 sites of 3 segments
+        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)),
+                        static_table(0, d_h=8, d_r=2, n_sites=4), ad.Segments([2, 3, 1]), 0, 2)
 
 
 def test_site_adapters_read_speaker_major_rows():
@@ -268,13 +265,14 @@ def test_site_adapters_read_speaker_major_rows():
         seg = ad.Segments(lengths)
         h = Tensor(_exact(rng, (seg.total, d_h), 2))
         generated = Tensor(per_speaker[speakers].reshape(-1, n_flat))
-        for site, hook in enumerate(site_adapters(generated, n_sites, seg, d_h)):
+        for site, hook in enumerate(site_adapters(generated, n_sites, seg)):
             np.testing.assert_array_equal(
                 hook(h).data, alone(h, generated, seg, lambda b: [b * n_sites + site]))
-        for site, hook in enumerate(site_adapters(shared, n_sites, seg, d_h)):
+        for site, hook in enumerate(site_adapters(shared, n_sites, seg)):
             np.testing.assert_array_equal(hook(h).data, alone(h, shared, seg, lambda b: [site]))
+    hooks = site_adapters(_random_table(54, 4, d_h, d_r), n_sites, ad.Segments([2, 3]))
     with pytest.raises(ShapeError):
-        site_adapters(_random_table(54, 4, d_h, d_r), n_sites, ad.Segments([2, 3]), d_h)
+        hooks[0](Tensor(_exact(rng, (5, d_h), 2)))
 
 
 # -----------------------------------------------------------------------------

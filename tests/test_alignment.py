@@ -6,7 +6,7 @@ import pytest
 from hyperadapt import alignment
 from hyperadapt import autodiff as ad
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import InfeasibleAlignmentError, InputError, StateError
+from hyperadapt.errors import InfeasibleAlignmentError, InputError
 from hyperadapt.layers import rng_for
 
 from oracles import (best_path_durations, enumerate_paths_logsumexp, log_softmax, one,
@@ -19,10 +19,10 @@ def amap_from_logits(logits):
     return whole_map(Tensor(log_softmax(logits[None], axis=1)))
 
 
-def whole_map(log_probs, hard_path=None):
+def whole_map(log_probs):
     """An AlignmentMap whose maps each span the whole (n, m) grid."""
     b, n, m = log_probs.shape
-    return alignment.AlignmentMap(log_probs, [n] * b, [m] * b, hard_path)
+    return alignment.AlignmentMap(log_probs, ad.Segments([n] * b), ad.Segments([m] * b))
 
 
 def align_one(text, mel):
@@ -82,8 +82,8 @@ class TestSoftAlign:
         text_seg, mel_seg = ad.Segments([2, 3]), ad.Segments([5, 4])
         amap = alignment.soft_align(Tensor(text), Tensor(mel), text_seg, mel_seg)
         assert amap.log_probs.shape == (2, 3, 5)
-        np.testing.assert_array_equal(amap.n_len, [2, 3])
-        np.testing.assert_array_equal(amap.m_len, [5, 4])
+        np.testing.assert_array_equal(amap.text_seg.lengths, [2, 3])
+        np.testing.assert_array_equal(amap.mel_seg.lengths, [5, 4])
         for b, (t, m) in enumerate(((slice(0, 2), slice(0, 5)), (slice(2, 5), slice(5, 9)))):
             alone = align_one(Tensor(text[t]), Tensor(mel[m])).log_probs.data[0]
             n_b, m_b = alone.shape
@@ -100,8 +100,9 @@ class TestSoftAlign:
 
         def fn(t, m):
             amap = alignment.soft_align(t, m, text_seg, mel_seg)
-            alignment.viterbi_durations(amap)
-            return ad.add(alignment.forward_sum_loss(amap), alignment.binarization_loss(amap))
+            durations = alignment.viterbi_durations(amap)
+            return ad.add(alignment.forward_sum_loss(amap),
+                          alignment.binarization_loss(amap, durations))
 
         report = ad.grad_check(fn, [text, mel])
         assert report.passed, repr(report)
@@ -191,8 +192,7 @@ class TestViterbiDurations:
 
     def test_records_monotonic_hard_path(self):
         amap = amap_from_logits(np.random.default_rng(6).standard_normal((4, 9)))
-        alignment.viterbi_durations(amap)
-        path = amap.hard_path
+        path = np.repeat(np.arange(4), alignment.viterbi_durations(amap))
         assert path[0] == 0 and path[-1] == 3
         assert set(np.diff(path)) <= {0, 1}
 
@@ -207,26 +207,33 @@ class TestBinarizationLoss:
         logits = np.full((3, 5), -1e9)
         logits[path, np.arange(5)] = 0.0
         amap = amap_from_logits(logits)
-        amap.hard_path = path
-        assert alignment.binarization_loss(amap).item() == pytest.approx(0.0, abs=1e-9)
+        durations = np.bincount(path)
+        assert alignment.binarization_loss(amap, durations).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_two_phonemes(self):
         m = 7
         amap = amap_from_logits(np.zeros((2, m)))
-        amap.hard_path = np.array([0, 0, 0, 1, 1, 1, 1])
-        assert alignment.binarization_loss(amap).item() == pytest.approx(m * np.log(2.0), abs=1e-9)
+        loss = alignment.binarization_loss(amap, np.array([3, 4]))  # path 0 0 0 1 1 1 1
+        assert loss.item() == pytest.approx(m * np.log(2.0), abs=1e-9)
 
-    def test_missing_path_is_state_error(self):
-        with pytest.raises(StateError):
-            alignment.binarization_loss(amap_from_logits(np.zeros((2, 4))))
+    # maps of 2 phonemes over 4 frames; the last case covers the pack's 8
+    # frames but gives its maps 3 and 5
+    @pytest.mark.parametrize("maps, durations", [(1, [1, 2]), (1, [2, 3]), (1, [5, -1]), (1, [4]),
+                                                 (1, [1, 1, 2]), (2, [1, 2, 3, 2])])
+    def test_durations_not_covering_the_frames_rejected(self, maps, durations):
+        amap = whole_map(Tensor(log_softmax(np.zeros((maps, 2, 4)), axis=1)))
+        with pytest.raises(InputError, match="do not cover"):
+            alignment.binarization_loss(amap, np.array(durations))
+        with pytest.raises(InputError, match="do not cover"):
+            alignment.hard_path_log_probs(amap, np.array(durations))
 
     def test_gradient_against_fd(self):
-        path = np.array([0, 1, 1, 2])
+        durations = np.array([1, 2, 1])  # path 0 1 1 2
         logits = np.random.default_rng(7).standard_normal((1, 3, 4))
         logp = Tensor(log_softmax(logits, axis=1), requires_grad=True)
 
         def fn(x):
-            return alignment.binarization_loss(whole_map(x, path))
+            return alignment.binarization_loss(whole_map(x), durations)
 
         report = ad.grad_check(fn, [logp])
         assert report.passed, repr(report)

@@ -9,6 +9,7 @@ from hyperadapt.corpus import Utterance
 from hyperadapt.errors import InputError, NumericsError
 from hyperadapt.metrics import (
     EvalReport,
+    _stat,
     align_to_reference,
     cos_metric,
     dct_basis,
@@ -28,7 +29,7 @@ MCD_UNIT = 10.0 / np.log(10.0) * np.sqrt(2.0)
 def test_cos_identical_pairs_score_100():
     rng = np.random.default_rng(0)
     embs = [rng.normal(size=8) for _ in range(5)]
-    stat = cos_metric(embs, [e.copy() for e in embs])
+    stat = _stat([cos_metric(e, e.copy()) for e in embs])
     assert stat.mean == pytest.approx(100.0, abs=1e-9)
     assert stat.stderr == pytest.approx(0.0, abs=1e-9)
     assert stat.n_used == 5 and stat.n_excluded == 0
@@ -37,36 +38,30 @@ def test_cos_identical_pairs_score_100():
 def test_cos_orthogonal_and_antiparallel():
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 1.0])
-    assert cos_metric([a], [b]).mean == pytest.approx(0.0, abs=1e-12)
-    assert cos_metric([a], [-a]).mean == pytest.approx(-100.0, abs=1e-9)
+    assert cos_metric(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert cos_metric(a, -a) == pytest.approx(-100.0, abs=1e-9)
 
 
 def test_cos_mean_and_stderr_closed_form():
     a = np.array([1.0, 0.0])
-    stat = cos_metric([a, a], [a, np.array([0.0, 1.0])])  # 100 and 0
+    stat = _stat([cos_metric(a, a), cos_metric(a, np.array([0.0, 1.0]))])  # 100 and 0
     assert stat.mean == pytest.approx(50.0)
     assert stat.stderr == pytest.approx(50.0)  # std([100,0], ddof=1)/sqrt(2)
+    assert stat.n_used == 2 and stat.n_excluded == 0
 
 
-def test_cos_excludes_zero_norm_with_warning():
+def test_cos_rejects_zero_norm():
     a = np.array([1.0, 0.0])
     z = np.zeros(2)
-    with pytest.warns(UserWarning, match="zero-norm"):
-        stat = cos_metric([a, z], [a, a])
-    assert stat.mean == pytest.approx(100.0, abs=1e-9)
-    assert stat.n_used == 1 and stat.n_excluded == 1
-
-    with pytest.warns(UserWarning):
-        with pytest.raises(InputError):
-            cos_metric([z], [a])
+    for synth, ref in ((z, a), (a, z), (z, z)):
+        with pytest.raises(InputError, match="zero-norm"):
+            cos_metric(synth, ref)
 
 
 def test_cos_input_validation():
     a = np.array([1.0, 0.0])
     with pytest.raises(InputError):
-        cos_metric([a, a], [a])
-    with pytest.raises(InputError):
-        cos_metric([a], [np.ones(3)])
+        cos_metric(a, np.ones(3))
     with pytest.raises(InputError):
         cos_metric([], [])
 

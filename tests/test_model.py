@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyperadapt import autodiff as ad
+from hyperadapt import metrics
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.errors import ConfigError, InputError, NumericsError, StateError
@@ -225,6 +226,26 @@ def test_synthesize_rejects_an_oversized_duration_before_expanding(monkeypatch):
     phonemes, _, _, _, spk = sample_inputs()
     with pytest.raises(NumericsError, match="above 1000 frames"):
         model.synthesize(phonemes, spk)
+
+
+@pytest.mark.parametrize("name, poison", [("energy", lambda m: m.variance.energy.head.b),
+                                          ("mel", lambda m: m.postnet.convs[-1].b)],
+                         ids=["energy", "mel"])
+def test_evaluate_names_a_non_finite_prediction(name, poison):
+    # a NaN energy is a numerical fault, not bad teacher input to the
+    # quantizer, and a NaN mel is not a NaN score: either one names the
+    # utterance and the prediction, with or without adapters
+    model = build_model()
+    dims = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
+    poison(model).data[:] = np.nan
+    utt = utterance(*sample_inputs(), utt_id="u7")
+    for hooks_for in (adapted.hooks_for, lambda spk: None):
+        def synth(u):
+            return model.synthesize(u.phonemes, u.embedding, hooks=hooks_for(u.embedding))
+
+        with pytest.raises(NumericsError, match=f"u7: synthesize: predicted {name} is non-finite"):
+            metrics.evaluate(synth, [utt], lambda mel: mel.mean(axis=0))
 
 
 def test_synthesize_rejects_wrong_speaker_dim():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -148,8 +149,7 @@ class _EchoModel:
         durations = frames.copy()  # one phoneme, every frame
         targets = [var_mod.pitch_targets(f0.astype(np.float64)) for f0 in self.f0s]
         amap = AlignmentMap(Tensor(np.zeros((len(frames), 1, frames.max()), dtype=np.float32)),
-                            np.ones(len(frames), dtype=np.int64), frames,
-                            hard_path=np.zeros(frames.sum(), dtype=np.int64))
+                            pack.phonemes_seg, pack.frames_seg)
         return {
             "mel_pre": Tensor(pack.mel),
             "mel_post": Tensor(pack.mel),
@@ -688,6 +688,45 @@ def test_adapted_checkpoint_reloads_with_hooks(adapted):
     hooks = loaded.hooks_for(emb)
     assert set(hooks) == {"e", "v"}
     assert hooks["e"].shape[0] == TRAIN_CFG.enc_layers and hooks["v"].shape[0] == 2
+
+
+def _rewrite_meta(src, dst, edit):
+    """A copy of checkpoint src at dst with edited metadata; every tensor
+    CRC stays valid, so only the metadata is wrong."""
+    meta, arrays = featio.read_checkpoint(src)
+    edit(meta)
+    featio.write_checkpoint(dst, meta, arrays)
+    return dst
+
+
+BAD_META = {  # case -> (metadata edit, the key the error names)
+    "no_model_config": (lambda m: m.pop("model_config"), "model_config"),
+    "string_d_h": (lambda m: m["model_config"].update(d_h="32"), "model_config.d_h"),
+    "strategy_without_dims": (lambda m: m.update(strategy="hyper_evd") or m.pop("adapter_dims"),
+                              "adapter_dims"),
+    "short_pitch_range": (lambda m: m.update(pitch_range=[1.0]), "pitch_range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_load_checkpoint_rejects_wrong_metadata(adapted, tmp_path, case):
+    # metadata that parses but lacks a key or holds a mistyped value is bad
+    # input naming the file and the key, not a KeyError, TypeError or
+    # IndexError from whatever reads it first
+    edit, key = BAD_META[case]
+    bad = _rewrite_meta(adapted[0], str(tmp_path / "bad.bin"), edit)
+    with pytest.raises(InputError, match=f"{re.escape(bad)}: checkpoint metadata: .*'{key}'"):
+        tr.load_checkpoint(bad)
+
+
+def test_evaluate_exits_2_on_checkpoint_without_model_config(adapted, corpus_manifest,
+                                                              tmp_path, capsys):
+    bad = _rewrite_meta(adapted[0], str(tmp_path / "bad.bin"), BAD_META["no_model_config"][0])
+    argv = ["evaluate", "--manifest", corpus_manifest, "--checkpoint", bad,
+            "--out-dir", str(tmp_path / "runs")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"InputError: {bad}: checkpoint metadata: key 'model_config' expects dict, got None")
 
 
 def test_loaded_checkpoint_hooks_for_a_pack_of_speakers(adapted):
