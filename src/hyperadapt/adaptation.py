@@ -3,8 +3,8 @@
 Four strategies: zero-shot (train nothing), full fine-tuning (train
 everything), static bottleneck adapters, and hypernetwork-generated adapters
 whose weights are produced fresh from the speaker embedding on every forward
-pass. Adapters insert at fixed sites: one per encoder block (4), one per
-decoder block (6), and one after each of the pitch and energy conv stacks (2).
+pass. Adapters insert at fixed sites: one per encoder block, one per decoder
+block, and one after each of the pitch and energy conv stacks.
 
 Bottleneck adapters compute h + ReLU(h W_d + b_d) W_u + b_u. Up-projections
 start at zero, so a freshly attached adapter is the identity and training
@@ -37,7 +37,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, InputError, ShapeError
 from .layers import Dense, Module, rng_for, xavier_uniform
 
-SITE_COUNTS = {"e": 4, "v": 2, "d": 6}
 MODULE_ORDER = ("e", "v", "d")
 STRATEGY_NAMES = ("tts0", "ft", "adapter", "hyper")
 
@@ -219,7 +218,7 @@ class StrategyConfig:
         else:
             if not sites:
                 raise ConfigError(f"strategy {self.name} needs at least one site of e/v/d")
-            bad = [s for s in sites if s not in SITE_COUNTS]
+            bad = [s for s in sites if s not in MODULE_ORDER]
             if bad:
                 raise ConfigError(f"unknown adapter sites {bad}")
             if len(set(sites)) != len(sites):
@@ -258,9 +257,9 @@ def hyper_param_count(dims, n_sites):
     return speaker_proj + layer_embed + source_proj + sampler_down + sampler_up
 
 
-def count_trainable_params(config, backbone_param_count=None, site_counts=None):
-    """Exact trainable-parameter total for a strategy."""
-    counts = site_counts if site_counts is not None else SITE_COUNTS
+def count_trainable_params(config, site_counts, backbone_param_count=None):
+    """Exact trainable-parameter total for a strategy over a backbone whose
+    modules hold `site_counts` adapter sites (`TTSModel.site_counts()`)."""
     if config.name == "tts0":
         return 0
     if config.name == "ft":
@@ -268,8 +267,8 @@ def count_trainable_params(config, backbone_param_count=None, site_counts=None):
             raise ConfigError("full fine-tuning count requires the backbone parameter count")
         return int(backbone_param_count)
     if config.name == "adapter":
-        return sum(counts[s] * adapter_param_count(config.dims) for s in config.sites)
-    return sum(hyper_param_count(config.dims, counts[s]) for s in config.sites)
+        return sum(site_counts[s] * adapter_param_count(config.dims) for s in config.sites)
+    return sum(hyper_param_count(config.dims, site_counts[s]) for s in config.sites)
 
 
 class _Bank(Module):

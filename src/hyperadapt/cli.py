@@ -25,7 +25,6 @@ from . import training as tr
 from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
 from .corpus import CorpusSpec, synthetic_embedding
 from .errors import ConfigError, HyperadaptError, InputError, StateError, checked, merge_checked
-from .features import FeatureConfig, mel_to_waveform, write_wav
 from .model import ModelConfig, TTSModel
 from .training import ScheduleConfig, adaptation_schedule
 
@@ -45,10 +44,9 @@ def default_config():
         "adapt": {"strategy": "hyper_evd", "steps": 3000, "lr": 1e-4, "batch_size": 8},
         "dims": dataclasses.asdict(AdapterDims()),
         "paths": {"manifest": "", "checkpoint": ""},
-        "synthesize": {"utt": "", "speaker": "", "phonemes": "", "wav": False,
-                       "wav_iters": 30},
-        "evaluate": {"split": "val", "speakers": "adapt", "coeffs": 13},
-        "dump": {"jitters": 0, "jitter_scale": 0.02},
+        "synthesize": {"utt": "", "speaker": "", "phonemes": ""},
+        "evaluate": {"split": "val", "speakers": "adapt"},
+        "dump": {"jitters": 0},
         "gradcheck": {"instances": 5, "threshold": 1e-4, "networks": ""},
     }
 
@@ -172,7 +170,7 @@ def _cmd_gen_corpus(cfg):
 
 def _cmd_pretrain(cfg):
     manifest = _require_path(cfg, "manifest", "--manifest")
-    model_config = ModelConfig.from_dict(cfg["model"])
+    model_config = ModelConfig(**cfg["model"])
     sched = ScheduleConfig(**cfg["schedule"])
     run_dir = prepare_run_dir(cfg, "pretrain")
     ckpt = tr.pretrain(manifest, model_config, sched, run_dir, cfg["seed"])
@@ -231,14 +229,6 @@ def _cmd_synthesize(cfg):
     featio.write_array(os.path.join(run_dir, f"{tag}.dur.bin"),
                        info["durations"].astype(np.int64))
     print(os.path.join(run_dir, f"{tag}.mel.bin"))
-
-    if cfg["synthesize"]["wav"]:
-        fc = FeatureConfig(n_mels=loaded.model.config.n_mels)
-        wave = mel_to_waveform(mel.astype(np.float64), fc,
-                               n_iter=cfg["synthesize"]["wav_iters"])
-        wav_path = os.path.join(run_dir, f"{tag}.griffinlim.wav")
-        write_wav(wav_path, wave, fc.sample_rate)
-        print(f"{wav_path}  (iterative phase reconstruction, not a vocoder)")
     return 0
 
 
@@ -285,7 +275,6 @@ def _cmd_evaluate(cfg):
         synth, utts, lambda mel: synthetic_embedding(mel, d_spk),
         trainable_params=_trainable_for_checkpoint(loaded),
         backbone_params=model.param_count(),
-        n_coeffs=section["coeffs"],
     )
     path = report.write(run_dir)
     print(path)
@@ -298,13 +287,21 @@ def _cmd_evaluate(cfg):
 
 def _cmd_params(cfg):
     strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], AdapterDims(**cfg["dims"]))
-    print(_trainable_count(strategy, TTSModel(ModelConfig.from_dict(cfg["model"]), seed=0)))
+    print(_trainable_count(strategy, TTSModel(ModelConfig(**cfg["model"]), seed=0)))
     return 0
+
+
+# Size of each dumped embedding's jitter: the corpus perturbs its embeddings
+# by CorpusSpec.jitter (0.02), so the dumped variants spread as its own do.
+_DUMP_JITTER = 0.02
 
 
 def _cmd_dump_hyper_params(cfg):
     manifest = _require_path(cfg, "manifest", "--manifest")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
+    n_jitters = cfg["dump"]["jitters"]
+    if n_jitters < 0:
+        raise ConfigError(f"dump.jitters must be at least 0, got {n_jitters}")
     run_dir = prepare_run_dir(cfg, "dump-hyper-params")
     loaded = tr.load_checkpoint(checkpoint)
     if loaded.adapted is None or loaded.adapted.strategy.name != "hyper":
@@ -314,7 +311,6 @@ def _cmd_dump_hyper_params(cfg):
         )
     adapted = loaded.adapted
     d_spk = loaded.model.config.d_spk
-    section = cfg["dump"]
 
     entries = featio.read_manifest(manifest)
     speakers = sorted({e.speaker for e in entries if corpus_mod.is_adaptation_speaker(e.speaker)})
@@ -326,9 +322,8 @@ def _cmd_dump_hyper_params(cfg):
     for speaker in speakers:
         utts = _speaker_train_utterances(entries, base, speaker)
         variants = [("centroid", _speaker_centroid(utts))]
-        for k in range(section["jitters"]):
-            emb = synthetic_embedding(utts[0].mel, d_spk,
-                                      jitter=section["jitter_scale"],
+        for k in range(n_jitters):
+            emb = synthetic_embedding(utts[0].mel, d_spk, jitter=_DUMP_JITTER,
                                       stream=("dump", speaker, k))
             variants.append((f"jitter{k}", emb.astype(np.float32)))
         for variant, emb in variants:
@@ -340,7 +335,7 @@ def _cmd_dump_hyper_params(cfg):
         "strategy": adapted.strategy.label(),
         "adapter_dims": dataclasses.asdict(adapted.strategy.dims),
         "speakers": speakers,
-        "variants_per_speaker": 1 + section["jitters"],
+        "variants_per_speaker": 1 + n_jitters,
     }
     out = os.path.join(run_dir, "generated_params.bin")
     featio.write_checkpoint(out, meta, arrays)
@@ -352,6 +347,8 @@ def _cmd_dump_hyper_params(cfg):
 
 def _cmd_grad_check(cfg):
     section = cfg["gradcheck"]
+    if section["threshold"] <= 0:
+        raise ConfigError(f"gradcheck.threshold must be positive, got {section['threshold']}")
     names = [n for n in section["networks"].split(",") if n] or None
     results = gradcheck.run_suite(instances=section["instances"],
                                   threshold=section["threshold"], names=names)
@@ -386,9 +383,6 @@ _FLAGS = {
     "--utt": ("synthesize.utt", {"help": "synthesize this manifest utterance"}),
     "--speaker": ("synthesize.speaker", {"help": "speaker for --phonemes mode"}),
     "--phonemes": ("synthesize.phonemes", {"help": "comma-separated phoneme ids"}),
-    "--wav": ("synthesize.wav", {
-        "action": "store_true",
-        "help": "also write a crude phase-reconstruction wav (not a vocoder)"}),
     "--split": ("evaluate.split", {"choices": ("train", "val", "all"),
                                    "help": "which split to score"}),
     "--speakers": ("evaluate.speakers", {"choices": sorted(_SPEAKER_GROUPS),
@@ -407,9 +401,8 @@ _VERBS = {
     "pretrain": (_cmd_pretrain, "train the multi-speaker backbone", ("--manifest",)),
     "adapt": (_cmd_adapt, "adapt a pretrained checkpoint to new speakers",
               ("--manifest", "--checkpoint", "--strategy", "--steps")),
-    "synthesize": (_cmd_synthesize, "synthesize mel features (optional wav preview)",
-                   ("--manifest", "--checkpoint", "--utt", "--speaker", "--phonemes",
-                    "--wav")),
+    "synthesize": (_cmd_synthesize, "synthesize mel features",
+                   ("--manifest", "--checkpoint", "--utt", "--speaker", "--phonemes")),
     "evaluate": (_cmd_evaluate, "score a checkpoint against reference features",
                  ("--manifest", "--checkpoint", "--split", "--speakers")),
     "params": (_cmd_params, "print the trainable parameter count of a strategy",

@@ -109,7 +109,7 @@ def dct_basis(n):
     return basis
 
 
-def mcd_metric(pred_mel, ref_mel, n_coeffs=MCD_COEFFS):
+def mcd_metric(pred_mel, ref_mel):
     """Mean cepstral distance in dB over DTW-paired frames.
 
     Cepstra are the orthonormal DCT of each log-mel frame; coefficient 0 is
@@ -126,7 +126,7 @@ def mcd_metric(pred_mel, ref_mel, n_coeffs=MCD_COEFFS):
         raise InputError(f"mcd_metric: mel widths {pred.shape[1]} vs {ref.shape[1]}")
     if pred.shape[1] < 2:
         raise InputError("mcd_metric: need at least 2 mel bins for cepstra")
-    k = min(n_coeffs, pred.shape[1] - 1)
+    k = min(MCD_COEFFS, pred.shape[1] - 1)
     rows = dct_basis(pred.shape[1])[1 : k + 1].T
     cp, cr = pred @ rows, ref @ rows
 
@@ -214,7 +214,7 @@ class EvalReport:
 
 
 def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
-             backbone_params=0, n_coeffs=MCD_COEFFS):
+             backbone_params=0):
     """Synthesize every utterance and score it against its reference features.
 
     `synthesize_fn(utt) -> (mel, info)` must provide info["f0"]; `embedder`
@@ -234,7 +234,7 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
             cos = cos_metric(embedder(mel), embedder(utt.mel))
             pred_f0 = align_to_reference(np.asarray(info["f0"]), utt.f0.shape[0])
             ffe = ffe_metric(pred_f0, utt.f0)
-            mcd = mcd_metric(mel, utt.mel, n_coeffs=n_coeffs)
+            mcd = mcd_metric(mel, utt.mel)
         except InputError as e:  # recorded per row, excluded from aggregates
             rows.append(EvalRow(utt.utt_id, utt.speaker,
                                 error=f"{type(e).__name__}: {e}"))

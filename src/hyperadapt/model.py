@@ -54,14 +54,6 @@ class ModelConfig:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys {sorted(unknown)}")
-        return cls(**data)
-
 
 class Pack:
     """B utterances (`corpus.Utterance`s) stacked along time for one

@@ -391,7 +391,7 @@ def _read_meta(meta):
         merge_checked(defaults, checked(key, {}, meta.get(key)), f"{key}.")
         return defaults
 
-    config = ModelConfig.from_dict(section("model_config", asdict(ModelConfig())))
+    config = ModelConfig(**section("model_config", asdict(ModelConfig())))
     for key in ("step", "adam_t"):
         checked(key, 0, meta.get(key))
     ranges = []

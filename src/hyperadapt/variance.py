@@ -12,7 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError, NumericsError, StateError
-from .features import quantize
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
 N_SCALES = 10
@@ -199,6 +198,17 @@ class EnergyPredictor(Module):
     def __call__(self, h, ctx, seg, adapter):
         out = self.head(self.stack(h, ctx, seg, adapter))
         return ad.reshape(out, (h.shape[0],))
+
+
+def quantize(value, vmin, vmax, n_bins=256):
+    """Bin index in [0, n_bins): floor of the linear position inside [vmin, vmax]."""
+    if vmax <= vmin:
+        raise InputError(f"quantize: empty range [{vmin}, {vmax}]")
+    value = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(value).all():
+        raise InputError("quantize: non-finite value")
+    idx = np.floor(n_bins * (value - vmin) / (vmax - vmin))
+    return np.clip(idx, 0, n_bins - 1).astype(np.int64)
 
 
 class VarianceAdapter(Module):

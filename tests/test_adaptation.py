@@ -25,6 +25,7 @@ from oracles import (adapter_reference, concat, generate_reference, narrow, one,
                      table_row_reference, utterance, weighted_sum)
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
+PUBLISHED_SITES = {"e": 4, "v": 2, "d": 6}  # the paper's backbone: 4 encoder, 6 decoder blocks
 
 SMALL = AdapterDims(d_h=32, d_r=4, d_1=24, d_2=8, d_l=6, d_s=3)
 
@@ -524,7 +525,7 @@ def test_single_adapter_count():
 ])
 def test_strategy_counts_at_reference_dims(label, expected):
     cfg = StrategyConfig.parse(label, PUBLISHED)
-    assert count_trainable_params(cfg) == expected
+    assert count_trainable_params(cfg, PUBLISHED_SITES) == expected
 
 
 @pytest.mark.parametrize("d_s,expected_d,expected_e,expected_evd", [
@@ -535,9 +536,9 @@ def test_strategy_counts_at_reference_dims(label, expected):
 ])
 def test_hyper_counts_scale_with_source_dim(d_s, expected_d, expected_e, expected_evd):
     dims = AdapterDims(d_s=d_s)
-    assert count_trainable_params(StrategyConfig.parse("hyper_d", dims)) == expected_d
-    assert count_trainable_params(StrategyConfig.parse("hyper_e", dims)) == expected_e
-    assert count_trainable_params(StrategyConfig.parse("hyper_evd", dims)) == expected_evd
+    for label, expected in (("hyper_d", expected_d), ("hyper_e", expected_e),
+                            ("hyper_evd", expected_evd)):
+        assert count_trainable_params(StrategyConfig.parse(label, dims), PUBLISHED_SITES) == expected
 
 
 def test_counts_match_live_modules():
@@ -549,10 +550,11 @@ def test_counts_match_live_modules():
 
 
 def test_ft_count_requires_backbone_total():
-    assert count_trainable_params(StrategyConfig.parse("tts0")) == 0
-    assert count_trainable_params(StrategyConfig.parse("ft"), backbone_param_count=123) == 123
+    assert count_trainable_params(StrategyConfig.parse("tts0"), PUBLISHED_SITES) == 0
+    assert count_trainable_params(StrategyConfig.parse("ft"), PUBLISHED_SITES,
+                                  backbone_param_count=123) == 123
     with pytest.raises(ConfigError):
-        count_trainable_params(StrategyConfig.parse("ft"))
+        count_trainable_params(StrategyConfig.parse("ft"), PUBLISHED_SITES)
 
 
 # -----------------------------------------------------------------------------

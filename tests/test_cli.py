@@ -133,17 +133,37 @@ def test_set_overrides_and_bad_override():
     ("adapt", "dims.d_r=0", "dims.d_r"),
     ("pretrain", "model.enc_layers=-1", "model.enc_layers"),
     ("pretrain", None, "model.d_h"),  # {"d_h": "32"} in the config file
+    ("dump-hyper-params", "dump.jitters=-2", "dump.jitters"),
+    ("grad-check", "gradcheck.threshold=0", "gradcheck.threshold"),
+    ("grad-check", "gradcheck.threshold=-1", "gradcheck.threshold"),
 ])
 def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, setting, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({} if setting else {"model": {"d_h": "32"}}))
     out = tmp_path / "runs"
     # any existing file passes the path checks that come before the config's
-    paths = ["--manifest", str(cfg)] + (["--checkpoint", str(cfg)] if verb == "adapt" else [])
+    flags = {"pretrain": ["--manifest"], "adapt": ["--manifest", "--checkpoint"],
+             "dump-hyper-params": ["--manifest", "--checkpoint"], "grad-check": []}[verb]
+    paths = [arg for flag in flags for arg in (flag, str(cfg))]
     code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *paths,
                            *(["--set", setting] if setting else []))
     assert code == 2
     assert err.startswith("ConfigError") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("synthesize", ["--wav"]),
+    ("synthesize", ["--set", "synthesize.wav=true"]),
+    ("evaluate", ["--set", "evaluate.coeffs=0"]),
+    ("dump-hyper-params", ["--set", "dump.jitter_scale=0.1"]),
+])
+def test_removed_flag_and_keys_exit_2(tmp_path, verb, args):
+    # the waveform preview and the MCD-width and jitter-size keys are gone
+    out = tmp_path / "runs"
+    code, _, err = run_cli(verb, "--out-dir", str(out), *args)
+    assert code == 2
+    assert args[-1].split("=")[0] in err
     assert not out.exists()
 
 
@@ -175,7 +195,7 @@ def test_params_ft_counts_tiny_backbone(workdir):
     assert code == 0
     from hyperadapt.model import ModelConfig, TTSModel
 
-    model = TTSModel(ModelConfig.from_dict(TINY["model"]), seed=0)
+    model = TTSModel(ModelConfig(**TINY["model"]), seed=0)
     expected = sum(p.data.size for _, p in model.named_parameters())
     assert int(stdout) == expected
 
@@ -257,22 +277,18 @@ def test_adapt_strategy_flag_changes_run_dir(pipeline):
     assert open(tts0_out, "rb").read() == open(pipeline["checkpoint"], "rb").read()
 
 
-def test_synthesize_by_utterance_with_wav(pipeline):
+def test_synthesize_by_utterance(pipeline):
     entries = featio.read_manifest(pipeline["manifest"])
     utt = entries[0].utt_id
     code, stdout, _ = run_cli("synthesize", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"],
                               "--manifest", pipeline["manifest"],
                               "--checkpoint", pipeline["adapted"],
-                              "--utt", utt, "--wav")
+                              "--utt", utt)
     assert code == 0
-    lines = stdout.strip().splitlines()
-    mel_path = lines[0]
+    mel_path = stdout.strip()
     mel = featio.read_array(mel_path)
     assert mel.ndim == 2 and mel.shape[1] == TINY["model"]["n_mels"]
-    assert "not a vocoder" in lines[1]
-    wav_path = lines[1].split()[0]
-    assert wav_path.endswith(".wav") and os.path.getsize(wav_path) > 44
     run_dir = os.path.dirname(mel_path)
     for suffix in (".f0.bin", ".energy.bin", ".dur.bin"):
         assert os.path.exists(os.path.join(run_dir, utt + suffix))
@@ -381,7 +397,7 @@ def test_every_verb_help_lists_flags():
                   "--strategy": "adapt.strategy", "--steps": "adapt.steps"},
         "synthesize": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
                        "--utt": "synthesize.utt", "--speaker": "synthesize.speaker",
-                       "--phonemes": "synthesize.phonemes", "--wav": "synthesize.wav"},
+                       "--phonemes": "synthesize.phonemes"},
         "evaluate": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
                      "--split": "evaluate.split", "--speakers": "evaluate.speakers"},
         "params": {"--strategy": "adapt.strategy"},

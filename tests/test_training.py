@@ -225,7 +225,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     monkeypatch.setattr(ad, "DEFAULT_DTYPE", np.float64)
     ck, _ = pretrained
     meta, arrays = featio.read_checkpoint(ck)
-    model = TTSModel(ModelConfig.from_dict(meta["model_config"]), seed=0)
+    model = TTSModel(ModelConfig(**meta["model_config"]), seed=0)
     model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("opt.")})
     model.set_ranges(meta["pitch_range"], meta["energy_range"])
     for _, p in model.named_parameters():
@@ -702,6 +702,8 @@ def _rewrite_meta(src, dst, edit):
 BAD_META = {  # case -> (metadata edit, the key the error names)
     "no_model_config": (lambda m: m.pop("model_config"), "model_config"),
     "string_d_h": (lambda m: m["model_config"].update(d_h="32"), "model_config.d_h"),
+    "unknown_model_key": (lambda m: m["model_config"].update(hidden_layers=3),
+                          "model_config.hidden_layers"),
     "strategy_without_dims": (lambda m: m.update(strategy="hyper_evd") or m.pop("adapter_dims"),
                               "adapter_dims"),
     "short_pitch_range": (lambda m: m.update(pitch_range=[1.0]), "pitch_range"),

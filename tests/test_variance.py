@@ -1,5 +1,5 @@
 """Variance modeling: contour normalization, wavelet roundtrip, length
-regulation, and the three predictors."""
+regulation, the variance-bin quantizer, and the three predictors."""
 
 import numpy as np
 import pytest
@@ -168,6 +168,35 @@ class TestDurationRounding:
     def test_cap_itself_is_accepted(self):
         cap = variance.MAX_FRAMES_PER_PHONEME
         assert variance.durations_from_log(np.array([np.log(cap)]))[0] == cap
+
+
+class TestQuantize:
+    def test_endpoints(self):
+        assert variance.quantize(0.0, 0.0, 1.0) == 0
+        assert variance.quantize(1.0, 0.0, 1.0) == 255
+
+    def test_midpoint_example(self):
+        assert variance.quantize(128.5, 0.0, 256.0) == 128
+
+    def test_out_of_range_clamps(self):
+        assert variance.quantize(-5.0, 0.0, 1.0) == 0
+        assert variance.quantize(7.0, 0.0, 1.0) == 255
+
+    def test_roundtrip_within_bin_width(self):
+        rng = np.random.default_rng(0)
+        vmin, vmax = -2.0, 5.0
+        width = (vmax - vmin) / 256
+        vals = rng.uniform(vmin, vmax, size=200)
+        centres = vmin + (variance.quantize(vals, vmin, vmax) + 0.5) * width
+        assert np.abs(centres - vals).max() <= width / 2 + 1e-12
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InputError):
+            variance.quantize(np.nan, 0.0, 1.0)
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(InputError):
+            variance.quantize(0.5, 1.0, 1.0)
 
 
 class TestPredictors:
