@@ -137,12 +137,12 @@ def _require_path(cfg, key, flag):
     return value
 
 
-def _speaker_train_utterances(entries, base, speaker):
-    picked = corpus_mod.filter_entries([e for e in entries if e.speaker == speaker],
+def _speaker_train_utterances(utts, speaker):
+    picked = corpus_mod.filter_entries([u for u in utts if u.speaker == speaker],
                                        split="train")
     if not picked:
         raise InputError(f"speaker '{speaker}' has no train utterances")
-    return [corpus_mod.load_utterance(e, base) for e in picked]
+    return picked
 
 
 def _speaker_centroid(utterances):
@@ -194,14 +194,12 @@ def _cmd_adapt(cfg):
 
 def _resolve_synthesis_inputs(cfg, manifest):
     section = cfg["synthesize"]
-    entries = featio.read_manifest(manifest)
-    base = featio.manifest_dir(manifest)
+    utts = corpus_mod.load_corpus(manifest)
     if section["utt"]:
-        matches = [e for e in entries if e.utt_id == section["utt"]]
+        matches = [u for u in utts if u.utt_id == section["utt"]]
         if not matches:
             raise InputError(f"utterance '{section['utt']}' not in manifest")
-        utt = corpus_mod.load_utterance(matches[0], base)
-        return utt.phonemes, utt.embedding, utt.utt_id
+        return matches[0].phonemes, matches[0].embedding, matches[0].utt_id
     if section["phonemes"] and section["speaker"]:
         try:
             phonemes = np.array([int(t) for t in section["phonemes"].split(",")],
@@ -209,20 +207,20 @@ def _resolve_synthesis_inputs(cfg, manifest):
         except ValueError:
             raise InputError(f"phonemes must be comma-separated ids, got "
                              f"'{section['phonemes']}'") from None
-        utts = _speaker_train_utterances(entries, base, section["speaker"])
-        return phonemes, _speaker_centroid(utts), f"{section['speaker']}-custom"
+        speaker_utts = _speaker_train_utterances(utts, section["speaker"])
+        return phonemes, _speaker_centroid(speaker_utts), f"{section['speaker']}-custom"
     raise InputError("synthesize needs --utt, or both --phonemes and --speaker")
 
 
 def _cmd_synthesize(cfg):
     manifest = _require_path(cfg, "manifest", "--manifest")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
-    run_dir = prepare_run_dir(cfg, "synthesize")
     phonemes, embedding, tag = _resolve_synthesis_inputs(cfg, manifest)
     loaded = tr.load_checkpoint(checkpoint)
     hooks = loaded.hooks_for(embedding)
     mel, info = loaded.model.synthesize(phonemes, embedding, hooks=hooks)
 
+    run_dir = prepare_run_dir(cfg, "synthesize")
     featio.write_array(os.path.join(run_dir, f"{tag}.mel.bin"), mel)
     featio.write_array(os.path.join(run_dir, f"{tag}.f0.bin"), info["f0"])
     featio.write_array(os.path.join(run_dir, f"{tag}.energy.bin"), info["energy"])
@@ -254,7 +252,6 @@ def _cmd_evaluate(cfg):
         raise InputError(f"evaluate.speakers must be one of {sorted(_SPEAKER_GROUPS)}")
     if section["split"] not in ("train", "val", "all"):
         raise InputError("evaluate.split must be train, val, or all")
-    run_dir = prepare_run_dir(cfg, "evaluate")
 
     split = None if section["split"] == "all" else section["split"]
     utts = corpus_mod.load_corpus(manifest,
@@ -276,7 +273,7 @@ def _cmd_evaluate(cfg):
         trainable_params=_trainable_for_checkpoint(loaded),
         backbone_params=model.param_count(),
     )
-    path = report.write(run_dir)
+    path = report.write(prepare_run_dir(cfg, "evaluate"))
     print(path)
     for line in report.to_text().splitlines():
         if line.startswith(("cos\t", "ffe\t", "mcd\t", "trainable_params\t",
@@ -302,7 +299,6 @@ def _cmd_dump_hyper_params(cfg):
     n_jitters = cfg["dump"]["jitters"]
     if n_jitters < 0:
         raise ConfigError(f"dump.jitters must be at least 0, got {n_jitters}")
-    run_dir = prepare_run_dir(cfg, "dump-hyper-params")
     loaded = tr.load_checkpoint(checkpoint)
     if loaded.adapted is None or loaded.adapted.strategy.name != "hyper":
         raise InputError(
@@ -312,18 +308,17 @@ def _cmd_dump_hyper_params(cfg):
     adapted = loaded.adapted
     d_spk = loaded.model.config.d_spk
 
-    entries = featio.read_manifest(manifest)
-    speakers = sorted({e.speaker for e in entries if corpus_mod.is_adaptation_speaker(e.speaker)})
+    utts = corpus_mod.load_corpus(manifest, adaptation=True)
+    speakers = sorted({u.speaker for u in utts})
     if not speakers:
         raise InputError("manifest has no adaptation speakers to dump")
-    base = featio.manifest_dir(manifest)
 
     arrays = {}
     for speaker in speakers:
-        utts = _speaker_train_utterances(entries, base, speaker)
-        variants = [("centroid", _speaker_centroid(utts))]
+        speaker_utts = _speaker_train_utterances(utts, speaker)
+        variants = [("centroid", _speaker_centroid(speaker_utts))]
         for k in range(n_jitters):
-            emb = synthetic_embedding(utts[0].mel, d_spk, jitter=_DUMP_JITTER,
+            emb = synthetic_embedding(speaker_utts[0].mel, d_spk, jitter=_DUMP_JITTER,
                                       stream=("dump", speaker, k))
             variants.append((f"jitter{k}", emb.astype(np.float32)))
         for variant, emb in variants:
@@ -337,7 +332,7 @@ def _cmd_dump_hyper_params(cfg):
         "speakers": speakers,
         "variants_per_speaker": 1 + n_jitters,
     }
-    out = os.path.join(run_dir, "generated_params.bin")
+    out = os.path.join(prepare_run_dir(cfg, "dump-hyper-params"), "generated_params.bin")
     featio.write_checkpoint(out, meta, arrays)
     print(out)
     print(f"{len(arrays)} generated weight vectors "

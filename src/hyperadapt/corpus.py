@@ -244,8 +244,14 @@ def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
 # -----------------------------------------------------------------------------
 
 
+FEATURES_FILE = "features.bin"  # beside the manifest
+FEATURE_FIELDS = ("phonemes", "mel", "f0", "energy", "embedding")
+
+
 def generate_corpus(spec, seed, out_dir):
-    """Write the full corpus under out_dir; returns the manifest path.
+    """Write the corpus under out_dir: manifest.jsonl, corpus.json, and
+    features.bin, a checkpoint-format file holding every utterance's arrays
+    as tensors `<utt_id>.<field>`. Returns the manifest path.
 
     Deterministic: same (spec, seed) produces byte-identical trees.
     """
@@ -254,10 +260,9 @@ def generate_corpus(spec, seed, out_dir):
     latents = speaker_latents(spec, seed)
     n_val = max(1, int(round(spec.utts_per_speaker * spec.val_fraction)))
     entries = []
+    tensors = {}
     for sid in sorted(latents):
         latent = latents[sid]
-        spk_dir = os.path.join(out_dir, sid)
-        os.makedirs(spk_dir, exist_ok=True)
         for u in range(spec.utts_per_speaker):
             utt_id = f"{sid}_u{u:03d}"
             rng_text = rng_for(seed, "text", sid, u)
@@ -267,24 +272,11 @@ def generate_corpus(spec, seed, out_dir):
                 spec, tables, latent, phonemes, rng_for(seed, "texture", utt_id)
             )
             emb = synthetic_embedding(mel, spec.d_spk, spec.jitter, stream=(utt_id,))
-            rel = {
-                "phonemes": f"{sid}/{utt_id}.phon",
-                "mel": f"{sid}/{utt_id}.mel.bin",
-                "f0": f"{sid}/{utt_id}.f0.bin",
-                "energy": f"{sid}/{utt_id}.energy.bin",
-                "embedding": f"{sid}/{utt_id}.emb.bin",
-            }
-            featio.write_phonemes(os.path.join(out_dir, rel["phonemes"]), phonemes)
-            featio.write_array(os.path.join(out_dir, rel["mel"]), mel)
-            featio.write_array(os.path.join(out_dir, rel["f0"]), f0)
-            featio.write_array(os.path.join(out_dir, rel["energy"]), energy)
-            featio.write_array(os.path.join(out_dir, rel["embedding"]), emb)
+            for field, arr in zip(FEATURE_FIELDS, (phonemes, mel, f0, energy, emb)):
+                tensors[f"{utt_id}.{field}"] = arr
             entries.append(featio.ManifestEntry(
-                utt_id=utt_id,
-                speaker=sid,
-                split="val" if u < n_val else "train",
-                **rel,
-            ))
+                utt_id=utt_id, speaker=sid, split="val" if u < n_val else "train"))
+    featio.write_checkpoint(os.path.join(out_dir, FEATURES_FILE), {}, tensors)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     featio.write_manifest(manifest_path, entries)
     spec_path = os.path.join(out_dir, "corpus.json")
@@ -301,6 +293,8 @@ def is_adaptation_speaker(speaker):
 
 
 def filter_entries(entries, *, adaptation=None, split=None):
+    """The manifest entries (or utterances) of one speaker group and split,
+    in their order; None keeps every group or split."""
     out = entries
     if adaptation is not None:
         out = [e for e in out if is_adaptation_speaker(e.speaker) == adaptation]
@@ -309,26 +303,22 @@ def filter_entries(entries, *, adaptation=None, split=None):
     return out
 
 
-def load_utterance(entry, base_dir):
-    """Read every feature file an entry references."""
-    def path(rel):
-        return os.path.join(base_dir, rel)
-
-    return Utterance(
-        utt_id=entry.utt_id,
-        speaker=entry.speaker,
-        split=entry.split,
-        phonemes=np.asarray(featio.read_phonemes(path(entry.phonemes)), dtype=np.int64),
-        mel=featio.read_array(path(entry.mel)),
-        f0=featio.read_array(path(entry.f0)),
-        energy=featio.read_array(path(entry.energy)),
-        embedding=featio.read_array(path(entry.embedding)),
-    )
-
-
 def load_corpus(manifest_path, *, adaptation=None, split=None):
-    """Manifest -> list of fully loaded utterances, order as listed."""
-    entries = featio.read_manifest(manifest_path)
-    base = featio.manifest_dir(manifest_path)
-    picked = filter_entries(entries, adaptation=adaptation, split=split)
-    return [load_utterance(e, base) for e in picked]
+    """Manifest -> list of fully loaded utterances, order as listed. Reads
+    the features file once; a missing file or array, or a damaged one (its
+    CRC-32 fails), is an InputError naming it."""
+    picked = filter_entries(featio.read_manifest(manifest_path),
+                            adaptation=adaptation, split=split)
+    path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), FEATURES_FILE)
+    if not os.path.isfile(path):
+        raise InputError(f"{path}: features file missing; regenerate the corpus with gen-corpus")
+    _, tensors = featio.read_checkpoint(path)
+
+    def array(entry, field):
+        name = f"{entry.utt_id}.{field}"
+        if name not in tensors:
+            raise InputError(f"{path}: no array {name}")
+        return tensors[name]
+
+    return [Utterance(e.utt_id, e.speaker, e.split, **{f: array(e, f) for f in FEATURE_FIELDS})
+            for e in picked]

@@ -1,5 +1,5 @@
-"""On-disk formats: feature arrays, phoneme token files, corpus manifests,
-and model checkpoints.
+"""On-disk formats: feature arrays (synthesis outputs), corpus manifests, and
+checkpoints, whose container also holds a corpus's features.
 
 Feature file layout (16-byte header, little-endian, then raw C-order data):
 
@@ -66,71 +66,18 @@ def write_array(path, arr):
     os.replace(tmp, path)
 
 
-def read_array(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise InputError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != FEATURE_MAGIC:
-        raise InputError(f"{path}: bad magic {blob[:4]!r}")
-    code, rank, _reserved, dim0, dim1 = struct.unpack("<BBHII", blob[4:16])
-    dtype = _CODE_TO_DTYPE.get(code)
-    if dtype is None:
-        raise InputError(f"{path}: unknown dtype code {code}")
-    if rank not in (1, 2):
-        raise InputError(f"{path}: unsupported rank {rank}")
-    shape = (dim0,) if rank == 1 else (dim0, dim1)
-    count = dim0 * (dim1 if rank == 2 else 1)
-    expected = 16 + count * dtype.itemsize
-    if len(blob) != expected:
-        raise InputError(f"{path}: payload is {len(blob) - 16} bytes, header promises {expected - 16}")
-    arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=16)
-    return arr.astype(dtype, copy=True).reshape(shape)
-
-
-def write_phonemes(path, ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise InputError(f"{path}: phoneme ids must be 1-D")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(" ".join(str(int(i)) for i in ids))
-        f.write("\n")
-    os.replace(tmp, path)
-
-
-def read_phonemes(path):
-    with open(path) as f:
-        text = f.read()
-    try:
-        ids = [int(tok) for tok in text.split()]
-    except ValueError as e:
-        raise InputError(f"{path}: non-integer phoneme token ({e})") from None
-    if not ids:
-        raise InputError(f"{path}: empty phoneme sequence")
-    return np.asarray(ids, dtype=np.int64)
-
-
 # -----------------------------------------------------------------------------
 # manifest
 # -----------------------------------------------------------------------------
 
 @dataclass
 class ManifestEntry:
-    """One utterance: ids plus feature paths relative to the manifest file.
+    """One utterance's ids; its arrays live in the corpus's features file.
     Every field is a required manifest key, and no other key is allowed."""
 
     utt_id: str
     speaker: str
     split: str
-    phonemes: str
-    mel: str
-    f0: str
-    energy: str
-    embedding: str
-
-    def paths(self):
-        return [self.phonemes, self.mel, self.f0, self.energy, self.embedding]
 
 
 _ENTRY_KEYS = {f.name for f in fields(ManifestEntry)}
@@ -146,9 +93,8 @@ def write_manifest(path, entries):
 
 
 def read_manifest(path):
-    """Every entry of a manifest, each checked to be a JSON object of string
-    fields whose feature files exist; anything else is an InputError."""
-    base = os.path.dirname(os.path.abspath(path))
+    """Every entry of a manifest, each checked to be a JSON object of exactly
+    the ManifestEntry fields, all strings; anything else is an InputError."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
@@ -180,15 +126,8 @@ def read_manifest(path):
         if entry.utt_id in seen:
             raise InputError(f"{path}:{lineno}: duplicate utterance id {entry.utt_id}")
         seen.add(entry.utt_id)
-        for rel in entry.paths():
-            if not os.path.isfile(os.path.join(base, rel)):
-                raise InputError(f"{path}:{lineno}: missing feature file {rel}")
         entries.append(entry)
     return entries
-
-
-def manifest_dir(path):
-    return os.path.dirname(os.path.abspath(path))
 
 
 # -----------------------------------------------------------------------------

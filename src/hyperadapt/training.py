@@ -606,8 +606,9 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
     resume with another model config, schedule (total_steps aside) or seed
     is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
-    train = corpus_mod.load_corpus(manifest_path, adaptation=False, split="train")
-    val = corpus_mod.load_corpus(manifest_path, adaptation=False, split="val")
+    utts = corpus_mod.load_corpus(manifest_path, adaptation=False)
+    train = corpus_mod.filter_entries(utts, split="train")
+    val = corpus_mod.filter_entries(utts, split="val")
 
     run_meta = _run_meta(sched, seed)
     latest = _read_latest(run_dir)
@@ -697,8 +698,9 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
         if not p.requires_grad
     }
 
-    train = corpus_mod.load_corpus(manifest_path, adaptation=True, split="train")
-    val = corpus_mod.load_corpus(manifest_path, adaptation=True, split="val")
+    utts = corpus_mod.load_corpus(manifest_path, adaptation=True)
+    train = corpus_mod.filter_entries(utts, split="train")
+    val = corpus_mod.filter_entries(utts, split="val")
     opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
     val_log = _LossLog(os.path.join(run_dir, "adapt_val_log.tsv"))
 

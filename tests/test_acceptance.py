@@ -26,10 +26,8 @@ from hyperadapt.adaptation import (
 from hyperadapt.autodiff import Segments, Tensor
 from hyperadapt.corpus import (
     CorpusSpec,
-    filter_entries,
     generate_corpus,
     load_corpus,
-    load_utterance,
     synthetic_embedding,
 )
 from hyperadapt.model import ModelConfig
@@ -108,17 +106,13 @@ def clustering_stats(hyper_checkpoint, manifest, per_speaker=5):
     """Mean within- vs cross-speaker cosine of flattened generated weights."""
     loaded = tr.load_checkpoint(hyper_checkpoint)
     adapted = loaded.adapted
-    entries = featio.read_manifest(manifest)
-    base = featio.manifest_dir(manifest)
+    utts = load_corpus(manifest, adaptation=True, split="train")
 
     vectors, owners = [], []
-    speakers = sorted({e.speaker for e in filter_entries(entries, adaptation=True)})
-    for speaker in speakers:
-        picked = filter_entries([e for e in entries if e.speaker == speaker],
-                                split="train")[:per_speaker]
+    for speaker in sorted({u.speaker for u in utts}):
+        picked = [u for u in utts if u.speaker == speaker][:per_speaker]
         assert len(picked) == per_speaker
-        for entry in picked:
-            utt = load_utterance(entry, base)
+        for utt in picked:
             spk = Tensor(utt.embedding.reshape(1, -1))
             flat = np.concatenate([
                 getattr(adapted.extras, f"hyper_{tag}").generate(spk).data.reshape(-1)

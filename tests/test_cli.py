@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ import pytest
 
 from hyperadapt import featio
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
+
+from oracles import read_array
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -287,7 +290,7 @@ def test_synthesize_by_utterance(pipeline):
                               "--utt", utt)
     assert code == 0
     mel_path = stdout.strip()
-    mel = featio.read_array(mel_path)
+    mel = read_array(mel_path)
     assert mel.ndim == 2 and mel.shape[1] == TINY["model"]["n_mels"]
     run_dir = os.path.dirname(mel_path)
     for suffix in (".f0.bin", ".energy.bin", ".dur.bin"):
@@ -301,20 +304,36 @@ def test_synthesize_custom_phonemes(pipeline):
                               "--checkpoint", pipeline["adapted"],
                               "--phonemes", "3,5,7,2", "--speaker", "adp_00")
     assert code == 0
-    dur = featio.read_array(stdout.strip().replace(".mel.", ".dur."))
+    dur = read_array(stdout.strip().replace(".mel.", ".dur."))
     assert dur.shape == (4,)
 
 
-def test_synthesize_input_errors(pipeline):
-    base = ["synthesize", "--config", pipeline["config"], "--out-dir",
-            pipeline["out"], "--manifest", pipeline["manifest"],
-            "--checkpoint", pipeline["adapted"]]
-    code, _, err = run_cli(*base, "--utt", "no_such_utt")
-    assert code == 2 and "no_such_utt" in err
-    code, _, err = run_cli(*base)
-    assert code == 2 and "phonemes" in err
-    code, _, err = run_cli(*base, "--phonemes", "1,x,3", "--speaker", "adp_00")
-    assert code == 2
+@pytest.mark.parametrize("verb, args, message", [
+    ("synthesize", ["--utt", "no_such_utt"], "no_such_utt"),
+    ("synthesize", [], "needs --utt, or both --phonemes and --speaker"),
+    ("synthesize", ["--phonemes", "1,x,3", "--speaker", "adp_00"], "comma-separated"),
+    ("synthesize", ["--phonemes", "999,3", "--speaker", "adp_00"], "id 999 outside"),
+    ("synthesize", ["--phonemes", "3,5", "--speaker", "adp_99"], "'adp_99' has no train"),
+    ("evaluate", ["--speakers", "adapt"], "no utterances matched"),  # pretrain-only manifest
+    ("dump-hyper-params", [], "needs a hyper checkpoint"),  # given the pretrained checkpoint
+])
+def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, message):
+    manifest, checkpoint = pipeline["manifest"], pipeline["adapted"]
+    if verb == "evaluate":
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(os.path.dirname(manifest), corpus_dir)
+        manifest = str(corpus_dir / "manifest.jsonl")
+        with open(manifest) as f:
+            kept = [line for line in f if json.loads(line)["speaker"].startswith("pre_")]
+        with open(manifest, "w") as f:
+            f.writelines(kept)
+    if verb == "dump-hyper-params":
+        checkpoint = pipeline["checkpoint"]
+    out = tmp_path / "runs"
+    code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out),
+                           "--manifest", manifest, "--checkpoint", checkpoint, *args)
+    assert code == 2 and message in err, err
+    assert not out.exists()
 
 
 def test_evaluate_writes_report(pipeline):
@@ -351,14 +370,6 @@ def test_dump_hyper_params_exports_per_speaker_vectors(pipeline):
     for key, vec in arrays.items():
         assert vec.shape == (width,)
         assert vec.dtype == np.float64
-
-
-def test_dump_rejects_non_hyper_checkpoint(pipeline):
-    code, _, err = run_cli("dump-hyper-params", "--config", pipeline["config"],
-                           "--out-dir", pipeline["out"],
-                           "--manifest", pipeline["manifest"],
-                           "--checkpoint", pipeline["checkpoint"])
-    assert code == 2 and "hyper" in err
 
 
 def test_grad_check_verb(pipeline):

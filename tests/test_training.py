@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -433,8 +434,6 @@ def test_pretrain_rejects_seed_change_on_resume(pretrained, corpus_manifest):
 
 def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_manifest, tmp_path):
     adapted_ck, _ = adapted
-    import shutil
-
     shutil.copyfile(adapted_ck, tmp_path / "ckpt-000001.bin")
     (tmp_path / "LATEST").write_text("ckpt-000001.bin\n")
     with pytest.raises(StateError):
@@ -442,32 +441,46 @@ def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_manifest, tmp_
 
 
 def test_pretrain_requires_embeddings(pretrained, adapted, corpus_manifest, tmp_path, capsys):
-    # every entry names its speaker embedding, and no entry a durations file:
-    # read_manifest rejects anything else, so pretrain, adapt and
-    # dump-hyper-params all stop on bad input (exit 2) before using it
+    # a features file that lacks the embeddings or has a damaged payload, and
+    # a manifest entry with a durations key, are bad input: pretrain, adapt
+    # and dump-hyper-params all stop (exit 2) before using them
     pretrained_ck, hyper_ck = pretrained[0], adapted[0]
     dims = [f"--set=dims.{k}={v}" for k, v in dataclasses.asdict(DIMS).items()]
-    for key in ("embedding", "durations"):
-        records = []
-        for e in featio.read_manifest(corpus_manifest):
-            record = dataclasses.asdict(e)
-            if key == "embedding":
-                del record["embedding"]
-            else:
-                record["durations"] = e.mel  # an existing file
-            records.append(json.dumps(record))
-        bad = os.path.join(os.path.dirname(corpus_manifest), f"manifest_{key}.jsonl")
-        with open(bad, "w") as f:
-            f.write("\n".join(records) + "\n")
-        with pytest.raises(InputError, match=key):
-            featio.read_manifest(bad)
-        with pytest.raises(InputError):
-            tr.pretrain(bad, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
-        common = ["--manifest", bad, "--out-dir", str(tmp_path / "runs")]
+    for case in ("embedding", "durations", "flip"):
+        corpus_dir = tmp_path / case
+        shutil.copytree(os.path.dirname(corpus_manifest), corpus_dir)
+        manifest, features = str(corpus_dir / "manifest.jsonl"), corpus_dir / "features.bin"
+        # what each verb reports; pretrain reads the pretraining speakers only
+        if case == "embedding":
+            meta, tensors = featio.read_checkpoint(features)
+            featio.write_checkpoint(features, meta, {k: v for k, v in tensors.items()
+                                                     if not k.endswith(".embedding")})
+            first = {"pretrain": "pre_00_u000", "adapt": "adp_00_u000",
+                     "dump-hyper-params": "adp_00_u000"}
+            expected = {verb: f"{features}: no array {utt}.embedding"
+                        for verb, utt in first.items()}
+        elif case == "durations":
+            records = [json.dumps({**dataclasses.asdict(e), "durations": f"{e.utt_id}.dur.bin"})
+                       for e in featio.read_manifest(manifest)]
+            with open(manifest, "w") as f:
+                f.write("\n".join(records) + "\n")
+            expected = dict.fromkeys(("pretrain", "adapt", "dump-hyper-params"),
+                                     f"{manifest}:1: unknown manifest keys ['durations']")
+        else:  # one flipped bit in the first tensor payload
+            blob = bytearray(features.read_bytes())
+            blob[12 + int.from_bytes(blob[8:12], "little")] ^= 0x01
+            features.write_bytes(bytes(blob))
+            expected = dict.fromkeys(("pretrain", "adapt", "dump-hyper-params"),
+                                     f"{features}: tensor adp_00_u000.embedding: "
+                                     "payload CRC-32 mismatch")
+        with pytest.raises(InputError, match=re.escape(expected["pretrain"])):
+            tr.pretrain(manifest, TRAIN_CFG, SCHED, str(tmp_path / "run"), seed=3)
+        common = ["--manifest", manifest, "--out-dir", str(tmp_path / "runs")]
         for argv in (["pretrain"], ["adapt", "--checkpoint", pretrained_ck, "--steps", "1", *dims],
                      ["dump-hyper-params", "--checkpoint", hyper_ck]):
-            assert cli.main([*argv, *common]) == 2, (key, argv[0])
-            assert capsys.readouterr().err.startswith(f"InputError: {bad}:1: "), (key, argv[0])
+            assert cli.main([*argv, *common]) == 2, (case, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"InputError: {expected[argv[0]]}"), (case, argv[0], err)
 
 
 def test_checkpoint_roundtrip_is_bitstable(pretrained, tmp_path):
