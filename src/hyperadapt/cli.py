@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -43,7 +44,7 @@ def default_config():
                      "milestones": list(ScheduleConfig().milestones)},
         "adapt": {"strategy": "hyper_evd", "steps": 3000, "lr": 1e-4, "batch_size": 8},
         "dims": dataclasses.asdict(AdapterDims()),
-        "paths": {"manifest": "", "checkpoint": ""},
+        "paths": {"corpus": "", "checkpoint": ""},
         "synthesize": {"utt": "", "speaker": "", "phonemes": ""},
         "evaluate": {"split": "val", "speakers": "adapt"},
         "dump": {"jitters": 0},
@@ -117,10 +118,13 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
+def _run_dir(cfg, verb):
+    return os.path.join(cfg["out_dir"], f"{verb}-{config_hash(cfg)}-s{cfg['seed']}")
+
+
 def prepare_run_dir(cfg, verb):
     """Create (or reuse) the run directory and echo the effective config."""
-    name = f"{verb}-{config_hash(cfg)}-s{cfg['seed']}"
-    run_dir = os.path.join(cfg["out_dir"], name)
+    run_dir = _run_dir(cfg, verb)
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.json"), "w") as f:
         json.dump(cfg, f, indent=2, sort_keys=True)
@@ -162,43 +166,41 @@ def _speaker_centroid(utterances):
 def _cmd_gen_corpus(cfg):
     run_dir = prepare_run_dir(cfg, "gen-corpus")
     spec = CorpusSpec(**cfg["corpus"])
-    manifest = corpus_mod.generate_corpus(spec, cfg["seed"],
-                                          os.path.join(run_dir, "corpus"))
-    print(manifest)
+    print(corpus_mod.generate_corpus(spec, cfg["seed"], os.path.join(run_dir, "corpus")))
     return 0
 
 
 def _cmd_pretrain(cfg):
-    manifest = _require_path(cfg, "manifest", "--manifest")
+    corpus = _require_path(cfg, "corpus", "--corpus")
     model_config = ModelConfig(**cfg["model"])
     sched = ScheduleConfig(**cfg["schedule"])
     run_dir = prepare_run_dir(cfg, "pretrain")
-    ckpt = tr.pretrain(manifest, model_config, sched, run_dir, cfg["seed"])
+    ckpt = tr.pretrain(corpus, model_config, sched, run_dir, cfg["seed"])
     print(ckpt)
     return 0
 
 
 def _cmd_adapt(cfg):
-    manifest = _require_path(cfg, "manifest", "--manifest")
+    corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     section = cfg["adapt"]
     sched = adaptation_schedule(section["steps"], lr=section["lr"],
                                 batch_size=section["batch_size"])
     dims = AdapterDims(**cfg["dims"])
     run_dir = prepare_run_dir(cfg, "adapt")
-    out = tr.adapt(checkpoint, manifest, section["strategy"], sched, run_dir,
+    out = tr.adapt(checkpoint, corpus, section["strategy"], sched, run_dir,
                    cfg["seed"], dims=dims)
     print(out)
     return 0
 
 
-def _resolve_synthesis_inputs(cfg, manifest):
+def _resolve_synthesis_inputs(cfg, corpus):
     section = cfg["synthesize"]
-    utts = corpus_mod.load_corpus(manifest)
+    utts = corpus_mod.load_corpus(corpus)
     if section["utt"]:
         matches = [u for u in utts if u.utt_id == section["utt"]]
         if not matches:
-            raise InputError(f"utterance '{section['utt']}' not in manifest")
+            raise InputError(f"utterance '{section['utt']}' not in the corpus")
         return matches[0].phonemes, matches[0].embedding, matches[0].utt_id
     if section["phonemes"] and section["speaker"]:
         try:
@@ -213,20 +215,17 @@ def _resolve_synthesis_inputs(cfg, manifest):
 
 
 def _cmd_synthesize(cfg):
-    manifest = _require_path(cfg, "manifest", "--manifest")
+    corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
-    phonemes, embedding, tag = _resolve_synthesis_inputs(cfg, manifest)
+    phonemes, embedding, tag = _resolve_synthesis_inputs(cfg, corpus)
     loaded = tr.load_checkpoint(checkpoint)
     hooks = loaded.hooks_for(embedding)
     mel, info = loaded.model.synthesize(phonemes, embedding, hooks=hooks)
 
-    run_dir = prepare_run_dir(cfg, "synthesize")
-    featio.write_array(os.path.join(run_dir, f"{tag}.mel.bin"), mel)
-    featio.write_array(os.path.join(run_dir, f"{tag}.f0.bin"), info["f0"])
-    featio.write_array(os.path.join(run_dir, f"{tag}.energy.bin"), info["energy"])
-    featio.write_array(os.path.join(run_dir, f"{tag}.dur.bin"),
-                       info["durations"].astype(np.int64))
-    print(os.path.join(run_dir, f"{tag}.mel.bin"))
+    out = os.path.join(prepare_run_dir(cfg, "synthesize"), f"{tag}.bin")
+    featio.write_checkpoint(out, {}, {"mel": mel, "f0": info["f0"], "energy": info["energy"],
+                                      "durations": info["durations"].astype(np.int64)})
+    print(out)
     return 0
 
 
@@ -237,15 +236,11 @@ def _trainable_count(strategy, model):
 
 
 def _trainable_for_checkpoint(loaded):
-    strategy_label = loaded.meta.get("strategy", "")
-    if not strategy_label or strategy_label == "tts0":
-        return 0
-    dims = AdapterDims(**loaded.meta["adapter_dims"])
-    return _trainable_count(StrategyConfig.parse(strategy_label, dims), loaded.model)
+    return 0 if loaded.strategy is None else _trainable_count(loaded.strategy, loaded.model)
 
 
 def _cmd_evaluate(cfg):
-    manifest = _require_path(cfg, "manifest", "--manifest")
+    corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     section = cfg["evaluate"]
     if section["speakers"] not in _SPEAKER_GROUPS:
@@ -254,7 +249,7 @@ def _cmd_evaluate(cfg):
         raise InputError("evaluate.split must be train, val, or all")
 
     split = None if section["split"] == "all" else section["split"]
-    utts = corpus_mod.load_corpus(manifest,
+    utts = corpus_mod.load_corpus(corpus,
                                   adaptation=_SPEAKER_GROUPS[section["speakers"]],
                                   split=split)
     if not utts:
@@ -294,7 +289,7 @@ _DUMP_JITTER = 0.02
 
 
 def _cmd_dump_hyper_params(cfg):
-    manifest = _require_path(cfg, "manifest", "--manifest")
+    corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     n_jitters = cfg["dump"]["jitters"]
     if n_jitters < 0:
@@ -308,10 +303,10 @@ def _cmd_dump_hyper_params(cfg):
     adapted = loaded.adapted
     d_spk = loaded.model.config.d_spk
 
-    utts = corpus_mod.load_corpus(manifest, adaptation=True)
+    utts = corpus_mod.load_corpus(corpus, adaptation=True)
     speakers = sorted({u.speaker for u in utts})
     if not speakers:
-        raise InputError("manifest has no adaptation speakers to dump")
+        raise InputError("corpus has no adaptation speakers to dump")
 
     arrays = {}
     for speaker in speakers:
@@ -370,12 +365,12 @@ def _cmd_grad_check(cfg):
 # flag -> (config key, argparse keywords). The key is the flag's argparse
 # dest, and its help names it: a verb flag only sets that key.
 _FLAGS = {
-    "--manifest": ("paths.manifest", {"help": "corpus manifest"}),
+    "--corpus": ("paths.corpus", {"help": "corpus file (corpus.bin)"}),
     "--checkpoint": ("paths.checkpoint", {"help": "model checkpoint"}),
     "--strategy": ("adapt.strategy",
                    {"help": "tts0 | ft | adapter_<sites> | hyper_<sites>"}),
     "--steps": ("adapt.steps", {"type": int, "help": "adaptation steps"}),
-    "--utt": ("synthesize.utt", {"help": "synthesize this manifest utterance"}),
+    "--utt": ("synthesize.utt", {"help": "synthesize this corpus utterance"}),
     "--speaker": ("synthesize.speaker", {"help": "speaker for --phonemes mode"}),
     "--phonemes": ("synthesize.phonemes", {"help": "comma-separated phoneme ids"}),
     "--split": ("evaluate.split", {"choices": ("train", "val", "all"),
@@ -393,18 +388,18 @@ _FLAGS = {
 # verb -> (handler, help, flags)
 _VERBS = {
     "gen-corpus": (_cmd_gen_corpus, "generate the synthetic corpus", ()),
-    "pretrain": (_cmd_pretrain, "train the multi-speaker backbone", ("--manifest",)),
+    "pretrain": (_cmd_pretrain, "train the multi-speaker backbone", ("--corpus",)),
     "adapt": (_cmd_adapt, "adapt a pretrained checkpoint to new speakers",
-              ("--manifest", "--checkpoint", "--strategy", "--steps")),
+              ("--corpus", "--checkpoint", "--strategy", "--steps")),
     "synthesize": (_cmd_synthesize, "synthesize mel features",
-                   ("--manifest", "--checkpoint", "--utt", "--speaker", "--phonemes")),
+                   ("--corpus", "--checkpoint", "--utt", "--speaker", "--phonemes")),
     "evaluate": (_cmd_evaluate, "score a checkpoint against reference features",
-                 ("--manifest", "--checkpoint", "--split", "--speakers")),
+                 ("--corpus", "--checkpoint", "--split", "--speakers")),
     "params": (_cmd_params, "print the trainable parameter count of a strategy",
                ("--strategy",)),
     "dump-hyper-params": (_cmd_dump_hyper_params,
                           "export generated adapter weights per adaptation speaker",
-                          ("--manifest", "--checkpoint", "--jitters")),
+                          ("--corpus", "--checkpoint", "--jitters")),
     "grad-check": (_cmd_grad_check, "finite-difference checks on every sub-network",
                    ("--instances", "--threshold", "--networks")),
 }
@@ -444,14 +439,23 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
 
+    new_run_dir = None
     try:
         cfg = load_config(args.config, args.set, args.seed)
         for key, value in vars(args).items():
             if value is not None and ("." in key or key == "out_dir"):
                 _set_dotted(cfg, key, value)
+        new_run_dir = _run_dir(cfg, args.verb)
+        if os.path.exists(new_run_dir):
+            new_run_dir = None  # never removed: a pretrain resumes in it
         return _VERBS[args.verb][0](cfg)
     except (InputError, ConfigError, StateError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        # a run directory this call made and left holding only its config
+        # echo explains nothing: bad input leaves no run directory behind
+        left = new_run_dir and os.path.isdir(new_run_dir) and os.listdir(new_run_dir)
+        if left == ["config.json"]:
+            shutil.rmtree(new_run_dir)
         return 2
     except HyperadaptError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

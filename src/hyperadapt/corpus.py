@@ -14,16 +14,20 @@ Embeddings come from a fixed random projection of per-utterance mel
 statistics through tanh, unit-normalized. The projection seed is a module
 constant, independent of the corpus seed, so synthesized mel can be embedded
 at evaluation time without knowing how the corpus was built.
+
+A corpus is one featio container, corpus.bin. Its metadata is the seed and
+the CorpusSpec, from which utterance_index derives every utterance's id,
+speaker and split; its tensors are each utterance's arrays.
 """
 
-import json
 import os
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import featio
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, checked, merge_checked
 from .layers import rng_for
 
 EMBEDDER_SEED = 1877  # fixed: the embedder is a stand-in for an external model
@@ -128,6 +132,13 @@ def _orthogonal_quirks(spec, seed, names):
     return {name: q * spec.quirk_scale for name, q in zip(names, done)}
 
 
+def _speaker_ids(spec):
+    """Pretrain then adaptation speaker ids, in the order their quirks are
+    orthogonalized."""
+    return ([f"pre_{i:02d}" for i in range(spec.speakers_pretrain)]
+            + [f"adp_{i:02d}" for i in range(spec.speakers_adapt)])
+
+
 def _permuted_grid(lo, hi, k, seed, group, name, phase=0.0):
     # shuffled assignment decorrelates the latent dimensions across speakers
     vals = _grid(lo, hi, k, phase)
@@ -139,8 +150,7 @@ def speaker_latents(spec, seed):
     """speaker id -> SpeakerLatent. Pretrain speakers cover even grids of the
     latent ranges; adaptation speakers sit at midpoints. Quirk vectors are
     mutually orthogonal across the whole corpus."""
-    names = [f"pre_{i:02d}" for i in range(spec.speakers_pretrain)]
-    names += [f"adp_{i:02d}" for i in range(spec.speakers_adapt)]
+    names = _speaker_ids(spec)
     quirks = _orthogonal_quirks(spec, seed, names)
     out = {}
     for group, k, phase in (("pre", spec.speakers_pretrain, 0.0), ("adp", spec.speakers_adapt, 0.5)):
@@ -244,48 +254,46 @@ def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
 # -----------------------------------------------------------------------------
 
 
-FEATURES_FILE = "features.bin"  # beside the manifest
 FEATURE_FIELDS = ("phonemes", "mel", "f0", "energy", "embedding")
+
+IndexEntry = namedtuple("IndexEntry", "utt_id speaker split")
+
+
+def utterance_index(spec):
+    """Every utterance of the corpus `spec` describes, in file order:
+    speakers by id, then utterances by number; the first
+    round(utts_per_speaker * val_fraction) (at least one) of each speaker are
+    validation."""
+    n_val = max(1, int(round(spec.utts_per_speaker * spec.val_fraction)))
+    return [IndexEntry(f"{sid}_u{u:03d}", sid, "val" if u < n_val else "train")
+            for sid in sorted(_speaker_ids(spec)) for u in range(spec.utts_per_speaker)]
 
 
 def generate_corpus(spec, seed, out_dir):
-    """Write the corpus under out_dir: manifest.jsonl, corpus.json, and
-    features.bin, a checkpoint-format file holding every utterance's arrays
-    as tensors `<utt_id>.<field>`. Returns the manifest path.
+    """Write the corpus as out_dir/corpus.bin, a featio container whose
+    metadata is {"seed", "spec"} and whose tensors are every utterance's
+    arrays `<utt_id>.<field>`. Returns its path.
 
-    Deterministic: same (spec, seed) produces byte-identical trees.
+    Deterministic: same (spec, seed) produces a byte-identical file.
     """
     os.makedirs(out_dir, exist_ok=True)
     tables = phoneme_tables(spec, seed)
     latents = speaker_latents(spec, seed)
-    n_val = max(1, int(round(spec.utts_per_speaker * spec.val_fraction)))
-    entries = []
     tensors = {}
-    for sid in sorted(latents):
-        latent = latents[sid]
-        for u in range(spec.utts_per_speaker):
-            utt_id = f"{sid}_u{u:03d}"
-            rng_text = rng_for(seed, "text", sid, u)
-            n = int(rng_text.integers(spec.min_phonemes, spec.max_phonemes + 1))
-            phonemes = rng_text.integers(0, spec.vocab_size, size=n).astype(np.int64)
-            mel, f0, energy, _ = synth_utterance(
-                spec, tables, latent, phonemes, rng_for(seed, "texture", utt_id)
-            )
-            emb = synthetic_embedding(mel, spec.d_spk, spec.jitter, stream=(utt_id,))
-            for field, arr in zip(FEATURE_FIELDS, (phonemes, mel, f0, energy, emb)):
-                tensors[f"{utt_id}.{field}"] = arr
-            entries.append(featio.ManifestEntry(
-                utt_id=utt_id, speaker=sid, split="val" if u < n_val else "train"))
-    featio.write_checkpoint(os.path.join(out_dir, FEATURES_FILE), {}, tensors)
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    featio.write_manifest(manifest_path, entries)
-    spec_path = os.path.join(out_dir, "corpus.json")
-    tmp = spec_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({"seed": seed, "spec": spec.to_dict()}, f, sort_keys=True, indent=2)
-        f.write("\n")
-    os.replace(tmp, spec_path)
-    return manifest_path
+    for entry in utterance_index(spec):
+        utt_id = entry.utt_id
+        rng_text = rng_for(seed, "text", entry.speaker, int(utt_id.rsplit("_u", 1)[1]))
+        n = int(rng_text.integers(spec.min_phonemes, spec.max_phonemes + 1))
+        phonemes = rng_text.integers(0, spec.vocab_size, size=n).astype(np.int64)
+        mel, f0, energy, _ = synth_utterance(
+            spec, tables, latents[entry.speaker], phonemes, rng_for(seed, "texture", utt_id)
+        )
+        emb = synthetic_embedding(mel, spec.d_spk, spec.jitter, stream=(utt_id,))
+        for field, arr in zip(FEATURE_FIELDS, (phonemes, mel, f0, energy, emb)):
+            tensors[f"{utt_id}.{field}"] = arr
+    path = os.path.join(out_dir, "corpus.bin")
+    featio.write_checkpoint(path, {"seed": seed, "spec": spec.to_dict()}, tensors)
+    return path
 
 
 def is_adaptation_speaker(speaker):
@@ -293,8 +301,8 @@ def is_adaptation_speaker(speaker):
 
 
 def filter_entries(entries, *, adaptation=None, split=None):
-    """The manifest entries (or utterances) of one speaker group and split,
-    in their order; None keeps every group or split."""
+    """The index entries (or utterances) of one speaker group and split, in
+    their order; None keeps every group or split."""
     out = entries
     if adaptation is not None:
         out = [e for e in out if is_adaptation_speaker(e.speaker) == adaptation]
@@ -303,22 +311,42 @@ def filter_entries(entries, *, adaptation=None, split=None):
     return out
 
 
-def load_corpus(manifest_path, *, adaptation=None, split=None):
-    """Manifest -> list of fully loaded utterances, order as listed. Reads
-    the features file once; a missing file or array, or a damaged one (its
-    CRC-32 fails), is an InputError naming it."""
-    picked = filter_entries(featio.read_manifest(manifest_path),
-                            adaptation=adaptation, split=split)
-    path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), FEATURES_FILE)
-    if not os.path.isfile(path):
-        raise InputError(f"{path}: features file missing; regenerate the corpus with gen-corpus")
-    _, tensors = featio.read_checkpoint(path)
+def _read_corpus(path):
+    """(utterance index, tensors) of a corpus file: its metadata must be a
+    seed and a CorpusSpec, and its tensors exactly the arrays of the
+    utterances that spec indexes."""
+    if os.path.isdir(path):
+        raise InputError(f"{path}: a directory, not a corpus file")
+    meta, tensors = featio.read_checkpoint(path)
+    if set(meta) != {"seed", "spec"}:
+        raise InputError(f"{path}: not a corpus (metadata keys {sorted(meta)}, "
+                         "not seed and spec)")
+    fields = asdict(CorpusSpec())
+    try:
+        checked("seed", 0, meta["seed"])
+        merge_checked(fields, checked("spec", {}, meta["spec"]), "spec.")
+        index = utterance_index(CorpusSpec(**fields))
+    except ConfigError as e:
+        raise InputError(f"{path}: corpus metadata: {e}") from None
+    names = [f"{e.utt_id}.{field}" for e in index for field in FEATURE_FIELDS]
+    missing = [name for name in names if name not in tensors]
+    if missing:
+        raise InputError(f"{path}: no array {missing[0]}")
+    extra = sorted(tensors.keys() - set(names))
+    if extra:
+        raise InputError(f"{path}: array {extra[0]} is not in the spec's utterance index")
+    return index, tensors
 
-    def array(entry, field):
-        name = f"{entry.utt_id}.{field}"
-        if name not in tensors:
-            raise InputError(f"{path}: no array {name}")
-        return tensors[name]
 
-    return [Utterance(e.utt_id, e.speaker, e.split, **{f: array(e, f) for f in FEATURE_FIELDS})
-            for e in picked]
+def load_corpus(path, *, adaptation=None, split=None):
+    """The utterances of a corpus file, in file order, filtered as
+    filter_entries does. Reads the file once and checks every CRC-32; a
+    damaged file, metadata that is not a valid seed and spec, or arrays
+    other than the ones that spec indexes is an InputError naming the file
+    (and the array or key) that says to regenerate it."""
+    try:
+        index, tensors = _read_corpus(path)
+    except InputError as e:
+        raise InputError(f"{e}; regenerate the corpus with gen-corpus") from None
+    return [Utterance(*e, **{f: tensors[f"{e.utt_id}.{f}"] for f in FEATURE_FIELDS})
+            for e in filter_entries(index, adaptation=adaptation, split=split)]

@@ -1,23 +1,15 @@
-"""On-disk formats: feature arrays (synthesis outputs), corpus manifests, and
-checkpoints, whose container also holds a corpus's features.
+"""The one on-disk container: checkpoints, a corpus (corpus.bin), synthesis
+outputs and generated adapter weights are all written in it.
 
-Feature file layout (16-byte header, little-endian, then raw C-order data):
-
-    offset  size  field
-    0       4     magic "HAF1"
-    4       1     dtype code (1=f32, 2=f64, 3=i32, 4=i64)
-    5       1     rank (1 or 2)
-    6       2     reserved (zero)
-    8       4     dim0 (u32)
-    12      4     dim1 (u32, 1 for rank-1 arrays)
-
-Checkpoint layout: 8-byte magic "HACKPT01", u32 metadata length, canonical
-JSON metadata (sorted keys, compact separators), then tensor payloads
+Layout: 8-byte magic "HACKPT01", u32 metadata length, canonical JSON
+metadata (sorted keys, compact separators), then tensor payloads
 concatenated in the order given by the metadata's "tensors" index. Each
-index entry records the tensor's name, dtype code, shape and a zlib CRC-32
-over the dtype code, shape and payload bytes; a load verifies every CRC. The
-metadata carries the step counter, a config echo, and quantization ranges;
-the same bytes always come back out after a load/save round trip.
+index entry records the tensor's name, dtype code (1=f32, 2=f64, 3=i32,
+4=i64), shape and a zlib CRC-32 over the dtype code, shape and payload
+bytes; a load verifies every CRC. The rest of the metadata is the writer's
+own (a checkpoint's step counter, config echo and quantization ranges; a
+corpus's seed and spec); the same bytes always come back out after a
+load/save round trip.
 """
 
 import json
@@ -25,13 +17,11 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import InputError
 
-FEATURE_MAGIC = b"HAF1"
 CHECKPOINT_MAGIC = b"HACKPT01"
 
 _DTYPE_TO_CODE = {
@@ -48,91 +38,6 @@ def _dtype_code(arr, where):
     if code is None:
         raise InputError(f"{where}: unsupported dtype {arr.dtype} (need f32/f64/i32/i64)")
     return code
-
-
-def write_array(path, arr):
-    arr = np.ascontiguousarray(arr)
-    code = _dtype_code(arr, str(path))
-    if arr.ndim not in (1, 2):
-        raise InputError(f"{path}: rank {arr.ndim} not writable (need 1 or 2)")
-    dim0 = arr.shape[0]
-    dim1 = arr.shape[1] if arr.ndim == 2 else 1
-    header = FEATURE_MAGIC + struct.pack("<BBHII", code, arr.ndim, 0, dim0, dim1)
-    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(payload)
-    os.replace(tmp, path)
-
-
-# -----------------------------------------------------------------------------
-# manifest
-# -----------------------------------------------------------------------------
-
-@dataclass
-class ManifestEntry:
-    """One utterance's ids; its arrays live in the corpus's features file.
-    Every field is a required manifest key, and no other key is allowed."""
-
-    utt_id: str
-    speaker: str
-    split: str
-
-
-_ENTRY_KEYS = {f.name for f in fields(ManifestEntry)}
-
-
-def write_manifest(path, entries):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        for e in entries:
-            f.write(json.dumps(asdict(e), sort_keys=True))
-            f.write("\n")
-    os.replace(tmp, path)
-
-
-def read_manifest(path):
-    """Every entry of a manifest, each checked to be a JSON object of exactly
-    the ManifestEntry fields, all strings; anything else is an InputError."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        lines = blob.decode("utf-8").split("\n")
-    except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not UTF-8 text ({e})") from None
-    entries = []
-    seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}:{lineno}: bad record ({e})") from None
-        if not isinstance(rec, dict):
-            raise InputError(f"{path}:{lineno}: record is not a JSON object")
-        unknown = set(rec) - _ENTRY_KEYS
-        if unknown:
-            raise InputError(f"{path}:{lineno}: unknown manifest keys {sorted(unknown)}")
-        missing = _ENTRY_KEYS - set(rec)
-        if missing:
-            raise InputError(f"{path}:{lineno}: missing manifest keys {sorted(missing)}")
-        not_text = sorted(k for k, v in rec.items() if not isinstance(v, str))
-        if not_text:
-            raise InputError(f"{path}:{lineno}: manifest key {not_text[0]} is not a string")
-        entry = ManifestEntry(**rec)
-        if entry.utt_id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate utterance id {entry.utt_id}")
-        seen.add(entry.utt_id)
-        entries.append(entry)
-    return entries
-
-
-# -----------------------------------------------------------------------------
-# checkpoints
-# -----------------------------------------------------------------------------
 
 
 def write_checkpoint(path, meta, tensors):

@@ -375,6 +375,7 @@ def save_checkpoint(path, model, step, *, adapted=None, opt=None, extra_meta=Non
 class LoadedCheckpoint:
     model: TTSModel
     adapted: AdaptedModel = None
+    strategy: StrategyConfig = None  # an adapted checkpoint's, parsed from its metadata
     meta: dict = field(default_factory=dict)
     arrays: dict = field(default_factory=dict)
 
@@ -427,7 +428,8 @@ def load_checkpoint(path):
     if strategy is not None and strategy.name not in ("tts0", "ft"):
         adapted = AdaptedModel(model, strategy)
         adapted.extras.load_state_arrays(arrays, "extras.")
-    return LoadedCheckpoint(model=model, adapted=adapted, meta=meta, arrays=arrays)
+    return LoadedCheckpoint(model=model, adapted=adapted, strategy=strategy, meta=meta,
+                            arrays=arrays)
 
 
 # -----------------------------------------------------------------------------
@@ -599,14 +601,14 @@ def _run_meta(sched, seed):
     return {"schedule": schedule, "seed": seed}
 
 
-def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
+def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
              log_every=10, val_every=200, ckpt_every=500):
     """Train the backbone on the pretrain speakers. Returns the final
     checkpoint path. Interrupted runs resume from the newest checkpoint; a
     resume with another model config, schedule (total_steps aside) or seed
     is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
-    utts = corpus_mod.load_corpus(manifest_path, adaptation=False)
+    utts = corpus_mod.load_corpus(corpus_path, adaptation=False)
     train = corpus_mod.filter_entries(utts, split="train")
     val = corpus_mod.filter_entries(utts, split="val")
 
@@ -657,7 +659,7 @@ def pretrain(manifest_path, model_config, sched, run_dir, seed, *,
 # -----------------------------------------------------------------------------
 
 
-def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
+def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
           dims=None, log_every=10, val_every=200):
     """Adapt a pretrained checkpoint to the adaptation speakers with the
     strategy a label names ('tts0', 'ft', 'adapter_e', 'hyper_evd', ...;
@@ -665,8 +667,9 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
     path.
 
     tts0 trains nothing: the output file is a byte-for-byte copy of the
-    input. For every other strategy the frozen tensors are snapshotted before
-    and compared bitwise after training; any drift is an internal error.
+    input, made once every CRC-32 of the input checks. For every other
+    strategy the frozen tensors are snapshotted before and compared bitwise
+    after training; any drift is an internal error.
     """
     os.makedirs(run_dir, exist_ok=True)
     strategy = StrategyConfig.parse(strategy, dims)
@@ -678,12 +681,16 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
             os.remove(stale)
 
     if strategy.name == "tts0":
+        featio.read_checkpoint(checkpoint_path)
         _LossLog(log_path, header_extra=(
             f"# strategy\t{strategy.label()}", "# trainable_params\t0"))
         shutil.copyfile(checkpoint_path, out_path)
         return out_path
 
     loaded = load_checkpoint(checkpoint_path)
+    utts = corpus_mod.load_corpus(corpus_path, adaptation=True)
+    train = corpus_mod.filter_entries(utts, split="train")
+    val = corpus_mod.filter_entries(utts, split="val")
     model = loaded.model
     adapted = AdaptedModel(model, strategy, seed=seed)
     trainable = adapted.named_trainable()
@@ -698,9 +705,6 @@ def adapt(checkpoint_path, manifest_path, strategy, sched, run_dir, seed, *,
         if not p.requires_grad
     }
 
-    utts = corpus_mod.load_corpus(manifest_path, adaptation=True)
-    train = corpus_mod.filter_entries(utts, split="train")
-    val = corpus_mod.filter_entries(utts, split="val")
     opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
     val_log = _LossLog(os.path.join(run_dir, "adapt_val_log.tsv"))
 

@@ -8,19 +8,17 @@ constructions were built from and the library no longer has: `narrow`,
 `concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
 probe) and a numpy `log_softmax` build test losses and alignment maps;
 `one` lays out a single utterance and `utterance` wraps feature arrays as a
-corpus utterance. `read_array` reads a feature array, which the library only
-writes (as synthesis outputs).
+corpus utterance.
 """
 
 import itertools
-import struct
 
 import numpy as np
 
 import hyperadapt.autodiff as ad
-from hyperadapt import featio, variance
+from hyperadapt import variance
 from hyperadapt.corpus import Utterance
-from hyperadapt.errors import InputError, ShapeError
+from hyperadapt.errors import ShapeError
 
 
 def one(n):
@@ -30,29 +28,6 @@ def one(n):
 
 def utterance(phonemes, mel, f0, energy, embedding, utt_id):
     return Utterance(utt_id, "spk", "train", np.asarray(phonemes), mel, f0, energy, embedding)
-
-
-def read_array(path):
-    """One featio feature array, its header and length checked."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise InputError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != featio.FEATURE_MAGIC:
-        raise InputError(f"{path}: bad magic {blob[:4]!r}")
-    code, rank, _reserved, dim0, dim1 = struct.unpack("<BBHII", blob[4:16])
-    dtype = featio._CODE_TO_DTYPE.get(code)
-    if dtype is None:
-        raise InputError(f"{path}: unknown dtype code {code}")
-    if rank not in (1, 2):
-        raise InputError(f"{path}: unsupported rank {rank}")
-    shape = (dim0,) if rank == 1 else (dim0, dim1)
-    count = dim0 * dim1 if rank == 2 else dim0
-    if len(blob) != 16 + count * dtype.itemsize:
-        raise InputError(f"{path}: payload is {len(blob) - 16} bytes, header promises "
-                         f"{count * dtype.itemsize}")
-    arr = np.frombuffer(blob, dtype=dtype.newbyteorder("<"), count=count, offset=16)
-    return arr.astype(dtype, copy=True).reshape(shape)
 
 
 def all_paths(n, m):

@@ -67,17 +67,16 @@ def run_pipeline(root):
     numbers for exact equality.
     """
     root = str(root)
-    manifest = generate_corpus(CorpusSpec(utts_per_speaker=24), SEED_CORPUS,
-                               f"{root}/corpus")
-    pretrained = tr.pretrain(manifest, DESK_MODEL, DESK_SCHED,
+    corpus = generate_corpus(CorpusSpec(utts_per_speaker=24), SEED_CORPUS, f"{root}/corpus")
+    pretrained = tr.pretrain(corpus, DESK_MODEL, DESK_SCHED,
                              f"{root}/pretrain", SEED_PRETRAIN)
-    val = load_corpus(manifest, adaptation=True, split="val")
+    val = load_corpus(corpus, adaptation=True, split="val")
 
     checkpoints, mel, cos = {}, {}, {}
     for strategy in ("tts0", "ft", "adapter_evd", "hyper_evd"):
         sched = adaptation_schedule(ADAPT_STEPS, lr=ADAPT_LR[strategy], batch_size=8)
         checkpoints[strategy] = tr.adapt(
-            pretrained, manifest, strategy, sched,
+            pretrained, corpus, strategy, sched,
             f"{root}/adapt_{strategy}", SEED_ADAPT, dims=DESK_DIMS)
 
         loaded = tr.load_checkpoint(checkpoints[strategy])
@@ -95,18 +94,18 @@ def run_pipeline(root):
             assert report.n_failed == 0
             cos[strategy] = report.cos.mean
 
-    within, cross = clustering_stats(checkpoints["hyper_evd"], manifest)
+    within, cross = clustering_stats(checkpoints["hyper_evd"], corpus)
     return {
-        "manifest": manifest, "pretrained": pretrained, "checkpoints": checkpoints,
+        "corpus": corpus, "pretrained": pretrained, "checkpoints": checkpoints,
         "mel": mel, "cos": cos, "within": within, "cross": cross,
     }
 
 
-def clustering_stats(hyper_checkpoint, manifest, per_speaker=5):
+def clustering_stats(hyper_checkpoint, corpus, per_speaker=5):
     """Mean within- vs cross-speaker cosine of flattened generated weights."""
     loaded = tr.load_checkpoint(hyper_checkpoint)
     adapted = loaded.adapted
-    utts = load_corpus(manifest, adaptation=True, split="train")
+    utts = load_corpus(corpus, adaptation=True, split="train")
 
     vectors, owners = [], []
     for speaker in sorted({u.speaker for u in utts}):
@@ -199,7 +198,7 @@ def test_criterion_03_gradient_checks_on_every_subnetwork():
 
 def test_criterion_04_identity_at_init_and_frozen_backbone(pipeline):
     loaded = tr.load_checkpoint(pipeline["pretrained"])
-    probe = load_corpus(pipeline["manifest"], adaptation=True, split="val")[0]
+    probe = load_corpus(pipeline["corpus"], adaptation=True, split="val")[0]
     base_mel, _ = loaded.model.synthesize(probe.phonemes, probe.embedding)
 
     # identity at init: fresh strategies must not move the frozen outputs

@@ -15,8 +15,7 @@ import pytest
 
 from hyperadapt import featio
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
-
-from oracles import read_array
+from hyperadapt.corpus import CorpusSpec, generate_corpus
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -53,23 +52,37 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pipeline(workdir):
-    """gen-corpus + pretrain + adapt, shared by the downstream verb tests."""
+    """gen-corpus + pretrain + adapt + synthesize + dump-hyper-params, shared
+    by the downstream verb tests. Every .bin file they write is one featio
+    container: the corpus, the checkpoints, the synthesized features and
+    the generated adapter weights all read back through read_checkpoint."""
     cfg = str(workdir / "tiny.json")
     out = str(workdir / "runs")
     code, stdout, _ = run_cli("gen-corpus", "--config", cfg, "--out-dir", out,
                               "--seed", "11")
     assert code == 0
-    manifest = stdout.strip()
+    corpus = stdout.strip()
     code, stdout, _ = run_cli("pretrain", "--config", cfg, "--out-dir", out,
-                              "--seed", "3", "--manifest", manifest)
+                              "--seed", "3", "--corpus", corpus)
     assert code == 0
     checkpoint = stdout.strip()
     code, stdout, _ = run_cli("adapt", "--config", cfg, "--out-dir", out,
-                              "--seed", "5", "--manifest", manifest,
+                              "--seed", "5", "--corpus", corpus,
                               "--checkpoint", checkpoint)
     assert code == 0
     adapted = stdout.strip()
-    return {"config": cfg, "out": out, "manifest": manifest,
+    for verb, args in (("synthesize", ["--utt", "adp_00_u000"]), ("dump-hyper-params", [])):
+        code, _, _ = run_cli(verb, "--config", cfg, "--out-dir", out, "--corpus", corpus,
+                             "--checkpoint", adapted, *args)
+        assert code == 0
+    written = sorted(os.path.join(d, f) for d, _, files in os.walk(out)
+                     for f in files if f.endswith(".bin"))
+    assert {os.path.basename(p) for p in written} == {
+        "corpus.bin", "ckpt-000008.bin", "adapted.bin", "adp_00_u000.bin",
+        "generated_params.bin"}
+    for path in written:
+        featio.read_checkpoint(path)
+    return {"config": cfg, "out": out, "corpus": corpus,
             "checkpoint": checkpoint, "adapted": adapted}
 
 
@@ -145,8 +158,8 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     cfg.write_text(json.dumps({} if setting else {"model": {"d_h": "32"}}))
     out = tmp_path / "runs"
     # any existing file passes the path checks that come before the config's
-    flags = {"pretrain": ["--manifest"], "adapt": ["--manifest", "--checkpoint"],
-             "dump-hyper-params": ["--manifest", "--checkpoint"], "grad-check": []}[verb]
+    flags = {"pretrain": ["--corpus"], "adapt": ["--corpus", "--checkpoint"],
+             "dump-hyper-params": ["--corpus", "--checkpoint"], "grad-check": []}[verb]
     paths = [arg for flag in flags for arg in (flag, str(cfg))]
     code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *paths,
                            *(["--set", setting] if setting else []))
@@ -160,9 +173,12 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     ("synthesize", ["--set", "synthesize.wav=true"]),
     ("evaluate", ["--set", "evaluate.coeffs=0"]),
     ("dump-hyper-params", ["--set", "dump.jitter_scale=0.1"]),
+    ("pretrain", ["--manifest"]),
+    ("evaluate", ["--set", "paths.manifest=corpus.bin"]),
 ])
 def test_removed_flag_and_keys_exit_2(tmp_path, verb, args):
-    # the waveform preview and the MCD-width and jitter-size keys are gone
+    # the waveform preview, the MCD-width and jitter-size keys and the
+    # manifest (a corpus is one file, passed as --corpus) are gone
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--out-dir", str(out), *args)
     assert code == 2
@@ -222,10 +238,11 @@ def test_params_bad_strategy_exits_2():
 
 def test_run_dir_named_by_hash_and_seed(pipeline):
     cfg = load_config(pipeline["config"])
-    manifest_dir = os.path.dirname(os.path.dirname(pipeline["manifest"]))
-    name = os.path.basename(manifest_dir)
+    run_dir = os.path.dirname(os.path.dirname(pipeline["corpus"]))
+    name = os.path.basename(run_dir)
     assert name.startswith("gen-corpus-") and name.endswith("-s11")
-    echoed = json.load(open(os.path.join(manifest_dir, "config.json")))
+    assert os.listdir(os.path.dirname(pipeline["corpus"])) == ["corpus.bin"]
+    echoed = json.load(open(os.path.join(run_dir, "config.json")))
     assert echoed["corpus"]["utts_per_speaker"] == 4
     assert echoed["seed"] == 11
     assert echoed["out_dir"] == pipeline["out"]
@@ -262,7 +279,7 @@ def test_adapt_rerun_rewrites_logs(pipeline):
     before = open(log).read()
     code, stdout, _ = run_cli("adapt", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"], "--seed", "5",
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["checkpoint"])
     assert code == 0
     assert open(log).read() == before
@@ -271,7 +288,7 @@ def test_adapt_rerun_rewrites_logs(pipeline):
 def test_adapt_strategy_flag_changes_run_dir(pipeline):
     code, stdout, _ = run_cli("adapt", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"], "--seed", "5",
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["checkpoint"],
                               "--strategy", "tts0")
     assert code == 0
@@ -281,31 +298,33 @@ def test_adapt_strategy_flag_changes_run_dir(pipeline):
 
 
 def test_synthesize_by_utterance(pipeline):
-    entries = featio.read_manifest(pipeline["manifest"])
-    utt = entries[0].utt_id
+    utt = "adp_00_u000"
     code, stdout, _ = run_cli("synthesize", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"],
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["adapted"],
                               "--utt", utt)
     assert code == 0
-    mel_path = stdout.strip()
-    mel = read_array(mel_path)
+    path = stdout.strip()
+    assert os.path.basename(path) == utt + ".bin"
+    meta, arrays = featio.read_checkpoint(path)
+    assert meta == {} and sorted(arrays) == ["durations", "energy", "f0", "mel"]
+    mel, durations = arrays["mel"], arrays["durations"]
     assert mel.ndim == 2 and mel.shape[1] == TINY["model"]["n_mels"]
-    run_dir = os.path.dirname(mel_path)
-    for suffix in (".f0.bin", ".energy.bin", ".dur.bin"):
-        assert os.path.exists(os.path.join(run_dir, utt + suffix))
+    assert arrays["f0"].shape == arrays["energy"].shape == (len(mel),)
+    assert durations.dtype == np.int64 and durations.sum() == len(mel)
 
 
 def test_synthesize_custom_phonemes(pipeline):
     code, stdout, _ = run_cli("synthesize", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"],
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["adapted"],
                               "--phonemes", "3,5,7,2", "--speaker", "adp_00")
     assert code == 0
-    dur = read_array(stdout.strip().replace(".mel.", ".dur."))
-    assert dur.shape == (4,)
+    assert os.path.basename(stdout.strip()) == "adp_00-custom.bin"
+    _, arrays = featio.read_checkpoint(stdout.strip())
+    assert arrays["durations"].shape == (4,)
 
 
 @pytest.mark.parametrize("verb, args, message", [
@@ -314,32 +333,94 @@ def test_synthesize_custom_phonemes(pipeline):
     ("synthesize", ["--phonemes", "1,x,3", "--speaker", "adp_00"], "comma-separated"),
     ("synthesize", ["--phonemes", "999,3", "--speaker", "adp_00"], "id 999 outside"),
     ("synthesize", ["--phonemes", "3,5", "--speaker", "adp_99"], "'adp_99' has no train"),
-    ("evaluate", ["--speakers", "adapt"], "no utterances matched"),  # pretrain-only manifest
+    # one utterance per speaker, and that one is validation
+    ("evaluate", ["--split", "train"], "no utterances matched"),
     ("dump-hyper-params", [], "needs a hyper checkpoint"),  # given the pretrained checkpoint
 ])
 def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, message):
-    manifest, checkpoint = pipeline["manifest"], pipeline["adapted"]
+    corpus, checkpoint = pipeline["corpus"], pipeline["adapted"]
     if verb == "evaluate":
-        corpus_dir = tmp_path / "corpus"
-        shutil.copytree(os.path.dirname(manifest), corpus_dir)
-        manifest = str(corpus_dir / "manifest.jsonl")
-        with open(manifest) as f:
-            kept = [line for line in f if json.loads(line)["speaker"].startswith("pre_")]
-        with open(manifest, "w") as f:
-            f.writelines(kept)
+        corpus = generate_corpus(CorpusSpec(**{**TINY["corpus"], "utts_per_speaker": 1}), 11,
+                                 str(tmp_path / "corpus"))
     if verb == "dump-hyper-params":
         checkpoint = pipeline["checkpoint"]
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out),
-                           "--manifest", manifest, "--checkpoint", checkpoint, *args)
+                           "--corpus", corpus, "--checkpoint", checkpoint, *args)
     assert code == 2 and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("checkpoint", "not a corpus (metadata keys ['adam_t', "),
+    ("string_utts", "corpus metadata: key 'spec.utts_per_speaker' expects int, got '4'"),
+    ("more_utts", "no array adp_00_u004.phonemes"),
+])
+def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message):
+    # a model checkpoint passed as the corpus, and a corpus whose spec has a
+    # value of the wrong type or names utterances the file lacks
+    corpus = str(tmp_path / "corpus.bin")
+    if case == "checkpoint":
+        shutil.copyfile(pipeline["checkpoint"], corpus)
+    else:
+        meta, tensors = featio.read_checkpoint(pipeline["corpus"])
+        meta["spec"]["utts_per_speaker"] = "4" if case == "string_utts" else 5
+        featio.write_checkpoint(corpus, meta, tensors)
+    out = tmp_path / "runs"
+    code, _, err = run_cli("pretrain", "--config", pipeline["config"], "--out-dir", str(out),
+                           "--corpus", corpus)
+    assert code == 2 and err.startswith(f"InputError: {corpus}: {message}"), err
+    assert err.rstrip().endswith("regenerate the corpus with gen-corpus")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("verb, args, message", [
+    ("gen-corpus", ["--set", "corpus.speakers_pretrain=1"], "at least 2 speakers"),
+    ("pretrain", ["--corpus", "JUNK"], "not a checkpoint"),
+    ("adapt", ["--checkpoint", "JUNK"], "not a checkpoint"),
+    ("adapt", ["--checkpoint", "JUNK", "--strategy", "tts0"], "not a checkpoint"),
+    ("adapt", ["--checkpoint", "DAMAGED", "--strategy", "tts0"], "payload CRC-32 mismatch"),
+])
+def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, message):
+    # these verbs make their run directory before they read their input;
+    # tts0 copies its input, once every CRC-32 of it checks
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(bytes(range(16)))
+    damaged = bytearray(open(pipeline["checkpoint"], "rb").read())
+    damaged[-1] ^= 0x01
+    (tmp_path / "damaged.bin").write_bytes(bytes(damaged))
+    paths = {"JUNK": str(junk), "DAMAGED": str(tmp_path / "damaged.bin")}
+    args = [paths.get(a, a) for a in args]
+    if verb == "adapt":
+        args += ["--corpus", pipeline["corpus"]]
+    out = tmp_path / "runs"
+    code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out), *args)
+    assert code == 2 and message in err, err
+    assert os.listdir(out) == []
+
+
+def test_bad_input_keeps_a_run_dir_that_existed(pipeline, tmp_path):
+    # a pretrain resumes in its run directory: a failed call never removes
+    # one it did not make, even one holding only the config echo
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(bytes(16))
+    out = tmp_path / "runs"
+    cfg = load_config(pipeline["config"], [f"paths.corpus={junk}", f"out_dir={out}"])
+    run_dir = out / f"pretrain-{config_hash(cfg)}-s0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "config.json").write_text("{}\n")
+    code, _, _ = run_cli("pretrain", "--config", pipeline["config"], "--out-dir", str(out),
+                         "--corpus", str(junk))
+    assert code == 2
+    assert os.listdir(out) == [run_dir.name] and os.listdir(run_dir) == ["config.json"]
+    # the call echoed its config into this same directory before it failed
+    assert json.loads((run_dir / "config.json").read_text())["paths"]["corpus"] == str(junk)
 
 
 def test_evaluate_writes_report(pipeline):
     code, stdout, _ = run_cli("evaluate", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"],
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["adapted"],
                               "--split", "val", "--speakers", "adapt")
     assert code == 0
@@ -352,10 +433,24 @@ def test_evaluate_writes_report(pipeline):
     assert any(line.startswith("cos\t") for line in lines[1:])
 
 
+@pytest.mark.parametrize("checkpoint", ["checkpoint", "adapted"])
+def test_evaluate_counts_the_checkpoints_trainable_params(pipeline, checkpoint):
+    # the strategy the checkpoint's metadata names: none for a pretrain
+    # checkpoint, the config's hyper_ev for the adapted one
+    code, stdout, _ = run_cli("evaluate", "--config", pipeline["config"],
+                              "--out-dir", pipeline["out"],
+                              "--corpus", pipeline["corpus"],
+                              "--checkpoint", pipeline[checkpoint])
+    assert code == 0
+    data = json.load(open(stdout.splitlines()[0].replace(".tsv", ".json")))
+    _, count, _ = run_cli("params", "--strategy", "hyper_ev", "--config", pipeline["config"])
+    assert data["params"]["trainable"] == (0 if checkpoint == "checkpoint" else int(count))
+
+
 def test_dump_hyper_params_exports_per_speaker_vectors(pipeline):
     code, stdout, _ = run_cli("dump-hyper-params", "--config", pipeline["config"],
                               "--out-dir", pipeline["out"],
-                              "--manifest", pipeline["manifest"],
+                              "--corpus", pipeline["corpus"],
                               "--checkpoint", pipeline["adapted"],
                               "--jitters", "2")
     assert code == 0
@@ -403,16 +498,16 @@ def test_every_verb_help_lists_flags():
     whether it is required; every such key exists in the default config."""
     expected = {
         "gen-corpus": {},
-        "pretrain": {"--manifest": "paths.manifest"},
-        "adapt": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+        "pretrain": {"--corpus": "paths.corpus"},
+        "adapt": {"--corpus": "paths.corpus", "--checkpoint": "paths.checkpoint",
                   "--strategy": "adapt.strategy", "--steps": "adapt.steps"},
-        "synthesize": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+        "synthesize": {"--corpus": "paths.corpus", "--checkpoint": "paths.checkpoint",
                        "--utt": "synthesize.utt", "--speaker": "synthesize.speaker",
                        "--phonemes": "synthesize.phonemes"},
-        "evaluate": {"--manifest": "paths.manifest", "--checkpoint": "paths.checkpoint",
+        "evaluate": {"--corpus": "paths.corpus", "--checkpoint": "paths.checkpoint",
                      "--split": "evaluate.split", "--speakers": "evaluate.speakers"},
         "params": {"--strategy": "adapt.strategy"},
-        "dump-hyper-params": {"--manifest": "paths.manifest",
+        "dump-hyper-params": {"--corpus": "paths.corpus",
                               "--checkpoint": "paths.checkpoint", "--jitters": "dump.jitters"},
         "grad-check": {"--instances": "gradcheck.instances",
                        "--threshold": "gradcheck.threshold",

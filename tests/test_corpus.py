@@ -20,6 +20,7 @@ from hyperadapt.corpus import (
     speaker_latents,
     synth_utterance,
     synthetic_embedding,
+    utterance_index,
 )
 from hyperadapt.errors import ConfigError, InputError
 from hyperadapt.layers import rng_for
@@ -41,10 +42,10 @@ def tree_hash(root):
 
 def test_default_spec_yields_600_entries(tmp_path):
     spec = CorpusSpec()  # 8 + 4 speakers, 50 utterances each
-    man = generate_corpus(spec, 5, str(tmp_path))
-    entries = featio.read_manifest(man)
-    assert len(entries) == 600
-    speakers = {e.speaker for e in entries}
+    utts = load_corpus(generate_corpus(spec, 5, str(tmp_path)))
+    assert len(utts) == 600
+    assert [(u.utt_id, u.speaker, u.split) for u in utts] == utterance_index(spec)
+    speakers = {u.speaker for u in utts}
     assert sum(s.startswith("pre_") for s in speakers) == 8
     assert sum(s.startswith("adp_") for s in speakers) == 4
 
@@ -60,9 +61,31 @@ def test_generation_is_byte_identical(tmp_path):
     assert tree_hash(a) == first
 
 
-def test_generation_writes_three_files(tmp_path):
-    generate_corpus(SMALL, 3, str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == ["corpus.json", "features.bin", "manifest.jsonl"]
+def test_generation_writes_one_file(tmp_path):
+    path = generate_corpus(SMALL, 3, str(tmp_path))
+    assert os.listdir(tmp_path) == ["corpus.bin"] and path == str(tmp_path / "corpus.bin")
+    meta, _ = featio.read_checkpoint(path)
+    assert meta == {"seed": 3, "spec": dataclasses.asdict(SMALL)}
+
+
+def test_index_order_is_speaker_then_number():
+    index = utterance_index(CorpusSpec(speakers_pretrain=2, speakers_adapt=2,
+                                       utts_per_speaker=5))
+    assert [e.utt_id for e in index[:6]] == [
+        "adp_00_u000", "adp_00_u001", "adp_00_u002", "adp_00_u003", "adp_00_u004",
+        "adp_01_u000"]
+    assert [e.split for e in index[:5]] == ["val", "train", "train", "train", "train"]
+    assert {e.speaker for e in index} == {"adp_00", "adp_01", "pre_00", "pre_01"}
+
+
+def _rewrite(path, edit_meta=None, keep=lambda name: True, add=None):
+    """Rewrite corpus file `path` with edited metadata or tensors, every
+    CRC-32 still valid."""
+    meta, tensors = featio.read_checkpoint(path)
+    if edit_meta:
+        edit_meta(meta)
+    tensors = {k: v for k, v in tensors.items() if keep(k)}
+    featio.write_checkpoint(path, meta, {**tensors, **(add or {})})
 
 
 def _damage(path, kind):
@@ -70,24 +93,42 @@ def _damage(path, kind):
         blob = bytearray(path.read_bytes())
         blob[12 + struct.unpack("<I", blob[8:12])[0]] ^= 0x40
         path.write_bytes(bytes(blob))
-    elif kind == "missing":
+    elif kind == "directory":  # a corpus directory in place of its file
         path.unlink()
+        path.mkdir()
+    elif kind == "manifest":  # what a corpus directory held before it was one file
+        path.write_text('{"speaker": "pre_00", "split": "val", "utt_id": "pre_00_u000"}\n')
+    elif kind == "no_spec":
+        _rewrite(path, edit_meta=lambda m: m.pop("spec"))
+    elif kind == "string_n_mels":
+        _rewrite(path, edit_meta=lambda m: m["spec"].update(n_mels="20"))
+    elif kind == "unknown_spec_key":
+        _rewrite(path, edit_meta=lambda m: m["spec"].update(speakers=3))
+    elif kind == "more_utts":
+        _rewrite(path, edit_meta=lambda m: m["spec"].update(utts_per_speaker=7))
+    elif kind == "extra_array":
+        _rewrite(path, add={"adp_00_u000.durations": np.ones(3, dtype=np.int64)})
     else:  # one utterance's arrays dropped
-        meta, tensors = featio.read_checkpoint(path)
-        featio.write_checkpoint(path, meta, {k: v for k, v in tensors.items()
-                                             if not k.startswith(kind + ".")})
+        _rewrite(path, keep=lambda name: not name.startswith(kind + "."))
 
 
 @pytest.mark.parametrize("kind, message", [
     ("flip", "tensor adp_00_u000.embedding: payload CRC-32 mismatch"),
-    ("missing", "features.bin: features file missing"),
+    ("directory", "corpus.bin: a directory, not a corpus file"),
+    ("manifest", "corpus.bin: not a checkpoint (bad magic or truncated)"),
+    ("no_spec", "corpus.bin: not a corpus (metadata keys ['seed'], not seed and spec)"),
+    ("string_n_mels", "corpus metadata: key 'spec.n_mels' expects int, got '20'"),
+    ("unknown_spec_key", "corpus metadata: unknown key 'spec.speakers'"),
+    ("more_utts", "no array adp_00_u006.phonemes"),
+    ("extra_array", "array adp_00_u000.durations is not in the spec's utterance index"),
     ("pre_01_u002", "no array pre_01_u002.phonemes"),
 ])
 def test_damaged_features_raise_input_error(tmp_path, kind, message):
-    man = generate_corpus(SMALL, 3, str(tmp_path))
-    _damage(tmp_path / "features.bin", kind)
-    with pytest.raises(InputError, match=re.escape(message)):
-        load_corpus(man)
+    path = generate_corpus(SMALL, 3, str(tmp_path))
+    _damage(tmp_path / "corpus.bin", kind)
+    with pytest.raises(InputError, match=re.escape(message) + ".*; regenerate the corpus "
+                                                               "with gen-corpus$"):
+        load_corpus(path)
 
 
 def test_different_seeds_differ(tmp_path):
@@ -98,8 +139,8 @@ def test_different_seeds_differ(tmp_path):
 
 
 def test_utterance_invariants(tmp_path):
-    man = generate_corpus(SMALL, 11, str(tmp_path))
-    utts = load_corpus(man)
+    path = generate_corpus(SMALL, 11, str(tmp_path))
+    utts = load_corpus(path)
     assert len(utts) == 12 * 6
     tables, latents = phoneme_tables(SMALL, 11), speaker_latents(SMALL, 11)
     for u in utts:
@@ -129,9 +170,9 @@ def test_rate_latent_doubles_total_duration():
 
 
 def test_within_speaker_cosine_exceeds_cross_speaker(tmp_path):
-    man = generate_corpus(CorpusSpec(utts_per_speaker=10), 11, str(tmp_path))
+    path = generate_corpus(CorpusSpec(utts_per_speaker=10), 11, str(tmp_path))
     by = {}
-    for u in load_corpus(man):
+    for u in load_corpus(path):
         by.setdefault(u.speaker, []).append(u.embedding)
     within, cross = [], []
     for s in sorted(by):
@@ -145,12 +186,12 @@ def test_within_speaker_cosine_exceeds_cross_speaker(tmp_path):
 
 
 def test_splits_and_filters(tmp_path):
-    man = generate_corpus(SMALL, 2, str(tmp_path))
-    train = load_corpus(man, split="train")
-    val = load_corpus(man, split="val")
+    path = generate_corpus(SMALL, 2, str(tmp_path))
+    train = load_corpus(path, split="train")
+    val = load_corpus(path, split="val")
     assert len(train) + len(val) == 72
     assert all(u.split == "val" for u in val)
-    adapt_train = load_corpus(man, adaptation=True, split="train")
+    adapt_train = load_corpus(path, adaptation=True, split="train")
     assert {u.speaker[:4] for u in adapt_train} == {"adp_"}
 
 

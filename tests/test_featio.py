@@ -1,7 +1,5 @@
-"""Binary formats: feature arrays, manifests, checkpoints."""
+"""The one binary container, and the corpus file written in it."""
 
-import dataclasses
-import json
 import struct
 
 import numpy as np
@@ -10,114 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperadapt import featio
+from hyperadapt.corpus import CorpusSpec, generate_corpus, load_corpus
 from hyperadapt.errors import InputError
-
-from oracles import read_array
-
-
-class TestFeatureFiles:
-    @pytest.mark.parametrize(
-        "arr",
-        [
-            np.arange(12, dtype=np.float32).reshape(3, 4),
-            np.linspace(-1, 1, 7).astype(np.float64),
-            np.array([5, 0, 2], dtype=np.int64),
-            np.zeros((1, 1), dtype=np.int32),
-            np.empty((0,), dtype=np.float32),
-        ],
-    )
-    def test_roundtrip_preserves_dtype_shape_values(self, tmp_path, arr):
-        p = tmp_path / "x.bin"
-        featio.write_array(p, arr)
-        back = read_array(p)
-        assert back.dtype == arr.dtype
-        assert back.shape == arr.shape
-        np.testing.assert_array_equal(back, arr)
-
-    def test_write_is_byte_stable(self, tmp_path):
-        arr = np.random.default_rng(0).standard_normal((5, 3)).astype(np.float32)
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        featio.write_array(a, arr)
-        featio.write_array(b, read_array(a))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_header_is_sixteen_bytes(self, tmp_path):
-        p = tmp_path / "x.bin"
-        featio.write_array(p, np.zeros(4, dtype=np.float32))
-        assert p.stat().st_size == 16 + 4 * 4
-        assert p.read_bytes()[:4] == b"HAF1"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "x.bin"
-        p.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(InputError):
-            read_array(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        p = tmp_path / "x.bin"
-        featio.write_array(p, np.zeros(8, dtype=np.float32))
-        p.write_bytes(p.read_bytes()[:-4])
-        with pytest.raises(InputError):
-            read_array(p)
-
-    def test_rank3_rejected(self, tmp_path):
-        with pytest.raises(InputError):
-            featio.write_array(tmp_path / "x.bin", np.zeros((2, 2, 2), dtype=np.float32))
-
-
-def _entry(utt_id, speaker="spk0"):
-    return featio.ManifestEntry(utt_id=utt_id, speaker=speaker, split="train")
-
-
-class TestManifest:
-    def test_roundtrip(self, tmp_path):
-        entries = [_entry(f"utt{i}") for i in range(4)]
-        mpath = tmp_path / "manifest.jsonl"
-        featio.write_manifest(mpath, entries)
-        back = featio.read_manifest(mpath)
-        assert [e.utt_id for e in back] == [e.utt_id for e in entries]
-        assert back[0] == entries[0]
-
-    def test_duplicate_id_rejected(self, tmp_path):
-        entries = [_entry("utt0"), _entry("utt0")]
-        mpath = tmp_path / "manifest.jsonl"
-        featio.write_manifest(mpath, entries)
-        with pytest.raises(InputError):
-            featio.read_manifest(mpath)
-
-    @pytest.mark.parametrize("change, key", [
-        ("drop", "split"),
-        ("add", "mel"),        # a feature path, as older corpora carried
-        ("add", "durations"),  # ground-truth durations are not part of the format
-    ])
-    def test_entry_needs_exactly_the_manifest_keys(self, tmp_path, change, key):
-        record = dataclasses.asdict(_entry("utt0"))
-        if change == "drop":
-            del record[key]
-        else:
-            record[key] = f"utt0.{key}.bin"
-        mpath = tmp_path / "manifest.jsonl"
-        mpath.write_text(json.dumps(record) + "\n")
-        word = "missing" if change == "drop" else "unknown"
-        with pytest.raises(InputError, match=rf"{word} manifest keys \['{key}'\]"):
-            featio.read_manifest(mpath)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        mpath = tmp_path / "manifest.jsonl"
-        mpath.write_text('{"utt_id": "a", "speaker": "s", "split": "train", "bogus": 1}\n')
-        with pytest.raises(InputError):
-            featio.read_manifest(mpath)
-
-    @pytest.mark.parametrize("line", [
-        b"7",                                                 # not an object
-        b'{"utt_id": 1, "speaker": "s", "split": "train"}',  # a non-string field
-        b"\xff\xfe",                                          # not UTF-8
-    ])
-    def test_malformed_record_rejected(self, tmp_path, line):
-        mpath = tmp_path / "manifest.jsonl"
-        mpath.write_bytes(line + b"\n")
-        with pytest.raises(InputError):
-            featio.read_manifest(mpath)
 
 
 class TestCheckpoint:
@@ -217,35 +109,32 @@ def _damaged(blob):
 def intact(tmp_path_factory):
     """reader -> (directory, name, bytes) of one valid file each."""
     d = tmp_path_factory.mktemp("intact")
-    featio.write_array(d / "x.bin", np.arange(6, dtype=np.float32).reshape(2, 3))
     featio.write_checkpoint(d / "x.ckpt", {"step": 3, "ranges": [0.5, 2.0]}, {
         "a.w": np.ones((2, 3), dtype=np.float32), "b": np.arange(4, dtype=np.int64)})
-    entries = [_entry(f"u{i}") for i in range(2)]
-    featio.write_manifest(d / "m.jsonl", entries)
+    generate_corpus(CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=1,
+                               n_mels=4, d_spk=4, min_phonemes=2, max_phonemes=3), 3, d)
     return {reader: (d, name, (d / name).read_bytes()) for reader, name in (
-        (read_array, "x.bin"), (featio.read_checkpoint, "x.ckpt"),
-        (featio.read_manifest, "m.jsonl"))}
+        (featio.read_checkpoint, "x.ckpt"), (load_corpus, "corpus.bin"))}
 
 
-@pytest.mark.parametrize("reader", [read_array, featio.read_checkpoint,
-                                    featio.read_manifest], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("reader", [featio.read_checkpoint, load_corpus],
+                         ids=lambda f: f.__name__)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_damaged_file_reads_or_raises_input_error(intact, reader, data):
-    # a checkpoint whose tensor payload took the damage never reads: its
-    # CRC-32 no longer matches, so no wrong numbers come back
+    # a file whose tensor payload took the damage never reads: its CRC-32
+    # no longer matches, so no wrong numbers come back
     directory, name, blob = intact[reader]
     path = directory / ("damaged-" + name)
     damaged = data.draw(_damaged(blob))
     path.write_bytes(damaged)
     start = _payload_start(blob)
-    payload_hit = (reader is featio.read_checkpoint and len(damaged) == len(blob)
-                   and damaged[start:] != blob[start:])
+    payload_hit = len(damaged) == len(blob) and damaged[start:] != blob[start:]
     try:
         reader(path)
     except InputError:
         return
-    assert not payload_hit, "a checkpoint with a damaged tensor payload read back"
+    assert not payload_hit, f"a {name} with a damaged tensor payload read back"
 
 
 def _payload_start(blob):

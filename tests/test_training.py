@@ -1,7 +1,6 @@
 """Schedule, loss assembly, optimizer, and the two training loops."""
 
 import dataclasses
-import json
 import os
 import re
 import shutil
@@ -54,25 +53,25 @@ SCHED = ScheduleConfig(
 
 
 @pytest.fixture(scope="module")
-def corpus_manifest(tmp_path_factory):
+def corpus_path(tmp_path_factory):
     spec = CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=4)
     out = tmp_path_factory.mktemp("corpus")
     return generate_corpus(spec, seed=11, out_dir=str(out))
 
 
 @pytest.fixture(scope="module")
-def pretrained(corpus_manifest, tmp_path_factory):
+def pretrained(corpus_path, tmp_path_factory):
     run = tmp_path_factory.mktemp("pretrain_run")
-    ck = tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, str(run), seed=3, ckpt_every=4)
+    ck = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(run), seed=3, ckpt_every=4)
     return ck, str(run)
 
 
 @pytest.fixture(scope="module")
-def adapted(pretrained, corpus_manifest, tmp_path_factory):
+def adapted(pretrained, corpus_path, tmp_path_factory):
     ck, _ = pretrained
     run = tmp_path_factory.mktemp("adapt_run")
     sched = adaptation_schedule(steps=3, batch_size=2)
-    out = tr.adapt(ck, corpus_manifest, "hyper_ev", sched, str(run), seed=5,
+    out = tr.adapt(ck, corpus_path, "hyper_ev", sched, str(run), seed=5,
                    dims=DIMS, log_every=1)
     return out, str(run)
 
@@ -186,10 +185,10 @@ def test_exact_predictions_zero_every_component():
     assert float(total.data) == 0.0
 
 
-def test_total_matches_manual_weighted_sum(pretrained, corpus_manifest):
+def test_total_matches_manual_weighted_sum(pretrained, corpus_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
+    utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
     total, bd = compute_losses(model, [utt], 5, sched, RunCtx((), training=False))
     manual = sum(bd.weights[k] * bd.components[k] for k in LOSS_NAMES)
@@ -199,10 +198,10 @@ def test_total_matches_manual_weighted_sum(pretrained, corpus_manifest):
     bd.check_consistent()
 
 
-def test_gated_components_stay_out_of_graph(pretrained, corpus_manifest):
+def test_gated_components_stay_out_of_graph(pretrained, corpus_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
+    utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = ScheduleConfig(warmup_steps=2, milestones=(20,), duration_start_step=10,
                            total_steps=30)
     total, bd = compute_losses(model, [utt], 0, sched, RunCtx((), training=False))
@@ -221,7 +220,7 @@ def _grads(loss, named):
     return {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in named}
 
 
-def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
+def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_path):
     # run the whole pass in float64 so the FD oracle is meaningful
     monkeypatch.setattr(ad, "DEFAULT_DTYPE", np.float64)
     ck, _ = pretrained
@@ -232,7 +231,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
     for _, p in model.named_parameters():
         p.data = p.data.astype(np.float64)
 
-    utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
+    utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
 
     def loss():
@@ -258,11 +257,11 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_manifest):
         assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), abs(g[idx]), 1e-3), name
 
 
-def test_nonfinite_component_is_named(pretrained, corpus_manifest):
+def test_nonfinite_component_is_named(pretrained, corpus_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model  # fresh instance, safe to poison
     model.encoder.embed.table.data[:] = np.nan
-    utt = load_corpus(corpus_manifest, adaptation=False, split="train")[0]
+    utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     with pytest.raises(NumericsError, match="mel_pre"):
         compute_losses(model, [utt], 5, adaptation_schedule(steps=10),
                        RunCtx((), training=False))
@@ -394,93 +393,87 @@ def test_pretrain_writes_logs_and_latest(pretrained):
     assert os.path.exists(os.path.join(run, "val_log.tsv"))
 
 
-def test_pretrain_same_seed_is_bit_identical(pretrained, corpus_manifest, tmp_path):
+def test_pretrain_same_seed_is_bit_identical(pretrained, corpus_path, tmp_path):
     ck, run = pretrained
-    ck2 = tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, str(tmp_path), seed=3,
+    ck2 = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path), seed=3,
                       ckpt_every=4)
     assert open(ck, "rb").read() == open(ck2, "rb").read()
     logs = [open(os.path.join(d, "train_log.tsv")).read() for d in (run, str(tmp_path))]
     assert logs[0] == logs[1]
 
 
-def test_pretrain_resume_is_bit_identical(pretrained, corpus_manifest, tmp_path):
+def test_pretrain_resume_is_bit_identical(pretrained, corpus_path, tmp_path):
     ck, _ = pretrained
     short = dataclasses.replace(SCHED, total_steps=4)
-    tr.pretrain(corpus_manifest, TRAIN_CFG, short, str(tmp_path), seed=3, ckpt_every=4)
-    resumed = tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, str(tmp_path), seed=3,
+    tr.pretrain(corpus_path, TRAIN_CFG, short, str(tmp_path), seed=3, ckpt_every=4)
+    resumed = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path), seed=3,
                           ckpt_every=4)
     assert open(ck, "rb").read() == open(resumed, "rb").read()
 
 
-def test_pretrain_rejects_config_change_on_resume(pretrained, corpus_manifest):
+def test_pretrain_rejects_config_change_on_resume(pretrained, corpus_path):
     _, run = pretrained
     other = dataclasses.replace(TRAIN_CFG, d_attn=16)
     with pytest.raises(ConfigError):
-        tr.pretrain(corpus_manifest, other, SCHED, run, seed=3)
+        tr.pretrain(corpus_path, other, SCHED, run, seed=3)
 
 
-def test_pretrain_rejects_schedule_change_on_resume(pretrained, corpus_manifest):
+def test_pretrain_rejects_schedule_change_on_resume(pretrained, corpus_path):
     _, run = pretrained
     other = dataclasses.replace(SCHED, peak_lr=2e-3)
     with pytest.raises(ConfigError, match="schedule"):
-        tr.pretrain(corpus_manifest, TRAIN_CFG, other, run, seed=3)
+        tr.pretrain(corpus_path, TRAIN_CFG, other, run, seed=3)
 
 
-def test_pretrain_rejects_seed_change_on_resume(pretrained, corpus_manifest):
+def test_pretrain_rejects_seed_change_on_resume(pretrained, corpus_path):
     _, run = pretrained
     with pytest.raises(ConfigError, match="seed"):
-        tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, run, seed=4)
+        tr.pretrain(corpus_path, TRAIN_CFG, SCHED, run, seed=4)
 
 
-def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_manifest, tmp_path):
+def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_path, tmp_path):
     adapted_ck, _ = adapted
     shutil.copyfile(adapted_ck, tmp_path / "ckpt-000001.bin")
     (tmp_path / "LATEST").write_text("ckpt-000001.bin\n")
     with pytest.raises(StateError):
-        tr.pretrain(corpus_manifest, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
+        tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
 
 
-def test_pretrain_requires_embeddings(pretrained, adapted, corpus_manifest, tmp_path, capsys):
-    # a features file that lacks the embeddings or has a damaged payload, and
-    # a manifest entry with a durations key, are bad input: pretrain, adapt
-    # and dump-hyper-params all stop (exit 2) before using them
+def test_pretrain_requires_embeddings(pretrained, adapted, corpus_path, tmp_path, capsys):
+    # a corpus file that lacks the embeddings, holds an array its spec does
+    # not index, or has a damaged payload is bad input: pretrain, adapt and
+    # dump-hyper-params all stop (exit 2) before using it
     pretrained_ck, hyper_ck = pretrained[0], adapted[0]
     dims = [f"--set=dims.{k}={v}" for k, v in dataclasses.asdict(DIMS).items()]
     for case in ("embedding", "durations", "flip"):
-        corpus_dir = tmp_path / case
-        shutil.copytree(os.path.dirname(corpus_manifest), corpus_dir)
-        manifest, features = str(corpus_dir / "manifest.jsonl"), corpus_dir / "features.bin"
-        # what each verb reports; pretrain reads the pretraining speakers only
+        corpus = tmp_path / case / "corpus.bin"
+        corpus.parent.mkdir()
+        shutil.copyfile(corpus_path, corpus)
+        # the first array in file order, whatever speakers a verb reads
         if case == "embedding":
-            meta, tensors = featio.read_checkpoint(features)
-            featio.write_checkpoint(features, meta, {k: v for k, v in tensors.items()
-                                                     if not k.endswith(".embedding")})
-            first = {"pretrain": "pre_00_u000", "adapt": "adp_00_u000",
-                     "dump-hyper-params": "adp_00_u000"}
-            expected = {verb: f"{features}: no array {utt}.embedding"
-                        for verb, utt in first.items()}
+            meta, tensors = featio.read_checkpoint(corpus)
+            featio.write_checkpoint(corpus, meta, {k: v for k, v in tensors.items()
+                                                   if not k.endswith(".embedding")})
+            expected = f"{corpus}: no array adp_00_u000.embedding"
         elif case == "durations":
-            records = [json.dumps({**dataclasses.asdict(e), "durations": f"{e.utt_id}.dur.bin"})
-                       for e in featio.read_manifest(manifest)]
-            with open(manifest, "w") as f:
-                f.write("\n".join(records) + "\n")
-            expected = dict.fromkeys(("pretrain", "adapt", "dump-hyper-params"),
-                                     f"{manifest}:1: unknown manifest keys ['durations']")
+            meta, tensors = featio.read_checkpoint(corpus)
+            tensors["adp_00_u000.durations"] = np.ones(3, dtype=np.int64)
+            featio.write_checkpoint(corpus, meta, tensors)
+            expected = (f"{corpus}: array adp_00_u000.durations is not in the spec's "
+                        "utterance index")
         else:  # one flipped bit in the first tensor payload
-            blob = bytearray(features.read_bytes())
+            blob = bytearray(corpus.read_bytes())
             blob[12 + int.from_bytes(blob[8:12], "little")] ^= 0x01
-            features.write_bytes(bytes(blob))
-            expected = dict.fromkeys(("pretrain", "adapt", "dump-hyper-params"),
-                                     f"{features}: tensor adp_00_u000.embedding: "
-                                     "payload CRC-32 mismatch")
-        with pytest.raises(InputError, match=re.escape(expected["pretrain"])):
-            tr.pretrain(manifest, TRAIN_CFG, SCHED, str(tmp_path / "run"), seed=3)
-        common = ["--manifest", manifest, "--out-dir", str(tmp_path / "runs")]
+            corpus.write_bytes(bytes(blob))
+            expected = f"{corpus}: tensor adp_00_u000.embedding: payload CRC-32 mismatch"
+        with pytest.raises(InputError, match=re.escape(expected)):
+            tr.pretrain(str(corpus), TRAIN_CFG, SCHED, str(tmp_path / "run"), seed=3)
+        common = ["--corpus", str(corpus), "--out-dir", str(tmp_path / "runs")]
         for argv in (["pretrain"], ["adapt", "--checkpoint", pretrained_ck, "--steps", "1", *dims],
                      ["dump-hyper-params", "--checkpoint", hyper_ck]):
             assert cli.main([*argv, *common]) == 2, (case, argv[0])
             err = capsys.readouterr().err
-            assert err.startswith(f"InputError: {expected[argv[0]]}"), (case, argv[0], err)
+            assert err.startswith(f"InputError: {expected}"), (case, argv[0], err)
 
 
 def test_checkpoint_roundtrip_is_bitstable(pretrained, tmp_path):
@@ -498,10 +491,10 @@ def test_checkpoint_roundtrip_is_bitstable(pretrained, tmp_path):
         assert meta1[key] == meta2[key]
 
 
-def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_manifest):
+def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    batch = load_corpus(corpus_manifest, adaptation=False, split="train")[:2]
+    batch = load_corpus(corpus_path, adaptation=False, split="train")[:2]
     sched = adaptation_schedule(steps=10, lr=1e-6)
     trainable = list(model.named_parameters())
 
@@ -553,10 +546,10 @@ def _packs_of_one(model, trainable, batch, sched, seed=7):
     return float(np.mean(totals)), expected
 
 
-def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifest, tmp_path):
+def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_path, tmp_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    train = load_corpus(corpus_path, adaptation=False, split="train")
     sched = dataclasses.replace(SCHED, total_steps=1, batch_size=3)
     trainable = list(model.named_parameters())
     rec = _GradRecorder()
@@ -571,14 +564,14 @@ def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_manifes
         np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)
 
 
-def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpus_manifest,
+def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpus_path,
                                                                 tmp_path):
     # a full desk-size pack, dropout on, utterances of different lengths.
     # float32 sums run in another order, so each tensor's entries are
     # compared at 1e-6 of that tensor's largest gradient entry
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    train = load_corpus(corpus_path, adaptation=False, split="train")
     sched = dataclasses.replace(SCHED, total_steps=1, batch_size=8)
     trainable = list(model.named_parameters())
     rec = _GradRecorder()
@@ -596,11 +589,11 @@ def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpu
         np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)
 
 
-def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpus_manifest,
+def test_nonfinite_gradient_names_tensor_and_step(monkeypatch, pretrained, corpus_path,
                                                   tmp_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    train = load_corpus(corpus_manifest, adaptation=False, split="train")
+    train = load_corpus(corpus_path, adaptation=False, split="train")
     sched = dataclasses.replace(SCHED, total_steps=1)
     trainable = list(model.named_parameters())
     poisoned = dict(trainable)["postnet.convs.1.b"]
@@ -636,7 +629,7 @@ def test_finite_guard_reports_first_bad_tensor_only_on_failure():
 
 
 def test_pitch_targets_computed_once_per_utterance_per_run(monkeypatch, pretrained,
-                                                          corpus_manifest, tmp_path):
+                                                          corpus_path, tmp_path):
     # training steps and every validation pass share one target cache
     ck, _ = pretrained
     seen = []
@@ -647,20 +640,26 @@ def test_pitch_targets_computed_once_per_utterance_per_run(monkeypatch, pretrain
         return real(f0)
 
     monkeypatch.setattr(var_mod, "pitch_targets", counting)
-    tr.adapt(ck, corpus_manifest, "adapter_e", adaptation_schedule(steps=4, batch_size=2),
+    tr.adapt(ck, corpus_path, "adapter_e", adaptation_schedule(steps=4, batch_size=2),
              str(tmp_path), seed=5, dims=DIMS, val_every=2)
-    val = load_corpus(corpus_manifest, adaptation=True, split="val")
+    val = load_corpus(corpus_path, adaptation=True, split="val")
     assert len(seen) == len(set(seen))
     assert {u.f0.astype(np.float64).tobytes() for u in val} <= set(seen)
 
 
-def test_adapt_tts0_is_byte_copy(pretrained, corpus_manifest, tmp_path):
+def test_adapt_tts0_is_byte_copy(pretrained, corpus_path, tmp_path):
     ck, _ = pretrained
-    out = tr.adapt(ck, corpus_manifest, "tts0", adaptation_schedule(steps=3),
+    out = tr.adapt(ck, corpus_path, "tts0", adaptation_schedule(steps=3),
                    str(tmp_path), seed=5)
     assert open(ck, "rb").read() == open(out, "rb").read()
     log = open(tmp_path / "adapt_log.tsv").read().splitlines()
     assert "# trainable_params\t0" in log
+
+
+def test_loaded_checkpoint_carries_its_strategy(pretrained, adapted):
+    assert tr.load_checkpoint(pretrained[0]).strategy is None
+    strategy = tr.load_checkpoint(adapted[0]).strategy
+    assert strategy == StrategyConfig.parse("hyper_ev", DIMS)
 
 
 def test_adapt_logs_trainable_count(adapted):
@@ -734,10 +733,10 @@ def test_load_checkpoint_rejects_wrong_metadata(adapted, tmp_path, case):
         tr.load_checkpoint(bad)
 
 
-def test_evaluate_exits_2_on_checkpoint_without_model_config(adapted, corpus_manifest,
+def test_evaluate_exits_2_on_checkpoint_without_model_config(adapted, corpus_path,
                                                               tmp_path, capsys):
     bad = _rewrite_meta(adapted[0], str(tmp_path / "bad.bin"), BAD_META["no_model_config"][0])
-    argv = ["evaluate", "--manifest", corpus_manifest, "--checkpoint", bad,
+    argv = ["evaluate", "--corpus", corpus_path, "--checkpoint", bad,
             "--out-dir", str(tmp_path / "runs")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(
@@ -758,7 +757,7 @@ def test_loaded_checkpoint_hooks_for_a_pack_of_speakers(adapted):
         np.testing.assert_array_equal(got[tag].data, want[tag].data)
 
 
-def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_manifest,
+def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_path,
                                             tmp_path):
     ck, _ = pretrained
     grabbed = {}
@@ -778,7 +777,7 @@ def test_adapt_detects_frozen_tensor_drift(monkeypatch, pretrained, corpus_manif
     monkeypatch.setattr(tr, "load_checkpoint", load_and_remember)
     monkeypatch.setattr(Adam, "step", step_and_corrupt)
     with pytest.raises(InternalInvariantError, match="frozen"):
-        tr.adapt(ck, corpus_manifest, "hyper_e", adaptation_schedule(steps=1, batch_size=2),
+        tr.adapt(ck, corpus_path, "hyper_e", adaptation_schedule(steps=1, batch_size=2),
                  str(tmp_path), seed=5, dims=DIMS)
 
 
@@ -811,7 +810,7 @@ def _adapt_step(model, adapted, batch, align_cache=None):
 
 
 def test_adapter_step_computes_no_frozen_weight_gradient(monkeypatch, pretrained,
-                                                         corpus_manifest):
+                                                         corpus_path):
     ck, _ = pretrained
     model, adapted = _adapted_model(ck, "adapter_evd")
     weights = {id(p): p for p in model.parameters()}
@@ -834,7 +833,7 @@ def test_adapter_step_computes_no_frozen_weight_gradient(monkeypatch, pretrained
 
     monkeypatch.setattr(kernels, "conv1d_backward", conv_backward)
     monkeypatch.setattr(ad, "from_op", recording)
-    batch = load_corpus(corpus_manifest, adaptation=True, split="train")[:2]
+    batch = load_corpus(corpus_path, adaptation=True, split="train")[:2]
     _adapt_step(model, adapted, batch)
     assert conv_calls and all(frozen and not need_w for frozen, need_w in conv_calls)
     assert {op for op, _, _ in closures} == {"linear", "conv1d", "layer_norm"}
@@ -846,10 +845,10 @@ def test_adapter_step_computes_no_frozen_weight_gradient(monkeypatch, pretrained
 
 @pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
 def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrained,
-                                                            corpus_manifest, label):
+                                                            corpus_path, label):
     ck, _ = pretrained
     model, adapted = _adapted_model(ck, label)
-    train = load_corpus(corpus_manifest, adaptation=True, split="train")
+    train = load_corpus(corpus_path, adaptation=True, split="train")
     batch = train[:4]
     cache = {}
     for utt in reversed(train):  # filled from packs of one, in another order
@@ -876,7 +875,7 @@ def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrai
     assert not ops & {"soft_align", "forward_sum", "binarization"}
 
 
-def _aligner_runs(monkeypatch, ck, manifest, strategy, steps, run_dir):
+def _aligner_runs(monkeypatch, ck, corpus, strategy, steps, run_dir):
     """(soft_align calls, _frozen_alignments calls) over one adapt run."""
     calls = {"soft_align": 0, "cache": 0}
     real_align, real_cache = model_mod.soft_align, tr._frozen_alignments
@@ -891,41 +890,41 @@ def _aligner_runs(monkeypatch, ck, manifest, strategy, steps, run_dir):
 
     monkeypatch.setattr(model_mod, "soft_align", soft_align)
     monkeypatch.setattr(tr, "_frozen_alignments", frozen_alignments)
-    tr.adapt(ck, manifest, strategy, adaptation_schedule(steps=steps, batch_size=2), run_dir,
+    tr.adapt(ck, corpus, strategy, adaptation_schedule(steps=steps, batch_size=2), run_dir,
              seed=5, dims=DIMS, val_every=2)
     monkeypatch.undo()
     return calls["soft_align"], calls["cache"]
 
 
 def test_frozen_aligner_runs_once_per_utterance_per_run(monkeypatch, pretrained,
-                                                        corpus_manifest, tmp_path):
+                                                        corpus_path, tmp_path):
     # three epochs align no more often than one: each utterance, training
     # and validation alike, is aligned in the first pack that holds it
     ck, _ = pretrained
-    n = len(load_corpus(corpus_manifest, adaptation=True, split="train"))
-    one = _aligner_runs(monkeypatch, ck, corpus_manifest, "adapter_e", n // 2,
+    n = len(load_corpus(corpus_path, adaptation=True, split="train"))
+    one = _aligner_runs(monkeypatch, ck, corpus_path, "adapter_e", n // 2,
                         str(tmp_path / "one"))
-    three = _aligner_runs(monkeypatch, ck, corpus_manifest, "adapter_e", 3 * (n // 2),
+    three = _aligner_runs(monkeypatch, ck, corpus_path, "adapter_e", 3 * (n // 2),
                           str(tmp_path / "three"))
     assert 0 < one[0] == three[0] < one[1] < three[1]
 
 
 def test_pretrain_and_ft_never_fill_the_alignment_cache(monkeypatch, pretrained,
-                                                        corpus_manifest, tmp_path):
+                                                        corpus_path, tmp_path):
     ck, _ = pretrained
-    ft = _aligner_runs(monkeypatch, ck, corpus_manifest, "ft", 3, str(tmp_path / "ft"))
+    ft = _aligner_runs(monkeypatch, ck, corpus_path, "ft", 3, str(tmp_path / "ft"))
     assert ft[1] == 0 and ft[0] > 3
     filled = []
     monkeypatch.setattr(tr, "_frozen_alignments", lambda *args: filled.append(args))
-    tr.pretrain(corpus_manifest, TRAIN_CFG, dataclasses.replace(SCHED, total_steps=2),
+    tr.pretrain(corpus_path, TRAIN_CFG, dataclasses.replace(SCHED, total_steps=2),
                 str(tmp_path / "pre"), seed=3, val_every=1)
     assert not filled
 
 
-def test_validate_records_no_tape(monkeypatch, pretrained, corpus_manifest):
+def test_validate_records_no_tape(monkeypatch, pretrained, corpus_path):
     ck, _ = pretrained
     model = tr.load_checkpoint(ck).model
-    val = load_corpus(corpus_manifest, adaptation=False, split="val")
+    val = load_corpus(corpus_path, adaptation=False, split="val")
     nodes = []
     real = ad.from_op
 
@@ -940,14 +939,14 @@ def test_validate_records_no_tape(monkeypatch, pretrained, corpus_manifest):
 
 
 @pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
-def test_validate_matches_compute_losses_on_each_pack(pretrained, corpus_manifest, label):
+def test_validate_matches_compute_losses_on_each_pack(pretrained, corpus_path, label):
     # validate hands its hooks_fn to compute_losses, which generates once
     # per pack: its breakdown equals one compute_losses call on the same
     # pack bit for bit, for a pack of distinct speakers and for one in
     # which two utterances share a speaker
     ck, _ = pretrained
     model, adapted = _adapted_model(ck, label)
-    train = load_corpus(corpus_manifest, adaptation=True, split="train")
+    train = load_corpus(corpus_path, adaptation=True, split="train")
     distinct = train[::3][:SCHED.batch_size]
     assert len({u.speaker for u in distinct}) == SCHED.batch_size
     shared = [u for u in train if u.speaker == distinct[0].speaker][:2] + distinct[2:]
