@@ -1,7 +1,8 @@
 """Times the numpy kernels of hyperadapt.kernels at fixed shapes: the conv
 forward/backward (the backward also without the weight gradient, as a frozen
 weight asks for it), the alignment DPs on one map and on a desk-size batch of
-eight, and DTW. perfbench/layertrace.py reuses `build_cases` and `_time`.
+eight, and DTW on one map and on a batch of 24 evaluation-size maps (against
+24 one-map calls). perfbench/layertrace.py reuses `build_cases` and `_time`.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--min-time SECONDS]
 """
@@ -67,15 +68,29 @@ def build_cases(rng):
 
 def batch_cases(rng):
     """The alignment DPs on a pack of eight maps of desk size (8-14
-    phonemes over 40-70 frames), as one training step runs them."""
+    phonemes over 40-70 frames), as one training step runs them; and DTW on
+    24 cost maps of the sizes an evaluation scores (10-35 synthesized by
+    35-76 reference frames), as one batched sweep and as 24 one-map calls."""
     n_len = rng.integers(8, 15, size=8)
     m_len = rng.integers(40, 71, size=8)
     logp = np.full((8, n_len.max(), m_len.max()), -np.inf)
     for b, (n, m) in enumerate(zip(n_len, m_len)):
         logp[b, :n, :m] = np.log(rng.dirichlet(np.ones(n), size=m).T)
     shape = f"B=8 n<={n_len.max()} m<={m_len.max()}"
+
+    a_len = rng.integers(10, 36, size=24)
+    b_len = rng.integers(35, 77, size=24)
+    cost = np.zeros((24, a_len.max(), b_len.max()))
+    maps = []
+    for r, (a, b) in enumerate(zip(a_len, b_len)):
+        x, y = rng.standard_normal((a, 13)), rng.standard_normal((b, 13))
+        cost[r, :a, :b] = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(-1))
+        maps.append(np.ascontiguousarray(cost[r, :a, :b]))
+    dtw_shape = f"B=24 a<={a_len.max()} b<={b_len.max()}"
     return [("forward_sum", shape, kernels.forward_sum_np, (logp, n_len, m_len)),
-            ("viterbi", shape, kernels.viterbi_np, (logp, n_len, m_len))]
+            ("viterbi", shape, kernels.viterbi_np, (logp, n_len, m_len)),
+            ("dtw_path", dtw_shape, kernels.dtw_path_np, (cost, a_len, b_len)),
+            ("dtw_path x24", dtw_shape, lambda: [kernels.dtw_path_np(c) for c in maps], ())]
 
 
 def main():

@@ -164,8 +164,8 @@ def _speaker_centroid(utterances):
 
 
 def _cmd_gen_corpus(cfg):
-    run_dir = prepare_run_dir(cfg, "gen-corpus")
     spec = CorpusSpec(**cfg["corpus"])
+    run_dir = prepare_run_dir(cfg, "gen-corpus")
     print(corpus_mod.generate_corpus(spec, cfg["seed"], os.path.join(run_dir, "corpus")))
     return 0
 
@@ -252,8 +252,6 @@ def _cmd_evaluate(cfg):
     utts = corpus_mod.load_corpus(corpus,
                                   adaptation=_SPEAKER_GROUPS[section["speakers"]],
                                   split=split)
-    if not utts:
-        raise InputError("no utterances matched the evaluate filters")
 
     loaded = tr.load_checkpoint(checkpoint)
     model = loaded.model

@@ -20,6 +20,7 @@ the CorpusSpec, from which utterance_index derives every utterance's id,
 speaker and split; its tensors are each utterance's arrays.
 """
 
+import functools
 import os
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -60,6 +61,16 @@ class CorpusSpec:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.min_phonemes < 1 or self.max_phonemes < self.min_phonemes:
             raise ConfigError("bad phoneme length range")
+        if self.val_per_speaker >= self.utts_per_speaker:
+            raise ConfigError(
+                f"utts_per_speaker={self.utts_per_speaker} with val_fraction="
+                f"{self.val_fraction} leaves a speaker without a train or a validation utterance")
+
+    @property
+    def val_per_speaker(self):
+        """The validation utterances of each speaker: the first
+        round(utts_per_speaker * val_fraction), at least one."""
+        return max(1, int(round(self.utts_per_speaker * self.val_fraction)))
 
     def to_dict(self):
         return asdict(self)
@@ -218,9 +229,14 @@ def synth_utterance(spec, tables, latent, phonemes, texture_rng):
 # -----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _embed_projection(n_mels, d_spk):
+    """The embedder's fixed (d_spk, n_mels) projection, drawn once per shape
+    and read-only, since every caller shares it."""
     rng = rng_for(EMBEDDER_SEED, "projection", n_mels, d_spk)
-    return (rng.normal(size=(d_spk, n_mels)) / np.sqrt(n_mels)).astype(np.float64)
+    proj = (rng.normal(size=(d_spk, n_mels)) / np.sqrt(n_mels)).astype(np.float64)
+    proj.setflags(write=False)
+    return proj
 
 
 def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
@@ -261,10 +277,9 @@ IndexEntry = namedtuple("IndexEntry", "utt_id speaker split")
 
 def utterance_index(spec):
     """Every utterance of the corpus `spec` describes, in file order:
-    speakers by id, then utterances by number; the first
-    round(utts_per_speaker * val_fraction) (at least one) of each speaker are
-    validation."""
-    n_val = max(1, int(round(spec.utts_per_speaker * spec.val_fraction)))
+    speakers by id, then utterances by number; each speaker's first
+    spec.val_per_speaker are validation."""
+    n_val = spec.val_per_speaker
     return [IndexEntry(f"{sid}_u{u:03d}", sid, "val" if u < n_val else "train")
             for sid in sorted(_speaker_ids(spec)) for u in range(spec.utts_per_speaker)]
 

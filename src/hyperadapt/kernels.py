@@ -4,11 +4,14 @@ DTW frame pairing.
 
 Each keeps Python work per call small: the conv builds its im2col matrix
 from K shifted slices of the padded input (a K=1 conv is a plain matmul),
-the alignment DPs run a whole batch of maps through one frame recursion and
-write each frame's slab of their tables in place with no per-frame
-allocation, and DTW fills its accumulated-cost table one anti-diagonal at a
-time (a few vector ops per diagonal, bit-identical to the cell-by-cell
-recurrence, same tie rule on the way back).
+and the alignment DPs run a whole batch of maps through one frame recursion
+and write each frame's slab of their tables in place with no per-frame
+allocation. DTW likewise pairs a whole batch of cost maps in one sweep: the
+costs are written in place into one skewed table that lays the maps side by
+side, so each anti-diagonal of every map advances in three full-width vector
+ops (bit-identical to the cell-by-cell recurrence) and a reset of the
+sentinels between maps, and each path is then walked back on that table by a
+scalar walk with the cell loop's tie rule.
 """
 
 import numpy as np
@@ -73,18 +76,26 @@ def conv1d_backward_np(xp, w, gout, need_w=True):
 # -----------------------------------------------------------------------------
 
 
-def _frame_rows(logp, n_len, m_len):
-    """(m, B * (n + 1)) frame rows of a (B, n, m) batch, each map behind a
-    -inf sentinel and -inf past its counts, plus the counts as int64 arrays
-    (the full grid when None)."""
-    b, n, m = logp.shape
+def _counts(shape, n_len, m_len):
+    """Each map's counts along the two axes of a (B, n, m) batch as int64
+    arrays (the full grid when None), checked to lie inside the grid."""
+    b, n, m = shape
     n_len = np.full(b, n, dtype=np.int64) if n_len is None else np.asarray(n_len, dtype=np.int64)
     m_len = np.full(b, m, dtype=np.int64) if m_len is None else np.asarray(m_len, dtype=np.int64)
     if n_len.shape != (b,) or m_len.shape != (b,):
-        raise InputError(f"need {b} phoneme and frame counts, "
+        raise InputError(f"need {b} counts along each axis, "
                          f"got shapes {n_len.shape} and {m_len.shape}")
     if (n_len < 1).any() or (n_len > n).any() or (m_len < 1).any() or (m_len > m).any():
         raise InputError(f"counts outside the ({n}, {m}) grid: {n_len}, {m_len}")
+    return n_len, m_len
+
+
+def _frame_rows(logp, n_len, m_len):
+    """(m, B * (n + 1)) frame rows of a (B, n, m) batch, each map behind a
+    -inf sentinel and -inf past its counts, plus the counts as _counts
+    gives them."""
+    b, n, m = logp.shape
+    n_len, m_len = _counts(logp.shape, n_len, m_len)
     lp = np.full((m, b, n + 1), _NEG_INF, dtype=logp.dtype)
     valid = (np.arange(m)[:, None, None] < m_len[:, None]) & (np.arange(n) < n_len[:, None])
     np.copyto(lp[:, :, 1:], logp.transpose(2, 0, 1), where=valid)
@@ -169,65 +180,78 @@ def viterbi_np(logp, n_len=None, m_len=None):
 
 
 # -----------------------------------------------------------------------------
-# DTW pairing of two frame sequences given a pairwise cost matrix.
-# Steps (1,0), (0,1), (1,1); ties prefer the diagonal.
+# DTW pairing of two frame sequences over a batch of (a, b) pairwise cost
+# maps: acc[i, j] = cost[i, j] + min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]),
+# and on the way back ties prefer the diagonal, then up. Cells on one
+# anti-diagonal depend only on the two before it, so the accumulated costs
+# live in one skewed table: map r's cell (i, j) sits at row i + j + 1, column
+# off[r] + 1 + i, the maps side by side, each behind a +inf sentinel column,
+# with an all-+inf row 0. A cell's diagonal, up and left predecessors are
+# then at (row - 2, col - 1), (row - 1, col - 1) and (row - 1, col), so a
+# full-width min, min and add per row advance every map's anti-diagonal at
+# once, bit for bit as the cell loop would.
 # -----------------------------------------------------------------------------
 
 
-def dtw_accumulate_np(cost):
-    """Accumulated-cost table, acc[i, j] = cost[i, j] + min(acc[i-1, j-1],
-    acc[i-1, j], acc[i, j-1]), filled one anti-diagonal at a time.
-
-    Cells on one anti-diagonal depend only on the two before it, so each is
-    a few vector ops. The diagonals live in a skewed table, row d + 1 for
-    i + j == d and column i + 1, padded with +inf so the first row and column
-    of acc take their single predecessor without a special case.
-    """
-    a, b = cost.shape
-    n_diag = a + b - 1
-    i = np.arange(a)
-    j = np.arange(n_diag)[:, None] - i  # (n_diag, a): column of cell (d, i)
-    valid = (j >= 0) & (j < b)
-    skew_cost = np.where(valid, cost[i, np.clip(j, 0, b - 1)], np.inf).astype(cost.dtype, copy=False)
-    skew = np.full((n_diag + 1, a + 1), np.inf, dtype=cost.dtype)
-    skew[1, 1] = cost[0, 0]
-    best = np.empty(a, dtype=cost.dtype)
-    for d in range(1, n_diag):
-        lo, hi = max(0, d - b + 1), min(a, d + 1)
-        w = best[: hi - lo]
-        # diagonal, up and left predecessors of cells (i, d - i), lo <= i < hi
-        np.minimum(skew[d - 1, lo:hi], skew[d, lo:hi], out=w)
-        np.minimum(w, skew[d, lo + 1 : hi + 1], out=w)
-        np.add(skew_cost[d, lo:hi], w, out=skew[d + 1, lo + 1 : hi + 1])
-    return skew[i[:, None] + np.arange(b) + 1, i[:, None] + 1]
+def _dtw_table(cost, a_len, b_len):
+    """(skewed accumulated-cost table, each map's sentinel column) of a
+    (B, a, b) batch whose map r spans [:a_len[r], :b_len[r]]."""
+    off = np.concatenate(([0], np.cumsum(a_len[:-1] + 1)))
+    table = np.full((int((a_len + b_len).max()), int((a_len + 1).sum())), np.inf,
+                    dtype=cost.dtype)
+    rs, cs = table.strides
+    for r in range(cost.shape[0]):
+        # the costs, written in place through a view that puts (i, j) at
+        # (i + j + 1, off + 1 + i); cells past a map's counts stay +inf
+        cells = np.lib.stride_tricks.as_strided(table[1:, off[r] + 1 :],
+                                                (a_len[r], b_len[r]), (rs + cs, rs))
+        cells[...] = cost[r, : a_len[r], : b_len[r]]
+    sentinels = off[1:]
+    best = np.empty(table.shape[1] - 1, dtype=cost.dtype)
+    for row in range(2, table.shape[0]):  # row 1 holds each map's cell (0, 0)
+        np.minimum(table[row - 2, :-1], table[row - 1, :-1], out=best)
+        np.minimum(best, table[row - 1, 1:], out=best)
+        np.add(table[row, 1:], best, out=table[row, 1:])
+        # a NaN or -inf on a map's last column must not reach the next map
+        table[row].put(sentinels, np.inf)
+    return table, off
 
 
-def dtw_path_np(cost):
-    return _dtw_backtrack(dtw_accumulate_np(cost))
-
-
-def _dtw_backtrack(acc):
-    a, b = acc.shape
-    path = []
-    i, j = a - 1, b - 1
-    while True:
-        path.append((i, j))
-        if i == 0 and j == 0:
-            break
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
-            if diag <= up and diag <= left:
-                i, j = i - 1, j - 1
-            elif up <= left:
-                i -= 1
+def dtw_path_np(cost, a_len=None, b_len=None):
+    """Cheapest DTW path through each cost map as an (L, 2) int64 array of
+    (i, j) cells from (0, 0) to the map's last cell. cost is one (a, b) map,
+    giving one path, or a (B, a, b) batch whose map r spans
+    [:a_len[r], :b_len[r]] (all of it when the counts are None), giving a
+    list of B paths; each is bit for bit what its map gets alone."""
+    if cost.ndim == 2:
+        return dtw_path_np(cost[None])[0]
+    a_len, b_len = _counts(cost.shape, a_len, b_len)
+    table, off = _dtw_table(cost, a_len, b_len)
+    acc, paths = table.item, []
+    for r in range(cost.shape[0]):
+        # walk map r back from its last cell, holding (i, j) and the cell's
+        # table row d and column c; a scalar walk on Python floats beats a
+        # vectorised one
+        i, j = int(a_len[r]) - 1, int(b_len[r]) - 1
+        d, c = i + j + 1, int(off[r]) + 1 + i
+        ii, jj = [i], [j]
+        while i or j:
+            if i == 0:
+                j, d = j - 1, d - 1
+            elif j == 0:
+                i, d, c = i - 1, d - 1, c - 1
             else:
-                j -= 1
-    path.reverse()
-    return np.asarray(path, dtype=np.int64)
+                diag, up, left = acc(d - 2, c - 1), acc(d - 1, c - 1), acc(d - 1, c)
+                if diag <= up and diag <= left:
+                    i, j, d, c = i - 1, j - 1, d - 2, c - 1
+                elif up <= left:
+                    i, d, c = i - 1, d - 1, c - 1
+                else:
+                    j, d = j - 1, d - 1
+            ii.append(i)
+            jj.append(j)
+        paths.append(np.array((ii, jj), dtype=np.int64).T[::-1])
+    return paths
 
 
 # the call sites: the alignment losses and metrics look these names up at call

@@ -18,6 +18,7 @@ from .errors import InputError, NumericsError
 F0_REL_THRESHOLD = 0.2  # both-voiced frames count as errors past 20% deviation
 MCD_COEFFS = 13         # cepstral coefficients 1..13; the 0th (loudness) is excluded
 _MCD_SCALE = 10.0 / np.log(10.0)
+MCD_SWEEP_CELLS = 1 << 16  # padded cost cells per batched DTW sweep
 
 
 @dataclass
@@ -109,13 +110,10 @@ def dct_basis(n):
     return basis
 
 
-def mcd_metric(pred_mel, ref_mel):
-    """Mean cepstral distance in dB over DTW-paired frames.
-
-    Cepstra are the orthonormal DCT of each log-mel frame; coefficient 0 is
-    dropped so a uniform gain offset contributes nothing. DTW pairing absorbs
-    the frame-count mismatch between predicted and reference durations.
-    """
+def mcd_cepstra(pred_mel, ref_mel):
+    """(predicted, reference) cepstra of one MCD pair, checked: coefficients
+    1..MCD_COEFFS of the orthonormal DCT of each log-mel frame. Coefficient 0
+    is dropped so a uniform gain offset contributes nothing."""
     pred = np.asarray(pred_mel, dtype=np.float64)
     ref = np.asarray(ref_mel, dtype=np.float64)
     if pred.ndim != 2 or ref.ndim != 2:
@@ -128,12 +126,46 @@ def mcd_metric(pred_mel, ref_mel):
         raise InputError("mcd_metric: need at least 2 mel bins for cepstra")
     k = min(MCD_COEFFS, pred.shape[1] - 1)
     rows = dct_basis(pred.shape[1])[1 : k + 1].T
-    cp, cr = pred @ rows, ref @ rows
+    return pred @ rows, ref @ rows
 
-    sq = ((cp[:, None, :] - cr[None, :, :]) ** 2).sum(axis=2)
-    dist = _MCD_SCALE * np.sqrt(2.0 * sq)
-    path = kernels.dtw_path(dist)
-    return float(dist[path[:, 0], path[:, 1]].mean())
+
+def _sweeps(pairs):
+    """The pairs in order, cut into runs whose padded cost batch stays
+    within MCD_SWEEP_CELLS cells; a pair larger than that runs alone."""
+    sweep, a, b = [], 0, 0
+    for cp, cr in pairs:
+        a, b = max(a, len(cp)), max(b, len(cr))
+        if sweep and (len(sweep) + 1) * a * b > MCD_SWEEP_CELLS:
+            yield sweep
+            sweep, a, b = [], len(cp), len(cr)
+        sweep.append((cp, cr))
+    if sweep:
+        yield sweep
+
+
+def mcd_scores(pairs):
+    """MCD in dB of each (predicted, reference) cepstra pair from
+    mcd_cepstra: the mean cepstral distance over DTW-paired frames, DTW
+    pairing absorbing the frame-count mismatch between predicted and
+    reference durations. Pairs are scored in capped sweeps of one batched
+    DTW each, which keeps peak memory flat however many there are."""
+    scores = []
+    for sweep in _sweeps(pairs):
+        a_len = [len(cp) for cp, _ in sweep]
+        b_len = [len(cr) for _, cr in sweep]
+        dist = np.zeros((len(sweep), max(a_len), max(b_len)))
+        for cost, (cp, cr) in zip(dist, sweep):
+            sq = ((cp[:, None, :] - cr[None, :, :]) ** 2).sum(axis=2)
+            cost[: len(cp), : len(cr)] = _MCD_SCALE * np.sqrt(2.0 * sq)
+        paths = kernels.dtw_path(dist, a_len, b_len)
+        scores += [float(cost[path[:, 0], path[:, 1]].mean()) for cost, path in zip(dist, paths)]
+    return scores
+
+
+def mcd_metric(pred_mel, ref_mel):
+    """Mel-cepstral distortion in dB of one predicted mel against its
+    reference; see mcd_cepstra and mcd_scores."""
+    return mcd_scores([mcd_cepstra(pred_mel, ref_mel)])[0]
 
 
 # -----------------------------------------------------------------------------
@@ -218,7 +250,10 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     """Synthesize every utterance and score it against its reference features.
 
     `synthesize_fn(utt) -> (mel, info)` must provide info["f0"]; `embedder`
-    maps a mel to a fixed-size vector. An InputError (bad input for one
+    maps a mel to a fixed-size vector. COS and FFE are scored as each
+    utterance is synthesized, and its MCD pair checked and kept as cepstra;
+    once every utterance is synthesized, MCD is scored in utterance order in
+    batched DTW sweeps (mcd_scores). An InputError (bad input for one
     utterance, such as an alignment it cannot have) is recorded on its row
     and excluded from the aggregates; a NumericsError propagates with the
     utterance id prefixed, and any other exception is a fault and propagates
@@ -226,33 +261,33 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     """
     if not utterances:
         raise InputError("evaluate: empty utterance list")
-    rows = []
-    cos_vals, ffe_vals, mcd_vals = [], [], []
+    rows, scored, pairs = [], [], []
     for utt in utterances:
         try:
             mel, info = synthesize_fn(utt)
             cos = cos_metric(embedder(mel), embedder(utt.mel))
             pred_f0 = align_to_reference(np.asarray(info["f0"]), utt.f0.shape[0])
             ffe = ffe_metric(pred_f0, utt.f0)
-            mcd = mcd_metric(mel, utt.mel)
+            pair = mcd_cepstra(mel, utt.mel)
         except InputError as e:  # recorded per row, excluded from aggregates
             rows.append(EvalRow(utt.utt_id, utt.speaker,
                                 error=f"{type(e).__name__}: {e}"))
             continue
         except NumericsError as e:
             raise NumericsError(f"{utt.utt_id}: {e}") from e
-        rows.append(EvalRow(utt.utt_id, utt.speaker, cos=cos, ffe=ffe, mcd=mcd))
-        cos_vals.append(cos)
-        ffe_vals.append(ffe)
-        mcd_vals.append(mcd)
-    if not cos_vals:
+        rows.append(EvalRow(utt.utt_id, utt.speaker, cos=cos, ffe=ffe))
+        scored.append(rows[-1])
+        pairs.append(pair)
+    if not scored:
         raise InputError("evaluate: synthesis failed on every utterance")
+    for row, mcd in zip(scored, mcd_scores(pairs)):
+        row.mcd = mcd
     pct = 100.0 * trainable_params / backbone_params if backbone_params else 0.0
     return EvalReport(
         rows=rows,
-        cos=_stat(cos_vals),
-        ffe=_stat(ffe_vals),
-        mcd=_stat(mcd_vals),
+        cos=_stat([r.cos for r in scored]),
+        ffe=_stat([r.ffe for r in scored]),
+        mcd=_stat([r.mcd for r in scored]),
         trainable_params=trainable_params,
         trainable_pct=pct,
     )

@@ -15,7 +15,6 @@ import pytest
 
 from hyperadapt import featio
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
-from hyperadapt.corpus import CorpusSpec, generate_corpus
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -333,15 +332,17 @@ def test_synthesize_custom_phonemes(pipeline):
     ("synthesize", ["--phonemes", "1,x,3", "--speaker", "adp_00"], "comma-separated"),
     ("synthesize", ["--phonemes", "999,3", "--speaker", "adp_00"], "id 999 outside"),
     ("synthesize", ["--phonemes", "3,5", "--speaker", "adp_99"], "'adp_99' has no train"),
-    # one utterance per speaker, and that one is validation
-    ("evaluate", ["--split", "train"], "no utterances matched"),
+    # a corpus file whose spec gives each speaker one utterance, so no train split
+    ("evaluate", ["--split", "train"], "utts_per_speaker=1 with val_fraction=0.2 leaves"),
     ("dump-hyper-params", [], "needs a hyper checkpoint"),  # given the pretrained checkpoint
 ])
 def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, message):
     corpus, checkpoint = pipeline["corpus"], pipeline["adapted"]
     if verb == "evaluate":
-        corpus = generate_corpus(CorpusSpec(**{**TINY["corpus"], "utts_per_speaker": 1}), 11,
-                                 str(tmp_path / "corpus"))
+        meta, tensors = featio.read_checkpoint(corpus)
+        meta["spec"]["utts_per_speaker"] = 1
+        corpus = str(tmp_path / "corpus.bin")
+        featio.write_checkpoint(corpus, meta, tensors)
     if verb == "dump-hyper-params":
         checkpoint = pipeline["checkpoint"]
     out = tmp_path / "runs"
@@ -374,8 +375,21 @@ def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message)
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("corpus.speakers_pretrain=1", "at least 2 speakers"),
+    # no validation, and no train utterance
+    ("corpus.utts_per_speaker=0", "utts_per_speaker=0 with val_fraction=0.2 leaves"),
+    ("corpus.utts_per_speaker=1", "utts_per_speaker=1 with val_fraction=0.2 leaves"),
+])
+def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, message):
+    out = tmp_path / "runs"
+    code, _, err = run_cli("gen-corpus", "--config", pipeline["config"], "--out-dir", str(out),
+                           "--set", setting)
+    assert code == 2 and message in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, args, message", [
-    ("gen-corpus", ["--set", "corpus.speakers_pretrain=1"], "at least 2 speakers"),
     ("pretrain", ["--corpus", "JUNK"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "JUNK"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "JUNK", "--strategy", "tts0"], "not a checkpoint"),

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from hyperadapt import corpus as corpus_mod
 from hyperadapt import featio
 from hyperadapt.corpus import (
     CorpusSpec,
@@ -206,6 +207,8 @@ def test_synthetic_embedding_determinism_and_jitter():
     np.testing.assert_array_equal(
         j1, synthetic_embedding(mel, 24, jitter=0.05, stream=("u1",))
     )
+    # the projection is drawn once per shape and shared, so nothing may write it
+    assert not corpus_mod._embed_projection(20, 24).flags.writeable
 
 
 def test_embedding_loudness_invariance():
@@ -224,3 +227,8 @@ def test_spec_validation():
         CorpusSpec(val_fraction=0.0)
     with pytest.raises(ConfigError):
         CorpusSpec(min_phonemes=6, max_phonemes=5)
+    # every speaker needs a validation and a train utterance
+    for utts, fraction in ((0, 0.2), (1, 0.2), (2, 0.8), (4, 0.9)):
+        with pytest.raises(ConfigError, match=f"utts_per_speaker={utts} "):
+            CorpusSpec(utts_per_speaker=utts, val_fraction=fraction)
+    assert CorpusSpec(utts_per_speaker=2, val_fraction=0.2).val_per_speaker == 1

@@ -111,7 +111,7 @@ def intact(tmp_path_factory):
     d = tmp_path_factory.mktemp("intact")
     featio.write_checkpoint(d / "x.ckpt", {"step": 3, "ranges": [0.5, 2.0]}, {
         "a.w": np.ones((2, 3), dtype=np.float32), "b": np.arange(4, dtype=np.int64)})
-    generate_corpus(CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=1,
+    generate_corpus(CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=2,
                                n_mels=4, d_spk=4, min_phonemes=2, max_phonemes=3), 3, d)
     return {reader: (d, name, (d / name).read_bytes()) for reader, name in (
         (featio.read_checkpoint, "x.ckpt"), (load_corpus, "corpus.bin"))}

@@ -102,6 +102,8 @@ class TestBatchedDPs:
             kernels.forward_sum(np.zeros((2, 3, 4)), [3, 4], [4, 4])
         with pytest.raises(InputError):
             kernels.viterbi(np.zeros((2, 3, 4)), [3], [4])
+        with pytest.raises(InputError):
+            kernels.dtw_path(np.zeros((2, 3, 4)), [3, 0], [4, 4])
 
 
 class TestConv1d:
@@ -152,23 +154,59 @@ class TestConv1d:
             np.testing.assert_array_equal(gxp_only, gxp)
 
 
+def dtw_batch(rng, dtype, ties):
+    """A (B, a, b) batch of mixed shapes (1x1, 1xn, nx1 among them) with
+    NaN past each map's counts, which no map may read. With ties, the costs
+    are small integers, so equal predecessors and every tie rule show."""
+    shapes = [(1, 1), (1, int(rng.integers(2, 9))), (int(rng.integers(2, 9)), 1)]
+    shapes += [(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+               for _ in range(int(rng.integers(0, 5)))]
+    shapes = [shapes[k] for k in rng.permutation(len(shapes))]
+    a_len, b_len = np.array(shapes).T
+    batch = np.full((len(shapes), a_len.max(), b_len.max()), np.nan, dtype=dtype)
+    for r, (a, b) in enumerate(shapes):
+        batch[r, :a, :b] = rng.integers(0, 3, size=(a, b)) if ties else rng.random((a, b))
+    return batch, a_len, b_len
+
+
 class TestDtw:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_wavefront_matches_cell_loop_bit_for_bit(self, dtype):
+        # each map's accumulated costs, read off the skewed table, and its
+        # path equal the cell loop's; the 2-D form equals the batch of one
         rng = np.random.default_rng(17)
-        for trial in range(60):
-            shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-            if trial % 2:
-                # small integer costs: many equal predecessors, so every tie rule shows
-                cost = rng.integers(0, 3, size=shape).astype(dtype)
-            else:
-                cost = rng.random(shape).astype(dtype)
-            want_acc, want_path = dtw_reference(cost)
-            acc = kernels.dtw_accumulate_np(cost)
-            assert acc.dtype == cost.dtype
-            assert acc.tobytes() == want_acc.tobytes()
-            np.testing.assert_array_equal(kernels.dtw_path_np(cost), want_path)
-            np.testing.assert_array_equal(kernels.dtw_path(cost), want_path)
+        for trial in range(40):
+            batch, a_len, b_len = dtw_batch(rng, dtype, ties=trial % 2 == 1)
+            table, off = kernels._dtw_table(batch, a_len, b_len)
+            assert table.dtype == batch.dtype
+            paths = kernels.dtw_path(batch, a_len, b_len)
+            assert len(paths) == len(batch)
+            for r, (a, b) in enumerate(zip(a_len, b_len)):
+                cost = np.ascontiguousarray(batch[r, :a, :b])
+                want_acc, want_path = dtw_reference(cost)
+                i = np.arange(a)[:, None]
+                acc = table[i + np.arange(b) + 1, off[r] + 1 + i]
+                assert acc.tobytes() == want_acc.tobytes()
+                np.testing.assert_array_equal(paths[r], want_path)
+                np.testing.assert_array_equal(kernels.dtw_path_np(cost), want_path)
+                np.testing.assert_array_equal(kernels.dtw_path(cost[None])[0], want_path)
+
+    def test_non_finite_costs_stay_in_their_map(self):
+        # NaN and -inf spread through their own map's table, reaching its last
+        # column within a few rows, but the sentinel column after it keeps
+        # them from the next map
+        rng = np.random.default_rng(23)
+        shapes = ((7, 12), (4, 12), (9, 12))
+        for bad in (np.nan, -np.inf):
+            batch = rng.random((3, 9, 12))
+            batch[1, 1, 0] = bad
+            with np.errstate(invalid="ignore"):  # inf + -inf inside map 1
+                paths = kernels.dtw_path(batch, *zip(*shapes))
+                for r, (a, b) in enumerate(shapes):
+                    cost = np.ascontiguousarray(batch[r, :a, :b])
+                    np.testing.assert_array_equal(paths[r], kernels.dtw_path(cost))
+                    if r != 1:
+                        np.testing.assert_array_equal(paths[r], dtw_reference(cost)[1])
 
     def test_identical_sequences_walk_diagonal(self):
         cost = np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]).astype(np.float64)

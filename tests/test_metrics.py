@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hyperadapt import kernels, metrics
 from hyperadapt.corpus import Utterance
 from hyperadapt.errors import InputError, NumericsError
 from hyperadapt.metrics import (
@@ -266,6 +267,67 @@ def test_evaluate_propagates_faults(exc):
     prefix = "u2: " if isinstance(exc, NumericsError) else ""
     with pytest.raises(type(exc), match=f"^{prefix}{exc}$"):
         evaluate(_failing_on("u2", exc), _toy_utterances(), _embedder)
+
+
+def _resynthesized(utts, bad=None):
+    """A synthesize_fn whose mels differ from the references in frame count
+    (so DTW has work to do) and by a small perturbation; `bad` maps an
+    utterance id to the mel returned for it instead."""
+    rng = np.random.default_rng(3)
+    mels = {u.utt_id: np.repeat(u.mel, 2, axis=0)[: len(u.mel) + 5 + i]
+            + 0.1 * rng.normal(size=(len(u.mel) + 5 + i, u.mel.shape[1]))
+            for i, u in enumerate(utts)}
+    mels.update(bad or {})
+    return lambda u: (mels[u.utt_id], {"f0": u.f0})
+
+
+def test_mcd_sweeps_equal_one_sweep_and_per_pair(monkeypatch):
+    utts = _toy_utterances(n=7)  # 20 reference and 25-31 synthesized frames
+    synth = _resynthesized(utts)
+    sweeps = []
+    dtw_path = kernels.dtw_path
+
+    def counted(cost, a_len, b_len):
+        sweeps.append(cost.size)
+        return dtw_path(cost, a_len, b_len)
+
+    monkeypatch.setattr(kernels, "dtw_path", counted)
+    rows = []
+    # one sweep, sweeps of up to three pairs, one pair per sweep
+    for cap, n_sweeps in ((1 << 40, 1), (3 * 32 * 20, 3), (1, 7)):
+        monkeypatch.setattr(metrics, "MCD_SWEEP_CELLS", cap)
+        sweeps.clear()
+        rows.append(evaluate(synth, utts, _embedder).rows)
+        assert len(sweeps) == n_sweeps and max(sweeps) <= max(cap, 32 * 20)
+    assert rows[0] == rows[1] == rows[2]
+    for row, utt in zip(rows[0], utts):
+        assert row.error is None and row.mcd == mcd_metric(synth(utt)[0], utt.mel) > 0.0
+
+
+def test_mcd_non_finite_pair_leaves_the_others_unchanged():
+    # a short mel whose first frame is inf turns its whole cost map NaN;
+    # the longer maps after it in the sweep must score as they do alone
+    utts = _toy_utterances(n=4)
+    bad = np.ones((4, 12))
+    bad[0] = np.inf
+    synth = _resynthesized(utts, {"u1": bad})
+    with np.errstate(invalid="ignore"):
+        report = evaluate(synth, utts, _embedder)
+    for row, utt in zip(report.rows, utts):
+        if row.utt_id != "u1":
+            assert row.mcd == mcd_metric(synth(utt)[0], utt.mel)
+
+
+def test_invalid_mcd_pair_is_its_own_failure_row():
+    utts = _toy_utterances(n=4)
+    synth = _resynthesized(utts, {"u2": np.ones((9, 7))})  # 7 mel bins, not 12
+    report = evaluate(synth, utts, lambda mel: np.ones(3))  # so only MCD sees the widths
+    assert report.n_failed == 1 and report.mcd.n_used == 3
+    failed = report.rows[2]
+    assert failed.utt_id == "u2" and failed.error == "InputError: mcd_metric: mel widths 7 vs 12"
+    for row, utt in zip(report.rows, utts):
+        if row.error is None:
+            assert row.mcd == mcd_metric(synth(utt)[0], utt.mel)
 
 
 def test_report_text_and_json(tmp_path):
