@@ -285,10 +285,10 @@ class AdaptedModel:
     def __init__(self, model, strategy, seed=0):
         dims = strategy.dims
         if strategy.sites:  # tts0/ft attach nothing, so adapter dims are moot
-            if dims.d_h != model.config.d_h:
-                raise ConfigError(f"strategy d_h={dims.d_h} but checkpoint model has d_h={model.config.d_h}")
-            if dims.d_1 != model.config.d_spk:
-                raise ConfigError(f"strategy d_1={dims.d_1} but checkpoint model has d_spk={model.config.d_spk}")
+            for key, size in (("d_h", dims.d_h), ("d_spk", dims.d_1)):
+                if size != getattr(model.config, key):
+                    raise ConfigError(f"adapters sized for model.{key}={size}, but the checkpoint's "
+                                      f"model has {key}={getattr(model.config, key)}")
         self.model = model
         self.strategy = strategy
         self.site_counts = model.site_counts()

@@ -32,18 +32,39 @@ from .training import ScheduleConfig, adaptation_schedule
 CONFIG_DIR_ENV = "HYPERADAPT_CONFIG_DIR"
 
 _SPEAKER_GROUPS = {"adapt": True, "pretrain": False, "all": None}
+_SPLITS = ("train", "val", "all")
+
+# The CorpusSpec and AdapterDims fields that are sizes of the model, each
+# mapped to the ModelConfig field it is read from: not settable themselves.
+_FROM_MODEL = {
+    "corpus": (CorpusSpec, {"vocab_size": "vocab_size", "n_mels": "n_mels", "d_spk": "d_spk"}),
+    "dims": (AdapterDims, {"d_h": "d_h", "d_1": "d_spk"}),
+}
+
+
+def _settable(section):
+    cls, derived = _FROM_MODEL[section]
+    return {k: v for k, v in dataclasses.asdict(cls()).items() if k not in derived}
+
+
+def _with_model_sizes(cfg, section):
+    """The CorpusSpec or AdapterDims of config section `section`, its model
+    sizes read from the model config."""
+    cls, derived = _FROM_MODEL[section]
+    model = ModelConfig(**cfg["model"])
+    return cls(**cfg[section], **{k: getattr(model, m) for k, m in derived.items()})
 
 
 def default_config():
     return {
         "seed": 0,
         "out_dir": "runs",
-        "corpus": dataclasses.asdict(CorpusSpec()),
+        "corpus": _settable("corpus"),
         "model": ModelConfig().to_dict(),
         "schedule": {**dataclasses.asdict(ScheduleConfig()),
                      "milestones": list(ScheduleConfig().milestones)},
         "adapt": {"strategy": "hyper_evd", "steps": 3000, "lr": 1e-4, "batch_size": 8},
-        "dims": dataclasses.asdict(AdapterDims()),
+        "dims": _settable("dims"),
         "paths": {"corpus": "", "checkpoint": ""},
         "synthesize": {"utt": "", "speaker": "", "phonemes": ""},
         "evaluate": {"split": "val", "speakers": "adapt"},
@@ -112,6 +133,23 @@ def load_config(config_path=None, overrides=(), seed=None):
     return cfg
 
 
+def _check_ranges(cfg):
+    """ConfigError naming the key, unless each value that no dataclass
+    checks is in range. Run once the flags are applied, before any run
+    directory exists."""
+    checks = (
+        ("evaluate.split", cfg["evaluate"]["split"] in _SPLITS, f"one of {list(_SPLITS)}"),
+        ("evaluate.speakers", cfg["evaluate"]["speakers"] in _SPEAKER_GROUPS,
+         f"one of {sorted(_SPEAKER_GROUPS)}"),
+        ("dump.jitters", cfg["dump"]["jitters"] >= 0, "at least 0"),
+        ("gradcheck.threshold", cfg["gradcheck"]["threshold"] > 0, "positive"),
+    )
+    for key, ok, want in checks:
+        if not ok:
+            section, leaf = key.split(".")
+            raise ConfigError(f"{key} must be {want}, got {cfg[section][leaf]!r}")
+
+
 def config_hash(cfg):
     hashed = {k: v for k, v in cfg.items() if k != "seed"}
     blob = json.dumps(hashed, sort_keys=True).encode()
@@ -164,7 +202,7 @@ def _speaker_centroid(utterances):
 
 
 def _cmd_gen_corpus(cfg):
-    spec = CorpusSpec(**cfg["corpus"])
+    spec = _with_model_sizes(cfg, "corpus")
     run_dir = prepare_run_dir(cfg, "gen-corpus")
     print(corpus_mod.generate_corpus(spec, cfg["seed"], os.path.join(run_dir, "corpus")))
     return 0
@@ -186,7 +224,7 @@ def _cmd_adapt(cfg):
     section = cfg["adapt"]
     sched = adaptation_schedule(section["steps"], lr=section["lr"],
                                 batch_size=section["batch_size"])
-    dims = AdapterDims(**cfg["dims"])
+    dims = _with_model_sizes(cfg, "dims")
     run_dir = prepare_run_dir(cfg, "adapt")
     out = tr.adapt(checkpoint, corpus, section["strategy"], sched, run_dir,
                    cfg["seed"], dims=dims)
@@ -243,11 +281,6 @@ def _cmd_evaluate(cfg):
     corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     section = cfg["evaluate"]
-    if section["speakers"] not in _SPEAKER_GROUPS:
-        raise InputError(f"evaluate.speakers must be one of {sorted(_SPEAKER_GROUPS)}")
-    if section["split"] not in ("train", "val", "all"):
-        raise InputError("evaluate.split must be train, val, or all")
-
     split = None if section["split"] == "all" else section["split"]
     utts = corpus_mod.load_corpus(corpus,
                                   adaptation=_SPEAKER_GROUPS[section["speakers"]],
@@ -255,6 +288,7 @@ def _cmd_evaluate(cfg):
 
     loaded = tr.load_checkpoint(checkpoint)
     model = loaded.model
+    model.config.check_corpus(utts, corpus)
     d_spk = model.config.d_spk
 
     def synth(utt):
@@ -276,7 +310,7 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_params(cfg):
-    strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], AdapterDims(**cfg["dims"]))
+    strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], _with_model_sizes(cfg, "dims"))
     print(_trainable_count(strategy, TTSModel(ModelConfig(**cfg["model"]), seed=0)))
     return 0
 
@@ -290,8 +324,6 @@ def _cmd_dump_hyper_params(cfg):
     corpus = _require_path(cfg, "corpus", "--corpus")
     checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     n_jitters = cfg["dump"]["jitters"]
-    if n_jitters < 0:
-        raise ConfigError(f"dump.jitters must be at least 0, got {n_jitters}")
     loaded = tr.load_checkpoint(checkpoint)
     if loaded.adapted is None or loaded.adapted.strategy.name != "hyper":
         raise InputError(
@@ -335,8 +367,6 @@ def _cmd_dump_hyper_params(cfg):
 
 def _cmd_grad_check(cfg):
     section = cfg["gradcheck"]
-    if section["threshold"] <= 0:
-        raise ConfigError(f"gradcheck.threshold must be positive, got {section['threshold']}")
     names = [n for n in section["networks"].split(",") if n] or None
     results = gradcheck.run_suite(instances=section["instances"],
                                   threshold=section["threshold"], names=names)
@@ -371,7 +401,7 @@ _FLAGS = {
     "--utt": ("synthesize.utt", {"help": "synthesize this corpus utterance"}),
     "--speaker": ("synthesize.speaker", {"help": "speaker for --phonemes mode"}),
     "--phonemes": ("synthesize.phonemes", {"help": "comma-separated phoneme ids"}),
-    "--split": ("evaluate.split", {"choices": ("train", "val", "all"),
+    "--split": ("evaluate.split", {"choices": _SPLITS,
                                    "help": "which split to score"}),
     "--speakers": ("evaluate.speakers", {"choices": sorted(_SPEAKER_GROUPS),
                                          "help": "speaker group to score"}),
@@ -443,6 +473,7 @@ def main(argv=None):
         for key, value in vars(args).items():
             if value is not None and ("." in key or key == "out_dir"):
                 _set_dotted(cfg, key, value)
+        _check_ranges(cfg)
         new_run_dir = _run_dir(cfg, args.verb)
         if os.path.exists(new_run_dir):
             new_run_dir = None  # never removed: a pretrain resumes in it

@@ -23,12 +23,11 @@ MCD_SWEEP_CELLS = 1 << 16  # padded cost cells per batched DTW sweep
 
 @dataclass
 class PairedStat:
-    """Mean and standard error over per-pair metric values (none excluded)."""
+    """Mean and standard error over per-pair metric values."""
 
     mean: float
     stderr: float
     n_used: int
-    n_excluded: int = 0
 
 
 def _stat(values):

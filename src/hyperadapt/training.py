@@ -53,18 +53,22 @@ LOSS_NAMES = (
 )
 
 
+# Adam's moment decays and epsilon, and the learning-rate decay at each
+# milestone, as FastSpeech 2 trains (Ren et al., arXiv 2006.04558).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+ANNEAL_FACTOR = 0.3
+
+
 @dataclass
 class ScheduleConfig:
     peak_lr: float = 1e-3
     warmup_steps: int = 40
     milestones: tuple = (3000, 4000, 5000)
-    anneal_factor: float = 0.3
     duration_start_step: int = 500
     total_steps: int = 6000
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     binarization_ramp_steps: int = 500
 
     def __post_init__(self):
@@ -77,8 +81,6 @@ class ScheduleConfig:
             raise ConfigError("milestones must come after warmup")
         if list(self.milestones) != sorted(self.milestones):
             raise ConfigError(f"milestones must be ascending, got {self.milestones}")
-        if not 0 < self.anneal_factor <= 1:
-            raise ConfigError(f"anneal_factor must be in (0, 1], got {self.anneal_factor}")
 
 
 def adaptation_schedule(steps, lr=1e-4, batch_size=8):
@@ -96,7 +98,7 @@ def lr_at(sched, step):
     if sched.warmup_steps > 0 and step < sched.warmup_steps:
         return sched.peak_lr * step / sched.warmup_steps
     passed = sum(1 for m in sched.milestones if step >= m)
-    return sched.peak_lr * sched.anneal_factor ** passed
+    return sched.peak_lr * ANNEAL_FACTOR ** passed
 
 
 @dataclass
@@ -278,9 +280,8 @@ class Adam:
     Moments are saved and loaded per tensor, as opt.m.<name> /
     opt.v.<name>."""
 
-    def __init__(self, named_params, beta1=0.9, beta2=0.98, eps=1e-9):
+    def __init__(self, named_params):
         self.params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         dtypes = {p.data.dtype for _, p in self.params}
         if len(dtypes) > 1:
@@ -293,7 +294,7 @@ class Adam:
 
     def step(self, grad, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         m, v = self.m, self.v
@@ -301,7 +302,7 @@ class Adam:
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
-        self.flat -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def state_arrays(self):
         out = {f"opt.m.{k}": a.copy() for k, a in per_tensor(self.params, self.m)}
@@ -592,6 +593,15 @@ def _write_latest(run_dir, filename):
     os.replace(tmp, _latest_path(run_dir))
 
 
+def _load_split(corpus_path, model_config, *, adaptation):
+    """(train, val) utterances of one speaker group of a corpus file, once
+    every one of them is checked to fit a model of `model_config`."""
+    utts = corpus_mod.load_corpus(corpus_path, adaptation=adaptation)
+    model_config.check_corpus(utts, corpus_path)
+    return (corpus_mod.filter_entries(utts, split="train"),
+            corpus_mod.filter_entries(utts, split="val"))
+
+
 def _run_meta(sched, seed):
     """What a resumed pretraining run must share with the run that wrote its
     checkpoint: the seed and every schedule field but total_steps, which
@@ -608,9 +618,7 @@ def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
     resume with another model config, schedule (total_steps aside) or seed
     is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
-    utts = corpus_mod.load_corpus(corpus_path, adaptation=False)
-    train = corpus_mod.filter_entries(utts, split="train")
-    val = corpus_mod.filter_entries(utts, split="val")
+    train, val = _load_split(corpus_path, model_config, adaptation=False)
 
     run_meta = _run_meta(sched, seed)
     latest = _read_latest(run_dir)
@@ -631,7 +639,7 @@ def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
         model = loaded.model
         start_step = int(loaded.meta["step"])
     trainable = list(model.named_parameters())
-    opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
+    opt = Adam(trainable)
     if latest is not None:
         opt.load_state_arrays(loaded.arrays, loaded.meta.get("adam_t", 0))
 
@@ -688,10 +696,8 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
         return out_path
 
     loaded = load_checkpoint(checkpoint_path)
-    utts = corpus_mod.load_corpus(corpus_path, adaptation=True)
-    train = corpus_mod.filter_entries(utts, split="train")
-    val = corpus_mod.filter_entries(utts, split="val")
     model = loaded.model
+    train, val = _load_split(corpus_path, model.config, adaptation=True)
     adapted = AdaptedModel(model, strategy, seed=seed)
     trainable = adapted.named_trainable()
     log = _LossLog(log_path, header_extra=(
@@ -705,7 +711,7 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
         if not p.requires_grad
     }
 
-    opt = Adam(trainable, sched.beta1, sched.beta2, sched.eps)
+    opt = Adam(trainable)
     val_log = _LossLog(os.path.join(run_dir, "adapt_val_log.tsv"))
 
     def save_fn(done):

@@ -15,6 +15,7 @@ import pytest
 
 from hyperadapt import featio
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
+from hyperadapt.corpus import CorpusSpec, generate_corpus
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -29,7 +30,7 @@ TINY = {
         "binarization_ramp_steps": 2,
     },
     "adapt": {"strategy": "hyper_ev", "steps": 3, "lr": 1e-4, "batch_size": 2},
-    "dims": {"d_h": 24, "d_r": 3, "d_1": 24, "d_2": 8, "d_l": 4, "d_s": 3},
+    "dims": {"d_r": 3, "d_2": 8, "d_l": 4, "d_s": 3},
 }
 
 
@@ -151,6 +152,12 @@ def test_set_overrides_and_bad_override():
     ("dump-hyper-params", "dump.jitters=-2", "dump.jitters"),
     ("grad-check", "gradcheck.threshold=0", "gradcheck.threshold"),
     ("grad-check", "gradcheck.threshold=-1", "gradcheck.threshold"),
+    # ranges are checked for every verb, not only the one that reads the key
+    ("gen-corpus", "evaluate.split=bogus", "evaluate.split"),
+    ("gen-corpus", "evaluate.speakers=nobody", "evaluate.speakers"),
+    ("gen-corpus", "dump.jitters=-3", "dump.jitters"),
+    ("gen-corpus", "gradcheck.threshold=-1", "gradcheck.threshold"),
+    ("gen-corpus", "model.n_mels=0", "model.n_mels"),
 ])
 def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, setting, key):
     cfg = tmp_path / "cfg.json"
@@ -158,7 +165,8 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     out = tmp_path / "runs"
     # any existing file passes the path checks that come before the config's
     flags = {"pretrain": ["--corpus"], "adapt": ["--corpus", "--checkpoint"],
-             "dump-hyper-params": ["--corpus", "--checkpoint"], "grad-check": []}[verb]
+             "dump-hyper-params": ["--corpus", "--checkpoint"], "grad-check": [],
+             "gen-corpus": []}[verb]
     paths = [arg for flag in flags for arg in (flag, str(cfg))]
     code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *paths,
                            *(["--set", setting] if setting else []))
@@ -174,15 +182,75 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     ("dump-hyper-params", ["--set", "dump.jitter_scale=0.1"]),
     ("pretrain", ["--manifest"]),
     ("evaluate", ["--set", "paths.manifest=corpus.bin"]),
+    # sizes of the model, read from the model config
+    ("gen-corpus", ["--set", "corpus.vocab_size=32"]),
+    ("gen-corpus", ["--set", "corpus.n_mels=20"]),
+    ("gen-corpus", ["--set", "corpus.d_spk=24"]),
+    ("adapt", ["--set", "dims.d_h=32"]),
+    ("params", ["--strategy", "hyper_e", "--set", "dims.d_1=24"]),
+    # Adam's and the learning-rate decay's constants
+    ("pretrain", ["--set", "schedule.anneal_factor=0.5"]),
+    ("pretrain", ["--set", "schedule.beta1=0.8"]),
+    ("pretrain", ["--set", "schedule.beta2=0.99"]),
+    ("pretrain", ["--set", "schedule.eps=1e-8"]),
 ])
 def test_removed_flag_and_keys_exit_2(tmp_path, verb, args):
-    # the waveform preview, the MCD-width and jitter-size keys and the
-    # manifest (a corpus is one file, passed as --corpus) are gone
+    # the waveform preview, the MCD-width and jitter-size keys, the
+    # manifest (a corpus is one file, passed as --corpus), the corpus and
+    # adapter sizes the model fixes and the optimizer's constants are gone
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--out-dir", str(out), *args)
     assert code == 2
     assert args[-1].split("=")[0] in err
     assert not out.exists()
+
+
+# Every settable value, by its dotted key. Adding or removing one is a change
+# to this list too.
+SETTABLE = [
+    "adapt.batch_size", "adapt.lr", "adapt.steps", "adapt.strategy",
+    "corpus.jitter", "corpus.max_phonemes", "corpus.min_phonemes", "corpus.quirk_scale",
+    "corpus.speakers_adapt", "corpus.speakers_pretrain", "corpus.texture",
+    "corpus.utts_per_speaker", "corpus.val_fraction",
+    "dims.d_2", "dims.d_l", "dims.d_r", "dims.d_s",
+    "dump.jitters",
+    "evaluate.speakers", "evaluate.split",
+    "gradcheck.instances", "gradcheck.networks", "gradcheck.threshold",
+    "model.conv_kernel", "model.d_attn", "model.d_h", "model.d_spk", "model.dec_layers",
+    "model.dropout", "model.enc_layers", "model.heads", "model.n_mels",
+    "model.postnet_channels", "model.postnet_kernel", "model.postnet_layers",
+    "model.var_dropout", "model.var_kernel", "model.vocab_size",
+    "out_dir",
+    "paths.checkpoint", "paths.corpus",
+    "schedule.batch_size", "schedule.binarization_ramp_steps", "schedule.duration_start_step",
+    "schedule.milestones", "schedule.peak_lr", "schedule.total_steps", "schedule.warmup_steps",
+    "seed",
+    "synthesize.phonemes", "synthesize.speaker", "synthesize.utt",
+]
+
+
+def test_settable_values_are_the_pinned_list():
+    def leaves(node, prefix=""):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert sorted(leaves(default_config())) == SETTABLE
+    assert len(SETTABLE) == 52
+
+
+def test_default_corpus_fits_the_default_model(tmp_path):
+    # the corpus takes its vocabulary, mel width and embedding size from the
+    # model config, so the defaults of both verbs agree
+    out = str(tmp_path / "runs")
+    code, stdout, err = run_cli("gen-corpus", "--out-dir", out,
+                                "--set", "corpus.utts_per_speaker=4")
+    assert code == 0, err
+    code, _, err = run_cli("pretrain", "--out-dir", out, "--corpus", stdout.strip(),
+                           "--set", "schedule.total_steps=2")
+    assert code == 0, err
 
 
 def test_config_hash_ignores_seed_only():
@@ -219,8 +287,9 @@ def test_params_ft_counts_tiny_backbone(workdir):
 
 
 def test_params_respects_dim_overrides():
+    # the adapters take their width from the model
     code, stdout, _ = run_cli("params", "--strategy", "adapter_v",
-                              "--set", "dims.d_h=32", "--set", "dims.d_r=4")
+                              "--set", "model.d_h=32", "--set", "dims.d_r=4")
     # two variance sites x (32*4 + 4 + 4*32 + 32)
     assert code == 0 and int(stdout) == 2 * 292
 
@@ -394,6 +463,9 @@ def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, 
     ("adapt", ["--checkpoint", "JUNK"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "JUNK", "--strategy", "tts0"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "DAMAGED", "--strategy", "tts0"], "payload CRC-32 mismatch"),
+    # the adapters take model.d_h from the config; the checkpoint's differs
+    ("adapt", ["--checkpoint", "PRETRAINED", "--set", "model.d_h=16"],
+     "ConfigError: adapters sized for model.d_h=16, but the checkpoint's model has d_h=24"),
 ])
 def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, message):
     # these verbs make their run directory before they read their input;
@@ -403,7 +475,8 @@ def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, m
     damaged = bytearray(open(pipeline["checkpoint"], "rb").read())
     damaged[-1] ^= 0x01
     (tmp_path / "damaged.bin").write_bytes(bytes(damaged))
-    paths = {"JUNK": str(junk), "DAMAGED": str(tmp_path / "damaged.bin")}
+    paths = {"JUNK": str(junk), "DAMAGED": str(tmp_path / "damaged.bin"),
+             "PRETRAINED": pipeline["checkpoint"]}
     args = [paths.get(a, a) for a in args]
     if verb == "adapt":
         args += ["--corpus", pipeline["corpus"]]
@@ -411,6 +484,34 @@ def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, m
     code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out), *args)
     assert code == 2 and message in err, err
     assert os.listdir(out) == []
+
+
+@pytest.fixture(scope="module")
+def misfit_corpora(workdir):
+    """key -> a corpus of the tiny config's spec with that size of the tiny
+    model changed: fewer mel bins, a smaller embedding, a larger vocabulary."""
+    sizes = {k: TINY["model"][k] for k in ("vocab_size", "n_mels", "d_spk")}
+    return {key: generate_corpus(CorpusSpec(**TINY["corpus"], **{**sizes, key: value}), 11,
+                                 str(workdir / "misfit" / key))
+            for key, value in (("n_mels", 16), ("d_spk", 16), ("vocab_size", 40))}
+
+
+@pytest.mark.parametrize("key", ["n_mels", "d_spk", "vocab_size"])
+@pytest.mark.parametrize("verb", ["pretrain", "adapt", "evaluate"])
+def test_corpus_that_misfits_the_model_exits_2_without_a_run_dir(
+        pipeline, misfit_corpora, tmp_path, verb, key):
+    # every utterance is checked against the model before training or
+    # synthesis: the pretrain's config, or the checkpoint's model
+    corpus = misfit_corpora[key]
+    checkpoint = {"pretrain": [], "adapt": ["--checkpoint", pipeline["checkpoint"]],
+                  "evaluate": ["--checkpoint", pipeline["adapted"]]}[verb]
+    out = tmp_path / "runs"
+    code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out),
+                           "--corpus", corpus, *checkpoint)
+    assert code == 2, err
+    assert err.startswith(f"InputError: {corpus}: utterance "), err
+    assert f"but the model has model.{key}={TINY['model'][key]}" in err, err
+    assert not (out.exists() and os.listdir(out))
 
 
 def test_bad_input_keeps_a_run_dir_that_existed(pipeline, tmp_path):
@@ -474,8 +575,8 @@ def test_dump_hyper_params_exports_per_speaker_vectors(pipeline):
     assert sorted(meta["speakers"]) == ["adp_00", "adp_01"]
     # hyper_ev on a 1-layer encoder: 1 e site + 2 v sites per embedding
     assert len(arrays) == 2 * 3 * 3
-    d = TINY["dims"]
-    width = 2 * (d["d_h"] * d["d_r"]) + d["d_r"] + d["d_h"]
+    d_h, d_r = TINY["model"]["d_h"], TINY["dims"]["d_r"]
+    width = 2 * (d_h * d_r) + d_r + d_h
     for key, vec in arrays.items():
         assert vec.shape == (width,)
         assert vec.dtype == np.float64

@@ -33,7 +33,7 @@ def test_cos_identical_pairs_score_100():
     stat = _stat([cos_metric(e, e.copy()) for e in embs])
     assert stat.mean == pytest.approx(100.0, abs=1e-9)
     assert stat.stderr == pytest.approx(0.0, abs=1e-9)
-    assert stat.n_used == 5 and stat.n_excluded == 0
+    assert stat.n_used == 5
 
 
 def test_cos_orthogonal_and_antiparallel():
@@ -48,7 +48,7 @@ def test_cos_mean_and_stderr_closed_form():
     stat = _stat([cos_metric(a, a), cos_metric(a, np.array([0.0, 1.0]))])  # 100 and 0
     assert stat.mean == pytest.approx(50.0)
     assert stat.stderr == pytest.approx(50.0)  # std([100,0], ddof=1)/sqrt(2)
-    assert stat.n_used == 2 and stat.n_excluded == 0
+    assert stat.n_used == 2
 
 
 def test_cos_rejects_zero_norm():

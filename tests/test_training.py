@@ -85,8 +85,6 @@ def adapted(pretrained, corpus_path, tmp_path_factory):
     {"peak_lr": 0.0},
     {"warmup_steps": 10, "milestones": (5,)},
     {"milestones": (30, 20)},
-    {"anneal_factor": 0.0},
-    {"anneal_factor": 1.5},
     {"total_steps": 0},
     {"batch_size": 0},
 ])
@@ -444,7 +442,10 @@ def test_pretrain_requires_embeddings(pretrained, adapted, corpus_path, tmp_path
     # not index, or has a damaged payload is bad input: pretrain, adapt and
     # dump-hyper-params all stop (exit 2) before using it
     pretrained_ck, hyper_ck = pretrained[0], adapted[0]
-    dims = [f"--set=dims.{k}={v}" for k, v in dataclasses.asdict(DIMS).items()]
+    # the tiny model's config and adapter dims (adapt reads d_h and d_1 from the model)
+    dims = [f"--set=model.{k}={v}" for k, v in TRAIN_CFG.to_dict().items()]
+    dims += [f"--set=dims.{k}={v}" for k, v in dataclasses.asdict(DIMS).items()
+             if k not in ("d_h", "d_1")]
     for case in ("embedding", "durations", "flip"):
         corpus = tmp_path / case / "corpus.bin"
         corpus.parent.mkdir()
