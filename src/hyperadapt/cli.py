@@ -79,12 +79,12 @@ def default_config():
 
 
 def _resolve_config_path(path):
-    if os.path.exists(path):
+    if os.path.isfile(path):
         return path
     base = os.environ.get(CONFIG_DIR_ENV, "")
     if base and not os.path.isabs(path):
         candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
+        if os.path.isfile(candidate):
             return candidate
     raise InputError(f"config file not found: {path}")
 
@@ -232,10 +232,20 @@ def _cmd_adapt(cfg):
     return 0
 
 
-def _resolve_synthesis_inputs(cfg, corpus):
-    section = cfg["synthesize"]
-    utts = corpus_mod.load_corpus(corpus)
+def _checkpoint_and_corpus(cfg, *, adaptation=None, split=None):
+    """(LoadedCheckpoint, utterances): the config's checkpoint, then its
+    corpus's utterances of one speaker group and split, each checked to fit
+    the checkpoint's model (training.load_fitting_corpus)."""
+    corpus = _require_path(cfg, "corpus", "--corpus")
+    loaded = tr.load_checkpoint(_require_path(cfg, "checkpoint", "--checkpoint"))
+    return loaded, tr.load_fitting_corpus(corpus, loaded.model.config,
+                                          adaptation=adaptation, split=split)
+
+
+def _resolve_synthesis_inputs(section, utts):
     if section["utt"]:
+        if section["phonemes"] or section["speaker"]:
+            raise InputError("synthesize takes --utt, or --phonemes and --speaker, not both")
         matches = [u for u in utts if u.utt_id == section["utt"]]
         if not matches:
             raise InputError(f"utterance '{section['utt']}' not in the corpus")
@@ -253,12 +263,9 @@ def _resolve_synthesis_inputs(cfg, corpus):
 
 
 def _cmd_synthesize(cfg):
-    corpus = _require_path(cfg, "corpus", "--corpus")
-    checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
-    phonemes, embedding, tag = _resolve_synthesis_inputs(cfg, corpus)
-    loaded = tr.load_checkpoint(checkpoint)
-    hooks = loaded.hooks_for(embedding)
-    mel, info = loaded.model.synthesize(phonemes, embedding, hooks=hooks)
+    loaded, utts = _checkpoint_and_corpus(cfg)
+    phonemes, embedding, tag = _resolve_synthesis_inputs(cfg["synthesize"], utts)
+    mel, info = loaded.model.synthesize(phonemes, embedding, hooks=loaded.hooks_for(embedding))
 
     out = os.path.join(prepare_run_dir(cfg, "synthesize"), f"{tag}.bin")
     featio.write_checkpoint(out, {}, {"mel": mel, "f0": info["f0"], "energy": info["energy"],
@@ -278,17 +285,11 @@ def _trainable_for_checkpoint(loaded):
 
 
 def _cmd_evaluate(cfg):
-    corpus = _require_path(cfg, "corpus", "--corpus")
-    checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     section = cfg["evaluate"]
-    split = None if section["split"] == "all" else section["split"]
-    utts = corpus_mod.load_corpus(corpus,
-                                  adaptation=_SPEAKER_GROUPS[section["speakers"]],
-                                  split=split)
-
-    loaded = tr.load_checkpoint(checkpoint)
+    loaded, utts = _checkpoint_and_corpus(
+        cfg, adaptation=_SPEAKER_GROUPS[section["speakers"]],
+        split=None if section["split"] == "all" else section["split"])
     model = loaded.model
-    model.config.check_corpus(utts, corpus)
     d_spk = model.config.d_spk
 
     def synth(utt):
@@ -303,8 +304,7 @@ def _cmd_evaluate(cfg):
     path = report.write(prepare_run_dir(cfg, "evaluate"))
     print(path)
     for line in report.to_text().splitlines():
-        if line.startswith(("cos\t", "ffe\t", "mcd\t", "trainable_params\t",
-                            "synthesis_failures\t")):
+        if line.startswith(("cos\t", "ffe\t", "mcd\t", "trainable_params\t")):
             print(line)
     return 0
 
@@ -321,10 +321,8 @@ _DUMP_JITTER = 0.02
 
 
 def _cmd_dump_hyper_params(cfg):
-    corpus = _require_path(cfg, "corpus", "--corpus")
-    checkpoint = _require_path(cfg, "checkpoint", "--checkpoint")
     n_jitters = cfg["dump"]["jitters"]
-    loaded = tr.load_checkpoint(checkpoint)
+    loaded, utts = _checkpoint_and_corpus(cfg, adaptation=True)
     if loaded.adapted is None or loaded.adapted.strategy.name != "hyper":
         raise InputError(
             f"checkpoint strategy '{loaded.meta.get('strategy', 'pretrain')}' "
@@ -332,8 +330,6 @@ def _cmd_dump_hyper_params(cfg):
         )
     adapted = loaded.adapted
     d_spk = loaded.model.config.d_spk
-
-    utts = corpus_mod.load_corpus(corpus, adaptation=True)
     speakers = sorted({u.speaker for u in utts})
     if not speakers:
         raise InputError("corpus has no adaptation speakers to dump")

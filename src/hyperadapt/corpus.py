@@ -330,8 +330,6 @@ def _read_corpus(path):
     """(utterance index, tensors) of a corpus file: its metadata must be a
     seed and a CorpusSpec, and its tensors exactly the arrays of the
     utterances that spec indexes."""
-    if os.path.isdir(path):
-        raise InputError(f"{path}: a directory, not a corpus file")
     meta, tensors = featio.read_checkpoint(path)
     if set(meta) != {"seed", "spec"}:
         raise InputError(f"{path}: not a corpus (metadata keys {sorted(meta)}, "

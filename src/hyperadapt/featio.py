@@ -92,9 +92,13 @@ def _index_item(path, item):
 
 
 def read_checkpoint(path):
-    """Returns (meta, tensors) with the 'tensors' index stripped from meta."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Returns (meta, tensors) with the 'tensors' index stripped from meta.
+    A path that cannot be read (missing, a directory) is an InputError."""
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise InputError(f"{path}: cannot be read ({e.strerror})") from None
     if len(blob) < 12 or blob[:8] != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: not a checkpoint (bad magic or truncated)")
     (meta_len,) = struct.unpack("<I", blob[8:12])

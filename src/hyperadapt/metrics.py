@@ -176,10 +176,9 @@ def mcd_metric(pred_mel, ref_mel):
 class EvalRow:
     utt_id: str
     speaker: str
-    cos: float = None
-    ffe: float = None
-    mcd: float = None
-    error: str = None
+    cos: float
+    ffe: float
+    mcd: float
 
 
 @dataclass
@@ -195,7 +194,10 @@ class EvalReport:
 
     @property
     def n_failed(self):
-        return sum(1 for r in self.rows if r.error is not None)
+        # Always 0: a failed utterance raises. perfbench/bench.py still reads
+        # it (its failed-operation count and four *.evaluate_no_failures
+        # checks); it goes when they do.
+        return 0
 
     def to_dict(self):
         return {
@@ -209,19 +211,13 @@ class EvalReport:
                 "trainable": self.trainable_params,
                 "trainable_pct": self.trainable_pct,
             },
-            "failures": self.n_failed,
             "dispersion": "standard error",
         }
 
     def to_text(self):
-        lines = ["utt_id\tspeaker\tcos\tffe\tmcd\terror"]
+        lines = ["utt_id\tspeaker\tcos\tffe\tmcd"]
         for r in self.rows:
-            if r.error is not None:
-                lines.append(f"{r.utt_id}\t{r.speaker}\t-\t-\t-\t{r.error}")
-            else:
-                lines.append(
-                    f"{r.utt_id}\t{r.speaker}\t{r.cos:.3f}\t{r.ffe:.3f}\t{r.mcd:.3f}\t"
-                )
+            lines.append(f"{r.utt_id}\t{r.speaker}\t{r.cos:.3f}\t{r.ffe:.3f}\t{r.mcd:.3f}")
         lines.append("")
         lines.append("metric\tmean\tstderr\tn  (dispersion is standard error)")
         for name, stat in (("cos", self.cos), ("ffe", self.ffe), ("mcd", self.mcd)):
@@ -229,8 +225,6 @@ class EvalReport:
         lines.append(
             f"trainable_params\t{self.trainable_params}\t({self.trainable_pct:.3f}%)"
         )
-        if self.n_failed:
-            lines.append(f"synthesis_failures\t{self.n_failed}\tof {len(self.rows)}")
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir):
@@ -252,41 +246,31 @@ def evaluate(synthesize_fn, utterances, embedder, *, trainable_params=0,
     maps a mel to a fixed-size vector. COS and FFE are scored as each
     utterance is synthesized, and its MCD pair checked and kept as cepstra;
     once every utterance is synthesized, MCD is scored in utterance order in
-    batched DTW sweeps (mcd_scores). An InputError (bad input for one
-    utterance, such as an alignment it cannot have) is recorded on its row
-    and excluded from the aggregates; a NumericsError propagates with the
-    utterance id prefixed, and any other exception is a fault and propagates
-    as it is.
+    batched DTW sweeps (mcd_scores). An InputError or NumericsError from one
+    utterance propagates as its type with the utterance id prefixed; any
+    other exception is a fault and propagates as it is. Every utterance is
+    in the aggregates, or none is reported.
     """
     if not utterances:
         raise InputError("evaluate: empty utterance list")
-    rows, scored, pairs = [], [], []
+    scores, pairs = [], []
     for utt in utterances:
         try:
             mel, info = synthesize_fn(utt)
             cos = cos_metric(embedder(mel), embedder(utt.mel))
             pred_f0 = align_to_reference(np.asarray(info["f0"]), utt.f0.shape[0])
-            ffe = ffe_metric(pred_f0, utt.f0)
-            pair = mcd_cepstra(mel, utt.mel)
-        except InputError as e:  # recorded per row, excluded from aggregates
-            rows.append(EvalRow(utt.utt_id, utt.speaker,
-                                error=f"{type(e).__name__}: {e}"))
-            continue
-        except NumericsError as e:
-            raise NumericsError(f"{utt.utt_id}: {e}") from e
-        rows.append(EvalRow(utt.utt_id, utt.speaker, cos=cos, ffe=ffe))
-        scored.append(rows[-1])
-        pairs.append(pair)
-    if not scored:
-        raise InputError("evaluate: synthesis failed on every utterance")
-    for row, mcd in zip(scored, mcd_scores(pairs)):
-        row.mcd = mcd
+            scores.append((cos, ffe_metric(pred_f0, utt.f0)))
+            pairs.append(mcd_cepstra(mel, utt.mel))
+        except (InputError, NumericsError) as e:
+            raise type(e)(f"{utt.utt_id}: {e}") from e
+    rows = [EvalRow(u.utt_id, u.speaker, cos, ffe, mcd)
+            for u, (cos, ffe), mcd in zip(utterances, scores, mcd_scores(pairs))]
     pct = 100.0 * trainable_params / backbone_params if backbone_params else 0.0
     return EvalReport(
         rows=rows,
-        cos=_stat([r.cos for r in scored]),
-        ffe=_stat([r.ffe for r in scored]),
-        mcd=_stat([r.mcd for r in scored]),
+        cos=_stat([r.cos for r in rows]),
+        ffe=_stat([r.ffe for r in rows]),
+        mcd=_stat([r.mcd for r in rows]),
         trainable_params=trainable_params,
         trainable_pct=pct,
     )

@@ -54,24 +54,6 @@ class ModelConfig:
     def to_dict(self):
         return asdict(self)
 
-    def check_corpus(self, utterances, path):
-        """InputError naming the corpus file `path`, the utterance, the key
-        and both values, unless every utterance fits this model: n_mels mel
-        bins, a d_spk embedding, and phoneme ids in [0, vocab_size)."""
-        for u in utterances:
-            outside = u.phonemes[(u.phonemes < 0) | (u.phonemes >= self.vocab_size)]
-            if u.mel.shape[-1] != self.n_mels:
-                key, found = "n_mels", f"mel width {u.mel.shape[-1]}"
-            elif u.embedding.size != self.d_spk:
-                key, found = "d_spk", f"embedding size {u.embedding.size}"
-            elif outside.size:
-                key, found = "vocab_size", f"phoneme id {int(outside[0])}"
-            else:
-                continue
-            raise InputError(f"{path}: utterance {u.utt_id} has {found}, but the model has "
-                             f"model.{key}={getattr(self, key)}; generate the corpus "
-                             "with this model config")
-
 
 class Pack:
     """B utterances (`corpus.Utterance`s) stacked along time for one

@@ -593,13 +593,27 @@ def _write_latest(run_dir, filename):
     os.replace(tmp, _latest_path(run_dir))
 
 
-def _load_split(corpus_path, model_config, *, adaptation):
-    """(train, val) utterances of one speaker group of a corpus file, once
-    every one of them is checked to fit a model of `model_config`."""
-    utts = corpus_mod.load_corpus(corpus_path, adaptation=adaptation)
-    model_config.check_corpus(utts, corpus_path)
-    return (corpus_mod.filter_entries(utts, split="train"),
-            corpus_mod.filter_entries(utts, split="val"))
+def load_fitting_corpus(path, model_config, *, adaptation=None, split=None):
+    """The utterances of corpus file `path` in one speaker group and split
+    (see corpus.load_corpus), once every one fits a model of `model_config`:
+    n_mels mel bins, a d_spk embedding, and phoneme ids in [0, vocab_size).
+    Else an InputError naming the file, the utterance, the key and both
+    values."""
+    utts = corpus_mod.load_corpus(path, adaptation=adaptation, split=split)
+    for u in utts:
+        outside = u.phonemes[(u.phonemes < 0) | (u.phonemes >= model_config.vocab_size)]
+        if u.mel.shape[-1] != model_config.n_mels:
+            key, found = "n_mels", f"mel width {u.mel.shape[-1]}"
+        elif u.embedding.size != model_config.d_spk:
+            key, found = "d_spk", f"embedding size {u.embedding.size}"
+        elif outside.size:
+            key, found = "vocab_size", f"phoneme id {int(outside[0])}"
+        else:
+            continue
+        raise InputError(f"{path}: utterance {u.utt_id} has {found}, but the model has "
+                         f"model.{key}={getattr(model_config, key)}; generate the corpus "
+                         "with this model config")
+    return utts
 
 
 def _run_meta(sched, seed):
@@ -618,7 +632,8 @@ def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
     resume with another model config, schedule (total_steps aside) or seed
     is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
-    train, val = _load_split(corpus_path, model_config, adaptation=False)
+    utts = load_fitting_corpus(corpus_path, model_config, adaptation=False)
+    train, val = (corpus_mod.filter_entries(utts, split=s) for s in ("train", "val"))
 
     run_meta = _run_meta(sched, seed)
     latest = _read_latest(run_dir)
@@ -697,7 +712,8 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
 
     loaded = load_checkpoint(checkpoint_path)
     model = loaded.model
-    train, val = _load_split(corpus_path, model.config, adaptation=True)
+    utts = load_fitting_corpus(corpus_path, model.config, adaptation=True)
+    train, val = (corpus_mod.filter_entries(utts, split=s) for s in ("train", "val"))
     adapted = AdaptedModel(model, strategy, seed=seed)
     trainable = adapted.named_trainable()
     log = _LossLog(log_path, header_extra=(

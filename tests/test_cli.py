@@ -117,9 +117,10 @@ def test_malformed_json_config(tmp_path):
     assert "JSON" in err
 
 
-def test_missing_config_file(tmp_path):
+@pytest.mark.parametrize("name", ["absent.json", ""])  # no file, or a directory
+def test_missing_config_file(tmp_path, name):
     code, _, err = run_cli("params", "--strategy", "tts0",
-                           "--config", str(tmp_path / "absent.json"))
+                           "--config", str(tmp_path / name))
     assert code == 2
     assert "not found" in err
 
@@ -401,6 +402,8 @@ def test_synthesize_custom_phonemes(pipeline):
     ("synthesize", ["--phonemes", "1,x,3", "--speaker", "adp_00"], "comma-separated"),
     ("synthesize", ["--phonemes", "999,3", "--speaker", "adp_00"], "id 999 outside"),
     ("synthesize", ["--phonemes", "3,5", "--speaker", "adp_99"], "'adp_99' has no train"),
+    ("synthesize", ["--utt", "adp_00_u001", "--phonemes", "999,3", "--speaker", "adp_99"],
+     "synthesize takes --utt, or --phonemes and --speaker, not both"),
     # a corpus file whose spec gives each speaker one utterance, so no train split
     ("evaluate", ["--split", "train"], "utts_per_speaker=1 with val_fraction=0.2 leaves"),
     ("dump-hyper-params", [], "needs a hyper checkpoint"),  # given the pretrained checkpoint
@@ -497,21 +500,41 @@ def misfit_corpora(workdir):
 
 
 @pytest.mark.parametrize("key", ["n_mels", "d_spk", "vocab_size"])
-@pytest.mark.parametrize("verb", ["pretrain", "adapt", "evaluate"])
+@pytest.mark.parametrize("verb", ["pretrain", "adapt", "evaluate", "synthesize",
+                                  "dump-hyper-params"])
 def test_corpus_that_misfits_the_model_exits_2_without_a_run_dir(
         pipeline, misfit_corpora, tmp_path, verb, key):
-    # every utterance is checked against the model before training or
-    # synthesis: the pretrain's config, or the checkpoint's model
+    # every verb that reads a corpus checks each utterance it reads against
+    # the model before training or synthesis: the pretrain's config, or the
+    # checkpoint's model
     corpus = misfit_corpora[key]
-    checkpoint = {"pretrain": [], "adapt": ["--checkpoint", pipeline["checkpoint"]],
-                  "evaluate": ["--checkpoint", pipeline["adapted"]]}[verb]
+    args = {"pretrain": [], "adapt": ["--checkpoint", pipeline["checkpoint"]],
+            "evaluate": ["--checkpoint", pipeline["adapted"]],
+            "synthesize": ["--checkpoint", pipeline["adapted"], "--utt", "adp_00_u001"],
+            "dump-hyper-params": ["--checkpoint", pipeline["adapted"]]}[verb]
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out),
-                           "--corpus", corpus, *checkpoint)
+                           "--corpus", corpus, *args)
     assert code == 2, err
     assert err.startswith(f"InputError: {corpus}: utterance "), err
     assert f"but the model has model.{key}={TINY['model'][key]}" in err, err
     assert not (out.exists() and os.listdir(out))
+
+
+@pytest.mark.parametrize("verb", ["adapt", "synthesize", "evaluate", "dump-hyper-params"])
+def test_directory_as_checkpoint_exits_2_without_a_run_dir(pipeline, tmp_path, verb):
+    # adapt makes its run directory before it reads the checkpoint, and
+    # removes it; the others read their inputs first
+    directory = tmp_path / "checkpoint"
+    directory.mkdir()
+    extra = ["--utt", "adp_00_u001"] if verb == "synthesize" else []
+    out = tmp_path / "runs"
+    code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out),
+                           "--corpus", pipeline["corpus"], "--checkpoint", str(directory),
+                           *extra)
+    assert code == 2, err
+    assert err.startswith(f"InputError: {directory}: cannot be read (Is a directory)"), err
+    assert (os.listdir(out) == []) if verb == "adapt" else not out.exists()
 
 
 def test_bad_input_keeps_a_run_dir_that_existed(pipeline, tmp_path):

@@ -115,7 +115,7 @@ def _damage(path, kind):
 
 @pytest.mark.parametrize("kind, message", [
     ("flip", "tensor adp_00_u000.embedding: payload CRC-32 mismatch"),
-    ("directory", "corpus.bin: a directory, not a corpus file"),
+    ("directory", "corpus.bin: cannot be read (Is a directory)"),
     ("manifest", "corpus.bin: not a checkpoint (bad magic or truncated)"),
     ("no_spec", "corpus.bin: not a corpus (metadata keys ['seed'], not seed and spec)"),
     ("string_n_mels", "corpus metadata: key 'spec.n_mels' expects int, got '20'"),

@@ -1,5 +1,6 @@
 """The one binary container, and the corpus file written in it."""
 
+import re
 import struct
 
 import numpy as np
@@ -53,6 +54,13 @@ class TestCheckpoint:
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"garbage!" + bytes(8))
         with pytest.raises(InputError):
+            featio.read_checkpoint(p)
+
+    @pytest.mark.parametrize("name, reason", [("missing.ckpt", "No such file or directory"),
+                                              ("", "Is a directory")])
+    def test_unreadable_path_rejected_naming_it(self, tmp_path, name, reason):
+        p = tmp_path / name
+        with pytest.raises(InputError, match=re.escape(f"{p}: cannot be read ({reason})")):
             featio.read_checkpoint(p)
 
     def test_truncated_tensor_rejected(self, tmp_path):

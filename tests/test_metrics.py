@@ -225,7 +225,6 @@ def test_evaluate_reference_against_itself():
         trainable_params=500, backbone_params=10_000,
     )
     assert len(report.rows) == len(utts)
-    assert report.n_failed == 0
     assert report.cos.mean == pytest.approx(100.0, abs=1e-6)
     assert report.ffe.mean == 0.0
     assert report.mcd.mean == pytest.approx(0.0, abs=1e-6)
@@ -242,28 +241,20 @@ def _failing_on(utt_id, exc):
     return synth
 
 
-def test_evaluate_records_and_excludes_failures():
-    utts = _toy_utterances()
-    synth = _failing_on("u2", InputError("synthetic blowup"))
-
-    report = evaluate(synth, utts, _embedder)
-    assert len(report.rows) == len(utts)
-    assert report.n_failed == 1
-    failed = [r for r in report.rows if r.error][0]
-    assert failed.utt_id == "u2" and "synthetic blowup" in failed.error
-    assert failed.error.startswith("InputError")
-    assert report.cos.n_used == len(utts) - 1
-
-    with pytest.raises(InputError):
-        evaluate(lambda u: (_ for _ in ()).throw(InputError("no")), utts, _embedder)
-    with pytest.raises(InputError):
-        evaluate(synth, [], _embedder)
+def test_evaluate_raises_on_bad_input_for_one_utterance():
+    # no utterance is left out of the means: bad input for one fails the
+    # evaluation, naming the utterance
+    with pytest.raises(InputError, match="^u2: synthetic blowup$"):
+        evaluate(_failing_on("u2", InputError("synthetic blowup")), _toy_utterances(),
+                 _embedder)
+    with pytest.raises(InputError, match="^evaluate: empty utterance list$"):
+        evaluate(_failing_on("u2", InputError("no")), [], _embedder)
 
 
 @pytest.mark.parametrize("exc", [NumericsError("nan in decoder"), ValueError("bad op")])
 def test_evaluate_propagates_faults(exc):
-    # only bad input becomes a failure row; a fault in the model must
-    # surface, a numerics fault naming the utterance it came from
+    # a fault in the model surfaces, a numerics fault naming the utterance
+    # it came from
     prefix = "u2: " if isinstance(exc, NumericsError) else ""
     with pytest.raises(type(exc), match=f"^{prefix}{exc}$"):
         evaluate(_failing_on("u2", exc), _toy_utterances(), _embedder)
@@ -301,7 +292,7 @@ def test_mcd_sweeps_equal_one_sweep_and_per_pair(monkeypatch):
         assert len(sweeps) == n_sweeps and max(sweeps) <= max(cap, 32 * 20)
     assert rows[0] == rows[1] == rows[2]
     for row, utt in zip(rows[0], utts):
-        assert row.error is None and row.mcd == mcd_metric(synth(utt)[0], utt.mel) > 0.0
+        assert row.mcd == mcd_metric(synth(utt)[0], utt.mel) > 0.0
 
 
 def test_mcd_non_finite_pair_leaves_the_others_unchanged():
@@ -318,16 +309,11 @@ def test_mcd_non_finite_pair_leaves_the_others_unchanged():
             assert row.mcd == mcd_metric(synth(utt)[0], utt.mel)
 
 
-def test_invalid_mcd_pair_is_its_own_failure_row():
+def test_invalid_mcd_pair_raises_naming_the_utterance():
     utts = _toy_utterances(n=4)
     synth = _resynthesized(utts, {"u2": np.ones((9, 7))})  # 7 mel bins, not 12
-    report = evaluate(synth, utts, lambda mel: np.ones(3))  # so only MCD sees the widths
-    assert report.n_failed == 1 and report.mcd.n_used == 3
-    failed = report.rows[2]
-    assert failed.utt_id == "u2" and failed.error == "InputError: mcd_metric: mel widths 7 vs 12"
-    for row, utt in zip(report.rows, utts):
-        if row.error is None:
-            assert row.mcd == mcd_metric(synth(utt)[0], utt.mel)
+    with pytest.raises(InputError, match="^u2: mcd_metric: mel widths 7 vs 12$"):
+        evaluate(synth, utts, lambda mel: np.ones(3))  # so only MCD sees the widths
 
 
 def test_report_text_and_json(tmp_path):
@@ -335,7 +321,7 @@ def test_report_text_and_json(tmp_path):
     report = evaluate(lambda u: (u.mel, {"f0": u.f0}), utts, _embedder,
                       trainable_params=42, backbone_params=1000)
     text = report.to_text()
-    assert text.splitlines()[0] == "utt_id\tspeaker\tcos\tffe\tmcd\terror"
+    assert text.splitlines()[0] == "utt_id\tspeaker\tcos\tffe\tmcd"
     assert "standard error" in text
     assert "trainable_params\t42" in text
 
@@ -345,5 +331,7 @@ def test_report_text_and_json(tmp_path):
     assert data["aggregate"]["cos"]["mean"] == pytest.approx(100.0, abs=1e-6)
     assert data["params"]["trainable"] == 42
     assert data["dispersion"] == "standard error"
+    assert sorted(data) == ["aggregate", "dispersion", "params", "rows"]
     assert len(data["rows"]) == len(utts)
+    assert sorted(data["rows"][0]) == ["cos", "ffe", "mcd", "speaker", "utt_id"]
     assert (tmp_path / "report.tsv").exists()
