@@ -29,7 +29,9 @@ node each: length-preserving 1D convolution (zero padding at every boundary),
 the attention core (one softmax per segment), dropout (each segment's mask
 from its own stream), `repeat_rows` (one row per segment or phoneme spread
 over its rows), `segment_mean` and the losses (per-segment means, summed).
-A single utterance is a pack of one segment.
+A single utterance is a pack of one segment. Dropout (in `dropout` and in
+`attention`) is on exactly when the op is given a non-empty list of random
+streams, one per segment; validation and synthesis pass none.
 
 The op set is exactly what the acoustic model needs: the fused affine map
 `linear` (matmul plus bias), 1D convolution plus bias, the fused
@@ -316,10 +318,10 @@ def layer_norm(a, gain, bias):
     return from_op(out_data, (a, gain, bias), grad_fn, "layer_norm")
 
 
-def _dropout_on(p, training):
+def _dropout_on(p, rngs):
     if p < 0 or p >= 1:
         raise InputError(f"dropout: probability {p} outside [0, 1)")
-    return training and p != 0.0
+    return len(rngs) > 0 and p != 0.0
 
 
 def _keep_masks(shapes, p, rngs):
@@ -337,12 +339,12 @@ def _dropped(x, keep, scale):
     return out
 
 
-def dropout(a, p, rngs, training, seg):
-    """Seeded inverted dropout; identity when p == 0 or not training.
+def dropout(a, p, rngs, seg):
+    """Seeded inverted dropout; identity when p == 0 or rngs is empty.
 
     rngs holds one generator per segment; each segment's mask comes from its
     own stream. The node keeps only the boolean mask."""
-    if not _dropout_on(p, training):
+    if not _dropout_on(p, rngs):
         return a
     rest = a.shape[1:]
     keeps = _keep_masks([(e - s,) + rest for s, e in _segments_of("dropout", seg, a.shape[0])],
@@ -356,17 +358,17 @@ def dropout(a, p, rngs, training, seg):
     return from_op(_dropped(a.data, keep, scale), (a,), grad_fn, "dropout")
 
 
-def attention(q, k, v, heads, seg, p, rngs, training):
+def attention(q, k, v, heads, seg, p, rngs):
     """Multi-head scaled dot-product attention over (n, d) projections.
 
     Splits d into `heads` heads, scores queries against the keys of their
     own segment scaled by 1/sqrt(d / heads), takes one softmax per segment,
     applies seeded inverted dropout to the weights, and merges the heads of
-    the weighted value sum back to (n, d). One node. Segment i draws its
-    dropout mask from rngs[i] with shape (heads, n_i, n_i) after its softmax,
-    so each stream matches a separate dropout op at that point. The node
-    keeps the weights and the boolean mask and rebuilds the dropped weights
-    in backward.
+    the weighted value sum back to (n, d). One node. Dropout is on when rngs
+    is non-empty: segment i then draws its mask from rngs[i] with shape
+    (heads, n_i, n_i) after its softmax, so each stream matches a separate
+    dropout op at that point. The node keeps the weights and the boolean
+    mask and rebuilds the dropped weights in backward.
     """
     _check_same_dtype("attention", q, k, v)
     n, d = q.shape
@@ -382,7 +384,7 @@ def attention(q, k, v, heads, seg, p, rngs, training):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = q.dtype.type(1.0 / np.sqrt(hd))
-    if _dropout_on(p, training):
+    if _dropout_on(p, rngs):
         keeps = _keep_masks([(heads, e - s, e - s) for s, e in bounds], p, rngs)
     else:
         keeps = [None] * len(bounds)

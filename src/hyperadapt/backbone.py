@@ -59,9 +59,9 @@ class MultiHeadAttention(Module):
         self.wo = Dense(rng, d_h, d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, h, seg, ctx):
+    def __call__(self, h, seg, rngs):
         out = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, seg,
-                           self.p_dropout, ctx.rngs, ctx.training)
+                           self.p_dropout, rngs)
         return self.wo(out)
 
 
@@ -74,14 +74,14 @@ class FFTBlock(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, h, seg, ctx, adapter):
+    def __call__(self, h, seg, rngs, adapter):
         """`adapter` is the block's adapter callable, or None."""
-        a = ad.dropout(self.attn(h, seg, ctx), self.p_dropout, ctx.rngs, ctx.training, seg)
+        a = ad.dropout(self.attn(h, seg, rngs), self.p_dropout, rngs, seg)
         h = self.norm1(ad.add(h, a))
         c = self.conv2(ad.relu(self.conv1(h, seg)), seg)
         if adapter is not None:
             c = adapter(c)
-        c = ad.dropout(c, self.p_dropout, ctx.rngs, ctx.training, seg)
+        c = ad.dropout(c, self.p_dropout, rngs, seg)
         return self.norm2(ad.add(h, c))
 
 
@@ -93,7 +93,7 @@ class Encoder(Module):
         self.blocks = [FFTBlock(rng, d_h, heads, conv_kernels, p_dropout) for _ in range(n_layers)]
         self.d_h = d_h
 
-    def __call__(self, phoneme_ids, ctx, seg, adapters):
+    def __call__(self, phoneme_ids, seg, rngs, adapters):
         """`adapters` holds one adapter callable, or None, per block."""
         ids = np.asarray(phoneme_ids)
         if ids.size == 0:
@@ -101,7 +101,7 @@ class Encoder(Module):
         pe = positions(seg, self.d_h, self.embed.table.dtype)
         h = ad.add(self.embed(ids), Tensor(pe))
         for block, adapter in zip(self.blocks, adapters, strict=True):
-            h = block(h, seg, ctx, adapter)
+            h = block(h, seg, rngs, adapter)
         return h
 
 
@@ -113,13 +113,13 @@ class Decoder(Module):
         self.mel_head = Dense(rng, d_h, n_mels)
         self.d_h = d_h
 
-    def __call__(self, h, ctx, seg, adapters):
+    def __call__(self, h, seg, rngs, adapters):
         """`adapters` holds one adapter callable, or None, per block."""
         if h.shape[0] == 0:
             raise InputError("decode: zero-length frame sequence")
         h = ad.add(h, Tensor(positions(seg, self.d_h, h.dtype)))
         for block, adapter in zip(self.blocks, adapters, strict=True):
-            h = block(h, seg, ctx, adapter)
+            h = block(h, seg, rngs, adapter)
         return self.mel_head(h)
 
 
@@ -137,9 +137,9 @@ class Postnet(Module):
         self.convs = convs
         self.p_dropout = p_dropout
 
-    def __call__(self, mel, ctx, seg):
+    def __call__(self, mel, seg, rngs):
         h = mel
         for conv in self.convs[:-1]:
-            h = ad.dropout(ad.tanh(conv(h, seg)), self.p_dropout, ctx.rngs, ctx.training, seg)
+            h = ad.dropout(ad.tanh(conv(h, seg)), self.p_dropout, rngs, seg)
         residual = self.convs[-1](h, seg)
         return ad.add(mel, residual)

@@ -29,8 +29,6 @@ from .errors import ConfigError, HyperadaptError, InputError, StateError, checke
 from .model import ModelConfig, TTSModel
 from .training import ScheduleConfig, adaptation_schedule
 
-CONFIG_DIR_ENV = "HYPERADAPT_CONFIG_DIR"
-
 _SPEAKER_GROUPS = {"adapt": True, "pretrain": False, "all": None}
 _SPLITS = ("train", "val", "all")
 
@@ -78,17 +76,6 @@ def default_config():
 # -----------------------------------------------------------------------------
 
 
-def _resolve_config_path(path):
-    if os.path.isfile(path):
-        return path
-    base = os.environ.get(CONFIG_DIR_ENV, "")
-    if base and not os.path.isabs(path):
-        candidate = os.path.join(base, path)
-        if os.path.isfile(candidate):
-            return candidate
-    raise InputError(f"config file not found: {path}")
-
-
 def _set_dotted(cfg, dotted, value, *, text=False):
     """Set config key `dotted` to `value`. A `text` value (a --set override)
     is parsed as JSON first, unless the key holds a string."""
@@ -115,7 +102,9 @@ def load_config(config_path=None, overrides=(), seed=None):
     """Defaults, then the config file, then key=value overrides, then --seed."""
     cfg = default_config()
     if config_path:
-        with open(_resolve_config_path(config_path)) as f:
+        if not os.path.isfile(config_path):
+            raise InputError(f"config file not found: {config_path}")
+        with open(config_path) as f:
             try:
                 data = json.load(f)
             except json.JSONDecodeError as e:
@@ -442,8 +431,7 @@ def build_parser():
     for verb, (_, help_text, flags) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", default=None,
-                       help=f"JSON config file (searched in ${CONFIG_DIR_ENV} "
-                            "when not found directly)")
+                       help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (dotted path; a JSON value, "
                             "or plain text for a text key)")

@@ -2,8 +2,9 @@
 
 Each builder constructs a small float64 instance with a fresh seed, wires a
 scalar loss through it, and hands back the loss closure plus the tensor list
-(input and parameters) to perturb. `run_suite` drives the whole registry and
-is shared by the grad-check command and the acceptance tests.
+(input and parameters) to perturb. Builders pass no dropout streams, so
+nothing drops out whatever a module's rate. `run_suite` drives the whole
+registry and is shared by the grad-check command and the acceptance tests.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,8 @@ from .adaptation import (AdapterDims, HyperNetwork, adapter_forward, adapter_par
                          site_adapters)
 from .autodiff import Tensor
 from .errors import InputError
-from .layers import RunCtx, rng_for
+from .layers import rng_for
 
-_CTX = RunCtx((), training=False)
 _D = 8
 
 
@@ -40,14 +40,14 @@ def _target(seed, shape):
 
 def _fft_block(seed):
     # a pack of two utterances, so attention and the conv see a boundary
-    block = backbone.FFTBlock(rng_for(seed, "gc", "fft"), _D, heads=2, p_dropout=0.0)
+    block = backbone.FFTBlock(rng_for(seed, "gc", "fft"), _D, heads=2)
     params = _f64_params(block)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
     seg = ad.Segments([2, 3])
 
     def fn(x, *ps):
-        return ad.mse_loss(block(x, seg, _CTX, None), target, seg)
+        return ad.mse_loss(block(x, seg, (), None), target, seg)
 
     return fn, [h, *params]
 
@@ -57,48 +57,48 @@ def _fft_block(seed):
 
 
 def _duration_head(seed):
-    head = variance.DurationPredictor(rng_for(seed, "gc", "dur"), _D, p_dropout=0.0)
+    head = variance.DurationPredictor(rng_for(seed, "gc", "dur"), _D)
     params = _f64_params(head)
     h = _probe(seed, (6, _D))
     target = _target(seed, (6,))
     seg = ad.Segments([2, 4])
 
     def fn(x, *ps):
-        return ad.mse_loss(head(x, _CTX, seg), target, seg)
+        return ad.mse_loss(head(x, seg, ()), target, seg)
 
     return fn, [h, *params]
 
 
 def _pitch_head(seed):
-    head = variance.PitchPredictor(rng_for(seed, "gc", "pitch"), _D, p_dropout=0.0)
+    head = variance.PitchPredictor(rng_for(seed, "gc", "pitch"), _D)
     params = _f64_params(head)
     h = _probe(seed, (6, _D))
     target = _target(seed, (6, variance.N_SCALES))
     seg = ad.Segments([2, 4])
 
     def fn(x, *ps):
-        spec, mean, var = head(x, _CTX, seg, None)
+        spec, mean, var = head(x, seg, (), None)
         return ad.add(ad.mse_loss(spec, target, seg), ad.add(ad.sum_all(mean), ad.sum_all(var)))
 
     return fn, [h, *params]
 
 
 def _energy_head(seed):
-    head = variance.EnergyPredictor(rng_for(seed, "gc", "energy"), _D, p_dropout=0.0)
+    head = variance.EnergyPredictor(rng_for(seed, "gc", "energy"), _D)
     params = _f64_params(head)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5,))
     seg = ad.Segments([2, 3])
 
     def fn(x, *ps):
-        return ad.mse_loss(head(x, _CTX, seg, None), target, seg)
+        return ad.mse_loss(head(x, seg, (), None), target, seg)
 
     return fn, [h, *params]
 
 
 def _postnet(seed):
     net = backbone.Postnet(rng_for(seed, "gc", "post"), n_mels=6, channels=10,
-                           kernel=5, n_layers=3, p_dropout=0.0)
+                           kernel=5, n_layers=3)
     params = _f64_params(net)
     # off the zero init of the last conv, or no gradient reaches the others
     last = net.convs[-1].w
@@ -108,7 +108,7 @@ def _postnet(seed):
     seg = ad.Segments([3, 4])
 
     def fn(x, *ps):
-        return ad.mse_loss(net(x, _CTX, seg), target, seg)
+        return ad.mse_loss(net(x, seg, ()), target, seg)
 
     return fn, [mel, *params]
 

@@ -3,6 +3,11 @@
 Module tracks parameters by attribute path so checkpoints, freezing, and
 trainable-count reports all agree on names. Layers hold Tensors; anything
 stored as a plain ndarray is a non-trainable buffer.
+
+The modules of a pass (in `backbone` and `variance`) are called as
+`(x, seg, rngs[, adapter(s)])`: `rngs` holds one dropout generator per
+packed utterance, and a pass that must not drop out (validation, synthesis)
+passes an empty sequence.
 """
 
 import numpy as np
@@ -85,16 +90,6 @@ class Module:
             if src.shape != p.data.shape:
                 raise InputError(f"state tensor {name}: shape {src.shape} != expected {p.data.shape}")
             p.data = src.astype(p.data.dtype, copy=True)
-
-
-class RunCtx:
-    """Per-call context: the dropout streams, one generator per packed
-    utterance (none when nothing drops out, as at inference), plus the
-    train/inference flag."""
-
-    def __init__(self, rngs, training):
-        self.rngs = list(rngs)
-        self.training = training
 
 
 class Dense(Module):

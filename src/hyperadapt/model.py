@@ -7,7 +7,9 @@ graph. Phoneme durations come from the online alignment (Viterbi over the
 soft map), never from an external aligner. Synthesis is a pack of one and
 runs entirely from predictions: durations from the duration head, pitch
 reconstructed from the predicted wavelet spectrogram, energy from the energy
-head, all fed back through the quantized embedding tables.
+head, all fed back through the quantized embedding tables. A pass drops
+out only when it is given dropout streams, one per utterance: training steps
+give them, and validation and synthesis give none and run under `no_grad`.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -21,7 +23,7 @@ from .alignment import AlignmentEncoder, soft_align, viterbi_durations
 from .autodiff import Segments, Tensor
 from .backbone import Decoder, Encoder, Postnet
 from .errors import ConfigError, InputError, NumericsError
-from .layers import Module, RunCtx, rng_for
+from .layers import Module, rng_for
 from .variance import VarianceAdapter
 
 
@@ -50,6 +52,9 @@ class ModelConfig:
                 raise ConfigError(f"model.{f.name} must be in [0, 1), got {value}")
             if f.type is int and value < 1:
                 raise ConfigError(f"model.{f.name} must be at least 1, got {value}")
+        for name in ("conv_kernel", "var_kernel", "postnet_kernel"):
+            if getattr(self, name) % 2 == 0:
+                raise ConfigError(f"model.{name} must be odd, got {getattr(self, name)}")
 
     def to_dict(self):
         return asdict(self)
@@ -145,35 +150,36 @@ class TTSModel(Module):
         amap = soft_align(text_feats, mel_feats, ph, fr)
         return amap, viterbi_durations(amap)
 
-    def forward_train(self, pack, ctx, hooks=None, durations=None):
+    def forward_train(self, pack, rngs, hooks=None, durations=None):
         """Teacher-forced pass over a Pack, one graph for all its utterances.
-        `hooks` is AdaptedModel.hooks_for of the pack's speakers (one table
-        per module for the whole pack), or None. Returns packed predictions
-        (rows in pack order; pitch mean and variance one per utterance) plus
-        the alignment maps and the packed Viterbi durations used for length
-        regulation. Given `durations`
-        (those a frozen aligner gave the pack before), the aligner does not
-        run and the maps are None."""
+        `rngs` holds one dropout generator per utterance, or is empty for a
+        pass without dropout. `hooks` is AdaptedModel.hooks_for of the pack's
+        speakers (one table per module for the whole pack), or None. Returns
+        packed predictions (rows in pack order; pitch mean and variance one
+        per utterance) plus the alignment maps and the packed Viterbi
+        durations used for length regulation. Given `durations` (those a
+        frozen aligner gave the pack before), the aligner does not run and the
+        maps are None."""
         ph, fr = pack.phonemes_seg, pack.frames_seg
         spk_t = self._speaker_tensor(pack.embedding)
-        h_enc = self.encoder(pack.phonemes, ctx, ph, adapters=self._adapters(hooks, "e", ph))
+        h_enc = self.encoder(pack.phonemes, ph, rngs, adapters=self._adapters(hooks, "e", ph))
 
         amap = None
         if durations is None:
             amap, durations = self.align(pack)
 
         h = self.variance.condition(h_enc, spk_t, ph)
-        log_dur_pred = self.variance.duration(h, ctx, ph)
+        log_dur_pred = self.variance.duration(h, ph, rngs)
         h_reg = var_mod.length_regulate(h, durations)
 
         pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
-        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, ctx, fr, adapter=pitch_adapter)
+        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, fr, rngs, adapter=pitch_adapter)
         h_p = self.variance.inject_pitch(h_reg, pack.log_f0)
-        energy_pred = self.variance.energy(h_p, ctx, fr, adapter=energy_adapter)
+        energy_pred = self.variance.energy(h_p, fr, rngs, adapter=energy_adapter)
         h_pe = self.variance.inject_energy(h_p, pack.energy)
 
-        mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
-        mel_post = self.postnet(mel_pre, ctx, fr)
+        mel_pre = self.decoder(h_pe, fr, rngs, adapters=self._adapters(hooks, "d", fr))
+        mel_post = self.postnet(mel_pre, fr, rngs)
         return {
             "mel_pre": mel_pre,
             "mel_post": mel_post,
@@ -189,37 +195,36 @@ class TTSModel(Module):
     @ad.no_grad()
     def synthesize(self, phonemes, spk, hooks=None):
         """Free-running synthesis from phonemes and a speaker embedding, as a
-        pack of one with dropout off; `hooks` is AdaptedModel.hooks_for of
-        that one speaker, or None. Records no tape.
+        pack of one with no dropout streams; `hooks` is
+        AdaptedModel.hooks_for of that one speaker, or None. Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
         A non-finite predicted f0, energy or mel is a NumericsError.
         """
-        ctx = RunCtx((), training=False)
         ids = np.asarray(phonemes)
         spk_t = self._speaker_tensor(spk)
         if spk_t.shape[0] != 1:
             raise InputError(f"synthesize takes one speaker embedding, got {spk_t.shape[0]}")
         ph = Segments([ids.size])
-        h_enc = self.encoder(ids, ctx, ph, adapters=self._adapters(hooks, "e", ph))
+        h_enc = self.encoder(ids, ph, (), adapters=self._adapters(hooks, "e", ph))
         h = self.variance.condition(h_enc, spk_t, ph)
-        durations = var_mod.durations_from_log(self.variance.duration(h, ctx, ph).data)
+        durations = var_mod.durations_from_log(self.variance.duration(h, ph, ()).data)
         h_reg = var_mod.length_regulate(h, durations)
 
         fr = Segments([int(durations.sum())])
         pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
-        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, ctx, fr, adapter=pitch_adapter)
+        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, fr, (), adapter=pitch_adapter)
         f0 = _finite("f0", var_mod.icwt_reconstruct(
             pitch_spec.data.T.astype(np.float64),
             float(pitch_mean.data[0]),
             max(float(pitch_var.data[0]), 0.0),
         ))
         h_p = self.variance.inject_pitch(h_reg, np.log(f0))
-        energy = _finite("energy", self.variance.energy(h_p, ctx, fr, adapter=energy_adapter).data)
+        energy = _finite("energy", self.variance.energy(h_p, fr, (), adapter=energy_adapter).data)
         h_pe = self.variance.inject_energy(h_p, energy.astype(np.float64))
 
-        mel_pre = self.decoder(h_pe, ctx, fr, adapters=self._adapters(hooks, "d", fr))
-        mel_post = _finite("mel", self.postnet(mel_pre, ctx, fr).data)
+        mel_pre = self.decoder(h_pe, fr, (), adapters=self._adapters(hooks, "d", fr))
+        mel_post = _finite("mel", self.postnet(mel_pre, fr, ()).data)
         info = {
             "durations": durations,
             "f0": f0.astype(np.float32),

@@ -8,9 +8,10 @@ of each utterance's loss (every loss op takes per-utterance means); the flat
 gradient over all trainable tensors is scaled by 1/B once, before the
 finite-gradient check and the Adam step: the gradient of the batch-mean
 loss. Each utterance draws its dropout masks from its own stream,
-rng_for(seed, "dropout", step, position in the batch). Validation runs the
-same packed pass in packs of B under `autodiff.no_grad` (no tape), and
-synthesis is a pack of one.
+rng_for(seed, "dropout", step, position in the batch); those streams are what
+turns dropout on. Validation runs the same packed pass in packs of B with no
+streams, so nothing drops out, under `autodiff.no_grad` (no tape), and
+synthesis is a pack of one run the same way.
 
 A run keeps per-utterance caches that its steps and its validation passes
 share: `pitch_cache` (the wavelet pitch targets) always, and `align_cache`
@@ -27,6 +28,7 @@ tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
 resumed run continues exactly where it stopped.
 """
 
+import functools
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -44,7 +46,7 @@ from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
 from .autodiff import Tensor
 from .errors import (ConfigError, InputError, InternalInvariantError, NumericsError, StateError,
                      checked, merge_checked)
-from .layers import RunCtx, rng_for
+from .layers import rng_for
 from .model import ModelConfig, Pack, TTSModel
 
 LOSS_NAMES = (
@@ -81,6 +83,10 @@ class ScheduleConfig:
             raise ConfigError("milestones must come after warmup")
         if list(self.milestones) != sorted(self.milestones):
             raise ConfigError(f"milestones must be ascending, got {self.milestones}")
+        for name, low in (("warmup_steps", 0), ("duration_start_step", 0),
+                          ("binarization_ramp_steps", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"schedule.{name} must be at least {low}, got {getattr(self, name)}")
 
 
 def adaptation_schedule(steps, lr=1e-4, batch_size=8):
@@ -140,8 +146,8 @@ def loss_weights(sched, step):
         w["duration"] = w["pitch_spec"] = w["pitch_mean"] = w["pitch_var"] = w["energy"] = 0.0
         w["binarization"] = 0.0
     else:
-        ramp = max(sched.binarization_ramp_steps, 1)
-        w["binarization"] = min(1.0, (step - sched.duration_start_step) / ramp)
+        w["binarization"] = min(1.0, (step - sched.duration_start_step)
+                                / sched.binarization_ramp_steps)
     return w
 
 
@@ -179,15 +185,17 @@ def _frozen_alignments(model, pack, align_cache):
     return [align_cache[uid] for uid in pack.utt_ids]
 
 
-def compute_losses(model, utts, step, sched, ctx, hooks_fn=None, pitch_cache=None,
+def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, pitch_cache=None,
                    align_cache=None):
     """(total loss Tensor, LossBreakdown) for a pack of utterances.
 
     One packed forward pass; the graph's total is the sum over the pack of
     each utterance's weighted loss, and the breakdown reports per-utterance
-    means. `hooks_fn` maps the Pack (its `.embedding` holds the (B, d_spk)
-    speakers) to adapter tables, as `lambda u: adapted.hooks_for(u.embedding)`
-    does, once per pass and before any other node; None adds no adapters.
+    means. `rngs` holds one dropout generator per utterance, or is empty for
+    a pass without dropout. `hooks_fn` maps the Pack (its `.embedding` holds
+    the (B, d_spk) speakers) to adapter tables, as
+    `lambda u: adapted.hooks_for(u.embedding)` does, once per pass and
+    before any other node; None adds no adapters.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
 
@@ -201,7 +209,7 @@ def compute_losses(model, utts, step, sched, ctx, hooks_fn=None, pitch_cache=Non
     pack = Pack(utts)
     hooks = None if hooks_fn is None else hooks_fn(pack)
     frozen = None if align_cache is None else _frozen_alignments(model, pack, align_cache)
-    out = model.forward_train(pack, ctx, hooks=hooks, durations=None if frozen is None else
+    out = model.forward_train(pack, rngs, hooks=hooks, durations=None if frozen is None else
                               np.concatenate([a.durations for a in frozen]))
     phonemes, frames, per_utt = pack.phonemes_seg, pack.frames_seg, pack.utterances_seg
     targets = [_pitch_targets(u, pitch_cache) for u in utts]
@@ -453,28 +461,29 @@ def compute_feature_ranges(utterances):
     return (p_lo, p_hi), (e_lo, e_hi)
 
 
+@functools.lru_cache(maxsize=2)
+def _epoch_order(seed, n, epoch):
+    """The read-only permutation of range(n) for one epoch. A batch of at
+    most n positions spans at most two epochs, so two cached orders serve
+    every step without a redraw."""
+    perm = rng_for(seed, "order", epoch).permutation(n)
+    perm.flags.writeable = False
+    return perm
+
+
 class _Batcher:
     """Deterministic, resumable batch order: position j in the global stream
-    maps to permutation(epoch)[j % n], a pure function of (seed, j)."""
+    maps to _epoch_order(seed, n, j // n)[j % n], a pure function of (seed, j)."""
 
     def __init__(self, seed, n, batch_size):
         if n < 1:
             raise InputError("empty training split")
         self.seed, self.n, self.batch_size = seed, n, batch_size
-        self._perms = {}
-
-    def _perm(self, epoch):
-        if epoch not in self._perms:
-            self._perms[epoch] = rng_for(self.seed, "order", epoch).permutation(self.n)
-            if len(self._perms) > 4:  # keep the window small
-                oldest = min(self._perms)
-                if oldest != epoch:
-                    del self._perms[oldest]
-        return self._perms[epoch]
 
     def batch(self, step):
         base = step * self.batch_size
-        return [int(self._perm(j // self.n)[j % self.n]) for j in range(base, base + self.batch_size)]
+        return [int(_epoch_order(self.seed, self.n, j // self.n)[j % self.n])
+                for j in range(base, base + self.batch_size)]
 
 
 class _LossLog:
@@ -513,9 +522,8 @@ def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
         for _, p in trainable:
             p.grad = None
         utts = [utterances[idx] for idx in batcher.batch(step)]
-        ctx = RunCtx([rng_for(seed, "dropout", step, pos) for pos in range(len(utts))],
-                     training=True)
-        total, breakdown = compute_losses(model, utts, step, sched, ctx, hooks_fn=hooks_fn,
+        rngs = [rng_for(seed, "dropout", step, pos) for pos in range(len(utts))]
+        total, breakdown = compute_losses(model, utts, step, sched, rngs, hooks_fn=hooks_fn,
                                           pitch_cache=pitch_cache, align_cache=align_cache)
         ad.backward(total)
         grad = flat_grads(trainable)
@@ -550,20 +558,18 @@ def check_finite_grads(grad, step, named_params):
 
 @ad.no_grad()
 def validate(model, utterances, step, sched, hooks_fn=None, pitch_cache=None, align_cache=None):
-    """Teacher-forced loss over a split in packs of sched.batch_size, dropout
-    off, recording no tape. Returns the per-utterance average breakdown;
-    weights are evaluated at `step` so logs stay comparable. `hooks_fn`
-    gives each pack its adapter tables, as in `compute_losses`, so a
-    hypernetwork generates once per pack. `pitch_cache`
-    (utt_id -> pitch targets) and `align_cache` are read and filled as in
-    `compute_losses`; a training run passes the ones its steps use."""
+    """Teacher-forced loss over a split in packs of sched.batch_size, with no
+    dropout streams, recording no tape. Returns the per-utterance average
+    breakdown; weights are evaluated at `step` so logs stay comparable.
+    `hooks_fn` gives each pack its adapter tables, as in `compute_losses`, so
+    a hypernetwork generates once per pack. `pitch_cache` (utt_id -> pitch
+    targets) and `align_cache` are read and filled as in `compute_losses`; a
+    training run passes the ones its steps use."""
     outs, counts = [], []
     for start in range(0, len(utterances), sched.batch_size):
         utts = utterances[start : start + sched.batch_size]
-        outs.append(compute_losses(
-            model, utts, step, sched, RunCtx((), training=False), hooks_fn=hooks_fn,
-            pitch_cache=pitch_cache, align_cache=align_cache,
-        )[1])
+        outs.append(compute_losses(model, utts, step, sched, (), hooks_fn=hooks_fn,
+                                   pitch_cache=pitch_cache, align_cache=align_cache)[1])
         counts.append(len(utts))
     return LossBreakdown.average(outs, counts)
 

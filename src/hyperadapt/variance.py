@@ -150,11 +150,9 @@ class ConvStack(Module):
         self.norm2 = LayerNorm(d_h)
         self.p_dropout = p_dropout
 
-    def __call__(self, x, ctx, seg, adapter):
-        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), self.p_dropout, ctx.rngs,
-                       ctx.training, seg)
-        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), self.p_dropout, ctx.rngs,
-                       ctx.training, seg)
+    def __call__(self, x, seg, rngs, adapter):
+        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), self.p_dropout, rngs, seg)
+        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), self.p_dropout, rngs, seg)
         if adapter is not None:
             h = adapter(h)
         return h
@@ -165,8 +163,8 @@ class DurationPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg):
-        out = self.head(self.stack(h, ctx, seg, None))
+    def __call__(self, h, seg, rngs):
+        out = self.head(self.stack(h, seg, rngs, None))
         return ad.reshape(out, (h.shape[0],))
 
 
@@ -181,8 +179,8 @@ class PitchPredictor(Module):
         self.mean_head = Dense(rng, d_h, 1)
         self.var_head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg, adapter):
-        trunk = self.stack(h, ctx, seg, adapter)
+    def __call__(self, h, seg, rngs, adapter):
+        trunk = self.stack(h, seg, rngs, adapter)
         spec = self.spec_head(trunk)
         pooled = ad.segment_mean(trunk, seg)
         mean = ad.reshape(self.mean_head(pooled), (pooled.shape[0],))
@@ -195,8 +193,8 @@ class EnergyPredictor(Module):
         self.stack = ConvStack(rng, d_h, kernel, p_dropout)
         self.head = Dense(rng, d_h, 1)
 
-    def __call__(self, h, ctx, seg, adapter):
-        out = self.head(self.stack(h, ctx, seg, adapter))
+    def __call__(self, h, seg, rngs, adapter):
+        out = self.head(self.stack(h, seg, rngs, adapter))
         return ad.reshape(out, (h.shape[0],))
 
 

@@ -211,10 +211,11 @@ def softmax(a, axis=-1):
     return ad.from_op(y, (a,), grad_fn, "softmax")
 
 
-def attention_reference(q, k, v, heads, p, rng, training):
+def attention_reference(q, k, v, heads, p, rngs):
     """Multi-head attention over one segment by the op-by-op graph the fused
     `autodiff.attention` node replaces: head split, scaled scores, softmax,
-    seeded dropout, weighted sum, head merge."""
+    seeded dropout (on when `rngs` holds the segment's stream), weighted sum,
+    head merge."""
     n, d = q.shape
     hd = d // heads
 
@@ -222,7 +223,7 @@ def attention_reference(q, k, v, heads, p, rng, training):
         return permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
 
     scores = ad.scale(matmul(split(q), permute(split(k), (0, 2, 1))), 1.0 / np.sqrt(hd))
-    att = ad.dropout(softmax(scores, axis=-1), p, [rng], training, one(heads))
+    att = ad.dropout(softmax(scores, axis=-1), p, rngs, one(heads))
     return ad.reshape(permute(matmul(att, split(v)), (1, 0, 2)), (n, d))
 
 

@@ -18,7 +18,7 @@ from hyperadapt.adaptation import (
 )
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, ShapeError
-from hyperadapt.layers import RunCtx, rng_for
+from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
 from oracles import (adapter_reference, concat, generate_reference, narrow, one, single_speaker_table,
@@ -665,7 +665,7 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
         hooks = hooks_fn(np.stack([u[4] for u in utts]))
-        model.forward_train(pack_of(*utts), RunCtx((), training=False), hooks=hooks)
+        model.forward_train(pack_of(*utts), (), hooks=hooks)
     return counts
 
 
@@ -689,9 +689,9 @@ def test_adapted_forward_train_identity_at_init(label):
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     args = train_args(model, seed=4, frames=12)
-    ref = model.forward_train(pack_of(args), RunCtx((), training=False))
+    ref = model.forward_train(pack_of(args), ())
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    out = model.forward_train(pack_of(args), RunCtx((), training=False),
+    out = model.forward_train(pack_of(args), (),
                               hooks=adapted.hooks_for(args[4]))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
@@ -714,7 +714,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
         for _, p in trainable:
             p.grad = None
         hooks = adapted.hooks_for(np.stack([u[4] for u in pack_utts]))
-        out = model.forward_train(pack_of(*pack_utts), RunCtx((), training=False), hooks=hooks)
+        out = model.forward_train(pack_of(*pack_utts), (), hooks=hooks)
         total = ad.sum_all(out["mel_post"])
         for key in ("pitch_spec", "energy", "log_dur"):
             total = ad.add(total, ad.sum_all(out[key]))

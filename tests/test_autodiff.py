@@ -194,7 +194,7 @@ class TestFusedOps:
             for t in tensors:
                 t.grad = None
             rngs = [rng_for(9, "attn-drop", i) for i in streams]
-            out = ad.attention(*tensors, 2, segments, 0.3, rngs, True)
+            out = ad.attention(*tensors, 2, segments, 0.3, rngs)
             ad.backward(oracles.weighted_sum(out, c[rows]))
             return out.data, [t.grad.copy() for t in tensors]
 
@@ -207,7 +207,7 @@ class TestFusedOps:
                 np.testing.assert_allclose(g_packed[rows], g_alone, atol=1e-12)
 
         def fn(a, b, e):
-            return oracles.weighted_sum(ad.attention(a, b, e, 2, seg, 0.0, [], False), c)
+            return oracles.weighted_sum(ad.attention(a, b, e, 2, seg, 0.0, []), c)
 
         _fd_check(fn, [q, k, v])
 
@@ -224,25 +224,26 @@ class TestFusedOps:
             # the stream continues exactly where a separate dropout op left it
             return out.data, [t.grad.copy() for t in (q, k, v)], rng.random(4)
 
-        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, one(5), p, [rng], True))
-        ref = run(lambda a, b, e, h, p, rng: oracles.attention_reference(a, b, e, h, p, rng, True))
+        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, one(5), p, [rng]))
+        ref = run(lambda a, b, e, h, p, rng: oracles.attention_reference(a, b, e, h, p, [rng]))
         np.testing.assert_allclose(fused[0], ref[0], atol=1e-12)
         for g_fused, g_ref in zip(fused[1], ref[1]):
             np.testing.assert_allclose(g_fused, g_ref, atol=1e-12)
         np.testing.assert_array_equal(fused[2], ref[2])
-        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, one(5), 0.0, [], False).data)
+        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, one(5), 0.0, []).data)
 
         def fn(a, b, e):
-            out = ad.attention(a, b, e, 3, one(5), 0.3, [rng_for(9, "attn-drop")], True)
+            out = ad.attention(a, b, e, 3, one(5), 0.3, [rng_for(9, "attn-drop")])
             return oracles.weighted_sum(out, c)
 
         _fd_check(fn, [q, k, v])
 
-    def test_attention_inference_matches_reference(self):
+    def test_attention_without_streams_matches_reference(self):
+        # no streams, no dropout, whatever p is
         rng = np.random.default_rng(28)
         q, k, v = (Tensor(rng.standard_normal((7, 8)).astype(np.float32)) for _ in range(3))
-        fused = ad.attention(q, k, v, 2, one(7), 0.1, [rng_for(1, "x")], False)
-        ref = oracles.attention_reference(q, k, v, 2, 0.1, rng_for(1, "x"), False)
+        fused = ad.attention(q, k, v, 2, one(7), 0.1, [])
+        ref = oracles.attention_reference(q, k, v, 2, 0.1, [])
         np.testing.assert_allclose(fused.data, ref.data, atol=1e-6)
 
 
@@ -301,12 +302,12 @@ class TestSegmentOps:
     def test_dropout_draws_each_segment_from_its_own_stream(self):
         x = t64(np.ones((sum(self.SEG), 4)))
         seg = ad.Segments(self.SEG)
-        packed = ad.dropout(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], True, seg).data
+        packed = ad.dropout(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], seg).data
         for i, (rows, alone) in enumerate(self._per_segment(x)):
-            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], True, one(alone.shape[0])).data
+            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], one(alone.shape[0])).data
             np.testing.assert_array_equal(packed[rows], want)
         with pytest.raises(InputError):
-            ad.dropout(x, 0.4, [rng_for(3, "drop")], True, seg)
+            ad.dropout(x, 0.4, [rng_for(3, "drop")], seg)
 
 
 class TestExactValues:
@@ -334,23 +335,27 @@ class TestExactValues:
 class TestDropout:
     def test_zero_probability_is_identity(self):
         x = Tensor(np.random.default_rng(0).standard_normal((8, 4)), requires_grad=True)
-        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], True, one(8))
+        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], one(8))
         assert out is x
 
-    def test_inference_is_identity(self):
+    def test_no_streams_is_identity(self):
         x = Tensor(np.ones((8, 4)))
-        out = ad.dropout(x, 0.5, [rng_for(1, "drop")], False, one(8))
+        out = ad.dropout(x, 0.5, [], one(8))
         assert out is x
+
+    def test_probability_is_checked_without_streams(self):
+        with pytest.raises(InputError):
+            ad.dropout(Tensor(np.ones((8, 4))), 1.0, [], one(8))
 
     def test_seeded_mask_replays(self):
         x = Tensor(np.ones((64, 16)), requires_grad=True)
-        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], True, one(64))
-        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], True, one(64))
+        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], one(64))
+        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], one(64))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_kept_entries_are_rescaled(self):
         x = Tensor(np.ones((400, 10)))
-        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], True, one(400))
+        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], one(400))
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(kept.size / out.data.size - 0.75) < 0.05
@@ -403,7 +408,7 @@ class TestBackwardSemantics:
             rng = rng_for(42, "replay")
             x = Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
-            h = ad.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], True, one(6))
+            h = ad.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], one(6))
             loss = ad.sum_all(h)
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()

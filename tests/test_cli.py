@@ -125,13 +125,6 @@ def test_missing_config_file(tmp_path, name):
     assert "not found" in err
 
 
-def test_config_dir_env_resolves_relative_names(tmp_path, monkeypatch):
-    (tmp_path / "shared.json").write_text(json.dumps({"dims": {"d_r": 2}}))
-    monkeypatch.setenv("HYPERADAPT_CONFIG_DIR", str(tmp_path))
-    cfg = load_config("shared.json")
-    assert cfg["dims"]["d_r"] == 2
-
-
 def test_set_overrides_and_bad_override():
     cfg = load_config(None, ["schedule.total_steps=99", "adapt.strategy=ft",
                              "synthesize.phonemes=5"])
@@ -159,6 +152,13 @@ def test_set_overrides_and_bad_override():
     ("gen-corpus", "dump.jitters=-3", "dump.jitters"),
     ("gen-corpus", "gradcheck.threshold=-1", "gradcheck.threshold"),
     ("gen-corpus", "model.n_mels=0", "model.n_mels"),
+    # a length-preserving conv needs an odd kernel
+    *[(verb, f"model.{key}={size}", f"model.{key}")
+      for verb in ("gen-corpus", "pretrain", "params")
+      for key, size in (("conv_kernel", 8), ("var_kernel", 2), ("postnet_kernel", 4))],
+    ("pretrain", "schedule.warmup_steps=-5", "schedule.warmup_steps"),
+    ("pretrain", "schedule.duration_start_step=-10", "schedule.duration_start_step"),
+    ("pretrain", "schedule.binarization_ramp_steps=0", "schedule.binarization_ramp_steps"),
 ])
 def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, setting, key):
     cfg = tmp_path / "cfg.json"
@@ -167,10 +167,11 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     # any existing file passes the path checks that come before the config's
     flags = {"pretrain": ["--corpus"], "adapt": ["--corpus", "--checkpoint"],
              "dump-hyper-params": ["--corpus", "--checkpoint"], "grad-check": [],
-             "gen-corpus": []}[verb]
+             "gen-corpus": [], "params": []}[verb]
     paths = [arg for flag in flags for arg in (flag, str(cfg))]
+    strategy = ["--strategy", "hyper_evd"] if verb == "params" else []
     code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *paths,
-                           *(["--set", setting] if setting else []))
+                           *strategy, *(["--set", setting] if setting else []))
     assert code == 2
     assert err.startswith("ConfigError") and key in err
     assert not out.exists()

@@ -8,7 +8,7 @@ from hyperadapt import metrics
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.errors import InputError, NumericsError, StateError
-from hyperadapt.layers import RunCtx, rng_for
+from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
 from oracles import utterance
@@ -54,7 +54,7 @@ def test_forward_train_shapes_and_duration_accounting():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     n, frames = len(phonemes), mel.shape[0]
-    out = model.forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
+    out = model.forward_train(pack_of(sample_inputs()), ())
 
     assert out["mel_pre"].data.shape == (frames, CFG.n_mels)
     assert out["mel_post"].data.shape == (frames, CFG.n_mels)
@@ -77,14 +77,14 @@ def test_forward_train_shapes_and_duration_accounting():
 
 
 def test_pack_matches_packs_of_one():
-    # eval mode: a pack of three utterances of different lengths gives each
+    # no dropout streams: a pack of three utterances of different lengths gives each
     # utterance the predictions it gets alone
     model = build_model()
     utts = [sample_inputs(seed=s, n=n, frames_per=f) for s, n, f in ((5, 6, 3), (6, 4, 5), (7, 9, 2))]
-    packed = model.forward_train(pack_of(*utts), RunCtx((), training=False))
+    packed = model.forward_train(pack_of(*utts), ())
     starts = {"p": 0, "f": 0}
     for b, utt in enumerate(utts):
-        alone = model.forward_train(pack_of(utt), RunCtx((), training=False))
+        alone = model.forward_train(pack_of(utt), ())
         n, m = len(utt[0]), utt[1].shape[0]
         p, f = slice(starts["p"], starts["p"] + n), slice(starts["f"], starts["f"] + m)
         np.testing.assert_array_equal(packed["durations"][p], alone["durations"])
@@ -118,14 +118,14 @@ def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
     for size in (1, 8):
         counts.append(0)
         utts = [sample_inputs(seed=s, n=4 + s % 5) for s in range(size)]
-        ctx = RunCtx([rng_for(0, "drop", s) for s in range(size)], training=True)
-        desk.forward_train(pack_of(*utts), ctx)
+        rngs = [rng_for(0, "drop", s) for s in range(size)]
+        desk.forward_train(pack_of(*utts), rngs)
     assert counts[0] == counts[1] == 118
 
 
 def test_forward_train_deterministic_in_eval():
-    a = build_model().forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
-    b = build_model().forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
+    a = build_model().forward_train(pack_of(sample_inputs()), ())
+    b = build_model().forward_train(pack_of(sample_inputs()), ())
     np.testing.assert_array_equal(a["mel_post"].data, b["mel_post"].data)
     np.testing.assert_array_equal(a["durations"], b["durations"])
 
@@ -134,8 +134,8 @@ def test_dropout_seed_controls_training_pass():
     model = build_model()
 
     def run(stream):
-        ctx = RunCtx([rng_for(0, "drop", stream)], training=True)
-        return model.forward_train(pack_of(sample_inputs()), ctx)["mel_post"].data
+        rngs = [rng_for(0, "drop", stream)]
+        return model.forward_train(pack_of(sample_inputs()), rngs)["mel_post"].data
 
     np.testing.assert_array_equal(run(0), run(0))
     assert np.abs(run(0) - run(1)).max() > 0
@@ -148,7 +148,7 @@ def test_forward_train_input_validation():
         pack_of((phonemes, mel[: len(phonemes) - 2], f0, energy, spk))
     with pytest.raises(InputError):
         model.forward_train(pack_of((phonemes, mel, f0, energy, spk[:-1])),
-                            RunCtx((), training=False))
+                            ())
     with pytest.raises(InputError):
         pack_of((phonemes, mel, f0[:-1], energy, spk))
     with pytest.raises(InputError):
@@ -160,7 +160,7 @@ def test_forward_train_input_validation():
 def test_ranges_must_be_set_before_training_pass():
     model = TTSModel(CFG, seed=3)  # no set_ranges
     with pytest.raises(StateError):
-        model.forward_train(pack_of(sample_inputs()), RunCtx((), training=False))
+        model.forward_train(pack_of(sample_inputs()), ())
 
 
 # -----------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hyperadapt.errors import (
     NumericsError,
     StateError,
 )
-from hyperadapt.layers import RunCtx, rng_for
+from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, TTSModel
 from hyperadapt.training import (
     LOSS_NAMES,
@@ -142,7 +142,7 @@ class _EchoModel:
     def __init__(self, f0s):
         self.f0s = f0s
 
-    def forward_train(self, pack, ctx, hooks=None, durations=None):
+    def forward_train(self, pack, rngs, hooks=None, durations=None):
         frames = pack.frames_seg.lengths
         durations = frames.copy()  # one phoneme, every frame
         targets = [var_mod.pitch_targets(f0.astype(np.float64)) for f0 in self.f0s]
@@ -176,8 +176,7 @@ def _toy_utterance(frames=24, seed=4):
 def test_exact_predictions_zero_every_component():
     sched = adaptation_schedule(steps=10)
     utts = [_toy_utterance(), _toy_utterance(frames=17, seed=5)]
-    total, bd = compute_losses(_EchoModel([u.f0 for u in utts]), utts, 1, sched,
-                               RunCtx((), training=False))
+    total, bd = compute_losses(_EchoModel([u.f0 for u in utts]), utts, 1, sched, ())
     assert all(bd.components[k] == 0.0 for k in LOSS_NAMES)
     assert bd.total == 0.0
     assert float(total.data) == 0.0
@@ -188,7 +187,7 @@ def test_total_matches_manual_weighted_sum(pretrained, corpus_path):
     model = tr.load_checkpoint(ck).model
     utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
-    total, bd = compute_losses(model, [utt], 5, sched, RunCtx((), training=False))
+    total, bd = compute_losses(model, [utt], 5, sched, ())
     manual = sum(bd.weights[k] * bd.components[k] for k in LOSS_NAMES)
     assert bd.total == pytest.approx(manual, abs=1e-9)
     # the graph scalar is the same quantity accumulated in float32
@@ -202,7 +201,7 @@ def test_gated_components_stay_out_of_graph(pretrained, corpus_path):
     utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = ScheduleConfig(warmup_steps=2, milestones=(20,), duration_start_step=10,
                            total_steps=30)
-    total, bd = compute_losses(model, [utt], 0, sched, RunCtx((), training=False))
+    total, bd = compute_losses(model, [utt], 0, sched, ())
     # gated components are still reported for the log
     assert bd.components["duration"] > 0.0
     assert bd.weights["duration"] == 0.0
@@ -233,7 +232,7 @@ def test_total_gradient_matches_fd(monkeypatch, pretrained, corpus_path):
     sched = adaptation_schedule(steps=10)
 
     def loss():
-        total, _ = compute_losses(model, [utt], 5, sched, RunCtx((), training=False))
+        total, _ = compute_losses(model, [utt], 5, sched, ())
         return total
 
     picks = []
@@ -261,8 +260,7 @@ def test_nonfinite_component_is_named(pretrained, corpus_path):
     model.encoder.embed.table.data[:] = np.nan
     utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     with pytest.raises(NumericsError, match="mel_pre"):
-        compute_losses(model, [utt], 5, adaptation_schedule(steps=10),
-                       RunCtx((), training=False))
+        compute_losses(model, [utt], 5, adaptation_schedule(steps=10), ())
 
 
 def test_breakdown_consistency_guard():
@@ -355,6 +353,11 @@ def test_batcher_is_pure_and_covers_each_epoch():
 
     a.batch(100)  # push the permutation cache far ahead
     assert a.batch(0) == b.batch(0)
+
+    wide = tr._Batcher(seed=9, n=3, batch_size=8)  # one batch spans three epochs
+    seq = wide.batch(0) + wide.batch(1)
+    assert all(sorted(seq[e * 3:e * 3 + 3]) == [0, 1, 2] for e in range(5))
+    assert wide.batch(1) == tr._Batcher(seed=9, n=3, batch_size=8).batch(1)
 
 
 def test_compute_feature_ranges():
@@ -500,10 +503,10 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_path):
     trainable = list(model.named_parameters())
 
     def batch_loss():
-        return compute_losses(model, batch, 5, sched, RunCtx((), training=False))[1].total
+        return compute_losses(model, batch, 5, sched, ())[1].total
 
     before = batch_loss()
-    total, _ = compute_losses(model, batch, 5, sched, RunCtx((), training=False))
+    total, _ = compute_losses(model, batch, 5, sched, ())
     grads = _grads(total, trainable)
     flat = np.concatenate([grads[name].reshape(-1) / len(batch) for name, _ in trainable])
     Adam(trainable).step(flat, lr=1e-6)
@@ -539,8 +542,8 @@ def _packs_of_one(model, trainable, batch, sched, seed=7):
     expected = {name: np.zeros_like(p.data) for name, p in trainable}
     totals = []
     for pos, utt in enumerate(batch):
-        ctx = RunCtx([rng_for(seed, "dropout", 0, pos)], training=True)
-        total, bd = compute_losses(model, [utt], 0, sched, ctx)
+        rngs = [rng_for(seed, "dropout", 0, pos)]
+        total, bd = compute_losses(model, [utt], 0, sched, rngs)
         totals.append(bd.total)
         for name, g in _grads(total, trainable).items():
             expected[name] += g / len(batch)
@@ -580,8 +583,8 @@ def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpu
 
     batch = [train[idx] for idx in tr._Batcher(7, len(train), 8).batch(0)]
     assert len({u.mel.shape[0] for u in batch}) > 1
-    ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(8)], training=True)
-    packed_total, packed_bd = compute_losses(model, batch, 0, sched, ctx)
+    rngs = [rng_for(7, "dropout", 0, pos) for pos in range(8)]
+    packed_total, packed_bd = compute_losses(model, batch, 0, sched, rngs)
     mean_total, expected = _packs_of_one(model, trainable, batch, sched)
     assert packed_bd.total == pytest.approx(mean_total, rel=1e-5)
     assert float(packed_total.data) / 8 == pytest.approx(mean_total, rel=1e-5)
@@ -802,8 +805,8 @@ def _adapt_step(model, adapted, batch, align_cache=None):
     trainable = adapted.named_trainable()
     for _, p in trainable:
         p.grad = None
-    ctx = RunCtx([rng_for(7, "dropout", 0, pos) for pos in range(len(batch))], training=True)
-    total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), ctx,
+    rngs = [rng_for(7, "dropout", 0, pos) for pos in range(len(batch))]
+    total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), rngs,
                                hooks_fn=lambda u: adapted.hooks_for(u.embedding),
                                align_cache=align_cache)
     ad.backward(total)
@@ -959,7 +962,7 @@ def test_validate_matches_compute_losses_on_each_pack(pretrained, corpus_path, l
     for utts in (distinct, shared):
         got = tr.validate(model, utts, 5, SCHED, hooks_fn)
         with ad.no_grad():
-            _, want = compute_losses(model, utts, 5, SCHED, RunCtx((), training=False),
+            _, want = compute_losses(model, utts, 5, SCHED, (),
                                      hooks_fn=hooks_fn)
         for name in LOSS_NAMES:
             np.testing.assert_array_equal(got.components[name], want.components[name],

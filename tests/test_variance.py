@@ -8,7 +8,7 @@ from hyperadapt import autodiff as ad
 from hyperadapt import variance
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, NumericsError, StateError
-from hyperadapt.layers import RunCtx, rng_for
+from hyperadapt.layers import rng_for
 
 from oracles import cwt_reference, one
 
@@ -202,19 +202,16 @@ class TestQuantize:
 class TestPredictors:
     D = 8
 
-    def _ctx(self, training=False):
-        return RunCtx([rng_for(0, "test", "drop")], training=training)
-
     def test_duration_shape(self):
         va = variance.VarianceAdapter(rng_for(0, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(0).standard_normal((7, self.D)).astype(np.float32))
-        out = va.duration(h, self._ctx(), one(7))
+        out = va.duration(h, one(7), ())
         assert out.shape == (7,)
 
     def test_pitch_shapes(self):
         va = variance.VarianceAdapter(rng_for(1, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(0).standard_normal((9, self.D)).astype(np.float32))
-        spec, mean, var = va.pitch(h, self._ctx(), one(9), None)
+        spec, mean, var = va.pitch(h, one(9), (), None)
         assert spec.shape == (9, variance.N_SCALES)
         assert mean.shape == (1,)
         assert var.shape == (1,)
@@ -222,11 +219,10 @@ class TestPredictors:
     def test_pitch_statistics_pool_each_segment(self):
         va = variance.VarianceAdapter(rng_for(13, "va"), self.D, d_spk=6)
         h = np.random.default_rng(2).standard_normal((9, self.D)).astype(np.float32)
-        spec, mean, var = va.pitch(Tensor(h), self._ctx(), ad.Segments([4, 5]), None)
+        spec, mean, var = va.pitch(Tensor(h), ad.Segments([4, 5]), (), None)
         assert spec.shape == (9, variance.N_SCALES) and mean.shape == var.shape == (2,)
         for b, rows in enumerate((slice(0, 4), slice(4, 9))):
-            spec_b, mean_b, var_b = va.pitch(Tensor(h[rows]), self._ctx(), one(h[rows].shape[0]),
-                                             None)
+            spec_b, mean_b, var_b = va.pitch(Tensor(h[rows]), one(h[rows].shape[0]), (), None)
             np.testing.assert_allclose(spec.data[rows], spec_b.data, atol=1e-5)
             np.testing.assert_allclose(mean.data[b], mean_b.data[0], atol=1e-5)
             np.testing.assert_allclose(var.data[b], var_b.data[0], atol=1e-5)
@@ -234,7 +230,7 @@ class TestPredictors:
     def test_prediction_against_itself_has_zero_loss(self):
         va = variance.VarianceAdapter(rng_for(2, "va"), self.D, d_spk=6)
         h = Tensor(np.random.default_rng(1).standard_normal((5, self.D)).astype(np.float32))
-        spec, _, _ = va.pitch(h, self._ctx(), one(5), None)
+        spec, _, _ = va.pitch(h, one(5), (), None)
         loss = ad.mse_loss(spec, Tensor(spec.data.copy()), one(5))
         assert loss.item() == 0.0
 
@@ -246,10 +242,9 @@ class TestPredictors:
             p.requires_grad = True
         h = Tensor(np.random.default_rng(4).standard_normal((6, self.D)), requires_grad=True)
         t_spec = Tensor(np.random.default_rng(5).standard_normal((6, variance.N_SCALES)))
-        ctx = RunCtx((), training=False)
 
         def fn(x):
-            spec, mean, var = pred(x, ctx, one(6), None)
+            spec, mean, var = pred(x, one(6), (), None)
             return ad.add(ad.mse_loss(spec, t_spec, one(6)), ad.add(ad.sum_all(mean), ad.sum_all(var)))
 
         report = ad.grad_check(fn, [h])
@@ -262,8 +257,7 @@ class TestPredictors:
             p.requires_grad = True
         h = Tensor(np.random.default_rng(7).standard_normal((5, self.D)), requires_grad=True)
         target = Tensor(np.random.default_rng(8).standard_normal(5))
-        ctx = RunCtx((), training=False)
-        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, ctx, one(5), None), target, one(5)), [h])
+        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, one(5), (), None), target, one(5)), [h])
         assert report.passed, repr(report)
 
     def test_embedding_tables_have_256_rows(self):
