@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
 
@@ -48,8 +48,6 @@ def positions(seg, d, dtype):
 
 class MultiHeadAttention(Module):
     def __init__(self, rng, d_h, heads, p_dropout=0.1):
-        if d_h % heads:
-            raise ConfigError(f"hidden size {d_h} not divisible by {heads} heads")
         self.heads = heads
         self.wq = Dense(rng, d_h, d_h)
         # no key bias: q . b_k is the same for every key of a query, so the
@@ -128,8 +126,6 @@ class Postnet(Module):
     the identity at the start of training."""
 
     def __init__(self, rng, n_mels, channels=256, kernel=5, n_layers=5, p_dropout=0.1):
-        if n_layers < 2:
-            raise ConfigError(f"postnet needs at least 2 layers, got {n_layers}")
         convs = [Conv1d(rng, n_mels, channels, kernel)]
         for _ in range(n_layers - 2):
             convs.append(Conv1d(rng, channels, channels, kernel))

@@ -131,6 +131,7 @@ def _check_ranges(cfg):
         ("evaluate.speakers", cfg["evaluate"]["speakers"] in _SPEAKER_GROUPS,
          f"one of {sorted(_SPEAKER_GROUPS)}"),
         ("dump.jitters", cfg["dump"]["jitters"] >= 0, "at least 0"),
+        ("gradcheck.instances", cfg["gradcheck"]["instances"] >= 1, "at least 1"),
         ("gradcheck.threshold", cfg["gradcheck"]["threshold"] > 0, "positive"),
     )
     for key, ok, want in checks:

@@ -27,7 +27,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import featio
+from . import variance as var_mod
 from .errors import ConfigError, InputError, checked, merge_checked
 from .layers import rng_for
 
@@ -87,6 +89,9 @@ class SpeakerLatent:
 
 @dataclass
 class Utterance:
+    """One utterance's features, and the training constants derived from
+    them: each computed on first read and kept (the arrays never change)."""
+
     utt_id: str
     speaker: str
     split: str
@@ -95,6 +100,18 @@ class Utterance:
     f0: np.ndarray
     energy: np.ndarray
     embedding: np.ndarray
+
+    @functools.cached_property
+    def log_f0(self):
+        """The f0 contour's interpolated log-F0, float64."""
+        return var_mod.interpolated_log_f0(self.f0)
+
+    @functools.cached_property
+    def pitch_targets(self):
+        """(wavelet spectrogram (frames, scales) float32, mean, variance):
+        the pitch predictor's targets."""
+        spec, mean, var = var_mod.pitch_targets(self.f0.astype(np.float64))
+        return np.ascontiguousarray(spec.T, dtype=ad.DEFAULT_DTYPE), mean, var
 
 
 # -----------------------------------------------------------------------------

@@ -55,6 +55,10 @@ class ModelConfig:
         for name in ("conv_kernel", "var_kernel", "postnet_kernel"):
             if getattr(self, name) % 2 == 0:
                 raise ConfigError(f"model.{name} must be odd, got {getattr(self, name)}")
+        if self.d_h % self.heads:
+            raise ConfigError(f"model.heads must divide model.d_h={self.d_h}, got {self.heads}")
+        if self.postnet_layers < 2:
+            raise ConfigError(f"model.postnet_layers must be at least 2, got {self.postnet_layers}")
 
     def to_dict(self):
         return asdict(self)
@@ -69,8 +73,7 @@ class Pack:
     rows, and `utterances_seg` one row per utterance (pitch statistics).
     `embedding` is the (B, d_spk) speaker embeddings, so a pack stands in for
     an utterance where only `.embedding` is read (a hooks_fn). `log_f0` is
-    each contour's interpolated log-F0, packed. `utt_ids` names the
-    utterances in pack order.
+    each utterance's `log_f0`, packed.
     """
 
     def __init__(self, utts):
@@ -88,13 +91,12 @@ class Pack:
                 raise InputError(f"speaker embeddings of {spk.size} and {speakers[0].size} dims")
         self.phonemes = np.concatenate([np.asarray(u.phonemes) for u in utts])
         self.mel = np.concatenate(mels)
-        self.log_f0 = np.concatenate([var_mod.interpolated_log_f0(u.f0) for u in utts])
+        self.log_f0 = np.concatenate([u.log_f0 for u in utts])
         self.energy = np.concatenate([np.asarray(u.energy, dtype=np.float64) for u in utts])
         self.embedding = np.stack(speakers)
         self.phonemes_seg = Segments([len(u.phonemes) for u in utts])
         self.frames_seg = Segments([mel.shape[0] for mel in mels])
         self.utterances_seg = Segments(np.ones(len(mels), dtype=np.int64))
-        self.utt_ids = [u.utt_id for u in utts]
 
 
 class TTSModel(Module):

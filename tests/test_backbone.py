@@ -6,7 +6,7 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import backbone
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import ConfigError, InputError, ShapeError
+from hyperadapt.errors import InputError, ShapeError
 from hyperadapt.layers import rng_for
 
 from oracles import one, weighted_sum
@@ -167,10 +167,6 @@ class TestFFTBlock:
         probe = Tensor(np.tile(np.arange(D, dtype=np.float32), (4, 1)))
         shifted = block(h, one(4), (), lambda t: ad.add(t, probe)).data
         assert np.abs(shifted - plain).max() > 1e-3
-
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            backbone.FFTBlock(rng_for(8, "blk"), D, heads=3)
 
 
 class TestDecoder:

@@ -156,6 +156,14 @@ def test_set_overrides_and_bad_override():
     *[(verb, f"model.{key}={size}", f"model.{key}")
       for verb in ("gen-corpus", "pretrain", "params")
       for key, size in (("conv_kernel", 8), ("var_kernel", 2), ("postnet_kernel", 4))],
+    # attention splits d_h across the heads; the postnet needs an input and an output conv
+    *[(verb, f"model.{key}={value}", f"model.{key}")
+      for verb in ("gen-corpus", "pretrain", "params")
+      for key, value in (("heads", 3), ("postnet_layers", 1))],
+    ("pretrain", "schedule.milestones=[3000,2000]", "schedule.milestones"),
+    ("pretrain", "schedule.milestones=[30,30]", "schedule.warmup_steps"),
+    ("grad-check", "gradcheck.instances=0", "gradcheck.instances"),
+    ("gen-corpus", "gradcheck.instances=0", "gradcheck.instances"),
     ("pretrain", "schedule.warmup_steps=-5", "schedule.warmup_steps"),
     ("pretrain", "schedule.duration_start_step=-10", "schedule.duration_start_step"),
     ("pretrain", "schedule.binarization_ramp_steps=0", "schedule.binarization_ramp_steps"),

@@ -1,5 +1,7 @@
 """Full-model passes: teacher-forced training path and free-running synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hyperadapt import autodiff as ad
 from hyperadapt import metrics
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.errors import InputError, NumericsError, StateError
+from hyperadapt.errors import ConfigError, InputError, NumericsError, StateError
 from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
@@ -262,6 +264,15 @@ def test_synthesize_rejects_wrong_speaker_dim():
 
 def test_config_roundtrip():
     assert ModelConfig(**CFG.to_dict()) == CFG
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"heads": 3}, "model.heads"),  # attention splits d_h=32 evenly across heads
+    ({"postnet_layers": 1}, "model.postnet_layers"),  # an input and an output conv
+])
+def test_config_rejects_a_model_it_cannot_build(change, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        ModelConfig(**{**CFG.to_dict(), **change})
 
 
 def test_site_counts_follow_layer_config():

@@ -651,6 +651,26 @@ def test_pitch_targets_computed_once_per_utterance_per_run(monkeypatch, pretrain
     assert {u.f0.astype(np.float64).tobytes() for u in val} <= set(seen)
 
 
+def test_second_pass_over_an_utterance_derives_no_pitch_constant(monkeypatch, pretrained,
+                                                                 corpus_path):
+    # an utterance's log-F0 and pitch targets are computed once, on first
+    # read, however many packs hold it
+    model = tr.load_checkpoint(pretrained[0]).model
+    utts = load_corpus(corpus_path, adaptation=False, split="train")[:3]
+    _, first = compute_losses(model, utts, 5, SCHED, ())
+    calls = []
+    real = var_mod.normalize_f0
+
+    def counting(f0):
+        calls.append(f0)
+        return real(f0)
+
+    monkeypatch.setattr(var_mod, "normalize_f0", counting)
+    _, second = compute_losses(model, utts[::-1], 5, SCHED, ())
+    assert not calls
+    assert second.components == pytest.approx(first.components, rel=1e-5)
+
+
 def test_adapt_tts0_is_byte_copy(pretrained, corpus_path, tmp_path):
     ck, _ = pretrained
     out = tr.adapt(ck, corpus_path, "tts0", adaptation_schedule(steps=3),
@@ -800,7 +820,7 @@ def _adapted_model(ck, label):
     return model, adapted
 
 
-def _adapt_step(model, adapted, batch, align_cache=None):
+def _adapt_step(model, adapted, batch, alignments=None):
     """(breakdown, flat gradient) of one training step of an adapted model."""
     trainable = adapted.named_trainable()
     for _, p in trainable:
@@ -808,7 +828,7 @@ def _adapt_step(model, adapted, batch, align_cache=None):
     rngs = [rng_for(7, "dropout", 0, pos) for pos in range(len(batch))]
     total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), rngs,
                                hooks_fn=lambda u: adapted.hooks_for(u.embedding),
-                               align_cache=align_cache)
+                               alignments=alignments)
     ad.backward(total)
     return bd, tr.flat_grads(trainable)
 
@@ -854,10 +874,9 @@ def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrai
     model, adapted = _adapted_model(ck, label)
     train = load_corpus(corpus_path, adaptation=True, split="train")
     batch = train[:4]
-    cache = {}
-    for utt in reversed(train):  # filled from packs of one, in another order
-        _adapt_step(model, adapted, [utt], cache)
-    assert set(cache) == {u.utt_id for u in train}
+    # aligned in packs of one, in another order than the step's pack
+    alignments = tr.frozen_alignments(model, train[::-1], 1)[::-1][:4]
+    assert len(alignments) == len(batch)
     bd_plain, grad_plain = _adapt_step(model, adapted, batch)
 
     ops, dp_calls = set(), []
@@ -870,7 +889,7 @@ def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrai
     monkeypatch.setattr(ad, "from_op", recording)
     for name in ("forward_sum", "viterbi"):
         monkeypatch.setattr(kernels, name, lambda *a, name=name: dp_calls.append(name))
-    bd_cached, grad_cached = _adapt_step(model, adapted, batch, cache)
+    bd_cached, grad_cached = _adapt_step(model, adapted, batch, alignments)
     assert bd_cached.components == bd_plain.components
     assert bd_cached.weights["binarization"] == 1.0
     assert bd_cached.total == bd_plain.total
@@ -880,46 +899,49 @@ def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrai
 
 
 def _aligner_runs(monkeypatch, ck, corpus, strategy, steps, run_dir):
-    """(soft_align calls, _frozen_alignments calls) over one adapt run."""
-    calls = {"soft_align": 0, "cache": 0}
-    real_align, real_cache = model_mod.soft_align, tr._frozen_alignments
+    """(soft_align calls, frozen_alignments calls) over one adapt run that
+    validates once, after its last step."""
+    calls = {"soft_align": 0, "frozen": 0}
+    real_align, real_frozen = model_mod.soft_align, tr.frozen_alignments
 
     def soft_align(*args):
         calls["soft_align"] += 1
         return real_align(*args)
 
     def frozen_alignments(*args):
-        calls["cache"] += 1
-        return real_cache(*args)
+        calls["frozen"] += 1
+        return real_frozen(*args)
 
     monkeypatch.setattr(model_mod, "soft_align", soft_align)
-    monkeypatch.setattr(tr, "_frozen_alignments", frozen_alignments)
+    monkeypatch.setattr(tr, "frozen_alignments", frozen_alignments)
     tr.adapt(ck, corpus, strategy, adaptation_schedule(steps=steps, batch_size=2), run_dir,
-             seed=5, dims=DIMS, val_every=2)
+             seed=5, dims=DIMS, val_every=steps)
     monkeypatch.undo()
-    return calls["soft_align"], calls["cache"]
+    return calls["soft_align"], calls["frozen"]
 
 
 def test_frozen_aligner_runs_once_per_utterance_per_run(monkeypatch, pretrained,
                                                         corpus_path, tmp_path):
-    # three epochs align no more often than one: each utterance, training
-    # and validation alike, is aligned in the first pack that holds it
+    # three epochs align no more often than one: the training split is
+    # aligned once, before the first step, and the one validation pass
+    # aligns its own utterances
     ck, _ = pretrained
     n = len(load_corpus(corpus_path, adaptation=True, split="train"))
     one = _aligner_runs(monkeypatch, ck, corpus_path, "adapter_e", n // 2,
                         str(tmp_path / "one"))
     three = _aligner_runs(monkeypatch, ck, corpus_path, "adapter_e", 3 * (n // 2),
                           str(tmp_path / "three"))
-    assert 0 < one[0] == three[0] < one[1] < three[1]
+    assert 0 < one[0] == three[0]
+    assert one[1] == three[1] == 1
 
 
-def test_pretrain_and_ft_never_fill_the_alignment_cache(monkeypatch, pretrained,
-                                                        corpus_path, tmp_path):
+def test_pretrain_and_ft_never_precompute_alignments(monkeypatch, pretrained,
+                                                     corpus_path, tmp_path):
     ck, _ = pretrained
     ft = _aligner_runs(monkeypatch, ck, corpus_path, "ft", 3, str(tmp_path / "ft"))
     assert ft[1] == 0 and ft[0] > 3
     filled = []
-    monkeypatch.setattr(tr, "_frozen_alignments", lambda *args: filled.append(args))
+    monkeypatch.setattr(tr, "frozen_alignments", lambda *args: filled.append(args))
     tr.pretrain(corpus_path, TRAIN_CFG, dataclasses.replace(SCHED, total_steps=2),
                 str(tmp_path / "pre"), seed=3, val_every=1)
     assert not filled
