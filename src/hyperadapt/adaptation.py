@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_fields, in_range, ranged
 from .layers import Dense, Module, rng_for, xavier_uniform
 
 MODULE_ORDER = ("e", "v", "d")
@@ -43,17 +43,15 @@ STRATEGY_NAMES = ("tts0", "ft", "adapter", "hyper")
 
 @dataclass
 class AdapterDims:
-    d_h: int = 256
-    d_r: int = 32
-    d_1: int = 256
-    d_2: int = 64
-    d_l: int = 64
-    d_s: int = 8
+    d_h: int = ranged(256, "[1, inf)")
+    d_r: int = ranged(32, "[1, inf)")
+    d_1: int = ranged(256, "[1, inf)")
+    d_2: int = ranged(64, "[1, inf)")
+    d_l: int = ranged(64, "[1, inf)")
+    d_s: int = ranged(8, "[1, inf)")
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 1:
-                raise ConfigError(f"dims.{name} must be at least 1, got {value}")
+        check_fields(self, "dims.")
 
 
 def adapter_forward(h, table, seg, site, n_sites):
@@ -209,8 +207,7 @@ class StrategyConfig:
     dims: AdapterDims = field(default_factory=AdapterDims)
 
     def __post_init__(self):
-        if self.name not in STRATEGY_NAMES:
-            raise ConfigError(f"unknown strategy {self.name!r} (choose from {STRATEGY_NAMES})")
+        in_range("strategy", self.name, STRATEGY_NAMES)
         sites = tuple(self.sites)
         if self.name in ("tts0", "ft"):
             if sites:
@@ -218,9 +215,8 @@ class StrategyConfig:
         else:
             if not sites:
                 raise ConfigError(f"strategy {self.name} needs at least one site of e/v/d")
-            bad = [s for s in sites if s not in MODULE_ORDER]
-            if bad:
-                raise ConfigError(f"unknown adapter sites {bad}")
+            for site in sites:
+                in_range("site", site, MODULE_ORDER)
             if len(set(sites)) != len(sites):
                 raise ConfigError(f"duplicate sites in {sites}")
             sites = tuple(s for s in MODULE_ORDER if s in sites)

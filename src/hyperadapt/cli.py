@@ -25,12 +25,12 @@ from . import featio, gradcheck, metrics
 from . import training as tr
 from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
 from .corpus import CorpusSpec, synthetic_embedding
-from .errors import ConfigError, HyperadaptError, InputError, StateError, checked, merge_checked
+from .errors import (ConfigError, HyperadaptError, InputError, StateError, checked, in_range,
+                     merge_checked)
 from .model import ModelConfig, TTSModel
 from .training import ScheduleConfig, adaptation_schedule
 
 _SPEAKER_GROUPS = {"adapt": True, "pretrain": False, "all": None}
-_SPLITS = ("train", "val", "all")
 
 # The CorpusSpec and AdapterDims fields that are sizes of the model, each
 # mapped to the ModelConfig field it is read from: not settable themselves.
@@ -76,9 +76,9 @@ def default_config():
 # -----------------------------------------------------------------------------
 
 
-def _set_dotted(cfg, dotted, value, *, text=False):
-    """Set config key `dotted` to `value`. A `text` value (a --set override)
-    is parsed as JSON first, unless the key holds a string."""
+def _set_dotted(cfg, dotted, value):
+    """Set config key `dotted` to the text `value` (a --set override or a
+    flag), parsed as JSON first unless the key holds a string."""
     parts = dotted.split(".")
     node = cfg
     for part in parts[:-1]:
@@ -90,7 +90,7 @@ def _set_dotted(cfg, dotted, value, *, text=False):
         raise ConfigError(f"unknown config key '{dotted}'")
     if isinstance(node[leaf], dict):
         raise ConfigError(f"config key '{dotted}' is a section, not a value")
-    if text and not isinstance(node[leaf], str):
+    if not isinstance(node[leaf], str):
         try:
             value = json.loads(value)
         except json.JSONDecodeError:
@@ -98,8 +98,20 @@ def _set_dotted(cfg, dotted, value, *, text=False):
     node[leaf] = checked(dotted, node[leaf], value)
 
 
-def load_config(config_path=None, overrides=(), seed=None):
-    """Defaults, then the config file, then key=value overrides, then --seed."""
+# The range of each value that no config dataclass holds (errors.in_range).
+_RANGES = {
+    "seed": "[0, inf)", "dump.jitters": "[0, inf)",
+    "adapt.strategy": StrategyConfig.parse, "adapt.steps": "[1, inf)",
+    "adapt.lr": "(0, inf)", "adapt.batch_size": "[1, inf)",
+    "evaluate.split": ("train", "val", "all"), "evaluate.speakers": tuple(_SPEAKER_GROUPS),
+    "gradcheck.instances": "[1, inf)", "gradcheck.threshold": "(0, inf)",
+}
+
+
+def load_config(config_path=None, overrides=()):
+    """Defaults, then the config file, then key=value overrides (the flags
+    last), once each value lies in its declared range (_RANGES, or its
+    dataclass field's) and every cross-field rule holds; else a ConfigError."""
     cfg = default_config()
     if config_path:
         if not os.path.isfile(config_path):
@@ -116,28 +128,14 @@ def load_config(config_path=None, overrides=(), seed=None):
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise InputError(f"override '{item}' is not key=value")
-        _set_dotted(cfg, key, raw, text=True)
-    if seed is not None:
-        cfg["seed"] = int(seed)
+        _set_dotted(cfg, key, raw)
+    for key, declared in _RANGES.items():
+        section, _, leaf = key.rpartition(".")
+        in_range(key, (cfg[section] if section else cfg)[leaf], declared)
+    ScheduleConfig(**cfg["schedule"])
+    for section in _FROM_MODEL:
+        _with_model_sizes(cfg, section)  # and the ModelConfig it reads
     return cfg
-
-
-def _check_ranges(cfg):
-    """ConfigError naming the key, unless each value that no dataclass
-    checks is in range. Run once the flags are applied, before any run
-    directory exists."""
-    checks = (
-        ("evaluate.split", cfg["evaluate"]["split"] in _SPLITS, f"one of {list(_SPLITS)}"),
-        ("evaluate.speakers", cfg["evaluate"]["speakers"] in _SPEAKER_GROUPS,
-         f"one of {sorted(_SPEAKER_GROUPS)}"),
-        ("dump.jitters", cfg["dump"]["jitters"] >= 0, "at least 0"),
-        ("gradcheck.instances", cfg["gradcheck"]["instances"] >= 1, "at least 1"),
-        ("gradcheck.threshold", cfg["gradcheck"]["threshold"] > 0, "positive"),
-    )
-    for key, ok, want in checks:
-        if not ok:
-            section, leaf = key.split(".")
-            raise ConfigError(f"{key} must be {want}, got {cfg[section][leaf]!r}")
 
 
 def config_hash(cfg):
@@ -376,27 +374,22 @@ def _cmd_grad_check(cfg):
 # -----------------------------------------------------------------------------
 
 
-# flag -> (config key, argparse keywords). The key is the flag's argparse
-# dest, and its help names it: a verb flag only sets that key.
+# flag -> (config key, help). The key is the flag's argparse dest, and its
+# help names it: a verb flag only sets that key, as text (like --set).
 _FLAGS = {
-    "--corpus": ("paths.corpus", {"help": "corpus file (corpus.bin)"}),
-    "--checkpoint": ("paths.checkpoint", {"help": "model checkpoint"}),
-    "--strategy": ("adapt.strategy",
-                   {"help": "tts0 | ft | adapter_<sites> | hyper_<sites>"}),
-    "--steps": ("adapt.steps", {"type": int, "help": "adaptation steps"}),
-    "--utt": ("synthesize.utt", {"help": "synthesize this corpus utterance"}),
-    "--speaker": ("synthesize.speaker", {"help": "speaker for --phonemes mode"}),
-    "--phonemes": ("synthesize.phonemes", {"help": "comma-separated phoneme ids"}),
-    "--split": ("evaluate.split", {"choices": _SPLITS,
-                                   "help": "which split to score"}),
-    "--speakers": ("evaluate.speakers", {"choices": sorted(_SPEAKER_GROUPS),
-                                         "help": "speaker group to score"}),
-    "--jitters": ("dump.jitters", {"type": int,
-                                   "help": "extra jittered embeddings per speaker"}),
-    "--instances": ("gradcheck.instances",
-                    {"type": int, "help": "random instances per sub-network"}),
-    "--threshold": ("gradcheck.threshold", {"type": float, "help": "max relative error"}),
-    "--networks": ("gradcheck.networks", {"help": "comma-separated subset"}),
+    "--corpus": ("paths.corpus", "corpus file (corpus.bin)"),
+    "--checkpoint": ("paths.checkpoint", "model checkpoint"),
+    "--strategy": ("adapt.strategy", "tts0 | ft | adapter_<sites> | hyper_<sites>"),
+    "--steps": ("adapt.steps", "adaptation steps"),
+    "--utt": ("synthesize.utt", "synthesize this corpus utterance"),
+    "--speaker": ("synthesize.speaker", "speaker for --phonemes mode"),
+    "--phonemes": ("synthesize.phonemes", "comma-separated phoneme ids"),
+    "--split": ("evaluate.split", "which split to score"),
+    "--speakers": ("evaluate.speakers", "speaker group to score"),
+    "--jitters": ("dump.jitters", "extra jittered embeddings per speaker"),
+    "--instances": ("gradcheck.instances", "random instances per sub-network"),
+    "--threshold": ("gradcheck.threshold", "max relative error"),
+    "--networks": ("gradcheck.networks", "comma-separated subset"),
 }
 
 # verb -> (handler, help, flags)
@@ -436,13 +429,13 @@ def build_parser():
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (dotted path; a JSON value, "
                             "or plain text for a text key)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed")
         p.add_argument("--out-dir", default=None,
                        help="override out_dir (run directories live here)")
         for flag in flags:
-            key, kwargs = _FLAGS[flag]
+            key, text = _FLAGS[flag]
             p.add_argument(flag, dest=key, default=None, required=(verb, flag) in _REQUIRED,
-                           **{**kwargs, "help": f"{kwargs['help']} ({key})"})
+                           help=f"{text} ({key})")
     return parser
 
 
@@ -454,11 +447,9 @@ def main(argv=None):
 
     new_run_dir = None
     try:
-        cfg = load_config(args.config, args.set, args.seed)
-        for key, value in vars(args).items():
-            if value is not None and ("." in key or key == "out_dir"):
-                _set_dotted(cfg, key, value)
-        _check_ranges(cfg)
+        flags = [f"{key}={value}" for key, value in vars(args).items()
+                 if value is not None and ("." in key or key in ("out_dir", "seed"))]
+        cfg = load_config(args.config, [*args.set, *flags])
         new_run_dir = _run_dir(cfg, args.verb)
         if os.path.exists(new_run_dir):
             new_run_dir = None  # never removed: a pretrain resumes in it

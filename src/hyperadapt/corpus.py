@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import featio
 from . import variance as var_mod
-from .errors import ConfigError, InputError, checked, merge_checked
+from .errors import ConfigError, InputError, check_fields, checked, merge_checked, ranged
 from .layers import rng_for
 
 EMBEDDER_SEED = 1877  # fixed: the embedder is a stand-in for an external model
@@ -41,31 +41,27 @@ F0_CEIL = 600.0
 
 @dataclass
 class CorpusSpec:
-    speakers_pretrain: int = 8
-    speakers_adapt: int = 4
-    utts_per_speaker: int = 50
-    vocab_size: int = 32
-    n_mels: int = 20
-    d_spk: int = 24
-    val_fraction: float = 0.2
-    min_phonemes: int = 8
-    max_phonemes: int = 14
-    texture: float = 0.05   # per-utterance mel noise floor
-    jitter: float = 0.02    # embedding jitter magnitude
-    quirk_scale: float = 2.4
+    speakers_pretrain: int = ranged(8, "[2, inf)")
+    speakers_adapt: int = ranged(4, "[2, inf)")
+    utts_per_speaker: int = ranged(50, "[2, inf)")
+    vocab_size: int = ranged(32, "[4, inf)")  # three voiced phonemes in four
+    n_mels: int = ranged(20, "[2, inf)")  # the embedder centers across mel bins
+    d_spk: int = ranged(24, "[1, inf)")
+    val_fraction: float = ranged(0.2, "(0, 1)")
+    min_phonemes: int = ranged(8, "[1, inf)")
+    max_phonemes: int = ranged(14, "[1, inf)")
+    texture: float = ranged(0.05, "[0, inf)")  # std of each mel's noise floor
+    jitter: float = ranged(0.02, "[0, inf)")  # length of each embedding's perturbation
+    quirk_scale: float = ranged(2.4, "[0, inf)")  # length of each speaker's quirk vector
 
     def __post_init__(self):
-        if self.speakers_pretrain < 2 or self.speakers_adapt < 2:
-            raise ConfigError("corpus needs at least 2 speakers in each split")
-        if self.vocab_size < 4:
-            raise ConfigError("phoneme vocabulary must have at least 4 entries")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.min_phonemes < 1 or self.max_phonemes < self.min_phonemes:
-            raise ConfigError("bad phoneme length range")
+        check_fields(self, "corpus.")
+        if self.min_phonemes > self.max_phonemes:
+            raise ConfigError(f"corpus.min_phonemes={self.min_phonemes} is more than "
+                              f"corpus.max_phonemes={self.max_phonemes}")
         if self.val_per_speaker >= self.utts_per_speaker:
             raise ConfigError(
-                f"utts_per_speaker={self.utts_per_speaker} with val_fraction="
+                f"corpus.utts_per_speaker={self.utts_per_speaker} with corpus.val_fraction="
                 f"{self.val_fraction} leaves a speaker without a train or a validation utterance")
 
     @property
@@ -73,9 +69,6 @@ class CorpusSpec:
         """The validation utterances of each speaker: the first
         round(utts_per_speaker * val_fraction), at least one."""
         return max(1, int(round(self.utts_per_speaker * self.val_fraction)))
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -324,7 +317,7 @@ def generate_corpus(spec, seed, out_dir):
         for field, arr in zip(FEATURE_FIELDS, (phonemes, mel, f0, energy, emb)):
             tensors[f"{utt_id}.{field}"] = arr
     path = os.path.join(out_dir, "corpus.bin")
-    featio.write_checkpoint(path, {"seed": seed, "spec": spec.to_dict()}, tensors)
+    featio.write_checkpoint(path, {"seed": seed, "spec": asdict(spec)}, tensors)
     return path
 
 

@@ -1,9 +1,11 @@
-"""Exception classes shared across the package, and the one type rule for
-JSON values read against defaults (config files, checkpoint metadata).
+"""Exception classes shared across the package, and the one type rule and
+one range rule for config values (config files, checkpoint metadata).
 
 Exit-code mapping for the CLI lives in cli.py: InputError/ConfigError are
 usage-class failures (exit 2), InternalInvariantError is exit 3.
 """
+
+import dataclasses
 
 
 class HyperadaptError(Exception):
@@ -71,3 +73,41 @@ def merge_checked(node, data, prefix):
             merge_checked(node[key], checked(f"{prefix}{key}", {}, value), f"{prefix}{key}.")
         else:
             node[key] = checked(f"{prefix}{key}", node[key], value)
+
+
+def in_range(key, value, declared):
+    """ConfigError naming `key`, unless `value` lies in the range `declared`
+    for it: a tuple of choices, a function that raises ConfigError for a
+    value outside, or an interval of numbers that holds it (or each item of
+    a list). "[" and "]" include their end, "(" and ")" do not, "inf" is no
+    bound; "int [1, inf)" holds only its ints, "odd [1, inf)" its odd ints.
+    NaN lies in no interval, and an infinity in none: no "inf" end is closed."""
+    if callable(declared):
+        try:
+            declared(value)
+        except ConfigError as e:
+            raise ConfigError(f"{key}={value!r} is not valid: {e}") from None
+    elif isinstance(declared, tuple):
+        if value not in declared:
+            raise ConfigError(f"{key}={value!r} is not one of {list(declared)}")
+    else:
+        interval = declared.removeprefix("odd ").removeprefix("int ")
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if not (isinstance(v, int if interval != declared else (int, float))
+                    and not isinstance(v, bool)
+                    and (v >= low if interval[0] == "[" else v > low)
+                    and (v <= high if interval[-1] == "]" else v < high)
+                    and not (declared.startswith("odd") and v % 2 == 0)):
+                raise ConfigError(f"{key}={value!r} is not in {declared}")
+
+
+def ranged(default, declared):
+    """A dataclass field with `default` and the range `declared` (in_range)."""
+    return dataclasses.field(default=default, metadata={"range": declared})
+
+
+def check_fields(obj, prefix):
+    """in_range for each (ranged) field of the dataclass `obj`, named `prefix` + its name."""
+    for f in dataclasses.fields(obj):
+        in_range(prefix + f.name, getattr(obj, f.name), f.metadata["range"])

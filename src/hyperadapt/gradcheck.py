@@ -16,7 +16,7 @@ from . import alignment, backbone, variance
 from .adaptation import (AdapterDims, HyperNetwork, adapter_forward, adapter_param_count,
                          site_adapters)
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import in_range
 from .layers import rng_for
 
 _D = 8
@@ -196,10 +196,8 @@ def run_suite(instances=5, threshold=1e-4, names=None):
     if names is None:
         picked = dict(BUILDERS)
     else:
-        unknown = [n for n in names if n not in BUILDERS]
-        if unknown:
-            raise InputError(f"run_suite: unknown sub-networks {unknown}; "
-                             f"choose from {sorted(BUILDERS)}")
+        for name in names:
+            in_range("gradcheck.networks", name, tuple(BUILDERS))
         picked = {n: BUILDERS[n] for n in names}
     results = []
     for name, build in picked.items():

@@ -12,7 +12,7 @@ out only when it is given dropout streams, one per utterance: training steps
 give them, and validation and synthesis give none and run under `no_grad`.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,43 +22,33 @@ from . import variance as var_mod
 from .alignment import AlignmentEncoder, soft_align, viterbi_durations
 from .autodiff import Segments, Tensor
 from .backbone import Decoder, Encoder, Postnet
-from .errors import ConfigError, InputError, NumericsError
+from .errors import ConfigError, InputError, NumericsError, check_fields, ranged
 from .layers import Module, rng_for
 from .variance import VarianceAdapter
 
 
 @dataclass
 class ModelConfig:
-    vocab_size: int = 40
-    n_mels: int = 80
-    d_h: int = 256
-    heads: int = 2
-    enc_layers: int = 4
-    dec_layers: int = 6
-    conv_kernel: int = 9
-    d_spk: int = 256
-    d_attn: int = 64
-    postnet_channels: int = 256
-    postnet_kernel: int = 5
-    postnet_layers: int = 5
-    dropout: float = 0.1
-    var_kernel: int = 3
-    var_dropout: float = 0.5
+    vocab_size: int = ranged(40, "[4, inf)")  # CorpusSpec's range: the corpus takes it
+    n_mels: int = ranged(80, "[2, inf)")  # CorpusSpec's range: the corpus takes it
+    d_h: int = ranged(256, "[1, inf)")
+    heads: int = ranged(2, "[1, inf)")
+    enc_layers: int = ranged(4, "[1, inf)")
+    dec_layers: int = ranged(6, "[1, inf)")
+    conv_kernel: int = ranged(9, "odd [1, inf)")  # odd: a conv keeps the length
+    d_spk: int = ranged(256, "[1, inf)")
+    d_attn: int = ranged(64, "[1, inf)")
+    postnet_channels: int = ranged(256, "[1, inf)")
+    postnet_kernel: int = ranged(5, "odd [1, inf)")
+    postnet_layers: int = ranged(5, "[2, inf)")  # an input and an output conv
+    dropout: float = ranged(0.1, "[0, 1)")
+    var_kernel: int = ranged(3, "odd [1, inf)")
+    var_dropout: float = ranged(0.5, "[0, 1)")
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not 0 <= value < 1:
-                raise ConfigError(f"model.{f.name} must be in [0, 1), got {value}")
-            if f.type is int and value < 1:
-                raise ConfigError(f"model.{f.name} must be at least 1, got {value}")
-        for name in ("conv_kernel", "var_kernel", "postnet_kernel"):
-            if getattr(self, name) % 2 == 0:
-                raise ConfigError(f"model.{name} must be odd, got {getattr(self, name)}")
+        check_fields(self, "model.")
         if self.d_h % self.heads:
-            raise ConfigError(f"model.heads must divide model.d_h={self.d_h}, got {self.heads}")
-        if self.postnet_layers < 2:
-            raise ConfigError(f"model.postnet_layers must be at least 2, got {self.postnet_layers}")
+            raise ConfigError(f"model.heads={self.heads} does not divide model.d_h={self.d_h}")
 
     def to_dict(self):
         return asdict(self)

@@ -47,7 +47,7 @@ from .alignment import (binarization_loss, binarization_value, forward_sum_loss,
                         forward_sum_value, hard_path_log_probs, map_forward_sums)
 from .autodiff import Tensor
 from .errors import (ConfigError, InputError, InternalInvariantError, NumericsError, StateError,
-                     checked, merge_checked)
+                     check_fields, checked, merge_checked, ranged)
 from .layers import rng_for
 from .model import ModelConfig, Pack, TTSModel
 
@@ -67,28 +67,20 @@ ANNEAL_FACTOR = 0.3
 
 @dataclass
 class ScheduleConfig:
-    peak_lr: float = 1e-3
-    warmup_steps: int = 40
-    milestones: tuple = (3000, 4000, 5000)
-    duration_start_step: int = 500
-    total_steps: int = 6000
-    batch_size: int = 8
-    binarization_ramp_steps: int = 500
+    peak_lr: float = ranged(1e-3, "(0, inf)")
+    warmup_steps: int = ranged(40, "[0, inf)")
+    milestones: tuple = ranged((3000, 4000, 5000), "int [1, inf)")  # JSON lists are untyped
+    duration_start_step: int = ranged(500, "[0, inf)")
+    total_steps: int = ranged(6000, "[1, inf)")
+    batch_size: int = ranged(8, "[1, inf)")
+    binarization_ramp_steps: int = ranged(500, "[1, inf)")
 
     def __post_init__(self):
-        self.milestones = tuple(int(m) for m in self.milestones)
-        if self.peak_lr <= 0:
-            raise ConfigError(f"peak_lr must be positive, got {self.peak_lr}")
-        if self.total_steps < 1 or self.batch_size < 1:
-            raise ConfigError("total_steps and batch_size must be at least 1")
-        ms = list(self.milestones)
-        if ms != sorted(ms) or any(m <= self.warmup_steps for m in ms):
+        check_fields(self, "schedule.")
+        ms = self.milestones = tuple(self.milestones)
+        if list(ms) != sorted(ms) or any(m <= self.warmup_steps for m in ms):
             raise ConfigError(f"schedule.milestones must be ascending and above "
-                              f"schedule.warmup_steps={self.warmup_steps}, got {ms}")
-        for name, low in (("warmup_steps", 0), ("duration_start_step", 0),
-                          ("binarization_ramp_steps", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"schedule.{name} must be at least {low}, got {getattr(self, name)}")
+                              f"schedule.warmup_steps={self.warmup_steps}, got {list(ms)}")
 
 
 def adaptation_schedule(steps, lr=1e-4, batch_size=8):

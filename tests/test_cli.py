@@ -3,6 +3,7 @@ plumbing, run-directory layout, and every verb on a tiny pipeline."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,9 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from hyperadapt import featio
+from hyperadapt import cli, featio
+from hyperadapt.adaptation import AdapterDims
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
 from hyperadapt.corpus import CorpusSpec, generate_corpus
+from hyperadapt.errors import ConfigError, in_range
+from hyperadapt.model import ModelConfig
+from hyperadapt.training import ScheduleConfig
 
 TINY = {
     "corpus": {"utts_per_speaker": 4, "speakers_pretrain": 2, "speakers_adapt": 2},
@@ -167,12 +172,24 @@ def test_set_overrides_and_bad_override():
     ("pretrain", "schedule.warmup_steps=-5", "schedule.warmup_steps"),
     ("pretrain", "schedule.duration_start_step=-10", "schedule.duration_start_step"),
     ("pretrain", "schedule.binarization_ramp_steps=0", "schedule.binarization_ramp_steps"),
+    # a number that is not finite lies in no range
+    ("gen-corpus", "corpus.texture=NaN", "corpus.texture"),
+    ("gen-corpus", "corpus.jitter=NaN", "corpus.jitter"),
+    ("gen-corpus", "corpus.quirk_scale=Infinity", "corpus.quirk_scale"),
+    ("pretrain", "schedule.peak_lr=NaN", "schedule.peak_lr"),
+    ("adapt", "adapt.lr=NaN", "adapt.lr"),
+    ("grad-check", "gradcheck.threshold=Infinity", "gradcheck.threshold"),
+    ("gen-corpus", "seed=-1", "seed"),
+    # each milestone is an int
+    ("pretrain", 'schedule.milestones=["a"]', "schedule.milestones"),
+    ("pretrain", "schedule.milestones=[null]", "schedule.milestones"),
+    ("pretrain", "schedule.milestones=[4500.7]", "schedule.milestones"),
 ])
 def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, setting, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({} if setting else {"model": {"d_h": "32"}}))
     out = tmp_path / "runs"
-    # any existing file passes the path checks that come before the config's
+    # the config is checked before the paths, so any existing file will do
     flags = {"pretrain": ["--corpus"], "adapt": ["--corpus", "--checkpoint"],
              "dump-hyper-params": ["--corpus", "--checkpoint"], "grad-check": [],
              "gen-corpus": [], "params": []}[verb]
@@ -251,6 +268,138 @@ def test_settable_values_are_the_pinned_list():
     assert len(SETTABLE) == 52
 
 
+# The settable values that take any text: the only ones with no declared range.
+FREE_TEXT = {"out_dir", "paths.checkpoint", "paths.corpus", "gradcheck.networks",
+             "synthesize.phonemes", "synthesize.speaker", "synthesize.utt"}
+# A verb that reads each section (and seed); every verb checks every value.
+READER = {"adapt": "adapt", "corpus": "gen-corpus", "dims": "adapt",
+          "dump": "dump-hyper-params", "evaluate": "evaluate", "gradcheck": "grad-check",
+          "model": "pretrain", "schedule": "pretrain", "seed": "pretrain"}
+# What other keys must hold for an edge value to pass the cross-field rules.
+EDGE_CONTEXT = {"corpus.max_phonemes": ["corpus.min_phonemes=1"], "model.d_h": ["model.heads=1"],
+                "schedule.milestones": ["schedule.warmup_steps=0"]}
+
+
+def declared_ranges():
+    """Dotted key -> its declared range: the CLI's table and every field of
+    the config dataclasses, each declared once."""
+    ranges = dict(cli._RANGES)
+    for section, cls in (("model", ModelConfig), ("schedule", ScheduleConfig),
+                         ("corpus", CorpusSpec), ("dims", AdapterDims)):
+        for f in dataclasses.fields(cls):
+            assert f"{section}.{f.name}" not in ranges
+            ranges[f"{section}.{f.name}"] = f.metadata["range"]
+    return ranges
+
+
+def _value(cfg, key):
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _default(key):
+    return _value(default_config(), key)
+
+
+def _interval(key, declared):
+    """(low, high, low included, high included, odd only, step) of an
+    interval range; the step is 1 for an int key (or a list of ints)."""
+    interval = declared.removeprefix("odd ").removeprefix("int ")
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    step = 1 if isinstance(_default(key), (int, list)) else 1e-3
+    return low, high, interval[0] == "[", interval[-1] == "]", declared.startswith("odd"), step
+
+
+def _as_key_type(key, value):
+    default = _default(key)
+    if isinstance(default, list):
+        return [int(value)]
+    return int(value) if isinstance(default, int) else value
+
+
+def outside_values(key, declared):
+    """Values just outside the range declared for `key`."""
+    if callable(declared) or isinstance(declared, tuple):
+        return ["bogus"]
+    low, high, low_in, high_in, odd, step = _interval(key, declared)
+    values = [low - step if low_in else low]
+    if high != float("inf"):
+        values.append(high + step if high_in else high)
+    if odd:
+        values.append(low + 1)
+    return [_as_key_type(key, v) for v in values]
+
+
+def edge_values(key, declared):
+    """The values at the included ends of the range declared for `key`:
+    every choice, and for a strategy two labels in its grammar."""
+    if isinstance(declared, tuple):
+        return list(declared)
+    if callable(declared):
+        return ["tts0", "hyper_dve"]
+    low, high, low_in, high_in, _, _ = _interval(key, declared)
+    ends = [end for end, included in ((low, low_in), (high, high_in))
+            if included and end != float("inf")]
+    return [_as_key_type(key, end) for end in ends]
+
+
+RANGED = sorted(set(SETTABLE) - FREE_TEXT)
+
+
+def test_every_settable_value_but_free_text_declares_its_range():
+    ranges = declared_ranges()
+    assert [key for key in RANGED if key not in ranges] == []
+    assert [key for key in FREE_TEXT if key in ranges] == []
+    assert all(isinstance(_default(key), str) for key in FREE_TEXT)
+
+
+@pytest.mark.parametrize("key", RANGED)
+def test_value_just_outside_its_range_exits_2_before_run_dir(tmp_path, key):
+    declared = declared_ranges()[key]
+    for value in outside_values(key, declared):
+        setting = f"{key}={value if isinstance(value, str) else json.dumps(value)}"
+        for verb in ("gen-corpus", READER[key.split(".")[0]]):
+            out = tmp_path / "runs"
+            code, _, err = run_cli(verb, "--out-dir", str(out), "--set", setting)
+            assert code == 2, (verb, setting, err)
+            assert err.startswith("ConfigError") and key in err, (verb, setting, err)
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("key", RANGED)
+def test_edge_of_each_range_is_accepted(key):
+    for value in edge_values(key, declared_ranges()[key]):
+        setting = f"{key}={value if isinstance(value, str) else json.dumps(value)}"
+        cfg = load_config(None, [setting, *EDGE_CONTEXT.get(key, [])])
+        assert _value(cfg, key) == value
+
+
+@pytest.mark.parametrize("declared, value", [
+    ("[0, inf)", float("nan")), ("[0, inf)", float("inf")), ("[0, inf)", -float("inf")),
+    ("(0, 1)", float("nan")), ("[0, inf)", True), ("[0, inf)", "1"), ("[0, inf)", None),
+    ("odd [1, inf)", 4), ("odd [1, inf)", 9.0), ("[1, inf)", [1, 0]),
+    ("int [1, inf)", [4500.7]), (("a", "b"), "c"),
+])
+def test_in_range_refuses_values_outside(declared, value):
+    with pytest.raises(ConfigError, match=r"^some\.key="):
+        in_range("some.key", value, declared)
+
+
+def test_non_finite_or_negative_values_in_a_config_file_exit_2(tmp_path):
+    # json.load reads NaN and Infinity; the flag --seed sets seed
+    out = tmp_path / "runs"
+    cfg = tmp_path / "cfg.json"
+    for data, args, key in (({"corpus": {"texture": float("nan")}}, [], "corpus.texture"),
+                            ({"schedule": {"peak_lr": float("inf")}}, [], "schedule.peak_lr"),
+                            ({"seed": -1}, [], "seed"), ({}, ["--seed", "-1"], "seed")):
+        cfg.write_text(json.dumps(data))
+        for verb in ("gen-corpus", "pretrain"):
+            code, _, err = run_cli(verb, "--config", str(cfg), "--out-dir", str(out), *args)
+            assert code == 2 and err.startswith("ConfigError") and key in err, err
+            assert not out.exists()
+
+
 def test_default_corpus_fits_the_default_model(tmp_path):
     # the corpus takes its vocabulary, mel width and embedding size from the
     # model config, so the defaults of both verbs agree
@@ -264,9 +413,9 @@ def test_default_corpus_fits_the_default_model(tmp_path):
 
 
 def test_config_hash_ignores_seed_only():
-    a = load_config(None, [], seed=1)
-    b = load_config(None, [], seed=2)
-    c = load_config(None, ["dims.d_r=5"], seed=1)
+    a = load_config(None, ["seed=1"])
+    b = load_config(None, ["seed=2"])
+    c = load_config(None, ["dims.d_r=5", "seed=1"])
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
 
@@ -414,7 +563,7 @@ def test_synthesize_custom_phonemes(pipeline):
     ("synthesize", ["--utt", "adp_00_u001", "--phonemes", "999,3", "--speaker", "adp_99"],
      "synthesize takes --utt, or --phonemes and --speaker, not both"),
     # a corpus file whose spec gives each speaker one utterance, so no train split
-    ("evaluate", ["--split", "train"], "utts_per_speaker=1 with val_fraction=0.2 leaves"),
+    ("evaluate", ["--split", "train"], "corpus metadata: corpus.utts_per_speaker=1 is not in"),
     ("dump-hyper-params", [], "needs a hyper checkpoint"),  # given the pretrained checkpoint
 ])
 def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, message):
@@ -457,10 +606,12 @@ def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message)
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("corpus.speakers_pretrain=1", "at least 2 speakers"),
+    ("corpus.speakers_pretrain=1", "corpus.speakers_pretrain=1 is not in [2, inf)"),
     # no validation, and no train utterance
-    ("corpus.utts_per_speaker=0", "utts_per_speaker=0 with val_fraction=0.2 leaves"),
-    ("corpus.utts_per_speaker=1", "utts_per_speaker=1 with val_fraction=0.2 leaves"),
+    ("corpus.utts_per_speaker=0", "corpus.utts_per_speaker=0 is not in [2, inf)"),
+    ("corpus.utts_per_speaker=1", "corpus.utts_per_speaker=1 is not in [2, inf)"),
+    ("corpus.val_fraction=0.9", "corpus.utts_per_speaker=4 with corpus.val_fraction=0.9 leaves"),
+    ("corpus.min_phonemes=15", "corpus.min_phonemes=15 is more than corpus.max_phonemes=14"),
 ])
 def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, message):
     out = tmp_path / "runs"
