@@ -50,9 +50,12 @@ class CorpusSpec:
     val_fraction: float = ranged(0.2, "(0, 1)")
     min_phonemes: int = ranged(8, "[1, inf)")
     max_phonemes: int = ranged(14, "[1, inf)")
-    texture: float = ranged(0.05, "[0, inf)")  # std of each mel's noise floor
-    jitter: float = ranged(0.02, "[0, inf)")  # length of each embedding's perturbation
-    quirk_scale: float = ranged(2.4, "[0, inf)")  # length of each speaker's quirk vector
+    # At most 1e6: a mel near 1e6 keeps a float32 step (0.0625) below the
+    # phoneme prototypes' spread (0.3), and an embedding perturbed by 1e6
+    # keeps its unit speaker direction above float32's resolution (6e-8).
+    texture: float = ranged(0.05, "[0, 1e6]")  # std of each mel's noise floor
+    jitter: float = ranged(0.02, "[0, 1e6]")  # length of each embedding's perturbation
+    quirk_scale: float = ranged(2.4, "[0, 1e6]")  # length of each speaker's quirk vector
 
     def __post_init__(self):
         check_fields(self, "corpus.")
@@ -347,7 +350,7 @@ def _read_corpus(path):
     fields = asdict(CorpusSpec())
     try:
         checked("seed", 0, meta["seed"])
-        merge_checked(fields, checked("spec", {}, meta["spec"]), "spec.")
+        merge_checked(fields, checked("spec", {}, meta["spec"]), "corpus.")
         index = utterance_index(CorpusSpec(**fields))
     except ConfigError as e:
         raise InputError(f"{path}: corpus metadata: {e}") from None

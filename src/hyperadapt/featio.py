@@ -69,8 +69,10 @@ def write_checkpoint(path, meta, tensors):
 
 
 def _tensor_crc(code, shape, payload):
-    """CRC-32 of a tensor's dtype code and shape, then of its payload."""
-    return zlib.crc32(payload, zlib.crc32(json.dumps([code, *shape]).encode("ascii")))
+    """CRC-32 of a tensor's dtype code and shape, written as the JSON list
+    [code, *shape] ("[1, 48, 20]"), then of its payload."""
+    header = "[" + ", ".join(map(str, (code, *shape))) + "]"
+    return zlib.crc32(payload, zlib.crc32(header.encode("ascii")))
 
 
 def _index_item(path, item):

@@ -1,16 +1,22 @@
 """Optimization: loss assembly, LR schedule, Adam, the pretraining loop, and
 the adaptation loop.
 
-Batching note: a step packs its B utterances into one graph (see
-`model.Pack`: stacked along time, no padding), so the tape has one node per
-op rather than one per op and utterance. The loss is the sum over the pack
-of each utterance's loss (every loss op takes per-utterance means); the flat
-gradient over all trainable tensors is scaled by 1/B once, before the
-finite-gradient check and the Adam step: the gradient of the batch-mean
-loss. Each utterance draws its dropout masks from its own stream,
-rng_for(seed, "dropout", step, position in the batch); those streams are what
-turns dropout on. Validation runs the same packed pass in packs of B with no
-streams, so nothing drops out, under `autodiff.no_grad` (no tape), and
+Batching note: a step's B utterances form two half-packs, batch positions
+[0, ceil(B/2)) and the rest. Each half is one graph (see `model.Pack`:
+stacked along time, no padding), so the tape has one node per op rather than
+one per op and utterance, and its loss is the sum over the half of each
+utterance's loss (every loss op takes per-utterance means). The step's flat
+gradient over all trainable tensors is the first half's plus the second's,
+in that order, scaled by 1/B once, before the finite-gradient check and the
+Adam step: the gradient of the batch-mean loss. When the process may use two
+CPUs, a worker forked once per training call computes every step's second
+half while this process computes the first; else both run here. The same
+function computes a half wherever it runs and BLAS runs one thread in both
+processes, so logs and checkpoints do not depend on the CPU count or on the
+BLAS thread setting. Each utterance draws its dropout masks from its own
+stream, rng_for(seed, "dropout", step, position in the batch); those streams
+are what turns dropout on. Validation runs one packed pass per pack of B with
+no streams, so nothing drops out, under `autodiff.no_grad` (no tape), and
 synthesis is a pack of one run the same way.
 
 An utterance's pitch targets and interpolated log-F0 are properties of the
@@ -31,9 +37,15 @@ tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
 resumed run continues exactly where it stopped.
 """
 
+import contextlib
+import ctypes
 import functools
+import glob
+import mmap
+import multiprocessing
 import os
 import shutil
+import signal
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -262,14 +274,22 @@ def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=Non
 # -----------------------------------------------------------------------------
 
 
+def _shared_empty(size, dtype):
+    """A 1-D array in an anonymous shared mapping: a process forked after
+    it is made reads and writes the same memory."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, size * dtype.itemsize)), dtype, count=size)
+
+
 class Adam:
     """Adam over one flat buffer. The parameters' arrays become views into
     it, so an update is a few whole-buffer operations instead of a few per
     tensor; `step` takes the gradient as one flat array in the same order
-    (see flat_grads). Build it after any checkpoint load into the
-    parameters: an array replaced later is no longer the one it updates.
-    Moments are saved and loaded per tensor, as opt.m.<name> /
-    opt.v.<name>."""
+    (see flat_grads). The buffer is shared memory, so a step's worker
+    (see _SecondHalf) reads every update in place. Build it after any
+    checkpoint load into the parameters: an array replaced later is no
+    longer the one it updates. Moments are saved and loaded per tensor, as
+    opt.m.<name> / opt.v.<name>."""
 
     def __init__(self, named_params):
         self.params = list(named_params)
@@ -277,7 +297,8 @@ class Adam:
         dtypes = {p.data.dtype for _, p in self.params}
         if len(dtypes) > 1:
             raise InputError(f"Adam: parameters mix dtypes {sorted(map(str, dtypes))}")
-        self.flat = np.concatenate([p.data.reshape(-1) for _, p in self.params])
+        self.flat = _shared_empty(sum(p.size for _, p in self.params), dtypes.pop())
+        np.concatenate([p.data.reshape(-1) for _, p in self.params], out=self.flat)
         for (_, p), (_, view) in zip(self.params, per_tensor(self.params, self.flat)):
             p.data = view
         self.m = np.zeros_like(self.flat)
@@ -322,11 +343,11 @@ def per_tensor(named_params, flat):
         offset += p.size
 
 
-def flat_grads(named_params):
+def flat_grads(named_params, out=None):
     """Every parameter's .grad (zeros where none arrived) as one flat array,
-    in the order Adam lays out the same parameters."""
+    in the order Adam lays out the same parameters; into `out` if given."""
     return np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-                           for _, p in named_params])
+                           for _, p in named_params], out=out)
 
 
 # -----------------------------------------------------------------------------
@@ -486,38 +507,163 @@ def _aligner_frozen(model):
     return not any(p.requires_grad for p in reads)
 
 
+def _halves(batch_size):
+    """A step's two half-packs of batch positions: [0, ceil(B/2)) and the rest."""
+    mid = (batch_size + 1) // 2
+    return range(mid), range(mid, batch_size)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, through ctypes, or None when numpy ships
+    none with the thread-count calls."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas*.so")))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    calls = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    if lib is None or not all(hasattr(lib, c) for c in calls):
+        return None
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS at one thread, then restore the count. A
+    BLAS whose count cannot be set is a ConfigError, unless the environment
+    already holds it to one thread."""
+    lib = _openblas()
+    if lib is None:
+        if "1" not in (os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+            raise ConfigError("training needs one BLAS thread, and numpy's BLAS thread count "
+                              "cannot be set from here; set OPENBLAS_NUM_THREADS=1")
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def _serve(conn, half, positions, grad):
+    """A worker's loop: for each step `conn` sends, compute that step's
+    half-pack at `positions` into `grad` and send back its breakdown. An
+    error is sent as (type, message), then raised."""
+    try:
+        while True:
+            step = conn.recv()
+            conn.send(half(step, positions, grad))
+    except BaseException as e:
+        conn.send((type(e), str(e)))
+        raise
+
+
+class _SecondHalf:
+    """Each step's second half-pack, computed by `half(step, positions,
+    out)` into the shared array `grad`. When this process may use two CPUs,
+    a worker forked here computes it while the caller computes the first
+    half (`start`, then `result`); else `result` computes it in this
+    process. Forked, not spawned: the worker takes the model, the split and
+    the frozen alignments as they are, and sees each Adam update through
+    the inherited shared buffer. The worker is killed and reaped on exit,
+    and it dies with the main process, whose death closes their pipe."""
+
+    def __init__(self, half, positions, flat):
+        self.half, self.positions = half, positions
+        self.grad = _shared_empty(flat.size, flat.dtype)
+        self.pid = None
+        if positions and len(os.sched_getaffinity(0)) >= 2:
+            self.conn, theirs = multiprocessing.Pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                try:
+                    self.conn.close()  # the last copy of the main process's end must be its own
+                    _serve(theirs, half, positions, self.grad)
+                finally:
+                    os._exit(1)
+            theirs.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid is not None:
+            self.conn.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+    def start(self, step):
+        if self.pid is not None:
+            self.conn.send(step)
+
+    def result(self, step):
+        """The second half's LossBreakdown at `step`, its gradient in `grad`.
+        A worker's error is raised here as its own type, naming the step."""
+        if self.pid is None:
+            return self.half(step, self.positions, self.grad)
+        try:
+            answer = self.conn.recv()
+        except EOFError:
+            raise InternalInvariantError(
+                f"the worker of the second half-pack ended at step {step + 1}") from None
+        if isinstance(answer, LossBreakdown):
+            return answer
+        kind, message = answer
+        # __new__ alone: a type's own __init__ may take other arguments (ShapeError)
+        raise kind.__new__(kind, f"second half-pack of step {step + 1}: {message}")
+
+
 def _train_steps(model, trainable, utterances, sched, seed, *, start_step, opt,
                  hooks_fn, log, val_utterances, val_log, ckpt_every,
                  save_fn, log_every, val_every):
     """The shared step loop. `hooks_fn` (see compute_losses, or None) gives
-    a pack its adapter tables: once per training step, and once per pack
-    of each validation."""
+    a pack its adapter tables: once per half-pack of a training step, and
+    once per pack of each validation. `opt` is an Adam, built over
+    `trainable`."""
     batcher = _Batcher(seed, len(utterances), sched.batch_size)
     alignments = (frozen_alignments(model, utterances, sched.batch_size)
                   if _aligner_frozen(model) else None)
-    inv_bs = 1.0 / sched.batch_size
-    for step in range(start_step, sched.total_steps):
+
+    def half(step, positions, out):
+        """The LossBreakdown of one half-pack; its flat gradient goes into `out`."""
         for _, p in trainable:
             p.grad = None
-        batch = batcher.batch(step)
-        utts = [utterances[idx] for idx in batch]
-        rngs = [rng_for(seed, "dropout", step, pos) for pos in range(len(utts))]
+        batch = [batcher.batch(step)[pos] for pos in positions]
+        rngs = [rng_for(seed, "dropout", step, pos) for pos in positions]
         total, breakdown = compute_losses(
-            model, utts, step, sched, rngs, hooks_fn=hooks_fn,
+            model, [utterances[idx] for idx in batch], step, sched, rngs, hooks_fn=hooks_fn,
             alignments=None if alignments is None else [alignments[idx] for idx in batch])
         ad.backward(total)
-        grad = flat_grads(trainable)
-        grad *= inv_bs
-        check_finite_grads(grad, step + 1, trainable)
-        lr = lr_at(sched, step + 1)
-        opt.step(grad, lr)
-        done = step + 1
-        if done % log_every == 0 or done == sched.total_steps:
-            log.append(done, breakdown, lr)
-        if val_utterances and (done % val_every == 0 or done == sched.total_steps):
-            val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn), lr)
-        if done % ckpt_every == 0 or done == sched.total_steps:
-            save_fn(done)
+        flat_grads(trainable, out=out)
+        return breakdown
+
+    first, second = _halves(sched.batch_size)
+    grad = np.empty_like(opt.flat)
+    inv_bs = 1.0 / sched.batch_size
+    with _one_blas_thread(), _SecondHalf(half, second, opt.flat) as other:
+        for step in range(start_step, sched.total_steps):
+            other.start(step)
+            breakdown = half(step, first, grad)
+            if second:
+                breakdown = LossBreakdown.average([breakdown, other.result(step)],
+                                                  [len(first), len(second)])
+                grad += other.grad
+            grad *= inv_bs
+            check_finite_grads(grad, step + 1, trainable)
+            lr = lr_at(sched, step + 1)
+            opt.step(grad, lr)
+            done = step + 1
+            if done % log_every == 0 or done == sched.total_steps:
+                log.append(done, breakdown, lr)
+            if val_utterances and (done % val_every == 0 or done == sched.total_steps):
+                val_log.append(done, validate(model, val_utterances, done, sched, hooks_fn), lr)
+            if done % ckpt_every == 0 or done == sched.total_steps:
+                save_fn(done)
     return sched.total_steps
 
 

@@ -584,7 +584,7 @@ def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, mes
 
 @pytest.mark.parametrize("case, message", [
     ("checkpoint", "not a corpus (metadata keys ['adam_t', "),
-    ("string_utts", "corpus metadata: key 'spec.utts_per_speaker' expects int, got '4'"),
+    ("string_utts", "corpus metadata: key 'corpus.utts_per_speaker' expects int, got '4'"),
     ("more_utts", "no array adp_00_u004.phonemes"),
 ])
 def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message):

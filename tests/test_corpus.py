@@ -118,8 +118,8 @@ def _damage(path, kind):
     ("directory", "corpus.bin: cannot be read (Is a directory)"),
     ("manifest", "corpus.bin: not a checkpoint (bad magic or truncated)"),
     ("no_spec", "corpus.bin: not a corpus (metadata keys ['seed'], not seed and spec)"),
-    ("string_n_mels", "corpus metadata: key 'spec.n_mels' expects int, got '20'"),
-    ("unknown_spec_key", "corpus metadata: unknown key 'spec.speakers'"),
+    ("string_n_mels", "corpus metadata: key 'corpus.n_mels' expects int, got '20'"),
+    ("unknown_spec_key", "corpus metadata: unknown key 'corpus.speakers'"),
     ("more_utts", "no array adp_00_u006.phonemes"),
     ("extra_array", "array adp_00_u000.durations is not in the spec's utterance index"),
     ("pre_01_u002", "no array pre_01_u002.phonemes"),
@@ -232,3 +232,15 @@ def test_spec_validation():
         with pytest.raises(ConfigError, match=f"utts_per_speaker={utts} "):
             CorpusSpec(utts_per_speaker=utts, val_fraction=fraction)
     assert CorpusSpec(utts_per_speaker=2, val_fraction=0.2).val_per_speaker == 1
+
+
+@pytest.mark.parametrize("key, huge", [("texture", 1e39), ("quirk_scale", 1e39),
+                                       ("jitter", 1e308)])
+def test_corpus_knob_at_its_bound_writes_finite_features(tmp_path, key, huge):
+    # values past float32's range once wrote non-finite mels or embeddings
+    with pytest.raises(ConfigError, match=rf"^corpus\.{key}="):
+        CorpusSpec(**{key: huge})
+    spec = dataclasses.replace(SMALL, utts_per_speaker=2, **{key: 1e6})
+    for u in load_corpus(generate_corpus(spec, 3, str(tmp_path))):
+        for name in ("mel", "f0", "energy", "embedding"):
+            assert np.isfinite(getattr(u, name)).all(), (u.utt_id, name)

@@ -1,7 +1,9 @@
 """The one binary container, and the corpus file written in it."""
 
+import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -91,6 +93,15 @@ class TestCheckpoint:
         p.write_bytes(featio.CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta)
         with pytest.raises(InputError):
             featio.read_checkpoint(p)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (48, 20), (3, 4, 5)])
+def test_tensor_crc_header_is_the_json_list_of_code_and_shape(shape):
+    # every stored CRC-32 covers json.dumps([code, *shape]) before the payload
+    payload = np.arange(int(np.prod(shape)), dtype=np.float32).tobytes()
+    for code in (1, 2, 3, 4):
+        header = json.dumps([code, *shape]).encode("ascii")
+        assert featio._tensor_crc(code, shape, payload) == zlib.crc32(payload, zlib.crc32(header))
 
 
 def test_checkpoint_index_dtype_flip_raises(tmp_path):

@@ -513,10 +513,12 @@ def test_single_full_batch_step_does_not_increase_loss(pretrained, corpus_path):
     assert batch_loss() <= before
 
 
-class _GradRecorder:
-    """Stands in for Adam: keeps each step's flat gradient, changes nothing."""
+class _GradRecorder(Adam):
+    """An Adam (the step loop reads its shared flat buffer) that keeps each
+    step's flat gradient and changes nothing."""
 
-    def __init__(self):
+    def __init__(self, named_params):
+        super().__init__(named_params)
         self.steps = []
 
     def step(self, grad, lr):
@@ -556,7 +558,7 @@ def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_path, t
     train = load_corpus(corpus_path, adaptation=False, split="train")
     sched = dataclasses.replace(SCHED, total_steps=1, batch_size=3)
     trainable = list(model.named_parameters())
-    rec = _GradRecorder()
+    rec = _GradRecorder(trainable)
     _run_one_step(model, trainable, train, sched, rec, tmp_path)
 
     batch = [train[idx] for idx in tr._Batcher(7, len(train), 3).batch(0)]
@@ -578,7 +580,7 @@ def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpu
     train = load_corpus(corpus_path, adaptation=False, split="train")
     sched = dataclasses.replace(SCHED, total_steps=1, batch_size=8)
     trainable = list(model.named_parameters())
-    rec = _GradRecorder()
+    rec = _GradRecorder(trainable)
     _run_one_step(model, trainable, train, sched, rec, tmp_path)
 
     batch = [train[idx] for idx in tr._Batcher(7, len(train), 8).batch(0)]
