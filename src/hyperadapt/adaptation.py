@@ -237,36 +237,6 @@ class StrategyConfig:
         return self.name if not self.sites else f"{self.name}_{''.join(self.sites)}"
 
 
-def adapter_param_count(dims):
-    """Trainable parameters of one static adapter site."""
-    return dims.d_h * dims.d_r + dims.d_r + dims.d_r * dims.d_h + dims.d_h
-
-
-def hyper_param_count(dims, n_sites):
-    """Trainable parameters of one module's hypernetwork."""
-    d = dims
-    speaker_proj = d.d_1 * d.d_2 + d.d_2
-    layer_embed = n_sites * d.d_l
-    source_proj = (d.d_2 + d.d_l) * d.d_s + d.d_s
-    sampler_down = d.d_s * (d.d_h * d.d_r + d.d_r)
-    sampler_up = d.d_s * (d.d_r * d.d_h + d.d_h)
-    return speaker_proj + layer_embed + source_proj + sampler_down + sampler_up
-
-
-def count_trainable_params(config, site_counts, backbone_param_count=None):
-    """Exact trainable-parameter total for a strategy over a backbone whose
-    modules hold `site_counts` adapter sites (`TTSModel.site_counts()`)."""
-    if config.name == "tts0":
-        return 0
-    if config.name == "ft":
-        if backbone_param_count is None:
-            raise ConfigError("full fine-tuning count requires the backbone parameter count")
-        return int(backbone_param_count)
-    if config.name == "adapter":
-        return sum(site_counts[s] * adapter_param_count(config.dims) for s in config.sites)
-    return sum(hyper_param_count(config.dims, site_counts[s]) for s in config.sites)
-
-
 class _Bank(Module):
     """Attribute bag so adapter/hypernetwork tensors get stable names."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import featio, gradcheck, metrics
 from . import training as tr
-from .adaptation import AdapterDims, StrategyConfig, count_trainable_params
+from .adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from .corpus import CorpusSpec, synthetic_embedding
 from .errors import (ConfigError, HyperadaptError, InputError, StateError, checked, in_range,
                      merge_checked)
@@ -262,16 +262,6 @@ def _cmd_synthesize(cfg):
     return 0
 
 
-def _trainable_count(strategy, model):
-    backbone = model.param_count() if strategy.name == "ft" else None
-    return count_trainable_params(strategy, backbone_param_count=backbone,
-                                  site_counts=model.site_counts())
-
-
-def _trainable_for_checkpoint(loaded):
-    return 0 if loaded.strategy is None else _trainable_count(loaded.strategy, loaded.model)
-
-
 def _cmd_evaluate(cfg):
     section = cfg["evaluate"]
     loaded, utts = _checkpoint_and_corpus(
@@ -286,7 +276,7 @@ def _cmd_evaluate(cfg):
 
     report = metrics.evaluate(
         synth, utts, lambda mel: synthetic_embedding(mel, d_spk),
-        trainable_params=_trainable_for_checkpoint(loaded),
+        trainable_params=0 if loaded.adapted is None else loaded.adapted.trainable_count(),
         backbone_params=model.param_count(),
     )
     path = report.write(prepare_run_dir(cfg, "evaluate"))
@@ -299,7 +289,7 @@ def _cmd_evaluate(cfg):
 
 def _cmd_params(cfg):
     strategy = StrategyConfig.parse(cfg["adapt"]["strategy"], _with_model_sizes(cfg, "dims"))
-    print(_trainable_count(strategy, TTSModel(ModelConfig(**cfg["model"]), seed=0)))
+    print(AdaptedModel(TTSModel(ModelConfig(**cfg["model"]), seed=0), strategy).trainable_count())
     return 0
 
 

@@ -366,7 +366,7 @@ def _read_corpus(path):
 
 def load_corpus(path, *, adaptation=None, split=None):
     """The utterances of a corpus file, in file order, filtered as
-    filter_entries does. Reads the file once and checks every CRC-32; a
+    filter_entries does. Reads the file once and checks its CRC-32; a
     damaged file, metadata that is not a valid seed and spec, or arrays
     other than the ones that spec indexes is an InputError naming the file
     (and the array or key) that says to regenerate it."""

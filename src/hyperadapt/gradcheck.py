@@ -13,8 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, backbone, variance
-from .adaptation import (AdapterDims, HyperNetwork, adapter_forward, adapter_param_count,
-                         site_adapters)
+from .adaptation import AdapterDims, HyperNetwork, adapter_forward, site_adapters
 from .autodiff import Tensor
 from .errors import in_range
 from .layers import rng_for
@@ -119,7 +118,7 @@ def _adapter(seed):
     # generated four-row table (even seeds) or share one row of a two-row
     # table, as static adapters do (odd seeds); the unread rows' zero
     # gradient is checked too
-    n_flat = adapter_param_count(AdapterDims(d_h=_D, d_r=3))
+    n_flat = 2 * _D * 3 + 3 + _D  # [w_down | b_down | w_up | b_up] at d_r=3
     n_rows = 2 if seed % 2 else 4
     table = Tensor(np.random.default_rng(seed + 17).standard_normal((n_rows, n_flat)) * 0.3,
                    requires_grad=True)

@@ -387,8 +387,7 @@ def save_checkpoint(path, model, step, *, adapted=None, opt=None, extra_meta=Non
 @dataclass
 class LoadedCheckpoint:
     model: TTSModel
-    adapted: AdaptedModel = None
-    strategy: StrategyConfig = None  # an adapted checkpoint's, parsed from its metadata
+    adapted: AdaptedModel = None  # the strategy over the model; None for a pretrain's
     meta: dict = field(default_factory=dict)
     arrays: dict = field(default_factory=dict)
 
@@ -438,11 +437,10 @@ def load_checkpoint(path):
     if None not in ranges:
         model.set_ranges(*ranges)
     adapted = None
-    if strategy is not None and strategy.name not in ("tts0", "ft"):
+    if strategy is not None:
         adapted = AdaptedModel(model, strategy)
         adapted.extras.load_state_arrays(arrays, "extras.")
-    return LoadedCheckpoint(model=model, adapted=adapted, strategy=strategy, meta=meta,
-                            arrays=arrays)
+    return LoadedCheckpoint(model=model, adapted=adapted, meta=meta, arrays=arrays)
 
 
 # -----------------------------------------------------------------------------
@@ -818,7 +816,7 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
     path.
 
     tts0 trains nothing: the output file is a byte-for-byte copy of the
-    input, made once every CRC-32 of the input checks. For every other
+    input, made once the input loads as a checkpoint. For every other
     strategy the frozen tensors are snapshotted before and compared bitwise
     after training; any drift is an internal error.
     """
@@ -832,7 +830,7 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
             os.remove(stale)
 
     if strategy.name == "tts0":
-        featio.read_checkpoint(checkpoint_path)
+        load_checkpoint(checkpoint_path)
         _LossLog(log_path, header_extra=(
             f"# strategy\t{strategy.label()}", "# trainable_params\t0"))
         shutil.copyfile(checkpoint_path, out_path)

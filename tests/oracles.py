@@ -8,7 +8,8 @@ constructions were built from and the library no longer has: `narrow`,
 `concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
 probe) and a numpy `log_softmax` build test losses and alignment maps;
 `one` lays out a single utterance and `utterance` wraps feature arrays as a
-corpus utterance.
+corpus utterance. The parameter counts are the closed forms of the adapter
+and hypernetwork shapes; the library counts its built modules instead.
 """
 
 import itertools
@@ -306,6 +307,33 @@ def adapter_reference(h, w_down, b_down, w_up, b_up):
     nodes."""
     z = ad.relu(add_bias(matmul(h, w_down), b_down))
     return ad.add(h, add_bias(matmul(z, w_up), b_up))
+
+
+def adapter_param_count(dims):
+    """Trainable parameters of one static adapter site."""
+    return dims.d_h * dims.d_r + dims.d_r + dims.d_r * dims.d_h + dims.d_h
+
+
+def hyper_param_count(dims, n_sites):
+    """Trainable parameters of one module's hypernetwork."""
+    d = dims
+    speaker_proj = d.d_1 * d.d_2 + d.d_2
+    layer_embed = n_sites * d.d_l
+    source_proj = (d.d_2 + d.d_l) * d.d_s + d.d_s
+    sampler_down = d.d_s * (d.d_h * d.d_r + d.d_r)
+    sampler_up = d.d_s * (d.d_r * d.d_h + d.d_h)
+    return speaker_proj + layer_embed + source_proj + sampler_down + sampler_up
+
+
+def count_trainable_params(config, site_counts, backbone_param_count=None):
+    """Trainable-parameter total of a strategy over a backbone whose modules
+    hold `site_counts` adapter sites: nothing for tts0, the backbone's
+    `backbone_param_count` for ft."""
+    if config.name in ("tts0", "ft"):
+        return backbone_param_count if config.name == "ft" else 0
+    if config.name == "adapter":
+        return sum(site_counts[s] * adapter_param_count(config.dims) for s in config.sites)
+    return sum(hyper_param_count(config.dims, site_counts[s]) for s in config.sites)
 
 
 def adam_reference(named_params, grads, lr_list, beta1=0.9, beta2=0.98, eps=1e-9):

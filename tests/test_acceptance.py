@@ -17,12 +17,7 @@ import pytest
 from hyperadapt import alignment, gradcheck, metrics, variance
 from hyperadapt import featio
 from hyperadapt import training as tr
-from hyperadapt.adaptation import (
-    AdaptedModel,
-    AdapterDims,
-    StrategyConfig,
-    count_trainable_params,
-)
+from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.autodiff import Segments, Tensor
 from hyperadapt.corpus import (
     CorpusSpec,
@@ -30,7 +25,7 @@ from hyperadapt.corpus import (
     load_corpus,
     synthetic_embedding,
 )
-from hyperadapt.model import ModelConfig
+from hyperadapt.model import ModelConfig, TTSModel
 from hyperadapt.training import ScheduleConfig, adaptation_schedule
 
 from oracles import best_path_durations, enumerate_paths_logsumexp, log_softmax, random_grids
@@ -142,7 +137,20 @@ def pipeline(tmp_path_factory):
 # -----------------------------------------------------------------------------
 
 
-def test_criterion_01_parameter_counts_match_published_table():
+@pytest.fixture(scope="module")
+def published_model():
+    """The paper's backbone (ModelConfig's defaults), with its adapter sites."""
+    model = TTSModel(ModelConfig(), seed=0)
+    assert model.site_counts() == PUBLISHED_SITES
+    return model
+
+
+def built_count(model, label, dims=PUBLISHED_DIMS):
+    """Trainable parameters of the strategy `label` built over `model`."""
+    return AdaptedModel(model, StrategyConfig.parse(label, dims)).trainable_count()
+
+
+def test_criterion_01_parameter_counts_match_published_table(published_model):
     expected = {
         "adapter_e": 66_688, "adapter_v": 33_344, "adapter_d": 100_032,
         "adapter_ed": 166_720, "adapter_evd": 200_064,
@@ -151,15 +159,13 @@ def test_criterion_01_parameter_counts_match_published_table():
     }
     got = {}
     for label, want in expected.items():
-        strategy = StrategyConfig.parse(label, PUBLISHED_DIMS)
-        got[label] = count_trainable_params(strategy, site_counts=PUBLISHED_SITES)
+        got[label] = built_count(published_model, label)
         assert got[label] == want, f"{label}: {got[label]} != {want}"
-    assert count_trainable_params(StrategyConfig.parse("tts0"),
-                                  site_counts=PUBLISHED_SITES) == 0
+    assert built_count(published_model, "tts0") == 0
     _verdict(1, f"all {len(expected)} published counts exact, tts0=0")
 
 
-def test_criterion_02_bottleneck_scaling_matches_published_tables():
+def test_criterion_02_bottleneck_scaling_matches_published_tables(published_model):
     # displayed values and their resolution (one unit in the last shown digit)
     tables = {
         "hyper_d": {2: (50_000, 1_000), 8: (151_000, 1_000),
@@ -172,9 +178,7 @@ def test_criterion_02_bottleneck_scaling_matches_published_tables():
     checked = 0
     for label, rows in tables.items():
         for d_s, (shown, resolution) in rows.items():
-            dims = AdapterDims(d_s=d_s)
-            count = count_trainable_params(StrategyConfig.parse(label, dims),
-                                           site_counts=PUBLISHED_SITES)
+            count = built_count(published_model, label, AdapterDims(d_s=d_s))
             assert abs(count - shown) < resolution, (
                 f"{label} d_s={d_s}: {count} vs displayed {shown}")
             checked += 1

@@ -10,9 +10,6 @@ from hyperadapt.adaptation import (
     HyperNetwork,
     StrategyConfig,
     adapter_forward,
-    adapter_param_count,
-    count_trainable_params,
-    hyper_param_count,
     site_adapters,
     static_adapter_table,
 )
@@ -21,7 +18,8 @@ from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
-from oracles import (adapter_reference, concat, generate_reference, narrow, one, single_speaker_table,
+from oracles import (adapter_param_count, adapter_reference, concat, count_trainable_params,
+                     generate_reference, hyper_param_count, narrow, one, single_speaker_table,
                      table_row_reference, utterance, weighted_sum)
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
@@ -508,8 +506,21 @@ def test_strategy_rejects_bad_labels(label):
 # -----------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def published_model():
+    """The paper's backbone: 4 encoder and 6 decoder blocks, d_h=256."""
+    model = TTSModel(ModelConfig(), seed=0)
+    assert model.site_counts() == PUBLISHED_SITES
+    return model
+
+
+def published_count(model, label, dims=PUBLISHED):
+    """Trainable parameters of the strategy `label` built over `model`."""
+    return AdaptedModel(model, StrategyConfig.parse(label, dims)).trainable_count()
+
+
 def test_single_adapter_count():
-    assert adapter_param_count(PUBLISHED) == 16672
+    assert static_adapter_table(0, "a", 1, PUBLISHED.d_h, PUBLISHED.d_r).size == 16672
 
 
 @pytest.mark.parametrize("label,expected", [
@@ -523,9 +534,8 @@ def test_single_adapter_count():
     ("hyper_d", 151240),
     ("hyper_evd", 453336),
 ])
-def test_strategy_counts_at_reference_dims(label, expected):
-    cfg = StrategyConfig.parse(label, PUBLISHED)
-    assert count_trainable_params(cfg, PUBLISHED_SITES) == expected
+def test_strategy_counts_at_reference_dims(published_model, label, expected):
+    assert published_count(published_model, label) == expected
 
 
 @pytest.mark.parametrize("d_s,expected_d,expected_e,expected_evd", [
@@ -534,11 +544,12 @@ def test_strategy_counts_at_reference_dims(label, expected):
     (32, 554464, 554336, 1663008),
     (128, 2167360, 2167232, 6501696),
 ])
-def test_hyper_counts_scale_with_source_dim(d_s, expected_d, expected_e, expected_evd):
+def test_hyper_counts_scale_with_source_dim(published_model, d_s, expected_d, expected_e,
+                                           expected_evd):
     dims = AdapterDims(d_s=d_s)
     for label, expected in (("hyper_d", expected_d), ("hyper_e", expected_e),
                             ("hyper_evd", expected_evd)):
-        assert count_trainable_params(StrategyConfig.parse(label, dims), PUBLISHED_SITES) == expected
+        assert published_count(published_model, label, dims) == expected
 
 
 def test_counts_match_live_modules():
@@ -549,12 +560,9 @@ def test_counts_match_live_modules():
         assert hyper.param_count() == hyper_param_count(PUBLISHED, n_sites)
 
 
-def test_ft_count_requires_backbone_total():
-    assert count_trainable_params(StrategyConfig.parse("tts0"), PUBLISHED_SITES) == 0
-    assert count_trainable_params(StrategyConfig.parse("ft"), PUBLISHED_SITES,
-                                  backbone_param_count=123) == 123
-    with pytest.raises(ConfigError):
-        count_trainable_params(StrategyConfig.parse("ft"), PUBLISHED_SITES)
+def test_ft_counts_the_backbone_and_tts0_nothing(published_model):
+    assert published_count(published_model, "tts0") == 0
+    assert published_count(published_model, "ft") == published_model.param_count() == 11875502
 
 
 # -----------------------------------------------------------------------------

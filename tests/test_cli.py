@@ -586,13 +586,20 @@ def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, mes
     ("checkpoint", "not a corpus (metadata keys ['adam_t', "),
     ("string_utts", "corpus metadata: key 'corpus.utts_per_speaker' expects int, got '4'"),
     ("more_utts", "no array adp_00_u004.phonemes"),
+    ("val_fraction_flip", "CRC-32 mismatch (file damaged or truncated)"),
 ])
 def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message):
-    # a model checkpoint passed as the corpus, and a corpus whose spec has a
-    # value of the wrong type or names utterances the file lacks
+    # a model checkpoint passed as the corpus, a corpus whose spec has a
+    # value of the wrong type or names utterances the file lacks, and one
+    # whose metadata took a flipped byte that would move utterances from
+    # train to validation
     corpus = str(tmp_path / "corpus.bin")
     if case == "checkpoint":
         shutil.copyfile(pipeline["checkpoint"], corpus)
+    elif case == "val_fraction_flip":
+        blob = open(pipeline["corpus"], "rb").read()
+        assert blob.count(b'"val_fraction":0.2') == 1
+        open(corpus, "wb").write(blob.replace(b'"val_fraction":0.2', b'"val_fraction":0.4'))
     else:
         meta, tensors = featio.read_checkpoint(pipeline["corpus"])
         meta["spec"]["utts_per_speaker"] = "4" if case == "string_utts" else 5
@@ -625,27 +632,31 @@ def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, 
     ("pretrain", ["--corpus", "JUNK"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "JUNK"], "not a checkpoint"),
     ("adapt", ["--checkpoint", "JUNK", "--strategy", "tts0"], "not a checkpoint"),
-    ("adapt", ["--checkpoint", "DAMAGED", "--strategy", "tts0"], "payload CRC-32 mismatch"),
+    ("adapt", ["--checkpoint", "DAMAGED", "--strategy", "tts0"],
+     "InputError: {DAMAGED}: CRC-32 mismatch (file damaged or truncated)"),
+    # tts0 copies only a checkpoint, not any container
+    ("adapt", ["--checkpoint", "CORPUS", "--strategy", "tts0"],
+     "InputError: {CORPUS}: checkpoint metadata: key 'model_config' expects dict"),
     # the adapters take model.d_h from the config; the checkpoint's differs
     ("adapt", ["--checkpoint", "PRETRAINED", "--set", "model.d_h=16"],
      "ConfigError: adapters sized for model.d_h=16, but the checkpoint's model has d_h=24"),
 ])
 def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, message):
     # these verbs make their run directory before they read their input;
-    # tts0 copies its input, once every CRC-32 of it checks
+    # tts0 copies its input, once it loads as a checkpoint
     junk = tmp_path / "junk.bin"
     junk.write_bytes(bytes(range(16)))
     damaged = bytearray(open(pipeline["checkpoint"], "rb").read())
     damaged[-1] ^= 0x01
     (tmp_path / "damaged.bin").write_bytes(bytes(damaged))
     paths = {"JUNK": str(junk), "DAMAGED": str(tmp_path / "damaged.bin"),
-             "PRETRAINED": pipeline["checkpoint"]}
+             "PRETRAINED": pipeline["checkpoint"], "CORPUS": pipeline["corpus"]}
     args = [paths.get(a, a) for a in args]
     if verb == "adapt":
         args += ["--corpus", pipeline["corpus"]]
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--config", pipeline["config"], "--out-dir", str(out), *args)
-    assert code == 2 and message in err, err
+    assert code == 2 and message.format(**paths) in err, err
     assert os.listdir(out) == []
 
 

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import os
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -80,7 +79,7 @@ def test_index_order_is_speaker_then_number():
 
 
 def _rewrite(path, edit_meta=None, keep=lambda name: True, add=None):
-    """Rewrite corpus file `path` with edited metadata or tensors, every
+    """Rewrite corpus file `path` with edited metadata or tensors, its
     CRC-32 still valid."""
     meta, tensors = featio.read_checkpoint(path)
     if edit_meta:
@@ -90,9 +89,10 @@ def _rewrite(path, edit_meta=None, keep=lambda name: True, add=None):
 
 
 def _damage(path, kind):
-    if kind == "flip":  # the first payload byte: the first tensor in name order
+    if kind == "flip":  # one byte of the first embedding's payload
+        _, tensors = featio.read_checkpoint(path)
         blob = bytearray(path.read_bytes())
-        blob[12 + struct.unpack("<I", blob[8:12])[0]] ^= 0x40
+        blob[blob.index(tensors["adp_00_u000.embedding"].tobytes())] ^= 0x40
         path.write_bytes(bytes(blob))
     elif kind == "directory":  # a corpus directory in place of its file
         path.unlink()
@@ -114,7 +114,7 @@ def _damage(path, kind):
 
 
 @pytest.mark.parametrize("kind, message", [
-    ("flip", "tensor adp_00_u000.embedding: payload CRC-32 mismatch"),
+    ("flip", "corpus.bin: CRC-32 mismatch (file damaged or truncated)"),
     ("directory", "corpus.bin: cannot be read (Is a directory)"),
     ("manifest", "corpus.bin: not a checkpoint (bad magic or truncated)"),
     ("no_spec", "corpus.bin: not a corpus (metadata keys ['seed'], not seed and spec)"),

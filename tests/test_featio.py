@@ -1,6 +1,5 @@
 """The one binary container, and the corpus file written in it."""
 
-import json
 import re
 import struct
 import zlib
@@ -13,6 +12,11 @@ from hypothesis import strategies as st
 from hyperadapt import featio
 from hyperadapt.corpus import CorpusSpec, generate_corpus, load_corpus
 from hyperadapt.errors import InputError
+
+
+def _meta(meta, payload=b""):
+    """The bytes after a container's magic and before its CRC-32."""
+    return struct.pack("<I", len(meta)) + meta + payload
 
 
 class TestCheckpoint:
@@ -73,47 +77,41 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             featio.read_checkpoint(p)
 
-    @pytest.mark.parametrize("meta", [
-        b"[1, 2]",
-        b'{"tensors": 3}',
-        b'{"tensors": [3]}',
-        b'{"tensors": [{"name": "a", "dtype": 1}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": "ab"}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [-1]}]}',
-        b'{"tensors": [{"name": "a", "dtype": [1], "shape": [1]}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}]}',
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": "0"}]}',
-        # the CRC-32 of an empty f32 tensor of shape [0], so the duplicate
-        # name is what fails
-        b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0], "crc32": 1409254781}, '
-        b'{"name": "a", "dtype": 1, "shape": [0], "crc32": 1409254781}]}',
-    ])
-    def test_malformed_index_rejected(self, tmp_path, meta):
+    @pytest.mark.parametrize("body, message", [
+        (struct.pack("<I", 20) + b'{"tensors": []}', "truncated metadata"),
+        (_meta(b"\xff"), "unreadable metadata"),
+        (_meta(b"[1, 2]"), "metadata is not a JSON object"),
+        (_meta(b'{"tensors": 3}'), "metadata missing tensor index"),
+        (_meta(b'{"tensors": [3]}'), "tensor index entry 3 has no name"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1}]}'),
+         "tensor a: shape None is not a list of sizes"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1, "shape": "ab"}]}'),
+         "tensor a: shape 'ab' is not a list of sizes"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1, "shape": [-1]}]}'),
+         "tensor a: shape [-1] is not a list of sizes"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": [1], "shape": [1]}]}'),
+         "tensor a: unknown dtype code"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1, "shape": [0]}, '
+               b'{"name": "a", "dtype": 1, "shape": [0]}]}'), "tensor a listed twice"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1, "shape": [2]}]}', bytes(4)),
+         "tensor a: payload truncated"),
+        (_meta(b'{"tensors": [{"name": "a", "dtype": 1, "shape": [1]}]}', bytes(6)),
+         "2 trailing bytes after last tensor"),
+    ], ids=lambda v: v if isinstance(v, str) else "frame")
+    def test_malformed_index_rejected(self, tmp_path, body, message):
+        # each file's CRC-32 matches, so the check named is the one that fails
         p = tmp_path / "x.ckpt"
-        p.write_bytes(featio.CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta)
-        with pytest.raises(InputError):
+        p.write_bytes(featio.CHECKPOINT_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(InputError, match=re.escape(f"{p}: {message}")):
             featio.read_checkpoint(p)
 
 
-@pytest.mark.parametrize("shape", [(), (0,), (48, 20), (3, 4, 5)])
-def test_tensor_crc_header_is_the_json_list_of_code_and_shape(shape):
-    # every stored CRC-32 covers json.dumps([code, *shape]) before the payload
-    payload = np.arange(int(np.prod(shape)), dtype=np.float32).tobytes()
-    for code in (1, 2, 3, 4):
-        header = json.dumps([code, *shape]).encode("ascii")
-        assert featio._tensor_crc(code, shape, payload) == zlib.crc32(payload, zlib.crc32(header))
-
-
-def test_checkpoint_index_dtype_flip_raises(tmp_path):
-    # the dtype code and shape are covered by the tensor's CRC-32: a float32
-    # ones tensor whose index says int32 would read back as 1065353216
+def test_crc_covers_every_byte_between_the_magic_and_itself(tmp_path):
     p = tmp_path / "x.ckpt"
-    featio.write_checkpoint(p, {}, {"w": np.ones(4, dtype=np.float32)})
+    featio.write_checkpoint(p, {"step": 1}, {"w": np.ones(3, dtype=np.float32)})
     blob = p.read_bytes()
-    assert blob.count(b'"dtype":1') == 1
-    p.write_bytes(blob.replace(b'"dtype":1', b'"dtype":3'))
-    with pytest.raises(InputError, match="tensor w: payload CRC-32 mismatch"):
-        featio.read_checkpoint(p)
+    assert blob[:8] == b"HACKPT02"
+    assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[8:-4]))
 
 
 def _damaged(blob):
@@ -136,39 +134,52 @@ def intact(tmp_path_factory):
         (featio.read_checkpoint, "x.ckpt"), (load_corpus, "corpus.bin"))}
 
 
-@pytest.mark.parametrize("reader", [featio.read_checkpoint, load_corpus],
-                         ids=lambda f: f.__name__)
+READERS = pytest.mark.parametrize("reader", [featio.read_checkpoint, load_corpus],
+                                  ids=lambda f: f.__name__)
+
+
+def _raises_naming(reader, path):
+    with pytest.raises(InputError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: "), info.value
+
+
+@READERS
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_damaged_file_reads_or_raises_input_error(intact, reader, data):
-    # a file whose tensor payload took the damage never reads: its CRC-32
-    # no longer matches, so no wrong numbers come back
+def test_damaged_file_raises_input_error(intact, reader, data):
+    # whichever byte took the damage, the CRC-32 no longer matches, so no
+    # wrong numbers come back
     directory, name, blob = intact[reader]
     path = directory / ("damaged-" + name)
-    damaged = data.draw(_damaged(blob))
-    path.write_bytes(damaged)
-    start = _payload_start(blob)
-    payload_hit = len(damaged) == len(blob) and damaged[start:] != blob[start:]
-    try:
-        reader(path)
-    except InputError:
-        return
-    assert not payload_hit, f"a {name} with a damaged tensor payload read back"
+    path.write_bytes(data.draw(_damaged(blob)))
+    _raises_naming(reader, path)
 
 
-def _payload_start(blob):
-    """Offset of the first tensor payload byte of a checkpoint."""
-    return 12 + struct.unpack("<I", blob[8:12])[0]
+@READERS
+def test_every_truncation_and_byte_flip_raises_naming_the_file(intact, reader):
+    directory, name, blob = intact[reader]
+    path = directory / ("every-" + name)
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        _raises_naming(reader, path)
+    for i in range(len(blob)):
+        for mask in (0x01, 0x40, 0xFF):
+            path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])
+            _raises_naming(reader, path)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_checkpoint_payload_flip_raises_naming_the_tensor(intact, data):
-    directory, name, blob = intact[featio.read_checkpoint]
-    i = data.draw(st.integers(_payload_start(blob), len(blob) - 1))
-    mask = data.draw(st.integers(1, 255))
+@pytest.mark.parametrize("reader, old, new", [
+    # the loader would move utterances from train to validation
+    (load_corpus, b'"val_fraction":0.2', b'"val_fraction":0.4'),
+    (featio.read_checkpoint, b'"step":3', b'"step":4'),
+    # float32 ones read as int32 would be 1065353216
+    (featio.read_checkpoint, b'"dtype":1', b'"dtype":3'),
+], ids=["val_fraction", "step", "dtype"])
+def test_metadata_flip_raises_naming_the_file(intact, reader, old, new):
+    directory, name, blob = intact[reader]
     path = directory / ("flipped-" + name)
-    path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])
-    tensor = "a.w" if i - _payload_start(blob) < 4 * 6 else "b"  # payloads in name order
-    with pytest.raises(InputError, match=f"tensor {tensor}: payload CRC-32 mismatch"):
-        featio.read_checkpoint(path)
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(InputError, match=re.escape(f"{path}: CRC-32 mismatch")):
+        reader(path)

@@ -13,7 +13,7 @@ import hyperadapt.training as tr
 from hyperadapt import cli, featio, kernels
 from hyperadapt import model as model_mod
 from hyperadapt import variance as var_mod
-from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig, count_trainable_params
+from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.alignment import AlignmentMap
 from hyperadapt.autodiff import Tensor
 from hyperadapt.corpus import CorpusSpec, Utterance, generate_corpus, load_corpus
@@ -37,7 +37,7 @@ from hyperadapt.training import (
     lr_at,
 )
 
-from oracles import adam_reference
+from oracles import adam_reference, count_trainable_params
 
 TRAIN_CFG = ModelConfig(
     vocab_size=32, n_mels=20, d_h=24, heads=2, enc_layers=1, dec_layers=1,
@@ -465,11 +465,12 @@ def test_pretrain_requires_embeddings(pretrained, adapted, corpus_path, tmp_path
             featio.write_checkpoint(corpus, meta, tensors)
             expected = (f"{corpus}: array adp_00_u000.durations is not in the spec's "
                         "utterance index")
-        else:  # one flipped bit in the first tensor payload
+        else:  # one flipped bit in the first embedding's payload
+            _, tensors = featio.read_checkpoint(corpus)
             blob = bytearray(corpus.read_bytes())
-            blob[12 + int.from_bytes(blob[8:12], "little")] ^= 0x01
+            blob[blob.index(tensors["adp_00_u000.embedding"].tobytes())] ^= 0x01
             corpus.write_bytes(bytes(blob))
-            expected = f"{corpus}: tensor adp_00_u000.embedding: payload CRC-32 mismatch"
+            expected = f"{corpus}: CRC-32 mismatch (file damaged or truncated)"
         with pytest.raises(InputError, match=re.escape(expected)):
             tr.pretrain(str(corpus), TRAIN_CFG, SCHED, str(tmp_path / "run"), seed=3)
         common = ["--corpus", str(corpus), "--out-dir", str(tmp_path / "runs")]
@@ -683,8 +684,8 @@ def test_adapt_tts0_is_byte_copy(pretrained, corpus_path, tmp_path):
 
 
 def test_loaded_checkpoint_carries_its_strategy(pretrained, adapted):
-    assert tr.load_checkpoint(pretrained[0]).strategy is None
-    strategy = tr.load_checkpoint(adapted[0]).strategy
+    assert tr.load_checkpoint(pretrained[0]).adapted is None
+    strategy = tr.load_checkpoint(adapted[0]).adapted.strategy
     assert strategy == StrategyConfig.parse("hyper_ev", DIMS)
 
 
@@ -729,8 +730,8 @@ def test_adapted_checkpoint_reloads_with_hooks(adapted):
 
 
 def _rewrite_meta(src, dst, edit):
-    """A copy of checkpoint src at dst with edited metadata; every tensor
-    CRC stays valid, so only the metadata is wrong."""
+    """A copy of checkpoint src at dst with edited metadata; its CRC-32
+    stays valid, so only the metadata is wrong."""
     meta, arrays = featio.read_checkpoint(src)
     edit(meta)
     featio.write_checkpoint(dst, meta, arrays)
