@@ -1,13 +1,13 @@
-"""The full acoustic model: backbone + variance adaptor + alignment, with the
-teacher-forced training path and the free-running synthesis path.
+"""The full acoustic model: backbone + variance adaptor + alignment, run as
+one pass that training and synthesis share.
 
-Training consumes ground-truth mel/f0/energy for a `Pack` of utterances:
-their phonemes and frames stacked along time with no padding, run as one
-graph. Phoneme durations come from the online alignment (Viterbi over the
-soft map), never from an external aligner. Synthesis is a pack of one and
-runs entirely from predictions: durations from the duration head, pitch
-reconstructed from the predicted wavelet spectrogram, energy from the energy
-head, all fed back through the quantized embedding tables. A pass drops
+A pass runs over a pack of utterances: their phonemes stacked along time
+with no padding, as one graph. Training teacher-forces it with a `Pack`'s
+targets: durations from the online alignment (Viterbi over the soft map,
+never an external aligner), and the true log-f0 and energy fed through the
+quantized embedding tables. Synthesis is a pack of one run from its own
+predictions: durations from the duration head, pitch reconstructed from the
+predicted wavelet spectrogram, energy from the energy head. A pass drops
 out only when it is given dropout streams, one per utterance: training steps
 give them, and validation and synthesis give none and run under `no_grad`.
 """
@@ -142,36 +142,47 @@ class TTSModel(Module):
         amap = soft_align(text_feats, mel_feats, ph, fr)
         return amap, viterbi_durations(amap)
 
-    def forward_train(self, pack, rngs, hooks=None, durations=None):
-        """Teacher-forced pass over a Pack, one graph for all its utterances.
-        `rngs` holds one dropout generator per utterance, or is empty for a
-        pass without dropout. `hooks` is AdaptedModel.hooks_for of the pack's
-        speakers (one table per module for the whole pack), or None. Returns
-        packed predictions (rows in pack order; pitch mean and variance one
-        per utterance) plus the alignment maps and the packed Viterbi
-        durations used for length regulation. Given `durations` (those a
-        frozen aligner gave the pack before), the aligner does not run and the
-        maps are None."""
-        ph, fr = pack.phonemes_seg, pack.frames_seg
-        spk_t = self._speaker_tensor(pack.embedding)
-        h_enc = self.encoder(pack.phonemes, ph, rngs, adapters=self._adapters(hooks, "e", ph))
+    def forward(self, phonemes, ph, speakers, rngs, hooks=None, targets=None):
+        """One pass over packed phonemes laid out by `ph` and their (B, d_spk)
+        speakers, as one graph. `rngs` holds one dropout generator per
+        utterance, or none for a pass without dropout; `hooks` is
+        AdaptedModel.hooks_for of the speakers, or None.
 
-        amap = None
-        if durations is None:
-            amap, durations = self.align(pack)
-
+        Packed `targets` = (durations, log_f0, energy) teacher-force the pass.
+        Without them it runs from its own predictions: rounded durations, f0
+        rebuilt per utterance from the wavelet spectrogram, and the predicted
+        energy; a non-finite f0, energy or mel is a NumericsError. Returns
+        packed predictions (pitch mean and variance one per utterance), the
+        durations used and the f0 (None when teacher-forced)."""
+        spk_t = self._speaker_tensor(speakers)
+        h_enc = self.encoder(phonemes, ph, rngs, adapters=self._adapters(hooks, "e", ph))
         h = self.variance.condition(h_enc, spk_t, ph)
         log_dur_pred = self.variance.duration(h, ph, rngs)
+        if targets is None:
+            durations = var_mod.durations_from_log(log_dur_pred.data)
+        else:
+            durations, log_f0, energy = targets
         h_reg = var_mod.length_regulate(h, durations)
 
+        fr = Segments(np.add.reduceat(durations, ph.starts))
         pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
         pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, fr, rngs, adapter=pitch_adapter)
-        h_p = self.variance.inject_pitch(h_reg, pack.log_f0)
+        f0 = None
+        if targets is None:
+            f0 = _finite("f0", np.concatenate([var_mod.icwt_reconstruct(
+                pitch_spec.data[s:e].T.astype(np.float64), float(pitch_mean.data[b]),
+                max(float(pitch_var.data[b]), 0.0)) for b, (s, e) in enumerate(fr.bounds)]))
+            log_f0 = np.log(f0)
+        h_p = self.variance.inject_pitch(h_reg, log_f0)
         energy_pred = self.variance.energy(h_p, fr, rngs, adapter=energy_adapter)
-        h_pe = self.variance.inject_energy(h_p, pack.energy)
+        if targets is None:
+            energy = _finite("energy", energy_pred.data).astype(np.float64)
+        h_pe = self.variance.inject_energy(h_p, energy)
 
         mel_pre = self.decoder(h_pe, fr, rngs, adapters=self._adapters(hooks, "d", fr))
         mel_post = self.postnet(mel_pre, fr, rngs)
+        if targets is None:
+            _finite("mel", mel_post.data)
         return {
             "mel_pre": mel_pre,
             "mel_post": mel_post,
@@ -180,49 +191,26 @@ class TTSModel(Module):
             "pitch_mean": pitch_mean,
             "pitch_var": pitch_var,
             "energy": energy_pred,
-            "amap": amap,
             "durations": durations,
+            "f0": f0,
         }
 
     @ad.no_grad()
     def synthesize(self, phonemes, spk, hooks=None):
-        """Free-running synthesis from phonemes and a speaker embedding, as a
-        pack of one with no dropout streams; `hooks` is
-        AdaptedModel.hooks_for of that one speaker, or None. Records no tape.
+        """Free-running synthesis: `forward` over a pack of one utterance, with
+        no dropout streams and no targets; `hooks` is AdaptedModel.hooks_for
+        of that one speaker, or None. Records no tape.
 
         Returns (mel (m, n_mels) float32, info dict with durations, f0, energy).
-        A non-finite predicted f0, energy or mel is a NumericsError.
         """
         ids = np.asarray(phonemes)
-        spk_t = self._speaker_tensor(spk)
-        if spk_t.shape[0] != 1:
-            raise InputError(f"synthesize takes one speaker embedding, got {spk_t.shape[0]}")
-        ph = Segments([ids.size])
-        h_enc = self.encoder(ids, ph, (), adapters=self._adapters(hooks, "e", ph))
-        h = self.variance.condition(h_enc, spk_t, ph)
-        durations = var_mod.durations_from_log(self.variance.duration(h, ph, ()).data)
-        h_reg = var_mod.length_regulate(h, durations)
-
-        fr = Segments([int(durations.sum())])
-        pitch_adapter, energy_adapter = self._adapters(hooks, "v", fr)
-        pitch_spec, pitch_mean, pitch_var = self.variance.pitch(h_reg, fr, (), adapter=pitch_adapter)
-        f0 = _finite("f0", var_mod.icwt_reconstruct(
-            pitch_spec.data.T.astype(np.float64),
-            float(pitch_mean.data[0]),
-            max(float(pitch_var.data[0]), 0.0),
-        ))
-        h_p = self.variance.inject_pitch(h_reg, np.log(f0))
-        energy = _finite("energy", self.variance.energy(h_p, fr, (), adapter=energy_adapter).data)
-        h_pe = self.variance.inject_energy(h_p, energy.astype(np.float64))
-
-        mel_pre = self.decoder(h_pe, fr, (), adapters=self._adapters(hooks, "d", fr))
-        mel_post = _finite("mel", self.postnet(mel_pre, fr, ()).data)
+        out = self.forward(ids, Segments([ids.size]), spk, (), hooks=hooks)
         info = {
-            "durations": durations,
-            "f0": f0.astype(np.float32),
-            "energy": energy.astype(np.float32).copy(),
+            "durations": out["durations"],
+            "f0": out["f0"].astype(np.float32),
+            "energy": out["energy"].data.astype(np.float32),
         }
-        return mel_post.astype(np.float32), info
+        return out["mel_post"].data.astype(np.float32), info
 
 
 def _finite(name, values):

@@ -17,7 +17,7 @@ BLAS thread setting. Each utterance draws its dropout masks from its own
 stream, rng_for(seed, "dropout", step, position in the batch); those streams
 are what turns dropout on. Validation runs one packed pass per pack of B with
 no streams, so nothing drops out, under `autodiff.no_grad` (no tape), and
-synthesis is a pack of one run the same way.
+synthesis runs the same `TTSModel.forward` as a pack of one, untaught.
 
 An utterance's pitch targets and interpolated log-F0 are properties of the
 `corpus.Utterance`, computed the first time a step or a validation pass
@@ -185,13 +185,13 @@ def frozen_alignments(model, utterances, batch_size):
 def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=None):
     """(total loss Tensor, LossBreakdown) for a pack of utterances.
 
-    One packed forward pass; the graph's total is the sum over the pack of
-    each utterance's weighted loss, and the breakdown reports per-utterance
-    means. `rngs` holds one dropout generator per utterance, or is empty for
-    a pass without dropout. `hooks_fn` maps the Pack (its `.embedding` holds
-    the (B, d_spk) speakers) to adapter tables, as
-    `lambda u: adapted.hooks_for(u.embedding)` does, once per pass and
-    before any other node; None adds no adapters.
+    One packed forward pass, taught the aligner's durations; the graph's
+    total is the sum over the pack of each utterance's weighted loss, and
+    the breakdown reports per-utterance means. `rngs` holds one dropout
+    generator per utterance, or is empty for a pass without dropout.
+    `hooks_fn` maps the Pack (its `.embedding` holds the (B, d_spk)
+    speakers) to adapter tables, as `lambda u: adapted.hooks_for(u.embedding)`
+    does, once per pass and before any other node; None adds no adapters.
     Gated components (weight 0) are still evaluated as plain numbers for the
     log, but stay out of the graph so they cost no backward work.
 
@@ -204,14 +204,18 @@ def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=Non
     weights = loss_weights(sched, step)
     pack = Pack(utts)
     hooks = None if hooks_fn is None else hooks_fn(pack)
-    out = model.forward_train(pack, rngs, hooks=hooks, durations=None if alignments is None else
-                              np.concatenate([a.durations for a in alignments]))
+    if alignments is None:
+        amap, durations = model.align(pack)
+    else:
+        durations = np.concatenate([a.durations for a in alignments])
+    out = model.forward(pack.phonemes, pack.phonemes_seg, pack.embedding, rngs, hooks=hooks,
+                        targets=(durations, pack.log_f0, pack.energy))
     phonemes, frames, per_utt = pack.phonemes_seg, pack.frames_seg, pack.utterances_seg
     targets = [u.pitch_targets for u in utts]
     spec_t = np.concatenate([t[0] for t in targets])
     mean_t = np.array([t[1] for t in targets], dtype=ad.DEFAULT_DTYPE)
     var_t = np.array([t[2] for t in targets], dtype=ad.DEFAULT_DTYPE)
-    log_dur_t = np.log(out["durations"]).astype(ad.DEFAULT_DTYPE)
+    log_dur_t = np.log(durations).astype(ad.DEFAULT_DTYPE)
     energy_t = pack.energy.astype(ad.DEFAULT_DTYPE)
     mel = pack.mel
     n_utts = len(utts)
@@ -232,9 +236,8 @@ def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=Non
         term(name, lambda: loss(pred, target, seg), lambda: seg.means(error(pred.data - target)))
 
     if alignments is None:
-        amap = out["amap"]
         alignment_terms = (lambda: forward_sum_loss(amap),
-                           lambda: binarization_loss(amap, out["durations"]))
+                           lambda: binarization_loss(amap, durations))
     else:
         fs = forward_sum_value(np.array([a.forward_sum for a in alignments]), ad.DEFAULT_DTYPE)
         bz = binarization_value(np.concatenate([a.path_log_probs for a in alignments]))
@@ -815,8 +818,9 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
     see StrategyConfig.parse) and `dims`. Returns the adapted checkpoint
     path.
 
-    tts0 trains nothing: the output file is a byte-for-byte copy of the
-    input, made once the input loads as a checkpoint. For every other
+    An input that is not a pretraining checkpoint is a StateError. tts0
+    trains nothing: the output file is a byte-for-byte copy of the input,
+    made once the input loads as a pretraining checkpoint. For every other
     strategy the frozen tensors are snapshotted before and compared bitwise
     after training; any drift is an internal error.
     """
@@ -829,14 +833,15 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
         if os.path.exists(stale):
             os.remove(stale)
 
+    loaded = load_checkpoint(checkpoint_path)
+    if loaded.meta.get("kind") != "pretrain":
+        raise StateError(f"{checkpoint_path} is not a pretraining checkpoint")
     if strategy.name == "tts0":
-        load_checkpoint(checkpoint_path)
         _LossLog(log_path, header_extra=(
             f"# strategy\t{strategy.label()}", "# trainable_params\t0"))
         shutil.copyfile(checkpoint_path, out_path)
         return out_path
 
-    loaded = load_checkpoint(checkpoint_path)
     model = loaded.model
     utts = load_fitting_corpus(corpus_path, model.config, adaptation=True)
     train, val = (corpus_mod.filter_entries(utts, split=s) for s in ("train", "val"))

@@ -7,9 +7,12 @@ a fused or vectorised library routine replaced, including the tape ops those
 constructions were built from and the library no longer has: `narrow`,
 `concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
 probe) and a numpy `log_softmax` build test losses and alignment maps;
-`one` lays out a single utterance and `utterance` wraps feature arrays as a
-corpus utterance. The parameter counts are the closed forms of the adapter
-and hypernetwork shapes; the library counts its built modules instead.
+`one` lays out a single utterance, `utterance` wraps feature arrays as a
+corpus utterance, `teacher_forced` runs a model's training pass over a pack
+the way `training.compute_losses` does, and `off_identity` moves an adapted
+model's adapter tensors so every site acts. The parameter counts are the
+closed forms of the adapter and hypernetwork shapes; the library counts its
+built modules instead.
 """
 
 import itertools
@@ -20,6 +23,7 @@ import hyperadapt.autodiff as ad
 from hyperadapt import variance
 from hyperadapt.corpus import Utterance
 from hyperadapt.errors import ShapeError
+from hyperadapt.layers import rng_for
 
 
 def one(n):
@@ -29,6 +33,24 @@ def one(n):
 
 def utterance(phonemes, mel, f0, energy, embedding, utt_id):
     return Utterance(utt_id, "spk", "train", np.asarray(phonemes), mel, f0, energy, embedding)
+
+
+def teacher_forced(model, pack, rngs=(), hooks=None):
+    """(TTSModel.forward output, alignment maps) of a Pack's training pass:
+    the aligner runs first, and its Viterbi durations and the pack's log-f0
+    and energy are the forward pass's targets."""
+    amap, durations = model.align(pack)
+    out = model.forward(pack.phonemes, pack.phonemes_seg, pack.embedding, rngs, hooks=hooks,
+                        targets=(durations, pack.log_f0, pack.energy))
+    return out, amap
+
+
+def off_identity(adapted):
+    """`adapted`, each adapter-surface tensor nudged by a fixed random 0.05
+    so every adapter site acts and passes gradient."""
+    for name, p in adapted.extras.named_parameters():
+        p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
+    return adapted
 
 
 def all_paths(n, m):

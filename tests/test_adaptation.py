@@ -20,7 +20,8 @@ from hyperadapt.model import ModelConfig, Pack, TTSModel
 
 from oracles import (adapter_param_count, adapter_reference, concat, count_trainable_params,
                      generate_reference, hyper_param_count, narrow, one, single_speaker_table,
-                     table_row_reference, utterance, weighted_sum)
+                     off_identity, table_row_reference, teacher_forced, utterance,
+                     weighted_sum)
 
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 PUBLISHED_SITES = {"e": 4, "v": 2, "d": 6}  # the paper's backbone: 4 encoder, 6 decoder blocks
@@ -658,10 +659,10 @@ def pack_of(*utterances):
     return Pack([utterance(*u, utt_id=f"u{i}") for i, u in enumerate(utterances)])
 
 
-def _forward_train_ops(monkeypatch, model, hooks_fn):
+def _training_pass_ops(monkeypatch, model, hooks_fn):
     """op name -> count of the tape nodes that building the hooks and one
-    forward_train over a pack of eight utterances of eight speakers
-    record."""
+    training pass (aligner and teacher-forced forward) over a pack of eight
+    utterances of eight speakers record."""
     counts = {}
     real = ad.from_op
 
@@ -673,7 +674,7 @@ def _forward_train_ops(monkeypatch, model, hooks_fn):
     with monkeypatch.context() as patch:
         patch.setattr(ad, "from_op", counting)
         hooks = hooks_fn(np.stack([u[4] for u in utts]))
-        model.forward_train(pack_of(*utts), (), hooks=hooks)
+        teacher_forced(model, pack_of(*utts), hooks=hooks)
     return counts
 
 
@@ -684,8 +685,8 @@ def test_hyper_forward_train_adds_one_node_per_module_and_per_site(monkeypatch):
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", SMALL), seed=5)
-    with_hooks = _forward_train_ops(monkeypatch, model, adapted.hooks_for)
-    without = _forward_train_ops(monkeypatch, model, lambda speakers: None)
+    with_hooks = _training_pass_ops(monkeypatch, model, adapted.hooks_for)
+    without = _training_pass_ops(monkeypatch, model, lambda speakers: None)
     assert with_hooks.pop("hyper_generate") == 3
     assert with_hooks.pop("adapter") == 6
     assert with_hooks == without
@@ -697,10 +698,9 @@ def test_adapted_forward_train_identity_at_init(label):
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     args = train_args(model, seed=4, frames=12)
-    ref = model.forward_train(pack_of(args), ())
+    ref, _ = teacher_forced(model, pack_of(args))
     adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    out = model.forward_train(pack_of(args), (),
-                              hooks=adapted.hooks_for(args[4]))
+    out, _ = teacher_forced(model, pack_of(args), hooks=adapted.hooks_for(args[4]))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
 
@@ -711,9 +711,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
     # utterance gets the predictions (and the gradient) it gets alone
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
-    adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
-    for name, p in adapted.extras.named_parameters():
-        p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
+    adapted = off_identity(AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5))
     utts = [train_args(model, seed=4, frames=12), train_args(model, seed=6, frames=9,
                                                             phonemes=(3, 1, 5))]
     trainable = adapted.named_trainable()
@@ -722,7 +720,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
         for _, p in trainable:
             p.grad = None
         hooks = adapted.hooks_for(np.stack([u[4] for u in pack_utts]))
-        out = model.forward_train(pack_of(*pack_utts), (), hooks=hooks)
+        out, _ = teacher_forced(model, pack_of(*pack_utts), hooks=hooks)
         total = ad.sum_all(out["mel_post"])
         for key in ("pitch_spec", "energy", "log_dur"):
             total = ad.add(total, ad.sum_all(out[key]))

@@ -640,17 +640,23 @@ def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, 
     # the adapters take model.d_h from the config; the checkpoint's differs
     ("adapt", ["--checkpoint", "PRETRAINED", "--set", "model.d_h=16"],
      "ConfigError: adapters sized for model.d_h=16, but the checkpoint's model has d_h=24"),
+    # an adapted checkpoint is neither the tts0 baseline nor a backbone to adapt again
+    ("adapt", ["--checkpoint", "ADAPTED", "--strategy", "tts0"],
+     "StateError: {ADAPTED} is not a pretraining checkpoint"),
+    ("adapt", ["--checkpoint", "ADAPTED", "--strategy", "hyper_evd"],
+     "StateError: {ADAPTED} is not a pretraining checkpoint"),
 ])
 def test_bad_input_removes_the_run_dir_it_made(pipeline, tmp_path, verb, args, message):
     # these verbs make their run directory before they read their input;
-    # tts0 copies its input, once it loads as a checkpoint
+    # tts0 copies its input, once it loads as a pretraining checkpoint
     junk = tmp_path / "junk.bin"
     junk.write_bytes(bytes(range(16)))
     damaged = bytearray(open(pipeline["checkpoint"], "rb").read())
     damaged[-1] ^= 0x01
     (tmp_path / "damaged.bin").write_bytes(bytes(damaged))
     paths = {"JUNK": str(junk), "DAMAGED": str(tmp_path / "damaged.bin"),
-             "PRETRAINED": pipeline["checkpoint"], "CORPUS": pipeline["corpus"]}
+             "PRETRAINED": pipeline["checkpoint"], "CORPUS": pipeline["corpus"],
+             "ADAPTED": pipeline["adapted"]}
     args = [paths.get(a, a) for a in args]
     if verb == "adapt":
         args += ["--corpus", pipeline["corpus"]]

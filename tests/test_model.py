@@ -1,4 +1,5 @@
-"""Full-model passes: teacher-forced training path and free-running synthesis."""
+"""Full-model passes through TTSModel.forward: teacher-forced as training
+runs it, free-running as synthesis runs it, and the two as one wiring."""
 
 import re
 
@@ -9,16 +10,19 @@ from hyperadapt import autodiff as ad
 from hyperadapt import metrics
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
+from hyperadapt.autodiff import Segments
 from hyperadapt.errors import ConfigError, InputError, NumericsError, StateError
 from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
-from oracles import utterance
+from oracles import off_identity, teacher_forced, utterance
 
 CFG = ModelConfig(
     vocab_size=12, n_mels=16, d_h=32, heads=2, enc_layers=2, dec_layers=2,
     d_spk=24, d_attn=16, postnet_channels=24, postnet_layers=3,
 )
+
+DIMS = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
 
 RANGES = ((np.log(80.0), np.log(400.0)), (0.1, 2.0))
 
@@ -48,7 +52,7 @@ def pack_of(*utterances):
 
 
 # -----------------------------------------------------------------------------
-# teacher-forced path
+# teacher-forced pass (training)
 # -----------------------------------------------------------------------------
 
 
@@ -56,13 +60,14 @@ def test_forward_train_shapes_and_duration_accounting():
     model = build_model()
     phonemes, mel, f0, energy, spk = sample_inputs()
     n, frames = len(phonemes), mel.shape[0]
-    out = model.forward_train(pack_of(sample_inputs()), ())
+    out, amap = teacher_forced(model, pack_of(sample_inputs()))
 
     assert out["mel_pre"].data.shape == (frames, CFG.n_mels)
     assert out["mel_post"].data.shape == (frames, CFG.n_mels)
     assert out["log_dur"].data.shape == (n,)
     assert out["energy"].data.shape == (frames,)
-    assert out["amap"].log_probs.data.shape == (1, n, frames)
+    assert amap.log_probs.data.shape == (1, n, frames)
+    assert out["f0"] is None
 
     spec_t, _, _ = var_mod.pitch_targets(f0.astype(np.float64))
     assert out["pitch_spec"].data.shape == spec_t.T.shape
@@ -74,7 +79,7 @@ def test_forward_train_shapes_and_duration_accounting():
     assert (durations >= 1).all()
 
     # columns of the soft alignment are log distributions over phonemes
-    col_mass = np.exp(out["amap"].log_probs.data).sum(axis=1)
+    col_mass = np.exp(amap.log_probs.data).sum(axis=1)
     np.testing.assert_allclose(col_mass, 1.0, atol=1e-5)
 
 
@@ -83,10 +88,10 @@ def test_pack_matches_packs_of_one():
     # utterance the predictions it gets alone
     model = build_model()
     utts = [sample_inputs(seed=s, n=n, frames_per=f) for s, n, f in ((5, 6, 3), (6, 4, 5), (7, 9, 2))]
-    packed = model.forward_train(pack_of(*utts), ())
+    packed, packed_amap = teacher_forced(model, pack_of(*utts))
     starts = {"p": 0, "f": 0}
     for b, utt in enumerate(utts):
-        alone = model.forward_train(pack_of(utt), ())
+        alone, alone_amap = teacher_forced(model, pack_of(utt))
         n, m = len(utt[0]), utt[1].shape[0]
         p, f = slice(starts["p"], starts["p"] + n), slice(starts["f"], starts["f"] + m)
         np.testing.assert_array_equal(packed["durations"][p], alone["durations"])
@@ -96,15 +101,15 @@ def test_pack_matches_packs_of_one():
                                        err_msg=key)
         for key in ("pitch_mean", "pitch_var"):
             np.testing.assert_allclose(packed[key].data[b], alone[key].data[0], atol=2e-5)
-        np.testing.assert_allclose(packed["amap"].log_probs.data[b, :n, :m],
-                                   alone["amap"].log_probs.data[0], atol=2e-5)
+        np.testing.assert_allclose(packed_amap.log_probs.data[b, :n, :m],
+                                   alone_amap.log_probs.data[0], atol=2e-5)
         starts["p"] += n
         starts["f"] += m
 
 
 def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
-    # one desk forward_train pack records the same tape nodes for 8
-    # utterances as for one
+    # one desk training pass (aligner and teacher-forced forward) records
+    # the same tape nodes for 8 utterances as for one
     desk = TTSModel(ModelConfig(vocab_size=32, n_mels=16, d_h=32, heads=2, enc_layers=2,
                                 dec_layers=2, d_spk=24, d_attn=16, postnet_channels=24,
                                 postnet_layers=3), seed=1)
@@ -121,13 +126,13 @@ def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
         counts.append(0)
         utts = [sample_inputs(seed=s, n=4 + s % 5) for s in range(size)]
         rngs = [rng_for(0, "drop", s) for s in range(size)]
-        desk.forward_train(pack_of(*utts), rngs)
+        teacher_forced(desk, pack_of(*utts), rngs)
     assert counts[0] == counts[1] == 118
 
 
 def test_forward_train_deterministic_in_eval():
-    a = build_model().forward_train(pack_of(sample_inputs()), ())
-    b = build_model().forward_train(pack_of(sample_inputs()), ())
+    a, _ = teacher_forced(build_model(), pack_of(sample_inputs()))
+    b, _ = teacher_forced(build_model(), pack_of(sample_inputs()))
     np.testing.assert_array_equal(a["mel_post"].data, b["mel_post"].data)
     np.testing.assert_array_equal(a["durations"], b["durations"])
 
@@ -137,7 +142,7 @@ def test_dropout_seed_controls_training_pass():
 
     def run(stream):
         rngs = [rng_for(0, "drop", stream)]
-        return model.forward_train(pack_of(sample_inputs()), rngs)["mel_post"].data
+        return teacher_forced(model, pack_of(sample_inputs()), rngs)[0]["mel_post"].data
 
     np.testing.assert_array_equal(run(0), run(0))
     assert np.abs(run(0) - run(1)).max() > 0
@@ -149,8 +154,7 @@ def test_forward_train_input_validation():
     with pytest.raises(InputError):
         pack_of((phonemes, mel[: len(phonemes) - 2], f0, energy, spk))
     with pytest.raises(InputError):
-        model.forward_train(pack_of((phonemes, mel, f0, energy, spk[:-1])),
-                            ())
+        teacher_forced(model, pack_of((phonemes, mel, f0, energy, spk[:-1])))
     with pytest.raises(InputError):
         pack_of((phonemes, mel, f0[:-1], energy, spk))
     with pytest.raises(InputError):
@@ -162,11 +166,11 @@ def test_forward_train_input_validation():
 def test_ranges_must_be_set_before_training_pass():
     model = TTSModel(CFG, seed=3)  # no set_ranges
     with pytest.raises(StateError):
-        model.forward_train(pack_of(sample_inputs()), ())
+        teacher_forced(model, pack_of(sample_inputs()))
 
 
 # -----------------------------------------------------------------------------
-# synthesis path
+# free-running pass (synthesis)
 # -----------------------------------------------------------------------------
 
 
@@ -197,8 +201,7 @@ def test_synthesize_records_no_tape(monkeypatch):
     # every node of a synthesis pass, adapters included, is a constant: no
     # parents, no closure, so nothing the forward pass saved outlives it
     model = build_model()
-    dims = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", DIMS), seed=5)
     phonemes, _, _, _, spk = sample_inputs()
     hooks = adapted.hooks_for(spk)
     nodes = []
@@ -238,8 +241,7 @@ def test_evaluate_names_a_non_finite_prediction(name, poison):
     # quantizer, and a NaN mel is not a NaN score: either one names the
     # utterance and the prediction, with or without adapters
     model = build_model()
-    dims = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", DIMS), seed=5)
     poison(model).data[:] = np.nan
     utt = utterance(*sample_inputs(), utt_id="u7")
     for hooks_for in (adapted.hooks_for, lambda spk: None):
@@ -255,6 +257,54 @@ def test_synthesize_rejects_wrong_speaker_dim():
     phonemes, _, _, _, spk = sample_inputs()
     with pytest.raises(InputError):
         model.synthesize(phonemes, np.concatenate([spk, spk]))
+    with pytest.raises(InputError, match="condition: need one speaker row per segment"):
+        model.synthesize(phonemes, np.stack([spk, spk]))
+
+
+# -----------------------------------------------------------------------------
+# one wiring
+# -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["backbone", "hyper_evd"])
+def test_teacher_forcing_its_own_predictions_gives_the_synthesized_mel(adapted):
+    # training and synthesis run one wiring: the free pass's durations, f0
+    # and energy, fed back as targets, give the synthesized mel bit for bit
+    model = build_model()
+    phonemes, _, _, _, spk = sample_inputs()
+    ph = Segments([phonemes.size])
+    hooks = None
+    if adapted:
+        strategy = StrategyConfig.parse("hyper_evd", DIMS)
+        hooks = off_identity(AdaptedModel(model, strategy, seed=5)).hooks_for(spk)
+    with ad.no_grad():
+        free = model.forward(phonemes, ph, spk, (), hooks=hooks)
+        forced = model.forward(phonemes, ph, spk, (), hooks=hooks, targets=(
+            free["durations"], np.log(free["f0"]), free["energy"].data.astype(np.float64)))
+    mel, info = model.synthesize(phonemes, spk, hooks=hooks)
+    assert forced["f0"] is None
+    np.testing.assert_array_equal(forced["mel_post"].data, mel)
+    np.testing.assert_array_equal(free["durations"], info["durations"])
+
+
+def test_free_pass_rebuilds_f0_per_utterance():
+    # a free pass over a pack of two gives each utterance the durations and
+    # f0 it gets synthesized alone
+    model = build_model()
+    inputs = [sample_inputs(seed=s, n=n) for s, n in ((5, 6), (6, 4))]
+    phonemes = np.concatenate([u[0] for u in inputs])
+    speakers = np.stack([u[4] for u in inputs])
+    with ad.no_grad():
+        out = model.forward(phonemes, Segments([len(u[0]) for u in inputs]), speakers, ())
+    ph_start = fr_start = 0
+    for u in inputs:
+        _, info = model.synthesize(u[0], u[4])
+        n, m = len(u[0]), int(info["durations"].sum())
+        np.testing.assert_array_equal(out["durations"][ph_start : ph_start + n],
+                                      info["durations"])
+        np.testing.assert_allclose(out["f0"][fr_start : fr_start + m], info["f0"], rtol=1e-4)
+        ph_start, fr_start = ph_start + n, fr_start + m
+    assert fr_start == out["f0"].size == out["mel_post"].shape[0]
 
 
 # -----------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 when the process may use two CPUs, else in the same process. The numbers
 must not depend on where a half ran, on the CPU count or on the BLAS thread
 setting, a worker's error must reach the main process, and no worker may
-outlive its run."""
+outlive its run. Synthesis and validation, which run at the host's BLAS
+thread count, must give the same bits at one thread and at two."""
 
 import contextlib
 import dataclasses
@@ -21,10 +22,13 @@ import pytest
 
 from hyperadapt import autodiff as ad
 from hyperadapt import training as tr
+from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.cli import main
-from hyperadapt.corpus import CorpusSpec, generate_corpus
+from hyperadapt.corpus import CorpusSpec, generate_corpus, load_corpus
 from hyperadapt.errors import ConfigError, InputError, NumericsError
-from hyperadapt.model import ModelConfig
+from hyperadapt.model import ModelConfig, TTSModel
+
+from oracles import off_identity
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -281,3 +285,46 @@ def test_a_blas_without_a_settable_count_needs_one_thread_in_the_environment(mon
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with tr._one_blas_thread():
         pass
+
+
+@pytest.mark.parametrize("size", ["tiny", "desk"])
+def test_synthesis_and_validation_do_not_depend_on_the_blas_thread_count(size, tmp_path):
+    # a hyper_evd model whose adapters all act: synthesized mel, f0, energy
+    # and durations and the validation breakdown at one thread and at two
+    lib = tr._openblas()
+    if lib is None:
+        pytest.skip("numpy ships no OpenBLAS with thread-count calls")
+    if size == "tiny":
+        model_config = ModelConfig(**TINY["model"])
+    else:
+        desk = json.loads((SRC.parent / "configs" / "desk.json").read_text())
+        model_config = ModelConfig(**desk["model"])
+    spec = CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=4)
+    utts = load_corpus(generate_corpus(spec, seed=11, out_dir=str(tmp_path / "corpus")),
+                       adaptation=True)
+    model = TTSModel(model_config, seed=3)
+    model.set_ranges(*tr.compute_feature_ranges(utts))
+    dims = AdapterDims(d_h=model_config.d_h, d_1=model_config.d_spk, **TINY["dims"])
+    adapted = off_identity(AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5))
+    sched = tr.adaptation_schedule(steps=10, batch_size=3)
+
+    def outputs():
+        synthesized = []
+        for u in utts:
+            mel, info = model.synthesize(u.phonemes, u.embedding,
+                                         hooks=adapted.hooks_for(u.embedding))
+            synthesized.append([a.tobytes() for a in (mel, info["f0"], info["energy"],
+                                                      info["durations"])])
+        breakdown = tr.validate(model, utts, 10, sched,
+                                hooks_fn=lambda pack: adapted.hooks_for(pack.embedding))
+        return synthesized, breakdown.row()
+
+    before = lib.scipy_openblas_get_num_threads64_()
+    try:
+        runs = []
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            runs.append(outputs())
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert runs[0] == runs[1]

@@ -37,7 +37,7 @@ from hyperadapt.training import (
     lr_at,
 )
 
-from oracles import adam_reference, count_trainable_params
+from oracles import adam_reference, count_trainable_params, off_identity
 
 TRAIN_CFG = ModelConfig(
     vocab_size=32, n_mels=20, d_h=24, heads=2, enc_layers=1, dec_layers=1,
@@ -139,25 +139,29 @@ class _EchoModel:
     """Returns the training targets of a pack of one-phoneme utterances
     themselves; every component must be 0."""
 
-    def __init__(self, f0s):
-        self.f0s = f0s
+    def __init__(self, utts):
+        self.utts = utts
 
-    def forward_train(self, pack, rngs, hooks=None, durations=None):
+    def align(self, pack):
         frames = pack.frames_seg.lengths
-        durations = frames.copy()  # one phoneme, every frame
-        targets = [var_mod.pitch_targets(f0.astype(np.float64)) for f0 in self.f0s]
         amap = AlignmentMap(Tensor(np.zeros((len(frames), 1, frames.max()), dtype=np.float32)),
                             pack.phonemes_seg, pack.frames_seg)
+        return amap, frames.copy()  # one phoneme, every frame
+
+    def forward(self, phonemes, ph, speakers, rngs, hooks=None, targets=None):
+        durations, _, energy = targets
+        mel = np.concatenate([u.mel for u in self.utts])
+        pitch = [var_mod.pitch_targets(u.f0.astype(np.float64)) for u in self.utts]
         return {
-            "mel_pre": Tensor(pack.mel),
-            "mel_post": Tensor(pack.mel),
+            "mel_pre": Tensor(mel),
+            "mel_post": Tensor(mel),
             "log_dur": Tensor(np.log(durations).astype(np.float32)),
-            "pitch_spec": Tensor(np.concatenate([t[0].T for t in targets]).astype(np.float32)),
-            "pitch_mean": Tensor(np.array([t[1] for t in targets], dtype=np.float32)),
-            "pitch_var": Tensor(np.array([t[2] for t in targets], dtype=np.float32)),
-            "energy": Tensor(pack.energy.astype(np.float32)),
-            "amap": amap,
+            "pitch_spec": Tensor(np.concatenate([t[0].T for t in pitch]).astype(np.float32)),
+            "pitch_mean": Tensor(np.array([t[1] for t in pitch], dtype=np.float32)),
+            "pitch_var": Tensor(np.array([t[2] for t in pitch], dtype=np.float32)),
+            "energy": Tensor(energy.astype(np.float32)),
             "durations": durations,
+            "f0": None,
         }
 
 
@@ -176,7 +180,7 @@ def _toy_utterance(frames=24, seed=4):
 def test_exact_predictions_zero_every_component():
     sched = adaptation_schedule(steps=10)
     utts = [_toy_utterance(), _toy_utterance(frames=17, seed=5)]
-    total, bd = compute_losses(_EchoModel([u.f0 for u in utts]), utts, 1, sched, ())
+    total, bd = compute_losses(_EchoModel(utts), utts, 1, sched, ())
     assert all(bd.components[k] == 0.0 for k in LOSS_NAMES)
     assert bd.total == 0.0
     assert float(total.data) == 0.0
@@ -817,10 +821,7 @@ def _adapted_model(ck, label):
     """A loaded backbone with `label`'s surface attached and moved off the
     identity, so every adapter site passes gradient."""
     model = tr.load_checkpoint(ck).model
-    adapted = AdaptedModel(model, StrategyConfig.parse(label, DIMS), seed=5)
-    for name, p in adapted.extras.named_parameters():
-        p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
-    return model, adapted
+    return model, off_identity(AdaptedModel(model, StrategyConfig.parse(label, DIMS), seed=5))
 
 
 def _adapt_step(model, adapted, batch, alignments=None):
