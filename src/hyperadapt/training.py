@@ -32,9 +32,13 @@ every pass (about 8 ms of a 33 ms pass over the 20 validation utterances of
 a desk adaptation). Pretraining and `ft` train the aligner and keep the
 graph path.
 
-Checkpoints carry the model tensors under their bare names, adapter-surface
-tensors under "extras.", and Adam moments under "opt.m." / "opt.v." so a
-resumed run continues exactly where it stopped.
+Each loss component is one node, built at every step and logged as its value;
+the schedule's weight decides only whether it joins the total.
+
+Checkpoints carry the model tensors under their bare names and adapter-surface
+tensors under "extras.". Pretraining checkpoints, ckpt-<step>.bin, also carry
+the Adam moments ("opt.m." / "opt.v."): a run resumes exactly from the highest
+step's, its logs cut back to that step. Adaptation never resumes.
 """
 
 import contextlib
@@ -44,6 +48,7 @@ import glob
 import mmap
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 from dataclasses import asdict, dataclass, field
@@ -115,18 +120,10 @@ def lr_at(sched, step):
 
 @dataclass
 class LossBreakdown:
-    """Per-component values, the weights in force, and the weighted total."""
+    """Per-component values and the weighted total."""
 
     components: dict
-    weights: dict
     total: float
-
-    def check_consistent(self):
-        s = sum(self.weights[k] * self.components[k] for k in LOSS_NAMES)
-        if abs(s - self.total) > 1e-6:
-            raise InternalInvariantError(
-                f"loss total {self.total} != weighted component sum {s}"
-            )
 
     def row(self):
         return [self.components[k] for k in LOSS_NAMES] + [self.total]
@@ -139,7 +136,6 @@ class LossBreakdown:
                  for k in LOSS_NAMES}
         return LossBreakdown(
             components=comps,
-            weights=dict(breakdowns[0].weights),
             total=float(np.average([b.total for b in breakdowns], weights=counts)),
         )
 
@@ -192,8 +188,9 @@ def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=Non
     `hooks_fn` maps the Pack (its `.embedding` holds the (B, d_spk)
     speakers) to adapter tables, as `lambda u: adapted.hooks_for(u.embedding)`
     does, once per pass and before any other node; None adds no adapters.
-    Gated components (weight 0) are still evaluated as plain numbers for the
-    log, but stay out of the graph so they cost no backward work.
+    Every component is one loss node, built whatever its weight, and logged
+    as its value; the weight decides only whether the node joins the total,
+    so a gated one (weight 0) costs no backward work.
 
     `alignments` (one FrozenAlignment per utterance, in pack order; see
     frozen_alignments) is for a model whose aligner is frozen: the pack then
@@ -217,59 +214,37 @@ def compute_losses(model, utts, step, sched, rngs, hooks_fn=None, alignments=Non
     var_t = np.array([t[2] for t in targets], dtype=ad.DEFAULT_DTYPE)
     log_dur_t = np.log(durations).astype(ad.DEFAULT_DTYPE)
     energy_t = pack.energy.astype(ad.DEFAULT_DTYPE)
-    mel = pack.mel
-    n_utts = len(utts)
-
-    terms = {}
-    comps = {}
-
-    def term(name, make_node, fallback):
-        if weights[name] > 0.0:
-            node = make_node()
-            terms[name] = node
-            comps[name] = float(node.data) / n_utts
-        else:
-            comps[name] = float(fallback().mean())
-
-    def fit(name, target, seg, loss, error, key=None):
-        pred = out[key or name]
-        term(name, lambda: loss(pred, target, seg), lambda: seg.means(error(pred.data - target)))
-
+    # made in this order: backward walks the tape by creation order, so a
+    # reorder can move the summed gradients in their last bit
+    nodes = {"mel_pre": ad.l1_loss(out["mel_pre"], pack.mel, frames),
+             "mel_post": ad.l1_loss(out["mel_post"], pack.mel, frames)}
     if alignments is None:
-        alignment_terms = (lambda: forward_sum_loss(amap),
-                           lambda: binarization_loss(amap, durations))
+        nodes["forward_sum"] = forward_sum_loss(amap)
+        nodes["binarization"] = binarization_loss(amap, durations)
     else:
-        fs = forward_sum_value(np.array([a.forward_sum for a in alignments]), ad.DEFAULT_DTYPE)
-        bz = binarization_value(np.concatenate([a.path_log_probs for a in alignments]))
-        alignment_terms = (lambda: Tensor(fs), lambda: Tensor(bz))
-
-    fit("mel_pre", mel, frames, ad.l1_loss, np.abs)
-    fit("mel_post", mel, frames, ad.l1_loss, np.abs)
-    term("forward_sum", alignment_terms[0], lambda: np.zeros(1))
-    term("binarization", alignment_terms[1], lambda: np.zeros(1))
-    fit("duration", log_dur_t, phonemes, ad.mse_loss, np.square, key="log_dur")
-    fit("pitch_spec", spec_t, frames, ad.mse_loss, np.square)
-    fit("pitch_mean", mean_t, per_utt, ad.mse_loss, np.square)
-    fit("pitch_var", var_t, per_utt, ad.mse_loss, np.square)
-    fit("energy", energy_t, frames, ad.mse_loss, np.square)
-
+        nodes["forward_sum"] = Tensor(forward_sum_value(
+            np.array([a.forward_sum for a in alignments]), ad.DEFAULT_DTYPE))
+        nodes["binarization"] = Tensor(binarization_value(
+            np.concatenate([a.path_log_probs for a in alignments])))
+    nodes.update(
+        duration=ad.mse_loss(out["log_dur"], log_dur_t, phonemes),
+        pitch_spec=ad.mse_loss(out["pitch_spec"], spec_t, frames),
+        pitch_mean=ad.mse_loss(out["pitch_mean"], mean_t, per_utt),
+        pitch_var=ad.mse_loss(out["pitch_var"], var_t, per_utt),
+        energy=ad.mse_loss(out["energy"], energy_t, frames),
+    )
+    comps = {name: float(node.data) / len(utts) for name, node in nodes.items()}
     for name, value in comps.items():
         if not np.isfinite(value):
             raise NumericsError(f"loss component {name} is non-finite at step {step}")
 
-    total = None
-    for name, node in terms.items():
-        node = node if weights[name] == 1.0 else ad.scale(node, weights[name])
-        total = node if total is None else ad.add(total, node)
+    total = functools.reduce(ad.add, [node if weights[k] == 1.0 else ad.scale(node, weights[k])
+                                      for k, node in nodes.items() if weights[k] > 0.0])
     # Reported total is the f64 weighted sum of the reported components; the
     # graph tensor is the same quantity in f32, summed over the pack, and
     # drives the gradients.
-    breakdown = LossBreakdown(
-        components=comps, weights=weights,
-        total=float(sum(weights[k] * comps[k] for k in LOSS_NAMES)),
-    )
-    breakdown.check_consistent()
-    return total, breakdown
+    return total, LossBreakdown(
+        components=comps, total=float(sum(weights[k] * comps[k] for k in LOSS_NAMES)))
 
 
 # -----------------------------------------------------------------------------
@@ -487,13 +462,22 @@ class _Batcher:
 
 
 class _LossLog:
-    def __init__(self, path, header_extra=()):
+    """A TSV log, one row per logged step. Opened at `start_step`, it keeps
+    only the rows an earlier run logged at or before that step, so a resumed
+    run logs each step once."""
+
+    def __init__(self, path, header_extra=(), start_step=0):
         self.path = path
-        if not os.path.exists(path):
-            with open(path, "w") as f:
-                for line in header_extra:
-                    f.write(line + "\n")
-                f.write("step\t" + "\t".join(LOSS_NAMES) + "\ttotal\tlr\n")
+        rows = []
+        if start_step and os.path.exists(path):
+            with open(path) as f:
+                rows = [line for line in f
+                        if line[:1].isdigit() and int(line.split("\t", 1)[0]) <= start_step]
+        with open(path, "w") as f:
+            for line in header_extra:
+                f.write(line + "\n")
+            f.write("step\t" + "\t".join(LOSS_NAMES) + "\ttotal\tlr\n")
+            f.writelines(rows)
 
     def append(self, step, breakdown, lr):
         with open(self.path, "a") as f:
@@ -702,24 +686,15 @@ def validate(model, utterances, step, sched, hooks_fn=None):
 # -----------------------------------------------------------------------------
 
 
-def _latest_path(run_dir):
-    return os.path.join(run_dir, "LATEST")
+def _ckpt_name(step):
+    return f"ckpt-{step:06d}.bin"
 
 
-def _read_latest(run_dir):
-    p = _latest_path(run_dir)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        name = f.read().strip()
-    return os.path.join(run_dir, name) if name else None
-
-
-def _write_latest(run_dir, filename):
-    tmp = _latest_path(run_dir) + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(filename + "\n")
-    os.replace(tmp, _latest_path(run_dir))
+def _newest_checkpoint(run_dir):
+    """The run directory's ckpt-<step>.bin of the highest step, or None."""
+    found = [(int(m[1]), m[0]) for m in map(re.compile(r"ckpt-(\d+)\.bin").fullmatch,
+                                            os.listdir(run_dir)) if m]
+    return os.path.join(run_dir, max(found)[1]) if found else None
 
 
 def load_fitting_corpus(path, model_config, *, adaptation=None, split=None):
@@ -757,15 +732,15 @@ def _run_meta(sched, seed):
 def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
              log_every=10, val_every=200, ckpt_every=500):
     """Train the backbone on the pretrain speakers. Returns the final
-    checkpoint path. Interrupted runs resume from the newest checkpoint; a
-    resume with another model config, schedule (total_steps aside) or seed
-    is a ConfigError."""
+    checkpoint path. Interrupted runs resume from the highest-step
+    checkpoint, their logs cut back to its step; a resume with another model
+    config, schedule (total_steps aside) or seed is a ConfigError."""
     os.makedirs(run_dir, exist_ok=True)
     utts = load_fitting_corpus(corpus_path, model_config, adaptation=False)
     train, val = (corpus_mod.filter_entries(utts, split=s) for s in ("train", "val"))
 
     run_meta = _run_meta(sched, seed)
-    latest = _read_latest(run_dir)
+    latest = _newest_checkpoint(run_dir)
     if latest is None:
         model = TTSModel(model_config, seed=seed)
         model.set_ranges(*compute_feature_ranges(train))
@@ -787,23 +762,22 @@ def pretrain(corpus_path, model_config, sched, run_dir, seed, *,
     if latest is not None:
         opt.load_state_arrays(loaded.arrays, loaded.meta.get("adam_t", 0))
 
-    log = _LossLog(os.path.join(run_dir, "train_log.tsv"))
-    val_log = _LossLog(os.path.join(run_dir, "val_log.tsv"))
+    log = _LossLog(os.path.join(run_dir, "train_log.tsv"), start_step=start_step)
+    val_log = _LossLog(os.path.join(run_dir, "val_log.tsv"), start_step=start_step)
 
     def save_fn(done):
-        name = f"ckpt-{done:06d}.bin"
-        save_checkpoint(os.path.join(run_dir, name), model, done, opt=opt, extra_meta=run_meta)
-        _write_latest(run_dir, name)
+        save_checkpoint(os.path.join(run_dir, _ckpt_name(done)), model, done, opt=opt,
+                        extra_meta=run_meta)
 
     if start_step >= sched.total_steps:
-        return _read_latest(run_dir)
+        return latest
     _train_steps(
         model, trainable, train, sched, seed, start_step=start_step, opt=opt,
         hooks_fn=None, log=log, val_utterances=val, val_log=val_log,
         ckpt_every=ckpt_every, save_fn=save_fn,
         log_every=log_every, val_every=val_every,
     )
-    return _read_latest(run_dir)
+    return os.path.join(run_dir, _ckpt_name(sched.total_steps))
 
 
 # -----------------------------------------------------------------------------
@@ -862,7 +836,7 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
     val_log = _LossLog(os.path.join(run_dir, "adapt_val_log.tsv"))
 
     def save_fn(done):
-        save_checkpoint(out_path, model, done, adapted=adapted, opt=opt)
+        save_checkpoint(out_path, model, done, adapted=adapted)
 
     _train_steps(
         model, trainable, train, sched, seed, start_step=0, opt=opt,

@@ -5,10 +5,17 @@ details appear with -s or on failure.
 Criteria 8-10 share one desk-scale pipeline: synthetic corpus (8 pretraining
 speakers, 4 held-out adaptation speakers), a ~100K-parameter backbone
 pretrained for 1500 steps, then every adaptation strategy for 500 steps.
-Criterion 10 reruns the whole pipeline from the same seeds and demands
-bit-identical reported numbers.
+Criterion 10 reruns the whole pipeline from the same seeds, in a fresh
+interpreter, and demands bit-identical reported numbers and logs.
+
+Run as a script, `python tests/test_acceptance.py <root>` runs the pipeline
+under <root> and prints what it reports as one JSON line.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -58,7 +65,7 @@ def run_pipeline(root):
     """Corpus -> pretrain -> all four adaptations -> reported numbers.
 
     Returns every number criteria 8 and 9 report, plus the artifact paths
-    criterion 4 inspects. Criterion 10 calls this twice and compares the
+    criterion 4 inspects. Criterion 10 runs this twice and compares the
     numbers for exact equality.
     """
     root = str(root)
@@ -90,9 +97,31 @@ def run_pipeline(root):
 
     within, cross = clustering_stats(checkpoints["hyper_evd"], corpus)
     return {
-        "corpus": corpus, "pretrained": pretrained, "checkpoints": checkpoints,
+        "root": root, "corpus": corpus, "pretrained": pretrained, "checkpoints": checkpoints,
         "mel": mel, "cos": cos, "within": within, "cross": cross,
     }
+
+
+def run_pipeline_fresh(root):
+    """run_pipeline(root) in a new Python interpreter, its result read back
+    from JSON (which gives every float back exactly)."""
+    src = os.path.dirname(os.path.dirname(tr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), str(root)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert done.returncode == 0, f"fresh pipeline run failed:\n{done.stderr[-2000:]}"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def tsv_logs(root):
+    """Relative path -> bytes of every TSV log under a pipeline root."""
+    out = {}
+    for parent, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".tsv"):
+                path = os.path.join(parent, name)
+                out[os.path.relpath(path, root)] = open(path, "rb").read()
+    return out
 
 
 def clustering_stats(hyper_checkpoint, corpus, per_speaker=5):
@@ -215,8 +244,8 @@ def test_criterion_04_identity_at_init_and_frozen_backbone(pipeline):
         assert diff <= 1e-6, f"{label} init shifts outputs by {diff}"
 
     # after 500 steps: backbone arrays bit-identical, detached outputs unchanged
-    # (optimizer-state arrays belong to whichever parameters trained, so only
-    # the model arrays are comparable between the two checkpoints)
+    # (only the pretraining checkpoint carries optimizer state, so only the
+    # model arrays are comparable between the two checkpoints)
     _, pre_arrays = featio.read_checkpoint(pipeline["pretrained"])
     backbone = {k: v for k, v in pre_arrays.items() if not k.startswith("opt.")}
     for label in ("adapter_evd", "hyper_evd"):
@@ -324,7 +353,7 @@ def test_criterion_09_generated_weights_cluster_by_speaker(pipeline):
 
 
 def test_criterion_10_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
-    rerun = run_pipeline(tmp_path_factory.mktemp("pipeline_rerun"))
+    rerun = run_pipeline_fresh(tmp_path_factory.mktemp("pipeline_rerun"))
     for strategy, value in pipeline["mel"].items():
         assert rerun["mel"][strategy] == value, (
             f"mel[{strategy}]: {rerun['mel'][strategy]!r} != {value!r}")
@@ -336,4 +365,14 @@ def test_criterion_10_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
     first = open(pipeline["checkpoints"]["hyper_evd"], "rb").read()
     second = open(rerun["checkpoints"]["hyper_evd"], "rb").read()
     assert first == second, "adapted checkpoints differ between reruns"
-    _verdict(10, "full rerun reproduced every reported number bit-identically")
+    logs, rerun_logs = tsv_logs(pipeline["root"]), tsv_logs(rerun["root"])
+    # train and val logs of the pretrain and of each trained strategy, and tts0's
+    assert sorted(logs) == sorted(rerun_logs) and len(logs) == 9, sorted(rerun_logs)
+    for name, data in logs.items():
+        assert rerun_logs[name] == data, f"{name} differs between reruns"
+    _verdict(10, f"full rerun in a fresh interpreter reproduced every reported number "
+                 f"and all {len(logs)} TSV logs bit-identically")
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_pipeline(sys.argv[1])))

@@ -14,7 +14,7 @@ from hyperadapt import cli, featio, kernels
 from hyperadapt import model as model_mod
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.alignment import AlignmentMap
+from hyperadapt.alignment import AlignmentMap, binarization_loss
 from hyperadapt.autodiff import Tensor
 from hyperadapt.corpus import CorpusSpec, Utterance, generate_corpus, load_corpus
 from hyperadapt.errors import (
@@ -192,11 +192,11 @@ def test_total_matches_manual_weighted_sum(pretrained, corpus_path):
     utt = load_corpus(corpus_path, adaptation=False, split="train")[0]
     sched = adaptation_schedule(steps=10)
     total, bd = compute_losses(model, [utt], 5, sched, ())
-    manual = sum(bd.weights[k] * bd.components[k] for k in LOSS_NAMES)
+    weights = loss_weights(sched, 5)
+    manual = sum(weights[k] * bd.components[k] for k in LOSS_NAMES)
     assert bd.total == pytest.approx(manual, abs=1e-9)
     # the graph scalar is the same quantity accumulated in float32
     assert float(total.data) == pytest.approx(manual, rel=1e-5)
-    bd.check_consistent()
 
 
 def test_gated_components_stay_out_of_graph(pretrained, corpus_path):
@@ -206,9 +206,11 @@ def test_gated_components_stay_out_of_graph(pretrained, corpus_path):
     sched = ScheduleConfig(warmup_steps=2, milestones=(20,), duration_start_step=10,
                            total_steps=30)
     total, bd = compute_losses(model, [utt], 0, sched, ())
-    # gated components are still reported for the log
+    # gated components are still reported for the log, as their nodes' values
     assert bd.components["duration"] > 0.0
-    assert bd.weights["duration"] == 0.0
+    assert loss_weights(sched, 0)["duration"] == loss_weights(sched, 0)["binarization"] == 0.0
+    amap, durations = model.align(model_mod.Pack([utt]))
+    assert bd.components["binarization"] == float(binarization_loss(amap, durations).data) > 0.0
     expected = bd.components["mel_pre"] + bd.components["mel_post"] + bd.components["forward_sum"]
     assert float(total.data) == pytest.approx(expected, rel=1e-5)
 
@@ -267,18 +269,9 @@ def test_nonfinite_component_is_named(pretrained, corpus_path):
         compute_losses(model, [utt], 5, adaptation_schedule(steps=10), ())
 
 
-def test_breakdown_consistency_guard():
-    comps = {k: 1.0 for k in LOSS_NAMES}
-    weights = {k: 1.0 for k in LOSS_NAMES}
-    LossBreakdown(comps, weights, float(len(LOSS_NAMES))).check_consistent()
-    with pytest.raises(InternalInvariantError):
-        LossBreakdown(comps, weights, len(LOSS_NAMES) + 0.1).check_consistent()
-
-
 def test_breakdown_average_and_row():
-    w = {k: 1.0 for k in LOSS_NAMES}
-    a = LossBreakdown({k: 1.0 for k in LOSS_NAMES}, w, float(len(LOSS_NAMES)))
-    b = LossBreakdown({k: 3.0 for k in LOSS_NAMES}, w, 3.0 * len(LOSS_NAMES))
+    a = LossBreakdown({k: 1.0 for k in LOSS_NAMES}, float(len(LOSS_NAMES)))
+    b = LossBreakdown({k: 3.0 for k in LOSS_NAMES}, 3.0 * len(LOSS_NAMES))
     avg = LossBreakdown.average([a, b])
     assert all(avg.components[k] == 2.0 for k in LOSS_NAMES)
     assert avg.total == pytest.approx(2.0 * len(LOSS_NAMES))
@@ -392,7 +385,9 @@ def test_compute_feature_ranges():
 def test_pretrain_writes_logs_and_latest(pretrained):
     ck, run = pretrained
     assert os.path.basename(ck) == "ckpt-000008.bin"
-    assert open(os.path.join(run, "LATEST")).read().strip() == "ckpt-000008.bin"
+    assert sorted(f for f in os.listdir(run) if f.startswith("ckpt-")) == [
+        "ckpt-000004.bin", "ckpt-000008.bin"]
+    assert not os.path.exists(os.path.join(run, "LATEST"))
     train_log = open(os.path.join(run, "train_log.tsv")).read().splitlines()
     assert train_log[0].split("\t") == ["step"] + list(LOSS_NAMES) + ["total", "lr"]
     assert os.path.exists(os.path.join(run, "val_log.tsv"))
@@ -414,6 +409,49 @@ def test_pretrain_resume_is_bit_identical(pretrained, corpus_path, tmp_path):
     resumed = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path), seed=3,
                           ckpt_every=4)
     assert open(ck, "rb").read() == open(resumed, "rb").read()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_resumed_pretrain_logs_each_step_once(monkeypatch, corpus_path, tmp_path):
+    # a run cut during step 7 resumes from ckpt-000004.bin; its logs must
+    # equal an uninterrupted run's byte for byte, and a gated step's
+    # binarization is logged as its value, not as 0
+    kwargs = dict(seed=3, ckpt_every=4, log_every=1, val_every=2)
+    whole = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path / "whole"), **kwargs)
+    real_check = tr.check_finite_grads
+
+    def cut_at_7(grad, step, named):
+        if step == 7:
+            raise _Interrupted
+        real_check(grad, step, named)
+
+    monkeypatch.setattr(tr, "check_finite_grads", cut_at_7)
+    with pytest.raises(_Interrupted):
+        tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path / "cut"), **kwargs)
+    monkeypatch.undo()
+    assert tr._newest_checkpoint(str(tmp_path / "cut")).endswith("ckpt-000004.bin")
+    resumed = tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path / "cut"), **kwargs)
+    assert open(whole, "rb").read() == open(resumed, "rb").read()
+    rows = {}
+    for name in ("train_log.tsv", "val_log.tsv"):
+        logs = [open(tmp_path / run / name).read() for run in ("whole", "cut")]
+        assert logs[0] == logs[1], name
+        rows[name] = [line.split("\t") for line in logs[0].splitlines()[1:]]
+    assert [int(r[0]) for r in rows["train_log.tsv"]] == list(range(1, 9))
+    assert [int(r[0]) for r in rows["val_log.tsv"]] == [2, 4, 6, 8]
+    # rows 1-3 are steps 0-2, before duration_start_step=3
+    column = 1 + LOSS_NAMES.index("binarization")
+    assert all(float(r[column]) > 0.0 for r in rows["train_log.tsv"][:3])
+
+
+def test_newest_checkpoint_is_the_highest_step(tmp_path):
+    for name in ("ckpt-000004.bin", "ckpt-000012.bin", "ckpt-000100.bin.tmp", "ckpt-x.bin",
+                 "ckpt-000009.bin"):
+        (tmp_path / name).write_bytes(b"")
+    assert tr._newest_checkpoint(str(tmp_path)) == str(tmp_path / "ckpt-000012.bin")
 
 
 def test_pretrain_rejects_config_change_on_resume(pretrained, corpus_path):
@@ -439,7 +477,6 @@ def test_pretrain_rejects_seed_change_on_resume(pretrained, corpus_path):
 def test_pretrain_rejects_foreign_checkpoint_kind(adapted, corpus_path, tmp_path):
     adapted_ck, _ = adapted
     shutil.copyfile(adapted_ck, tmp_path / "ckpt-000001.bin")
-    (tmp_path / "LATEST").write_text("ckpt-000001.bin\n")
     with pytest.raises(StateError):
         tr.pretrain(corpus_path, TRAIN_CFG, SCHED, str(tmp_path), seed=3)
 
@@ -683,6 +720,8 @@ def test_adapt_tts0_is_byte_copy(pretrained, corpus_path, tmp_path):
     out = tr.adapt(ck, corpus_path, "tts0", adaptation_schedule(steps=3),
                    str(tmp_path), seed=5)
     assert open(ck, "rb").read() == open(out, "rb").read()
+    # the copy is the pretraining file, Adam moments included
+    assert any(k.startswith("opt.") for k in featio.read_checkpoint(out)[1])
     log = open(tmp_path / "adapt_log.tsv").read().splitlines()
     assert "# trainable_params\t0" in log
 
@@ -718,6 +757,15 @@ def test_adapt_leaves_backbone_bit_identical(pretrained, adapted):
     for k in model_keys:
         assert before[k].tobytes() == after[k].tobytes(), k
     assert any(k.startswith("extras.") for k in after)
+
+
+def test_adapted_checkpoint_carries_no_adam_moments(adapted):
+    # adaptation never resumes, so nothing would read them
+    out, _ = adapted
+    meta, arrays = featio.read_checkpoint(out)
+    assert not [k for k in arrays if k.startswith("opt.")]
+    assert meta["adam_t"] == 0
+    assert tr.load_checkpoint(out).adapted is not None
 
 
 def test_adapted_checkpoint_reloads_with_hooks(adapted):
@@ -824,13 +872,13 @@ def _adapted_model(ck, label):
     return model, off_identity(AdaptedModel(model, StrategyConfig.parse(label, DIMS), seed=5))
 
 
-def _adapt_step(model, adapted, batch, alignments=None):
+def _adapt_step(model, adapted, batch, alignments=None, step=5):
     """(breakdown, flat gradient) of one training step of an adapted model."""
     trainable = adapted.named_trainable()
     for _, p in trainable:
         p.grad = None
     rngs = [rng_for(7, "dropout", 0, pos) for pos in range(len(batch))]
-    total, bd = compute_losses(model, batch, 5, adaptation_schedule(steps=10), rngs,
+    total, bd = compute_losses(model, batch, step, adaptation_schedule(steps=10), rngs,
                                hooks_fn=lambda u: adapted.hooks_for(u.embedding),
                                alignments=alignments)
     ad.backward(total)
@@ -881,25 +929,29 @@ def test_cached_alignment_step_matches_uncached_bit_for_bit(monkeypatch, pretrai
     # aligned in packs of one, in another order than the step's pack
     alignments = tr.frozen_alignments(model, train[::-1], 1)[::-1][:4]
     assert len(alignments) == len(batch)
-    bd_plain, grad_plain = _adapt_step(model, adapted, batch)
+    sched = adaptation_schedule(steps=10)
+    # step 0: binarization stays out of the total; step 5: it is in
+    assert [loss_weights(sched, s)["binarization"] for s in (0, 5)] == [0.0, 1.0]
+    for step in (0, 5):
+        bd_plain, grad_plain = _adapt_step(model, adapted, batch, step=step)
 
-    ops, dp_calls = set(), []
-    real_from_op = ad.from_op
+        ops, dp_calls = set(), []
+        real_from_op = ad.from_op
 
-    def recording(data, parents, grad_fn, op):
-        ops.add(op)
-        return real_from_op(data, parents, grad_fn, op)
+        def recording(data, parents, grad_fn, op):
+            ops.add(op)
+            return real_from_op(data, parents, grad_fn, op)
 
-    monkeypatch.setattr(ad, "from_op", recording)
-    for name in ("forward_sum", "viterbi"):
-        monkeypatch.setattr(kernels, name, lambda *a, name=name: dp_calls.append(name))
-    bd_cached, grad_cached = _adapt_step(model, adapted, batch, alignments)
-    assert bd_cached.components == bd_plain.components
-    assert bd_cached.weights["binarization"] == 1.0
-    assert bd_cached.total == bd_plain.total
-    np.testing.assert_array_equal(grad_cached, grad_plain)
-    assert not dp_calls
-    assert not ops & {"soft_align", "forward_sum", "binarization"}
+        monkeypatch.setattr(ad, "from_op", recording)
+        for name in ("forward_sum", "viterbi"):
+            monkeypatch.setattr(kernels, name, lambda *a, name=name: dp_calls.append(name))
+        bd_cached, grad_cached = _adapt_step(model, adapted, batch, alignments, step=step)
+        monkeypatch.undo()
+        assert bd_cached.components == bd_plain.components, step
+        assert bd_cached.total == bd_plain.total, step
+        np.testing.assert_array_equal(grad_cached, grad_plain, err_msg=str(step))
+        assert not dp_calls
+        assert not ops & {"soft_align", "forward_sum", "binarization"}
 
 
 def _aligner_runs(monkeypatch, ck, corpus, strategy, steps, run_dir):
