@@ -4,10 +4,12 @@ convolutional Postnet.
 
 Each block is self-attention plus a two-layer conv stack (kernel sizes 9 and
 1, first conv ReLU-activated), with residual connections and post layer norm
-around both sub-stacks. Every module runs over a packed sequence: B
-utterances stacked along time, laid out by an `autodiff.Segments` (one
-segment for a single utterance). Attention, convolution and positions
-restart at each segment, so no utterance sees another's rows.
+around both sub-stacks. These kernels, the Postnet's and the dropout rate are
+FastSpeech 2's, module constants rather than config keys. Every module runs
+over a packed sequence: B utterances stacked along time, laid out by an
+`autodiff.Segments` (one segment for a single utterance). Attention,
+convolution and positions restart at each segment, so no utterance sees
+another's rows.
 
 Adapter hooks slot in after a block's conv stack, before the closing
 residual+norm; every block therefore exposes exactly one insertion site.
@@ -19,6 +21,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
+
+FFT_KERNELS = (9, 1)  # the FFT block's two convs
+POSTNET_KERNEL = 5
+DROPOUT = 0.1  # after attention, each block's conv stack and each Postnet conv
 
 
 def sinusoidal_table(n, d, dtype=np.float32):
@@ -47,7 +53,7 @@ def positions(seg, d, dtype):
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, rng, d_h, heads, p_dropout=0.1):
+    def __init__(self, rng, d_h, heads):
         self.heads = heads
         self.wq = Dense(rng, d_h, d_h)
         # no key bias: q . b_k is the same for every key of a query, so the
@@ -55,40 +61,38 @@ class MultiHeadAttention(Module):
         self.wk = Dense(rng, d_h, d_h, bias=False)
         self.wv = Dense(rng, d_h, d_h)
         self.wo = Dense(rng, d_h, d_h)
-        self.p_dropout = p_dropout
 
     def __call__(self, h, seg, rngs):
         out = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, seg,
-                           self.p_dropout, rngs)
+                           DROPOUT, rngs)
         return self.wo(out)
 
 
 class FFTBlock(Module):
-    def __init__(self, rng, d_h, heads, conv_kernels=(9, 1), p_dropout=0.1):
-        self.attn = MultiHeadAttention(rng, d_h, heads, p_dropout)
+    def __init__(self, rng, d_h, heads):
+        self.attn = MultiHeadAttention(rng, d_h, heads)
         self.norm1 = LayerNorm(d_h)
-        self.conv1 = Conv1d(rng, d_h, d_h, conv_kernels[0])
-        self.conv2 = Conv1d(rng, d_h, d_h, conv_kernels[1])
+        self.conv1 = Conv1d(rng, d_h, d_h, FFT_KERNELS[0])
+        self.conv2 = Conv1d(rng, d_h, d_h, FFT_KERNELS[1])
         self.norm2 = LayerNorm(d_h)
-        self.p_dropout = p_dropout
 
     def __call__(self, h, seg, rngs, adapter):
         """`adapter` is the block's adapter callable, or None."""
-        a = ad.dropout(self.attn(h, seg, rngs), self.p_dropout, rngs, seg)
+        a = ad.dropout(self.attn(h, seg, rngs), DROPOUT, rngs, seg)
         h = self.norm1(ad.add(h, a))
         c = self.conv2(ad.relu(self.conv1(h, seg)), seg)
         if adapter is not None:
             c = adapter(c)
-        c = ad.dropout(c, self.p_dropout, rngs, seg)
+        c = ad.dropout(c, DROPOUT, rngs, seg)
         return self.norm2(ad.add(h, c))
 
 
 class Encoder(Module):
-    """Phoneme ids -> hidden sequence through 4 FFT blocks (default)."""
+    """Phoneme ids -> hidden sequence through `n_layers` FFT blocks."""
 
-    def __init__(self, rng, vocab, d_h, heads=2, n_layers=4, conv_kernels=(9, 1), p_dropout=0.1):
+    def __init__(self, rng, vocab, d_h, heads, n_layers):
         self.embed = Embedding(rng, vocab, d_h)
-        self.blocks = [FFTBlock(rng, d_h, heads, conv_kernels, p_dropout) for _ in range(n_layers)]
+        self.blocks = [FFTBlock(rng, d_h, heads) for _ in range(n_layers)]
         self.d_h = d_h
 
     def __call__(self, phoneme_ids, seg, rngs, adapters):
@@ -104,10 +108,10 @@ class Encoder(Module):
 
 
 class Decoder(Module):
-    """Frame-level hidden sequence -> mel frames through 6 FFT blocks (default)."""
+    """Frame-level hidden sequence -> mel frames through `n_layers` FFT blocks."""
 
-    def __init__(self, rng, d_h, n_mels, heads=2, n_layers=6, conv_kernels=(9, 1), p_dropout=0.1):
-        self.blocks = [FFTBlock(rng, d_h, heads, conv_kernels, p_dropout) for _ in range(n_layers)]
+    def __init__(self, rng, d_h, n_mels, heads, n_layers):
+        self.blocks = [FFTBlock(rng, d_h, heads) for _ in range(n_layers)]
         self.mel_head = Dense(rng, d_h, n_mels)
         self.d_h = d_h
 
@@ -125,17 +129,16 @@ class Postnet(Module):
     """Residual mel refinement; final conv zero-initialized so the stack is
     the identity at the start of training."""
 
-    def __init__(self, rng, n_mels, channels=256, kernel=5, n_layers=5, p_dropout=0.1):
-        convs = [Conv1d(rng, n_mels, channels, kernel)]
+    def __init__(self, rng, n_mels, channels, n_layers):
+        convs = [Conv1d(rng, n_mels, channels, POSTNET_KERNEL)]
         for _ in range(n_layers - 2):
-            convs.append(Conv1d(rng, channels, channels, kernel))
-        convs.append(Conv1d(rng, channels, n_mels, kernel, zero_init=True))
+            convs.append(Conv1d(rng, channels, channels, POSTNET_KERNEL))
+        convs.append(Conv1d(rng, channels, n_mels, POSTNET_KERNEL, zero_init=True))
         self.convs = convs
-        self.p_dropout = p_dropout
 
     def __call__(self, mel, seg, rngs):
         h = mel
         for conv in self.convs[:-1]:
-            h = ad.dropout(ad.tanh(conv(h, seg)), self.p_dropout, rngs, seg)
+            h = ad.dropout(ad.tanh(conv(h, seg)), DROPOUT, rngs, seg)
         residual = self.convs[-1](h, seg)
         return ad.add(mel, residual)

@@ -67,7 +67,7 @@ def default_config():
         "synthesize": {"utt": "", "speaker": "", "phonemes": ""},
         "evaluate": {"split": "val", "speakers": "adapt"},
         "dump": {"jitters": 0},
-        "gradcheck": {"instances": 5, "threshold": 1e-4, "networks": ""},
+        "gradcheck": {"networks": ""},
     }
 
 
@@ -104,7 +104,6 @@ _RANGES = {
     "adapt.strategy": StrategyConfig.parse, "adapt.steps": "[1, inf)",
     "adapt.lr": "(0, inf)", "adapt.batch_size": "[1, inf)",
     "evaluate.split": ("train", "val", "all"), "evaluate.speakers": tuple(_SPEAKER_GROUPS),
-    "gradcheck.instances": "[1, inf)", "gradcheck.threshold": "(0, inf)",
 }
 
 
@@ -293,11 +292,6 @@ def _cmd_params(cfg):
     return 0
 
 
-# Size of each dumped embedding's jitter: the corpus perturbs its embeddings
-# by CorpusSpec.jitter (0.02), so the dumped variants spread as its own do.
-_DUMP_JITTER = 0.02
-
-
 def _cmd_dump_hyper_params(cfg):
     n_jitters = cfg["dump"]["jitters"]
     loaded, utts = _checkpoint_and_corpus(cfg, adaptation=True)
@@ -317,9 +311,9 @@ def _cmd_dump_hyper_params(cfg):
         speaker_utts = _speaker_train_utterances(utts, speaker)
         variants = [("centroid", _speaker_centroid(speaker_utts))]
         for k in range(n_jitters):
-            emb = synthetic_embedding(speaker_utts[0].mel, d_spk, jitter=_DUMP_JITTER,
-                                      stream=("dump", speaker, k))
-            variants.append((f"jitter{k}", emb.astype(np.float32)))
+            # jittered as the corpus jitters its own embeddings
+            emb = synthetic_embedding(speaker_utts[0].mel, d_spk, stream=("dump", speaker, k))
+            variants.append((f"jitter{k}", emb))
         for variant, emb in variants:
             for tag, table in adapted.hooks_for(emb).items():
                 for site, row in enumerate(table.data.astype(np.float64)):
@@ -340,10 +334,8 @@ def _cmd_dump_hyper_params(cfg):
 
 
 def _cmd_grad_check(cfg):
-    section = cfg["gradcheck"]
-    names = [n for n in section["networks"].split(",") if n] or None
-    results = gradcheck.run_suite(instances=section["instances"],
-                                  threshold=section["threshold"], names=names)
+    names = [n for n in cfg["gradcheck"]["networks"].split(",") if n] or None
+    results = gradcheck.run_suite(names)
     failed = [r for r in results if not r.passed]
     by_name = {}
     for r in results:
@@ -377,8 +369,6 @@ _FLAGS = {
     "--split": ("evaluate.split", "which split to score"),
     "--speakers": ("evaluate.speakers", "speaker group to score"),
     "--jitters": ("dump.jitters", "extra jittered embeddings per speaker"),
-    "--instances": ("gradcheck.instances", "random instances per sub-network"),
-    "--threshold": ("gradcheck.threshold", "max relative error"),
     "--networks": ("gradcheck.networks", "comma-separated subset"),
 }
 
@@ -398,7 +388,7 @@ _VERBS = {
                           "export generated adapter weights per adaptation speaker",
                           ("--corpus", "--checkpoint", "--jitters")),
     "grad-check": (_cmd_grad_check, "finite-difference checks on every sub-network",
-                   ("--instances", "--threshold", "--networks")),
+                   ("--networks",)),
 }
 
 # (verb, flag) pairs that must be given on the command line

@@ -15,6 +15,10 @@ statistics through tanh, unit-normalized. The projection seed is a module
 constant, independent of the corpus seed, so synthesized mel can be embedded
 at evaluation time without knowing how the corpus was built.
 
+The recipe's noise and split sizes (TEXTURE, JITTER, QUIRK_SCALE,
+VAL_FRACTION) are module constants; a CorpusSpec holds only the sizes a
+corpus varies.
+
 A corpus is one featio container, corpus.bin. Its metadata is the seed and
 the CorpusSpec, from which utterance_index derives every utterance's id,
 speaker and split; its tensors are each utterance's arrays.
@@ -37,6 +41,10 @@ EMBEDDER_SEED = 1877  # fixed: the embedder is a stand-in for an external model
 
 F0_FLOOR = 50.0
 F0_CEIL = 600.0
+TEXTURE = 0.05  # std of each mel's noise floor
+JITTER = 0.02  # length of each corpus embedding's perturbation
+QUIRK_SCALE = 2.4  # length of each speaker's quirk vector
+VAL_FRACTION = 0.2  # of each speaker's utterances, the first ones
 
 
 @dataclass
@@ -47,31 +55,21 @@ class CorpusSpec:
     vocab_size: int = ranged(32, "[4, inf)")  # three voiced phonemes in four
     n_mels: int = ranged(20, "[2, inf)")  # the embedder centers across mel bins
     d_spk: int = ranged(24, "[1, inf)")
-    val_fraction: float = ranged(0.2, "(0, 1)")
     min_phonemes: int = ranged(8, "[1, inf)")
     max_phonemes: int = ranged(14, "[1, inf)")
-    # At most 1e6: a mel near 1e6 keeps a float32 step (0.0625) below the
-    # phoneme prototypes' spread (0.3), and an embedding perturbed by 1e6
-    # keeps its unit speaker direction above float32's resolution (6e-8).
-    texture: float = ranged(0.05, "[0, 1e6]")  # std of each mel's noise floor
-    jitter: float = ranged(0.02, "[0, 1e6]")  # length of each embedding's perturbation
-    quirk_scale: float = ranged(2.4, "[0, 1e6]")  # length of each speaker's quirk vector
 
     def __post_init__(self):
         check_fields(self, "corpus.")
         if self.min_phonemes > self.max_phonemes:
             raise ConfigError(f"corpus.min_phonemes={self.min_phonemes} is more than "
                               f"corpus.max_phonemes={self.max_phonemes}")
-        if self.val_per_speaker >= self.utts_per_speaker:
-            raise ConfigError(
-                f"corpus.utts_per_speaker={self.utts_per_speaker} with corpus.val_fraction="
-                f"{self.val_fraction} leaves a speaker without a train or a validation utterance")
 
     @property
     def val_per_speaker(self):
         """The validation utterances of each speaker: the first
-        round(utts_per_speaker * val_fraction), at least one."""
-        return max(1, int(round(self.utts_per_speaker * self.val_fraction)))
+        round(utts_per_speaker * VAL_FRACTION), at least one and, as
+        utts_per_speaker >= 2, fewer than all."""
+        return max(1, int(round(self.utts_per_speaker * VAL_FRACTION)))
 
 
 @dataclass
@@ -153,7 +151,7 @@ def _orthogonal_quirks(spec, seed, names):
             q = q - (q @ prev) * prev
         q /= np.linalg.norm(q)
         done.append(q)
-    return {name: q * spec.quirk_scale for name, q in zip(names, done)}
+    return {name: q * QUIRK_SCALE for name, q in zip(names, done)}
 
 
 def _speaker_ids(spec):
@@ -228,7 +226,7 @@ def synth_utterance(spec, tables, latent, phonemes, texture_rng):
     starts = np.cumsum(durs)[:-1]
     for s in starts:
         mel[s] = 0.5 * (mel[s] + mel[s - 1])
-    mel += texture_rng.normal(size=mel.shape) * spec.texture
+    mel += texture_rng.normal(size=mel.shape) * TEXTURE
     return (
         mel.astype(np.float32),
         f0.astype(np.float32),
@@ -252,14 +250,15 @@ def _embed_projection(n_mels, d_spk):
     return proj
 
 
-def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
+def synthetic_embedding(mel, d_spk, stream=None):
     """Unit-norm embedding from the utterance's mean spectrum; same mel ->
     same embedding.
 
     The mean is centered across mel bins first, making the embedding
     invariant to overall loudness, the way a speaker-verification model
-    would be. jitter > 0 adds a deterministic per-stream perturbation
-    before renormalizing, modelling embedder noise between utterances.
+    would be. A `stream` (a tuple of names) adds a deterministic
+    perturbation of length JITTER drawn from it before renormalizing,
+    modelling embedder noise between utterances.
     """
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[0] < 1:
@@ -271,9 +270,9 @@ def synthetic_embedding(mel, d_spk, jitter=0.0, stream=()):
     if norm == 0:
         raise InputError("degenerate mel produced a zero embedding")
     v = v / norm
-    if jitter:
+    if stream is not None:
         noise = rng_for(EMBEDDER_SEED, "jitter", *stream).normal(size=d_spk)
-        v = v + jitter * noise / np.linalg.norm(noise)
+        v = v + JITTER * noise / np.linalg.norm(noise)
         v = v / np.linalg.norm(v)
     return v.astype(np.float32)
 
@@ -316,7 +315,7 @@ def generate_corpus(spec, seed, out_dir):
         mel, f0, energy, _ = synth_utterance(
             spec, tables, latents[entry.speaker], phonemes, rng_for(seed, "texture", utt_id)
         )
-        emb = synthetic_embedding(mel, spec.d_spk, spec.jitter, stream=(utt_id,))
+        emb = synthetic_embedding(mel, spec.d_spk, stream=(utt_id,))
         for field, arr in zip(FEATURE_FIELDS, (phonemes, mel, f0, energy, emb)):
             tensors[f"{utt_id}.{field}"] = arr
     path = os.path.join(out_dir, "corpus.bin")

@@ -80,7 +80,7 @@ def in_range(key, value, declared):
     for it: a tuple of choices, a function that raises ConfigError for a
     value outside, or an interval of numbers that holds it (or each item of
     a list). "[" and "]" include their end, "(" and ")" do not, "inf" is no
-    bound; "int [1, inf)" holds only its ints, "odd [1, inf)" its odd ints.
+    bound; "int [1, inf)" holds only its ints.
     NaN lies in no interval, and an infinity in none: no "inf" end is closed."""
     if callable(declared):
         try:
@@ -91,14 +91,13 @@ def in_range(key, value, declared):
         if value not in declared:
             raise ConfigError(f"{key}={value!r} is not one of {list(declared)}")
     else:
-        interval = declared.removeprefix("odd ").removeprefix("int ")
+        interval = declared.removeprefix("int ")
         low, high = (float(end) for end in interval[1:-1].split(","))
         for v in value if isinstance(value, (list, tuple)) else [value]:
             if not (isinstance(v, int if interval != declared else (int, float))
                     and not isinstance(v, bool)
                     and (v >= low if interval[0] == "[" else v > low)
-                    and (v <= high if interval[-1] == "]" else v < high)
-                    and not (declared.startswith("odd") and v % 2 == 0)):
+                    and (v <= high if interval[-1] == "]" else v < high)):
                 raise ConfigError(f"{key}={value!r} is not in {declared}")
 
 

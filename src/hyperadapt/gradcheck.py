@@ -3,8 +3,9 @@
 Each builder constructs a small float64 instance with a fresh seed, wires a
 scalar loss through it, and hands back the loss closure plus the tensor list
 (input and parameters) to perturb. Builders pass no dropout streams, so
-nothing drops out whatever a module's rate. `run_suite` drives the whole
-registry and is shared by the grad-check command and the acceptance tests.
+nothing drops out. `run_suite` drives the whole registry, INSTANCES seeds
+of each at THRESHOLD, and is shared by the grad-check command and the
+acceptance tests.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,8 @@ from .errors import in_range
 from .layers import rng_for
 
 _D = 8
+INSTANCES = 5  # fresh instances of each sub-network
+THRESHOLD = 1e-4  # the largest relative error that passes
 
 
 def _f64_params(module):
@@ -96,8 +99,7 @@ def _energy_head(seed):
 
 
 def _postnet(seed):
-    net = backbone.Postnet(rng_for(seed, "gc", "post"), n_mels=6, channels=10,
-                           kernel=5, n_layers=3)
+    net = backbone.Postnet(rng_for(seed, "gc", "post"), n_mels=6, channels=10, n_layers=3)
     params = _f64_params(net)
     # off the zero init of the last conv, or no gradient reaches the others
     last = net.convs[-1].w
@@ -190,8 +192,8 @@ class CheckResult:
     passed: bool
 
 
-def run_suite(instances=5, threshold=1e-4, names=None):
-    """FD-check `instances` fresh instances of each named sub-network."""
+def run_suite(names=None):
+    """FD-check INSTANCES fresh instances of each named sub-network."""
     if names is None:
         picked = dict(BUILDERS)
     else:
@@ -200,8 +202,8 @@ def run_suite(instances=5, threshold=1e-4, names=None):
         picked = {n: BUILDERS[n] for n in names}
     results = []
     for name, build in picked.items():
-        for k in range(instances):
+        for k in range(INSTANCES):
             fn, inputs = build(k)
-            report = ad.grad_check(fn, inputs, threshold=threshold)
+            report = ad.grad_check(fn, inputs, threshold=THRESHOLD)
             results.append(CheckResult(name, k, report.max_rel, report.passed))
     return results

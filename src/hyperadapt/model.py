@@ -35,15 +35,10 @@ class ModelConfig:
     heads: int = ranged(2, "[1, inf)")
     enc_layers: int = ranged(4, "[1, inf)")
     dec_layers: int = ranged(6, "[1, inf)")
-    conv_kernel: int = ranged(9, "odd [1, inf)")  # odd: a conv keeps the length
     d_spk: int = ranged(256, "[1, inf)")
     d_attn: int = ranged(64, "[1, inf)")
     postnet_channels: int = ranged(256, "[1, inf)")
-    postnet_kernel: int = ranged(5, "odd [1, inf)")
     postnet_layers: int = ranged(5, "[2, inf)")  # an input and an output conv
-    dropout: float = ranged(0.1, "[0, 1)")
-    var_kernel: int = ranged(3, "odd [1, inf)")
-    var_dropout: float = ranged(0.5, "[0, 1)")
 
     def __post_init__(self):
         check_fields(self, "model.")
@@ -92,22 +87,13 @@ class Pack:
 class TTSModel(Module):
     def __init__(self, config, seed=0):
         c = config
-        self.encoder = Encoder(
-            rng_for(seed, "init", "encoder"), c.vocab_size, c.d_h, c.heads,
-            c.enc_layers, (c.conv_kernel, 1), c.dropout,
-        )
-        self.variance = VarianceAdapter(
-            rng_for(seed, "init", "variance"), c.d_h, c.d_spk,
-            kernel=c.var_kernel, p_dropout=c.var_dropout,
-        )
-        self.decoder = Decoder(
-            rng_for(seed, "init", "decoder"), c.d_h, c.n_mels, c.heads,
-            c.dec_layers, (c.conv_kernel, 1), c.dropout,
-        )
-        self.postnet = Postnet(
-            rng_for(seed, "init", "postnet"), c.n_mels, c.postnet_channels,
-            c.postnet_kernel, c.postnet_layers, c.dropout,
-        )
+        self.encoder = Encoder(rng_for(seed, "init", "encoder"), c.vocab_size, c.d_h, c.heads,
+                               c.enc_layers)
+        self.variance = VarianceAdapter(rng_for(seed, "init", "variance"), c.d_h, c.d_spk)
+        self.decoder = Decoder(rng_for(seed, "init", "decoder"), c.d_h, c.n_mels, c.heads,
+                               c.dec_layers)
+        self.postnet = Postnet(rng_for(seed, "init", "postnet"), c.n_mels, c.postnet_channels,
+                               c.postnet_layers)
         self.aligner = AlignmentEncoder(rng_for(seed, "init", "aligner"), c.d_h, c.n_mels, c.d_attn)
         self.config = c
 

@@ -333,12 +333,11 @@ def flat_grads(named_params, out=None):
 # -----------------------------------------------------------------------------
 
 
-def _range_meta(model):
+def _range_meta(path, model):
     va = model.variance
-    return {
-        "pitch_range": list(va.pitch_range) if va.pitch_range else None,
-        "energy_range": list(va.energy_range) if va.energy_range else None,
-    }
+    if va.pitch_range is None or va.energy_range is None:
+        raise StateError(f"{path}: the model's pitch and energy ranges are not set")
+    return {"pitch_range": list(va.pitch_range), "energy_range": list(va.energy_range)}
 
 
 def save_checkpoint(path, model, step, *, adapted=None, opt=None, extra_meta=None):
@@ -349,7 +348,7 @@ def save_checkpoint(path, model, step, *, adapted=None, opt=None, extra_meta=Non
         "model_config": model.config.to_dict(),
         "adam_t": opt.t if opt is not None else 0,
     }
-    meta.update(_range_meta(model))
+    meta.update(_range_meta(path, model))
     if adapted is not None:
         meta["strategy"] = adapted.strategy.label()
         meta["adapter_dims"] = vars(adapted.strategy.dims).copy()
@@ -377,7 +376,7 @@ class LoadedCheckpoint:
 def _read_meta(meta):
     """(ModelConfig, [pitch_range, energy_range], StrategyConfig or None) of
     checkpoint metadata, once each key it or a caller (step, adam_t) reads
-    holds its JSON type (a range may be null); else a ConfigError."""
+    holds its JSON type; else a ConfigError."""
     def section(key, defaults):
         merge_checked(defaults, checked(key, {}, meta.get(key)), f"{key}.")
         return defaults
@@ -387,10 +386,10 @@ def _read_meta(meta):
         checked(key, 0, meta.get(key))
     ranges = []
     for key in ("pitch_range", "energy_range"):
-        pair = meta.get(key)
-        if pair is not None and len(checked(key, [], pair)) != 2:
+        pair = checked(key, [], meta.get(key))
+        if len(pair) != 2:
             raise ConfigError(f"key '{key}' expects two numbers, got {pair!r}")
-        ranges.append(pair and [checked(key, 0.0, v) for v in pair])
+        ranges.append([checked(key, 0.0, v) for v in pair])
     strategy = None
     if "strategy" in meta:
         dims = AdapterDims(**section("adapter_dims", asdict(AdapterDims())))
@@ -412,8 +411,7 @@ def load_checkpoint(path):
         if not k.startswith("extras.") and not k.startswith("opt.")
     }
     model.load_state_arrays(model_arrays)
-    if None not in ranges:
-        model.set_ranges(*ranges)
+    model.set_ranges(*ranges)
     adapted = None
     if strategy is not None:
         adapted = AdaptedModel(model, strategy)
@@ -562,7 +560,8 @@ class _SecondHalf:
         self.half, self.positions = half, positions
         self.grad = _shared_empty(flat.size, flat.dtype)
         self.pid = None
-        if positions and len(os.sched_getaffinity(0)) >= 2:
+        affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+        if positions and affinity is not None and len(affinity(0)) >= 2:
             self.conn, theirs = multiprocessing.Pipe()
             self.pid = os.fork()
             if self.pid == 0:
@@ -796,28 +795,29 @@ def adapt(checkpoint_path, corpus_path, strategy, sched, run_dir, seed, *,
     trains nothing: the output file is a byte-for-byte copy of the input,
     made once the input loads as a pretraining checkpoint. For every other
     strategy the frozen tensors are snapshotted before and compared bitwise
-    after training; any drift is an internal error.
+    after training; any drift is an internal error. Nothing in `run_dir`
+    changes until the inputs have loaded.
     """
-    os.makedirs(run_dir, exist_ok=True)
     strategy = StrategyConfig.parse(strategy, dims)
+    loaded = load_checkpoint(checkpoint_path)
+    if loaded.meta.get("kind") != "pretrain":
+        raise StateError(f"{checkpoint_path} is not a pretraining checkpoint")
+    model = loaded.model
+    if strategy.name != "tts0":
+        utts = load_fitting_corpus(corpus_path, model.config, adaptation=True)
+    os.makedirs(run_dir, exist_ok=True)
     out_path = os.path.join(run_dir, "adapted.bin")
     log_path = os.path.join(run_dir, "adapt_log.tsv")
     # adaptation never resumes: a rerun rewrites the logs instead of appending
     for stale in (log_path, os.path.join(run_dir, "adapt_val_log.tsv")):
         if os.path.exists(stale):
             os.remove(stale)
-
-    loaded = load_checkpoint(checkpoint_path)
-    if loaded.meta.get("kind") != "pretrain":
-        raise StateError(f"{checkpoint_path} is not a pretraining checkpoint")
     if strategy.name == "tts0":
         _LossLog(log_path, header_extra=(
             f"# strategy\t{strategy.label()}", "# trainable_params\t0"))
         shutil.copyfile(checkpoint_path, out_path)
         return out_path
 
-    model = loaded.model
-    utts = load_fitting_corpus(corpus_path, model.config, adaptation=True)
     train, val = (corpus_mod.filter_entries(utts, split=s) for s in ("train", "val"))
     adapted = AdaptedModel(model, strategy, seed=seed)
     trainable = adapted.named_trainable()

@@ -6,6 +6,9 @@ interpolated through unvoiced gaps, logged, normalized, and expanded over a
 bank of Mexican-hat wavelets at dyadic scales. The predictor regresses the
 wavelet coefficients plus the contour's mean and variance; synthesis inverts
 the bank and de-normalizes.
+
+The three predictors share one conv trunk with FastSpeech 2's kernel size and
+dropout rate, fixed here as module constants, not config keys.
 """
 
 import numpy as np
@@ -15,6 +18,8 @@ from .errors import InputError, NumericsError, StateError
 from .layers import Conv1d, Dense, Embedding, LayerNorm, Module
 
 N_SCALES = 10
+KERNEL = 3  # of each variance-predictor conv
+DROPOUT = 0.5  # after each variance-predictor conv
 # Longest duration synthesis accepts for one phoneme: about 16 s at 16 kHz
 # with a 256-sample hop.
 MAX_FRAMES_PER_PHONEME = 1000
@@ -143,24 +148,23 @@ class ConvStack(Module):
     where parameter-efficient tuning hooks into the variance predictors.
     """
 
-    def __init__(self, rng, d_h, kernel=3, p_dropout=0.5):
-        self.conv1 = Conv1d(rng, d_h, d_h, kernel)
+    def __init__(self, rng, d_h):
+        self.conv1 = Conv1d(rng, d_h, d_h, KERNEL)
         self.norm1 = LayerNorm(d_h)
-        self.conv2 = Conv1d(rng, d_h, d_h, kernel)
+        self.conv2 = Conv1d(rng, d_h, d_h, KERNEL)
         self.norm2 = LayerNorm(d_h)
-        self.p_dropout = p_dropout
 
     def __call__(self, x, seg, rngs, adapter):
-        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), self.p_dropout, rngs, seg)
-        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), self.p_dropout, rngs, seg)
+        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), DROPOUT, rngs, seg)
+        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), DROPOUT, rngs, seg)
         if adapter is not None:
             h = adapter(h)
         return h
 
 
 class DurationPredictor(Module):
-    def __init__(self, rng, d_h, kernel=3, p_dropout=0.5):
-        self.stack = ConvStack(rng, d_h, kernel, p_dropout)
+    def __init__(self, rng, d_h):
+        self.stack = ConvStack(rng, d_h)
         self.head = Dense(rng, d_h, 1)
 
     def __call__(self, h, seg, rngs):
@@ -173,8 +177,8 @@ class PitchPredictor(Module):
     utterance's contour mean and variance from its mean-pooled trunk, (B,)
     each."""
 
-    def __init__(self, rng, d_h, kernel=3, p_dropout=0.5):
-        self.stack = ConvStack(rng, d_h, kernel, p_dropout)
+    def __init__(self, rng, d_h):
+        self.stack = ConvStack(rng, d_h)
         self.spec_head = Dense(rng, d_h, N_SCALES)
         self.mean_head = Dense(rng, d_h, 1)
         self.var_head = Dense(rng, d_h, 1)
@@ -189,8 +193,8 @@ class PitchPredictor(Module):
 
 
 class EnergyPredictor(Module):
-    def __init__(self, rng, d_h, kernel=3, p_dropout=0.5):
-        self.stack = ConvStack(rng, d_h, kernel, p_dropout)
+    def __init__(self, rng, d_h):
+        self.stack = ConvStack(rng, d_h)
         self.head = Dense(rng, d_h, 1)
 
     def __call__(self, h, seg, rngs, adapter):
@@ -220,11 +224,11 @@ class VarianceAdapter(Module):
 
     N_BINS = 256
 
-    def __init__(self, rng, d_h, d_spk, kernel=3, p_dropout=0.5):
+    def __init__(self, rng, d_h, d_spk):
         self.spk_proj = Dense(rng, d_spk, d_h)
-        self.duration = DurationPredictor(rng, d_h, kernel, p_dropout)
-        self.pitch = PitchPredictor(rng, d_h, kernel, p_dropout)
-        self.energy = EnergyPredictor(rng, d_h, kernel, p_dropout)
+        self.duration = DurationPredictor(rng, d_h)
+        self.pitch = PitchPredictor(rng, d_h)
+        self.energy = EnergyPredictor(rng, d_h)
         self.pitch_embed = Embedding(rng, self.N_BINS, d_h)
         self.energy_embed = Embedding(rng, self.N_BINS, d_h)
         self.pitch_range = None   # (min, max) of interpolated log-f0, train split

@@ -216,7 +216,7 @@ def test_criterion_02_bottleneck_scaling_matches_published_tables(published_mode
 
 def test_criterion_03_gradient_checks_on_every_subnetwork():
     start = time.perf_counter()
-    results = gradcheck.run_suite(instances=5, threshold=1e-4)
+    results = gradcheck.run_suite()
     elapsed = time.perf_counter() - start
     failed = [r for r in results if not r.passed]
     assert not failed, f"failed: {[(r.name, r.instance, r.max_rel) for r in failed]}"

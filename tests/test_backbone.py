@@ -94,7 +94,7 @@ class TestFFTBlock:
         assert block(h, one(9), (), None).shape == (9, D)
 
     def test_gradient_check(self):
-        block = _f64(backbone.FFTBlock(rng_for(6, "blk"), D, heads=2, p_dropout=0.0))
+        block = _f64(backbone.FFTBlock(rng_for(6, "blk"), D, heads=2))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(2).standard_normal((5, D)), requires_grad=True)
         target = Tensor(np.random.default_rng(3).standard_normal((5, D)))
@@ -108,7 +108,7 @@ class TestFFTBlock:
     def test_gradient_check_two_segments(self):
         # a pack of two utterances (4 and 2 rows): one softmax per segment
         # and conv padding at the boundary
-        block = _f64(backbone.FFTBlock(rng_for(9, "blk"), D, heads=2, p_dropout=0.0))
+        block = _f64(backbone.FFTBlock(rng_for(9, "blk"), D, heads=2))
         block.set_trainable(True)
         h = Tensor(np.random.default_rng(5).standard_normal((6, D)), requires_grad=True)
         target = Tensor(np.random.default_rng(6).standard_normal((6, D)))
@@ -126,7 +126,7 @@ class TestFFTBlock:
         # with dropout on: each segment draws from its own stream, and new
         # content in one segment moves neither the other's outputs nor the
         # gradient that reaches its rows
-        block = backbone.FFTBlock(rng_for(11, "blk"), D, heads=2, p_dropout=0.2)
+        block = backbone.FFTBlock(rng_for(11, "blk"), D, heads=2)
         seg = ad.Segments([4, 3])
         c = np.random.default_rng(12).standard_normal((7, D)).astype(np.float32)
 
@@ -146,7 +146,7 @@ class TestFFTBlock:
         assert np.abs(out_a[4:] - out_b[4:]).max() > 1e-3
 
     def test_dropout_in_training_replays_from_seed(self):
-        block = backbone.FFTBlock(rng_for(10, "blk"), D, heads=2, p_dropout=0.2)
+        block = backbone.FFTBlock(rng_for(10, "blk"), D, heads=2)
         h = Tensor(np.random.default_rng(7).standard_normal((5, D)).astype(np.float32))
 
         def run():
@@ -157,7 +157,7 @@ class TestFFTBlock:
         assert np.abs(first - block(h, one(5), (), None).data).max() > 1e-4
 
     def test_adapter_hook_applies_before_final_norm(self):
-        block = backbone.FFTBlock(rng_for(7, "blk"), D, heads=2, p_dropout=0.0)
+        block = backbone.FFTBlock(rng_for(7, "blk"), D, heads=2)
         h = Tensor(np.random.default_rng(4).standard_normal((4, D)).astype(np.float32))
         plain = block(h, one(4), (), None).data
         hooked = block(h, one(4), (), lambda t: t).data
@@ -171,18 +171,18 @@ class TestFFTBlock:
 
 class TestDecoder:
     def test_output_shape(self):
-        dec = backbone.Decoder(rng_for(9, "dec"), D, n_mels=12, n_layers=6)
+        dec = backbone.Decoder(rng_for(9, "dec"), D, n_mels=12, heads=2, n_layers=6)
         assert len(dec.blocks) == 6
         h = Tensor(np.random.default_rng(5).standard_normal((20, D)).astype(np.float32))
         assert dec(h, one(20), (), [None] * 6).shape == (20, 12)
 
     def test_zero_length_rejected(self):
-        dec = backbone.Decoder(rng_for(10, "dec"), D, n_mels=4, n_layers=2)
+        dec = backbone.Decoder(rng_for(10, "dec"), D, n_mels=4, heads=2, n_layers=2)
         with pytest.raises(InputError):
             dec(Tensor(np.zeros((0, D), dtype=np.float32)), None, (), [None] * 2)
 
     def test_gradient_check(self):
-        dec = _f64(backbone.Decoder(rng_for(11, "dec"), D, n_mels=3, n_layers=2, p_dropout=0.0))
+        dec = _f64(backbone.Decoder(rng_for(11, "dec"), D, n_mels=3, heads=2, n_layers=2))
         dec.set_trainable(True)
         h = Tensor(np.random.default_rng(6).standard_normal((4, D)), requires_grad=True)
         target = Tensor(np.random.default_rng(7).standard_normal((4, 3)))
@@ -193,13 +193,13 @@ class TestDecoder:
 
 class TestPostnet:
     def test_identity_at_init(self):
-        post = backbone.Postnet(rng_for(12, "post"), n_mels=10, channels=16)
+        post = backbone.Postnet(rng_for(12, "post"), n_mels=10, channels=16, n_layers=5)
         mel = Tensor(np.random.default_rng(8).standard_normal((15, 10)).astype(np.float32))
         out = post(mel, one(15), ())
         np.testing.assert_array_equal(out.data, mel.data)
 
     def test_shape_preserved_after_perturbation(self):
-        post = backbone.Postnet(rng_for(13, "post"), n_mels=6, channels=8)
+        post = backbone.Postnet(rng_for(13, "post"), n_mels=6, channels=8, n_layers=5)
         post.convs[-1].w.data += 0.05
         mel = Tensor(np.random.default_rng(9).standard_normal((12, 6)).astype(np.float32))
         out = post(mel, one(12), ())
@@ -207,7 +207,7 @@ class TestPostnet:
         assert np.abs(out.data - mel.data).max() > 1e-6
 
     def test_gradient_check(self):
-        post = _f64(backbone.Postnet(rng_for(14, "post"), n_mels=4, channels=6, p_dropout=0.0))
+        post = _f64(backbone.Postnet(rng_for(14, "post"), n_mels=4, channels=6, n_layers=5))
         post.set_trainable(True)
         post.convs[-1].w.data += 0.1  # move off the zero init so grads flow everywhere
         mel = Tensor(np.random.default_rng(10).standard_normal((7, 4)), requires_grad=True)
@@ -216,5 +216,5 @@ class TestPostnet:
         assert report.passed, repr(report)
 
     def test_five_layers_default(self):
-        post = backbone.Postnet(rng_for(15, "post"), n_mels=4, channels=6)
+        post = backbone.Postnet(rng_for(15, "post"), n_mels=4, channels=6, n_layers=5)
         assert len(post.convs) == 5

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from hyperadapt import cli, featio
+from hyperadapt import cli, featio, gradcheck
 from hyperadapt.adaptation import AdapterDims
 from hyperadapt.cli import build_parser, config_hash, default_config, load_config, main
 from hyperadapt.corpus import CorpusSpec, generate_corpus
@@ -149,36 +149,26 @@ def test_set_overrides_and_bad_override():
     ("pretrain", "model.enc_layers=-1", "model.enc_layers"),
     ("pretrain", None, "model.d_h"),  # {"d_h": "32"} in the config file
     ("dump-hyper-params", "dump.jitters=-2", "dump.jitters"),
-    ("grad-check", "gradcheck.threshold=0", "gradcheck.threshold"),
-    ("grad-check", "gradcheck.threshold=-1", "gradcheck.threshold"),
     # ranges are checked for every verb, not only the one that reads the key
     ("gen-corpus", "evaluate.split=bogus", "evaluate.split"),
     ("gen-corpus", "evaluate.speakers=nobody", "evaluate.speakers"),
     ("gen-corpus", "dump.jitters=-3", "dump.jitters"),
-    ("gen-corpus", "gradcheck.threshold=-1", "gradcheck.threshold"),
+    ("grad-check", "adapt.lr=0", "adapt.lr"),
     ("gen-corpus", "model.n_mels=0", "model.n_mels"),
-    # a length-preserving conv needs an odd kernel
-    *[(verb, f"model.{key}={size}", f"model.{key}")
-      for verb in ("gen-corpus", "pretrain", "params")
-      for key, size in (("conv_kernel", 8), ("var_kernel", 2), ("postnet_kernel", 4))],
     # attention splits d_h across the heads; the postnet needs an input and an output conv
     *[(verb, f"model.{key}={value}", f"model.{key}")
       for verb in ("gen-corpus", "pretrain", "params")
       for key, value in (("heads", 3), ("postnet_layers", 1))],
     ("pretrain", "schedule.milestones=[3000,2000]", "schedule.milestones"),
     ("pretrain", "schedule.milestones=[30,30]", "schedule.warmup_steps"),
-    ("grad-check", "gradcheck.instances=0", "gradcheck.instances"),
-    ("gen-corpus", "gradcheck.instances=0", "gradcheck.instances"),
     ("pretrain", "schedule.warmup_steps=-5", "schedule.warmup_steps"),
     ("pretrain", "schedule.duration_start_step=-10", "schedule.duration_start_step"),
     ("pretrain", "schedule.binarization_ramp_steps=0", "schedule.binarization_ramp_steps"),
     # a number that is not finite lies in no range
-    ("gen-corpus", "corpus.texture=NaN", "corpus.texture"),
-    ("gen-corpus", "corpus.jitter=NaN", "corpus.jitter"),
-    ("gen-corpus", "corpus.quirk_scale=Infinity", "corpus.quirk_scale"),
+    ("gen-corpus", "adapt.lr=NaN", "adapt.lr"),
     ("pretrain", "schedule.peak_lr=NaN", "schedule.peak_lr"),
     ("adapt", "adapt.lr=NaN", "adapt.lr"),
-    ("grad-check", "gradcheck.threshold=Infinity", "gradcheck.threshold"),
+    ("grad-check", "schedule.peak_lr=Infinity", "schedule.peak_lr"),
     ("gen-corpus", "seed=-1", "seed"),
     # each milestone is an int
     ("pretrain", 'schedule.milestones=["a"]', "schedule.milestones"),
@@ -220,11 +210,23 @@ def test_mistyped_or_nonpositive_config_exits_2_before_run_dir(tmp_path, verb, s
     ("pretrain", ["--set", "schedule.beta1=0.8"]),
     ("pretrain", ["--set", "schedule.beta2=0.99"]),
     ("pretrain", ["--set", "schedule.eps=1e-8"]),
+    # FastSpeech 2's kernels and dropout rates, the corpus recipe's noise
+    # and split, and the grad-check suite's size and threshold
+    *[(verb, ["--set", setting]) for verb, setting in (
+        ("pretrain", "model.dropout=0.2"), ("pretrain", "model.conv_kernel=9"),
+        ("pretrain", "model.postnet_kernel=5"), ("pretrain", "model.var_kernel=3"),
+        ("pretrain", "model.var_dropout=0.5"), ("gen-corpus", "corpus.texture=0.05"),
+        ("gen-corpus", "corpus.jitter=0.02"), ("gen-corpus", "corpus.quirk_scale=2.4"),
+        ("gen-corpus", "corpus.val_fraction=0.2"), ("grad-check", "gradcheck.instances=1"),
+        ("grad-check", "gradcheck.threshold=1e-4"))],
+    ("grad-check", ["--instances=1"]),
+    ("grad-check", ["--threshold=1e-4"]),
 ])
 def test_removed_flag_and_keys_exit_2(tmp_path, verb, args):
     # the waveform preview, the MCD-width and jitter-size keys, the
     # manifest (a corpus is one file, passed as --corpus), the corpus and
-    # adapter sizes the model fixes and the optimizer's constants are gone
+    # adapter sizes the model fixes, the optimizer's constants and the
+    # method's other constants are gone
     out = tmp_path / "runs"
     code, _, err = run_cli(verb, "--out-dir", str(out), *args)
     assert code == 2
@@ -236,17 +238,15 @@ def test_removed_flag_and_keys_exit_2(tmp_path, verb, args):
 # to this list too.
 SETTABLE = [
     "adapt.batch_size", "adapt.lr", "adapt.steps", "adapt.strategy",
-    "corpus.jitter", "corpus.max_phonemes", "corpus.min_phonemes", "corpus.quirk_scale",
-    "corpus.speakers_adapt", "corpus.speakers_pretrain", "corpus.texture",
-    "corpus.utts_per_speaker", "corpus.val_fraction",
+    "corpus.max_phonemes", "corpus.min_phonemes", "corpus.speakers_adapt",
+    "corpus.speakers_pretrain", "corpus.utts_per_speaker",
     "dims.d_2", "dims.d_l", "dims.d_r", "dims.d_s",
     "dump.jitters",
     "evaluate.speakers", "evaluate.split",
-    "gradcheck.instances", "gradcheck.networks", "gradcheck.threshold",
-    "model.conv_kernel", "model.d_attn", "model.d_h", "model.d_spk", "model.dec_layers",
-    "model.dropout", "model.enc_layers", "model.heads", "model.n_mels",
-    "model.postnet_channels", "model.postnet_kernel", "model.postnet_layers",
-    "model.var_dropout", "model.var_kernel", "model.vocab_size",
+    "gradcheck.networks",
+    "model.d_attn", "model.d_h", "model.d_spk", "model.dec_layers", "model.enc_layers",
+    "model.heads", "model.n_mels", "model.postnet_channels", "model.postnet_layers",
+    "model.vocab_size",
     "out_dir",
     "paths.checkpoint", "paths.corpus",
     "schedule.batch_size", "schedule.binarization_ramp_steps", "schedule.duration_start_step",
@@ -265,7 +265,7 @@ def test_settable_values_are_the_pinned_list():
                 yield prefix + key
 
     assert sorted(leaves(default_config())) == SETTABLE
-    assert len(SETTABLE) == 52
+    assert len(SETTABLE) == 41
 
 
 # The settable values that take any text: the only ones with no declared range.
@@ -273,8 +273,8 @@ FREE_TEXT = {"out_dir", "paths.checkpoint", "paths.corpus", "gradcheck.networks"
              "synthesize.phonemes", "synthesize.speaker", "synthesize.utt"}
 # A verb that reads each section (and seed); every verb checks every value.
 READER = {"adapt": "adapt", "corpus": "gen-corpus", "dims": "adapt",
-          "dump": "dump-hyper-params", "evaluate": "evaluate", "gradcheck": "grad-check",
-          "model": "pretrain", "schedule": "pretrain", "seed": "pretrain"}
+          "dump": "dump-hyper-params", "evaluate": "evaluate", "model": "pretrain",
+          "schedule": "pretrain", "seed": "pretrain"}
 # What other keys must hold for an edge value to pass the cross-field rules.
 EDGE_CONTEXT = {"corpus.max_phonemes": ["corpus.min_phonemes=1"], "model.d_h": ["model.heads=1"],
                 "schedule.milestones": ["schedule.warmup_steps=0"]}
@@ -303,12 +303,12 @@ def _default(key):
 
 
 def _interval(key, declared):
-    """(low, high, low included, high included, odd only, step) of an
-    interval range; the step is 1 for an int key (or a list of ints)."""
-    interval = declared.removeprefix("odd ").removeprefix("int ")
+    """(low, high, low included, high included, step) of an interval range;
+    the step is 1 for an int key (or a list of ints)."""
+    interval = declared.removeprefix("int ")
     low, high = (float(end) for end in interval[1:-1].split(","))
     step = 1 if isinstance(_default(key), (int, list)) else 1e-3
-    return low, high, interval[0] == "[", interval[-1] == "]", declared.startswith("odd"), step
+    return low, high, interval[0] == "[", interval[-1] == "]", step
 
 
 def _as_key_type(key, value):
@@ -322,12 +322,10 @@ def outside_values(key, declared):
     """Values just outside the range declared for `key`."""
     if callable(declared) or isinstance(declared, tuple):
         return ["bogus"]
-    low, high, low_in, high_in, odd, step = _interval(key, declared)
+    low, high, low_in, high_in, step = _interval(key, declared)
     values = [low - step if low_in else low]
     if high != float("inf"):
         values.append(high + step if high_in else high)
-    if odd:
-        values.append(low + 1)
     return [_as_key_type(key, v) for v in values]
 
 
@@ -338,7 +336,7 @@ def edge_values(key, declared):
         return list(declared)
     if callable(declared):
         return ["tts0", "hyper_dve"]
-    low, high, low_in, high_in, _, _ = _interval(key, declared)
+    low, high, low_in, high_in, _ = _interval(key, declared)
     ends = [end for end, included in ((low, low_in), (high, high_in))
             if included and end != float("inf")]
     return [_as_key_type(key, end) for end in ends]
@@ -378,7 +376,7 @@ def test_edge_of_each_range_is_accepted(key):
 @pytest.mark.parametrize("declared, value", [
     ("[0, inf)", float("nan")), ("[0, inf)", float("inf")), ("[0, inf)", -float("inf")),
     ("(0, 1)", float("nan")), ("[0, inf)", True), ("[0, inf)", "1"), ("[0, inf)", None),
-    ("odd [1, inf)", 4), ("odd [1, inf)", 9.0), ("[1, inf)", [1, 0]),
+    ("[1, inf)", 0.5), ("int [1, inf)", 2.0), ("[1, inf)", [1, 0]),
     ("int [1, inf)", [4500.7]), (("a", "b"), "c"),
 ])
 def test_in_range_refuses_values_outside(declared, value):
@@ -390,7 +388,7 @@ def test_non_finite_or_negative_values_in_a_config_file_exit_2(tmp_path):
     # json.load reads NaN and Infinity; the flag --seed sets seed
     out = tmp_path / "runs"
     cfg = tmp_path / "cfg.json"
-    for data, args, key in (({"corpus": {"texture": float("nan")}}, [], "corpus.texture"),
+    for data, args, key in (({"adapt": {"lr": float("nan")}}, [], "adapt.lr"),
                             ({"schedule": {"peak_lr": float("inf")}}, [], "schedule.peak_lr"),
                             ({"seed": -1}, [], "seed"), ({}, ["--seed", "-1"], "seed")):
         cfg.write_text(json.dumps(data))
@@ -586,23 +584,29 @@ def test_bad_input_exits_2_without_a_run_dir(pipeline, tmp_path, verb, args, mes
     ("checkpoint", "not a corpus (metadata keys ['adam_t', "),
     ("string_utts", "corpus metadata: key 'corpus.utts_per_speaker' expects int, got '4'"),
     ("more_utts", "no array adp_00_u004.phonemes"),
-    ("val_fraction_flip", "CRC-32 mismatch (file damaged or truncated)"),
+    ("utts_flip", "CRC-32 mismatch (file damaged or truncated)"),
+    # a corpus written when the recipe's noise was a spec key
+    ("old_texture", "corpus metadata: unknown key 'corpus.texture'"),
 ])
 def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message):
     # a model checkpoint passed as the corpus, a corpus whose spec has a
-    # value of the wrong type or names utterances the file lacks, and one
-    # whose metadata took a flipped byte that would move utterances from
-    # train to validation
+    # value of the wrong type, names utterances the file lacks or holds a
+    # key no spec has, and one whose metadata took a flipped byte that would
+    # make the loader expect utterances the file lacks
     corpus = str(tmp_path / "corpus.bin")
     if case == "checkpoint":
         shutil.copyfile(pipeline["checkpoint"], corpus)
-    elif case == "val_fraction_flip":
+    elif case == "utts_flip":
         blob = open(pipeline["corpus"], "rb").read()
-        assert blob.count(b'"val_fraction":0.2') == 1
-        open(corpus, "wb").write(blob.replace(b'"val_fraction":0.2', b'"val_fraction":0.4'))
+        assert blob.count(b'"utts_per_speaker":4') == 1
+        open(corpus, "wb").write(blob.replace(b'"utts_per_speaker":4',
+                                              b'"utts_per_speaker":5'))
     else:
         meta, tensors = featio.read_checkpoint(pipeline["corpus"])
-        meta["spec"]["utts_per_speaker"] = "4" if case == "string_utts" else 5
+        if case == "old_texture":
+            meta["spec"]["texture"] = 0.05
+        else:
+            meta["spec"]["utts_per_speaker"] = "4" if case == "string_utts" else 5
         featio.write_checkpoint(corpus, meta, tensors)
     out = tmp_path / "runs"
     code, _, err = run_cli("pretrain", "--config", pipeline["config"], "--out-dir", str(out),
@@ -617,7 +621,6 @@ def test_bad_corpus_exits_2_without_a_run_dir(pipeline, tmp_path, case, message)
     # no validation, and no train utterance
     ("corpus.utts_per_speaker=0", "corpus.utts_per_speaker=0 is not in [2, inf)"),
     ("corpus.utts_per_speaker=1", "corpus.utts_per_speaker=1 is not in [2, inf)"),
-    ("corpus.val_fraction=0.9", "corpus.utts_per_speaker=4 with corpus.val_fraction=0.9 leaves"),
     ("corpus.min_phonemes=15", "corpus.min_phonemes=15 is more than corpus.max_phonemes=14"),
 ])
 def test_bad_corpus_spec_exits_2_without_a_run_dir(pipeline, tmp_path, setting, message):
@@ -783,17 +786,15 @@ def test_dump_hyper_params_exports_per_speaker_vectors(pipeline):
 
 
 def test_grad_check_verb(pipeline):
-    code, stdout, _ = run_cli("grad-check", "--instances", "1",
-                              "--networks", "adapter,duration_head")
+    code, stdout, _ = run_cli("grad-check", "--networks", "adapter,duration_head")
     assert code == 0
-    assert "PASS  adapter" in stdout and "PASS  duration_head" in stdout
-    assert "all 2 checks passed" in stdout
+    assert "PASS  adapter  instances=5" in stdout and "PASS  duration_head" in stdout
+    assert "all 10 checks passed" in stdout
 
 
-def test_grad_check_failure_exits_3():
-    code, stdout, err = run_cli("grad-check", "--instances", "1",
-                                "--networks", "adapter",
-                                "--threshold", "1e-15")
+def test_grad_check_failure_exits_3(monkeypatch):
+    monkeypatch.setattr(gradcheck, "THRESHOLD", 1e-15)
+    code, stdout, err = run_cli("grad-check", "--networks", "adapter")
     assert code == 3
     assert "FAIL" in stdout and "failed" in err
 
@@ -824,9 +825,7 @@ def test_every_verb_help_lists_flags():
         "params": {"--strategy": "adapt.strategy"},
         "dump-hyper-params": {"--corpus": "paths.corpus",
                               "--checkpoint": "paths.checkpoint", "--jitters": "dump.jitters"},
-        "grad-check": {"--instances": "gradcheck.instances",
-                       "--threshold": "gradcheck.threshold",
-                       "--networks": "gradcheck.networks"},
+        "grad-check": {"--networks": "gradcheck.networks"},
     }
     required = {("params", "--strategy")}
     parser = build_parser()

@@ -201,14 +201,26 @@ def test_synthetic_embedding_determinism_and_jitter():
     a = synthetic_embedding(mel, 24)
     b = synthetic_embedding(mel, 24)
     np.testing.assert_array_equal(a, b)
-    j1 = synthetic_embedding(mel, 24, jitter=0.05, stream=("u1",))
-    j2 = synthetic_embedding(mel, 24, jitter=0.05, stream=("u2",))
+    j1 = synthetic_embedding(mel, 24, stream=("u1",))
+    j2 = synthetic_embedding(mel, 24, stream=("u2",))
     assert np.abs(j1 - j2).max() > 0
-    np.testing.assert_array_equal(
-        j1, synthetic_embedding(mel, 24, jitter=0.05, stream=("u1",))
-    )
+    np.testing.assert_array_equal(j1, synthetic_embedding(mel, 24, stream=("u1",)))
     # the projection is drawn once per shape and shared, so nothing may write it
     assert not corpus_mod._embed_projection(20, 24).flags.writeable
+
+
+def test_a_stream_jitters_by_the_recipe_length():
+    # 0.02 is the length the corpus and dump-hyper-params have always
+    # jittered by, so a stream gives the bits it gave when it was an argument
+    mel = rng_for(2, "mel").normal(size=(30, 20))
+    stream = ("dump", "adp_00", 1)
+    stats = mel.mean(axis=0)
+    v = np.tanh(corpus_mod._embed_projection(20, 24) @ (stats - stats.mean()))
+    v = v / np.linalg.norm(v)
+    noise = rng_for(corpus_mod.EMBEDDER_SEED, "jitter", *stream).normal(size=24)
+    v = v + 0.02 * noise / np.linalg.norm(noise)
+    want = (v / np.linalg.norm(v)).astype(np.float32)
+    np.testing.assert_array_equal(synthetic_embedding(mel, 24, stream=stream), want)
 
 
 def test_embedding_loudness_invariance():
@@ -224,23 +236,9 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         CorpusSpec(speakers_adapt=1)
     with pytest.raises(ConfigError):
-        CorpusSpec(val_fraction=0.0)
-    with pytest.raises(ConfigError):
         CorpusSpec(min_phonemes=6, max_phonemes=5)
     # every speaker needs a validation and a train utterance
-    for utts, fraction in ((0, 0.2), (1, 0.2), (2, 0.8), (4, 0.9)):
+    for utts in (0, 1):
         with pytest.raises(ConfigError, match=f"utts_per_speaker={utts} "):
-            CorpusSpec(utts_per_speaker=utts, val_fraction=fraction)
-    assert CorpusSpec(utts_per_speaker=2, val_fraction=0.2).val_per_speaker == 1
-
-
-@pytest.mark.parametrize("key, huge", [("texture", 1e39), ("quirk_scale", 1e39),
-                                       ("jitter", 1e308)])
-def test_corpus_knob_at_its_bound_writes_finite_features(tmp_path, key, huge):
-    # values past float32's range once wrote non-finite mels or embeddings
-    with pytest.raises(ConfigError, match=rf"^corpus\.{key}="):
-        CorpusSpec(**{key: huge})
-    spec = dataclasses.replace(SMALL, utts_per_speaker=2, **{key: 1e6})
-    for u in load_corpus(generate_corpus(spec, 3, str(tmp_path))):
-        for name in ("mel", "f0", "energy", "embedding"):
-            assert np.isfinite(getattr(u, name)).all(), (u.utt_id, name)
+            CorpusSpec(utts_per_speaker=utts)
+    assert CorpusSpec(utts_per_speaker=2).val_per_speaker == 1

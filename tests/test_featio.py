@@ -170,12 +170,12 @@ def test_every_truncation_and_byte_flip_raises_naming_the_file(intact, reader):
 
 
 @pytest.mark.parametrize("reader, old, new", [
-    # the loader would move utterances from train to validation
-    (load_corpus, b'"val_fraction":0.2', b'"val_fraction":0.4'),
+    # the loader would expect utterances the file lacks
+    (load_corpus, b'"utts_per_speaker":2', b'"utts_per_speaker":3'),
     (featio.read_checkpoint, b'"step":3', b'"step":4'),
     # float32 ones read as int32 would be 1065353216
     (featio.read_checkpoint, b'"dtype":1', b'"dtype":3'),
-], ids=["val_fraction", "step", "dtype"])
+], ids=["utts_per_speaker", "step", "dtype"])
 def test_metadata_flip_raises_naming_the_file(intact, reader, old, new):
     directory, name, blob = intact[reader]
     path = directory / ("flipped-" + name)

@@ -51,13 +51,16 @@ TINY = {
 }
 
 # gen-corpus, pretrain and a hyper_evd adapt through the CLI, in one process;
-# "one-cpu" first restricts that process to CPU 0
+# "one-cpu" first restricts that process to CPU 0, and "no-affinity" takes
+# away os.sched_getaffinity, as on macOS and Windows
 PIPELINE = """
 import contextlib, io, os, sys
 from hyperadapt.cli import main
 cpus, cfg, out = sys.argv[1:]
 if cpus == "one-cpu":
     os.sched_setaffinity(0, {0})
+if cpus == "no-affinity":
+    del os.sched_getaffinity
 
 def run(*argv):
     buf = io.StringIO()
@@ -132,6 +135,7 @@ def test_reference_pipeline_writes_every_log_and_checkpoint(reference):
 
 @pytest.mark.parametrize("case", [
     pytest.param({"cpus": "one-cpu"}, id="one-cpu", marks=TWO_CPUS),
+    pytest.param({"cpus": "no-affinity"}, id="no-affinity"),
     pytest.param({"blas_threads": "1"}, id="blas-threads-1"),
     pytest.param({}, id="rerun"),
 ])

@@ -798,6 +798,12 @@ BAD_META = {  # case -> (metadata edit, the key the error names)
     "strategy_without_dims": (lambda m: m.update(strategy="hyper_evd") or m.pop("adapter_dims"),
                               "adapter_dims"),
     "short_pitch_range": (lambda m: m.update(pitch_range=[1.0]), "pitch_range"),
+    # a model with no feature ranges cannot embed pitch or energy
+    "null_pitch_range": (lambda m: m.update(pitch_range=None), "pitch_range"),
+    "no_energy_range": (lambda m: m.pop("energy_range"), "energy_range"),
+    # written when FastSpeech 2's kernels were config keys
+    "old_conv_kernel": (lambda m: m["model_config"].update(conv_kernel=9),
+                        "model_config.conv_kernel"),
 }
 
 
@@ -810,6 +816,35 @@ def test_load_checkpoint_rejects_wrong_metadata(adapted, tmp_path, case):
     bad = _rewrite_meta(adapted[0], str(tmp_path / "bad.bin"), edit)
     with pytest.raises(InputError, match=f"{re.escape(bad)}: checkpoint metadata: .*'{key}'"):
         tr.load_checkpoint(bad)
+
+
+def test_saving_a_model_without_ranges_is_a_state_error(tmp_path):
+    path = str(tmp_path / "unranged.bin")
+    with pytest.raises(StateError, match="ranges are not set"):
+        tr.save_checkpoint(path, TTSModel(TRAIN_CFG), 0)
+    assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("bad, strategy", [("checkpoint", "hyper_ev"), ("checkpoint", "tts0"),
+                                           ("corpus", "hyper_ev")])
+def test_adapt_on_bad_input_leaves_the_previous_run_as_it_was(adapted, pretrained, corpus_path,
+                                                              tmp_path, bad, strategy):
+    # a rerun in a finished run directory, given a corpus as its checkpoint
+    # or a corpus whose mel width the model does not take, changes no file
+    run = tmp_path / "run"
+    shutil.copytree(adapted[1], run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    checkpoint, corpus = pretrained[0], corpus_path
+    if bad == "checkpoint":
+        checkpoint = corpus_path
+    else:
+        corpus = generate_corpus(CorpusSpec(speakers_pretrain=2, speakers_adapt=2,
+                                            utts_per_speaker=2, n_mels=12),
+                                 seed=11, out_dir=str(tmp_path / "other"))
+    with pytest.raises(InputError):
+        tr.adapt(checkpoint, corpus, strategy, adaptation_schedule(steps=3, batch_size=2),
+                 str(run), seed=5, dims=DIMS)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_evaluate_exits_2_on_checkpoint_without_model_config(adapted, corpus_path,

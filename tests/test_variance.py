@@ -236,7 +236,7 @@ class TestPredictors:
 
     def test_pitch_head_gradients(self):
         rng = rng_for(3, "va")
-        pred = variance.PitchPredictor(rng, self.D, p_dropout=0.0)
+        pred = variance.PitchPredictor(rng, self.D)
         for p in pred.parameters():
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
@@ -251,7 +251,7 @@ class TestPredictors:
         assert report.passed, repr(report)
 
     def test_energy_gradients(self):
-        pred = variance.EnergyPredictor(rng_for(6, "va"), self.D, p_dropout=0.0)
+        pred = variance.EnergyPredictor(rng_for(6, "va"), self.D)
         for p in pred.parameters():
             p.data = p.data.astype(np.float64)
             p.requires_grad = True
