@@ -696,9 +696,9 @@ class GradCheckReport:
         )
 
 
-def grad_check(fn, inputs, eps=1e-5, threshold=1e-4):
+def grad_check(fn, inputs, *, threshold, eps=1e-5):
     """Compare analytic gradients of scalar-valued fn(*inputs) against central
-    finite differences.
+    finite differences; the report passes below `threshold` (gradcheck.THRESHOLD).
 
     inputs: list of Tensors; only requires_grad ones are perturbed. fn must be
     a pure function of the tensors' .data. Use float64 inputs.

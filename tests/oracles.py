@@ -5,8 +5,10 @@ n contiguous nonempty phoneme runs, so they are exact (and exponentially
 slow): keep n and m small. The others keep the straightforward construction
 a fused or vectorised library routine replaced, including the tape ops those
 constructions were built from and the library no longer has: `narrow`,
-`concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`. `weighted_sum` (a random linear
-probe) and a numpy `log_softmax` build test losses and alignment maps;
+`concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`.
+`layer_norm_reference` is a float64 layer norm with its own eps, which pins
+the library's. `weighted_sum` (a random linear probe) and a numpy
+`log_softmax` build test losses and alignment maps;
 `one` lays out a single utterance, `utterance` wraps feature arrays as a
 corpus utterance, `teacher_forced` runs a model's training pass over a pack
 the way `training.compute_losses` does, and `off_identity` moves an adapted
@@ -157,6 +159,14 @@ def cwt_reference(contour):
             pad -= step
         out[j] = np.convolve(xp, w, mode="same")[half : half + m]
     return out
+
+
+def layer_norm_reference(x, gain, bias):
+    """Layer norm of x over its trailing axis in float64, with FastSpeech 2's
+    eps of 1e-5 added to the variance under the square root."""
+    x = np.asarray(x, dtype=np.float64)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
 
 
 def log_softmax(x, axis):

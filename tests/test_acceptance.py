@@ -2,16 +2,19 @@
 criterion. Run with -v for the per-criterion pass/fail listing; printed
 details appear with -s or on failure.
 
-Criteria 8-10 share one desk-scale pipeline: synthetic corpus (8 pretraining
-speakers, 4 held-out adaptation speakers), a ~100K-parameter backbone
-pretrained for 1500 steps, then every adaptation strategy for 500 steps.
-Criterion 10 reruns the whole pipeline from the same seeds, in a fresh
-interpreter, and demands bit-identical reported numbers and logs.
+Criteria 8-10 share one desk-scale pipeline, configs/desk.json: synthetic
+corpus (8 pretraining speakers, 4 held-out adaptation speakers), a
+~100K-parameter backbone, and every adaptation strategy, each evaluated,
+run as the README's quick start through `cli.main`. Criterion 10 reruns it
+from the same seeds, in a fresh interpreter, and demands bit-identical
+reported numbers and logs.
 
 Run as a script, `python tests/test_acceptance.py <root>` runs the pipeline
 under <root> and prints what it reports as one JSON line.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,35 +24,22 @@ import time
 import numpy as np
 import pytest
 
-from hyperadapt import alignment, gradcheck, metrics, variance
+from hyperadapt import alignment, cli, gradcheck, metrics, variance
 from hyperadapt import featio
 from hyperadapt import training as tr
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
 from hyperadapt.autodiff import Segments, Tensor
-from hyperadapt.corpus import (
-    CorpusSpec,
-    generate_corpus,
-    load_corpus,
-    synthetic_embedding,
-)
+from hyperadapt.corpus import load_corpus
 from hyperadapt.model import ModelConfig, TTSModel
-from hyperadapt.training import ScheduleConfig, adaptation_schedule
+from hyperadapt.training import ScheduleConfig
 
 from oracles import best_path_durations, enumerate_paths_logsumexp, log_softmax, random_grids
 
 PUBLISHED_DIMS = AdapterDims()           # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 PUBLISHED_SITES = {"e": 4, "v": 2, "d": 6}
 
-DESK_MODEL = ModelConfig(vocab_size=32, n_mels=20, d_h=32, heads=2,
-                         enc_layers=2, dec_layers=2, d_spk=24, d_attn=16,
-                         postnet_channels=24, postnet_layers=3)
-DESK_DIMS = AdapterDims(d_h=32, d_r=4, d_1=24, d_2=8, d_l=6, d_s=3)
-DESK_SCHED = ScheduleConfig(peak_lr=1e-3, warmup_steps=40, milestones=(900, 1200),
-                            duration_start_step=200, total_steps=1500,
-                            batch_size=8, binarization_ramp_steps=200)
-ADAPT_STEPS = 500
-ADAPT_LR = {"tts0": 1e-4, "ft": 1e-4, "adapter_evd": 1e-3, "hyper_evd": 1e-3}
-SEED_CORPUS, SEED_PRETRAIN, SEED_ADAPT = 11, 3, 5
+DESK_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "desk.json")
 
 
 def _verdict(n, detail):
@@ -61,43 +51,50 @@ def _verdict(n, detail):
 # -----------------------------------------------------------------------------
 
 
+def hyperadapt(verb, *args):
+    """`hyperadapt <verb> --config configs/desk.json <args>`'s printed path."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([verb, "--config", DESK_CONFIG, *args])
+    assert code == 0, f"{verb} {' '.join(args)} exited {code}"
+    return out.getvalue().splitlines()[0]
+
+
 def run_pipeline(root):
-    """Corpus -> pretrain -> all four adaptations -> reported numbers.
-
-    Returns every number criteria 8 and 9 report, plus the artifact paths
-    criterion 4 inspects. Criterion 10 runs this twice and compares the
-    numbers for exact equality.
-    """
-    root = str(root)
-    corpus = generate_corpus(CorpusSpec(utts_per_speaker=24), SEED_CORPUS, f"{root}/corpus")
-    pretrained = tr.pretrain(corpus, DESK_MODEL, DESK_SCHED,
-                             f"{root}/pretrain", SEED_PRETRAIN)
-    val = load_corpus(corpus, adaptation=True, split="val")
-
-    checkpoints, mel, cos = {}, {}, {}
-    for strategy in ("tts0", "ft", "adapter_evd", "hyper_evd"):
-        sched = adaptation_schedule(ADAPT_STEPS, lr=ADAPT_LR[strategy], batch_size=8)
-        checkpoints[strategy] = tr.adapt(
-            pretrained, corpus, strategy, sched,
-            f"{root}/adapt_{strategy}", SEED_ADAPT, dims=DESK_DIMS)
-
-        loaded = tr.load_checkpoint(checkpoints[strategy])
-        bd = tr.validate(loaded.model, val, ADAPT_STEPS, DESK_SCHED,
-                         hooks_fn=lambda u: loaded.hooks_for(u.embedding))
-        mel[strategy] = bd.components["mel_pre"] + bd.components["mel_post"]
-
-        if strategy in ("tts0", "hyper_evd"):
-            def synth(utt, loaded=loaded):
-                return loaded.model.synthesize(utt.phonemes, utt.embedding,
-                                               hooks=loaded.hooks_for(utt.embedding))
-
-            report = metrics.evaluate(
-                synth, val, lambda m: synthetic_embedding(m, DESK_MODEL.d_spk))
-            cos[strategy] = report.cos.mean
-
-    within, cross = clustering_stats(checkpoints["hyper_evd"], corpus)
+    """gen-corpus -> pretrain -> adapt and evaluate each strategy, run in
+    `root` (so run directories are named alike under every root). Returns
+    every number criteria 8 and 9 report and the paths criterion 4 reads."""
+    desk = cli.load_config(DESK_CONFIG)
+    root, here = os.path.abspath(root), os.getcwd()
+    os.chdir(root)
+    try:
+        corpus = hyperadapt("gen-corpus", "--seed", "11")
+        pretrained = hyperadapt("pretrain", "--seed", "3", "--corpus", corpus)
+        val = load_corpus(corpus, adaptation=True, split="val")
+        checkpoints, mel, cos = {}, {}, {}
+        for strategy in ("tts0", "ft", "adapter_evd", "hyper_evd"):
+            # ft and tts0 adapt at a tenth of the config's lr
+            slow = ("--set", "adapt.lr=1e-4") if strategy in ("ft", "tts0") else ()
+            checkpoints[strategy] = hyperadapt(
+                "adapt", "--seed", "5", "--corpus", corpus, "--checkpoint", pretrained,
+                "--strategy", strategy, *slow)
+            # teacher-forced val mel, which no verb reports
+            loaded = tr.load_checkpoint(checkpoints[strategy])
+            bd = tr.validate(loaded.model, val, desk["adapt"]["steps"],
+                             ScheduleConfig(**desk["schedule"]),
+                             hooks_fn=lambda pack: loaded.hooks_for(pack.embedding))
+            mel[strategy] = bd.components["mel_pre"] + bd.components["mel_post"]
+            report = hyperadapt("evaluate", "--corpus", corpus,
+                                "--checkpoint", checkpoints[strategy])
+            with open(os.path.join(os.path.dirname(report), "report.json")) as f:
+                cos[strategy] = json.load(f)["aggregate"]["cos"]["mean"]
+        within, cross = clustering_stats(checkpoints["hyper_evd"], corpus)
+    finally:
+        os.chdir(here)
     return {
-        "root": root, "corpus": corpus, "pretrained": pretrained, "checkpoints": checkpoints,
+        "root": root, "corpus": os.path.join(root, corpus),
+        "pretrained": os.path.join(root, pretrained),
+        "checkpoints": {k: os.path.join(root, v) for k, v in checkpoints.items()},
         "mel": mel, "cos": cos, "within": within, "cross": cross,
     }
 
@@ -113,12 +110,12 @@ def run_pipeline_fresh(root):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def tsv_logs(root):
-    """Relative path -> bytes of every TSV log under a pipeline root."""
+def run_outputs(root):
+    """Relative path -> bytes of every TSV log and report.json under root."""
     out = {}
     for parent, _, files in os.walk(root):
         for name in files:
-            if name.endswith(".tsv"):
+            if name.endswith(".tsv") or name == "report.json":
                 path = os.path.join(parent, name)
                 out[os.path.relpath(path, root)] = open(path, "rb").read()
     return out
@@ -234,16 +231,17 @@ def test_criterion_04_identity_at_init_and_frozen_backbone(pipeline):
     base_mel, _ = loaded.model.synthesize(probe.phonemes, probe.embedding)
 
     # identity at init: fresh strategies must not move the frozen outputs
+    desk = cli.load_config(DESK_CONFIG)
+    dims = cli._with_model_sizes(desk, "dims")
     for label in ("adapter_evd", "hyper_evd"):
-        fresh = AdaptedModel(loaded.model,
-                             StrategyConfig.parse(label, DESK_DIMS), seed=99)
+        fresh = AdaptedModel(loaded.model, StrategyConfig.parse(label, dims), seed=99)
         hooks = fresh.hooks_for(probe.embedding)
         with_hooks, _ = loaded.model.synthesize(probe.phonemes, probe.embedding,
                                                 hooks=hooks)
         diff = float(np.max(np.abs(with_hooks - base_mel)))
         assert diff <= 1e-6, f"{label} init shifts outputs by {diff}"
 
-    # after 500 steps: backbone arrays bit-identical, detached outputs unchanged
+    # after adaptation: backbone arrays bit-identical, detached outputs unchanged
     # (only the pretraining checkpoint carries optimizer state, so only the
     # model arrays are comparable between the two checkpoints)
     _, pre_arrays = featio.read_checkpoint(pipeline["pretrained"])
@@ -257,8 +255,8 @@ def test_criterion_04_identity_at_init_and_frozen_backbone(pipeline):
         det_mel, _ = detached.model.synthesize(probe.phonemes, probe.embedding)
         assert np.array_equal(det_mel, base_mel), f"{label} detached output moved"
 
-    _verdict(4, "identity at init <= 1e-6; after 500 steps backbone bit-identical "
-                "and detached outputs unchanged")
+    _verdict(4, f"identity at init <= 1e-6; after {desk['adapt']['steps']} steps backbone "
+                "bit-identical and detached outputs unchanged")
 
 
 def test_criterion_05_alignment_matches_exhaustive_enumeration():
@@ -365,13 +363,14 @@ def test_criterion_10_pipeline_is_bit_deterministic(pipeline, tmp_path_factory):
     first = open(pipeline["checkpoints"]["hyper_evd"], "rb").read()
     second = open(rerun["checkpoints"]["hyper_evd"], "rb").read()
     assert first == second, "adapted checkpoints differ between reruns"
-    logs, rerun_logs = tsv_logs(pipeline["root"]), tsv_logs(rerun["root"])
-    # train and val logs of the pretrain and of each trained strategy, and tts0's
-    assert sorted(logs) == sorted(rerun_logs) and len(logs) == 9, sorted(rerun_logs)
-    for name, data in logs.items():
-        assert rerun_logs[name] == data, f"{name} differs between reruns"
-    _verdict(10, f"full rerun in a fresh interpreter reproduced every reported number "
-                 f"and all {len(logs)} TSV logs bit-identically")
+    outputs, rerun_outputs = run_outputs(pipeline["root"]), run_outputs(rerun["root"])
+    # train and val logs of the pretrain and of each trained strategy, tts0's
+    # adapt log, and each evaluate run's report.tsv and report.json
+    assert sorted(outputs) == sorted(rerun_outputs) and len(outputs) == 17, sorted(rerun_outputs)
+    for name, data in outputs.items():
+        assert rerun_outputs[name] == data, f"{name} differs between reruns"
+    _verdict(10, "full rerun in a fresh interpreter reproduced every reported number, "
+                 "all 13 TSV logs and the 4 report.json bit-identically")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from hyperadapt.adaptation import (
 )
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import ConfigError, InputError, ShapeError
+from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
@@ -151,7 +152,7 @@ def test_adapter_forward_gradcheck_static_table(site):
     target = np.random.default_rng(34).standard_normal((4, d_h))
 
     report = ad.grad_check(lambda x, t: ad.mse_loss(adapter_at(x, t, site), target, one(4)),
-                           [h, table])
+                           [h, table], threshold=THRESHOLD)
     assert report.passed, repr(report)
 
 
@@ -172,7 +173,7 @@ def test_adapter_forward_gradcheck_per_segment_tables():
         b = adapter_forward(x, u, seg, 0, n_sites)
         return ad.add(ad.mse_loss(a, target, seg), ad.mse_loss(b, target, seg))
 
-    report = ad.grad_check(fn, [h, generated, shared])
+    report = ad.grad_check(fn, [h, generated, shared], threshold=THRESHOLD)
     assert report.passed, repr(report)
 
 
@@ -369,7 +370,8 @@ def test_hypernetwork_generate_gradcheck():
         out = adapter_at(x, hyper.generate(v), 0)
         return ad.sum_all(out)
 
-    report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()])
+    report = ad.grad_check(fn, [Tensor(v_data, requires_grad=True), h, *hyper.parameters()],
+                           threshold=THRESHOLD)
     assert report.passed, repr(report)
 
 
@@ -385,7 +387,7 @@ def test_hypernetwork_fused_generate_gradcheck_every_entry():
 
     params = hyper.parameters()
     assert len(params) == 7
-    report = ad.grad_check(fn, [v, *params])
+    report = ad.grad_check(fn, [v, *params], threshold=THRESHOLD)
     assert report.passed, repr(report)
 
 

@@ -7,6 +7,7 @@ from hyperadapt import alignment
 from hyperadapt import autodiff as ad
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InfeasibleAlignmentError, InputError
+from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 
 from oracles import (best_path_durations, enumerate_paths_logsumexp, log_softmax, one,
@@ -71,7 +72,7 @@ class TestSoftAlign:
         def fn(t, m):
             return weighted_sum(align_one(t, m).log_probs, weights)
 
-        report = ad.grad_check(fn, [text, mel])
+        report = ad.grad_check(fn, [text, mel], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_pack_pads_each_map_with_minus_inf(self):
@@ -104,7 +105,7 @@ class TestSoftAlign:
             return ad.add(alignment.forward_sum_loss(amap),
                           alignment.binarization_loss(amap, durations))
 
-        report = ad.grad_check(fn, [text, mel])
+        report = ad.grad_check(fn, [text, mel], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_empty_inputs_rejected(self):
@@ -129,7 +130,7 @@ class TestSoftAlign:
             amap = align_one(enc.project_text(t, one(3)), enc.project_mel(mel, one(6)))
             return alignment.forward_sum_loss(amap)
 
-        report = ad.grad_check(fn, [text])
+        report = ad.grad_check(fn, [text], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
 
@@ -168,7 +169,7 @@ class TestForwardSumLoss:
         def fn(x):
             return alignment.forward_sum_loss(whole_map(x))
 
-        report = ad.grad_check(fn, [logp])
+        report = ad.grad_check(fn, [logp], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
 
@@ -235,5 +236,5 @@ class TestBinarizationLoss:
         def fn(x):
             return alignment.binarization_loss(whole_map(x), durations)
 
-        report = ad.grad_check(fn, [logp])
+        report = ad.grad_check(fn, [logp], threshold=THRESHOLD)
         assert report.passed, repr(report)

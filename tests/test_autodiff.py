@@ -6,6 +6,7 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, NumericsError, ShapeError, StateError
+from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 
 import oracles
@@ -23,7 +24,7 @@ class TestGradCheckHarness:
         def fn(v):
             return ad.mse_loss(v, np.zeros(1), one(1))
 
-        report = ad.grad_check(fn, [x], eps=1e-5)
+        report = ad.grad_check(fn, [x], eps=1e-5, threshold=THRESHOLD)
         assert report.passed
         # analytic 2*x = 6, and FD agrees to ~1e-10 on a quadratic
         assert x.grad[0] == pytest.approx(6.0, abs=1e-6)
@@ -36,7 +37,7 @@ class TestGradCheckHarness:
         def fn(v):
             return oracles.weighted_sum(v, c)
 
-        report = ad.grad_check(fn, [x])
+        report = ad.grad_check(fn, [x], threshold=THRESHOLD)
         assert report.max_rel < 1e-7
 
     def test_nonfinite_raises(self):
@@ -46,11 +47,11 @@ class TestGradCheckHarness:
             return ad.sum_all(ad.scale(v, np.inf))
 
         with pytest.raises(NumericsError):
-            ad.grad_check(fn, [x])
+            ad.grad_check(fn, [x], threshold=THRESHOLD)
 
 
-def _fd_check(fn, tensors, eps=1e-5, threshold=1e-4):
-    report = ad.grad_check(fn, tensors, eps=eps, threshold=threshold)
+def _fd_check(fn, tensors, eps=1e-5):
+    report = ad.grad_check(fn, tensors, eps=eps, threshold=THRESHOLD)
     assert report.passed, repr(report)
     return report
 
@@ -330,6 +331,15 @@ class TestExactValues:
         out = ad.layer_norm(x, Tensor(np.ones(16, dtype=np.float64)), Tensor(np.zeros(16, dtype=np.float64)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
+
+    def test_layer_norm_matches_float64_oracle_on_low_variance_rows(self):
+        # rows whose variance (1e-8 to 1e-2) is near eps, where eps matters
+        rng = np.random.default_rng(12)
+        x = 2.0 + np.array([[1e-4], [1e-3], [3e-3], [1e-2], [1e-1]]) * rng.standard_normal((5, 16))
+        gain, bias = rng.standard_normal(16), rng.standard_normal(16)
+        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+        np.testing.assert_allclose(out.data, oracles.layer_norm_reference(x, gain, bias),
+                                   rtol=1e-9, atol=1e-12)
 
 
 class TestDropout:

@@ -7,6 +7,7 @@ from hyperadapt import autodiff as ad
 from hyperadapt import backbone
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, ShapeError
+from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 
 from oracles import one, weighted_sum
@@ -102,7 +103,7 @@ class TestFFTBlock:
         def fn(x):
             return ad.mse_loss(block(x, one(5), (), None), target, one(5))
 
-        report = ad.grad_check(fn, [h])
+        report = ad.grad_check(fn, [h], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_gradient_check_two_segments(self):
@@ -119,7 +120,7 @@ class TestFFTBlock:
         def fn(x, *_):
             return ad.mse_loss(block(x, seg, (), None), target, seg)
 
-        report = ad.grad_check(fn, [h] + params)
+        report = ad.grad_check(fn, [h] + params, threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_segments_are_isolated_in_outputs_and_gradients(self):
@@ -187,7 +188,7 @@ class TestDecoder:
         h = Tensor(np.random.default_rng(6).standard_normal((4, D)), requires_grad=True)
         target = Tensor(np.random.default_rng(7).standard_normal((4, 3)))
         report = ad.grad_check(lambda x: ad.mse_loss(dec(x, one(4), (), [None] * 2), target,
-                                                     one(4)), [h])
+                                                     one(4)), [h], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
 
@@ -212,7 +213,8 @@ class TestPostnet:
         post.convs[-1].w.data += 0.1  # move off the zero init so grads flow everywhere
         mel = Tensor(np.random.default_rng(10).standard_normal((7, 4)), requires_grad=True)
         target = Tensor(np.random.default_rng(11).standard_normal((7, 4)))
-        report = ad.grad_check(lambda x: ad.mse_loss(post(x, one(7), ()), target, one(7)), [mel])
+        report = ad.grad_check(lambda x: ad.mse_loss(post(x, one(7), ()), target, one(7)), [mel],
+                               threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_five_layers_default(self):

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
+from hyperadapt import cli
+from hyperadapt.adaptation import AdaptedModel, StrategyConfig
 from hyperadapt.model import ModelConfig, TTSModel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,13 +41,12 @@ def test_every_target_resolves_through_owner_dict(layertrace):
 
 def test_adaptation_spans_see_every_call(layertrace):
     # desk hyper_evd synthesis: 3 modules generate once each, 6 sites apply
-    cfg = ModelConfig(vocab_size=12, n_mels=16, d_h=32, heads=2, enc_layers=2, dec_layers=2,
-                      d_spk=24, d_attn=16, postnet_channels=24, postnet_layers=3)
-    model = TTSModel(cfg, seed=7)
+    cfg = cli.load_config(os.path.join(ROOT, "configs", "desk.json"))
+    model = TTSModel(ModelConfig(**cfg["model"]), seed=7)
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
-    dims = AdapterDims(d_h=32, d_r=4, d_1=24, d_2=8, d_l=6, d_s=3)
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", dims), seed=5)
-    spk_vec = np.random.default_rng(0).normal(size=24).astype(np.float32)
+    strategy = StrategyConfig.parse("hyper_evd", cli._with_model_sizes(cfg, "dims"))
+    adapted = AdaptedModel(model, strategy, seed=5)
+    spk_vec = np.random.default_rng(0).normal(size=model.config.d_spk).astype(np.float32)
 
     tracer = layertrace.Tracer()
     uninstall = layertrace.install(tracer)

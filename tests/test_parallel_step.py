@@ -23,7 +23,7 @@ import pytest
 from hyperadapt import autodiff as ad
 from hyperadapt import training as tr
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
-from hyperadapt.cli import main
+from hyperadapt.cli import load_config, main
 from hyperadapt.corpus import CorpusSpec, generate_corpus, load_corpus
 from hyperadapt.errors import ConfigError, InputError, NumericsError
 from hyperadapt.model import ModelConfig, TTSModel
@@ -301,7 +301,7 @@ def test_synthesis_and_validation_do_not_depend_on_the_blas_thread_count(size, t
     if size == "tiny":
         model_config = ModelConfig(**TINY["model"])
     else:
-        desk = json.loads((SRC.parent / "configs" / "desk.json").read_text())
+        desk = load_config(str(SRC.parent / "configs" / "desk.json"))
         model_config = ModelConfig(**desk["model"])
     spec = CorpusSpec(speakers_pretrain=2, speakers_adapt=2, utts_per_speaker=4)
     utts = load_corpus(generate_corpus(spec, seed=11, out_dir=str(tmp_path / "corpus")),

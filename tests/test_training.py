@@ -581,17 +581,18 @@ def _split(flat, trainable):
 
 
 def _packs_of_one(model, trainable, batch, sched, seed=7):
-    """(mean of the logged totals, mean gradient) with every utterance run
-    as a pack of one under its own dropout stream."""
+    """(per-utterance mean of each logged column, LOSS_NAMES then total;
+    mean gradient) with every utterance run as a pack of one under its own
+    dropout stream."""
     expected = {name: np.zeros_like(p.data) for name, p in trainable}
-    totals = []
+    rows = []
     for pos, utt in enumerate(batch):
         rngs = [rng_for(seed, "dropout", 0, pos)]
         total, bd = compute_losses(model, [utt], 0, sched, rngs)
-        totals.append(bd.total)
+        rows.append(bd.row())
         for name, g in _grads(total, trainable).items():
             expected[name] += g / len(batch)
-    return float(np.mean(totals)), expected
+    return np.mean(rows, axis=0), expected
 
 
 def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_path, tmp_path):
@@ -604,7 +605,11 @@ def test_step_gradient_is_mean_of_per_utterance_grads(pretrained, corpus_path, t
     _run_one_step(model, trainable, train, sched, rec, tmp_path)
 
     batch = [train[idx] for idx in tr._Batcher(7, len(train), 3).batch(0)]
-    _, expected = _packs_of_one(model, trainable, batch, sched)
+    mean_row, expected = _packs_of_one(model, trainable, batch, sched)
+    # halves of 2 and 1 utterances: the logged row weighs each utterance alike
+    logged = (tmp_path / "log.tsv").read_text().splitlines()[-1].split("\t")
+    assert logged[0] == "1"
+    np.testing.assert_allclose([float(v) for v in logged[1:-1]], mean_row, rtol=1e-5, atol=1e-6)
     assert len(rec.steps) == 1
     for name, g in _split(rec.steps[0], trainable).items():
         assert g.dtype == np.float32, name
@@ -629,9 +634,9 @@ def test_packed_step_of_eight_equals_packs_of_one_with_dropout(pretrained, corpu
     assert len({u.mel.shape[0] for u in batch}) > 1
     rngs = [rng_for(7, "dropout", 0, pos) for pos in range(8)]
     packed_total, packed_bd = compute_losses(model, batch, 0, sched, rngs)
-    mean_total, expected = _packs_of_one(model, trainable, batch, sched)
-    assert packed_bd.total == pytest.approx(mean_total, rel=1e-5)
-    assert float(packed_total.data) / 8 == pytest.approx(mean_total, rel=1e-5)
+    mean_row, expected = _packs_of_one(model, trainable, batch, sched)
+    assert packed_bd.total == pytest.approx(mean_row[-1], rel=1e-5)
+    assert float(packed_total.data) / 8 == pytest.approx(mean_row[-1], rel=1e-5)
     for name, g in _split(rec.steps[0], trainable).items():
         scale = max(float(np.abs(expected[name]).max()), 1e-3)
         np.testing.assert_allclose(g, expected[name], rtol=1e-5, atol=1e-6 * scale, err_msg=name)

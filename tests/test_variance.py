@@ -8,6 +8,7 @@ from hyperadapt import autodiff as ad
 from hyperadapt import variance
 from hyperadapt.autodiff import Tensor
 from hyperadapt.errors import InputError, NumericsError, StateError
+from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 
 from oracles import cwt_reference, one
@@ -143,7 +144,8 @@ class TestLengthRegulate:
         d = np.array([2, 0, 1, 3])
         target = Tensor(rng.standard_normal((6, 3)))
         report = ad.grad_check(
-            lambda x: ad.mse_loss(variance.length_regulate(x, d), target, one(6)), [h])
+            lambda x: ad.mse_loss(variance.length_regulate(x, d), target, one(6)), [h],
+            threshold=THRESHOLD)
         assert report.passed, repr(report)
 
 
@@ -247,7 +249,7 @@ class TestPredictors:
             spec, mean, var = pred(x, one(6), (), None)
             return ad.add(ad.mse_loss(spec, t_spec, one(6)), ad.add(ad.sum_all(mean), ad.sum_all(var)))
 
-        report = ad.grad_check(fn, [h])
+        report = ad.grad_check(fn, [h], threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_energy_gradients(self):
@@ -257,7 +259,8 @@ class TestPredictors:
             p.requires_grad = True
         h = Tensor(np.random.default_rng(7).standard_normal((5, self.D)), requires_grad=True)
         target = Tensor(np.random.default_rng(8).standard_normal(5))
-        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, one(5), (), None), target, one(5)), [h])
+        report = ad.grad_check(lambda x: ad.mse_loss(pred(x, one(5), (), None), target, one(5)), [h],
+                               threshold=THRESHOLD)
         assert report.passed, repr(report)
 
     def test_embedding_tables_have_256_rows(self):
