@@ -14,11 +14,13 @@ Each backbone module keeps its adapters as one (n_sites, n_flat) table whose
 row s is site s flattened as [w_down.flat | b_down | w_up.flat | b_up]. For
 static adapters the table is itself the trainable tensor, shared by every
 utterance; the hypernetwork generates a pack's tables from its (B, d_1)
-speaker matrix, stacked speaker-major. Two fused tape ops with hand-written
-gradients carry the whole path: `HyperNetwork.generate` (one node per module
-per pack) and `adapter_forward` (one node per site over a whole pack, with
-no loop over segments: site s is the strided view table[s::n_sites], and
-the blocks its rows form are cached on the pack's `autodiff.Segments`).
+speaker matrix, stacked speaker-major. Two fused ops with hand-written
+gradients carry the whole path: `HyperNetwork.generate` (one tape node per
+module per pack) and `adapter_forward` (one site over a whole pack, with no
+loop over segments: site s is the strided view table[s::n_sites], and the
+blocks its rows form are cached on the pack's `autodiff.Segments`). A site
+runs on arrays inside the node of its FFT block or variance trunk, which
+takes it as an `AdapterSite` and lists the table among its parents.
 
 The hypernetwork (one per module, never shared across modules) maps the
 speaker embedding through a projector, concatenates it with each site's
@@ -54,9 +56,11 @@ class AdapterDims:
         check_fields(self, "dims.")
 
 
-def adapter_forward(h, table, seg, site, n_sites):
-    """h + ReLU(h W_d + b_d) W_u + b_u over a packed (T, d_h) sequence laid
-    out by `seg`, in one node, at site `site` of an n_sites-site table.
+def adapter_forward(x, table, seg, site, n_sites):
+    """x + ReLU(x W_d + b_d) W_u + b_u over a packed (T, d_h) array laid out
+    by `seg`, at site `site` of an n_sites-site table (an array): (out,
+    back), back(g, need_x, need_table) giving (gx, g_table), None where the
+    flag is off. The module nodes run it (see AdapterSite).
 
     Row r is laid out as [w_down.flat | b_down | w_up.flat | b_up]. Site s
     is the strided view table[s::n_sites]: the one row of a shared
@@ -67,23 +71,21 @@ def adapter_forward(h, table, seg, site, n_sites):
     shared row's gradient sums over its segments (segment by segment for the
     up bias); rows of other sites get zero gradient.
     """
-    ad._segments_of("adapter_forward", seg, h.shape[0])
-    ad._check_same_dtype("adapter_forward", h, table)
-    n_rows, n_flat = table.shape if table.data.ndim == 2 else (0, 0)
-    d_h = h.shape[-1]
+    ad._segments_of("adapter_forward", seg, x.shape[0])
+    n_rows, n_flat = table.shape if table.ndim == 2 else (0, 0)
+    d_h = x.shape[-1]
     d_r, rest = divmod(n_flat - d_h, 2 * d_h + 1)
-    if h.data.ndim != 2 or rest or d_r < 1 or n_rows not in (n_sites, n_sites * len(seg)):
-        raise ShapeError("adapter_forward", f"hidden {h.shape} vs a table {table.shape} for "
+    if x.ndim != 2 or rest or d_r < 1 or n_rows not in (n_sites, n_sites * len(seg)):
+        raise ShapeError("adapter_forward", f"hidden {x.shape} vs a table {table.shape} for "
                                             f"{n_sites} sites and {len(seg)} segments")
     if not isinstance(site, (int, np.integer)) or not 0 <= site < n_sites:
         raise InputError(f"adapter_forward: site {site!r} of {n_sites}")
-    picked = table.data[site::n_sites]
+    picked = table[site::n_sites]
     k = picked.shape[0]
     n_wd = d_h * d_r
     n_down = n_wd + d_r
     w_down = picked[:, :n_wd].reshape(k, d_h, d_r).transpose(1, 0, 2).reshape(d_h, k * d_r)
     w_up = picked[:, n_down : n_flat - d_h].reshape(k * d_r, d_h)
-    x = h.data
     pre = x @ w_down
     pre += picked[:, n_wd:n_down].reshape(-1)
     keep = pre > 0
@@ -92,30 +94,43 @@ def adapter_forward(h, table, seg, site, n_sites):
     delta = z @ w_up
     delta += picked[seg.blocks(k), n_flat - d_h :]
 
-    def grad_fn(g):
+    def back(g, need_x, need_table):
         gpre = g @ w_up.T
         gpre *= keep
         g_table = None
-        if table.requires_grad:
-            g_table = np.zeros_like(table.data)
+        if need_table:
+            g_table = np.zeros_like(table)
             g_rows = g_table[site::n_sites]
             g_rows[:, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
             g_rows[:, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)
             g_rows[:, n_down : n_flat - d_h] = (z.T @ g).reshape(k, -1)
             g_rows[:, n_flat - d_h :] = ad._add_reduce(
                 np.add.reduceat(g, seg.starts, axis=0).reshape(-1, k, d_h), axis=0)
-        gx = g + gpre @ w_down.T if h.requires_grad else None
+        gx = g + gpre @ w_down.T if need_x else None
         return gx, g_table
 
-    return ad.from_op(x + delta, (h, table), grad_fn, "adapter")
+    return x + delta, back
+
+
+class AdapterSite:
+    """Site `site` of a module's adapter table over a pack laid out by
+    `seg`, as a module node takes it: the node lists `table` (a Tensor)
+    among its parents and calls the site on an array, which runs
+    adapter_forward, looked up when called."""
+
+    __slots__ = ("table", "seg", "site", "n_sites")
+
+    def __init__(self, table, seg, site, n_sites):
+        self.table, self.seg, self.site, self.n_sites = table, seg, site, n_sites
+
+    def __call__(self, x):
+        return adapter_forward(x, self.table.data, self.seg, self.site, self.n_sites)
 
 
 def site_adapters(table, n_sites, seg):
-    """One adapter callable per site of a module over a packed sequence laid
-    out by `seg`, from the pack's table (see AdaptedModel.hooks_for). Each
-    callable looks adapter_forward up when called."""
-    return [lambda h, site=site: adapter_forward(h, table, seg, site, n_sites)
-            for site in range(n_sites)]
+    """One AdapterSite per site of a module over a packed sequence laid out
+    by `seg`, from the pack's table (see AdaptedModel.hooks_for)."""
+    return [AdapterSite(table, seg, site, n_sites) for site in range(n_sites)]
 
 
 def static_adapter_table(seed, tag, n_sites, d_h, d_r):

@@ -9,40 +9,47 @@ closure (with the arrays it saved) are released once the closure has run.
 Leaf gradients accumulate across backward calls until the caller resets them.
 
 Only what is needed is computed. A node requires a gradient when any parent
-does. The closures of the ops with weights (`linear`, `conv1d`,
-`layer_norm`, and `generate` and `adapter_forward` in `adaptation`) and of
-the losses compute a parent's gradient only when that parent
-`requires_grad`, read when the closure runs, and return None for the rest:
-a frozen weight costs its op no dW, conv gW or layer-norm gain/bias
-gradient, and a constant input or loss target no gradient of its own (the
-conv kernel forms its input gradient in any case). Inside `no_grad()` no
-tape is recorded at all: ops compute their outputs and keep neither parents
-nor closures, so the arrays a closure would have saved are freed as soon as
-the forward pass moves on (validation and synthesis run this way).
+does. The closures of the nodes with weights (`linear`, `conv1d`, the
+module nodes, and `generate` in `adaptation`) and of the losses compute a
+parent's gradient only when that parent `requires_grad`, read when the
+closure runs, and return None for the rest: a frozen weight costs no dW,
+conv gW or layer-norm gain/bias gradient, and a constant input or loss
+target no gradient of its own (the conv kernel forms its input gradient in
+any case). Inside `no_grad()` no tape is recorded at all: ops compute their
+outputs and keep neither parents nor closures, so the arrays a closure
+would have saved are freed as soon as the forward pass moves on
+(validation and synthesis run this way).
 
 A training batch is one packed graph: its B utterances are stacked along
 axis 0 with no padding, and `Segments` records how many rows each one owns.
 Row-wise ops (linear, layer norm, activations, embedding lookup, elementwise
 arithmetic) run once over all rows and never need the layout. The ops that
-must not mix utterances take it and respect segment boundaries inside one
-node each: length-preserving 1D convolution (zero padding at every boundary),
-the attention core (one softmax per segment), dropout (each segment's mask
-from its own stream), `repeat_rows` (one row per segment or phoneme spread
-over its rows), `segment_mean` and the losses (per-segment means, summed).
-A single utterance is a pack of one segment. Dropout (in `dropout` and in
-`attention`) is on exactly when the op is given a non-empty list of random
-streams, one per segment; validation and synthesis pass none.
+must not mix utterances take it and respect segment boundaries: length-
+preserving 1D convolution (zero padding at every boundary), the attention
+core (one softmax per segment), dropout (each segment's mask from its own
+stream), `repeat_rows` (one row per segment or phoneme spread over its
+rows), `segment_mean` and the losses (per-segment means, summed). A single
+utterance is a pack of one segment. Dropout (in `dropout_array` and in
+`attention_array`) is on exactly when it is given a non-empty list of
+random streams, one per segment; validation and synthesis pass none.
 
-The op set is exactly what the acoustic model needs: the fused affine map
-`linear` (matmul plus bias), 1D convolution plus bias, the fused
-multi-head attention core (head split, scaled scores, softmax, seeded
-dropout, weighted sum, head merge), ReLU/tanh, layer norm, seeded dropout,
-embedding lookup, row repetition, same-shape add and scaling, the full sum
-and per-segment mean, MSE/L1 losses, and reshape. Fused ops carry
-hand-written gradients and record one tape node each. Two more fused ops
-live next to their only caller in `adaptation`: `HyperNetwork.generate` (a
-module's adapter tables for every speaker of a pack, in one node) and
-`adapter_forward` (one bottleneck adapter site applied to a whole pack,
+Each op's arithmetic is written once, as an array-level function (`*_array`)
+that returns its output and a `back` closure: the affine map, 1D
+convolution plus bias, the multi-head attention core (head split, scaled
+scores, softmax, seeded dropout, weighted sum, head merge), ReLU, tanh,
+layer norm and seeded dropout. The tape ops are the affine map `linear`,
+`conv1d`, `relu`, embedding lookup, row repetition, same-shape add and
+scaling, the full sum and per-segment mean, MSE/L1 losses and reshape; each
+records one node. A module whose ops always run together records one node
+for all of them: `backbone.FFTBlock`, `variance.ConvStack` and
+`backbone.Postnet` run the array functions in the order the op-by-op graph
+did, check their input once at entry (`check_module_input`), and chain the
+`back` closures in reverse, summing a tensor's gradients in the order the
+tape would, so outputs and gradients are bit for bit those of the graph
+they replace. Two more fused nodes live next to their only caller in
+`adaptation`: `HyperNetwork.generate` (a module's adapter tables for every
+speaker of a pack, in one node) and `adapter_forward` (the array function of
+one bottleneck adapter site, which runs inside its block's or trunk's node,
 each segment through its own table row, without a loop over segments).
 
 Training runs in float32 by default; gradient checking should build float64
@@ -51,6 +58,7 @@ tensors (finite differences are unreliable in 32-bit).
 
 import contextlib
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -63,6 +71,7 @@ LN_EPS = 1e-5  # added to the variance under layer norm's square root
 GRAD_CHECK_FLOOR = 1e-3  # smallest denominator of a gradient check's relative error
 
 _add_reduce = np.add.reduce
+_max_reduce = np.maximum.reduce
 _node_counter = itertools.count(1)
 _creation_order = operator.attrgetter("_seq")
 _recording = True  # False inside no_grad()
@@ -127,7 +136,7 @@ def no_grad():
 
 
 def _check_same_dtype(op, *tensors):
-    dts = {t.dtype for t in tensors}
+    dts = {t.data.dtype for t in tensors}
     if len(dts) > 1:
         raise InputError(f"{op}: mixed dtypes {sorted(str(d) for d in dts)}")
 
@@ -198,6 +207,231 @@ def _segments_of(op, seg, n):
     return seg.bounds
 
 
+def check_module_input(op, parents, seg, width):
+    """What a module node checks once, at entry: its parents share one dtype
+    and its input, parents[0], is (T, width) with seg covering the T rows."""
+    _check_same_dtype(op, *parents)
+    x = parents[0].data
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(op, f"input {x.shape} is not (T, {width})")
+    _segments_of(op, seg, x.shape[0])
+
+
+# -----------------------------------------------------------------------------
+# array-level ops: each op's arithmetic on ndarrays, with no checks and no
+# node. Each returns (out, back): back maps the output gradient to the input
+# gradients. The ops with weights take one requires_grad flag per input after
+# the gradient and return None where the flag is off (a conv forms its input
+# gradient in any case). The Tensor ops below and the module nodes of
+# `backbone` and `variance` run every op through these.
+# -----------------------------------------------------------------------------
+
+
+def _identity(g):
+    return g
+
+
+def linear_array(x, w, b):
+    """x @ w + b, or x @ w when b is None."""
+    out = x @ w
+    if b is not None:
+        out += b
+
+    def back(g, need_x, need_w, need_b):
+        return (g @ w.T if need_x else None, x.T @ g if need_w else None,
+                g.sum(axis=0) if need_b else None)
+
+    return out, back
+
+
+def relu_array(x):
+    mask = x > 0
+    return np.where(mask, x, x.dtype.type(0)), lambda g: g * mask
+
+
+def tanh_array(x):
+    out = np.tanh(x)
+    return out, lambda g: g * (1.0 - out * out)
+
+
+def layer_norm_array(x, gain, bias):
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+    back keeps the row statistics, not the normalized input."""
+    d = x.shape[-1]
+    # the sums divided by d are what ndarray.mean/var compute, without their
+    # Python-level argument handling
+    mean = _add_reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mean
+    var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    out = xc * inv
+    out *= gain
+    out += bias
+
+    def back(g, need_x, need_gain, need_bias):
+        xhat = (x - mean) * inv
+        gx = ggain = gbias = None
+        if need_x:
+            gxhat = g * gain
+            m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
+            m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
+            gx = inv * (gxhat - m1 - xhat * m2)
+        lead = tuple(range(g.ndim - 1))
+        if need_gain:
+            ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
+        if need_bias:
+            gbias = g.sum(axis=lead) if lead else g
+        return gx, ggain, gbias
+
+    return out, back
+
+
+def _dropout_on(p, rngs):
+    if p < 0 or p >= 1:
+        raise InputError(f"dropout: probability {p} outside [0, 1)")
+    return len(rngs) > 0 and p != 0.0
+
+
+def _keep_masks(shapes, p, rngs):
+    """Boolean keep masks of inverted dropout, one per segment: segment i
+    draws rngs[i].random(shapes[i]) exactly once."""
+    if len(rngs) != len(shapes):
+        raise InputError(f"dropout: {len(rngs)} random streams for {len(shapes)} segments")
+    return [rng.random(shape) >= p for rng, shape in zip(rngs, shapes)]
+
+
+def _dropped(x, keep, scale):
+    # x * keep * scale is bit for bit x times a {0, scale} multiplier
+    out = x * keep
+    out *= scale
+    return out
+
+
+def dropout_array(x, p, rngs, seg):
+    """Seeded inverted dropout over the rows of a pack laid out by seg; x
+    itself (and an identity back) when p == 0 or rngs is empty.
+
+    rngs holds one generator per segment; each segment's mask comes from its
+    own stream. back keeps only the boolean mask."""
+    if not _dropout_on(p, rngs):
+        return x, _identity
+    rest = x.shape[1:]
+    keeps = _keep_masks([(e - s,) + rest for s, e in seg.bounds], p, rngs)
+    keep = keeps[0] if len(keeps) == 1 else np.concatenate(keeps)
+    scale = x.dtype.type(1.0 / (1.0 - p))
+    return _dropped(x, keep, scale), lambda g: _dropped(g, keep, scale)
+
+
+def attention_array(q, k, v, heads, seg, p, rngs):
+    """Multi-head scaled dot-product attention over (n, d) projections;
+    back(g) gives (gq, gk, gv).
+
+    Splits d into `heads` heads, scores queries against the keys of their
+    own segment scaled by 1/sqrt(d / heads), takes one softmax per segment,
+    applies seeded inverted dropout to the weights, and merges the heads of
+    the weighted value sum back to (n, d). Dropout is on when rngs is
+    non-empty: segment i then draws its mask from rngs[i] with shape
+    (heads, n_i, n_i) after its softmax, so each stream matches a separate
+    dropout op at that point. back keeps the weights and the boolean mask
+    and rebuilds the dropped weights.
+    """
+    n, d = q.shape
+    bounds = seg.bounds
+    hd = d // heads
+
+    def split(x):
+        return x.reshape(n, heads, hd).transpose(1, 0, 2)  # (heads, n, hd)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    c = q.dtype.type(1.0 / math.sqrt(hd))
+    scale = q.dtype.type(1.0 / (1.0 - p))
+    if _dropout_on(p, rngs):
+        keeps = _keep_masks([(heads, e - s, e - s) for s, e in bounds], p, rngs)
+    else:
+        keeps = [None] * len(bounds)
+    weights, outs = [], []
+    for (s, e), keep in zip(bounds, keeps):
+        scores = np.matmul(qh[:, s:e], kh[:, s:e].transpose(0, 2, 1)) * c
+        # each row's maximum, reduced down a contiguous copy of the key axis:
+        # the same values as scores.max(axis=-1) in half the time
+        top = _max_reduce(np.ascontiguousarray(scores.transpose(0, 2, 1)), axis=1)
+        scores -= top[:, :, None]
+        ex = np.exp(scores)
+        att = ex / _add_reduce(ex, axis=-1, keepdims=True)
+        weights.append(att)
+        outs.append(np.matmul(att if keep is None else _dropped(att, keep, scale), vh[:, s:e]))
+
+    def merge(parts):
+        # per-segment (heads, n_b, hd) blocks -> (n, d)
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return x.transpose(1, 0, 2).reshape(n, d)
+
+    def back(g):
+        go = split(g)
+        gq, gk, gv = [], [], []
+        for (s, e), att, keep in zip(bounds, weights, keeps):
+            gos = go[:, s:e]
+            g_att = np.matmul(gos, vh[:, s:e].transpose(0, 2, 1))
+            if keep is None:
+                gv.append(np.matmul(att.transpose(0, 2, 1), gos))
+            else:
+                gv.append(np.matmul(_dropped(att, keep, scale).transpose(0, 2, 1), gos))
+                g_att = _dropped(g_att, keep, scale)
+            g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
+            g_scores *= c
+            gq.append(np.matmul(g_scores, kh[:, s:e]))
+            gk.append(np.matmul(g_scores.transpose(0, 2, 1), qh[:, s:e]))
+        return merge(gq), merge(gk), merge(gv)
+
+    return merge(outs), back
+
+
+def conv1d_array(x, w, b, seg):
+    """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
+    bias b (Cout,), K odd.
+
+    Every segment is zero-padded at both ends, so no tap reaches across a
+    boundary: the segments are laid out with (K - 1) / 2 zero rows before,
+    between and after them, convolved by one im2col matmul, and the rows
+    centred on packed rows are kept. The kernels are looked up at call
+    time."""
+    k, cin, cout = w.shape
+    pad = (k - 1) // 2
+    t = x.shape[0]
+    n_seg = len(seg)
+    rows = seg.gapped_rows(pad) if pad and n_seg > 1 else None
+
+    def padded():
+        # built again in backward rather than kept: back holds only x
+        if not pad:
+            return x
+        xp = np.zeros((t + (n_seg + 1) * pad, cin), x.dtype)
+        if rows is None:
+            xp[pad : pad + t] = x
+        else:
+            xp[rows] = x
+        return xp
+
+    out = kernels.conv1d_forward(padded(), w)
+    if rows is not None:
+        out = out[rows - pad]
+    out += b
+
+    def back(g, need_x, need_w, need_b):
+        xp = padded()
+        if rows is None:
+            gxp, gw = kernels.conv1d_backward(xp, w, g, need_w=need_w)
+            gx = gxp[pad : pad + t]
+        else:
+            gout = np.zeros((xp.shape[0] - 2 * pad, cout), g.dtype)
+            gout[rows - pad] = g
+            gxp, gw = kernels.conv1d_backward(xp, w, gout, need_w=need_w)
+            gx = gxp[rows]
+        return gx if need_x else None, gw, g.sum(axis=0) if need_b else None
+
+    return out, back
+
+
 # -----------------------------------------------------------------------------
 # elementwise arithmetic
 # -----------------------------------------------------------------------------
@@ -232,16 +466,13 @@ def linear(x, w, b=None):
         raise ShapeError("linear", f"cannot apply weight {wd.shape} to input {xd.shape}")
     if b is not None and b.shape != (wd.shape[1],):
         raise ShapeError("linear", f"bias {b.shape} does not match output width {wd.shape[1]}")
-    out_data = xd @ wd
-    if b is not None:
-        out_data += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    out_data, back = linear_array(xd, wd, None if b is None else b.data)
 
     def grad_fn(g):
-        return (g @ wd.T if x.requires_grad else None,
-                xd.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b is not None and b.requires_grad else None)
+        return back(g, x.requires_grad, w.requires_grad, b is not None and b.requires_grad)
 
-    return from_op(out_data, (x, w) if b is None else (x, w, b), grad_fn, "linear")
+    return from_op(out_data, parents, grad_fn, "linear")
 
 
 # -----------------------------------------------------------------------------
@@ -264,163 +495,8 @@ def reshape(a, shape):
 
 
 def relu(a):
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, a.dtype.type(0))
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return from_op(out_data, (a,), grad_fn, "relu")
-
-
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def grad_fn(g):
-        return (g * (1.0 - out_data * out_data),)
-
-    return from_op(out_data, (a,), grad_fn, "tanh")
-
-
-def layer_norm(a, gain, bias):
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    _check_same_dtype("layer_norm", a, gain, bias)
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer_norm", f"affine params {gain.shape}/{bias.shape} do not match last axis {d}")
-    # the sums divided by d are what ndarray.mean/var compute, without their
-    # Python-level argument handling
-    x = a.data
-    mean = _add_reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mean
-    var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    out_data = xc * inv
-    out_data *= gain.data
-    out_data += bias.data
-
-    def grad_fn(g):
-        # the node keeps the row statistics, not the normalized input
-        xhat = (x - mean) * inv
-        gx = ggain = gbias = None
-        if a.requires_grad:
-            gxhat = g * gain.data
-            m1 = _add_reduce(gxhat, axis=-1, keepdims=True) / d
-            m2 = _add_reduce(gxhat * xhat, axis=-1, keepdims=True) / d
-            gx = inv * (gxhat - m1 - xhat * m2)
-        lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        if bias.requires_grad:
-            gbias = g.sum(axis=lead) if lead else g
-        return gx, ggain, gbias
-
-    return from_op(out_data, (a, gain, bias), grad_fn, "layer_norm")
-
-
-def _dropout_on(p, rngs):
-    if p < 0 or p >= 1:
-        raise InputError(f"dropout: probability {p} outside [0, 1)")
-    return len(rngs) > 0 and p != 0.0
-
-
-def _keep_masks(shapes, p, rngs):
-    """Boolean keep masks of inverted dropout, one per segment: segment i
-    draws rngs[i].random(shapes[i]) exactly once."""
-    if len(rngs) != len(shapes):
-        raise InputError(f"dropout: {len(rngs)} random streams for {len(shapes)} segments")
-    return [rng.random(shape) >= p for rng, shape in zip(rngs, shapes)]
-
-
-def _dropped(x, keep, scale):
-    # x * keep * scale is bit for bit x times a {0, scale} multiplier
-    out = x * keep
-    out *= scale
-    return out
-
-
-def dropout(a, p, rngs, seg):
-    """Seeded inverted dropout; identity when p == 0 or rngs is empty.
-
-    rngs holds one generator per segment; each segment's mask comes from its
-    own stream. The node keeps only the boolean mask."""
-    if not _dropout_on(p, rngs):
-        return a
-    rest = a.shape[1:]
-    keeps = _keep_masks([(e - s,) + rest for s, e in _segments_of("dropout", seg, a.shape[0])],
-                        p, rngs)
-    keep = keeps[0] if len(keeps) == 1 else np.concatenate(keeps)
-    scale = a.dtype.type(1.0 / (1.0 - p))
-
-    def grad_fn(g):
-        return (_dropped(g, keep, scale),)
-
-    return from_op(_dropped(a.data, keep, scale), (a,), grad_fn, "dropout")
-
-
-def attention(q, k, v, heads, seg, p, rngs):
-    """Multi-head scaled dot-product attention over (n, d) projections.
-
-    Splits d into `heads` heads, scores queries against the keys of their
-    own segment scaled by 1/sqrt(d / heads), takes one softmax per segment,
-    applies seeded inverted dropout to the weights, and merges the heads of
-    the weighted value sum back to (n, d). One node. Dropout is on when rngs
-    is non-empty: segment i then draws its mask from rngs[i] with shape
-    (heads, n_i, n_i) after its softmax, so each stream matches a separate
-    dropout op at that point. The node keeps the weights and the boolean
-    mask and rebuilds the dropped weights in backward.
-    """
-    _check_same_dtype("attention", q, k, v)
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape != (n, d):
-        raise ShapeError("attention", f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    if d % heads:
-        raise ShapeError("attention", f"width {d} not divisible by {heads} heads")
-    bounds = _segments_of("attention", seg, n)
-    hd = d // heads
-
-    def split(x):
-        return x.reshape(n, heads, hd).transpose(1, 0, 2)  # (heads, n, hd)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    c = q.dtype.type(1.0 / np.sqrt(hd))
-    if _dropout_on(p, rngs):
-        keeps = _keep_masks([(heads, e - s, e - s) for s, e in bounds], p, rngs)
-    else:
-        keeps = [None] * len(bounds)
-    scale = q.dtype.type(1.0 / (1.0 - p))
-    weights, outs = [], []
-    for (s, e), keep in zip(bounds, keeps):
-        scores = np.matmul(qh[:, s:e], kh[:, s:e].transpose(0, 2, 1)) * c
-        scores -= scores.max(axis=-1, keepdims=True)
-        ex = np.exp(scores)
-        att = ex / _add_reduce(ex, axis=-1, keepdims=True)
-        weights.append(att)
-        outs.append(np.matmul(att if keep is None else _dropped(att, keep, scale), vh[:, s:e]))
-
-    def merge(parts):
-        # per-segment (heads, n_b, hd) blocks -> (n, d)
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return x.transpose(1, 0, 2).reshape(n, d)
-
-    def grad_fn(g):
-        go = split(g)
-        gq, gk, gv = [], [], []
-        for (s, e), att, keep in zip(bounds, weights, keeps):
-            gos = go[:, s:e]
-            g_att = np.matmul(gos, vh[:, s:e].transpose(0, 2, 1))
-            if keep is None:
-                gv.append(np.matmul(att.transpose(0, 2, 1), gos))
-            else:
-                gv.append(np.matmul(_dropped(att, keep, scale).transpose(0, 2, 1), gos))
-                g_att = _dropped(g_att, keep, scale)
-            g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
-            g_scores *= c
-            gq.append(np.matmul(g_scores, kh[:, s:e]))
-            gk.append(np.matmul(g_scores.transpose(0, 2, 1), qh[:, s:e]))
-        return merge(gq), merge(gk), merge(gv)
-
-    return from_op(merge(outs), (q, k, v), grad_fn, "attention")
+    out_data, back = relu_array(a.data)
+    return from_op(out_data, (a,), lambda g: (back(g),), "relu")
 
 
 def embedding(table, ids):
@@ -470,12 +546,7 @@ def repeat_rows(x, counts):
 
 def conv1d(x, w, b, seg):
     """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
-    bias b (Cout,), in one node.
-
-    Every segment is zero-padded at both ends, so no tap reaches across a
-    boundary: the segments are laid out with (K - 1) / 2 zero rows before,
-    between and after them, convolved by one im2col matmul, and the rows
-    centred on packed rows are kept."""
+    bias b (Cout,), in one node (see conv1d_array)."""
     _check_same_dtype("conv1d", x, w, b)
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError("conv1d", f"need x (T, Cin) and w (K, Cin, Cout), got {x.shape} and {w.shape}")
@@ -486,41 +557,11 @@ def conv1d(x, w, b, seg):
         raise ShapeError("conv1d", f"channel axes differ: input {x.shape[1]} vs weight {cin}")
     if b.shape != (cout,):
         raise ShapeError("conv1d", f"bias {b.shape} does not match {cout} output channels")
-    pad = (k - 1) // 2
-    t = x.shape[0]
-    bounds = _segments_of("conv1d", seg, t)
-    rows = seg.gapped_rows(pad) if pad and len(bounds) > 1 else None
-
-    def padded():
-        # built again in backward rather than kept: the node holds only x
-        if not pad:
-            return x.data
-        xp = np.zeros((t + (len(bounds) + 1) * pad, cin), x.dtype)
-        if rows is None:
-            xp[pad : pad + t] = x.data
-        else:
-            xp[rows] = x.data
-        return xp
-
-    out_data = kernels.conv1d_forward(padded(), w.data)
-    if rows is not None:
-        out_data = out_data[rows - pad]
-    out_data += b.data
+    _segments_of("conv1d", seg, x.shape[0])
+    out_data, back = conv1d_array(x.data, w.data, b.data, seg)
 
     def grad_fn(g):
-        # the kernel always forms the input gradient; backward drops it when
-        # x is a constant (only the aligner's first mel conv, while it trains)
-        xp = padded()
-        need_w = w.requires_grad
-        if rows is None:
-            gxp, gw = kernels.conv1d_backward(xp, w.data, g, need_w=need_w)
-            gx = gxp[pad : pad + t]
-        else:
-            gout = np.zeros((xp.shape[0] - 2 * pad, cout), g.dtype)
-            gout[rows - pad] = g
-            gxp, gw = kernels.conv1d_backward(xp, w.data, gout, need_w=need_w)
-            gx = gxp[rows]
-        return gx, gw, g.sum(axis=0) if b.requires_grad else None
+        return back(g, x.requires_grad, w.requires_grad, b.requires_grad)
 
     return from_op(out_data, (x, w, b), grad_fn, "conv1d")
 

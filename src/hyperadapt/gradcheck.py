@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, backbone, variance
-from .adaptation import AdapterDims, HyperNetwork, adapter_forward, site_adapters
+from .adaptation import AdapterDims, HyperNetwork, site_adapters
 from .autodiff import Tensor
 from .errors import in_range
 from .layers import rng_for
@@ -114,22 +114,34 @@ def _postnet(seed):
     return fn, [mel, *params]
 
 
+def _frozen_trunk(seed, tag, width):
+    """A float64 variance trunk whose weights are frozen, as a backbone is
+    under adaptation: the adapter checks run their site on it."""
+    stack = variance.ConvStack(rng_for(seed, "gc", tag), width)
+    for p in stack.parameters():
+        p.data = p.data.astype(np.float64)
+    stack.set_trainable(False)
+    return stack
+
+
 def _adapter(seed):
     # site 1 of a two-site table, randomized (identity init zeroes half the
     # gradients) so every path carries: two segments read distinct rows of a
     # generated four-row table (even seeds) or share one row of a two-row
     # table, as static adapters do (odd seeds); the unread rows' zero
-    # gradient is checked too
+    # gradient is checked too. The site closes a frozen trunk, so the input's
+    # gradient also crosses the trunk's pruned backward
     n_flat = 2 * _D * 3 + 3 + _D  # [w_down | b_down | w_up | b_up] at d_r=3
     n_rows = 2 if seed % 2 else 4
     table = Tensor(np.random.default_rng(seed + 17).standard_normal((n_rows, n_flat)) * 0.3,
                    requires_grad=True)
+    trunk = _frozen_trunk(seed, "adapter-trunk", _D)
     h = _probe(seed, (5, _D))
     target = _target(seed, (5, _D))
     seg = ad.Segments([2, 3])
 
     def fn(x, t):
-        return ad.mse_loss(adapter_forward(x, t, seg, 1, 2), target, seg)
+        return ad.mse_loss(trunk(x, seg, (), site_adapters(t, 2, seg)[1]), target, seg)
 
     return fn, [h, table]
 
@@ -140,6 +152,7 @@ def _hypernetwork(seed):
     hyper.sampler_up.w.data = rng_for(seed, "gc", "up").normal(
         size=hyper.sampler_up.w.shape).astype(np.float32) * 0.1
     params = _f64_params(hyper)
+    trunk = _frozen_trunk(seed, "hyper-trunk", dims.d_h)
     # a pack of two utterances of two speakers, generated in one call;
     # segment b reads site `seed % 2` of speaker b
     h_data = np.random.default_rng(seed + 29).standard_normal((5, 5))
@@ -148,9 +161,8 @@ def _hypernetwork(seed):
     seg = ad.Segments([3, 2])
 
     def fn(v, *ps):
-        hooks = site_adapters(hyper.generate(v), 2, seg)
-        out = hooks[seed % 2](Tensor(h_data))
-        return ad.mse_loss(out, target, seg)
+        site = site_adapters(hyper.generate(v), 2, seg)[seed % 2]
+        return ad.mse_loss(trunk(Tensor(h_data), seg, (), site), target, seg)
 
     return fn, [spk, *params]
 

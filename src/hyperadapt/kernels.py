@@ -3,7 +3,8 @@ monotonic forward-sum DP and its posterior gradient, Viterbi durations, and
 DTW frame pairing.
 
 Each keeps Python work per call small: the conv builds its im2col matrix
-from K shifted slices of the padded input (a K=1 conv is a plain matmul),
+as one copy of an overlapping view of the padded input (a K=1 conv is a
+plain matmul),
 and the alignment DPs run a whole batch of maps through one frame recursion
 and write each frame's slab of their tables in place with no per-frame
 allocation. DTW likewise pairs a whole batch of cost maps in one sweep: the
@@ -30,13 +31,11 @@ ACTIVE_BACKEND = "numpy"  # the only backend; reported by the benchmark
 
 
 def _im2col(xp, k, t):
-    """(T, K * Cin) columns: row i holds xp[i : i + K] flattened tap-major,
-    copied from K shifted slices."""
-    cin = xp.shape[1]
-    cols = np.empty((t, k * cin), dtype=xp.dtype)
-    for kk in range(k):
-        cols[:, kk * cin : (kk + 1) * cin] = xp[kk : kk + t]
-    return cols
+    """(T, K * Cin) columns: row i holds xp[i : i + K] flattened tap-major.
+    In a C-contiguous xp those K rows are K * Cin consecutive entries, so
+    the columns are one copy of a view whose rows overlap."""
+    xp = np.ascontiguousarray(xp)
+    return np.ndarray((t, k * xp.shape[1]), xp.dtype, xp, 0, xp.strides).copy()
 
 
 def conv1d_forward_np(xp, w):

@@ -125,12 +125,11 @@ class Conv1d(Module):
 
 
 class LayerNorm(Module):
+    """Gain and bias of a layer norm; the module nodes run it (autodiff.layer_norm_array)."""
+
     def __init__(self, d):
         self.gain = Tensor(np.ones(d, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
-
-    def __call__(self, x):
-        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Embedding(Module):

@@ -104,9 +104,9 @@ class TTSModel(Module):
         self.variance.set_ranges(pitch_range, energy_range)
 
     def _adapters(self, hooks, tag, seg):
-        """Per-site adapter callables of module `tag` over a packed sequence
-        from the pack's tables (see adaptation.site_adapters), or one None
-        per site."""
+        """The AdapterSites of module `tag` over a packed sequence from
+        the pack's tables (see adaptation.site_adapters), or one None per
+        site."""
         n_sites = self.site_counts()[tag]
         table = None if hooks is None else hooks.get(tag)
         if table is None:

@@ -7,8 +7,9 @@ bank of Mexican-hat wavelets at dyadic scales. The predictor regresses the
 wavelet coefficients plus the contour's mean and variance; synthesis inverts
 the bank and de-normalizes.
 
-The three predictors share one conv trunk with FastSpeech 2's kernel size and
-dropout rate, fixed here as module constants, not config keys.
+The three predictors share one conv trunk design with FastSpeech 2's kernel
+size and dropout rate, fixed here as module constants, not config keys. Each
+trunk, with its adapter site, records one tape node (see ConvStack).
 """
 
 import numpy as np
@@ -142,10 +143,12 @@ def durations_from_log(log_durations):
 
 
 class ConvStack(Module):
-    """Two conv/ReLU/layer-norm/dropout blocks; the shared predictor trunk.
+    """Two conv/ReLU/layer-norm/dropout blocks; the shared predictor trunk,
+    run as one node.
 
-    An optional adapter callable is applied to the stack output, which is
-    where parameter-efficient tuning hooks into the variance predictors.
+    An optional adapter site (an adaptation.AdapterSite) acts on the stack
+    output, which is where parameter-efficient tuning hooks into the
+    variance predictors.
     """
 
     def __init__(self, rng, d_h):
@@ -153,13 +156,51 @@ class ConvStack(Module):
         self.norm1 = LayerNorm(d_h)
         self.conv2 = Conv1d(rng, d_h, d_h, KERNEL)
         self.norm2 = LayerNorm(d_h)
+        self.d_h = d_h
 
     def __call__(self, x, seg, rngs, adapter):
-        h = ad.dropout(self.norm1(ad.relu(self.conv1(x, seg))), DROPOUT, rngs, seg)
-        h = ad.dropout(self.norm2(ad.relu(self.conv2(h, seg))), DROPOUT, rngs, seg)
+        c1, n1, c2, n2 = self.conv1, self.norm1, self.conv2, self.norm2
+        weights = (c1.w, c1.b, n1.gain, n1.bias, c2.w, c2.b, n2.gain, n2.bias)
+        parents = (x,) + weights + (() if adapter is None else (adapter.table,))
+        ad.check_module_input("conv_stack", parents, seg, self.d_h)
+        k1, kb1, g1, b1, k2, kb2, g2, b2 = (w.data for w in weights)
+        h, back_k1 = ad.conv1d_array(x.data, k1, kb1, seg)
+        h, back_r1 = ad.relu_array(h)
+        h, back_n1 = ad.layer_norm_array(h, g1, b1)
+        h, back_d1 = ad.dropout_array(h, DROPOUT, rngs, seg)
+        h, back_k2 = ad.conv1d_array(h, k2, kb2, seg)
+        h, back_r2 = ad.relu_array(h)
+        h, back_n2 = ad.layer_norm_array(h, g2, b2)
+        h, back_d2 = ad.dropout_array(h, DROPOUT, rngs, seg)
+        back_site = None
         if adapter is not None:
-            h = adapter(h)
-        return h
+            h, back_site = adapter(h)
+
+        def grad_fn(g):
+            need = [p.requires_grad for p in parents]
+            # whether each conv's output, and each norm's, depends on a
+            # tensor that wants a gradient
+            n_c1 = need[0] or need[1] or need[2]
+            n_n1 = n_c1 or need[3] or need[4]
+            n_c2 = n_n1 or need[5] or need[6]
+            n_n2 = n_c2 or need[7] or need[8]
+            grads = [None] * len(parents)
+            if back_site is not None:
+                g, grads[9] = back_site(g, n_n2, need[9])
+            if not n_n2:
+                return grads
+            g, grads[7], grads[8] = back_n2(back_d2(g), n_c2, need[7], need[8])
+            if not n_c2:
+                return grads
+            g, grads[5], grads[6] = back_k2(back_r2(g), n_n1, need[5], need[6])
+            if not n_n1:
+                return grads
+            g, grads[3], grads[4] = back_n1(back_d1(g), n_c1, need[3], need[4])
+            if n_c1:
+                grads[0], grads[1], grads[2] = back_k1(back_r1(g), need[0], need[1], need[2])
+            return grads
+
+        return ad.from_op(h, parents, grad_fn, "conv_stack")
 
 
 class DurationPredictor(Module):

@@ -6,8 +6,12 @@ slow): keep n and m small. The others keep the straightforward construction
 a fused or vectorised library routine replaced, including the tape ops those
 constructions were built from and the library no longer has: `narrow`,
 `concat`, `matmul`, `permute`, `softmax` and the trailing-axis `add_bias`.
-`layer_norm_reference` is a float64 layer norm with its own eps, which pins
-the library's. `weighted_sum` (a random linear probe) and a numpy
+`node` runs one of the library's array-level ops as a tape node of its own,
+as `tanh`, `layer_norm`, `dropout`, `attention` and `adapter` do: the
+op-by-op graphs `fft_block_reference`, `conv_stack_reference` and
+`postnet_reference` are built from them and pin the module nodes bit for
+bit. `layer_norm_reference` is a float64 layer norm with its own eps, which
+pins the library's. `weighted_sum` (a random linear probe) and a numpy
 `log_softmax` build test losses and alignment maps;
 `one` lays out a single utterance, `utterance` wraps feature arrays as a
 corpus utterance, `teacher_forced` runs a model's training pass over a pack
@@ -22,7 +26,7 @@ import itertools
 import numpy as np
 
 import hyperadapt.autodiff as ad
-from hyperadapt import variance
+from hyperadapt import adaptation, backbone, variance
 from hyperadapt.corpus import Utterance
 from hyperadapt.errors import ShapeError
 from hyperadapt.layers import rng_for
@@ -53,6 +57,79 @@ def off_identity(adapted):
     for name, p in adapted.extras.named_parameters():
         p.data += rng_for(8, "nudge", name).normal(size=p.shape).astype(np.float32) * 0.05
     return adapted
+
+
+# the library's array-level ops as tape nodes, and the module graphs built
+# from them
+
+WEIGHTED = ("layer_norm", "adapter")  # ops whose back takes requires_grad flags
+
+
+def node(op, array_op, parents, *args):
+    """One tape node running array_op(*parent arrays, *args), which returns
+    (out, back). back gets each parent's requires_grad after the gradient
+    when the op has weights, the gradient alone otherwise."""
+    out, back = array_op(*(p.data for p in parents), *args)
+
+    def grad_fn(g):
+        if op in WEIGHTED:
+            return back(g, *(p.requires_grad for p in parents))
+        grads = back(g)
+        return grads if isinstance(grads, tuple) else (grads,)
+
+    return ad.from_op(out, parents, grad_fn, op)
+
+
+def tanh(a):
+    return node("tanh", ad.tanh_array, (a,))
+
+
+def layer_norm(a, gain, bias):
+    return node("layer_norm", ad.layer_norm_array, (a, gain, bias))
+
+
+def dropout(a, p, rngs, seg):
+    """The input itself when off (no streams), as the op it replaced."""
+    return node("dropout", ad.dropout_array, (a,), p, rngs, seg) if len(rngs) else a
+
+
+def attention(q, k, v, heads, seg, p, rngs):
+    return node("attention", ad.attention_array, (q, k, v), heads, seg, p, rngs)
+
+
+def adapter(h, table, seg, site, n_sites):
+    return node("adapter", adaptation.adapter_forward, (h, table), seg, site, n_sites)
+
+
+def _site(h, site):
+    """h through an adaptation.AdapterSite, or h itself when there is none."""
+    return h if site is None else adapter(h, site.table, site.seg, site.site, site.n_sites)
+
+
+def fft_block_reference(block, h, seg, rngs, site):
+    """backbone.FFTBlock by the op-by-op graph its one node replaced."""
+    a, p = block.attn, backbone.DROPOUT
+    att = attention(a.wq(h), a.wk(h), a.wv(h), a.heads, seg, p, rngs)
+    h = layer_norm(ad.add(h, dropout(a.wo(att), p, rngs, seg)), block.norm1.gain,
+                   block.norm1.bias)
+    c = _site(block.conv2(ad.relu(block.conv1(h, seg)), seg), site)
+    return layer_norm(ad.add(h, dropout(c, p, rngs, seg)), block.norm2.gain, block.norm2.bias)
+
+
+def conv_stack_reference(stack, x, seg, rngs, site):
+    """variance.ConvStack by the op-by-op graph its one node replaced."""
+    p = variance.DROPOUT
+    for conv, norm in ((stack.conv1, stack.norm1), (stack.conv2, stack.norm2)):
+        x = dropout(layer_norm(ad.relu(conv(x, seg)), norm.gain, norm.bias), p, rngs, seg)
+    return _site(x, site)
+
+
+def postnet_reference(post, mel, seg, rngs):
+    """backbone.Postnet by the op-by-op graph its one node replaced."""
+    h = mel
+    for conv in post.convs[:-1]:
+        h = dropout(tanh(conv(h, seg)), backbone.DROPOUT, rngs, seg)
+    return ad.add(mel, post.convs[-1](h, seg))
 
 
 def all_paths(n, m):
@@ -246,7 +323,7 @@ def softmax(a, axis=-1):
 
 def attention_reference(q, k, v, heads, p, rngs):
     """Multi-head attention over one segment by the op-by-op graph the fused
-    `autodiff.attention` node replaces: head split, scaled scores, softmax,
+    `autodiff.attention_array` replaces: head split, scaled scores, softmax,
     seeded dropout (on when `rngs` holds the segment's stream), weighted sum,
     head merge."""
     n, d = q.shape
@@ -256,7 +333,7 @@ def attention_reference(q, k, v, heads, p, rngs):
         return permute(ad.reshape(x, (n, heads, hd)), (1, 0, 2))
 
     scores = ad.scale(matmul(split(q), permute(split(k), (0, 2, 1))), 1.0 / np.sqrt(hd))
-    att = ad.dropout(softmax(scores, axis=-1), p, rngs, one(heads))
+    att = dropout(softmax(scores, axis=-1), p, rngs, one(heads))
     return ad.reshape(permute(matmul(att, split(v)), (1, 0, 2)), (n, d))
 
 

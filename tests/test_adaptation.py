@@ -1,9 +1,12 @@
 """Adapter/hypernetwork algebra, strategy configs, and exact parameter counts."""
 
+import os
+
 import numpy as np
 import pytest
 
 import hyperadapt.autodiff as ad
+from hyperadapt import cli
 from hyperadapt.adaptation import (
     AdaptedModel,
     AdapterDims,
@@ -19,6 +22,7 @@ from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 from hyperadapt.model import ModelConfig, Pack, TTSModel
 
+from oracles import adapter as adapter_node
 from oracles import (adapter_param_count, adapter_reference, concat, count_trainable_params,
                      generate_reference, hyper_param_count, narrow, one, single_speaker_table,
                      off_identity, table_row_reference, teacher_forced, utterance,
@@ -27,7 +31,10 @@ from oracles import (adapter_param_count, adapter_reference, concat, count_train
 PUBLISHED = AdapterDims()  # d_h=256, d_r=32, d_1=256, d_2=64, d_l=64, d_s=8
 PUBLISHED_SITES = {"e": 4, "v": 2, "d": 6}  # the paper's backbone: 4 encoder, 6 decoder blocks
 
-SMALL = AdapterDims(d_h=32, d_r=4, d_1=24, d_2=8, d_l=6, d_s=3)
+# the desk experiment's adapter dims, read as the CLI reads them
+DESK_DIMS = cli._with_model_sizes(
+    cli.load_config(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                 "configs", "desk.json")), "dims")
 
 
 def small_model(seed=7):
@@ -51,8 +58,8 @@ def static_table(seed, d_h, d_r, n_sites=1):
 
 def adapter_at(h, table, site):
     """adapter_forward at `site` over all of h as one segment, which reads
-    row `site` of the table."""
-    return adapter_forward(h, table, ad.Segments([h.shape[0]]), site, table.shape[0])
+    row `site` of the table, as a tape node."""
+    return adapter_node(h, table, ad.Segments([h.shape[0]]), site, table.shape[0])
 
 
 # -----------------------------------------------------------------------------
@@ -169,8 +176,8 @@ def test_adapter_forward_gradcheck_per_segment_tables():
     target = np.random.default_rng(38).standard_normal((6, d_h))
 
     def fn(x, t, u):
-        a = adapter_forward(x, t, seg, 1, n_sites)
-        b = adapter_forward(x, u, seg, 0, n_sites)
+        a = adapter_node(x, t, seg, 1, n_sites)
+        b = adapter_node(x, u, seg, 0, n_sites)
         return ad.add(ad.mse_loss(a, target, seg), ad.mse_loss(b, target, seg))
 
     report = ad.grad_check(fn, [h, generated, shared], threshold=THRESHOLD)
@@ -219,7 +226,7 @@ def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
 
     for site in range(n_sites):
         rows = [site if speakers is None else b * n_sites + site for b in range(len(seg))]
-        fused = grads(lambda: adapter_forward(h, table, seg, site, n_sites))
+        fused = grads(lambda: adapter_node(h, table, seg, site, n_sites))
         ref = grads(lambda: per_segment(rows))
         assert fused[0].any() and fused[2][rows].any()
         for got, want in zip(fused, ref):
@@ -230,8 +237,8 @@ def test_adapter_forward_pack_matches_per_segment_oracle(speakers):
 def test_adapter_forward_rejects_bad_rows():
     # a site takes a table of n_sites rows (shared) or n_sites rows per
     # segment (generated), and a site below n_sites
-    table = static_table(0, d_h=8, d_r=2, n_sites=2)
-    h = Tensor(np.zeros((5, 8), dtype=np.float32))
+    table = static_table(0, d_h=8, d_r=2, n_sites=2).data
+    h = np.zeros((5, 8), dtype=np.float32)
     seg = ad.Segments([2, 3])
     for n_sites in (3, 4):
         with pytest.raises(ShapeError):
@@ -240,10 +247,11 @@ def test_adapter_forward_rejects_bad_rows():
         with pytest.raises(InputError):
             adapter_forward(h, table, seg, site, 2)
     with pytest.raises(ShapeError):  # segments covering other rows than h
-        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)), table, seg, 0, 2)
+        adapter_forward(np.zeros((6, 8), dtype=np.float32), table, seg, 0, 2)
     with pytest.raises(ShapeError):  # 4 rows: neither 2 shared sites nor 2 sites of 3 segments
-        adapter_forward(Tensor(np.zeros((6, 8), dtype=np.float32)),
-                        static_table(0, d_h=8, d_r=2, n_sites=4), ad.Segments([2, 3, 1]), 0, 2)
+        adapter_forward(np.zeros((6, 8), dtype=np.float32),
+                        static_table(0, d_h=8, d_r=2, n_sites=4).data, ad.Segments([2, 3, 1]),
+                        0, 2)
 
 
 def test_site_adapters_read_speaker_major_rows():
@@ -268,12 +276,12 @@ def test_site_adapters_read_speaker_major_rows():
         generated = Tensor(per_speaker[speakers].reshape(-1, n_flat))
         for site, hook in enumerate(site_adapters(generated, n_sites, seg)):
             np.testing.assert_array_equal(
-                hook(h).data, alone(h, generated, seg, lambda b: [b * n_sites + site]))
+                hook(h.data)[0], alone(h, generated, seg, lambda b: [b * n_sites + site]))
         for site, hook in enumerate(site_adapters(shared, n_sites, seg)):
-            np.testing.assert_array_equal(hook(h).data, alone(h, shared, seg, lambda b: [site]))
+            np.testing.assert_array_equal(hook(h.data)[0], alone(h, shared, seg, lambda b: [site]))
     hooks = site_adapters(_random_table(54, 4, d_h, d_r), n_sites, ad.Segments([2, 3]))
     with pytest.raises(ShapeError):
-        hooks[0](Tensor(_exact(rng, (5, d_h), 2)))
+        hooks[0](_exact(rng, (5, d_h), 2))
 
 
 # -----------------------------------------------------------------------------
@@ -298,36 +306,36 @@ def _f64_hyper(seed, n_sites=2):
 
 
 def test_hypernetwork_identity_at_init():
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    table = hyper.generate(spk(SMALL))
-    h = Tensor(rng_for(2, "x").normal(size=(4, SMALL.d_h)).astype(np.float32))
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=DESK_DIMS)
+    table = hyper.generate(spk(DESK_DIMS))
+    h = Tensor(rng_for(2, "x").normal(size=(4, DESK_DIMS.d_h)).astype(np.float32))
     out = adapter_at(h, table, 1)
     np.testing.assert_array_equal(out.data, h.data)
-    _, _, w_up, b_up = split_row(table.data[1], SMALL.d_h, SMALL.d_r)
+    _, _, w_up, b_up = split_row(table.data[1], DESK_DIMS.d_h, DESK_DIMS.d_r)
     assert np.abs(w_up).max() == 0
     assert np.abs(b_up).max() == 0
 
 
 def test_hypernetwork_generate_deterministic():
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    a = hyper.generate(spk(SMALL)).data[0]
-    b = hyper.generate(spk(SMALL)).data[0]
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=DESK_DIMS)
+    a = hyper.generate(spk(DESK_DIMS)).data[0]
+    b = hyper.generate(spk(DESK_DIMS)).data[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_hypernetwork_sites_differ():
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
-    table = hyper.generate(spk(SMALL)).data
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=DESK_DIMS)
+    table = hyper.generate(spk(DESK_DIMS)).data
     a = table[0].astype(np.float64)
     b = table[2].astype(np.float64)
     assert np.abs(a - b).max() > 0
 
 
 def test_hypernetwork_speakers_differ_and_vary_continuously():
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=SMALL)
-    v = spk(SMALL, seed=5)
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=DESK_DIMS)
+    v = spk(DESK_DIMS, seed=5)
     base = hyper.generate(v).data[0].astype(np.float64)
-    other = hyper.generate(spk(SMALL, seed=6)).data[0].astype(np.float64)
+    other = hyper.generate(spk(DESK_DIMS, seed=6)).data[0].astype(np.float64)
     assert np.abs(base - other).max() > 0
     # all-affine pipeline: output moves linearly with an input perturbation
     eps = 1e-3
@@ -339,22 +347,22 @@ def test_hypernetwork_speakers_differ_and_vary_continuously():
 
 
 def test_hypernetwork_site_index_validated():
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=SMALL)
-    h = Tensor(np.zeros((3, SMALL.d_h), dtype=np.float32))
-    table = hyper.generate(spk(SMALL))
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=2, dims=DESK_DIMS)
+    h = Tensor(np.zeros((3, DESK_DIMS.d_h), dtype=np.float32))
+    table = hyper.generate(spk(DESK_DIMS))
     for site in (2, -1):
         with pytest.raises(InputError):
             adapter_at(h, table, site)
     with pytest.raises(ShapeError):
-        hyper.generate(Tensor(np.zeros((1, SMALL.d_1 + 1), dtype=np.float32)))
+        hyper.generate(Tensor(np.zeros((1, DESK_DIMS.d_1 + 1), dtype=np.float32)))
 
 
 def test_hypernetwork_gradients_reach_all_parameters():
-    hyper = HyperNetwork(rng_for(1, "h"), n_sites=2, dims=SMALL)
+    hyper = HyperNetwork(rng_for(1, "h"), n_sites=2, dims=DESK_DIMS)
     # nudge the up sampler off zero so the down path participates too
     hyper.sampler_up.w.data += 0.01
-    h = Tensor(rng_for(2, "x").normal(size=(3, SMALL.d_h)).astype(np.float32))
-    out = adapter_at(h, hyper.generate(spk(SMALL)), 1)
+    h = Tensor(rng_for(2, "x").normal(size=(3, DESK_DIMS.d_h)).astype(np.float32))
+    out = adapter_at(h, hyper.generate(spk(DESK_DIMS)), 1)
     ad.backward(ad.sum_all(out))
     for name, p in hyper.named_parameters():
         assert p.grad is not None, name
@@ -431,12 +439,12 @@ def test_hypernetwork_generate_matches_op_by_op_graph():
 def test_hypernetwork_single_speaker_table_is_unchanged_bit_for_bit(dtype):
     # a (1, d_1) speaker still gets the module's (n_sites, n_flat) table,
     # computed by the same arithmetic as one speaker at a time
-    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=SMALL)
+    hyper = HyperNetwork(rng_for(0, "h"), n_sites=3, dims=DESK_DIMS)
     for p in hyper.parameters():
         p.data = (p.data + rng_for(1, "n").normal(size=p.shape) * 0.05).astype(dtype)
-    v = Tensor(rng_for(2, "v").normal(size=(1, SMALL.d_1)).astype(dtype))
+    v = Tensor(rng_for(2, "v").normal(size=(1, DESK_DIMS.d_1)).astype(dtype))
     table = hyper.generate(v)
-    assert table.shape == (3, adapter_param_count(SMALL))
+    assert table.shape == (3, adapter_param_count(DESK_DIMS))
     np.testing.assert_array_equal(table.data, single_speaker_table(hyper, v))
 
 
@@ -584,7 +592,7 @@ def test_adapted_model_rejects_dim_mismatch():
 @pytest.mark.parametrize("label", ["tts0", "ft", "adapter_e", "adapter_evd", "hyper_v", "hyper_evd"])
 def test_trainable_enumeration_matches_count(label):
     model = small_model()
-    cfg = StrategyConfig.parse(label, SMALL)
+    cfg = StrategyConfig.parse(label, DESK_DIMS)
     adapted = AdaptedModel(model, cfg, seed=3)
     expected = count_trainable_params(
         cfg, backbone_param_count=model.param_count(), site_counts=model.site_counts()
@@ -602,7 +610,7 @@ def test_trainable_enumeration_matches_count(label):
 
 def test_freeze_flags_per_strategy():
     model = small_model()
-    AdaptedModel(model, StrategyConfig.parse("hyper_e", SMALL))
+    AdaptedModel(model, StrategyConfig.parse("hyper_e", DESK_DIMS))
     assert all(not p.requires_grad for p in model.parameters())
     AdaptedModel(model, StrategyConfig.parse("ft"))
     assert all(p.requires_grad for p in model.parameters())
@@ -620,7 +628,7 @@ def test_adapted_synthesis_identity_at_init(label):
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     phon, spk_vec = synth_args(model)
     ref, _ = model.synthesize(phon, spk_vec)
-    adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse(label, DESK_DIMS), seed=5)
     hooks = adapted.hooks_for(spk_vec)
     assert set(hooks) == {"e", "v", "d"}
     assert [hooks[t].shape[0] for t in ("e", "v", "d")] == [2, 2, 2]
@@ -633,7 +641,7 @@ def test_adapted_synthesis_diverges_once_trained_weights_move():
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     phon, spk_vec = synth_args(model)
     ref, _ = model.synthesize(phon, spk_vec)
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", SMALL), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", DESK_DIMS), seed=5)
     # non-uniform nudge: channel-uniform deltas would vanish in the post-norm
     for tag in ("e", "v", "d"):
         w = getattr(adapted.extras, f"hyper_{tag}").sampler_up.w
@@ -680,19 +688,18 @@ def _training_pass_ops(monkeypatch, model, hooks_fn):
     return counts
 
 
-def test_hyper_forward_train_adds_one_node_per_module_and_per_site(monkeypatch):
+def test_hyper_forward_train_adds_one_node_per_module(monkeypatch):
     # desk hyper_evd: 3 modules, 6 sites; over a pack of eight speakers,
-    # adaptation adds exactly one generate node per module and one adapter
-    # node per site, nothing else
+    # adaptation adds exactly one generate node per module, and each site
+    # runs inside its block's or trunk's node, so nothing else is added
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", SMALL), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_evd", DESK_DIMS), seed=5)
     with_hooks = _training_pass_ops(monkeypatch, model, adapted.hooks_for)
     without = _training_pass_ops(monkeypatch, model, lambda speakers: None)
     assert with_hooks.pop("hyper_generate") == 3
-    assert with_hooks.pop("adapter") == 6
     assert with_hooks == without
-    assert "narrow" not in with_hooks and "concat" not in with_hooks
+    assert "adapter" not in with_hooks and "narrow" not in with_hooks
 
 
 @pytest.mark.parametrize("label", ["adapter_evd", "hyper_evd"])
@@ -701,7 +708,7 @@ def test_adapted_forward_train_identity_at_init(label):
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
     args = train_args(model, seed=4, frames=12)
     ref, _ = teacher_forced(model, pack_of(args))
-    adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5)
+    adapted = AdaptedModel(model, StrategyConfig.parse(label, DESK_DIMS), seed=5)
     out, _ = teacher_forced(model, pack_of(args), hooks=adapted.hooks_for(args[4]))
     for key in ("mel_pre", "mel_post", "log_dur", "pitch_spec", "energy"):
         np.testing.assert_array_equal(out[key].data, ref[key].data)
@@ -713,7 +720,7 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
     # utterance gets the predictions (and the gradient) it gets alone
     model = small_model()
     model.set_ranges((4.5, 6.0), (0.0, 1.0))
-    adapted = off_identity(AdaptedModel(model, StrategyConfig.parse(label, SMALL), seed=5))
+    adapted = off_identity(AdaptedModel(model, StrategyConfig.parse(label, DESK_DIMS), seed=5))
     utts = [train_args(model, seed=4, frames=12), train_args(model, seed=6, frames=9,
                                                             phonemes=(3, 1, 5))]
     trainable = adapted.named_trainable()
@@ -747,17 +754,17 @@ def test_packed_adapters_give_each_utterance_its_own_table(label):
 def test_tts0_and_ft_add_no_hooks():
     model = small_model()
     for label in ("tts0", "ft"):
-        adapted = AdaptedModel(model, StrategyConfig.parse(label, SMALL))
+        adapted = AdaptedModel(model, StrategyConfig.parse(label, DESK_DIMS))
         assert adapted.hooks_for(np.zeros(24, dtype=np.float32)) is None
 
 
 def test_adapted_state_roundtrip():
     model = small_model()
-    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_ev", SMALL), seed=1)
+    adapted = AdaptedModel(model, StrategyConfig.parse("hyper_ev", DESK_DIMS), seed=1)
     state = adapted.state_arrays()
     assert any(k.startswith("extras.hyper_e.") for k in state)
 
-    fresh = AdaptedModel(small_model(seed=99), StrategyConfig.parse("hyper_ev", SMALL), seed=2)
+    fresh = AdaptedModel(small_model(seed=99), StrategyConfig.parse("hyper_ev", DESK_DIMS), seed=2)
     fresh.model.load_state_arrays({k: v for k, v in state.items() if not k.startswith("extras.")})
     fresh.extras.load_state_arrays(state, "extras.")
     for (_, a), (_, b) in zip(

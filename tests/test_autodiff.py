@@ -62,7 +62,7 @@ class TestOpGradients:
         rng = np.random.default_rng(1)
         a = t64(rng.standard_normal((4, 3)))
         b = t64(rng.standard_normal((3, 5)))
-        _fd_check(lambda x, y: ad.sum_all(ad.tanh(oracles.matmul(x, y))), [a, b])
+        _fd_check(lambda x, y: ad.sum_all(oracles.tanh(oracles.matmul(x, y))), [a, b])
 
     def test_matmul_3d_with_shared_rhs(self):
         rng = np.random.default_rng(2)
@@ -92,14 +92,14 @@ class TestOpGradients:
         bias = t64(rng.standard_normal(6))
         c = rng.standard_normal((4, 6))
         _fd_check(
-            lambda a, g, b: oracles.weighted_sum(ad.layer_norm(a, g, b), c), [x, gain, bias]
+            lambda a, g, b: oracles.weighted_sum(oracles.layer_norm(a, g, b), c), [x, gain, bias]
         )
 
     def test_embedding(self):
         rng = np.random.default_rng(6)
         table = t64(rng.standard_normal((7, 3)))
         ids = np.array([0, 3, 3, 6, 1])
-        _fd_check(lambda t: ad.sum_all(ad.tanh(ad.embedding(t, ids))), [table])
+        _fd_check(lambda t: ad.sum_all(oracles.tanh(ad.embedding(t, ids))), [table])
 
     def test_concat_narrow_reshape_permute(self):
         # concat and narrow are the test oracles' plumbing ops
@@ -128,7 +128,7 @@ class TestOpGradients:
         rng = np.random.default_rng(9)
         x = t64(rng.standard_normal((6, 3)))
         bias = t64(rng.standard_normal(3))
-        _fd_check(lambda a, b: ad.sum_all(ad.tanh(ad.segment_mean(oracles.add_bias(a, b), one(6)))),
+        _fd_check(lambda a, b: ad.sum_all(oracles.tanh(ad.segment_mean(oracles.add_bias(a, b), one(6)))),
                   [x, bias])
 
     def test_two_layer_composite(self):
@@ -152,13 +152,13 @@ class TestFusedOps:
         x = t64(rng.standard_normal((5, 3)))
         w = t64(rng.standard_normal((3, 4)))
         b = t64(rng.standard_normal(4))
-        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.linear(*args))), [x, w, b])
+        _fd_check(lambda *args: ad.sum_all(oracles.tanh(ad.linear(*args))), [x, w, b])
 
     def test_linear_without_bias(self):
         rng = np.random.default_rng(21)
         x = t64(rng.standard_normal((3, 4)))
         w = t64(rng.standard_normal((4, 2)))
-        _fd_check(lambda a, v: ad.sum_all(ad.tanh(ad.linear(a, v))), [x, w])
+        _fd_check(lambda a, v: ad.sum_all(oracles.tanh(ad.linear(a, v))), [x, w])
         with pytest.raises(ShapeError):
             ad.linear(t64(np.ones((2, 3, 4))), w)
 
@@ -178,7 +178,7 @@ class TestFusedOps:
         b = t64(rng.standard_normal(2))
         out = ad.conv1d(x, w, b, one(7))
         assert out.op == "conv1d" and out._parents == (x, w, b)
-        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.conv1d(*args, one(7)))), [x, w, b])
+        _fd_check(lambda *args: ad.sum_all(oracles.tanh(ad.conv1d(*args, one(7)))), [x, w, b])
 
     def _qkv(self, seed, n=5, d=6):
         rng = np.random.default_rng(seed)
@@ -195,7 +195,7 @@ class TestFusedOps:
             for t in tensors:
                 t.grad = None
             rngs = [rng_for(9, "attn-drop", i) for i in streams]
-            out = ad.attention(*tensors, 2, segments, 0.3, rngs)
+            out = oracles.attention(*tensors, 2, segments, 0.3, rngs)
             ad.backward(oracles.weighted_sum(out, c[rows]))
             return out.data, [t.grad.copy() for t in tensors]
 
@@ -208,7 +208,7 @@ class TestFusedOps:
                 np.testing.assert_allclose(g_packed[rows], g_alone, atol=1e-12)
 
         def fn(a, b, e):
-            return oracles.weighted_sum(ad.attention(a, b, e, 2, seg, 0.0, []), c)
+            return oracles.weighted_sum(oracles.attention(a, b, e, 2, seg, 0.0, []), c)
 
         _fd_check(fn, [q, k, v])
 
@@ -225,16 +225,16 @@ class TestFusedOps:
             # the stream continues exactly where a separate dropout op left it
             return out.data, [t.grad.copy() for t in (q, k, v)], rng.random(4)
 
-        fused = run(lambda a, b, e, h, p, rng: ad.attention(a, b, e, h, one(5), p, [rng]))
+        fused = run(lambda a, b, e, h, p, rng: oracles.attention(a, b, e, h, one(5), p, [rng]))
         ref = run(lambda a, b, e, h, p, rng: oracles.attention_reference(a, b, e, h, p, [rng]))
         np.testing.assert_allclose(fused[0], ref[0], atol=1e-12)
         for g_fused, g_ref in zip(fused[1], ref[1]):
             np.testing.assert_allclose(g_fused, g_ref, atol=1e-12)
         np.testing.assert_array_equal(fused[2], ref[2])
-        assert not np.allclose(fused[0], ad.attention(q, k, v, 3, one(5), 0.0, []).data)
+        assert not np.allclose(fused[0], oracles.attention(q, k, v, 3, one(5), 0.0, []).data)
 
         def fn(a, b, e):
-            out = ad.attention(a, b, e, 3, one(5), 0.3, [rng_for(9, "attn-drop")])
+            out = oracles.attention(a, b, e, 3, one(5), 0.3, [rng_for(9, "attn-drop")])
             return oracles.weighted_sum(out, c)
 
         _fd_check(fn, [q, k, v])
@@ -243,7 +243,7 @@ class TestFusedOps:
         # no streams, no dropout, whatever p is
         rng = np.random.default_rng(28)
         q, k, v = (Tensor(rng.standard_normal((7, 8)).astype(np.float32)) for _ in range(3))
-        fused = ad.attention(q, k, v, 2, one(7), 0.1, [])
+        fused = oracles.attention(q, k, v, 2, one(7), 0.1, [])
         ref = oracles.attention_reference(q, k, v, 2, 0.1, [])
         np.testing.assert_allclose(fused.data, ref.data, atol=1e-6)
 
@@ -268,7 +268,7 @@ class TestSegmentOps:
         w = t64(rng.standard_normal((5, 2, 3)))
         b = t64(rng.standard_normal(3))
         seg = ad.Segments(self.SEG)
-        _fd_check(lambda *args: ad.sum_all(ad.tanh(ad.conv1d(*args, seg))), [x, w, b])
+        _fd_check(lambda *args: ad.sum_all(oracles.tanh(ad.conv1d(*args, seg))), [x, w, b])
         packed = ad.conv1d(x, w, b, seg).data
         for rows, alone in self._per_segment(x):
             np.testing.assert_allclose(packed[rows], ad.conv1d(alone, w, b, one(alone.shape[0])).data,
@@ -279,7 +279,7 @@ class TestSegmentOps:
         counts = np.array([2, 0, 1, 3, 1, 0, 2, 1, 1])
         out = ad.repeat_rows(x, counts)
         np.testing.assert_array_equal(out.data, np.repeat(x.data, counts, axis=0))
-        _fd_check(lambda a: ad.sum_all(ad.tanh(ad.repeat_rows(a, counts))), [x])
+        _fd_check(lambda a: ad.sum_all(oracles.tanh(ad.repeat_rows(a, counts))), [x])
 
     def test_segment_mean(self):
         x = self._packed(33, 3)
@@ -287,7 +287,7 @@ class TestSegmentOps:
         out = ad.segment_mean(x, seg)
         for i, (_, alone) in enumerate(self._per_segment(x)):
             np.testing.assert_allclose(out.data[i], alone.data.mean(axis=0), atol=1e-12)
-        _fd_check(lambda a: ad.sum_all(ad.tanh(ad.segment_mean(a, seg))), [x])
+        _fd_check(lambda a: ad.sum_all(oracles.tanh(ad.segment_mean(a, seg))), [x])
 
     def test_losses_sum_per_segment_means(self):
         x = self._packed(34, 2)
@@ -301,14 +301,15 @@ class TestSegmentOps:
         _fd_check(lambda a: ad.l1_loss(a, target, seg), [x], eps=1e-7)
 
     def test_dropout_draws_each_segment_from_its_own_stream(self):
-        x = t64(np.ones((sum(self.SEG), 4)))
+        x = np.ones((sum(self.SEG), 4))
         seg = ad.Segments(self.SEG)
-        packed = ad.dropout(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], seg).data
-        for i, (rows, alone) in enumerate(self._per_segment(x)):
-            want = ad.dropout(alone, 0.4, [rng_for(3, "drop", i)], one(alone.shape[0])).data
+        packed, _ = ad.dropout_array(x, 0.4, [rng_for(3, "drop", i) for i in range(3)], seg)
+        for i, (rows, alone) in enumerate(self._per_segment(t64(x))):
+            want, _ = ad.dropout_array(alone.data, 0.4, [rng_for(3, "drop", i)],
+                                       one(alone.shape[0]))
             np.testing.assert_array_equal(packed[rows], want)
         with pytest.raises(InputError):
-            ad.dropout(x, 0.4, [rng_for(3, "drop")], seg)
+            ad.dropout_array(x, 0.4, [rng_for(3, "drop")], seg)
 
 
 class TestExactValues:
@@ -327,48 +328,50 @@ class TestExactValues:
 
     def test_layer_norm_output_statistics(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((10, 16)).astype(np.float64) * 3 + 1)
-        out = ad.layer_norm(x, Tensor(np.ones(16, dtype=np.float64)), Tensor(np.zeros(16, dtype=np.float64)))
-        np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-4)
+        x = rng.standard_normal((10, 16)).astype(np.float64) * 3 + 1
+        out, _ = ad.layer_norm_array(x, np.ones(16), np.zeros(16))
+        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-4)
 
     def test_layer_norm_matches_float64_oracle_on_low_variance_rows(self):
         # rows whose variance (1e-8 to 1e-2) is near eps, where eps matters
         rng = np.random.default_rng(12)
         x = 2.0 + np.array([[1e-4], [1e-3], [3e-3], [1e-2], [1e-1]]) * rng.standard_normal((5, 16))
         gain, bias = rng.standard_normal(16), rng.standard_normal(16)
-        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
-        np.testing.assert_allclose(out.data, oracles.layer_norm_reference(x, gain, bias),
+        out, _ = ad.layer_norm_array(x, gain, bias)
+        np.testing.assert_allclose(out, oracles.layer_norm_reference(x, gain, bias),
                                    rtol=1e-9, atol=1e-12)
 
 
 class TestDropout:
     def test_zero_probability_is_identity(self):
-        x = Tensor(np.random.default_rng(0).standard_normal((8, 4)), requires_grad=True)
-        out = ad.dropout(x, 0.0, [rng_for(1, "drop")], one(8))
-        assert out is x
+        x = np.random.default_rng(0).standard_normal((8, 4))
+        out, back = ad.dropout_array(x, 0.0, [rng_for(1, "drop")], one(8))
+        g = np.ones((8, 4))
+        assert out is x and back(g) is g
 
     def test_no_streams_is_identity(self):
-        x = Tensor(np.ones((8, 4)))
-        out = ad.dropout(x, 0.5, [], one(8))
+        x = np.ones((8, 4))
+        out, _ = ad.dropout_array(x, 0.5, [], one(8))
         assert out is x
 
     def test_probability_is_checked_without_streams(self):
         with pytest.raises(InputError):
-            ad.dropout(Tensor(np.ones((8, 4))), 1.0, [], one(8))
+            ad.dropout_array(np.ones((8, 4)), 1.0, [], one(8))
 
     def test_seeded_mask_replays(self):
-        x = Tensor(np.ones((64, 16)), requires_grad=True)
-        a = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], one(64))
-        b = ad.dropout(x, 0.3, [rng_for(7, "drop", 0)], one(64))
-        np.testing.assert_array_equal(a.data, b.data)
+        x = np.ones((64, 16))
+        a, _ = ad.dropout_array(x, 0.3, [rng_for(7, "drop", 0)], one(64))
+        b, _ = ad.dropout_array(x, 0.3, [rng_for(7, "drop", 0)], one(64))
+        np.testing.assert_array_equal(a, b)
 
     def test_kept_entries_are_rescaled(self):
-        x = Tensor(np.ones((400, 10)))
-        out = ad.dropout(x, 0.25, [rng_for(3, "drop")], one(400))
-        kept = out.data[out.data != 0]
+        out, back = ad.dropout_array(np.ones((400, 10)), 0.25, [rng_for(3, "drop")], one(400))
+        kept = out[out != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
-        assert abs(kept.size / out.data.size - 0.75) < 0.05
+        assert abs(kept.size / out.size - 0.75) < 0.05
+        # the gradient passes the kept entries, rescaled the same way
+        np.testing.assert_array_equal(back(np.ones((400, 10))), out)
 
 
 class TestBackwardSemantics:
@@ -383,7 +386,7 @@ class TestBackwardSemantics:
         # so nothing the forward pass saved outlives the backward pass
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
         h = ad.scale(x, 3.0)
-        loss = ad.sum_all(ad.tanh(h))
+        loss = ad.sum_all(oracles.tanh(h))
         ad.backward(loss)
         assert h._parents == () and loss._parents == ()
         with pytest.raises(StateError):
@@ -393,7 +396,7 @@ class TestBackwardSemantics:
         # the first pass released h's closure; a second loss built on h must
         # not treat it as a leaf and silently drop x's gradient
         x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        h = ad.tanh(ad.scale(x, 3.0))
+        h = oracles.tanh(ad.scale(x, 3.0))
         first, second = ad.sum_all(h), ad.sum_all(h)
         ad.backward(first)
         with pytest.raises(StateError):
@@ -418,7 +421,7 @@ class TestBackwardSemantics:
             rng = rng_for(42, "replay")
             x = Tensor(rng.standard_normal((6, 4)).astype(np.float32), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
-            h = ad.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], one(6))
+            h = oracles.dropout(ad.relu(ad.linear(x, w)), 0.2, [rng_for(42, "drop")], one(6))
             loss = ad.sum_all(h)
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -430,8 +433,8 @@ class TestBackwardSemantics:
 
 
 def _op_with_parents(op, rng):
-    """(fn of three float64 parents, the parents) of one fused op with a
-    weight and a bias: linear, conv1d or layer_norm."""
+    """(fn of three float64 parents, the parents) of one op with a weight
+    and a bias: linear, conv1d, or the array-level layer norm as a node."""
     if op == "linear":
         shapes, fn = ((5, 3), (3, 4), (4,)), ad.linear
     elif op == "conv1d":
@@ -440,7 +443,7 @@ def _op_with_parents(op, rng):
         def fn(x, w, b):
             return ad.conv1d(x, w, b, one(7))
     else:
-        shapes, fn = ((4, 6), (6,), (6,)), ad.layer_norm
+        shapes, fn = ((4, 6), (6,), (6,)), oracles.layer_norm
     return fn, [t64(rng.standard_normal(shape)) for shape in shapes]
 
 
@@ -456,7 +459,7 @@ class TestFrozenParents:
         for p, flag in zip(parents, pattern):
             p.requires_grad = flag
         c = np.random.default_rng(32).standard_normal(fn(*parents).shape)
-        _fd_check(lambda *args: oracles.weighted_sum(ad.tanh(fn(*args)), c), parents)
+        _fd_check(lambda *args: oracles.weighted_sum(oracles.tanh(fn(*args)), c), parents)
         for p, flag in zip(parents, pattern):
             assert (p.grad is not None) == flag
 
@@ -480,11 +483,11 @@ class TestNoGrad:
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(RuntimeError):
             with ad.no_grad():
-                out = ad.tanh(ad.linear(x, w))
+                out = oracles.tanh(ad.linear(x, w))
                 assert out._parents == () and out._grad_fn is None
                 assert not out.requires_grad
                 raise RuntimeError("leaves the block early")
-        np.testing.assert_array_equal(out.data, ad.tanh(ad.linear(x, w)).data)
+        np.testing.assert_array_equal(out.data, oracles.tanh(ad.linear(x, w)).data)
         again = ad.linear(x, w)
         assert again._parents == (x, w) and again.requires_grad
 

@@ -5,8 +5,9 @@ import pytest
 
 from hyperadapt import autodiff as ad
 from hyperadapt import backbone
+from hyperadapt.adaptation import site_adapters, static_adapter_table
 from hyperadapt.autodiff import Tensor
-from hyperadapt.errors import InputError, ShapeError
+from hyperadapt.errors import ConfigError, InputError, ShapeError
 from hyperadapt.gradcheck import THRESHOLD
 from hyperadapt.layers import rng_for
 
@@ -89,6 +90,10 @@ class TestEncoder:
 
 
 class TestFFTBlock:
+    def test_heads_must_divide_the_width(self):
+        with pytest.raises(ConfigError):
+            backbone.FFTBlock(rng_for(5, "blk"), D, heads=3)
+
     def test_shape_preserved(self):
         block = backbone.FFTBlock(rng_for(5, "blk"), D, heads=2)
         h = Tensor(np.random.default_rng(1).standard_normal((9, D)).astype(np.float32))
@@ -160,13 +165,15 @@ class TestFFTBlock:
     def test_adapter_hook_applies_before_final_norm(self):
         block = backbone.FFTBlock(rng_for(7, "blk"), D, heads=2)
         h = Tensor(np.random.default_rng(4).standard_normal((4, D)).astype(np.float32))
+        table = static_adapter_table(3, "blk", 1, D, 2)
         plain = block(h, one(4), (), None).data
-        hooked = block(h, one(4), (), lambda t: t).data
+        # a fresh site is the identity
+        hooked = block(h, one(4), (), site_adapters(table, 1, one(4))[0]).data
         np.testing.assert_array_equal(plain, hooked)
-        # uniform shifts would be erased by the closing layer norm, so perturb
-        # channels unevenly to observe the hook
-        probe = Tensor(np.tile(np.arange(D, dtype=np.float32), (4, 1)))
-        shifted = block(h, one(4), (), lambda t: ad.add(t, probe)).data
+        # a site off the identity moves the output; where it acts is pinned
+        # by the op-by-op reference (test_module_nodes)
+        table.data[0, -D:] = np.arange(D, dtype=np.float32)
+        shifted = block(h, one(4), (), site_adapters(table, 1, one(4))[0]).data
         assert np.abs(shifted - plain).max() > 1e-3
 
 

@@ -1,12 +1,14 @@
 """Full-model passes through TTSModel.forward: teacher-forced as training
 runs it, free-running as synthesis runs it, and the two as one wiring."""
 
+import os
 import re
 
 import numpy as np
 import pytest
 
 from hyperadapt import autodiff as ad
+from hyperadapt import cli
 from hyperadapt import metrics
 from hyperadapt import variance as var_mod
 from hyperadapt.adaptation import AdaptedModel, AdapterDims, StrategyConfig
@@ -26,6 +28,8 @@ DIMS = AdapterDims(d_h=CFG.d_h, d_r=4, d_1=CFG.d_spk, d_2=8, d_l=6, d_s=3)
 
 RANGES = ((np.log(80.0), np.log(400.0)), (0.1, 2.0))
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def build_model(seed=3):
     m = TTSModel(CFG, seed=seed)
@@ -33,11 +37,11 @@ def build_model(seed=3):
     return m
 
 
-def sample_inputs(seed=5, n=6, frames_per=3):
+def sample_inputs(seed=5, n=6, frames_per=3, n_mels=CFG.n_mels):
     rng = np.random.default_rng(seed)
     phonemes = rng.integers(0, CFG.vocab_size, size=n)
     frames = n * frames_per
-    mel = rng.normal(size=(frames, CFG.n_mels)).astype(np.float32)
+    mel = rng.normal(size=(frames, n_mels)).astype(np.float32)
     f0 = np.where(rng.random(frames) < 0.2, 0.0, rng.uniform(100.0, 300.0, frames))
     f0[:2] = 150.0  # guarantee voiced frames for interpolation
     energy = rng.uniform(0.2, 1.5, frames).astype(np.float32)
@@ -110,9 +114,8 @@ def test_pack_matches_packs_of_one():
 def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
     # one desk training pass (aligner and teacher-forced forward) records
     # the same tape nodes for 8 utterances as for one
-    desk = TTSModel(ModelConfig(vocab_size=32, n_mels=16, d_h=32, heads=2, enc_layers=2,
-                                dec_layers=2, d_spk=24, d_attn=16, postnet_channels=24,
-                                postnet_layers=3), seed=1)
+    desk_cfg = ModelConfig(**cli.load_config(os.path.join(ROOT, "configs", "desk.json"))["model"])
+    desk = TTSModel(desk_cfg, seed=1)
     desk.set_ranges(*RANGES)
     counts = []
     real = ad.from_op
@@ -124,10 +127,10 @@ def test_pack_graph_size_does_not_grow_with_the_pack(monkeypatch):
     monkeypatch.setattr(ad, "from_op", counting)
     for size in (1, 8):
         counts.append(0)
-        utts = [sample_inputs(seed=s, n=4 + s % 5) for s in range(size)]
+        utts = [sample_inputs(seed=s, n=4 + s % 5, n_mels=desk_cfg.n_mels) for s in range(size)]
         rngs = [rng_for(0, "drop", s) for s in range(size)]
         teacher_forced(desk, pack_of(*utts), rngs)
-    assert counts[0] == counts[1] == 118
+    assert counts[0] == counts[1] == 38
 
 
 def test_forward_train_deterministic_in_eval():
@@ -213,7 +216,8 @@ def test_synthesize_records_no_tape(monkeypatch):
 
     monkeypatch.setattr(ad, "from_op", recording)
     model.synthesize(phonemes, spk, hooks=hooks)
-    assert {"linear", "conv1d", "attention", "adapter"} <= {n.op for n in nodes}
+    # the adapter sites run inside the blocks' and trunks' nodes
+    assert {"linear", "fft_block", "conv_stack", "postnet"} <= {n.op for n in nodes}
     assert all(n._parents == () and n._grad_fn is None for n in nodes)
 
 
