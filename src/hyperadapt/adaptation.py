@@ -89,10 +89,11 @@ def adapter_forward(x, table, seg, site, n_sites):
     pre = x @ w_down
     pre += picked[:, n_wd:n_down].reshape(-1)
     keep = pre > 0
-    keep &= seg.block_mask(k, d_r)
+    if k > 1:
+        keep &= seg.block_mask(k, d_r)
     z = np.where(keep, pre, pre.dtype.type(0))
     delta = z @ w_up
-    delta += picked[seg.blocks(k), n_flat - d_h :]
+    delta += picked[seg.blocks(k), n_flat - d_h :] if k > 1 else picked[0, n_flat - d_h :]
 
     def back(g, need_x, need_table):
         gpre = g @ w_up.T
@@ -114,8 +115,8 @@ def adapter_forward(x, table, seg, site, n_sites):
 
 class AdapterSite:
     """Site `site` of a module's adapter table over a pack laid out by
-    `seg`, as a module node takes it: the node lists `table` (a Tensor)
-    among its parents and calls the site on an array, which runs
+    `seg`, as a module node takes it: the node records the site as an array
+    op of its input and `table` (a Tensor), and the site runs
     adapter_forward, looked up when called."""
 
     __slots__ = ("table", "seg", "site", "n_sites")
@@ -123,8 +124,8 @@ class AdapterSite:
     def __init__(self, table, seg, site, n_sites):
         self.table, self.seg, self.site, self.n_sites = table, seg, site, n_sites
 
-    def __call__(self, x):
-        return adapter_forward(x, self.table.data, self.seg, self.site, self.n_sites)
+    def __call__(self, x, table):
+        return adapter_forward(x, table, self.seg, self.site, self.n_sites)
 
 
 def site_adapters(table, n_sites, seg):

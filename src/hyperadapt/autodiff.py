@@ -11,14 +11,14 @@ Leaf gradients accumulate across backward calls until the caller resets them.
 Only what is needed is computed. A node requires a gradient when any parent
 does. The closures of the nodes with weights (`linear`, `conv1d`, the
 module nodes, and `generate` in `adaptation`) and of the losses compute a
-parent's gradient only when that parent `requires_grad`, read when the
-closure runs, and return None for the rest: a frozen weight costs no dW,
-conv gW or layer-norm gain/bias gradient, and a constant input or loss
-target no gradient of its own (the conv kernel forms its input gradient in
-any case). Inside `no_grad()` no tape is recorded at all: ops compute their
-outputs and keep neither parents nor closures, so the arrays a closure
-would have saved are freed as soon as the forward pass moves on
-(validation and synthesis run this way).
+parent's gradient only when that parent `requires_grad` (read when the
+closure runs; a module node reads it when each op runs) and return None for
+the rest: a frozen weight costs no dW, conv gW or layer-norm gain/bias
+gradient, and a constant input or loss target no gradient of its own (the
+conv kernel forms its input gradient in any case). Inside `no_grad()` no
+tape is recorded at all: ops compute their outputs and keep neither parents
+nor closures, so the arrays a closure would have saved are freed as soon as
+the forward pass moves on (validation and synthesis run this way).
 
 A training batch is one packed graph: its B utterances are stacked along
 axis 0 with no padding, and `Segments` records how many rows each one owns.
@@ -34,18 +34,19 @@ utterance is a pack of one segment. Dropout (in `dropout_array` and in
 random streams, one per segment; validation and synthesis pass none.
 
 Each op's arithmetic is written once, as an array-level function (`*_array`)
-that returns its output and a `back` closure: the affine map, 1D
-convolution plus bias, the multi-head attention core (head split, scaled
-scores, softmax, seeded dropout, weighted sum, head merge), ReLU, tanh,
-layer norm and seeded dropout. The tape ops are the affine map `linear`,
-`conv1d`, `relu`, embedding lookup, row repetition, same-shape add and
-scaling, the full sum and per-segment mean, MSE/L1 losses and reshape; each
-records one node. A module whose ops always run together records one node
-for all of them: `backbone.FFTBlock`, `variance.ConvStack` and
-`backbone.Postnet` run the array functions in the order the op-by-op graph
-did, check their input once at entry (`check_module_input`), and chain the
-`back` closures in reverse, summing a tensor's gradients in the order the
-tape would, so outputs and gradients are bit for bit those of the graph
+that returns its output and a `back` closure, all called the same way: the
+affine map, same-shape add, 1D convolution plus bias, the multi-head
+attention core (head split, scaled scores, softmax, seeded dropout,
+weighted sum, head merge), ReLU, tanh, layer norm and seeded dropout. The
+tape ops are the affine map `linear`, `conv1d`, `relu`, embedding lookup,
+row repetition, same-shape add and scaling, the full sum and per-segment
+mean, MSE/L1 losses and reshape; each records one node. A module whose ops
+always run together records one node for all of them through a `Recorder`:
+`backbone.FFTBlock`, `variance.ConvStack` and `backbone.Postnet` run the
+array functions (and an adapter site) through it in the order the op-by-op
+graph did; it keeps each op's back with that op's inputs, and one generic
+grad_fn walks the record in reverse and hands the tape one gradient per use
+of a parent, so outputs and gradients are bit for bit those of the graph
 they replace. Two more fused nodes live next to their only caller in
 `adaptation`: `HyperNetwork.generate` (a module's adapter tables for every
 speaker of a pack, in one node) and `adapter_forward` (the array function of
@@ -188,10 +189,11 @@ class Segments:
         return self._cached(("block_mask", k, width),
                             lambda: self.blocks(k)[:, None] == np.arange(k).repeat(width))
 
-    def gapped_rows(self, gap):
+    def gapped_rows(self, gap, edge):
         """(total,) row index of every packed row once `gap` zero rows sit
-        before, between and after the segments."""
-        return self._cached(("gapped", gap), lambda: np.arange(self.total) + gap * (self.ids() + 1))
+        between the segments and `edge` before the first."""
+        return self._cached(("gapped", gap, edge),
+                            lambda: np.arange(self.total) + gap * self.ids() + edge)
 
     def means(self, x):
         """(B,) mean of each segment's entries of a packed array."""
@@ -207,56 +209,56 @@ def _segments_of(op, seg, n):
     return seg.bounds
 
 
-def check_module_input(op, parents, seg, width):
-    """What a module node checks once, at entry: its parents share one dtype
-    and its input, parents[0], is (T, width) with seg covering the T rows."""
-    _check_same_dtype(op, *parents)
-    x = parents[0].data
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ShapeError(op, f"input {x.shape} is not (T, {width})")
-    _segments_of(op, seg, x.shape[0])
-
-
 # -----------------------------------------------------------------------------
 # array-level ops: each op's arithmetic on ndarrays, with no checks and no
-# node. Each returns (out, back): back maps the output gradient to the input
-# gradients. The ops with weights take one requires_grad flag per input after
-# the gradient and return None where the flag is off (a conv forms its input
-# gradient in any case). The Tensor ops below and the module nodes of
-# `backbone` and `variance` run every op through these.
+# node. Each returns (out, back), and every back is called the same way:
+# back(g, *need) takes the output gradient and one requires-grad flag per
+# array input, and returns one gradient per array input, None where the flag
+# is off (a conv forms its input gradient in any case). A back runs only
+# when some flag is on, so a one-input op ignores its flag. The Tensor ops
+# below and the Recorder run every op through these.
 # -----------------------------------------------------------------------------
 
 
-def _identity(g):
-    return g
+def _identity(g, need_x):
+    return (g,)
 
 
 def linear_array(x, w, b):
-    """x @ w + b, or x @ w when b is None."""
+    """x @ w + b, or x @ w when b is None (then back takes no need_b)."""
     out = x @ w
     if b is not None:
         out += b
 
-    def back(g, need_x, need_w, need_b):
+    def back(g, need_x, need_w, need_b=False):
         return (g @ w.T if need_x else None, x.T @ g if need_w else None,
-                g.sum(axis=0) if need_b else None)
+                _add_reduce(g, axis=0) if need_b else None)
 
     return out, back
 
 
+def _add_back(g, need_a, need_b):
+    return g if need_a else None, g if need_b else None
+
+
+def add_array(a, b):
+    """a + b of one shape."""
+    return a + b, _add_back
+
+
 def relu_array(x):
     mask = x > 0
-    return np.where(mask, x, x.dtype.type(0)), lambda g: g * mask
+    return np.where(mask, x, x.dtype.type(0)), lambda g, need_x: (g * mask,)
 
 
 def tanh_array(x):
     out = np.tanh(x)
-    return out, lambda g: g * (1.0 - out * out)
+    return out, lambda g, need_x: (g * (1.0 - out * out),)
 
 
 def layer_norm_array(x, gain, bias):
     """Normalize the trailing axis to zero mean / unit variance, then affine.
-    back keeps the row statistics, not the normalized input."""
+    back keeps the normalized input and the inverse deviations, not x."""
     d = x.shape[-1]
     # the sums divided by d are what ndarray.mean/var compute, without their
     # Python-level argument handling
@@ -264,12 +266,11 @@ def layer_norm_array(x, gain, bias):
     xc = x - mean
     var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    out = xc * inv
-    out *= gain
+    xhat = xc * inv
+    out = xhat * gain
     out += bias
 
     def back(g, need_x, need_gain, need_bias):
-        xhat = (x - mean) * inv
         gx = ggain = gbias = None
         if need_x:
             gxhat = g * gain
@@ -278,9 +279,9 @@ def layer_norm_array(x, gain, bias):
             gx = inv * (gxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         if need_gain:
-            ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
+            ggain = _add_reduce(g * xhat, axis=lead)
         if need_bias:
-            gbias = g.sum(axis=lead) if lead else g
+            gbias = _add_reduce(g, axis=lead)
         return gx, ggain, gbias
 
     return out, back
@@ -319,12 +320,11 @@ def dropout_array(x, p, rngs, seg):
     keeps = _keep_masks([(e - s,) + rest for s, e in seg.bounds], p, rngs)
     keep = keeps[0] if len(keeps) == 1 else np.concatenate(keeps)
     scale = x.dtype.type(1.0 / (1.0 - p))
-    return _dropped(x, keep, scale), lambda g: _dropped(g, keep, scale)
+    return _dropped(x, keep, scale), lambda g, need_x: (_dropped(g, keep, scale),)
 
 
 def attention_array(q, k, v, heads, seg, p, rngs):
-    """Multi-head scaled dot-product attention over (n, d) projections;
-    back(g) gives (gq, gk, gv).
+    """Multi-head scaled dot-product attention over (n, d) projections.
 
     Splits d into `heads` heads, scores queries against the keys of their
     own segment scaled by 1/sqrt(d / heads), takes one softmax per segment,
@@ -366,24 +366,37 @@ def attention_array(q, k, v, heads, seg, p, rngs):
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return x.transpose(1, 0, 2).reshape(n, d)
 
-    def back(g):
+    def back(g, need_q, need_k, need_v):
         go = split(g)
         gq, gk, gv = [], [], []
         for (s, e), att, keep in zip(bounds, weights, keeps):
             gos = go[:, s:e]
-            g_att = np.matmul(gos, vh[:, s:e].transpose(0, 2, 1))
-            if keep is None:
-                gv.append(np.matmul(att.transpose(0, 2, 1), gos))
-            else:
-                gv.append(np.matmul(_dropped(att, keep, scale).transpose(0, 2, 1), gos))
-                g_att = _dropped(g_att, keep, scale)
-            g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
-            g_scores *= c
-            gq.append(np.matmul(g_scores, kh[:, s:e]))
-            gk.append(np.matmul(g_scores.transpose(0, 2, 1), qh[:, s:e]))
-        return merge(gq), merge(gk), merge(gv)
+            if need_v:
+                dropped = att if keep is None else _dropped(att, keep, scale)
+                gv.append(np.matmul(dropped.transpose(0, 2, 1), gos))
+            if need_q or need_k:
+                g_att = np.matmul(gos, vh[:, s:e].transpose(0, 2, 1))
+                if keep is not None:
+                    g_att = _dropped(g_att, keep, scale)
+                g_scores = att * (g_att - _add_reduce(g_att * att, axis=-1, keepdims=True))
+                g_scores *= c
+                if need_q:
+                    gq.append(np.matmul(g_scores, kh[:, s:e]))
+                if need_k:
+                    gk.append(np.matmul(g_scores.transpose(0, 2, 1), qh[:, s:e]))
+        return (merge(gq) if need_q else None, merge(gk) if need_k else None,
+                merge(gv) if need_v else None)
 
     return merge(outs), back
+
+
+def _with_gaps(a, seg, gap, edge):
+    """The rows of a with `gap` zero rows between its segments and `edge`
+    before the first and after the last, each segment copied as a slice."""
+    out = np.zeros((a.shape[0] + (len(seg) - 1) * gap + 2 * edge,) + a.shape[1:], a.dtype)
+    for i, (s, e) in enumerate(seg.bounds):
+        out[s + i * gap + edge : e + i * gap + edge] = a[s:e]
+    return out
 
 
 def conv1d_array(x, w, b, seg):
@@ -393,43 +406,141 @@ def conv1d_array(x, w, b, seg):
     Every segment is zero-padded at both ends, so no tap reaches across a
     boundary: the segments are laid out with (K - 1) / 2 zero rows before,
     between and after them, convolved by one im2col matmul, and the rows
-    centred on packed rows are kept. The kernels are looked up at call
-    time."""
+    centred on packed rows are kept; back keeps that padded input. The
+    kernels are looked up at call time."""
     k, cin, cout = w.shape
     pad = (k - 1) // 2
     t = x.shape[0]
-    n_seg = len(seg)
-    rows = seg.gapped_rows(pad) if pad and n_seg > 1 else None
-
-    def padded():
-        # built again in backward rather than kept: back holds only x
-        if not pad:
-            return x
-        xp = np.zeros((t + (n_seg + 1) * pad, cin), x.dtype)
-        if rows is None:
-            xp[pad : pad + t] = x
-        else:
-            xp[rows] = x
-        return xp
-
-    out = kernels.conv1d_forward(padded(), w)
-    if rows is not None:
-        out = out[rows - pad]
+    gapped = pad > 0 and len(seg) > 1
+    xp = _with_gaps(x, seg, pad, pad) if pad else x
+    out = kernels.conv1d_forward(xp, w)
+    if gapped:
+        out = out.take(seg.gapped_rows(pad, 0), axis=0)
     out += b
 
     def back(g, need_x, need_w, need_b):
-        xp = padded()
-        if rows is None:
-            gxp, gw = kernels.conv1d_backward(xp, w, g, need_w=need_w)
-            gx = gxp[pad : pad + t]
-        else:
-            gout = np.zeros((xp.shape[0] - 2 * pad, cout), g.dtype)
-            gout[rows - pad] = g
-            gxp, gw = kernels.conv1d_backward(xp, w, gout, need_w=need_w)
-            gx = gxp[rows]
-        return gx if need_x else None, gw, g.sum(axis=0) if need_b else None
+        gout = _with_gaps(g, seg, pad, 0) if gapped else g
+        gxp, gw = kernels.conv1d_backward(xp, w, gout, need_w=need_w)
+        gx = gxp.take(seg.gapped_rows(pad, pad), axis=0) if gapped else gxp[pad : pad + t]
+        return gx if need_x else None, gw, _add_reduce(g, axis=0) if need_b else None
 
     return out, back
+
+
+# -----------------------------------------------------------------------------
+# module nodes: a module's array ops recorded as one tape node
+# -----------------------------------------------------------------------------
+
+
+class _Out:
+    """The output of a kept op of a Recorder, as the module sees it: its
+    array and the op's place in the record. Made without an __init__ call
+    (see Recorder.__call__)."""
+
+    __slots__ = ("data", "i")
+
+
+_NO_GRADS = (None,) * 4  # what the inputs of an op whose output got no gradient receive
+_ndarray = np.ndarray  # a Recorder input that is an array is a constant
+_new = object.__new__
+
+
+class Recorder:
+    """A module's forward, run on arrays, recorded as one tape node whose
+    backward is derived from the record.
+
+    `Recorder(op, x, seg, width)` checks the node's input once: x is a
+    (T, width) Tensor and seg covers its T rows. `rec(fn, inputs, *args)`
+    runs the array function `fn(*arrays, *args)` on the arrays of `inputs`
+    and returns its output. Each input is a Tensor (one use of a parent of
+    the node) or an output rec returned earlier. `rec.node(out)` records
+    the node.
+
+    An op is kept, with its back, its inputs and their requires-grad flags
+    as they are when it runs, when one of those flags is on; its output then
+    requires a gradient, and is an `_Out`. Any other output is the plain
+    array: a constant. The node's grad_fn walks the kept ops in reverse and
+    calls each back whose output received a gradient with those flags, so a
+    frozen weight forms no gradient (a frozen conv runs no need_w). An
+    output keeps the first gradient that reaches it and adds later ones out
+    of place, as `backward` does. The node has one parent per use of a
+    Tensor by a kept op, listed in the order the walk meets them, so the
+    tape hands a tensor its gradients in reverse order of use, after those
+    of its later consumers: the sums of the op-by-op graph, bit for bit.
+    These parents must share one dtype. Inside `no_grad()` nothing is kept.
+    """
+
+    __slots__ = ("op", "_kept")
+
+    def __init__(self, op, x, seg, width):
+        shape = x.data.shape
+        if len(shape) != 2 or shape[1] != width:
+            raise ShapeError(op, f"input {shape} is not (T, {width})")
+        _segments_of(op, seg, shape[0])
+        self.op = op
+        self._kept = [] if _recording else None  # (back, sources, need flags) of each kept op
+
+    def __call__(self, fn, inputs, *args):
+        # loops, not comprehensions: this runs for every op of a pass
+        arrays = []
+        kept = self._kept
+        if kept is None:
+            for t in inputs:
+                arrays.append(t if t.__class__ is _ndarray else t.data)
+            return fn(*arrays, *args)[0]
+        sources, need = [], []  # a source is a Tensor, a kept op's place or None
+        for t in inputs:  # one branch per input type, so each attribute read sees one type
+            cls = t.__class__
+            if cls is _Out:
+                arrays.append(t.data)
+                sources.append(t.i)
+                need.append(True)
+            elif cls is _ndarray:
+                arrays.append(t)
+                sources.append(None)
+                need.append(False)
+            else:
+                arrays.append(t.data)
+                sources.append(t)
+                need.append(t.requires_grad)
+        out, back = fn(*arrays, *args)
+        if True not in need:
+            return out
+        o = _new(_Out)
+        o.data, o.i = out, len(kept)
+        kept.append((back, sources, need))
+        return o
+
+    def dropout(self, h, p, rngs, seg):
+        """h through seeded dropout (see dropout_array); h itself, and no op,
+        when dropout is off."""
+        return self(dropout_array, (h,), p, rngs, seg) if _dropout_on(p, rngs) else h
+
+    def node(self, out):
+        if out.__class__ is not _Out:
+            return from_op(out, (), None, self.op)
+        top = out.i
+        kept = self._kept[: top + 1]
+        parents = [s for _, sources, _ in reversed(kept) for s in sources
+                   if s is not None and s.__class__ is not int]
+        _check_same_dtype(self.op, *parents)
+
+        def grad_fn(g):
+            grads = [None] * top + [g]  # of each kept op's output
+            per_use = []
+            for i in range(top, -1, -1):
+                back, sources, need = kept[i]
+                g_i = grads[i]
+                for s, gs in zip(sources, _NO_GRADS if g_i is None else back(g_i, *need)):
+                    if s.__class__ is int:
+                        if gs is not None:
+                            cur = grads[s]
+                            grads[s] = gs if cur is None else cur + gs
+                    elif s is not None:
+                        per_use.append(gs)
+            return per_use
+
+        return from_op(out.data, parents, grad_fn, self.op)
 
 
 # -----------------------------------------------------------------------------
@@ -496,7 +607,7 @@ def reshape(a, shape):
 
 def relu(a):
     out_data, back = relu_array(a.data)
-    return from_op(out_data, (a,), lambda g: (back(g),), "relu")
+    return from_op(out_data, (a,), lambda g: back(g, True), "relu")
 
 
 def embedding(table, ids):
@@ -703,9 +814,8 @@ def backward(loss):
                 continue
             data = parent.data
             if pg.dtype != data.dtype or pg.shape != data.shape:
-                conformed = np.zeros_like(data)
-                conformed += pg
-                pg = conformed
+                raise ShapeError(node.op, f"gradient {pg.dtype} {pg.shape} for a parent "
+                                          f"{data.dtype} {data.shape}")
             cur = parent.grad
             parent.grad = pg if cur is None else cur + pg
 

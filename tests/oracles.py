@@ -62,20 +62,13 @@ def off_identity(adapted):
 # the library's array-level ops as tape nodes, and the module graphs built
 # from them
 
-WEIGHTED = ("layer_norm", "adapter")  # ops whose back takes requires_grad flags
-
-
 def node(op, array_op, parents, *args):
     """One tape node running array_op(*parent arrays, *args), which returns
-    (out, back). back gets each parent's requires_grad after the gradient
-    when the op has weights, the gradient alone otherwise."""
+    (out, back); back gets each parent's requires_grad after the gradient."""
     out, back = array_op(*(p.data for p in parents), *args)
 
     def grad_fn(g):
-        if op in WEIGHTED:
-            return back(g, *(p.requires_grad for p in parents))
-        grads = back(g)
-        return grads if isinstance(grads, tuple) else (grads,)
+        return back(g, *(p.requires_grad for p in parents))
 
     return ad.from_op(out, parents, grad_fn, op)
 

@@ -276,12 +276,14 @@ def test_site_adapters_read_speaker_major_rows():
         generated = Tensor(per_speaker[speakers].reshape(-1, n_flat))
         for site, hook in enumerate(site_adapters(generated, n_sites, seg)):
             np.testing.assert_array_equal(
-                hook(h.data)[0], alone(h, generated, seg, lambda b: [b * n_sites + site]))
+                hook(h.data, generated.data)[0],
+                alone(h, generated, seg, lambda b: [b * n_sites + site]))
         for site, hook in enumerate(site_adapters(shared, n_sites, seg)):
-            np.testing.assert_array_equal(hook(h.data)[0], alone(h, shared, seg, lambda b: [site]))
+            np.testing.assert_array_equal(hook(h.data, shared.data)[0],
+                                          alone(h, shared, seg, lambda b: [site]))
     hooks = site_adapters(_random_table(54, 4, d_h, d_r), n_sites, ad.Segments([2, 3]))
     with pytest.raises(ShapeError):
-        hooks[0](_exact(rng, (5, d_h), 2))
+        hooks[0](_exact(rng, (5, d_h), 2), hooks[0].table.data)
 
 
 # -----------------------------------------------------------------------------

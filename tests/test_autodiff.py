@@ -1,5 +1,7 @@
 """Autodiff engine: finite-difference oracles plus structural invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -348,7 +350,7 @@ class TestDropout:
         x = np.random.default_rng(0).standard_normal((8, 4))
         out, back = ad.dropout_array(x, 0.0, [rng_for(1, "drop")], one(8))
         g = np.ones((8, 4))
-        assert out is x and back(g) is g
+        assert out is x and back(g, True)[0] is g
 
     def test_no_streams_is_identity(self):
         x = np.ones((8, 4))
@@ -371,7 +373,7 @@ class TestDropout:
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(kept.size / out.size - 0.75) < 0.05
         # the gradient passes the kept entries, rescaled the same way
-        np.testing.assert_array_equal(back(np.ones((400, 10))), out)
+        np.testing.assert_array_equal(back(np.ones((400, 10)), True)[0], out)
 
 
 class TestBackwardSemantics:
@@ -416,6 +418,13 @@ class TestBackwardSemantics:
         with pytest.raises(StateError):
             ad.backward(ad.sum_all(x))
 
+    def test_gradient_of_another_shape_is_a_shape_error(self):
+        # a closure that drops an axis must not train on broadcast numbers
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        node = ad.from_op(x.data.copy(), (x,), lambda g: (g[:, 0],), "drops_an_axis")
+        with pytest.raises(ShapeError, match=r"drops_an_axis.*\(3,\).*\(3, 2\)"):
+            ad.backward(ad.sum_all(node))
+
     def test_replay_is_bit_identical(self):
         def run():
             rng = rng_for(42, "replay")
@@ -430,6 +439,80 @@ class TestBackwardSemantics:
         second = run()
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+class TestRecorder:
+    """A toy module node: x feeds two recorded linears, one of them with a
+    frozen weight, whose sum goes through tanh; x also feeds a consumer
+    outside the node, recorded after it."""
+
+    def _tensors(self):
+        rng = np.random.default_rng(40)
+
+        def t32(shape, grad):
+            return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
+
+        # x, a trainable weight and bias, a frozen weight
+        return t32((5, 4), True), t32((4, 3), True), t32(3, True), t32((4, 3), False)
+
+    def _node(self, x, w, b, frozen, linear=ad.linear_array):
+        rec = ad.Recorder("toy", x, one(5), 4)
+        a = rec(linear, (x, w, b))
+        c = rec(linear, (x, frozen), None)
+        return rec.node(rec(ad.tanh_array, (rec(ad.add_array, (a, c)),)))
+
+    def _loss(self, out, x):
+        probe = np.random.default_rng(41)
+        return ad.add(oracles.weighted_sum(out, probe.standard_normal(out.shape)),
+                      oracles.weighted_sum(ad.scale(x, 2.0), probe.standard_normal(x.shape)))
+
+    def test_node_equals_the_tensor_op_graph_bit_for_bit(self):
+        got, want = self._tensors(), self._tensors()
+        out = self._node(*got)
+        assert out._parents == (got[0], got[3], got[0], got[1], got[2])  # one per use, last first
+        ad.backward(self._loss(out, got[0]))
+        x, w, b, frozen = want
+        ref = oracles.tanh(ad.add(ad.linear(x, w, b), ad.linear(x, frozen)))
+        ad.backward(self._loss(ref, x))
+        np.testing.assert_array_equal(out.data, ref.data)
+        for g, r in zip(got, want):
+            assert (g.grad is None) == (r.grad is None)
+            if r.grad is not None:
+                assert g.grad.tobytes() == r.grad.tobytes()
+        assert got[3].grad is None
+
+    def test_frozen_weight_back_gets_its_flag_off(self):
+        flags = []
+
+        def linear(x, w, b):
+            out, back = ad.linear_array(x, w, b)
+
+            def spy(g, *need):
+                flags.append(need)
+                return back(g, *need)
+
+            return out, spy
+
+        x, w, b, frozen = self._tensors()
+        out = self._node(x, w, b, frozen, linear)
+        out._grad_fn(np.ones_like(out.data))
+        # the walk meets the frozen linear first: x wants a gradient, its weight not
+        assert flags == [(True, False), (True, True, True)]
+
+    def test_nothing_is_kept_under_no_grad(self):
+        backs = []
+
+        def linear(x, w, b):
+            out, back = ad.linear_array(x, w, b)
+            backs.append(weakref.ref(back))
+            return out, back
+
+        x, w, b, frozen = self._tensors()
+        with ad.no_grad():
+            out = self._node(x, w, b, frozen, linear)
+        assert len(backs) == 2 and all(ref() is None for ref in backs)
+        assert out._parents == () and out._grad_fn is None and not out.requires_grad
+        np.testing.assert_array_equal(out.data, self._node(x, w, b, frozen).data)
 
 
 def _op_with_parents(op, rng):

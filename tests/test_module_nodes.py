@@ -1,11 +1,12 @@
 """The module nodes against the op-by-op graphs they replaced.
 
-`FFTBlock`, `ConvStack` and `Postnet` each record one tape node. Over a
-float32 pack of three utterances (one of them a single row) with dropout
-streams, each node's output and every gradient it passes equal, bit for
-bit, those of the reference graph in `oracles`, which records a node per op
-and lets the tape chain their gradients. Both run the same kernel calls, so
-a frozen weight costs neither a weight gradient nor a conv `need_w`.
+`FFTBlock`, `ConvStack` and `Postnet` each record one tape node through an
+`autodiff.Recorder`, whose backward is derived from the ops it recorded.
+Over a float32 pack of three utterances (one of them a single row) with
+dropout streams, each node's output and every gradient it passes equal, bit
+for bit, those of the reference graph in `oracles`, which records a node per
+op and lets the tape chain their gradients. Both run the same kernel calls,
+so a frozen weight costs neither a weight gradient nor a conv `need_w`.
 """
 
 import numpy as np
