@@ -96,11 +96,10 @@ def adapter_forward(x, table, seg, site, n_sites):
     delta += picked[seg.blocks(k), n_flat - d_h :] if k > 1 else picked[0, n_flat - d_h :]
 
     def back(g, need_x, need_table):
-        gpre = g @ w_up.T
-        gpre *= keep
+        gpre = ad._masked(g @ w_up.T, keep)
         g_table = None
         if need_table:
-            g_table = np.zeros_like(table)
+            g_table = np.zeros(table.shape, table.dtype)
             g_rows = g_table[site::n_sites]
             g_rows[:, :n_wd] = (x.T @ gpre).reshape(d_h, k, d_r).transpose(1, 0, 2).reshape(k, n_wd)
             g_rows[:, n_wd:n_down] = ad._add_reduce(gpre, axis=0).reshape(k, d_r)

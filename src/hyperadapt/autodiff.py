@@ -11,14 +11,14 @@ Leaf gradients accumulate across backward calls until the caller resets them.
 Only what is needed is computed. A node requires a gradient when any parent
 does. The closures of the nodes with weights (`linear`, `conv1d`, the
 module nodes, and `generate` in `adaptation`) and of the losses compute a
-parent's gradient only when that parent `requires_grad` (read when the
-closure runs; a module node reads it when each op runs) and return None for
-the rest: a frozen weight costs no dW, conv gW or layer-norm gain/bias
-gradient, and a constant input or loss target no gradient of its own (the
-conv kernel forms its input gradient in any case). Inside `no_grad()` no
-tape is recorded at all: ops compute their outputs and keep neither parents
-nor closures, so the arrays a closure would have saved are freed as soon as
-the forward pass moves on (validation and synthesis run this way).
+parent's gradient only when that parent `requires_grad`, read when the
+closure runs, and return None for the rest: a frozen weight costs no dW,
+conv gW or layer-norm gain/bias gradient, and a constant input or loss
+target no gradient of its own (the conv kernel forms its input gradient in
+any case). Inside `no_grad()` no tape is recorded at all: ops compute their
+outputs and keep neither parents nor closures, so the arrays a closure
+would have saved are freed as soon as the forward pass moves on
+(validation and synthesis run this way).
 
 A training batch is one packed graph: its B utterances are stacked along
 axis 0 with no padding, and `Segments` records how many rows each one owns.
@@ -118,10 +118,12 @@ def from_op(data, parents, grad_fn, op):
     out.op = op
     out._seq = next(_node_counter)
     if _recording:
-        out._parents = tuple(parents)
-        out.requires_grad = any(p.requires_grad for p in out._parents)
-        if out.requires_grad:
-            out._grad_fn = grad_fn
+        out._parents = parents = tuple(parents)
+        for p in parents:  # a loop, not any(): this runs for every node of a pass
+            if p.requires_grad:
+                out.requires_grad = True
+                out._grad_fn = grad_fn
+                break
     return out
 
 
@@ -247,8 +249,13 @@ def add_array(a, b):
 
 
 def relu_array(x):
+    # fmax drops a NaN and adding +0 turns -0 into +0: bit for bit
+    # where(x > 0, x, 0), at a third of its cost
+    zero = x.dtype.type(0)
+    out = np.fmax(x, zero)
+    out += zero
     mask = x > 0
-    return np.where(mask, x, x.dtype.type(0)), lambda g, need_x: (g * mask,)
+    return out, lambda g, need_x: (_masked(g, mask),)
 
 
 def tanh_array(x):
@@ -263,10 +270,10 @@ def layer_norm_array(x, gain, bias):
     # the sums divided by d are what ndarray.mean/var compute, without their
     # Python-level argument handling
     mean = _add_reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mean
-    var = _add_reduce(xc * xc, axis=-1, keepdims=True) / d
+    xhat = x - mean
+    var = _add_reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
+    xhat *= inv
     out = xhat * gain
     out += bias
 
@@ -301,9 +308,16 @@ def _keep_masks(shapes, p, rngs):
     return [rng.random(shape) >= p for rng, shape in zip(rngs, shapes)]
 
 
+def _masked(x, mask):
+    """x * mask for a boolean mask, bit for bit: the mask cast to x's dtype
+    times x runs one float loop instead of a loop that casts as it goes."""
+    out = mask.astype(x.dtype)
+    out *= x
+    return out
+
+
 def _dropped(x, keep, scale):
-    # x * keep * scale is bit for bit x times a {0, scale} multiplier
-    out = x * keep
+    out = _masked(x, keep)
     out *= scale
     return out
 
@@ -356,8 +370,8 @@ def attention_array(q, k, v, heads, seg, p, rngs):
         # the same values as scores.max(axis=-1) in half the time
         top = _max_reduce(np.ascontiguousarray(scores.transpose(0, 2, 1)), axis=1)
         scores -= top[:, :, None]
-        ex = np.exp(scores)
-        att = ex / _add_reduce(ex, axis=-1, keepdims=True)
+        att = np.exp(scores, out=scores)
+        att /= _add_reduce(att, axis=-1, keepdims=True)
         weights.append(att)
         outs.append(np.matmul(att if keep is None else _dropped(att, keep, scale), vh[:, s:e]))
 
@@ -390,15 +404,6 @@ def attention_array(q, k, v, heads, seg, p, rngs):
     return merge(outs), back
 
 
-def _with_gaps(a, seg, gap, edge):
-    """The rows of a with `gap` zero rows between its segments and `edge`
-    before the first and after the last, each segment copied as a slice."""
-    out = np.zeros((a.shape[0] + (len(seg) - 1) * gap + 2 * edge,) + a.shape[1:], a.dtype)
-    for i, (s, e) in enumerate(seg.bounds):
-        out[s + i * gap + edge : e + i * gap + edge] = a[s:e]
-    return out
-
-
 def conv1d_array(x, w, b, seg):
     """Length-preserving conv of x (T, Cin) with w (K, Cin, Cout) plus the
     bias b (Cout,), K odd.
@@ -406,22 +411,35 @@ def conv1d_array(x, w, b, seg):
     Every segment is zero-padded at both ends, so no tap reaches across a
     boundary: the segments are laid out with (K - 1) / 2 zero rows before,
     between and after them, convolved by one im2col matmul, and the rows
-    centred on packed rows are kept; back keeps that padded input. The
-    kernels are looked up at call time."""
+    centred on packed rows are kept. The kernels are looked up at call
+    time."""
     k, cin, cout = w.shape
     pad = (k - 1) // 2
     t = x.shape[0]
     gapped = pad > 0 and len(seg) > 1
-    xp = _with_gaps(x, seg, pad, pad) if pad else x
-    out = kernels.conv1d_forward(xp, w)
+    if gapped:  # the rows of x in the padded input, and of the packed rows in the output
+        rows, out_rows = seg.gapped_rows(pad, pad), seg.gapped_rows(pad, 0)
+
+    def padded():
+        # built again in backward rather than kept: back holds only x
+        if not pad:
+            return x
+        xp = np.zeros((t + (len(seg) + 1) * pad, cin), x.dtype)
+        xp[rows if gapped else slice(pad, pad + t)] = x
+        return xp
+
+    out = kernels.conv1d_forward(padded(), w)
     if gapped:
-        out = out.take(seg.gapped_rows(pad, 0), axis=0)
+        out = out.take(out_rows, axis=0)
     out += b
 
     def back(g, need_x, need_w, need_b):
-        gout = _with_gaps(g, seg, pad, 0) if gapped else g
-        gxp, gw = kernels.conv1d_backward(xp, w, gout, need_w=need_w)
-        gx = gxp.take(seg.gapped_rows(pad, pad), axis=0) if gapped else gxp[pad : pad + t]
+        gout = g
+        if gapped:
+            gout = np.zeros((t + (len(seg) - 1) * pad, cout), g.dtype)
+            gout[out_rows] = g
+        gxp, gw = kernels.conv1d_backward(padded(), w, gout, need_w=need_w)
+        gx = gxp.take(rows, axis=0) if gapped else gxp[pad : pad + t]
         return gx if need_x else None, gw, _add_reduce(g, axis=0) if need_b else None
 
     return out, back
@@ -432,115 +450,98 @@ def conv1d_array(x, w, b, seg):
 # -----------------------------------------------------------------------------
 
 
-class _Out:
-    """The output of a kept op of a Recorder, as the module sees it: its
-    array and the op's place in the record. Made without an __init__ call
-    (see Recorder.__call__)."""
-
-    __slots__ = ("data", "i")
-
-
-_NO_GRADS = (None,) * 4  # what the inputs of an op whose output got no gradient receive
-_ndarray = np.ndarray  # a Recorder input that is an array is a constant
-_new = object.__new__
-
-
 class Recorder:
     """A module's forward, run on arrays, recorded as one tape node whose
     backward is derived from the record.
 
-    `Recorder(op, x, seg, width)` checks the node's input once: x is a
-    (T, width) Tensor and seg covers its T rows. `rec(fn, inputs, *args)`
-    runs the array function `fn(*arrays, *args)` on the arrays of `inputs`
-    and returns its output. Each input is a Tensor (one use of a parent of
-    the node) or an output rec returned earlier. `rec.node(out)` records
-    the node.
+    `Recorder(op, x, seg, width)` checks the node's input: x is a (T, width)
+    Tensor and seg covers its T rows. `rec(fn, inputs, *args)` runs the
+    array function `fn(*arrays, *args)` on the arrays of `inputs`, each a
+    Tensor (one use of a parent of the node, which must have x's dtype) or
+    an output rec returned earlier; `rec.node(out)` records the node.
 
-    An op is kept, with its back, its inputs and their requires-grad flags
-    as they are when it runs, when one of those flags is on; its output then
-    requires a gradient, and is an `_Out`. Any other output is the plain
-    array: a constant. The node's grad_fn walks the kept ops in reverse and
-    calls each back whose output received a gradient with those flags, so a
-    frozen weight forms no gradient (a frozen conv runs no need_w). An
-    output keeps the first gradient that reaches it and adds later ones out
-    of place, as `backward` does. The node has one parent per use of a
-    Tensor by a kept op, listed in the order the walk meets them, so the
-    tape hands a tensor its gradients in reverse order of use, after those
-    of its later consumers: the sums of the op-by-op graph, bit for bit.
-    These parents must share one dtype. Inside `no_grad()` nothing is kept.
+    An op is kept, with its back and inputs, when an input requires a
+    gradient; rec then returns the op's place in the record, an int. Any
+    other output is the plain array, a constant the record does not hold.
+    The node's grad_fn walks the kept ops in reverse and calls each back
+    whose output got a gradient with its inputs' requires-grad flags, read
+    then (a frozen conv runs no need_w); an output keeps the first gradient
+    that reaches it and adds later ones out of place, as `backward` does.
+    The node has one parent per use of a Tensor by a kept op, in the order
+    the walk meets them, so the tape hands a tensor its gradients in reverse
+    order of use, after those of its later consumers: the sums of the
+    op-by-op graph, bit for bit. Inside `no_grad()` nothing is kept.
     """
 
-    __slots__ = ("op", "_kept")
+    __slots__ = ("op", "x", "dtype", "_ops", "_inputs")
 
     def __init__(self, op, x, seg, width):
         shape = x.data.shape
         if len(shape) != 2 or shape[1] != width:
             raise ShapeError(op, f"input {shape} is not (T, {width})")
         _segments_of(op, seg, shape[0])
-        self.op = op
-        self._kept = [] if _recording else None  # (back, sources, need flags) of each kept op
+        self.op, self.x, self.dtype = op, x, x.data.dtype
+        # (output, back) and inputs of each kept op; no lists under no_grad
+        self._ops, self._inputs = ([], []) if _recording else (None, None)
 
     def __call__(self, fn, inputs, *args):
-        # loops, not comprehensions: this runs for every op of a pass
+        # a loop, not comprehensions: this runs for every op of a pass
+        dtype, ops = self.dtype, self._ops
         arrays = []
-        kept = self._kept
-        if kept is None:
-            for t in inputs:
-                arrays.append(t if t.__class__ is _ndarray else t.data)
-            return fn(*arrays, *args)[0]
-        sources, need = [], []  # a source is a Tensor, a kept op's place or None
+        keep = const = False
         for t in inputs:  # one branch per input type, so each attribute read sees one type
             cls = t.__class__
-            if cls is _Out:
-                arrays.append(t.data)
-                sources.append(t.i)
-                need.append(True)
-            elif cls is _ndarray:
-                arrays.append(t)
-                sources.append(None)
-                need.append(False)
+            if cls is Tensor:
+                a = t.data
+                if a.dtype is not dtype:
+                    _check_same_dtype(self.op, self.x, t)
+                arrays.append(a)
+                if t.requires_grad:
+                    keep = True
+            elif cls is int:
+                arrays.append(ops[t][0])
+                keep = True
             else:
-                arrays.append(t.data)
-                sources.append(t)
-                need.append(t.requires_grad)
-        out, back = fn(*arrays, *args)
-        if True not in need:
-            return out
-        o = _new(_Out)
-        o.data, o.i = out, len(kept)
-        kept.append((back, sources, need))
-        return o
+                arrays.append(t)
+                const = True
+        out_back = fn(*arrays, *args)
+        if not keep or ops is None:
+            return out_back[0]
+        if const:  # a constant gets no gradient: the record keeps None in its place
+            inputs = tuple(t if t.__class__ in (Tensor, int) else None for t in inputs)
+        ops.append(out_back)
+        self._inputs.append(inputs)
+        return len(ops) - 1
 
     def dropout(self, h, p, rngs, seg):
-        """h through seeded dropout (see dropout_array); h itself, and no op,
-        when dropout is off."""
+        """h through seeded dropout; h itself, and no op, when dropout is off."""
         return self(dropout_array, (h,), p, rngs, seg) if _dropout_on(p, rngs) else h
 
     def node(self, out):
-        if out.__class__ is not _Out:
+        if out.__class__ is not int:
             return from_op(out, (), None, self.op)
-        top = out.i
-        kept = self._kept[: top + 1]
-        parents = [s for _, sources, _ in reversed(kept) for s in sources
-                   if s is not None and s.__class__ is not int]
-        _check_same_dtype(self.op, *parents)
+        backs, inputs = [back for _, back in self._ops[: out + 1]], self._inputs[: out + 1]
+        parents = [t for ins in reversed(inputs) for t in ins
+                   if t is not None and t.__class__ is not int]
 
         def grad_fn(g):
-            grads = [None] * top + [g]  # of each kept op's output
+            grads = [None] * out + [g]  # of each kept op's output
             per_use = []
-            for i in range(top, -1, -1):
-                back, sources, need = kept[i]
-                g_i = grads[i]
-                for s, gs in zip(sources, _NO_GRADS if g_i is None else back(g_i, *need)):
-                    if s.__class__ is int:
-                        if gs is not None:
-                            cur = grads[s]
-                            grads[s] = gs if cur is None else cur + gs
-                    elif s is not None:
-                        per_use.append(gs)
+            for i in range(out, -1, -1):
+                back, ins, g_i = backs[i], inputs[i], grads[i]
+                backs[i] = grads[i] = None  # the op's saved arrays and gradient go now
+                need = [t.__class__ is int or (t is not None and t.requires_grad) for t in ins]
+                gs = [None] * len(ins) if g_i is None else back(g_i, *need)  # None: output unused
+                for t, gt in zip(ins, gs):
+                    if t.__class__ is int:
+                        if gt is not None:
+                            cur = grads[t]
+                            grads[t] = gt if cur is None else cur + gt
+                    elif t is not None:
+                        per_use.append(gt)
             return per_use
 
-        return from_op(out.data, parents, grad_fn, self.op)
+        return from_op(self._ops[out][0], parents, grad_fn, self.op)
 
 
 # -----------------------------------------------------------------------------
@@ -622,7 +623,7 @@ def embedding(table, ids):
     out_data = table.data[ids]
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table.shape, table.dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -641,7 +642,7 @@ def repeat_rows(x, counts):
     starts = (np.cumsum(counts) - counts)[used]
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x.shape, x.dtype)
         if used.size:
             gx[used] = np.add.reduceat(g, starts, axis=0)
         return (gx,)
@@ -813,7 +814,7 @@ def backward(loss):
             if pg is None or not parent.requires_grad:
                 continue
             data = parent.data
-            if pg.dtype != data.dtype or pg.shape != data.shape:
+            if pg.shape != data.shape or (pg.dtype is not data.dtype and pg.dtype != data.dtype):
                 raise ShapeError(node.op, f"gradient {pg.dtype} {pg.shape} for a parent "
                                           f"{data.dtype} {data.shape}")
             cur = parent.grad

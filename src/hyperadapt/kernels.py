@@ -55,7 +55,7 @@ def conv1d_backward_np(xp, w, gout, need_w=True):
     t = gout.shape[0]
     gw = (_im2col(xp, k, t).T @ gout).reshape(k, cin, cout) if need_w else None
     tmp = (gout @ w.reshape(k * cin, cout).T).reshape(t, k, cin)
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros(xp.shape, xp.dtype)  # zeros_like's Python wrapper costs more than the fill
     for kk in range(k):
         gxp[kk : kk + t] += tmp[:, kk, :]
     return gxp, gw

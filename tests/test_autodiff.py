@@ -1,5 +1,6 @@
 """Autodiff engine: finite-difference oracles plus structural invariants."""
 
+import contextlib
 import weakref
 
 import numpy as np
@@ -324,6 +325,14 @@ class TestExactValues:
         out = ad.relu(Tensor(np.array([-5.0, -0.1, 0.0, 2.0])))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_where_bit_for_bit_on_signed_zeros_nan_and_inf(self, dtype):
+        x = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -2.5, 1e-30, 3.0], dtype=dtype)
+        out, back = ad.relu_array(x)
+        assert out.tobytes() == np.where(x > 0, x, dtype(0)).tobytes()
+        g = np.array([-1.0, 2.0, 3.0, -4.0, 5.0, -6.0, 7.0, 8.0], dtype=dtype)
+        assert back(g, True)[0].tobytes() == (g * (x > 0)).tobytes()
+
     def test_softmax_uniform(self):
         out = oracles.softmax(Tensor(np.zeros(4)), axis=-1)
         np.testing.assert_allclose(out.data, 0.25, atol=1e-7)
@@ -513,6 +522,18 @@ class TestRecorder:
         assert len(backs) == 2 and all(ref() is None for ref in backs)
         assert out._parents == () and out._grad_fn is None and not out.requires_grad
         np.testing.assert_array_equal(out.data, self._node(x, w, b, frozen).data)
+
+    @pytest.mark.parametrize("mode", ["no_grad", "all_frozen"])
+    def test_mixed_dtypes_are_an_error_whether_or_not_an_op_is_kept(self, mode):
+        # a float64 weight beside float32 tensors: numpy would promote the
+        # output silently, so the node checks every Tensor input, kept or not
+        x, w, b, frozen = self._tensors()
+        w = Tensor(w.data.astype(np.float64), requires_grad=mode == "no_grad")
+        if mode == "all_frozen":
+            x.requires_grad = b.requires_grad = False
+        with ad.no_grad() if mode == "no_grad" else contextlib.nullcontext():
+            with pytest.raises(InputError, match="toy: mixed dtypes"):
+                self._node(x, w, b, frozen)
 
 
 def _op_with_parents(op, rng):
